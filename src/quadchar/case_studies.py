@@ -26,17 +26,23 @@ Scenarios
   lambda-constant ratio of the biquadratic diamond.
 * ``verify_gln_odd``: all root orbits are asymmetric; root values are
   ``t / Frob^j(t)``, whose exponent ``1 - q^j`` is even, so both the big
-  residue sign and the norm-route sign are ``+1`` exhaustively.
+  residue sign and the norm-route sign are ``+1`` on every unit.
 * ``verify_un_odd``: orbits are symmetric over the base, asymmetric over
   the extension, with a trivial step; ramified-branch root values reduce
   to ``1`` and unramified-branch exponents ``1 -+ q^j`` are even.
+
+The last two scenarios work in a cyclic unit group of even order ``N``,
+where each sign is a statement about exponents mod ``N``.  The units
+with sign ``-1`` are then the solutions of a linear congruence
+``m*a = b (mod N)``, a coset of a subgroup of ``Z/N``, so they are
+counted exactly without enumerating the group
+(``congruence_solutions``, ``count_solutions``, ``count_common``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .char_engine import (
     CLASS_TRIPLES,
@@ -80,6 +86,9 @@ __all__ = [
     "CheckRecord",
     "ScenarioReport",
     "alpha_eval",
+    "congruence_solutions",
+    "count_solutions",
+    "count_common",
     "verify_sl2",
     "verify_gl2",
     "verify_gln_odd",
@@ -415,17 +424,66 @@ def verify_gl2(p: int, case: str) -> ScenarioReport:
 
 
 # ---------------------------------------------------------------------------
+# sign counts in cyclic groups: linear congruences mod the group order
+# ---------------------------------------------------------------------------
+
+# The solutions of ``m*a = b (mod N)`` as ``(r, s)``: the coset ``r + s*Z``
+# of ``Z/N``, with ``s`` dividing ``N``.
+Coset = tuple[int, int]
+
+
+def congruence_solutions(a: int, b: int, modulus: int) -> Coset | None:
+    """All ``m`` in ``Z/modulus`` with ``m*a = b``, or ``None`` if there are none.
+
+    With ``g = gcd(a, modulus)`` there are solutions exactly when ``g``
+    divides ``b``; they are then one coset of the subgroup of index ``g``.
+
+    >>> congruence_solutions(4, 2, 6)    # m*4 = 2 (mod 6): m in {2, 5}
+    (2, 3)
+    >>> congruence_solutions(2, 1, 6) is None
+    True
+    """
+    g = math.gcd(a, modulus)
+    if b % g:
+        return None
+    step = modulus // g
+    return (b // g) * pow(a // g, -1, step) % step, step
+
+
+def count_solutions(coset: Coset | None, modulus: int) -> int:
+    """Number of elements of ``Z/modulus`` in a coset from ``congruence_solutions``."""
+    return 0 if coset is None else modulus // coset[1]
+
+
+def count_common(first: Coset | None, second: Coset | None, modulus: int) -> int:
+    """Number of elements of ``Z/modulus`` in both cosets.
+
+    ``r1 + s1*Z`` and ``r2 + s2*Z`` meet exactly when ``r1 = r2`` modulo
+    ``gcd(s1, s2)``, and then in one coset of ``lcm(s1, s2)*Z``.
+    """
+    if first is None or second is None:
+        return 0
+    (r1, s1), (r2, s2) = first, second
+    if (r1 - r2) % math.gcd(s1, s2):
+        return 0
+    return modulus // math.lcm(s1, s2)
+
+
+# ---------------------------------------------------------------------------
 # GL_n, n odd: asymmetric orbits, even exponents
 # ---------------------------------------------------------------------------
 
 
 def verify_gln_odd(n: int, p: int) -> ScenarioReport:
-    """Exhaustive sign checks in the cyclic model of the degree-n units.
+    """Sign checks on every unit of the cyclic model of the degree-n units.
 
     The unit group of the residue field with ``q**n`` elements is cyclic;
     an element ``g**m`` maps under the ``j``-th root to ``g**(m*(1-q**j))``
     and under the norm to the base field to ``g**(m*(q**n-1)/(q-1))``.
-    Both sign routes are evaluated from those exponents independently.
+    Both sign routes are evaluated from those exponents independently:
+    each route's units of sign ``-1`` solve a linear congruence mod the
+    group order, and the records count those solutions and the units
+    where the two routes disagree, exactly and without enumeration.
     """
     if n % 2 == 0 or n < 3:
         raise ValueError("this scenario is for odd n >= 3")
@@ -454,22 +512,29 @@ def verify_gln_odd(n: int, p: int) -> ScenarioReport:
     order = q**n - 1
     half = order // 2
     norm_scale = order // (q - 1)
-    exps = np.arange(order, dtype=np.int64)
     bad_big = 0
     bad_norm = 0
     for j in range(1, n):
-        m = (exps * (1 - q**j)) % order
-        # sign in the big residue field: g**(m * order/2) is -1 iff m is odd
-        big_negative = (m * half) % order == half
-        bad_big += int(np.count_nonzero(big_negative))
+        exponent = 1 - q**j
+        # sign in the big residue field: g**(m * exponent * order/2) is -1
+        # iff m * exponent * half = half (mod order)
+        big_negative = congruence_solutions(exponent * half, half, order)
         # sign of the norm down to the base residue field, computed from
         # the norm exponent rather than from the parity shortcut
-        norm_exp = (m * norm_scale) % order
-        norm_negative = (norm_exp * ((q - 1) // 2)) % order == half
-        bad_norm += int(np.count_nonzero(big_negative != norm_negative))
+        norm_negative = congruence_solutions(
+            exponent * norm_scale * ((q - 1) // 2), half, order
+        )
+        big_count = count_solutions(big_negative, order)
+        bad_big += big_count
+        # units where exactly one route is -1: |A| + |B| - 2|A & B|
+        bad_norm += (
+            big_count
+            + count_solutions(norm_negative, order)
+            - 2 * count_common(big_negative, norm_negative, order)
+        )
     report.add(
         "gln-unit-signs-trivial",
-        {"n": n, "p": p, "elements": int(order), "roots": n - 1},
+        {"n": n, "p": p, "elements": order, "roots": n - 1},
         0,
         bad_big,
     )
@@ -501,7 +566,12 @@ def verify_gln_odd(n: int, p: int) -> ScenarioReport:
 
 
 def verify_un_odd(n: int, p: int) -> ScenarioReport:
-    """Ramified residues collapse to one; unramified exponents are even."""
+    """Ramified residues collapse to one; unramified exponents are even.
+
+    On the unramified branch the units of sign ``-1`` under each root are
+    the solutions of a linear congruence mod the cyclic group order
+    ``q**n + 1``; the record counts them exactly, without enumeration.
+    """
     if n not in (3, 5):
         raise ValueError("this scenario is for n in {3, 5}")
 
@@ -525,19 +595,19 @@ def verify_un_odd(n: int, p: int) -> ScenarioReport:
     )
 
     # unramified branch: exponents 1 -+ q**j are even on the group of
-    # order q**n + 1, so every sign there is g**(even * half) = +1
+    # order q**n + 1, so every sign there is g**(even * half) = +1; the
+    # units of sign -1 solve m * exponent * half = half (mod order)
     q = p
     order = q**n + 1
     half = order // 2
-    exps = np.arange(order, dtype=np.int64)
     bad = 0
     for j in range(1, n):
         for sign in (1, -1):
-            m = (exps * (1 - sign * q**j)) % order
-            bad += int(np.count_nonzero((m * half) % order == half))
+            negative = congruence_solutions((1 - sign * q**j) * half, half, order)
+            bad += count_solutions(negative, order)
     report.add(
         "un-unramified-signs-trivial",
-        {"n": n, "p": p, "elements": int(order)},
+        {"n": n, "p": p, "elements": order},
         0,
         bad,
     )

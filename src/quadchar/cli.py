@@ -13,6 +13,7 @@ Subcommands
     Run one of the verification suites (``unramified``, ``sl2``, ``gl2``,
     ``gln``, ``un``, ``torus``, ``hilbert`` or ``all``) and report one
     record per aggregated check.  Exit 0 exactly when every record passes.
+    ``--p`` must be an odd prime for every suite, or the exit code is 2.
 
 ``hilbert --p P A B``
     Print the tame quadratic Hilbert symbol of the integers ``A`` and
@@ -398,6 +399,8 @@ def run_tables(args: argparse.Namespace, out) -> int:
 
 
 def run_verify(args: argparse.Namespace, out) -> int:
+    if args.p is not None:
+        make_base(args.p)  # raises NonOddPrimeError unless p is an odd prime
     records = _verify_records(args.suite, args.p, args.n)
     report = _build_report(args.suite, records)
     _emit_report(report, args.json, out)

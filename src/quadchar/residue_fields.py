@@ -340,8 +340,30 @@ class QuadraticExtension:
         return (x for x in self.elements() if x != (0, 0))
 
     def norm_one_elements(self) -> list[ExtElement]:
-        """All elements of norm 1; a cyclic group of order ``q + 1``."""
-        return [x for x in self.units() if self.norm(x) == 1]
+        """All elements of norm 1; a cyclic group of order ``q + 1``.
+
+        The group is listed as the ``q + 1`` powers of one generator
+        ``z = x**(q-1)``, where ``x`` is the first unit (in ``units()``
+        order) for which ``z`` has order ``q + 1``; ``x**(q-1)`` has norm
+        ``x**(q**2-1) = 1``.  The powers are checked to have norm 1 and to
+        be distinct, and are returned in ``units()`` order.
+        """
+        q = self.q
+        primes = _prime_factors(q + 1)
+        # x**(q-1) is 1 for x in the base field, which units() lists first;
+        # the units a + sqrt(u) come next and already give every z
+        for a in self.base.elements():
+            z = self.pow((a, 1), q - 1)
+            if all(self.pow(z, (q + 1) // r) != self.one for r in primes):
+                break
+        else:
+            raise AssertionError("the norm-one subgroup is cyclic")
+        group = [self.one]
+        for _ in range(q):
+            group.append(self.mul(group[-1], z))
+        if len(set(group)) != q + 1 or any(self.norm(y) != 1 for y in group):
+            raise AssertionError(f"powers of {z} are not the norm-one subgroup")
+        return sorted(group, key=lambda y: (y[1], y[0]))
 
     def scalar(self, x: ExtElement) -> int | None:
         """The base-field value of ``x`` if it lies in the base, else ``None``."""

@@ -13,6 +13,9 @@ from quadchar.case_studies import (
     ScenarioReport,
     TorusElementModel,
     alpha_eval,
+    congruence_solutions,
+    count_common,
+    count_solutions,
     verify_gl2,
     verify_gln_odd,
     verify_sl2,
@@ -165,3 +168,70 @@ def test_gln_exhaustive_record_counts_elements():
     rec = by_id["gln-unit-signs-trivial"]
     assert rec.inputs["elements"] == 3**3 - 1
     assert rec.got == 0 and rec.expected == 0
+
+
+# -- sign counts by linear congruence ----------------------------------------
+
+
+def solutions_by_enumeration(a: int, b: int, modulus: int) -> set[int]:
+    """Oracle: every ``m`` in ``Z/modulus`` with ``m*a = b``, by testing each."""
+    return {m for m in range(modulus) if (m * a - b) % modulus == 0}
+
+
+def assert_counts_match(a1: int, a2: int, b: int, modulus: int) -> None:
+    first = congruence_solutions(a1, b, modulus)
+    second = congruence_solutions(a2, b, modulus)
+    expected_first = solutions_by_enumeration(a1, b, modulus)
+    expected_second = solutions_by_enumeration(a2, b, modulus)
+    assert count_solutions(first, modulus) == len(expected_first)
+    assert count_solutions(second, modulus) == len(expected_second)
+    assert count_common(first, second, modulus) == len(expected_first & expected_second)
+
+
+def test_congruence_counts_match_enumeration_for_small_even_orders():
+    for modulus in range(2, 257, 2):
+        half = modulus // 2
+        # the solution set depends on a only through its coset, so the
+        # intersections of every pair of a values are those of the cosets
+        cosets = {}
+        for a in range(modulus):
+            coset = congruence_solutions(a, half, modulus)
+            expected = solutions_by_enumeration(a, half, modulus)
+            assert count_solutions(coset, modulus) == len(expected)
+            assert cosets.setdefault(coset, expected) == expected
+        for first, first_set in cosets.items():
+            for second, second_set in cosets.items():
+                assert count_common(first, second, modulus) == len(first_set & second_set)
+
+
+_FACTORS = st.sampled_from((1, 2, 3, 4, 6, 12, 60))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_congruence_counts_match_enumeration(data):
+    modulus = data.draw(st.integers(1, 10**5))
+    # scaled draws share factors with the modulus more often than plain ones
+    a1, a2, b = (
+        data.draw(st.integers(-modulus, modulus)) * data.draw(_FACTORS)
+        for _ in range(3)
+    )
+    assert_counts_match(a1, a2, b, modulus)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5 * 10**4), st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6))
+def test_odd_exponent_makes_half_the_group_negative(half, c1, c2):
+    """The sign of ``g**(m*c)`` in a cyclic group of order ``2*half``."""
+    modulus = 2 * half
+    assert_counts_match(c1 * half, c2 * half, half, modulus)
+    negative = congruence_solutions(c1 * half, half, modulus)
+    assert count_solutions(negative, modulus) == (half if c1 % 2 else 0)
+    # two sign routes disagree, |A| + |B| - 2|A & B|, when one exponent is odd
+    other = congruence_solutions(c2 * half, half, modulus)
+    disagree = (
+        count_solutions(negative, modulus)
+        + count_solutions(other, modulus)
+        - 2 * count_common(negative, other, modulus)
+    )
+    assert disagree == (half if (c1 + c2) % 2 else 0)

@@ -141,6 +141,33 @@ def test_invalid_arguments_exit_2(argv):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "gln", "--p", "9"],
+        ["verify", "gln", "--p", "4"],
+        ["verify", "gln", "--p", "1"],
+        ["verify", "torus", "--p", "9"],
+    ],
+)
+def test_non_odd_prime_p_is_usage_error(argv, capsys):
+    code, output = run_cli(argv)
+    assert code == 2
+    assert output == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_import_loads_no_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, quadchar.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_installed_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "quadchar.cli", "verify", "sl2", "--p", "3"],

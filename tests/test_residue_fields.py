@@ -187,7 +187,7 @@ def test_norm_surjective_on_units(p: int) -> None:
 def test_norm_one_subgroup_order(k: FiniteField) -> None:
     ext = QuadraticExtension(k)
     group = norm_one_by_enumeration(ext)
-    assert set(ext.norm_one_elements()) == group
+    assert ext.norm_one_elements() == [x for x in ext.units() if x in group]
     assert len(group) == k.q + 1
 
 

@@ -69,7 +69,6 @@ from .residue_fields import (
     ExtElement,
     FiniteField,
     QuadraticExtension,
-    frobenius,
     sgn_norm_one,
     sgn_units,
 )
@@ -160,7 +159,7 @@ def alpha_eval(
     if ext is None:
         raise ValueError("the unramified case needs a quadratic residue model")
     x = t.residue
-    return ext.mul(x, ext.inv(frobenius(ext, x)))
+    return ext.mul(x, ext.inv(ext.conj(x)))
 
 
 def _sign_of_ext_unit(ext: QuadraticExtension, x: ExtElement) -> int:

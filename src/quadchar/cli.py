@@ -13,7 +13,10 @@ Subcommands
     Run one of the verification suites (``unramified``, ``sl2``, ``gl2``,
     ``gln``, ``un``, ``torus``, ``hilbert`` or ``all``) and report one
     record per aggregated check.  Exit 0 exactly when every record passes.
-    ``--p`` must be an odd prime for every suite, or the exit code is 2.
+    ``--p`` (an odd prime) is taken by ``sl2``, ``gl2``, ``gln``, ``un``
+    and ``hilbert``; ``--n`` by ``gln`` and ``un``.  Giving a suite an
+    option it does not take, or a ``--p`` that is not an odd prime, exits
+    with code 2; ``all`` applies each option to the suites that take it.
 
 ``hilbert --p P A B``
     Print the tame quadratic Hilbert symbol of the integers ``A`` and
@@ -27,14 +30,15 @@ sorted, and no timestamps or environment data are embedded.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import itertools
 import json
 import sys
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Sequence
 
 from .case_studies import (
     GL2_CASES,
-    ScenarioReport,
+    CheckRecord,
     verify_gl2,
     verify_gln_odd,
     verify_sl2,
@@ -76,12 +80,6 @@ from .tables import (
 )
 
 SCHEMA_VERSION = 1
-SUITES = ("unramified", "sl2", "gl2", "gln", "un", "torus", "hilbert", "all")
-DEFAULT_GL2_PRIMES = (3, 5, 7, 13)
-DEFAULT_SMALL_PRIMES = (3, 5, 7)
-DEFAULT_GLN_RANKS = (3, 5, 7)
-DEFAULT_UN_RANKS = (3, 5)
-HILBERT_PRIMES = (3, 5, 7, 11, 13)
 
 
 # ---------------------------------------------------------------------------
@@ -89,67 +87,29 @@ HILBERT_PRIMES = (3, 5, 7, 11, 13)
 # ---------------------------------------------------------------------------
 
 
-def _record(record_id: str, inputs: dict, expected: object, got: object) -> dict:
-    return {
-        "id": record_id,
-        "inputs": inputs,
-        "expected": expected,
-        "got": got,
-        "verdict": "pass" if expected == got else "fail",
-    }
-
-
-def _build_report(suite: str, records: list[dict]) -> dict:
-    records = sorted(records, key=lambda r: r["id"])
-    npass = sum(1 for r in records if r["verdict"] == "pass")
-    return {
+def _write_report(suite: str, records: Iterable[CheckRecord], json_path: str | None) -> dict:
+    """The report of ``records``, sorted by id; also written to ``json_path`` if given."""
+    rows = [
+        {**vars(r), "verdict": r.verdict}
+        for r in sorted(records, key=lambda r: r.id)
+    ]
+    npass = sum(1 for r in rows if r["verdict"] == "pass")
+    report = {
         "schema_version": SCHEMA_VERSION,
         "suite": suite,
-        "records": records,
-        "summary": {"pass": npass, "fail": len(records) - npass},
+        "records": rows,
+        "summary": {"pass": npass, "fail": len(rows) - npass},
     }
-
-
-def _emit_report(report: dict, json_path: str | None, out) -> None:
-    for rec in report["records"]:
-        print(f"{rec['verdict']:4s}  {rec['id']}", file=out)
-    summary = report["summary"]
-    print(
-        f"{report['suite']}: {summary['pass']} passed, {summary['fail']} failed",
-        file=out,
-    )
     if json_path:
         with open(json_path, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
+    return report
 
 
-def _scenario_records(report: ScenarioReport, suffix: str) -> list[dict]:
-    out = []
-    for rec in report.records:
-        expected = rec.expected
-        got = rec.got
-        out.append(
-            _record(
-                f"{rec.id}{suffix}",
-                dict(rec.inputs),
-                _jsonable(expected),
-                _jsonable(got),
-            )
-        )
-    return out
-
-
-def _jsonable(value: object) -> object:
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return dataclasses.asdict(value)
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, list):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
+def _tagged(records: Iterable[CheckRecord], suffix: str) -> list[CheckRecord]:
+    """Scenario records with the grid point appended to their ids."""
+    return [replace(r, id=f"{r.id}{suffix}") for r in records]
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +117,7 @@ def _jsonable(value: object) -> object:
 # ---------------------------------------------------------------------------
 
 
-def _records_unramified() -> list[dict]:
+def _records_unramified() -> list[CheckRecord]:
     out = []
     for cfg in enumerate_configs():
         if cfg.ef is not EF.UNRAM:
@@ -168,7 +128,7 @@ def _records_unramified() -> list[dict]:
             f"-gate{int(cfg.in_phi_half)}-oz{int(cfg.ord_zero)}"
         )
         out.append(
-            _record(
+            CheckRecord(
                 rid,
                 {
                     "class": class_key(cfg),
@@ -186,37 +146,6 @@ def _records_unramified() -> list[dict]:
     return out
 
 
-def _records_sl2(primes: Sequence[int]) -> list[dict]:
-    out = []
-    for p in primes:
-        out.extend(_scenario_records(verify_sl2(p), f"-p{p}"))
-    return out
-
-
-def _records_gl2(primes: Sequence[int]) -> list[dict]:
-    out = []
-    for p in primes:
-        for case in GL2_CASES:
-            out.extend(_scenario_records(verify_gl2(p, case), f"-p{p}"))
-    return out
-
-
-def _records_gln(ranks: Sequence[int], primes: Sequence[int]) -> list[dict]:
-    out = []
-    for n in ranks:
-        for p in primes:
-            out.extend(_scenario_records(verify_gln_odd(n, p), f"-n{n}-p{p}"))
-    return out
-
-
-def _records_un(ranks: Sequence[int], primes: Sequence[int]) -> list[dict]:
-    out = []
-    for n in ranks:
-        for p in primes:
-            out.extend(_scenario_records(verify_un_odd(n, p), f"-n{n}-p{p}"))
-    return out
-
-
 def _torus_label(expr) -> str:
     if isinstance(expr, Gm):
         return f"Gm({expr.base})"
@@ -229,12 +158,12 @@ def _torus_label(expr) -> str:
     raise TypeError(f"unknown torus expression {expr!r}")
 
 
-def _records_torus() -> list[dict]:
+def _records_torus() -> list[CheckRecord]:
     out = []
     for i, expr in enumerate(torus_catalog()):
         verdict = prasad_torus_identity(expr)
         out.append(
-            _record(
+            CheckRecord(
                 f"torus-identity-{i:02d}",
                 {
                     "torus": _torus_label(expr),
@@ -251,7 +180,7 @@ def _records_torus() -> list[dict]:
         (U1("E1", "F"), "Z/2"),
     ):
         out.append(
-            _record(
+            CheckRecord(
                 f"torus-norm-quotient-{_torus_label(expr)}",
                 {"torus": _torus_label(expr), "step": "E/F"},
                 expected,
@@ -261,98 +190,122 @@ def _records_torus() -> list[dict]:
     return out
 
 
-def _records_hilbert() -> list[dict]:
+def _records_hilbert(p: int) -> list[CheckRecord]:
     out = []
-    for p in HILBERT_PRIMES:
-        F = make_base(p)
-        classes = square_classes(F)
-        minus_one = SquareClass(0, F.residue_sign_exponent)
-        for a in classes:
-            for b in classes:
-                symbol = hilbert_symbol(F, a, b)
-                symmetric = symbol == hilbert_symbol(F, b, a)
-                if b.is_trivial:
-                    omega_matches = True  # no extension to compare against
-                else:
-                    ext = quadratic_extension(F, b)
-                    omega_matches = omega_quadratic(ext, a) == symbol
-                out.append(
-                    _record(
-                        f"hilbert-p{p:02d}-{a.rep_string()}-{b.rep_string()}",
-                        {
-                            "p": p,
-                            "a": a.rep_string(),
-                            "b": b.rep_string(),
-                            "symbol": symbol,
-                        },
-                        {"symmetric": True, "omega_matches": True},
-                        {"symmetric": symmetric, "omega_matches": omega_matches},
-                    )
+    F = make_base(p)
+    classes = square_classes(F)
+    minus_one = SquareClass(0, F.residue_sign_exponent)
+    for a in classes:
+        for b in classes:
+            symbol = hilbert_symbol(F, a, b)
+            symmetric = symbol == hilbert_symbol(F, b, a)
+            if b.is_trivial:
+                omega_matches = True  # no extension to compare against
+            else:
+                ext = quadratic_extension(F, b)
+                omega_matches = omega_quadratic(ext, a) == symbol
+            out.append(
+                CheckRecord(
+                    f"hilbert-p{p:02d}-{a.rep_string()}-{b.rep_string()}",
+                    {
+                        "p": p,
+                        "a": a.rep_string(),
+                        "b": b.rep_string(),
+                        "symbol": symbol,
+                    },
+                    {"symmetric": True, "omega_matches": True},
+                    {"symmetric": symmetric, "omega_matches": omega_matches},
                 )
-        bilinear_bad = sum(
-            1
-            for a in classes
-            for b in classes
-            for c in classes
-            if hilbert_symbol(F, a * b, c)
-            != hilbert_symbol(F, a, c) * hilbert_symbol(F, b, c)
-        )
-        out.append(
-            _record(f"hilbert-p{p:02d}-bilinear", {"p": p}, 0, bilinear_bad)
-        )
-        anti_bad = sum(
-            1 for a in classes if hilbert_symbol(F, a, minus_one * a) != 1
-        )
-        out.append(
-            _record(f"hilbert-p{p:02d}-a-minus-a", {"p": p}, 0, anti_bad)
-        )
-        degenerate = sum(
-            1
-            for a in classes
-            if not a.is_trivial
-            and all(hilbert_symbol(F, a, b) == 1 for b in classes)
-        )
-        out.append(
-            _record(f"hilbert-p{p:02d}-nondegenerate", {"p": p}, 0, degenerate)
-        )
-        toral_bad = sum(
-            1
-            for a in classes
-            if not a.is_trivial
-            for b in classes
-            if toral_invariant(F, a, b) != hilbert_symbol(F, a, b)
-        )
-        out.append(
-            _record(f"hilbert-p{p:02d}-toral-equals-symbol", {"p": p}, 0, toral_bad)
-        )
+            )
+    bilinear_bad = sum(
+        1
+        for a in classes
+        for b in classes
+        for c in classes
+        if hilbert_symbol(F, a * b, c)
+        != hilbert_symbol(F, a, c) * hilbert_symbol(F, b, c)
+    )
+    out.append(
+        CheckRecord(f"hilbert-p{p:02d}-bilinear", {"p": p}, 0, bilinear_bad)
+    )
+    anti_bad = sum(
+        1 for a in classes if hilbert_symbol(F, a, minus_one * a) != 1
+    )
+    out.append(
+        CheckRecord(f"hilbert-p{p:02d}-a-minus-a", {"p": p}, 0, anti_bad)
+    )
+    degenerate = sum(
+        1
+        for a in classes
+        if not a.is_trivial
+        and all(hilbert_symbol(F, a, b) == 1 for b in classes)
+    )
+    out.append(
+        CheckRecord(f"hilbert-p{p:02d}-nondegenerate", {"p": p}, 0, degenerate)
+    )
+    toral_bad = sum(
+        1
+        for a in classes
+        if not a.is_trivial
+        for b in classes
+        if toral_invariant(F, a, b) != hilbert_symbol(F, a, b)
+    )
+    out.append(
+        CheckRecord(f"hilbert-p{p:02d}-toral-equals-symbol", {"p": p}, 0, toral_bad)
+    )
     return out
 
 
-def _verify_records(suite: str, p: int | None, n: int | None) -> list[dict]:
-    gl2_primes = (p,) if p else DEFAULT_GL2_PRIMES
-    small_primes = (p,) if p else DEFAULT_SMALL_PRIMES
-    gln_ranks = (n,) if n else DEFAULT_GLN_RANKS
-    un_ranks = (n,) if n else DEFAULT_UN_RANKS
-    if suite == "unramified":
-        return _records_unramified()
-    if suite == "sl2":
-        return _records_sl2(gl2_primes)
-    if suite == "gl2":
-        return _records_gl2(gl2_primes)
-    if suite == "gln":
-        return _records_gln(gln_ranks, small_primes)
-    if suite == "un":
-        return _records_un(un_ranks, small_primes)
-    if suite == "torus":
-        return _records_torus()
-    if suite == "hilbert":
-        return _records_hilbert()
-    if suite == "all":
-        records = []
-        for sub in SUITES[:-1]:
-            records.extend(_verify_records(sub, p, n))
-        return records
-    raise ValueError(f"unknown suite {suite!r}")
+@dataclass(frozen=True)
+class Suite:
+    """One ``verify`` suite: its records at one grid point, and its default axes.
+
+    ``records`` takes ``p`` if the suite has a prime axis and ``n`` if it
+    has a rank axis.  An empty axis means the suite takes no ``--p`` or
+    ``--n``; a given option replaces the suite's axis by that one value.
+    """
+
+    records: Callable[..., list[CheckRecord]]
+    primes: tuple[int, ...] = ()
+    ranks: tuple[int, ...] = ()
+
+
+# The scenario functions are looked up by name at call time, not bound
+# here, so that a wrapper installed on this module's globals sees the calls.
+SUITES = {
+    "unramified": Suite(_records_unramified),
+    "sl2": Suite(lambda p: _tagged(verify_sl2(p).records, f"-p{p}"), primes=(3, 5, 7, 13)),
+    "gl2": Suite(
+        lambda p: _tagged(
+            (r for case in GL2_CASES for r in verify_gl2(p, case).records), f"-p{p}"
+        ),
+        primes=(3, 5, 7, 13),
+    ),
+    "gln": Suite(
+        lambda p, n: _tagged(verify_gln_odd(n, p).records, f"-n{n}-p{p}"),
+        primes=(3, 5, 7),
+        ranks=(3, 5, 7),
+    ),
+    "un": Suite(
+        lambda p, n: _tagged(verify_un_odd(n, p).records, f"-n{n}-p{p}"),
+        primes=(3, 5, 7),
+        ranks=(3, 5),
+    ),
+    "torus": Suite(_records_torus),
+    "hilbert": Suite(_records_hilbert, primes=(3, 5, 7, 11, 13)),
+}
+
+
+def _suite_records(suite: Suite, p: int | None, n: int | None) -> list[CheckRecord]:
+    grid = {}
+    if suite.ranks:
+        grid["n"] = suite.ranks if n is None else (n,)
+    if suite.primes:
+        grid["p"] = suite.primes if p is None else (p,)
+    records = []
+    for point in itertools.product(*grid.values()):
+        records.extend(suite.records(**dict(zip(grid, point))))
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +327,7 @@ def run_tables(args: argparse.Namespace, out) -> int:
                 table_got.rows[i - 1] if i <= len(table_got.rows) else None
             )
             records.append(
-                _record(
+                CheckRecord(
                     f"table{table_expected.number}-row{i:02d}",
                     {"table": table_expected.number, "row": i},
                     " | ".join(row),
@@ -390,21 +343,29 @@ def run_tables(args: argparse.Namespace, out) -> int:
                 file=out,
             )
     print(f"{total_rows} rows compared, {len(diffs)} diffs", file=out)
-    report = _build_report("tables", records)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _write_report("tables", records, args.json)
     return 1 if diffs else 0
 
 
 def run_verify(args: argparse.Namespace, out) -> int:
+    if args.suite == "all":
+        suites = list(SUITES.values())
+    else:
+        suite = SUITES[args.suite]
+        if args.p is not None and not suite.primes:
+            raise ValueError(f"suite {args.suite} takes no --p")
+        if args.n is not None and not suite.ranks:
+            raise ValueError(f"suite {args.suite} takes no --n")
+        suites = [suite]
     if args.p is not None:
         make_base(args.p)  # raises NonOddPrimeError unless p is an odd prime
-    records = _verify_records(args.suite, args.p, args.n)
-    report = _build_report(args.suite, records)
-    _emit_report(report, args.json, out)
-    return 0 if report["summary"]["fail"] == 0 else 1
+    records = [r for suite in suites for r in _suite_records(suite, args.p, args.n)]
+    report = _write_report(args.suite, records, args.json)
+    for rec in report["records"]:
+        print(f"{rec['verdict']:4s}  {rec['id']}", file=out)
+    summary = report["summary"]
+    print(f"{args.suite}: {summary['pass']} passed, {summary['fail']} failed", file=out)
+    return 0 if summary["fail"] == 0 else 1
 
 
 def run_hilbert(args: argparse.Namespace, out) -> int:
@@ -433,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=SUITES)
+    p_verify.add_argument("suite", choices=(*SUITES, "all"))
     p_verify.add_argument("--p", type=int, default=None, help="restrict to one prime")
     p_verify.add_argument("--n", type=int, default=None, help="restrict to one rank")
     p_verify.add_argument("--json", metavar="PATH", help="write a JSON report")

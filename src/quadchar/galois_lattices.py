@@ -49,6 +49,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
+from .residue_fields import _factorize
+
 __all__ = [
     "FiniteAbelianGroup",
     "GaloisLattice",
@@ -137,19 +139,6 @@ def _bit_add(a: Bit, b: Bit) -> Bit:
 # ---------------------------------------------------------------------------
 
 
-def _factor_multiset(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 @dataclass(frozen=True)
 class FiniteAbelianGroup:
     """A finite abelian group by its invariant-factor chain ``d1 | d2 | ...``.
@@ -189,7 +178,7 @@ class FiniteAbelianGroup:
         for n in factors:
             if n < 1:
                 raise ValueError("cyclic factors must be positive")
-            for p, k in _factor_multiset(n).items():
+            for p, k in _factorize(n).items():
                 primepowers.setdefault(p, []).append(p**k)
         for p in primepowers:
             primepowers[p].sort()

@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .residue_fields import FiniteField
+from .residue_fields import FiniteField, _is_prime
 
 __all__ = [
     "NonOddPrimeError",
@@ -77,17 +77,6 @@ __all__ = [
 
 class NonOddPrimeError(ValueError):
     """Raised when a base field is requested at p = 2 or at a non-prime."""
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)

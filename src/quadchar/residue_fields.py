@@ -8,16 +8,16 @@ evaluation.  It provides:
 * ``QuadraticExtension(base)`` — the degree-2 extension of a
   ``FiniteField`` realised as ``base[X]/(X**2 - u)`` with ``u`` the
   canonical non-square, elements being pairs ``(a, b)`` for ``a + b*X``;
+  Frobenius ``x -> x**q``, norm ``x -> x**(q+1)`` and trace
+  ``x -> x + x**q`` down to the base are its methods ``conj``, ``norm``
+  and ``trace``;
 * the two sign characters:
 
   - ``sgn_units(k, x) = x**((q-1)//2)`` — the unique nontrivial quadratic
     character of the cyclic group ``k^x`` of order ``q - 1``;
   - ``sgn_norm_one(ext, x) = x**((q+1)//2)`` — the unique nontrivial
     quadratic character of the norm-one subgroup of ``ext^x``, cyclic of
-    order ``q + 1``;
-
-* Frobenius ``x -> x**q``, norm ``x -> x**(q+1)`` and trace ``x -> x + x**q``
-  from the quadratic extension down to the base.
+    order ``q + 1``.
 
 Element encoding.  Elements of ``FiniteField(p, f)`` are integers in
 ``range(q)``.  For ``f == 1`` the integer is the residue itself; for
@@ -43,9 +43,6 @@ __all__ = [
     "NormOneElement",
     "sgn_units",
     "sgn_norm_one",
-    "frobenius",
-    "norm_to_base",
-    "trace_to_base",
 ]
 
 _MAX_Q = 10_000
@@ -64,18 +61,17 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of ``n >= 1`` by trial division."""
-    out: list[int] = []
+def _factorize(n: int) -> dict[int, int]:
+    """Prime factorisation of ``n >= 1`` by trial division: prime -> exponent."""
+    out: dict[int, int] = {}
     d = 2
     while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
         d += 1
     if n > 1:
-        out.append(n)
+        out[n] = out.get(n, 0) + 1
     return out
 
 
@@ -210,7 +206,7 @@ class FiniteField:
         if x == 0:
             raise ValueError("zero has no multiplicative order")
         order = self.q - 1
-        for r in _prime_factors(self.q - 1):
+        for r in _factorize(self.q - 1):
             while order % r == 0 and self.pow(x, order // r) == 1:
                 order //= r
         return order
@@ -349,7 +345,7 @@ class QuadraticExtension:
         be distinct, and are returned in ``units()`` order.
         """
         q = self.q
-        primes = _prime_factors(q + 1)
+        primes = _factorize(q + 1)
         # x**(q-1) is 1 for x in the base field, which units() lists first;
         # the units a + sqrt(u) come next and already give every z
         for a in self.base.elements():
@@ -432,18 +428,3 @@ def sgn_norm_one(ext: QuadraticExtension, x: ExtElement | NormOneElement) -> int
     if scalar is None:
         raise AssertionError("square root of 1 must be a base scalar")
     return _sign_of(ext.base, scalar)
-
-
-def frobenius(ext: QuadraticExtension, x: ExtElement) -> ExtElement:
-    """The ``q``-power map of the quadratic extension (= conjugation)."""
-    return ext.conj(x)
-
-
-def norm_to_base(ext: QuadraticExtension, x: ExtElement) -> int:
-    """``x**(q+1)`` as a base-field element."""
-    return ext.norm(x)
-
-
-def trace_to_base(ext: QuadraticExtension, x: ExtElement) -> int:
-    """``x + x**q`` as a base-field element."""
-    return ext.trace(x)

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
+from .galois_lattices import identity_matrix, mat_mul, mat_vec
 from .padic_fields import (
     LocalFieldDesc,
     biquadratic_diamond,
@@ -90,21 +91,6 @@ Element = tuple[Matrix, int]  # (signed permutation matrix, character value)
 _MAX_GROUP = 256
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
-
-
-def _mat_vec(a: Matrix, v: Vector) -> Vector:
-    return tuple(sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a)))
-
-
-def _identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def _neg(v: Vector) -> Vector:
     return tuple(-x for x in v)
 
@@ -139,13 +125,13 @@ class TwistedRootSystem:
 
     def group_elements(self) -> tuple[Element, ...]:
         """Closure of the generators in ``GL x {+-1}``; capped for safety."""
-        identity: Element = (_identity(self.rank), 1)
+        identity: Element = (identity_matrix(self.rank), 1)
         group: set[Element] = {identity}
         frontier = [identity]
         while frontier:
             base = frontier.pop()
             for mat, sign in self.generators:
-                nxt = (_mat_mul(base[0], mat), base[1] * sign)
+                nxt = (mat_mul(base[0], mat), base[1] * sign)
                 if nxt not in group:
                     if len(group) >= _MAX_GROUP:
                         raise ValueError("group closure exceeds the supported size")
@@ -162,7 +148,7 @@ class TwistedRootSystem:
         return kernel
 
     def act(self, element: Element, root: Vector) -> Vector:
-        return _mat_vec(element[0], root)
+        return mat_vec(element[0], root)
 
     def check_action_closed(self) -> None:
         root_set = set(self.roots)

@@ -22,7 +22,7 @@ from quadchar.case_studies import (
     verify_un_odd,
 )
 from quadchar.padic_fields import ExtKind
-from quadchar.residue_fields import FiniteField, QuadraticExtension, frobenius
+from quadchar.residue_fields import FiniteField, QuadraticExtension
 
 SMALL_PRIMES = (3, 5, 7, 13)
 
@@ -58,7 +58,7 @@ def test_alpha_unramified_lands_in_norm_one_subgroup():
         ext = QuadraticExtension(FiniteField(p))
         for x in ext.units():
             a = alpha_eval(ExtKind.UNRAMIFIED, TorusElementModel(0, x), ext)
-            assert ext.mul(a, frobenius(ext, a)) == ext.one
+            assert ext.mul(a, ext.conj(a)) == ext.one
 
 
 @settings(max_examples=80)

@@ -1,21 +1,41 @@
 """Command-line contract: subcommands, report schema, exit codes."""
 
+import hashlib
 import io
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import quadchar
 from quadchar.cli import main
 
 EXPECTED_ROW_TOTAL = 3 + 10 + 3 + 10 + 10
+
+# sha256 of the reports at their default inputs; bench/expected.json holds
+# the same digests for the benchmark's ops
+REPORT_DIGESTS = {
+    "tables.json": "4d2d49da256f977398f890a8b7dc99d77bfc5ee4762ddb9b06205b9b97076d2d",
+    "verify-all.json": "9181d5657cce0d1f5f2cd861cb45ec06314d75129160d9cd754fd7dfc57126d5",
+}
 
 
 def run_cli(argv):
     out = io.StringIO()
     code = main(argv, out=out)
     return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def default_reports(tmp_path_factory):
+    """``tables --json`` and ``verify all --json`` at their default inputs."""
+    out = tmp_path_factory.mktemp("reports")
+    assert run_cli(["tables", "--json", str(out / "tables.json")])[0] == 0
+    assert run_cli(["verify", "all", "--json", str(out / "verify-all.json")])[0] == 0
+    return out
 
 
 # -- tables ------------------------------------------------------------------
@@ -93,6 +113,51 @@ def test_verify_all_report_schema(tmp_path):
     assert tally["fail"] == 0
 
 
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_default_report_bytes_are_pinned(default_reports, name):
+    data = (default_reports / name).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == REPORT_DIGESTS[name]
+
+
+def test_run_all_checks_writes_the_cli_reports(default_reports, tmp_path):
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_all_checks.py"
+    src = pathlib.Path(quadchar.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(script), "--json", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "overall: ok" in proc.stdout
+    for name in REPORT_DIGESTS:
+        assert (tmp_path / name).read_bytes() == (default_reports / name).read_bytes()
+
+
+def test_verify_hilbert_honours_p():
+    code, output = run_cli(["verify", "hilbert", "--p", "5"])
+    assert code == 0
+    assert "hilbert: 20 passed, 0 failed" in output
+    assert "hilbert-p05-bilinear" in output and "hilbert-p03" not in output
+
+
+def test_verify_all_applies_each_option_to_the_suites_that_take_it(tmp_path):
+    path = tmp_path / "all.json"
+    code, _ = run_cli(["verify", "all", "--p", "5", "--n", "5", "--json", str(path)])
+    assert code == 0
+    ids = [r["id"] for r in json.loads(path.read_text())["records"]]
+    prefixes = {"unramified", "sl2", "gl2", "gln", "un", "torus", "hilbert"}
+    assert {rid.split("-")[0] for rid in ids} == prefixes
+    for rid in ids:
+        suite = rid.split("-")[0]
+        if suite in ("sl2", "gl2"):
+            assert rid.endswith("-p5")
+        elif suite in ("gln", "un"):
+            assert rid.endswith("-n5-p5")
+        elif suite == "hilbert":
+            assert rid.startswith("hilbert-p05-")
+
+
 def test_verify_reports_are_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run_cli(["verify", "un", "--json", str(a)])
@@ -148,6 +213,7 @@ def test_invalid_arguments_exit_2(argv):
         ["verify", "gln", "--p", "4"],
         ["verify", "gln", "--p", "1"],
         ["verify", "torus", "--p", "9"],
+        ["verify", "hilbert", "--p", "9"],
     ],
 )
 def test_non_odd_prime_p_is_usage_error(argv, capsys):
@@ -156,6 +222,25 @@ def test_non_odd_prime_p_is_usage_error(argv, capsys):
     assert output == ""
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "sl2", "--n", "5"],
+        ["verify", "gl2", "--n", "3"],
+        ["verify", "hilbert", "--n", "3"],
+        ["verify", "torus", "--p", "5"],
+        ["verify", "unramified", "--p", "5"],
+        ["verify", "unramified", "--n", "3"],
+    ],
+)
+def test_option_the_suite_does_not_take_is_usage_error(argv, capsys):
+    code, output = run_cli(argv)
+    assert code == 2
+    assert output == ""
+    err = capsys.readouterr().err
+    assert err == f"error: suite {argv[1]} takes no {argv[2]}\n"
 
 
 def test_cli_import_loads_no_numpy():

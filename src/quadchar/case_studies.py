@@ -191,7 +191,7 @@ def verify_sl2(p: int) -> ScenarioReport:
     report = ScenarioReport(
         "sl2", p, "norm-one tori of the three quadratic extensions"
     )
-    k = FiniteField(p, 1)
+    k = FiniteField(p)
     ext = QuadraticExtension(k)
 
     # unramified torus: the full norm-one subgroup of the quadratic model
@@ -261,7 +261,7 @@ def _gl2_odd(p: int, report: ScenarioReport) -> None:
         diamond.middles[2].kind.value,
     )
 
-    k = FiniteField(p, 1)
+    k = FiniteField(p)
     ext2 = QuadraticExtension(k)
     step = quadratic_extension(torus_field.field, SquareClass(0, 1), "top")
     config = make_config(CLASS_TRIPLES[9], EF.RAM, in_phi_half=True)
@@ -313,7 +313,7 @@ def _gl2_even_a(p: int, report: ScenarioReport) -> None:
     torus_field = unramified_quadratic(base, "T")
     base_ext = ramified_quadratic(base, 0, "Eext")
     biquadratic_diamond(torus_field, base_ext, top_label="top")
-    k = FiniteField(p, 1)
+    k = FiniteField(p)
     ext2 = QuadraticExtension(k)
     step = quadratic_extension(torus_field.field, SQUARE_CLASS_PI, "top")
     third_over_base = quadratic_extension(base, SquareClass(1, 1), "third")
@@ -371,7 +371,7 @@ def _gl2_even_b(p: int, report: ScenarioReport) -> None:
     ratio = zeta_lambda_ratio(diamond)
     report.add("gl2-even-b-lambda-ratio", {"p": p}, -1, ratio)
 
-    k = FiniteField(p, 1)
+    k = FiniteField(p)
     step = quadratic_extension(torus_field.field, SquareClass(0, 1), "top")
     config = make_config(CLASS_TRIPLES[8], EF.UNRAM)
     report.add(
@@ -472,6 +472,10 @@ def count_common(first: Coset | None, second: Coset | None, modulus: int) -> int
 # GL_n, n odd: asymmetric orbits, even exponents
 # ---------------------------------------------------------------------------
 
+# Orbit classification closes the signed-permutation group of rank n in
+# pure Python; its time grows steeply with n (about 0.5 s at n = 15).
+GLN_MAX_N = 15
+
 
 def verify_gln_odd(n: int, p: int) -> ScenarioReport:
     """Sign checks on every unit of the cyclic model of the degree-n units.
@@ -486,6 +490,8 @@ def verify_gln_odd(n: int, p: int) -> ScenarioReport:
     """
     if n % 2 == 0 or n < 3:
         raise ValueError("this scenario is for odd n >= 3")
+    if n > GLN_MAX_N:
+        raise ValueError(f"this scenario is capped at n <= {GLN_MAX_N}, got {n}")
 
     report = ScenarioReport("gln-odd", p, f"degree-{n} unramified step tower")
     parity = gln_orbit_parity(n)
@@ -584,7 +590,7 @@ def verify_un_odd(n: int, p: int) -> ScenarioReport:
     )
 
     # ramified branch: norm-one residues are +-1, the root value is 1 on both
-    k = FiniteField(p, 1)
+    k = FiniteField(p)
     ram_values = sorted(
         {alpha_eval(ExtKind.RAMIFIED, TorusElementModel(0, r)) for r in (1, p - 1)}
     )

@@ -762,20 +762,15 @@ def component_group_dual(torus: TorusExpr, level: str) -> FiniteAbelianGroup:
     By duality this is (the dual of) the component group of the fixed
     points of the dual torus; only its isomorphism type is used.
     """
-    lattice = cocharacter_lattice(torus, level)
-    pres = quotient_presentation(lattice.rank, _columns_matrix_or_empty(lattice))
+    pres = _coinvariant_presentation(cocharacter_lattice(torus, level))
     return FiniteAbelianGroup.from_factors(pres.torsion_invariants())
 
 
-def _columns_matrix_or_empty(lattice: GaloisLattice) -> Sequence[Sequence[int]]:
-    cols = lattice.augmentation_columns()
-    if not cols:
-        return []
-    return _columns_matrix(cols, lattice.rank)
-
-
 def _coinvariant_presentation(lattice: GaloisLattice) -> QuotientPresentation:
-    return quotient_presentation(lattice.rank, _columns_matrix_or_empty(lattice))
+    """``Z^rank`` modulo the augmentation submodule ``sum (g - 1) M``."""
+    return quotient_presentation(
+        lattice.rank, _columns_matrix(lattice.augmentation_columns(), lattice.rank)
+    )
 
 
 # ---------------------------------------------------------------------------

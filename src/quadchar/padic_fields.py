@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .residue_fields import FiniteField, _is_prime
+from .residue_fields import _PRIME_TEST_BOUND, _is_prime
 
 __all__ = [
     "NonOddPrimeError",
@@ -61,7 +61,6 @@ __all__ = [
     "BiquadraticDiamond",
     "make_base",
     "square_classes",
-    "nonsquare_unit_rep",
     "square_class_of_int",
     "hilbert_symbol",
     "quadratic_extension",
@@ -94,6 +93,8 @@ class LocalFieldDesc:
     label: str = "F"
 
     def __post_init__(self) -> None:
+        if self.p >= _PRIME_TEST_BOUND:
+            raise NonOddPrimeError(f"residue characteristic must be below {_PRIME_TEST_BOUND}")
         if self.p == 2 or not _is_prime(self.p):
             raise NonOddPrimeError(f"residue characteristic must be an odd prime, got {self.p}")
         if self.e < 1 or self.f < 1:
@@ -102,11 +103,6 @@ class LocalFieldDesc:
     @property
     def residue_q(self) -> int:
         return self.p**self.f
-
-    def residue_field(self) -> FiniteField:
-        if self.f > 2:
-            raise ValueError("explicit residue fields are provided only for f <= 2")
-        return FiniteField(self.p, self.f)
 
     @property
     def residue_sign_exponent(self) -> int:
@@ -163,16 +159,6 @@ def make_base(p: int) -> LocalFieldDesc:
 def square_classes(F: LocalFieldDesc) -> list[SquareClass]:
     """The four square classes, in canonical order ``1, u, pi, u*pi``."""
     return [SQUARE_CLASS_ONE, SQUARE_CLASS_U, SQUARE_CLASS_PI, SQUARE_CLASS_UPI]
-
-
-def nonsquare_unit_rep(F: LocalFieldDesc) -> int:
-    """Canonical integer representative of the non-square unit class.
-
-    For residue degree 1 this is the least positive non-residue mod ``p``;
-    for degree 2 it is the first non-square in the residue-field encoding
-    order.
-    """
-    return F.residue_field().canonical_nonsquare()
 
 
 def square_class_of_int(F: LocalFieldDesc, n: int) -> SquareClass:

@@ -1,16 +1,15 @@
-"""Exact arithmetic in small finite fields and their quadratic extensions.
+"""Exact arithmetic in small prime fields and their quadratic extensions.
 
 This module is the residue-level substrate for quadratic-character
 evaluation.  It provides:
 
-* ``FiniteField(p, f)`` — the field with ``q = p**f`` elements (``f`` is 1
-  or 2, ``q`` odd), with exact integer-encoded arithmetic;
-* ``QuadraticExtension(base)`` — the degree-2 extension of a
-  ``FiniteField`` realised as ``base[X]/(X**2 - u)`` with ``u`` the
-  canonical non-square, elements being pairs ``(a, b)`` for ``a + b*X``;
-  Frobenius ``x -> x**q``, norm ``x -> x**(q+1)`` and trace
-  ``x -> x + x**q`` down to the base are its methods ``conj``, ``norm``
-  and ``trace``;
+* ``FiniteField(p)`` — the prime field ``F_p`` (``p`` odd), whose elements
+  are the residues ``range(p)``;
+* ``QuadraticExtension(base)`` — the field ``F_{p**2}``, realised as
+  ``base[X]/(X**2 - u)`` with ``u`` the canonical non-square, elements
+  being pairs ``(a, b)`` for ``a + b*X``; Frobenius ``x -> x**q``, norm
+  ``x -> x**(q+1)`` and trace ``x -> x + x**q`` down to the base are its
+  methods ``conj``, ``norm`` and ``trace``;
 * the two sign characters:
 
   - ``sgn_units(k, x) = x**((q-1)//2)`` — the unique nontrivial quadratic
@@ -19,12 +18,8 @@ evaluation.  It provides:
     quadratic character of the norm-one subgroup of ``ext^x``, cyclic of
     order ``q + 1``.
 
-Element encoding.  Elements of ``FiniteField(p, f)`` are integers in
-``range(q)``.  For ``f == 1`` the integer is the residue itself; for
-``f == 2`` the integer ``a + p*b`` encodes ``a + b*X`` in
-``F_p[X]/(X**2 - u_p)`` where ``u_p`` is the least positive non-residue
-mod ``p``.  Elements of a ``QuadraticExtension`` are pairs of base-field
-encodings.
+Larger residue degrees in this project are handled by cyclic-group
+exponent models and never need a field basis.
 
 All arithmetic is exact; fields are capped at ``q <= 10**4`` to guard
 against accidental blowup in exhaustive tests.
@@ -50,14 +45,29 @@ _MAX_Q = 10_000
 ExtElement = tuple[int, int]
 
 
+# Miller-Rabin to the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2015).
+_PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+_PRIME_TEST_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test, for ``n < _PRIME_TEST_BOUND``."""
+    if n >= _PRIME_TEST_BOUND:
+        raise ValueError(f"primality is decided only below {_PRIME_TEST_BOUND}, got {n}")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _PRIME_TEST_BASES:
+        if n % b == 0:
+            return n == b
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    d = (n - 1) >> s
+    # n is a strong probable prime to base b when b**d = 1 or
+    # b**(d * 2**r) = -1 for some 0 <= r < s
+    for b in _PRIME_TEST_BASES:
+        x = pow(b, d, n)
+        if x != 1 and all(pow(x, 2**r, n) != n - 1 for r in range(s)):
             return False
-        d += 1
     return True
 
 
@@ -77,159 +87,87 @@ def _factorize(n: int) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class FiniteField:
-    """The finite field with ``q = p**f`` elements, ``p`` an odd prime.
-
-    Supports ``f in (1, 2)``; larger residue degrees in this project are
-    handled by cyclic-group exponent models and never need a field basis.
+    """The prime field ``F_p``, ``p`` an odd prime; elements are ``range(p)``.
 
     >>> k = FiniteField(5)
     >>> k.q
     5
     >>> k.mul(2, 3)
     1
-    >>> k9 = FiniteField(3, 2)   # F_9 = F_3[X]/(X^2 - 2), i.e. F_3(i)
-    >>> k9.mul(3, 3)             # X * X = 2  (X^2 = u = 2 = -1)
-    2
+    >>> k.inv(2)
+    3
     """
 
     p: int
-    f: int = 1
 
     def __post_init__(self) -> None:
         if self.p == 2 or not _is_prime(self.p):
             raise ValueError(f"characteristic must be an odd prime, got {self.p}")
-        if self.f not in (1, 2):
-            raise ValueError(f"residue degree must be 1 or 2, got {self.f}")
-        if self.p**self.f > _MAX_Q:
-            raise ValueError(f"field size {self.p ** self.f} exceeds cap {_MAX_Q}")
+        if self.p > _MAX_Q:
+            raise ValueError(f"field size {self.p} exceeds cap {_MAX_Q}")
 
     @property
     def q(self) -> int:
-        return self.p**self.f
-
-    # -- encoding helpers -------------------------------------------------
-
-    def _decode(self, x: int) -> tuple[int, int]:
-        self._check(x)
-        return (x % self.p, x // self.p)
-
-    def _encode(self, a: int, b: int) -> int:
-        return (a % self.p) + self.p * (b % self.p)
+        return self.p
 
     def _check(self, x: int) -> None:
-        if not 0 <= x < self.q:
-            raise ValueError(f"element {x} out of range for field of size {self.q}")
-
-    def reduce(self, n: int) -> int:
-        """Reduce an arbitrary integer into the prime subfield (``f == 1`` only)."""
-        if self.f != 1:
-            raise ValueError("integer reduction is defined only for prime fields")
-        return n % self.p
+        if not 0 <= x < self.p:
+            raise ValueError(f"element {x} out of range for field of size {self.p}")
 
     # -- ring operations ---------------------------------------------------
 
     def add(self, x: int, y: int) -> int:
-        if self.f == 1:
-            self._check(x), self._check(y)
-            return (x + y) % self.p
-        a, b = self._decode(x)
-        c, d = self._decode(y)
-        return self._encode(a + c, b + d)
+        self._check(x), self._check(y)
+        return (x + y) % self.p
 
     def neg(self, x: int) -> int:
-        if self.f == 1:
-            self._check(x)
-            return (-x) % self.p
-        a, b = self._decode(x)
-        return self._encode(-a, -b)
+        self._check(x)
+        return (-x) % self.p
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
 
     def mul(self, x: int, y: int) -> int:
-        if self.f == 1:
-            self._check(x), self._check(y)
-            return (x * y) % self.p
-        a, b = self._decode(x)
-        c, d = self._decode(y)
-        u = _modulus_nonsquare(self.p)
-        return self._encode(a * c + u * b * d, a * d + b * c)
+        self._check(x), self._check(y)
+        return (x * y) % self.p
 
     def pow(self, x: int, n: int) -> int:
         if n < 0:
             return self.pow(self.inv(x), -n)
-        if self.f == 1:
-            self._check(x)
-            return pow(x, n, self.p)
-        result, base = 1, x
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
+        self._check(x)
+        return pow(x, n, self.p)
 
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("inverse of zero")
-        return self.pow(x, self.q - 2)
+        return self.pow(x, self.p - 2)
 
     # -- enumeration and structure ------------------------------------------
 
     def elements(self) -> Iterator[int]:
-        return iter(range(self.q))
+        return iter(range(self.p))
 
     def units(self) -> Iterator[int]:
-        return iter(range(1, self.q))
+        return iter(range(1, self.p))
 
     def is_square(self, x: int) -> bool:
         """Whether the nonzero element ``x`` is a square in ``self``."""
         if x == 0:
             raise ValueError("squareness of zero is not defined here")
-        return self.pow(x, (self.q - 1) // 2) == 1
+        return self.pow(x, (self.p - 1) // 2) == 1
 
     def canonical_nonsquare(self) -> int:
-        """The first non-square unit in encoding order.
+        """The least positive quadratic non-residue mod ``p``.
 
-        For a prime field this is the least positive quadratic non-residue
-        mod ``p``; the choice is deterministic and is used as the defining
-        modulus for quadratic extensions.
+        The choice is deterministic and is used as the defining modulus
+        for quadratic extensions.
         """
         return _canonical_nonsquare(self)
-
-    def generator(self) -> int:
-        """A generator of the cyclic unit group, found by deterministic search."""
-        return _generator(self)
-
-    def unit_order(self, x: int) -> int:
-        """Multiplicative order of the unit ``x``."""
-        if x == 0:
-            raise ValueError("zero has no multiplicative order")
-        order = self.q - 1
-        for r in _factorize(self.q - 1):
-            while order % r == 0 and self.pow(x, order // r) == 1:
-                order //= r
-        return order
-
-
-@lru_cache(maxsize=None)
-def _modulus_nonsquare(p: int) -> int:
-    """Least positive quadratic non-residue mod the odd prime ``p``."""
-    squares = {(x * x) % p for x in range(1, p)}
-    return min(x for x in range(1, p) if x not in squares)
 
 
 @lru_cache(maxsize=None)
 def _canonical_nonsquare(k: FiniteField) -> int:
     return min(x for x in k.units() if not k.is_square(x))
-
-
-@lru_cache(maxsize=None)
-def _generator(k: FiniteField) -> int:
-    for g in k.units():
-        if k.unit_order(g) == k.q - 1:
-            return g
-    raise AssertionError("unit group of a finite field is cyclic")
 
 
 @dataclass(frozen=True)
@@ -251,10 +189,6 @@ class QuadraticExtension:
 
     base: FiniteField
 
-    def __post_init__(self) -> None:
-        if self.base.q**2 > _MAX_Q**2:
-            raise ValueError("extension too large")
-
     @property
     def q(self) -> int:
         """Cardinality of the *base* field."""
@@ -263,10 +197,6 @@ class QuadraticExtension:
     @property
     def u(self) -> int:
         return self.base.canonical_nonsquare()
-
-    @property
-    def zero(self) -> ExtElement:
-        return (0, 0)
 
     @property
     def one(self) -> ExtElement:
@@ -396,13 +326,13 @@ def sgn_units(k: FiniteField, x: int) -> int:
     This is the unique nontrivial quadratic character of the cyclic group
     of order ``q - 1``; its kernel is the subgroup of squares.
 
-    >>> sgn_units(FiniteField(5), 2)
+    >>> k = FiniteField(5)
+    >>> sgn_units(k, 2)
     -1
-    >>> sgn_units(FiniteField(5), 4)
+    >>> sgn_units(k, 4)
     1
     """
-    if k.f == 1:
-        x = x % k.p
+    x = x % k.p
     if x == 0:
         raise ValueError("the sign character is defined on units only")
     return _sign_of(k, k.pow(x, (k.q - 1) // 2))

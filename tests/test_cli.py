@@ -7,11 +7,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 import quadchar
 from quadchar.cli import main
+from quadchar.residue_fields import _PRIME_TEST_BOUND
 
 EXPECTED_ROW_TOTAL = 3 + 10 + 3 + 10 + 10
 
@@ -141,6 +143,14 @@ def test_verify_hilbert_honours_p():
     assert "hilbert-p05-bilinear" in output and "hilbert-p03" not in output
 
 
+def test_verify_hilbert_accepts_a_large_prime_quickly():
+    start = time.perf_counter()
+    code, output = run_cli(["verify", "hilbert", "--p", str(2**61 - 1)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert "hilbert: 20 passed, 0 failed" in output
+
+
 def test_verify_all_applies_each_option_to_the_suites_that_take_it(tmp_path):
     path = tmp_path / "all.json"
     code, _ = run_cli(["verify", "all", "--p", "5", "--n", "5", "--json", str(path)])
@@ -199,6 +209,7 @@ def test_unknown_suite_is_usage_error():
         ["hilbert", "--p", "5", "0", "3"],
         ["verify", "gl2", "--p", "17"],
         ["verify", "gln", "--n", "4"],
+        ["verify", "gln", "--n", "31"],
     ],
 )
 def test_invalid_arguments_exit_2(argv):
@@ -214,6 +225,9 @@ def test_invalid_arguments_exit_2(argv):
         ["verify", "gln", "--p", "1"],
         ["verify", "torus", "--p", "9"],
         ["verify", "hilbert", "--p", "9"],
+        ["verify", "hilbert", "--p", "561"],
+        ["verify", "hilbert", "--p", str(_PRIME_TEST_BOUND)],
+        ["hilbert", "--p", str(_PRIME_TEST_BOUND + 2), "1", "3"],
     ],
 )
 def test_non_odd_prime_p_is_usage_error(argv, capsys):

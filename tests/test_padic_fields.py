@@ -27,7 +27,6 @@ from quadchar.padic_fields import (
     lambda_unramified,
     lambda_unramified_tower,
     make_base,
-    nonsquare_unit_rep,
     omega_quadratic,
     quadratic_extension,
     ramified_quadratic,
@@ -36,6 +35,7 @@ from quadchar.padic_fields import (
     unramified_quadratic,
     zeta_lambda_ratio,
 )
+from quadchar.residue_fields import _PRIME_TEST_BOUND, FiniteField
 
 PRIMES = [3, 5, 7, 11, 13]
 ALL_CLASSES = [SQUARE_CLASS_ONE, SQUARE_CLASS_U, SQUARE_CLASS_PI, SQUARE_CLASS_UPI]
@@ -44,7 +44,7 @@ NONTRIVIAL = ALL_CLASSES[1:]
 
 def class_rep_int(p: int, c: SquareClass) -> int:
     """A concrete integer representative of a square class over Q_p."""
-    u = nonsquare_unit_rep(make_base(p))
+    u = FiniteField(p).canonical_nonsquare()
     return (u**c.unit_nonsquare) * (p**c.val_parity)
 
 
@@ -71,7 +71,7 @@ def conic_has_primitive_point(p: int, a: int, b: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("p", [2, 1, 4, 9, 15])
+@pytest.mark.parametrize("p", [2, 1, 4, 9, 15, 561, _PRIME_TEST_BOUND, _PRIME_TEST_BOUND + 2])
 def test_make_base_rejects_bad_primes(p: int) -> None:
     with pytest.raises(NonOddPrimeError):
         make_base(p)
@@ -86,12 +86,6 @@ def test_square_classes_group_structure() -> None:
         assert c * c == SQUARE_CLASS_ONE  # every class is 2-torsion
     products = {(i, j): classes[i] * classes[j] for i in range(4) for j in range(4)}
     assert set(products.values()) <= set(classes)  # closed
-
-
-def test_nonsquare_unit_reps_frozen() -> None:
-    assert nonsquare_unit_rep(make_base(5)) == 2
-    assert nonsquare_unit_rep(make_base(3)) == 2
-    assert nonsquare_unit_rep(make_base(7)) == 3
 
 
 def test_square_class_of_int() -> None:

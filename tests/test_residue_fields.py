@@ -8,15 +8,18 @@ squaring, subgroup orders by direct counting).
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadchar.residue_fields import (
+    _PRIME_TEST_BOUND,
     FiniteField,
     NormOneElement,
     QuadraticExtension,
+    _is_prime,
     sgn_norm_one,
     sgn_units,
 )
@@ -25,7 +28,7 @@ FIELDS = [
     FiniteField(3),
     FiniteField(5),
     FiniteField(7),
-    FiniteField(3, 2),
+    FiniteField(11),
     FiniteField(13),
 ]
 
@@ -53,12 +56,37 @@ def test_rejects_bad_characteristic(p: int) -> None:
 
 def test_rejects_oversized_field() -> None:
     with pytest.raises(ValueError):
-        FiniteField(101, 2)  # 101**2 > 10**4
+        FiniteField(10007)  # the least prime above the 10**4 cap
 
 
-def test_rejects_unsupported_degree() -> None:
+# ---------------------------------------------------------------------------
+# primality
+# ---------------------------------------------------------------------------
+
+
+def is_prime_by_trial_division(n: int) -> bool:
+    """Oracle: primality by dividing by every integer up to the square root."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division_below_1e5() -> None:
+    for n in range(100_000):
+        assert _is_prime(n) == is_prime_by_trial_division(n), n
+
+
+@pytest.mark.parametrize("n", [561, 41041, 825265])
+def test_is_prime_rejects_carmichael_numbers(n: int) -> None:
+    assert not _is_prime(n)
+
+
+def test_is_prime_large_values() -> None:
+    assert _is_prime(2**61 - 1)
+    assert not _is_prime((2**31 - 1) * 1_000_000_007)
+    # the least strong pseudoprime to the first 12 prime bases: base 41 catches it
+    assert not _is_prime(399165290221 * 798330580441)
+    # the bound is the least strong pseudoprime to all 13 bases
     with pytest.raises(ValueError):
-        FiniteField(3, 3)
+        _is_prime(_PRIME_TEST_BOUND)
 
 
 # ---------------------------------------------------------------------------
@@ -76,18 +104,6 @@ def test_field_axioms_exhaustive(k: FiniteField) -> None:
     for x, y in itertools.product(els[: min(len(els), 9)], repeat=2):
         assert k.mul(x, y) == k.mul(y, x)
         assert k.add(x, y) == k.add(y, x)
-
-
-@pytest.mark.parametrize("k", FIELDS, ids=lambda k: f"q{k.q}")
-def test_unit_group_cyclic(k: FiniteField) -> None:
-    g = k.generator()
-    powers = {k.pow(g, n) for n in range(k.q - 1)}
-    assert powers == set(k.units())
-
-
-def test_frozen_generators() -> None:
-    assert FiniteField(5).generator() == 2
-    assert FiniteField(3, 2).generator() == 4  # 1 + i generates F_9^x
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +136,6 @@ def test_canonical_nonsquares_frozen() -> None:
     assert FiniteField(7).canonical_nonsquare() == 3
     assert FiniteField(11).canonical_nonsquare() == 2
     assert FiniteField(13).canonical_nonsquare() == 2
-    # F_9: squares are {1, 2, i, 2i} = encodings {1, 2, 3, 6}; first
-    # non-square in encoding order is 4 = 1 + i.
-    assert FiniteField(3, 2).canonical_nonsquare() == 4
 
 
 @given(

@@ -35,7 +35,6 @@ __all__ = [
     "ExtElement",
     "FiniteField",
     "QuadraticExtension",
-    "NormOneElement",
     "sgn_units",
     "sgn_norm_one",
 ]
@@ -296,22 +295,6 @@ class QuadraticExtension:
         return x[0] if x[1] == 0 else None
 
 
-@dataclass(frozen=True)
-class NormOneElement:
-    """A validated element of the norm-one subgroup of a quadratic extension.
-
-    The norm-one subgroup is the kernel of the norm map
-    ``ext^x -> base^x``, cyclic of order ``q + 1``.
-    """
-
-    ext: QuadraticExtension
-    value: ExtElement
-
-    def __post_init__(self) -> None:
-        if self.ext.norm(self.value) != 1:
-            raise ValueError(f"element {self.value} does not have norm 1")
-
-
 def _sign_of(k: FiniteField, x: int) -> int:
     if x == 1:
         return 1
@@ -338,7 +321,7 @@ def sgn_units(k: FiniteField, x: int) -> int:
     return _sign_of(k, k.pow(x, (k.q - 1) // 2))
 
 
-def sgn_norm_one(ext: QuadraticExtension, x: ExtElement | NormOneElement) -> int:
+def sgn_norm_one(ext: QuadraticExtension, x: ExtElement) -> int:
     """The quadratic character of the norm-one subgroup: ``x**((q+1)//2)``.
 
     The norm-one subgroup of ``ext^x`` is cyclic of order ``q + 1`` (even),
@@ -349,8 +332,6 @@ def sgn_norm_one(ext: QuadraticExtension, x: ExtElement | NormOneElement) -> int
     >>> sgn_norm_one(ext, (0, 1))    # i has norm 1 in F_9/F_3; i^2 = -1
     -1
     """
-    if isinstance(x, NormOneElement):
-        x = x.value
     if ext.norm(x) != 1:
         raise ValueError(f"element {x} is not norm-one")
     value = ext.pow(x, (ext.q + 1) // 2)

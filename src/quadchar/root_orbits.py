@@ -15,6 +15,11 @@ For each orbit the classification records:
   ``Q``-orbit splits into two ``Q_E``-orbits), else 2;
 * the plain, signed and twisted stabilizers of the base root.
 
+Each orbit's fields are all read off one map from group elements to the
+images of its base root.  That the action preserves the root set is
+checked on the generators only: every element is a product of
+generators, so it maps roots to roots when each generator does.
+
 The *opposition twist* replaces each generator ``(g, s)`` by ``(s*g, s)``;
 it is an involution on systems and preserves the ``Q_E``-orbit partition.
 
@@ -151,12 +156,13 @@ class TwistedRootSystem:
         return mat_vec(element[0], root)
 
     def check_action_closed(self) -> None:
+        """Every element is a product of generators, so checking those suffices."""
         root_set = set(self.roots)
-        for e in self.group_elements():
+        for g in self.generators:
             for r in self.roots:
-                if self.act(e, r) not in root_set:
+                if self.act(g, r) not in root_set:
                     raise ValueError(
-                        f"action does not close on the root set: {e[0]} moves {r} outside"
+                        f"action does not close on the root set: {g[0]} moves {r} outside"
                     )
 
 
@@ -186,34 +192,31 @@ def classify_orbits(system: TwistedRootSystem) -> list[OrbitRecord]:
     records: list[OrbitRecord] = []
     while remaining:
         base = min(remaining)
-        orbit = sorted({system.act(g, base) for g in elements})
-        e_orbit = {system.act(g, base) for g in elements if g in e_subgroup}
-        stab = frozenset(g for g in elements if system.act(g, base) == base)
-        stab_signed = frozenset(
-            g for g in elements if system.act(g, base) in (base, _neg(base))
-        )
+        neg = _neg(base)
+        image = {g: system.act(g, base) for g in elements}
+        orbit = set(image.values())
+        e_orbit = {image[g] for g in e_subgroup}
+        stab = frozenset(g for g, r in image.items() if r == base)
+        stab_signed = frozenset(g for g, r in image.items() if r in (base, neg))
         stab_twisted = frozenset(
-            g for g in elements if tuple(g[1] * x for x in system.act(g, base)) == base
+            g for g, r in image.items() if r == (base if g[1] == 1 else neg)
         )
-        stab_e = frozenset(g for g in stab if g in e_subgroup)
-        stab_signed_e = frozenset(g for g in stab_signed if g in e_subgroup)
-        degree = 1 if stab <= e_subgroup else 2
         records.append(
             OrbitRecord(
                 base_root=base,
-                roots=tuple(orbit),
-                sym_over_base=_neg(base) in set(orbit),
-                sym_over_e=_neg(base) in e_orbit,
-                degree=degree,
+                roots=tuple(sorted(orbit)),
+                sym_over_base=neg in orbit,
+                sym_over_e=neg in e_orbit,
+                degree=1 if stab <= e_subgroup else 2,
                 e_suborbit_count=len(orbit) // len(e_orbit),
                 stab=stab,
                 stab_signed=stab_signed,
                 stab_twisted=stab_twisted,
-                stab_e=stab_e,
-                stab_signed_e=stab_signed_e,
+                stab_e=stab & e_subgroup,
+                stab_signed_e=stab_signed & e_subgroup,
             )
         )
-        remaining -= set(orbit)
+        remaining -= orbit
     return records
 
 

@@ -8,6 +8,8 @@ multiplicativity).
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from conftest import commuting_involution_pairs, signed_permutation_involutions
 from hypothesis import given, settings
@@ -162,6 +164,24 @@ def test_rejects_non_invertible_generator_and_bad_degree() -> None:
         lattice(1, [NEG_ONE], [3])  # wrong declared order
     with pytest.raises(ValueError):
         lattice(2, [SWAP, ((1, 0), (0, -1))], [2, 2])  # generators do not commute
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+def test_order_check_alone_rejects_every_non_unimodular_matrix(order: int) -> None:
+    # g**order == I forces det(g) = +-1, so no separate determinant check is needed
+    eye = ((1, 0), (0, 1))
+    entries = range(-2, 3)
+    for a, b, c, d in itertools.product(entries, repeat=4):
+        g = ((a, b), (c, d))
+        power = eye
+        for _ in range(order):
+            power = mat_mul(power, g)
+        if power == eye:
+            assert abs(det_int(g)) == 1
+            lattice(2, [g], [order])
+        else:
+            with pytest.raises(ValueError, match="declared order"):
+                lattice(2, [g], [order])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from quadchar.residue_fields import (
     _PRIME_TEST_BOUND,
     FiniteField,
-    NormOneElement,
     QuadraticExtension,
     _is_prime,
     sgn_norm_one,
@@ -209,8 +208,6 @@ def test_sgn_norm_one_examples() -> None:
     # (-1)^((q+1)/2) = (-1)^2 = +1 for q = 3
     minus_one = ext.embed(ext.base.neg(1))
     assert sgn_norm_one(ext, minus_one) == +1
-    # wrapped form carries the same value
-    assert sgn_norm_one(ext, NormOneElement(ext, i)) == -1
 
 
 def test_sgn_norm_one_rejects_non_norm_one() -> None:
@@ -219,8 +216,6 @@ def test_sgn_norm_one_rejects_non_norm_one() -> None:
     assert ext.norm((1, 1)) != 1
     with pytest.raises(ValueError):
         sgn_norm_one(ext, (1, 1))
-    with pytest.raises(ValueError):
-        NormOneElement(ext, (1, 1))
 
 
 @pytest.mark.parametrize("k", FIELDS, ids=lambda k: f"q{k.q}")

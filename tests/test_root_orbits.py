@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from quadchar.padic_fields import LocalFieldDesc, make_base
 from quadchar.root_orbits import (
     Deg,
+    OrbitRecord,
     Sym,
     TwistedRootSystem,
     classify_orbits,
@@ -113,6 +114,18 @@ def test_action_must_close_on_roots():
         generators=((((0, 1), (1, 0)), -1),),
     )
     with pytest.raises(ValueError, match="does not close"):
+        classify_orbits(bad)
+
+
+def test_action_checked_on_every_generator():
+    # the first generator preserves the roots, only the second moves one out
+    flip = ((1, 0), (0, -1))
+    bad = TwistedRootSystem(
+        rank=2,
+        roots=((-1, 1), (1, -1)),
+        generators=((((0, 1), (1, 0)), -1), (flip, 1)),
+    )
+    with pytest.raises(ValueError, match=r"does not close.*\(\(1, 0\), \(0, -1\)\) moves"):
         classify_orbits(bad)
 
 
@@ -515,3 +528,46 @@ def test_orbit_partition_invariants(system):
 def test_op_twist_involution_and_kernel(system):
     assert op_twist(op_twist(system)) == system
     assert set(system.e_subgroup()) == set(op_twist(system).e_subgroup())
+
+
+def definitional_orbit_records(system):
+    """The orbit records by direct sweeps over the whole group, as an oracle."""
+    elements = system.group_elements()
+    root_set = set(system.roots)
+    assert all(system.act(g, r) in root_set for g in elements for r in system.roots)
+    e_subgroup = set(system.e_subgroup())
+    remaining = set(system.roots)
+    records = []
+    while remaining:
+        base = min(remaining)
+        neg = tuple(-x for x in base)
+        orbit = sorted({system.act(g, base) for g in elements})
+        e_orbit = {system.act(g, base) for g in elements if g in e_subgroup}
+        stab = frozenset(g for g in elements if system.act(g, base) == base)
+        stab_signed = frozenset(g for g in elements if system.act(g, base) in (base, neg))
+        records.append(
+            OrbitRecord(
+                base_root=base,
+                roots=tuple(orbit),
+                sym_over_base=neg in orbit,
+                sym_over_e=neg in e_orbit,
+                degree=1 if stab <= e_subgroup else 2,
+                e_suborbit_count=len(orbit) // len(e_orbit),
+                stab=stab,
+                stab_signed=stab_signed,
+                stab_twisted=frozenset(
+                    g for g in elements
+                    if tuple(g[1] * x for x in system.act(g, base)) == base
+                ),
+                stab_e=frozenset(g for g in stab if g in e_subgroup),
+                stab_signed_e=frozenset(g for g in stab_signed if g in e_subgroup),
+            )
+        )
+        remaining -= set(orbit)
+    return records
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_perm_systems())
+def test_classify_orbits_matches_definitional_sweeps(system):
+    assert classify_orbits(system) == definitional_orbit_records(system)

@@ -18,14 +18,18 @@ steps, quadratic Weil restrictions ``Res`` and finite products; their
 cocharacter lattices with the Galois action at any level of the tower are
 produced by ``cocharacter_lattice``.
 
-Tate cohomology in degrees -1 and 0 is computed by exact integer linear
-algebra (Smith normal form with unimodular transforms, implemented here):
+Tate cohomology in degrees -1 and 0 and the coinvariant torsion are each a
+subquotient ``ker(C) / span(R)`` of integer matrices, computed by
+``subquotient`` from one Smith normal form of ``C`` and one of ``R`` (with
+unimodular transforms, implemented here):
 
-    H^-1(G, M) = ker(norm) / augmentation-submodule,
-    H^0(G, M)  = fixed-points / norm-image,
+    H^-1(G, M)  = ker(N) / sum (g - 1) M,
+    H^0(G, M)   = ker(stacked rows of g - 1) / N M  = M^G / N M,
+    tors(M_G)   = torsion of  ker(0) / sum (g - 1) M,
 
-where the norm is the sum over the *formal* group elements (so actions
-that factor through a quotient weight correctly).
+where the norm ``N`` is the sum over the *formal* group elements (so actions
+that factor through a quotient weight correctly), formed as the product of
+the per-generator norms ``1 + g + ... + g^(o-1)``.
 
 ``prasad_torus_identity`` verifies, for a torus ``S`` over the lower field
 of a quadratic step ``A/B``, the cardinality identity
@@ -38,9 +42,10 @@ where the transfer is the degree-(-1) restriction map, realised on
 representatives by ``m -> m + s.m`` for ``s`` generating ``G_B/G_A``.  The
 right-hand side counts, by duality, the cokernel of the norm on the
 component groups of the fixed points of the dual torus (corestriction on
-the dual side); both sides are computed by *independent* linear-algebra
-pipelines — the left through norm kernels, the right through coinvariant
-torsion — and only their cardinalities are compared.
+the dual side).  Each side counts the torsion classes of the lower group
+that ``1 + s`` sends to the zero class of the upper one, through
+*independent* subquotients — the left through norm kernels, the right
+through coinvariants — and only the two counts are compared.
 """
 
 from __future__ import annotations
@@ -65,6 +70,8 @@ __all__ = [
     "galois_group",
     "compositum",
     "smith_normal_form",
+    "subquotient",
+    "Subquotient",
     "tate_cohomology",
     "cocharacter_lattice",
     "component_group_dual",
@@ -210,11 +217,8 @@ def _ident(n: int) -> list[list[int]]:
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols))
-        for i in range(rows)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
@@ -229,40 +233,20 @@ def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(row) for row in _ident(n))
 
 
-def det_int(a: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant by fraction-free (Bareiss) elimination."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [list(row) for row in a]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
-
 @dataclass(frozen=True)
 class SmithForm:
     """``u @ a @ v == d`` with ``u, v`` unimodular and ``d`` diagonal.
 
-    ``u_inv`` is the exact integer inverse of ``u``; the diagonal entries
-    form a divisor chain ``d1 | d2 | ...`` (nonnegative, zeros trailing).
+    ``u_inv`` and ``v_inv`` are the exact integer inverses of ``u`` and
+    ``v``; the diagonal entries form a divisor chain ``d1 | d2 | ...``
+    (nonnegative, zeros trailing).
     """
 
     d: Matrix
     u: Matrix
     v: Matrix
     u_inv: Matrix
+    v_inv: Matrix
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -276,6 +260,7 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
     u = _ident(n)
     u_inv = _ident(n)
     v = _ident(m)
+    v_inv = _ident(m)
 
     def row_sub(i: int, j: int, q: int) -> None:
         # row_i -= q * row_j on d and u; the inverse transform adds on columns
@@ -285,11 +270,12 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
             u_inv[r][j] += q * u_inv[r][i]
 
     def col_sub(j: int, i: int, q: int) -> None:
-        # col_j -= q * col_i on d and v
+        # col_j -= q * col_i on d and v; the inverse transform adds on rows
         for r in range(n):
             d[r][j] -= q * d[r][i]
         for r in range(m):
             v[r][j] -= q * v[r][i]
+        v_inv[i] = [x + q * y for x, y in zip(v_inv[i], v_inv[j])]
 
     def row_swap(i: int, j: int) -> None:
         d[i], d[j] = d[j], d[i]
@@ -302,6 +288,7 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
             d[r][i], d[r][j] = d[r][j], d[r][i]
         for r in range(m):
             v[r][i], v[r][j] = v[r][j], v[r][i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def row_negate(i: int) -> None:
         d[i] = [-x for x in d[i]]
@@ -366,107 +353,86 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
         u=tuple(tuple(row) for row in u),
         v=tuple(tuple(row) for row in v),
         u_inv=tuple(tuple(row) for row in u_inv),
+        v_inv=tuple(tuple(row) for row in v_inv),
     )
 
 
-def integer_kernel_basis(a: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """A basis (as columns) of ``{x : a x = 0}``; the span is saturated."""
-    n = len(a)
-    m = len(a[0]) if n else 0
-    snf = smith_normal_form(a)
-    diag = list(snf.diagonal) + [0] * (m - len(snf.diagonal))
-    return [tuple(snf.v[r][j] for r in range(m)) for j in range(m) if diag[j] == 0]
-
-
-def solve_columns(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    """Solve ``a @ x = b`` exactly over the integers (columns of ``b`` jointly).
-
-    Raises if some column of ``b`` is not in the integer column span of ``a``.
-    """
-    n = len(a)
-    m = len(a[0]) if n else 0
-    cols = len(b[0]) if b and b[0] is not None and len(b) else 0
-    if n and b and len(b) != n:
-        raise ValueError("row count mismatch")
-    snf = smith_normal_form(a) if m else None
-    out_cols: list[list[int]] = []
-    for c in range(cols):
-        target = [b[i][c] for i in range(n)]
-        if m == 0:
-            if any(target):
-                raise ValueError("inconsistent system: empty matrix, nonzero target")
-            out_cols.append([])
-            continue
-        assert snf is not None
-        w = [sum(snf.u[i][k] * target[k] for k in range(n)) for i in range(n)]
-        diag = list(snf.diagonal) + [0] * (max(n, m) - len(snf.diagonal))
-        y = [0] * m
-        for i in range(n):
-            di = diag[i] if i < m else 0
-            if i < m and di != 0:
-                if w[i] % di != 0:
-                    raise ValueError("system has no integer solution")
-                y[i] = w[i] // di
-            elif w[i] != 0:
-                raise ValueError("system has no integer solution")
-        x = [sum(snf.v[r][k] * y[k] for k in range(m)) for r in range(m)]
-        out_cols.append(x)
-    return tuple(tuple(out_cols[c][r] for c in range(cols)) for r in range(m))
-
-
 # ---------------------------------------------------------------------------
-# quotient presentations Z^k / column-span(X)
+# subquotients ker(C) / span(R)
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class QuotientPresentation:
-    """The quotient ``Z^dim / column-span(relations)`` in normal coordinates.
+class Subquotient:
+    """The group ``ker(C) / span(R)`` for a constraint matrix ``C`` and relations ``R``.
 
-    ``normalize(v)`` maps an integer vector to its canonical residue tuple:
-    coordinate ``i`` is taken mod ``diag[i]`` when ``diag[i] > 0`` and kept
-    exact when ``diag[i] == 0`` (a free coordinate).
+    ``basis`` holds, as its columns, a saturated basis of ``ker(C)`` adapted to
+    the relations: modulo ``span(R)`` column ``i`` has order ``diag[i]``, or
+    infinite order when ``diag[i] == 0``.  ``coordinates`` maps a vector of
+    ``ker(C)`` to its coordinates in that basis, and ``off_kernel`` maps a
+    vector to zero exactly when it lies in ``ker(C)``.
     """
 
-    dim: int
+    basis: Matrix
+    coordinates: Matrix
+    off_kernel: Matrix
     diag: tuple[int, ...]
-    u: Matrix
-    u_inv: Matrix
 
-    def normalize(self, v: Sequence[int]) -> tuple[int, ...]:
-        if len(v) != self.dim:
+    def normalize(self, x: Sequence[int]) -> tuple[int, ...]:
+        """The canonical residue tuple of the class of ``x``.
+
+        Coordinate ``i`` is taken mod ``diag[i]`` when ``diag[i] > 0`` and kept
+        exact when ``diag[i] == 0``.  Raises if ``x`` is not in ``ker(C)``.
+        """
+        if len(x) != len(self.basis):
             raise ValueError("dimension mismatch")
-        w = [sum(self.u[i][k] * v[k] for k in range(self.dim)) for i in range(self.dim)]
-        return tuple(w[i] % self.diag[i] if self.diag[i] else w[i] for i in range(self.dim))
+        if any(mat_vec(self.off_kernel, x)):
+            raise ValueError("vector is not in the kernel of the constraints")
+        return tuple(c % d if d else c for c, d in zip(mat_vec(self.coordinates, x), self.diag))
 
-    def is_zero_class(self, v: Sequence[int]) -> bool:
-        return all(x == 0 for x in self.normalize(v))
+    def is_zero_class(self, x: Sequence[int]) -> bool:
+        return not any(self.normalize(x))
 
-    def torsion_invariants(self) -> tuple[int, ...]:
-        return tuple(d for d in self.diag if d >= 2)
+    @property
+    def torsion(self) -> FiniteAbelianGroup:
+        return FiniteAbelianGroup(tuple(d for d in self.diag if d >= 2))
 
     def torsion_representatives(self) -> list[tuple[int, ...]]:
-        """One integer representative in ``Z^dim`` per torsion class."""
+        """One representative in ``ker(C)`` per torsion class."""
         ranges = [range(d) if d >= 2 else range(1) for d in self.diag]
-        reps = []
-        for w in itertools.product(*ranges):
-            reps.append(tuple(
-                sum(self.u_inv[r][k] * w[k] for k in range(self.dim)) for r in range(self.dim)
-            ))
-        return reps
+        return [mat_vec(self.basis, w) for w in itertools.product(*ranges)]
 
 
-def quotient_presentation(dim: int, relations: Sequence[Sequence[int]]) -> QuotientPresentation:
-    """Presentation of ``Z^dim`` modulo the column span of ``relations``."""
-    if dim == 0:
-        return QuotientPresentation(dim=0, diag=(), u=(), u_inv=())
-    cols = len(relations[0]) if relations and len(relations) else 0
-    if cols == 0:
-        eye = identity_matrix(dim)
-        return QuotientPresentation(dim=dim, diag=(0,) * dim, u=eye, u_inv=eye)
-    snf = smith_normal_form(relations)
-    diag = list(snf.diagonal) + [0] * (dim - len(snf.diagonal))
-    return QuotientPresentation(dim=dim, diag=tuple(diag[:dim]), u=snf.u, u_inv=snf.u_inv)
+def subquotient(
+    constraints: Sequence[Sequence[int]], relations: Iterable[Sequence[int]]
+) -> Subquotient:
+    """``ker(constraints) / span(relations)``, each relation a vector of the kernel.
+
+    One Smith normal form of the constraints gives the saturated kernel basis
+    (the columns of ``v`` past the nonzero pivots, which come first) and the
+    coordinates in it (the matching rows of ``v_inv``).  One Smith normal form
+    of the relations, written in those coordinates, presents the quotient.
+    Raises ``ValueError`` if a relation is not in the kernel.
+    """
+    form = smith_normal_form(constraints)
+    rank = sum(1 for d in form.diagonal if d)
+    # ker(C) with no relations: its normalize gives the exact coordinates of a
+    # relation and rejects one outside the kernel
+    kernel = Subquotient(
+        basis=tuple(row[rank:] for row in form.v),
+        coordinates=form.v_inv[rank:],
+        off_kernel=form.v_inv[:rank],
+        diag=(0,) * (len(form.v) - rank),
+    )
+    coords = [kernel.normalize(r) for r in relations]
+    k = len(kernel.diag)
+    rel = smith_normal_form(tuple(tuple(c[i] for c in coords) for i in range(k)))
+    return Subquotient(
+        basis=mat_mul(kernel.basis, rel.u_inv),
+        coordinates=mat_mul(rel.u, kernel.coordinates),
+        off_kernel=kernel.off_kernel,
+        diag=rel.diagonal + (0,) * (k - len(rel.diagonal)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +446,8 @@ class GaloisLattice:
 
     The group is presented as a product of cyclic groups: generator ``i``
     has declared order ``generator_orders[i]``; generators must commute and
-    satisfy their orders.  The action need not be faithful — norms are
-    always summed over the formal group elements.
+    satisfy their orders.  The action need not be faithful — the norm is
+    the sum over the formal group elements.
     """
 
     rank: int
@@ -508,36 +474,20 @@ class GaloisLattice:
             if mat_mul(g, h) != mat_mul(h, g):
                 raise ValueError("generators must commute (abelian presentation)")
 
-    @property
-    def group_order(self) -> int:
-        out = 1
-        for o in self.generator_orders:
-            out *= o
-        return out
-
-    def group_element_matrices(self) -> list[Matrix]:
-        """Matrices of all formal group elements, with multiplicity."""
-        eye = identity_matrix(self.rank)
-        powers: list[list[Matrix]] = []
-        for g, order in zip(self.generator_matrices, self.generator_orders):
-            row = [eye]
-            for _ in range(order - 1):
-                row.append(mat_mul(row[-1], g))
-            powers.append(row)
-        out: list[Matrix] = []
-        for combo in itertools.product(*(range(o) for o in self.generator_orders)):
-            mat = eye
-            for idx, k in enumerate(combo):
-                mat = mat_mul(mat, powers[idx][k])
-            out.append(mat)
-        return out
-
     def norm_matrix(self) -> Matrix:
-        mats = self.group_element_matrices()
-        n = self.rank
-        return tuple(
-            tuple(sum(g[i][j] for g in mats) for j in range(n)) for i in range(n)
-        )
+        """The sum of all formal group elements, as ``prod (1 + g + ... + g**(o - 1))``.
+
+        The product equals the sum because the generators commute.  Each
+        factor is applied as ``norm + norm g + ... + norm g**(o - 1)``.
+        """
+        norm = identity_matrix(self.rank)
+        for g, order in zip(self.generator_matrices, self.generator_orders):
+            power = total = norm
+            for _ in range(order - 1):
+                power = mat_mul(power, g)
+                total = mat_add(total, power)
+            norm = total
+        return norm
 
     def augmentation_columns(self) -> list[tuple[int, ...]]:
         """Columns spanning the augmentation submodule ``sum (g - 1) M``."""
@@ -548,72 +498,36 @@ class GaloisLattice:
                 cols.append(tuple(g[i][j] - eye[i][j] for i in range(self.rank)))
         return cols
 
-    def fixed_point_constraints(self) -> list[tuple[int, ...]]:
-        """Rows of the stacked system ``(g - 1) x = 0`` over all generators."""
-        eye = identity_matrix(self.rank)
-        rows: list[tuple[int, ...]] = []
-        for g in self.generator_matrices:
-            for i in range(self.rank):
-                rows.append(tuple(g[i][j] - eye[i][j] for j in range(self.rank)))
-        return rows
 
-
-def _columns_matrix(cols: Sequence[Sequence[int]], dim: int) -> Matrix:
-    return tuple(tuple(col[i] for col in cols) for i in range(dim))
-
-
-@dataclass(frozen=True)
-class _MinusOneData:
-    kernel_basis: tuple[tuple[int, ...], ...]  # columns, in lattice coordinates
-    quotient: QuotientPresentation  # of Z^k, k = number of kernel basis vectors
-
-
-def _tate_minus_one_data(lattice: GaloisLattice) -> _MinusOneData:
-    n = lattice.rank
-    norm = lattice.norm_matrix() if lattice.generator_matrices else identity_matrix(n)
-    kernel = integer_kernel_basis(norm) if n else []
-    k = len(kernel)
-    aug = lattice.augmentation_columns()
-    if k == 0:
-        return _MinusOneData(kernel_basis=(), quotient=quotient_presentation(0, []))
-    kernel_matrix = _columns_matrix(kernel, n)
-    if aug:
-        aug_matrix = _columns_matrix(aug, n)
-        x = solve_columns(kernel_matrix, aug_matrix)
-    else:
-        x = tuple(() for _ in range(k))
-    quotient = quotient_presentation(k, x)
-    if any(d == 0 for d in quotient.diag):
+def _tate_minus_one(lattice: GaloisLattice) -> Subquotient:
+    """``ker(norm) / sum (g - 1) M``."""
+    group = subquotient(lattice.norm_matrix(), lattice.augmentation_columns())
+    if 0 in group.diag:
         raise AssertionError("degree -1 Tate cohomology of a lattice is finite")
-    return _MinusOneData(kernel_basis=tuple(kernel), quotient=quotient)
+    return group
 
 
-def _tate_zero_group(lattice: GaloisLattice) -> FiniteAbelianGroup:
-    n = lattice.rank
-    if not lattice.generator_matrices:
-        return TRIVIAL_GROUP  # trivial group: M^G / N M = M / M
-    constraints = lattice.fixed_point_constraints()
-    fixed = integer_kernel_basis(constraints) if constraints else [
-        tuple(1 if i == j else 0 for i in range(n)) for j in range(n)
-    ]
-    r = len(fixed)
-    if r == 0:
-        return TRIVIAL_GROUP
-    fixed_matrix = _columns_matrix(fixed, n)
-    x = solve_columns(fixed_matrix, lattice.norm_matrix())
-    quotient = quotient_presentation(r, x)
-    if any(d == 0 for d in quotient.diag):
-        raise AssertionError("the norm image has finite index in the fixed points")
-    return FiniteAbelianGroup.from_factors(quotient.torsion_invariants())
+def _coinvariants(lattice: GaloisLattice) -> Subquotient:
+    """``M / sum (g - 1) M``: a zero row constrains nothing, so its kernel is ``M``."""
+    return subquotient([(0,) * lattice.rank], lattice.augmentation_columns())
 
 
 def tate_cohomology(lattice: GaloisLattice, degree: int) -> FiniteAbelianGroup:
     """Tate cohomology of the lattice in degree -1 or 0."""
     if degree == -1:
-        data = _tate_minus_one_data(lattice)
-        return FiniteAbelianGroup.from_factors(data.quotient.torsion_invariants())
+        return _tate_minus_one(lattice).torsion
     if degree == 0:
-        return _tate_zero_group(lattice)
+        # the stacked rows of g - 1 cut out M^G; with no generators a zero row does
+        eye = identity_matrix(lattice.rank)
+        fixed = [
+            tuple(x - e for x, e in zip(row, eye_row))
+            for g in lattice.generator_matrices
+            for row, eye_row in zip(g, eye)
+        ]
+        group = subquotient(fixed or [(0,) * lattice.rank], zip(*lattice.norm_matrix()))
+        if 0 in group.diag:
+            raise AssertionError("the norm image has finite index in the fixed points")
+        return group.torsion
     raise ValueError(f"only degrees -1 and 0 are provided, got {degree}")
 
 
@@ -757,15 +671,7 @@ def component_group_dual(torus: TorusExpr, level: str) -> FiniteAbelianGroup:
     By duality this is (the dual of) the component group of the fixed
     points of the dual torus; only its isomorphism type is used.
     """
-    pres = _coinvariant_presentation(cocharacter_lattice(torus, level))
-    return FiniteAbelianGroup.from_factors(pres.torsion_invariants())
-
-
-def _coinvariant_presentation(lattice: GaloisLattice) -> QuotientPresentation:
-    """``Z^rank`` modulo the augmentation submodule ``sum (g - 1) M``."""
-    return quotient_presentation(
-        lattice.rank, _columns_matrix(lattice.augmentation_columns(), lattice.rank)
-    )
+    return _coinvariants(cocharacter_lattice(torus, level)).torsion
 
 
 # ---------------------------------------------------------------------------
@@ -831,56 +737,36 @@ def _transfer_matrix(torus: TorusExpr, step: tuple[str, str]) -> Matrix:
     return mat_add(identity_matrix(torus.rank), action_matrix(torus, s))
 
 
+def _transfer_kernel_size(low: Subquotient, high: Subquotient, transfer: Matrix) -> int:
+    """How many torsion classes of ``low`` the transfer sends to zero in ``high``."""
+    return sum(
+        high.is_zero_class(mat_vec(transfer, rep)) for rep in low.torsion_representatives()
+    )
+
+
 def prasad_torus_identity(
     torus: TorusExpr, step: tuple[str, str] = ("E", "F")
 ) -> IdentityVerdict:
     """Compare the two kernel counts of the transfer across a quadratic step.
 
     Left: kernel of the transfer on degree -1 Tate cohomology, computed
-    through norm kernels.  Right: kernel of the transfer on coinvariant
-    torsion, computed through quotient presentations of the lattice itself
-    (by duality, the cokernel of the norm on dual component groups).  The
-    two pipelines share no intermediate results.
+    through norm-kernel subquotients.  Right: kernel of the transfer on
+    coinvariant torsion, computed through coinvariant subquotients of the
+    lattice itself (by duality, the cokernel of the norm on dual component
+    groups).  The two pipelines share no intermediate results.
     """
     top, bottom = step
     if field_degree(top, bottom) != 2:
         raise UnsupportedTorusError(f"the identity is about quadratic steps, got {top}/{bottom}")
     if torus.base != bottom:
         raise UnsupportedTorusError("the torus must live over the lower field of the step")
+    low, high = cocharacter_lattice(torus, bottom), cocharacter_lattice(torus, top)
     transfer = _transfer_matrix(torus, step)
-    n = torus.rank
-
-    # Left pipeline: norm kernels.
-    low = _tate_minus_one_data(cocharacter_lattice(torus, bottom))
-    high = _tate_minus_one_data(cocharacter_lattice(torus, top))
-    lhs = 0
-    high_kernel_matrix = (
-        _columns_matrix(high.kernel_basis, n) if high.kernel_basis else None
-    )
-    # _tate_minus_one_data asserts the quotient is finite (no zero diagonal
-    # entry), so its torsion representatives cover every class.
-    for rep in low.quotient.torsion_representatives():
-        vec = [
-            sum(low.kernel_basis[k][i] * rep[k] for k in range(len(low.kernel_basis)))
-            for i in range(n)
-        ]
-        image = mat_vec(transfer, vec)
-        if high_kernel_matrix is None:
-            is_zero = all(x == 0 for x in image)
-        else:
-            coords = solve_columns(high_kernel_matrix, tuple((x,) for x in image))
-            y = [coords[i][0] for i in range(len(high.kernel_basis))]
-            is_zero = high.quotient.is_zero_class(y)
-        lhs += 1 if is_zero else 0
-
+    # Left pipeline: norm kernels.  _tate_minus_one asserts both quotients
+    # are finite, so the torsion representatives cover every class.
+    lhs = _transfer_kernel_size(_tate_minus_one(low), _tate_minus_one(high), transfer)
     # Right pipeline: coinvariant torsion.
-    low_co = _coinvariant_presentation(cocharacter_lattice(torus, bottom))
-    high_co = _coinvariant_presentation(cocharacter_lattice(torus, top))
-    rhs = 0
-    for rep in low_co.torsion_representatives():
-        image = mat_vec(transfer, rep)
-        rhs += 1 if high_co.is_zero_class(image) else 0
-
+    rhs = _transfer_kernel_size(_coinvariants(low), _coinvariants(high), transfer)
     return IdentityVerdict(lhs=lhs, rhs=rhs)
 
 

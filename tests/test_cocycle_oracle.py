@@ -8,6 +8,9 @@ cross-check for the lattice engine.
 
 from __future__ import annotations
 
+import ast
+import pathlib
+
 import pytest
 from conftest import signed_permutation_involutions
 from hypothesis import given, settings
@@ -87,3 +90,18 @@ def test_two_routes_agree_on_involutions(data: st.DataObject, n: int) -> None:
     """
     mat = data.draw(st.sampled_from(signed_permutation_involutions(n)))
     assert truncated_tate_minus_one_order([mat], [2], 8) == cyclic_one_cocycle_order(mat, 8)
+
+
+def test_oracle_imports_nothing_from_the_lattice_engine() -> None:
+    # the oracle is a cross-check only while it shares no code with the engine
+    path = pathlib.Path(__file__).parents[1] / "src" / "quadchar" / "cocycle_oracle.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            imported.add(base)
+            imported.update(f"{base}.{alias.name}" for alias in node.names)
+    assert imported
+    assert not any("galois_lattices" in name for name in imported), imported

@@ -12,6 +12,8 @@ import itertools
 
 import pytest
 from conftest import commuting_involution_pairs, signed_permutation_involutions
+from conftest import identity_matrix as oracle_identity
+from conftest import mat_mul as oracle_mul
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,20 +34,20 @@ from quadchar.galois_lattices import (
     cocharacter_lattice,
     component_group_dual,
     compositum,
-    det_int,
     field_contains,
     field_degree,
-    integer_kernel_basis,
     mat_mul,
     norm_quotient,
     prasad_torus_identity,
     smith_normal_form,
+    subquotient,
     tate_cohomology,
     torus_catalog,
 )
 
 NEG_ONE = ((-1,),)
 SWAP = ((0, 1), (1, 0))
+ROTATION = ((0, -1), (1, 0))  # order 4
 RES_TORUS = Res("E1", "F", U1("K", "E1"))
 
 
@@ -74,11 +76,8 @@ def test_smith_normal_form_properties(rows: list[list[int]]) -> None:
     a = tuple(tuple(r) for r in rows)
     snf = smith_normal_form(a)
     assert mat_mul(mat_mul(snf.u, a), snf.v) == snf.d
-    assert abs(det_int(snf.u)) == 1
-    assert abs(det_int(snf.v)) == 1
-    assert mat_mul(snf.u, snf.u_inv) == tuple(
-        tuple(1 if i == j else 0 for j in range(len(a))) for i in range(len(a))
-    )
+    assert mat_mul(snf.u, snf.u_inv) == oracle_identity(len(a))
+    assert mat_mul(snf.v, snf.v_inv) == oracle_identity(len(a[0]))
     diag = snf.diagonal
     for x, y in zip(diag, diag[1:]):
         if x != 0:
@@ -95,8 +94,30 @@ def test_smith_normal_form_properties(rows: list[list[int]]) -> None:
 @settings(max_examples=80, deadline=None)
 def test_integer_kernel_annihilates(rows: list[list[int]]) -> None:
     a = tuple(tuple(r) for r in rows)
-    for col in integer_kernel_basis(a):
-        assert all(sum(a[i][j] * col[j] for j in range(len(col))) == 0 for i in range(len(a)))
+    kernel = subquotient(a, ())
+    assert all(not any(row) for row in mat_mul(a, kernel.basis))
+    # the coordinates invert the basis, so its columns are independent
+    assert mat_mul(kernel.coordinates, kernel.basis) == oracle_identity(len(kernel.diag))
+
+
+def test_subquotient_rejects_vectors_outside_the_kernel() -> None:
+    diagonal = ((1, 1),)  # ker = Z (1, -1)
+    group = subquotient(diagonal, [(2, -2)])
+    assert group.torsion.invariant_factors == (2,)
+    assert not group.is_zero_class((1, -1))
+    assert group.is_zero_class((4, -4))
+    with pytest.raises(ValueError):
+        subquotient(diagonal, [(1, 0)])
+    with pytest.raises(ValueError):
+        group.is_zero_class((1, 1))
+
+
+def test_mat_mul_shapes() -> None:
+    assert mat_mul(((1, 2), (3, 4)), ((5,), (6,))) == ((17,), (39,))
+    assert mat_mul(((1, 2),), ((1, 0, 2), (0, 1, 3))) == ((1, 2, 8),)
+    assert mat_mul(((1,), (2,)), ()) == ((), ())  # empty b: one empty row per row of a
+    assert mat_mul(((1, 2),), ((), ())) == ((),)  # zero columns
+    assert mat_mul((), ((1,),)) == ()
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +187,32 @@ def test_rejects_non_invertible_generator_and_bad_degree() -> None:
         lattice(2, [SWAP, ((1, 0), (0, -1))], [2, 2])  # generators do not commute
 
 
+def formal_norm(lat: GaloisLattice):
+    """The norm enumerated as the sum over every formal group element."""
+    total = [[0] * lat.rank for _ in range(lat.rank)]
+    for exponents in itertools.product(*(range(o) for o in lat.generator_orders)):
+        element = oracle_identity(lat.rank)
+        for g, e in zip(lat.generator_matrices, exponents):
+            for _ in range(e):
+                element = oracle_mul(element, g)
+        for i, row in enumerate(element):
+            for j, x in enumerate(row):
+                total[i][j] += x
+    return tuple(tuple(row) for row in total)
+
+
+def test_norm_matrix_matches_the_formal_element_sum() -> None:
+    lattices = [
+        lattice(n, [a, b], [2, 2]) for n in (1, 2, 3) for a, b in commuting_involution_pairs(n)
+    ]
+    lattices.append(lattice(2, [ROTATION], [4]))
+    lattices.append(lattice(2, [ROTATION, ((-1, 0), (0, -1))], [4, 2]))
+    rotation_3 = ((0, -1, 0), (1, 0, 0), (0, 0, 1))
+    lattices.append(lattice(3, [rotation_3, ((1, 0, 0), (0, 1, 0), (0, 0, -1))], [4, 2]))
+    for lat in lattices:
+        assert lat.norm_matrix() == formal_norm(lat), lat
+
+
 @pytest.mark.parametrize("order", [1, 2, 4])
 def test_order_check_alone_rejects_every_non_unimodular_matrix(order: int) -> None:
     # g**order == I forces det(g) = +-1, so no separate determinant check is needed
@@ -177,7 +224,7 @@ def test_order_check_alone_rejects_every_non_unimodular_matrix(order: int) -> No
         for _ in range(order):
             power = mat_mul(power, g)
         if power == eye:
-            assert abs(det_int(g)) == 1
+            assert abs(a * d - b * c) == 1
             lattice(2, [g], [order])
         else:
             with pytest.raises(ValueError, match="declared order"):

@@ -127,9 +127,6 @@ class CheckRecord:
 
 @dataclass
 class ScenarioReport:
-    scenario: str
-    prime: int
-    tower: str
     records: list[CheckRecord] = field(default_factory=list)
 
     @property
@@ -188,9 +185,7 @@ def _unit_bit(k: FiniteField, x: int) -> int:
 def verify_sl2(p: int) -> ScenarioReport:
     """The doubled root forces every character value to ``+1``."""
     base_desc = make_base(p)
-    report = ScenarioReport(
-        "sl2", p, "norm-one tori of the three quadratic extensions"
-    )
+    report = ScenarioReport()
     k = FiniteField(p)
     ext = QuadraticExtension(k)
 
@@ -253,7 +248,7 @@ def _gl2_odd(p: int, report: ScenarioReport) -> None:
     base = make_base(p)
     torus_field = ramified_quadratic(base, 0, "T")
     base_ext = ramified_quadratic(base, 1, "Eext")
-    diamond = biquadratic_diamond(torus_field, base_ext, top_label="top")
+    diamond = biquadratic_diamond(torus_field, base_ext)
     report.add(
         "gl2-odd-third-field-unramified",
         {"p": p},
@@ -312,7 +307,7 @@ def _gl2_even_a(p: int, report: ScenarioReport) -> None:
     base = make_base(p)
     torus_field = unramified_quadratic(base, "T")
     base_ext = ramified_quadratic(base, 0, "Eext")
-    biquadratic_diamond(torus_field, base_ext, top_label="top")
+    biquadratic_diamond(torus_field, base_ext)
     k = FiniteField(p)
     ext2 = QuadraticExtension(k)
     step = quadratic_extension(torus_field.field, SQUARE_CLASS_PI, "top")
@@ -367,7 +362,7 @@ def _gl2_even_b(p: int, report: ScenarioReport) -> None:
     base = make_base(p)
     torus_field = ramified_quadratic(base, 0, "T")
     base_ext = unramified_quadratic(base, "Eext")
-    diamond = biquadratic_diamond(torus_field, base_ext, top_label="top")
+    diamond = biquadratic_diamond(torus_field, base_ext)
     ratio = zeta_lambda_ratio(diamond)
     report.add("gl2-even-b-lambda-ratio", {"p": p}, -1, ratio)
 
@@ -412,12 +407,7 @@ def verify_gl2(p: int, case: str) -> ScenarioReport:
         raise ValueError(f"unknown case {case!r}; expected one of {GL2_CASES}")
     if p > 13:
         raise ValueError("exhaustive runs are supported for p <= 13")
-    towers = {
-        "odd": "torus field and base extension both ramified",
-        "even_a": "torus field unramified, base extension ramified",
-        "even_b": "torus field ramified, base extension unramified",
-    }
-    report = ScenarioReport(f"gl2-{case}", p, towers[case])
+    report = ScenarioReport()
     {"odd": _gl2_odd, "even_a": _gl2_even_a, "even_b": _gl2_even_b}[case](p, report)
     return report
 
@@ -494,7 +484,7 @@ def verify_gln_odd(n: int, p: int) -> ScenarioReport:
     if n > GLN_MAX_N:
         raise ValueError(f"this scenario is capped at n <= {GLN_MAX_N}, got {n}")
 
-    report = ScenarioReport("gln-odd", p, f"degree-{n} unramified step tower")
+    report = ScenarioReport()
     parity = gln_orbit_parity(n)
     report.add(
         "gln-orbit-classification",
@@ -581,7 +571,7 @@ def verify_un_odd(n: int, p: int) -> ScenarioReport:
     if n not in (3, 5):
         raise ValueError("this scenario is for n in {3, 5}")
 
-    report = ScenarioReport("un-odd", p, f"odd unitary tower of rank {n}")
+    report = ScenarioReport()
     records = classify_orbits(unitary_root_system(n))
     report.add(
         "un-orbits-symmetric-over-base-only",

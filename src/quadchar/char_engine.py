@@ -13,14 +13,15 @@ difference as multiplication.
 A ``RootOrbitConfig`` bundles the classification triple of an orbit
 (step type ``deg_EaFa``, symmetry over the base field ``sym_F``,
 symmetry over the quadratic base extension ``sym_E``), the twisted-orbit
-columns (``sym_Fop``, ``deg_EaFaop``, validated against the structural
-derivation), the ramification of the quadratic base extension itself
-(``ef``), and two element-dependent gates: ``in_phi_half`` (whether the
-orbit meets the chosen half-system used by the depth-zero sign counts;
-forced off when the base extension is unramified, since Frobenius orbits
-then pair the halves) and ``ord_zero`` (whether the relevant orbit
-invariant has even valuation; only meaningful when the orbit is
-symmetric-ramified over the extension).
+columns (``sym_Fop``, ``deg_EaFaop``, derived from the triple by the
+structural derivation ``derive_op_data``), the ramification of the
+quadratic base extension itself (``ef``), and two element-dependent
+gates: ``in_phi_half`` (whether the orbit meets the chosen half-system
+used by the depth-zero sign counts; forced off when the base extension
+is unramified, since Frobenius orbits then pair the halves) and
+``ord_zero`` (whether the relevant orbit invariant has even valuation;
+only meaningful when the orbit is symmetric-ramified over the
+extension).
 
 ``conjecture_check`` compares the product of the three sign invariants
 against the twisted-class character and reports one of three verdicts:
@@ -128,40 +129,28 @@ SGN_NORM_ONE_ORBIT = CharContribution(frozenset({_SYM_SGN_NORM_ONE}))
 OMEGA_STEP = CharContribution(frozenset({_SYM_OMEGA_STEP}))
 
 
-# the ten consistent classification triples, in table order
-CLASS_TRIPLES: tuple[tuple[Deg, Sym, Sym], ...] = (
-    (Deg.SPLIT, Sym.ASYM, Sym.ASYM),
-    (Deg.UNRAM, Sym.ASYM, Sym.ASYM),
-    (Deg.RAM, Sym.ASYM, Sym.ASYM),
-    (Deg.SPLIT, Sym.SYM_UNRAM, Sym.ASYM),
-    (Deg.SPLIT, Sym.SYM_UNRAM, Sym.SYM_UNRAM),
-    (Deg.RAM, Sym.SYM_UNRAM, Sym.SYM_UNRAM),
-    (Deg.SPLIT, Sym.SYM_RAM, Sym.ASYM),
-    (Deg.SPLIT, Sym.SYM_RAM, Sym.SYM_RAM),
-    (Deg.UNRAM, Sym.SYM_RAM, Sym.SYM_RAM),
-    (Deg.UNRAM, Sym.SYM_RAM, Sym.SYM_UNRAM),
-)
-
-# which base-extension ramifications occur for each class
-_EF_ALLOWED: dict[tuple[Deg, Sym, Sym], tuple[EF, ...]] = {
-    CLASS_TRIPLES[0]: (EF.UNRAM, EF.RAM),
-    CLASS_TRIPLES[1]: (EF.UNRAM, EF.RAM),
-    CLASS_TRIPLES[2]: (EF.RAM,),
-    CLASS_TRIPLES[3]: (EF.UNRAM,),
-    CLASS_TRIPLES[4]: (EF.UNRAM, EF.RAM),
-    CLASS_TRIPLES[5]: (EF.RAM,),
-    CLASS_TRIPLES[6]: (EF.RAM,),
-    CLASS_TRIPLES[7]: (EF.UNRAM, EF.RAM),
-    CLASS_TRIPLES[8]: (EF.UNRAM, EF.RAM),
-    CLASS_TRIPLES[9]: (EF.RAM,),
+# the ten consistent classification triples, in table order, each with
+# the base-extension ramifications it occurs with
+_CLASSES: dict[tuple[Deg, Sym, Sym], tuple[EF, ...]] = {
+    (Deg.SPLIT, Sym.ASYM, Sym.ASYM): (EF.UNRAM, EF.RAM),
+    (Deg.UNRAM, Sym.ASYM, Sym.ASYM): (EF.UNRAM, EF.RAM),
+    (Deg.RAM, Sym.ASYM, Sym.ASYM): (EF.RAM,),
+    (Deg.SPLIT, Sym.SYM_UNRAM, Sym.ASYM): (EF.UNRAM,),
+    (Deg.SPLIT, Sym.SYM_UNRAM, Sym.SYM_UNRAM): (EF.UNRAM, EF.RAM),
+    (Deg.RAM, Sym.SYM_UNRAM, Sym.SYM_UNRAM): (EF.RAM,),
+    (Deg.SPLIT, Sym.SYM_RAM, Sym.ASYM): (EF.RAM,),
+    (Deg.SPLIT, Sym.SYM_RAM, Sym.SYM_RAM): (EF.UNRAM, EF.RAM),
+    (Deg.UNRAM, Sym.SYM_RAM, Sym.SYM_RAM): (EF.UNRAM, EF.RAM),
+    (Deg.UNRAM, Sym.SYM_RAM, Sym.SYM_UNRAM): (EF.RAM,),
 }
+CLASS_TRIPLES: tuple[tuple[Deg, Sym, Sym], ...] = tuple(_CLASSES)
 
 
 def allowed_ef(triple: tuple[Deg, Sym, Sym]) -> tuple[EF, ...]:
     """Base-extension ramifications compatible with a classification triple."""
-    if triple not in _EF_ALLOWED:
+    if triple not in _CLASSES:
         raise ValueError(f"not a consistent classification triple: {triple}")
-    return _EF_ALLOWED[triple]
+    return _CLASSES[triple]
 
 
 @dataclass(frozen=True)
@@ -171,24 +160,13 @@ class RootOrbitConfig:
     deg_EaFa: Deg
     sym_F: Sym
     sym_E: Sym
-    sym_Fop: Sym
-    deg_EaFaop: Deg
     ef: EF
     in_phi_half: bool = False
     ord_zero: bool = False
 
     def __post_init__(self) -> None:
-        triple = (self.deg_EaFa, self.sym_F, self.sym_E)
-        if triple not in _EF_ALLOWED:
-            raise ValueError(f"not a consistent classification triple: {triple}")
-        expected = derive_op_data(self.deg_EaFa, self.sym_F, self.sym_E)
-        if (self.sym_Fop, self.deg_EaFaop) != expected:
-            raise ValueError(
-                f"twisted-orbit columns {self.sym_Fop, self.deg_EaFaop} contradict "
-                f"the structural values {expected}"
-            )
-        if self.ef not in _EF_ALLOWED[triple]:
-            raise ValueError(f"class {triple} does not occur with ef={self.ef.value}")
+        if self.ef not in allowed_ef(self.triple):
+            raise ValueError(f"class {self.triple} does not occur with ef={self.ef.value}")
         if self.in_phi_half and self.ef is EF.UNRAM:
             raise ValueError(
                 "over an unramified base extension the half-system gate is forced off"
@@ -201,6 +179,16 @@ class RootOrbitConfig:
     @property
     def triple(self) -> tuple[Deg, Sym, Sym]:
         return (self.deg_EaFa, self.sym_F, self.sym_E)
+
+    @property
+    def sym_Fop(self) -> Sym:
+        """Symmetry type of the twisted orbit over the base."""
+        return derive_op_data(*self.triple)[0]
+
+    @property
+    def deg_EaFaop(self) -> Deg:
+        """Type of the step from the twisted-stabilizer field to the orbit field."""
+        return derive_op_data(*self.triple)[1]
 
 
 def class_key(config_or_triple: RootOrbitConfig | tuple[Deg, Sym, Sym]) -> int:
@@ -219,18 +207,8 @@ def class_key(config_or_triple: RootOrbitConfig | tuple[Deg, Sym, Sym]) -> int:
 def make_config(
     triple: tuple[Deg, Sym, Sym], ef: EF, in_phi_half: bool = False, ord_zero: bool = False
 ) -> RootOrbitConfig:
-    """Build a config from a classification triple, deriving twisted columns."""
-    sym_op, deg_op = derive_op_data(*triple)
-    return RootOrbitConfig(
-        deg_EaFa=triple[0],
-        sym_F=triple[1],
-        sym_E=triple[2],
-        sym_Fop=sym_op,
-        deg_EaFaop=deg_op,
-        ef=ef,
-        in_phi_half=in_phi_half,
-        ord_zero=ord_zero,
-    )
+    """Build a config from a classification triple."""
+    return RootOrbitConfig(*triple, ef, in_phi_half, ord_zero)
 
 
 def enumerate_configs() -> list[RootOrbitConfig]:
@@ -369,6 +347,15 @@ def _relation_reason(config: RootOrbitConfig, diff: CharContribution) -> str | N
     return None
 
 
+def _product(config: RootOrbitConfig) -> CharContribution:
+    """The product of the three sign invariants of a config."""
+    return (
+        kaletha_contribution(config)
+        * hakim_contribution(config)
+        * prasad_contribution(config)
+    )
+
+
 def conjecture_check(config: RootOrbitConfig) -> Verdict:
     """Compare the product of the three invariants with the twisted character.
 
@@ -376,11 +363,7 @@ def conjecture_check(config: RootOrbitConfig) -> Verdict:
     then re-checking under the opposite half-system gate (that gate is
     element data, not class data); otherwise a mismatch.
     """
-    product = (
-        kaletha_contribution(config)
-        * hakim_contribution(config)
-        * prasad_contribution(config)
-    )
+    product = _product(config)
     zeta = zeta_contribution(config)
     if product == zeta:
         return Verdict(product, zeta, CheckStatus.SYMBOLIC_EQUAL)
@@ -390,11 +373,7 @@ def conjecture_check(config: RootOrbitConfig) -> Verdict:
         return Verdict(product, zeta, CheckStatus.NEEDS_ELEMENT_CHECK, reason)
     if config.ef is EF.RAM:
         flipped = dataclasses.replace(config, in_phi_half=not config.in_phi_half)
-        alt_product = (
-            kaletha_contribution(flipped)
-            * hakim_contribution(flipped)
-            * prasad_contribution(flipped)
-        )
+        alt_product = _product(flipped)
         if alt_product == zeta:
             return Verdict(
                 product,

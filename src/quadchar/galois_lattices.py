@@ -43,9 +43,12 @@ representatives by ``m -> m + s.m`` for ``s`` generating ``G_B/G_A``.  The
 right-hand side counts, by duality, the cokernel of the norm on the
 component groups of the fixed points of the dual torus (corestriction on
 the dual side).  Each side counts the torsion classes of the lower group
-that ``1 + s`` sends to the zero class of the upper one, through
-*independent* subquotients — the left through norm kernels, the right
-through coinvariants — and only the two counts are compared.
+that ``1 + s`` sends to the zero class of the upper one, the left through
+norm kernels and the right through coinvariants.  The two are not
+independent: ``|G| x - N x`` lies in ``sum (g - 1) M``, so
+``ker(N) / sum (g - 1) M`` is exactly ``tors(M_G)`` and both sides count
+one group.  The identity therefore checks that the two subquotients of
+that group agree, not a second derivation of it.
 """
 
 from __future__ import annotations
@@ -753,7 +756,9 @@ def prasad_torus_identity(
     through norm-kernel subquotients.  Right: kernel of the transfer on
     coinvariant torsion, computed through coinvariant subquotients of the
     lattice itself (by duality, the cokernel of the norm on dual component
-    groups).  The two pipelines share no intermediate results.
+    groups).  The two pipelines share no intermediate results, but they
+    present one group (``ker(N) / sum (g - 1) M = tors(M_G)``), so the
+    counts agree by construction.
     """
     top, bottom = step
     if field_degree(top, bottom) != 2:

@@ -69,7 +69,6 @@ __all__ = [
     "omega_quadratic",
     "biquadratic_diamond",
     "lambda_unramified",
-    "lambda_unramified_tower",
     "zeta_lambda_ratio",
 ]
 
@@ -212,22 +211,17 @@ class QuadExtDesc:
 
     base: LocalFieldDesc
     discriminant_class: SquareClass
-    kind: ExtKind
     label: str = ""
 
     def __post_init__(self) -> None:
         if self.discriminant_class.is_trivial:
             raise ValueError("a quadratic extension needs a nontrivial discriminant class")
-        expected = (
-            ExtKind.UNRAMIFIED
-            if self.discriminant_class == SQUARE_CLASS_U
-            else ExtKind.RAMIFIED
-        )
-        if self.kind != expected:
-            raise ValueError(
-                f"kind {self.kind.value} inconsistent with discriminant class "
-                f"{self.discriminant_class.rep_string()}"
-            )
+
+    @property
+    def kind(self) -> ExtKind:
+        if self.discriminant_class == SQUARE_CLASS_U:
+            return ExtKind.UNRAMIFIED
+        return ExtKind.RAMIFIED
 
     @property
     def field(self) -> LocalFieldDesc:
@@ -242,10 +236,9 @@ def quadratic_extension(
     F: LocalFieldDesc, disc: SquareClass, label: str = ""
 ) -> QuadExtDesc:
     """Build the quadratic extension ``F(sqrt(d))`` for ``d`` in the class ``disc``."""
-    kind = ExtKind.UNRAMIFIED if disc == SQUARE_CLASS_U else ExtKind.RAMIFIED
     if not label:
         label = f"{F.label}(sqrt {disc.rep_string()})"
-    return QuadExtDesc(base=F, discriminant_class=disc, kind=kind, label=label)
+    return QuadExtDesc(base=F, discriminant_class=disc, label=label)
 
 
 def unramified_quadratic(F: LocalFieldDesc, label: str = "") -> QuadExtDesc:
@@ -291,7 +284,6 @@ class BiquadraticDiamond:
 
     base: LocalFieldDesc
     middles: tuple[QuadExtDesc, QuadExtDesc, QuadExtDesc]
-    top_label: str = "K"
 
     def __post_init__(self) -> None:
         classes = {m.discriminant_class for m in self.middles}
@@ -302,15 +294,6 @@ class BiquadraticDiamond:
         if sum(m.kind is ExtKind.UNRAMIFIED for m in self.middles) != 1:
             raise AssertionError("exactly one quadratic extension is unramified")
 
-    @property
-    def top(self) -> LocalFieldDesc:
-        F = self.base
-        return LocalFieldDesc(F.p, 2 * F.e, 2 * F.f, self.top_label)
-
-    def lower_edge_kind(self, i: int) -> ExtKind:
-        """Ramification of ``E_i / F``."""
-        return self.middles[i].kind
-
     def upper_edge_kind(self, i: int) -> ExtKind:
         """Ramification of ``K / E_i``: opposite to the lower edge."""
         return (
@@ -319,16 +302,8 @@ class BiquadraticDiamond:
             else ExtKind.UNRAMIFIED
         )
 
-    def edge_kinds(self) -> dict[str, str]:
-        """All six edges as a label -> kind map (three lower, three upper)."""
-        out: dict[str, str] = {}
-        for i, m in enumerate(self.middles):
-            out[f"{m.label or f'E{i + 1}'}/{self.base.label}"] = self.lower_edge_kind(i).value
-            out[f"{self.top_label}/{m.label or f'E{i + 1}'}"] = self.upper_edge_kind(i).value
-        return out
 
-
-def biquadratic_diamond(E1: QuadExtDesc, E2: QuadExtDesc, top_label: str = "K") -> BiquadraticDiamond:
+def biquadratic_diamond(E1: QuadExtDesc, E2: QuadExtDesc) -> BiquadraticDiamond:
     """The diamond generated by two distinct quadratic extensions of one base."""
     if E1.base != E2.base:
         raise ValueError("the two extensions must share a base field")
@@ -336,7 +311,7 @@ def biquadratic_diamond(E1: QuadExtDesc, E2: QuadExtDesc, top_label: str = "K") 
         raise ValueError("the two extensions coincide; a diamond needs distinct ones")
     third_class = E1.discriminant_class * E2.discriminant_class
     E3 = quadratic_extension(E1.base, third_class)
-    return BiquadraticDiamond(base=E1.base, middles=(E1, E2, E3), top_label=top_label)
+    return BiquadraticDiamond(base=E1.base, middles=(E1, E2, E3))
 
 
 def lambda_unramified(n: int) -> int:
@@ -348,15 +323,6 @@ def lambda_unramified(n: int) -> int:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"extension degree must be a positive integer, got {n}")
     return -1 if (n - 1) % 2 else +1
-
-
-def lambda_unramified_tower(inner_degree: int, outer_degree: int) -> int:
-    """Chain-rule value for an unramified tower ``F c E c K``.
-
-    With ``[E:F] = inner_degree`` and ``[K:E] = outer_degree``, the chain
-    rule gives ``lam(K/F) = lam(K/E) * lam(E/F)**[K:E]``.
-    """
-    return lambda_unramified(outer_degree) * lambda_unramified(inner_degree) ** outer_degree
 
 
 def zeta_lambda_ratio(diamond: BiquadraticDiamond | None) -> int:

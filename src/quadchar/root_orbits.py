@@ -36,15 +36,14 @@ honestly.
 
 ``derive_op_data`` computes the two opposition invariants of a class
 (symmetry type of the twisted orbit over the base, and the ramification
-of the step from the twisted-stabilizer field up) purely structurally;
-``table5_check`` diffs stored opposition columns against it.
+of the step from the twisted-stabilizer field up) purely structurally.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .galois_lattices import identity_matrix, mat_mul, mat_vec
 from .padic_fields import (
@@ -66,7 +65,6 @@ __all__ = [
     "op_twist",
     "tower_of",
     "derive_op_data",
-    "table5_check",
     "gln_root_system",
     "unitary_root_system",
     "gln_orbit_parity",
@@ -375,7 +373,7 @@ def tower_of(system: TwistedRootSystem, record: OrbitRecord) -> OrbitTower:
 
 
 # ---------------------------------------------------------------------------
-# structural opposition data and the stored-table diff
+# structural opposition data
 # ---------------------------------------------------------------------------
 
 
@@ -396,8 +394,10 @@ def derive_op_data(degree: Deg, sym_base: Sym, sym_e: Sym) -> tuple[Sym, Deg]:
       trivial step): the twisted field is the signed-stabilizer field,
       giving a twisted step of the original symmetry's flavor and an
       asymmetric twisted orbit;
-    * symmetric over both with a trivial step: the twisted field equals
-      the stabilizer field and all flavors are inherited;
+    * symmetric over both with a trivial step: the signed stabilizers
+      over the base and over E coincide, so the two symmetry flavors
+      agree; the twisted field equals the stabilizer field and all
+      flavors are inherited;
     * symmetric over both with a quadratic step: the three middle fields
       of the biquadratic step contain exactly one unramified one, which
       pins down both twisted invariants.
@@ -413,6 +413,10 @@ def derive_op_data(degree: Deg, sym_base: Sym, sym_e: Sym) -> tuple[Sym, Deg]:
             raise ValueError("a symmetric orbit asymmetric over E has a trivial step")
         return (Sym.ASYM, Deg.UNRAM if sym_base is Sym.SYM_UNRAM else Deg.RAM)
     if degree is Deg.SPLIT:
+        # the stabilizer lies in Q_E and so does an element negating the root,
+        # so the signed stabilizers over F and over E coincide: one flavor
+        if sym_e is not sym_base:
+            raise ValueError("a trivial step forces equal symmetry flavors over F and E")
         return (sym_base, Deg.SPLIT)
     # biquadratic case: lower edges of the three middles
     lower_f_alpha_unram = _flavor_is_unram(sym_base)
@@ -426,27 +430,6 @@ def derive_op_data(degree: Deg, sym_base: Sym, sym_e: Sym) -> tuple[Sym, Deg]:
     sym_op = Sym.SYM_UNRAM if lower_op_unram else Sym.SYM_RAM
     deg_op = Deg.RAM if lower_op_unram else Deg.UNRAM  # upper edge is opposite
     return (sym_op, deg_op)
-
-
-def table5_check(configs: Iterable[object]) -> list[dict[str, object]]:
-    """Diff stored opposition columns against the structural derivation.
-
-    Each config must expose ``deg_EaFa``, ``sym_F``, ``sym_E`` and the
-    stored opposition columns ``sym_Fop``, ``deg_EaFaop``.  Returns one
-    diff record per disagreement (empty means the stored table is right).
-    """
-    diffs: list[dict[str, object]] = []
-    for cfg in configs:
-        expected_sym, expected_deg = derive_op_data(cfg.deg_EaFa, cfg.sym_F, cfg.sym_E)
-        if (cfg.sym_Fop, cfg.deg_EaFaop) != (expected_sym, expected_deg):
-            diffs.append(
-                {
-                    "key": (cfg.deg_EaFa.value, cfg.sym_F.value, cfg.sym_E.value),
-                    "stored": (cfg.sym_Fop.value, cfg.deg_EaFaop.value),
-                    "derived": (expected_sym.value, expected_deg.value),
-                }
-            )
-    return diffs
 
 
 # ---------------------------------------------------------------------------

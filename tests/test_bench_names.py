@@ -3,6 +3,8 @@
 The tracer lists them in ``bench/tracer.py``; a deleted or renamed entry
 point would show up there only as ``untraced_names`` in the bench tests.
 The file is read as source, so nothing from the benchmark is imported.
+The case-study results must also keep what the tracer's counter reads
+from them: ``result.records`` and each record's ``inputs`` dict.
 """
 
 from __future__ import annotations
@@ -45,3 +47,21 @@ def test_traced_methods_exist(layer: str) -> None:
         if not callable(getattr(getattr(module, cls, None), meth, None))
     ]
     assert missing == []
+
+
+# small arguments for each traced case study
+CASE_STUDY_CALLS = {
+    "verify_sl2": [(3,)],
+    "verify_gl2": [(3, "odd"), (3, "even_a"), (3, "even_b")],
+    "verify_gln_odd": [(3, 3)],
+    "verify_un_odd": [(3, 3)],
+}
+
+
+@pytest.mark.parametrize("name", FUNCTIONS["case_studies"])
+def test_case_study_results_carry_records_with_inputs(name: str) -> None:
+    function = getattr(importlib.import_module("quadchar.case_studies"), name)
+    for args in CASE_STUDY_CALLS[name]:
+        records = function(*args).records
+        assert records
+        assert all(isinstance(rec.inputs, dict) for rec in records)

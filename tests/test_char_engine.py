@@ -130,20 +130,6 @@ def test_config_rejects_inconsistent_triple():
             deg_EaFa=Deg.UNRAM,
             sym_F=Sym.SYM_UNRAM,
             sym_E=Sym.SYM_UNRAM,
-            sym_Fop=Sym.SYM_RAM,
-            deg_EaFaop=Deg.UNRAM,
-            ef=EF.RAM,
-        )
-
-
-def test_config_rejects_wrong_twisted_columns():
-    with pytest.raises(ValueError, match="contradict the structural values"):
-        RootOrbitConfig(
-            deg_EaFa=Deg.UNRAM,
-            sym_F=Sym.SYM_RAM,
-            sym_E=Sym.SYM_UNRAM,
-            sym_Fop=Sym.SYM_RAM,  # structurally sym_ur
-            deg_EaFaop=Deg.RAM,
             ef=EF.RAM,
         )
 

@@ -30,6 +30,8 @@ from quadchar.galois_lattices import (
     Res,
     U1,
     UnsupportedTorusError,
+    _coinvariants,
+    _tate_minus_one,
     action_matrix,
     cocharacter_lattice,
     component_group_dual,
@@ -318,10 +320,32 @@ def test_shapiro_restriction_equals_inner() -> None:
 @pytest.mark.parametrize("torus", torus_catalog(), ids=str)
 @pytest.mark.parametrize("level", ["F", "E", "E1", "E2"])
 def test_minus_one_order_equals_coinvariant_torsion(torus, level) -> None:
-    """The two independent pipelines give the same cardinality at every level."""
+    """The two pipelines give the same cardinality at every level."""
     group = tate_cohomology(cocharacter_lattice(torus, level), -1)
     dual = component_group_dual(torus, level)
     assert group.order == dual.order
+
+
+def test_minus_one_group_is_the_coinvariant_torsion() -> None:
+    """``|G| x - N x`` lies in the augmentation, so ``ker(N) / I M = tors(M_G)``.
+
+    The two pipelines of ``prasad_torus_identity`` therefore compute one
+    group; this checks that the two subquotients agree as groups.
+    """
+    lattices = [
+        lattice(n, gens, [2, 2])
+        for n in (1, 2, 3)
+        for a, b in commuting_involution_pairs(n)
+        for gens in {(a, b), (b, a)}
+    ]
+    lattices += [
+        cocharacter_lattice(torus, level)
+        for torus in torus_catalog()
+        for level in ("F", "E", "E1", "E2", "K")
+    ]
+    lattices.append(lattice(2, [ROTATION], [4]))
+    for lat in lattices:
+        assert _tate_minus_one(lat).torsion == _coinvariants(lat).torsion, lat
 
 
 # ---------------------------------------------------------------------------

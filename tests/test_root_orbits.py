@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
-from types import SimpleNamespace
+import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadchar.char_engine import CLASS_TRIPLES
 from quadchar.padic_fields import LocalFieldDesc, make_base
 from quadchar.root_orbits import (
     Deg,
@@ -20,7 +21,6 @@ from quadchar.root_orbits import (
     gln_orbit_parity,
     gln_root_system,
     op_twist,
-    table5_check,
     tower_of,
     unitary_root_system,
 )
@@ -411,19 +411,19 @@ def test_op_data_rejects_inconsistent_triples():
         derive_op_data(Deg.RAM, Sym.SYM_UNRAM, Sym.SYM_RAM)
 
 
-def test_table5_check_clean_and_corrupted():
-    rows = [
-        SimpleNamespace(
-            deg_EaFa=deg, sym_F=sym_f, sym_E=sym_e, sym_Fop=sym_op, deg_EaFaop=deg_op
-        )
-        for (deg, sym_f, sym_e), (sym_op, deg_op) in OP_TABLE.items()
-    ]
-    assert table5_check(rows) == []
-    rows[3].sym_Fop = Sym.SYM_RAM
-    diffs = table5_check(rows)
-    assert len(diffs) == 1
-    assert diffs[0]["key"] == ("1", "sym_ur", "asym")
-    assert diffs[0]["derived"] == ("asym", "2ur")
+def test_op_data_accepts_exactly_the_ten_classes():
+    accepted = set()
+    for triple in itertools.product(Deg, Sym, Sym):
+        try:
+            derive_op_data(*triple)
+        except ValueError:
+            continue
+        accepted.add(triple)
+    assert accepted == set(CLASS_TRIPLES)
+    with pytest.raises(ValueError, match="equal symmetry flavors"):
+        derive_op_data(Deg.SPLIT, Sym.SYM_UNRAM, Sym.SYM_RAM)
+    with pytest.raises(ValueError, match="equal symmetry flavors"):
+        derive_op_data(Deg.SPLIT, Sym.SYM_RAM, Sym.SYM_UNRAM)
 
 
 # ---------------------------------------------------------------------------

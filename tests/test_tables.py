@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from quadchar.char_engine import CLASS_TRIPLES, enumerate_configs
-from quadchar.root_orbits import table5_check
+import pytest
+
+from quadchar.char_engine import CLASS_TRIPLES
 from quadchar.tables import (
     builtin_tables,
     diff_tables,
@@ -53,12 +54,13 @@ def test_nontrivial_cells_are_where_expected():
     assert nontrivial4 == [7, 9, 10]
 
 
-def test_diff_structure_on_injected_error():
-    corrupted = inject_wrong_row(render_tables(), table_number=4)
+@pytest.mark.parametrize("table_number", [2, 4, 5])
+def test_diff_structure_on_injected_error(table_number):
+    corrupted = inject_wrong_row(render_tables(), table_number=table_number)
     diffs = diff_tables(builtin_tables(), corrupted)
     assert len(diffs) == 1
     diff = diffs[0]
-    assert diff.table == 4 and diff.row == 1
+    assert diff.table == table_number and diff.row == 1
     assert diff.expected[-1] == "1" and diff.got[-1] == "sgn(k_E_a^x) . alpha"
 
 
@@ -75,10 +77,6 @@ def test_diff_reports_missing_rows():
     diffs = diff_tables(builtin_tables(), shortened)
     assert len(diffs) == 1
     assert diffs[0].table == 5 and diffs[0].row == 10 and diffs[0].got is None
-
-
-def test_config_enumeration_agrees_with_table5():
-    assert table5_check(enumerate_configs()) == []
 
 
 def test_class_count_matches_tables():

@@ -246,8 +246,8 @@ def _gl2_odd(p: int, report: ScenarioReport) -> None:
     unramified step character, so the full product is ``+1 = zeta``.
     """
     base = make_base(p)
-    torus_field = ramified_quadratic(base, 0, "T")
-    base_ext = ramified_quadratic(base, 1, "Eext")
+    torus_field = ramified_quadratic(base, 0)
+    base_ext = ramified_quadratic(base, 1)
     diamond = biquadratic_diamond(torus_field, base_ext)
     report.add(
         "gl2-odd-third-field-unramified",
@@ -258,7 +258,7 @@ def _gl2_odd(p: int, report: ScenarioReport) -> None:
 
     k = FiniteField(p)
     ext2 = QuadraticExtension(k)
-    step = quadratic_extension(torus_field.field, SquareClass(0, 1), "top")
+    step = quadratic_extension(torus_field.field, SquareClass(0, 1))
     config = make_config(CLASS_TRIPLES[9], EF.RAM, in_phi_half=True)
     report.add(
         "gl2-odd-symbolic-zeta-trivial",
@@ -305,13 +305,11 @@ def _gl2_even_a(p: int, report: ScenarioReport) -> None:
     residue sign/norm identity.
     """
     base = make_base(p)
-    torus_field = unramified_quadratic(base, "T")
-    base_ext = ramified_quadratic(base, 0, "Eext")
-    biquadratic_diamond(torus_field, base_ext)
+    torus_field = unramified_quadratic(base)
     k = FiniteField(p)
     ext2 = QuadraticExtension(k)
-    step = quadratic_extension(torus_field.field, SQUARE_CLASS_PI, "top")
-    third_over_base = quadratic_extension(base, SquareClass(1, 1), "third")
+    step = quadratic_extension(torus_field.field, SQUARE_CLASS_PI)
+    third_over_base = quadratic_extension(base, SquareClass(1, 1))
 
     config = make_config(CLASS_TRIPLES[5], EF.RAM, in_phi_half=False)
     report.add(
@@ -360,14 +358,14 @@ def _gl2_even_b(p: int, report: ScenarioReport) -> None:
     character via the lambda-constant ratio of the diamond.
     """
     base = make_base(p)
-    torus_field = ramified_quadratic(base, 0, "T")
-    base_ext = unramified_quadratic(base, "Eext")
+    torus_field = ramified_quadratic(base, 0)
+    base_ext = unramified_quadratic(base)
     diamond = biquadratic_diamond(torus_field, base_ext)
     ratio = zeta_lambda_ratio(diamond)
     report.add("gl2-even-b-lambda-ratio", {"p": p}, -1, ratio)
 
     k = FiniteField(p)
-    step = quadratic_extension(torus_field.field, SquareClass(0, 1), "top")
+    step = quadratic_extension(torus_field.field, SquareClass(0, 1))
     config = make_config(CLASS_TRIPLES[8], EF.UNRAM)
     report.add(
         "gl2-even-b-symbolic-zeta-is-step-character",

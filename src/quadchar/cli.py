@@ -24,7 +24,7 @@ Subcommands
 
 Reports are deterministic: records are sorted by id, JSON keys are
 sorted, and no timestamps or environment data are embedded.  Exit codes:
-0 pass, 1 check failure, 2 usage error.
+0 pass, 1 check failure, 2 usage error or an unwritable ``--json`` path.
 """
 
 from __future__ import annotations
@@ -419,7 +419,7 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
             return run_verify(args, out)
         if args.command == "hilbert":
             return run_hilbert(args, out)
-    except (NonOddPrimeError, ValueError) as exc:
+    except (NonOddPrimeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("argument parser admits only the three subcommands")

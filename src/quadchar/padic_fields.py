@@ -89,7 +89,6 @@ class LocalFieldDesc:
     p: int
     e: int = 1
     f: int = 1
-    label: str = "F"
 
     def __post_init__(self) -> None:
         if self.p >= _PRIME_TEST_BOUND:
@@ -152,7 +151,7 @@ SQUARE_CLASS_UPI = SquareClass(1, 1)
 
 def make_base(p: int) -> LocalFieldDesc:
     """The base p-adic field descriptor for an odd prime ``p``."""
-    return LocalFieldDesc(p=p, e=1, f=1, label="F")
+    return LocalFieldDesc(p=p, e=1, f=1)
 
 
 def square_classes(F: LocalFieldDesc) -> list[SquareClass]:
@@ -211,7 +210,6 @@ class QuadExtDesc:
 
     base: LocalFieldDesc
     discriminant_class: SquareClass
-    label: str = ""
 
     def __post_init__(self) -> None:
         if self.discriminant_class.is_trivial:
@@ -228,26 +226,22 @@ class QuadExtDesc:
         """Descriptor of ``E`` itself as a p-adic field."""
         F = self.base
         if self.kind is ExtKind.UNRAMIFIED:
-            return LocalFieldDesc(F.p, F.e, 2 * F.f, self.label or f"{F.label}-ur2")
-        return LocalFieldDesc(F.p, 2 * F.e, F.f, self.label or f"{F.label}-r2")
+            return LocalFieldDesc(F.p, F.e, 2 * F.f)
+        return LocalFieldDesc(F.p, 2 * F.e, F.f)
 
 
-def quadratic_extension(
-    F: LocalFieldDesc, disc: SquareClass, label: str = ""
-) -> QuadExtDesc:
+def quadratic_extension(F: LocalFieldDesc, disc: SquareClass) -> QuadExtDesc:
     """Build the quadratic extension ``F(sqrt(d))`` for ``d`` in the class ``disc``."""
-    if not label:
-        label = f"{F.label}(sqrt {disc.rep_string()})"
-    return QuadExtDesc(base=F, discriminant_class=disc, label=label)
+    return QuadExtDesc(base=F, discriminant_class=disc)
 
 
-def unramified_quadratic(F: LocalFieldDesc, label: str = "") -> QuadExtDesc:
-    return quadratic_extension(F, SQUARE_CLASS_U, label)
+def unramified_quadratic(F: LocalFieldDesc) -> QuadExtDesc:
+    return quadratic_extension(F, SQUARE_CLASS_U)
 
 
-def ramified_quadratic(F: LocalFieldDesc, unit_bit: int = 0, label: str = "") -> QuadExtDesc:
+def ramified_quadratic(F: LocalFieldDesc, unit_bit: int = 0) -> QuadExtDesc:
     """``F(sqrt pi)`` for ``unit_bit == 0``, ``F(sqrt u*pi)`` for ``unit_bit == 1``."""
-    return quadratic_extension(F, SquareClass(1, unit_bit), label)
+    return quadratic_extension(F, SquareClass(1, unit_bit))
 
 
 def omega_quadratic(E: QuadExtDesc, t: SquareClass) -> int:
@@ -294,14 +288,6 @@ class BiquadraticDiamond:
         if sum(m.kind is ExtKind.UNRAMIFIED for m in self.middles) != 1:
             raise AssertionError("exactly one quadratic extension is unramified")
 
-    def upper_edge_kind(self, i: int) -> ExtKind:
-        """Ramification of ``K / E_i``: opposite to the lower edge."""
-        return (
-            ExtKind.RAMIFIED
-            if self.middles[i].kind is ExtKind.UNRAMIFIED
-            else ExtKind.UNRAMIFIED
-        )
-
 
 def biquadratic_diamond(E1: QuadExtDesc, E2: QuadExtDesc) -> BiquadraticDiamond:
     """The diamond generated by two distinct quadratic extensions of one base."""
@@ -325,7 +311,7 @@ def lambda_unramified(n: int) -> int:
     return -1 if (n - 1) % 2 else +1
 
 
-def zeta_lambda_ratio(diamond: BiquadraticDiamond | None) -> int:
+def zeta_lambda_ratio(diamond: BiquadraticDiamond) -> int:
     """The lambda-constant ratio attached to a diamond with mixed edges.
 
     The input diamond designates ``middles[0]`` as the field under the
@@ -341,21 +327,13 @@ def zeta_lambda_ratio(diamond: BiquadraticDiamond | None) -> int:
 
     whose factors are both unramified-quadratic constants, giving
     ``(+1)/(-1) = -1``.
-
-    ``None`` encodes the degenerate chain in which the quadratic step
-    collapses (top equals the middle field); the ratio is then the lambda
-    of the identity extension, ``+1``.
     """
-    if diamond is None:
-        return lambda_unramified(1)
     first, second = diamond.middles[0], diamond.middles[1]
     if first.kind is not ExtKind.RAMIFIED or second.kind is not ExtKind.UNRAMIFIED:
         raise ValueError(
             "ratio requires middles[0] ramified (unramified upper edge) and "
             "middles[1] unramified (ramified upper edge)"
         )
-    if diamond.upper_edge_kind(0) is not ExtKind.UNRAMIFIED:
-        raise AssertionError("upper edge over a ramified middle must be unramified")
     numerator = lambda_unramified(2) ** 2  # middles[1]/base, unramified, squared
     denominator = lambda_unramified(2)  # top/middles[0], unramified
     return numerator * denominator  # division and multiplication agree for +-1

@@ -26,13 +26,13 @@ it is an involution on systems and preserves the ``Q_E``-orbit partition.
 Orbit towers.  When the system carries a field realization (a map from
 subgroups of ``Q`` to p-adic field descriptors for their fixed fields),
 ``tower_of`` produces the tower of an orbit: the fields fixed by the
-signed stabilizer, the stabilizer, and their intersections with ``Q_E``,
-together with the twisted-stabilizer field.  If the twisted stabilizer is
-not realized explicitly, its field is derived: in the degenerate cases it
-coincides with one of the known fields, and in the biquadratic case it is
-the third intermediate field of the degree-4 step, computed through an
-actual biquadratic diamond so the exactly-one-unramified rule is applied
-honestly.
+signed stabilizer, the stabilizer, their intersections with ``Q_E``, and
+the twisted stabilizer.  All five are read from the realization, so every
+subgroup must be realized; outside the biquadratic case the twisted
+stabilizer coincides with one of the other four (``stab_e`` for an
+asymmetric orbit, ``stab_signed`` or ``stab`` for a split step).  The
+ramification of the twisted step is cross-checked against
+``derive_op_data``.
 
 ``derive_op_data`` computes the two opposition invariants of a class
 (symmetry type of the twisted orbit over the base, and the ramification
@@ -46,12 +46,7 @@ from enum import Enum
 from typing import Mapping
 
 from .galois_lattices import identity_matrix, mat_mul, mat_vec
-from .padic_fields import (
-    LocalFieldDesc,
-    biquadratic_diamond,
-    ramified_quadratic,
-    unramified_quadratic,
-)
+from .padic_fields import LocalFieldDesc
 
 __all__ = [
     "Sym",
@@ -270,35 +265,6 @@ def _deg_flavor(sub: LocalFieldDesc, big: LocalFieldDesc) -> Deg:
     return Deg.UNRAM if _step_kind(sub, big) == "unramified" else Deg.RAM
 
 
-def _third_subfield(
-    bottom: LocalFieldDesc, middle_a: LocalFieldDesc, middle_b: LocalFieldDesc
-) -> LocalFieldDesc:
-    """Third intermediate field of a biquadratic step, via an actual diamond.
-
-    The two given middles determine their ramification kinds over the
-    bottom; a representative diamond with those kinds is built and its
-    remaining middle supplies the answer (the exactly-one-unramified rule).
-    """
-    kind_a = _step_kind(bottom, middle_a)
-    kind_b = _step_kind(bottom, middle_b)
-    base = LocalFieldDesc(bottom.p, 1, 1, bottom.label)
-    if kind_a == kind_b == "unramified":
-        raise ValueError("inconsistent realization: two unramified middles in a diamond")
-    if kind_a == "unramified":
-        ext_a = unramified_quadratic(base)
-        ext_b = ramified_quadratic(base, 0)
-    elif kind_b == "unramified":
-        ext_a = ramified_quadratic(base, 0)
-        ext_b = unramified_quadratic(base)
-    else:
-        ext_a = ramified_quadratic(base, 0)
-        ext_b = ramified_quadratic(base, 1)
-    third = biquadratic_diamond(ext_a, ext_b).middles[2]
-    if third.kind.value == "unramified":
-        return LocalFieldDesc(bottom.p, bottom.e, 2 * bottom.f, f"{bottom.label}-op")
-    return LocalFieldDesc(bottom.p, 2 * bottom.e, bottom.f, f"{bottom.label}-op")
-
-
 def tower_of(system: TwistedRootSystem, record: OrbitRecord) -> OrbitTower:
     """The orbit's field tower; requires a realization on the system."""
     realization = system.realization
@@ -314,6 +280,7 @@ def tower_of(system: TwistedRootSystem, record: OrbitRecord) -> OrbitTower:
     f_a = lookup(record.stab, "stabilizer")
     e_pm = lookup(record.stab_signed_e, "signed-stabilizer-over-E")
     e_a = lookup(record.stab_e, "stabilizer-over-E")
+    f_op = lookup(record.stab_twisted, "twisted-stabilizer")
 
     # consistency: degrees must match subgroup indices
     full = frozenset(system.group_elements())
@@ -323,6 +290,7 @@ def tower_of(system: TwistedRootSystem, record: OrbitRecord) -> OrbitTower:
         (record.stab, f_a),
         (record.stab_signed_e, e_pm),
         (record.stab_e, e_a),
+        (record.stab_twisted, f_op),
     ):
         expected_degree = len(full) // len(sub)
         if fld.e * fld.f != base_field.e * base_field.f * expected_degree:
@@ -331,32 +299,10 @@ def tower_of(system: TwistedRootSystem, record: OrbitRecord) -> OrbitTower:
     sym_base = _sym_flavor(f_pm, f_a, record.sym_over_base)
     sym_e = _sym_flavor(e_pm, e_a, record.sym_over_e)
     degree = _deg_flavor(f_a, e_a)
-
-    if record.stab_twisted in realization:
-        f_op = realization[record.stab_twisted]
-    elif degree is Deg.SPLIT:
-        # degenerate cases: the twisted field coincides with a known one
-        if sym_base is Sym.ASYM or sym_e is not Sym.ASYM:
-            f_op = e_a
-        else:
-            f_op = f_pm
-    elif sym_base is Sym.ASYM:
-        f_op = e_a
-    elif sym_e is Sym.ASYM:
-        raise ValueError("inconsistent realization: symmetric degree-2 orbit asymmetric over E")
-    else:
-        f_op = _third_subfield(f_pm, f_a, e_pm)
-
     expected_sym_op, expected_deg_op = derive_op_data(degree, sym_base, sym_e)
     # cross-check the realized twisted field against the structural answer
-    if expected_deg_op is Deg.SPLIT:
-        if (f_op.e, f_op.f) != (e_a.e, e_a.f):
-            raise ValueError("inconsistent realization: twisted field should equal the orbit field")
-    else:
-        kind = _step_kind(f_op, e_a)
-        got = Deg.UNRAM if kind == "unramified" else Deg.RAM
-        if got != expected_deg_op:
-            raise ValueError("inconsistent realization: twisted step has the wrong ramification")
+    if _deg_flavor(f_op, e_a) is not expected_deg_op:
+        raise ValueError("inconsistent realization: twisted step has the wrong ramification")
 
     return OrbitTower(
         field_signed=f_pm,

@@ -253,12 +253,8 @@ def render_tables() -> tuple[Table, ...]:
     )
 
 
-def diff_tables(
-    expected: tuple[Table, ...] | None = None, got: tuple[Table, ...] | None = None
-) -> list[TableDiff]:
-    """Row-level differences between two table sets (default: built-in vs rendered)."""
-    expected = builtin_tables() if expected is None else expected
-    got = render_tables() if got is None else got
+def diff_tables(expected: tuple[Table, ...], got: tuple[Table, ...]) -> list[TableDiff]:
+    """Row-level differences between two table sets."""
     diffs: list[TableDiff] = []
     for exp_table, got_table in zip(expected, got):
         count = max(len(exp_table.rows), len(got_table.rows))
@@ -297,6 +293,5 @@ def format_table(table: Table) -> str:
     return "\n".join(lines)
 
 
-def format_all(tables: tuple[Table, ...] | None = None) -> str:
-    tables = render_tables() if tables is None else tables
+def format_all(tables: tuple[Table, ...]) -> str:
     return "\n\n".join(format_table(t) for t in tables)

@@ -257,6 +257,16 @@ def test_option_the_suite_does_not_take_is_usage_error(argv, capsys):
     assert err == f"error: suite {argv[1]} takes no {argv[2]}\n"
 
 
+@pytest.mark.parametrize("argv", [["tables"], ["verify", "torus"]])
+def test_unwritable_json_path_is_usage_error(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    code, _ = run_cli([*argv, "--json", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not path.exists()
+
+
 def test_cli_import_loads_no_numpy():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, quadchar.cli; print('numpy' in sys.modules)"],

@@ -26,9 +26,9 @@ from quadchar.root_orbits import (
 )
 
 F = make_base(5)
-RAM = LocalFieldDesc(5, 2, 1, "ram-quad")
-UNRAM = LocalFieldDesc(5, 1, 2, "unram-quad")
-TOP = LocalFieldDesc(5, 2, 2, "top")
+RAM = LocalFieldDesc(5, 2, 1)
+UNRAM = LocalFieldDesc(5, 1, 2)
+TOP = LocalFieldDesc(5, 2, 2)
 
 I1: tuple = (((1,),), 1)
 A1 = (((-1,),), 1)  # negates the root, trivial character
@@ -157,20 +157,17 @@ def klein_subgroups():
     return full, frozenset({I1, A1}), frozenset({I1, B1}), frozenset({I1, AB1}), frozenset({I1})
 
 
-def klein_tower(e_field, stab_field, twisted_field, include_twisted=True):
+def klein_tower(e_field, stab_field, twisted_field):
     full, ker, stab, twisted, triv = klein_subgroups()
-    realization = {full: F, ker: e_field, stab: stab_field, triv: TOP}
-    if include_twisted:
-        realization[twisted] = twisted_field
+    realization = {full: F, ker: e_field, stab: stab_field, twisted: twisted_field, triv: TOP}
     system = rank_one_klein(realization)
     (rec,) = classify_orbits(system)
     return tower_of(system, rec)
 
 
-@pytest.mark.parametrize("include_twisted", [True, False])
-def test_tower_ramified_stab_unramified_step(include_twisted):
+def test_tower_ramified_stab_unramified_step():
     # base step ramified, orbit-field step unramified, twisted field unramified
-    tower = klein_tower(RAM, RAM, UNRAM, include_twisted)
+    tower = klein_tower(RAM, RAM, UNRAM)
     assert (tower.degree, tower.sym_over_base, tower.sym_over_e) == (
         Deg.UNRAM,
         Sym.SYM_RAM,
@@ -180,9 +177,8 @@ def test_tower_ramified_stab_unramified_step(include_twisted):
     assert (tower.twisted_sym, tower.twisted_degree) == (Sym.SYM_UNRAM, Deg.RAM)
 
 
-@pytest.mark.parametrize("include_twisted", [True, False])
-def test_tower_unramified_stab_ramified_step(include_twisted):
-    tower = klein_tower(RAM, UNRAM, RAM, include_twisted)
+def test_tower_unramified_stab_ramified_step():
+    tower = klein_tower(RAM, UNRAM, RAM)
     assert (tower.degree, tower.sym_over_base, tower.sym_over_e) == (
         Deg.RAM,
         Sym.SYM_UNRAM,
@@ -192,9 +188,8 @@ def test_tower_unramified_stab_ramified_step(include_twisted):
     assert (tower.twisted_sym, tower.twisted_degree) == (Sym.SYM_RAM, Deg.UNRAM)
 
 
-@pytest.mark.parametrize("include_twisted", [True, False])
-def test_tower_both_lower_steps_ramified(include_twisted):
-    tower = klein_tower(UNRAM, RAM, RAM, include_twisted)
+def test_tower_both_lower_steps_ramified():
+    tower = klein_tower(UNRAM, RAM, RAM)
     assert (tower.degree, tower.sym_over_base, tower.sym_over_e) == (
         Deg.UNRAM,
         Sym.SYM_RAM,
@@ -222,7 +217,7 @@ def test_tower_split_step_asymmetric_over_e(quad, expected_sym, expected_twisted
         expected_sym,
         Sym.ASYM,
     )
-    assert tower.field_twisted == F  # degenerate: signed-stabilizer field
+    assert tower.field_twisted == F  # the twisted stabilizer is the signed one
     assert (tower.twisted_sym, tower.twisted_degree) == (Sym.ASYM, expected_twisted_deg)
 
 
@@ -252,15 +247,15 @@ def test_tower_fully_asymmetric_split():
 @pytest.mark.parametrize(
     "e_alpha,expected_deg,expected_twisted_sym",
     [
-        (LocalFieldDesc(5, 1, 6, "big-unram"), Deg.UNRAM, Sym.SYM_UNRAM),
-        (LocalFieldDesc(5, 2, 3, "ram-step"), Deg.RAM, Sym.SYM_RAM),
+        (LocalFieldDesc(5, 1, 6), Deg.UNRAM, Sym.SYM_UNRAM),
+        (LocalFieldDesc(5, 2, 3), Deg.RAM, Sym.SYM_RAM),
     ],
 )
 def test_tower_asymmetric_nonsplit_cyclic(e_alpha, expected_deg, expected_twisted_sym):
     system = gln_root_system(3)
     records = classify_orbits(system)
     rec = records[0]
-    cubic = LocalFieldDesc(5, 1, 3, "unram-cubic")
+    cubic = LocalFieldDesc(5, 1, 3)
     realization = {
         frozenset(system.group_elements()): F,
         rec.stab: cubic,
@@ -282,8 +277,8 @@ def test_tower_asymmetric_nonsplit_cyclic(e_alpha, expected_deg, expected_twiste
 @pytest.mark.parametrize(
     "e_quad,top4,expected_sym",
     [
-        (UNRAM, LocalFieldDesc(5, 1, 4, "quartic-unram"), Sym.SYM_UNRAM),
-        (UNRAM, LocalFieldDesc(5, 2, 2, "quartic-mixed"), Sym.SYM_RAM),
+        (UNRAM, LocalFieldDesc(5, 1, 4), Sym.SYM_UNRAM),
+        (UNRAM, LocalFieldDesc(5, 2, 2), Sym.SYM_RAM),
     ],
 )
 def test_tower_symmetric_split_over_both(e_quad, top4, expected_sym):
@@ -315,8 +310,8 @@ def test_tower_symmetric_split_over_both(e_quad, top4, expected_sym):
 @pytest.mark.parametrize(
     "splitting,pm_field,expected_sym,expected_twisted_deg",
     [
-        (LocalFieldDesc(5, 2, 3, "split-ram"), LocalFieldDesc(5, 1, 3, "cubic"), Sym.SYM_RAM, Deg.RAM),
-        (LocalFieldDesc(5, 1, 6, "split-ur"), LocalFieldDesc(5, 1, 3, "cubic"), Sym.SYM_UNRAM, Deg.UNRAM),
+        (LocalFieldDesc(5, 2, 3), LocalFieldDesc(5, 1, 3), Sym.SYM_RAM, Deg.RAM),
+        (LocalFieldDesc(5, 1, 6), LocalFieldDesc(5, 1, 3), Sym.SYM_UNRAM, Deg.UNRAM),
     ],
 )
 def test_tower_unitary_odd(splitting, pm_field, expected_sym, expected_twisted_deg):
@@ -353,9 +348,17 @@ def test_tower_missing_subgroup_reported():
         tower_of(system, rec)
 
 
+def test_tower_missing_twisted_subgroup_reported():
+    full, ker, stab, twisted, triv = klein_subgroups()
+    system = rank_one_klein({full: F, ker: RAM, stab: RAM, triv: TOP})
+    (rec,) = classify_orbits(system)
+    with pytest.raises(ValueError, match="twisted-stabilizer subgroup"):
+        tower_of(system, rec)
+
+
 def test_tower_rejects_wrong_degree_realization():
     full, ker, stab, twisted, triv = klein_subgroups()
-    system = rank_one_klein({full: F, ker: RAM, stab: TOP, triv: TOP})
+    system = rank_one_klein({full: F, ker: RAM, stab: TOP, twisted: UNRAM, triv: TOP})
     (rec,) = classify_orbits(system)
     with pytest.raises(ValueError, match="wrong degree"):
         tower_of(system, rec)
@@ -571,3 +574,28 @@ def definitional_orbit_records(system):
 @given(signed_perm_systems())
 def test_classify_orbits_matches_definitional_sweeps(system):
     assert classify_orbits(system) == definitional_orbit_records(system)
+
+
+FAMILIES = (
+    rank_one_klein(None),
+    *(gln_root_system(n) for n in (2, 3, 4, 5)),
+    *(unitary_root_system(n) for n in (2, 3, 4, 5)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(signed_perm_systems(), st.sampled_from(FAMILIES)))
+def test_twisted_stabilizer_is_another_stabilizer_outside_the_biquadratic_shape(system):
+    # why tower_of can read the twisted field from the realization: outside
+    # the biquadratic shape the twisted stabilizer is already one of the four
+    for rec in classify_orbits(system):
+        if not rec.sym_over_base:
+            assert rec.stab_twisted == rec.stab_e
+        elif not rec.sym_over_e:
+            assert rec.degree == 1
+            assert rec.stab_twisted == rec.stab_signed
+        elif rec.degree == 1:
+            assert rec.stab_twisted == rec.stab
+        else:
+            others = (rec.stab, rec.stab_signed, rec.stab_e, rec.stab_signed_e)
+            assert rec.stab_twisted not in others

@@ -29,7 +29,8 @@ unimodular transforms, implemented here):
 
 where the norm ``N`` is the sum over the *formal* group elements (so actions
 that factor through a quotient weight correctly), formed as the product of
-the per-generator norms ``1 + g + ... + g^(o-1)``.
+the per-generator norms ``1 + g + ... + g^(o-1)``.  Each lattice builds its
+norm once, and degrees -1 and 0 share it.
 
 ``prasad_torus_identity`` verifies, for a torus ``S`` over the lower field
 of a quadratic step ``A/B``, the cardinality identity
@@ -55,6 +56,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .residue_fields import _factorize
@@ -221,11 +224,11 @@ def _ident(n: int) -> list[list[int]]:
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     cols = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a)))
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def mat_add(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
@@ -468,8 +471,8 @@ class GaloisLattice:
                 raise ValueError("generator matrices must be square of the declared rank")
             if order < 1:
                 raise ValueError("generator orders must be positive")
-            power = eye  # g**order == I also forces det(g) = +-1
-            for _ in range(order):
+            power = g  # g**order == I also forces det(g) = +-1
+            for _ in range(order - 1):
                 power = mat_mul(power, g)
             if power != eye:
                 raise ValueError("generator does not satisfy its declared order")
@@ -477,11 +480,13 @@ class GaloisLattice:
             if mat_mul(g, h) != mat_mul(h, g):
                 raise ValueError("generators must commute (abelian presentation)")
 
+    @cached_property
     def norm_matrix(self) -> Matrix:
         """The sum of all formal group elements, as ``prod (1 + g + ... + g**(o - 1))``.
 
         The product equals the sum because the generators commute.  Each
         factor is applied as ``norm + norm g + ... + norm g**(o - 1)``.
+        Built once per lattice: both Tate degrees read it.
         """
         norm = identity_matrix(self.rank)
         for g, order in zip(self.generator_matrices, self.generator_orders):
@@ -504,7 +509,7 @@ class GaloisLattice:
 
 def _tate_minus_one(lattice: GaloisLattice) -> Subquotient:
     """``ker(norm) / sum (g - 1) M``."""
-    group = subquotient(lattice.norm_matrix(), lattice.augmentation_columns())
+    group = subquotient(lattice.norm_matrix, lattice.augmentation_columns())
     if 0 in group.diag:
         raise AssertionError("degree -1 Tate cohomology of a lattice is finite")
     return group
@@ -527,7 +532,7 @@ def tate_cohomology(lattice: GaloisLattice, degree: int) -> FiniteAbelianGroup:
             for g in lattice.generator_matrices
             for row, eye_row in zip(g, eye)
         ]
-        group = subquotient(fixed or [(0,) * lattice.rank], zip(*lattice.norm_matrix()))
+        group = subquotient(fixed or [(0,) * lattice.rank], zip(*lattice.norm_matrix))
         if 0 in group.diag:
             raise AssertionError("the norm image has finite index in the fixed points")
         return group.torsion

@@ -15,10 +15,11 @@ For each orbit the classification records:
   ``Q``-orbit splits into two ``Q_E``-orbits), else 2;
 * the plain, signed and twisted stabilizers of the base root.
 
-Each orbit's fields are all read off one map from group elements to the
-images of its base root.  That the action preserves the root set is
-checked on the generators only: every element is a product of
-generators, so it maps roots to roots when each generator does.
+The group is closed once per classification and ``Q_E`` is read off
+those elements.  Each orbit's fields are all read off one map from group
+elements to the images of its base root.  That the action preserves the
+root set is checked on the generators only: every element is a product
+of generators, so it maps roots to roots when each generator does.
 
 The *opposition twist* replaces each generator ``(g, s)`` by ``(s*g, s)``;
 it is an involution on systems and preserves the ``Q_E``-orbit partition.
@@ -97,6 +98,14 @@ def _scale_matrix(m: Matrix, s: int) -> Matrix:
     return tuple(tuple(s * x for x in row) for row in m)
 
 
+def _character_kernel(elements: tuple[Element, ...]) -> tuple[Element, ...]:
+    """The elements of character value 1 in a closed group; must have index 2."""
+    kernel = tuple(e for e in elements if e[1] == 1)
+    if 2 * len(kernel) != len(elements):
+        raise ValueError("the character must cut out an index-2 subgroup")
+    return kernel
+
+
 @dataclass(frozen=True)
 class TwistedRootSystem:
     """Roots, a signed-permutation action, and an index-2 character."""
@@ -118,8 +127,8 @@ class TwistedRootSystem:
         for mat, sign in self.generators:
             if sign not in (1, -1):
                 raise ValueError("character values must be +1 or -1")
-            if len(mat) != self.rank:
-                raise ValueError("generator matrices must match the rank")
+            if len(mat) != self.rank or any(len(row) != self.rank for row in mat):
+                raise ValueError("generator matrices must be rank x rank")
 
     def group_elements(self) -> tuple[Element, ...]:
         """Closure of the generators in ``GL x {+-1}``; capped for safety."""
@@ -139,11 +148,7 @@ class TwistedRootSystem:
 
     def e_subgroup(self) -> tuple[Element, ...]:
         """Kernel of the character; must have index 2."""
-        elements = self.group_elements()
-        kernel = tuple(e for e in elements if e[1] == 1)
-        if 2 * len(kernel) != len(elements):
-            raise ValueError("the character must cut out an index-2 subgroup")
-        return kernel
+        return _character_kernel(self.group_elements())
 
     def act(self, element: Element, root: Vector) -> Vector:
         return mat_vec(element[0], root)
@@ -180,7 +185,7 @@ def classify_orbits(system: TwistedRootSystem) -> list[OrbitRecord]:
     """Orbits of the root set under ``Q``, with symmetry and stabilizer data."""
     system.check_action_closed()
     elements = system.group_elements()
-    e_subgroup = set(system.e_subgroup())
+    e_subgroup = set(_character_kernel(elements))
     remaining = set(system.roots)
     records: list[OrbitRecord] = []
     while remaining:

@@ -14,7 +14,7 @@ import pytest
 from conftest import commuting_involution_pairs, signed_permutation_involutions
 from conftest import identity_matrix as oracle_identity
 from conftest import mat_mul as oracle_mul
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadchar.cocycle_oracle import (
@@ -39,6 +39,7 @@ from quadchar.galois_lattices import (
     field_contains,
     field_degree,
     mat_mul,
+    mat_vec,
     norm_quotient,
     prasad_torus_identity,
     smith_normal_form,
@@ -120,6 +121,32 @@ def test_mat_mul_shapes() -> None:
     assert mat_mul(((1,), (2,)), ()) == ((), ())  # empty b: one empty row per row of a
     assert mat_mul(((1, 2),), ((), ())) == ((),)  # zero columns
     assert mat_mul((), ((1,),)) == ()
+
+
+def _int_matrix(rows: int, cols: int):
+    row = st.lists(st.integers(-9, 9), min_size=cols, max_size=cols).map(tuple)
+    return st.lists(row, min_size=rows, max_size=rows).map(tuple)
+
+
+# (a, b, v) with a of shape n x k, b of shape k x m and v of length k
+product_operands = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda s: st.tuples(_int_matrix(s[0], s[1]), _int_matrix(s[1], s[2]), _int_matrix(1, s[1]))
+)
+
+
+@given(product_operands)
+@example((((), ()), (), ((),)))  # two rows, no columns
+@example(((), ((1, 2),), ((3,),)))  # no rows
+@settings(max_examples=150, deadline=None)
+def test_products_match_index_loops(operands) -> None:
+    a, b, (v,) = operands
+    # a matrix with no rows has no recorded width, so k = 0 leaves b with no columns
+    m = len(b[0]) if b else 0
+    k = len(b)
+    assert mat_mul(a, b) == tuple(
+        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)) for i in range(len(a))
+    )
+    assert mat_vec(a, v) == tuple(sum(a[i][t] * v[t] for t in range(k)) for i in range(len(a)))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +239,20 @@ def test_norm_matrix_matches_the_formal_element_sum() -> None:
     rotation_3 = ((0, -1, 0), (1, 0, 0), (0, 0, 1))
     lattices.append(lattice(3, [rotation_3, ((1, 0, 0), (0, 1, 0), (0, 0, -1))], [4, 2]))
     for lat in lattices:
-        assert lat.norm_matrix() == formal_norm(lat), lat
+        assert lat.norm_matrix == formal_norm(lat), lat
+
+
+def test_both_tate_degrees_read_one_norm(monkeypatch: pytest.MonkeyPatch) -> None:
+    builds = []
+    cached = GaloisLattice.__dict__["norm_matrix"]
+    build = cached.func
+    monkeypatch.setattr(cached, "func", lambda lat: builds.append(lat) or build(lat))
+    lat = lattice(2, [SWAP, ((-1, 0), (0, -1))], [2, 2])
+    tate_cohomology(lat, -1)
+    norm = lat.norm_matrix
+    tate_cohomology(lat, 0)
+    assert lat.norm_matrix is norm
+    assert builds == [lat]
 
 
 @pytest.mark.parametrize("order", [1, 2, 4])

@@ -140,6 +140,33 @@ def test_character_index_two_required():
     )
     with pytest.raises(ValueError, match="index-2"):
         trivial.e_subgroup()
+    with pytest.raises(ValueError, match="index-2"):
+        classify_orbits(trivial)
+
+
+def test_classification_closes_the_group_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    calls = []
+    closure = TwistedRootSystem.group_elements
+
+    def counted(self: TwistedRootSystem) -> tuple:
+        calls.append(self)
+        return closure(self)
+
+    monkeypatch.setattr(TwistedRootSystem, "group_elements", counted)
+    for system in (gln_root_system(5), unitary_root_system(5), rank_one_klein(None)):
+        calls.clear()
+        classify_orbits(system)
+        assert calls == [system]
+
+
+@pytest.mark.parametrize(
+    "generator",
+    [((0, 1), (1,)), ((0, 1, 0), (1, 0, 0))],
+    ids=["ragged", "2x3"],
+)
+def test_generators_must_be_square_of_the_rank(generator) -> None:
+    with pytest.raises(ValueError, match="rank x rank"):
+        TwistedRootSystem(rank=2, roots=((1, -1), (-1, 1)), generators=((generator, -1),))
 
 
 def test_character_values_validated():

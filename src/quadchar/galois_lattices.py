@@ -20,8 +20,12 @@ produced by ``cocharacter_lattice``.
 
 Tate cohomology in degrees -1 and 0 and the coinvariant torsion are each a
 subquotient ``ker(C) / span(R)`` of integer matrices, computed by
-``subquotient`` from one Smith normal form of ``C`` and one of ``R`` (with
-unimodular transforms, implemented here):
+``subquotient`` from one Smith normal form of ``C`` and one of the relations
+(implemented here).  A Smith form keeps only its unimodular column transform
+``v`` and the inverse: the kernel basis of ``C`` is read off ``v``, and the
+relations go in one per row, so the transpose of that form's ``v`` is the
+row transform the quotient needs.  The adapted basis and its coordinates are
+formed only when read, since the group orders need neither:
 
     H^-1(G, M)  = ker(N) / sum (g - 1) M,
     H^0(G, M)   = ker(stacked rows of g - 1) / N M  = M^G / N M,
@@ -219,7 +223,10 @@ Z2 = FiniteAbelianGroup((2,))
 
 
 def _ident(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
@@ -239,69 +246,48 @@ def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(row) for row in _ident(n))
 
 
+def _minus_identity(g: Matrix) -> Matrix:
+    return tuple(tuple(x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(g))
+
+
 @dataclass(frozen=True)
 class SmithForm:
-    """``u @ a @ v == d`` with ``u, v`` unimodular and ``d`` diagonal.
+    """``u @ a @ v`` is diagonal for some unimodular ``u``; only ``v`` is kept.
 
-    ``u_inv`` and ``v_inv`` are the exact integer inverses of ``u`` and
-    ``v``; the diagonal entries form a divisor chain ``d1 | d2 | ...``
-    (nonnegative, zeros trailing).
+    ``v_inv`` is the exact integer inverse of ``v``.  The ``diagonal`` of
+    ``u @ a @ v`` forms a divisor chain ``d1 | d2 | ...`` (nonnegative, zeros
+    trailing), so the columns of ``a @ v`` past the nonzero entries vanish.
+    Callers that need a row transform take the form of the transpose.
     """
 
-    d: Matrix
-    u: Matrix
+    diagonal: tuple[int, ...]
     v: Matrix
-    u_inv: Matrix
     v_inv: Matrix
-
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.d[i][i] for i in range(min(len(self.d), len(self.d[0]) if self.d else 0)))
 
 
 def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
     n = len(a)
     m = len(a[0]) if n else 0
     d = [list(row) for row in a]
-    u = _ident(n)
-    u_inv = _ident(n)
-    v = _ident(m)
+    vt = _ident(m)  # the rows of vt are the columns of v
     v_inv = _ident(m)
 
-    def row_sub(i: int, j: int, q: int) -> None:
-        # row_i -= q * row_j on d and u; the inverse transform adds on columns
-        d[i] = [x - q * y for x, y in zip(d[i], d[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-        for r in range(n):
-            u_inv[r][j] += q * u_inv[r][i]
-
+    # rows above the pivot row t are zero from column t on, so column
+    # operations skip them
     def col_sub(j: int, i: int, q: int) -> None:
         # col_j -= q * col_i on d and v; the inverse transform adds on rows
-        for r in range(n):
+        for r in range(t, n):
             d[r][j] -= q * d[r][i]
-        for r in range(m):
-            v[r][j] -= q * v[r][i]
+        vt[j] = [x - q * y for x, y in zip(vt[j], vt[i])]
         v_inv[i] = [x + q * y for x, y in zip(v_inv[i], v_inv[j])]
 
-    def row_swap(i: int, j: int) -> None:
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-        for r in range(n):
-            u_inv[r][i], u_inv[r][j] = u_inv[r][j], u_inv[r][i]
-
     def col_swap(i: int, j: int) -> None:
-        for r in range(n):
+        for r in range(t, n):
             d[r][i], d[r][j] = d[r][j], d[r][i]
-        for r in range(m):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
+        vt[i], vt[j] = vt[j], vt[i]
         v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
-    def row_negate(i: int) -> None:
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-        for r in range(n):
-            u_inv[r][i] = -u_inv[r][i]
-
+    # row operations act on d alone, since no row transform is kept
     t = 0
     while t < min(n, m):
         # choose the smallest nonzero entry in the remaining block as pivot
@@ -314,16 +300,16 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
         if pivot is None:
             break
         if pivot != (t, t):
-            row_swap(t, pivot[0])
+            d[t], d[pivot[0]] = d[pivot[0]], d[t]
             col_swap(t, pivot[1])
         while True:
             restart = False
             for i in range(t + 1, n):
                 if d[i][t]:
                     q = d[i][t] // d[t][t]
-                    row_sub(i, t, q)
+                    d[i] = [x - q * y for x, y in zip(d[i], d[t])]
                     if d[i][t]:
-                        row_swap(i, t)
+                        d[i], d[t] = d[t], d[i]
                         restart = True
                         break
             if restart:
@@ -349,16 +335,12 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
                     break
             if offender is None:
                 break
-            row_sub(t, offender, -1)  # add the offending row to the pivot row
-        if d[t][t] < 0:
-            row_negate(t)
+            d[t] = [x + y for x, y in zip(d[t], d[offender])]
         t += 1
 
     return SmithForm(
-        d=tuple(tuple(row) for row in d),
-        u=tuple(tuple(row) for row in u),
-        v=tuple(tuple(row) for row in v),
-        u_inv=tuple(tuple(row) for row in u_inv),
+        diagonal=tuple(abs(d[i][i]) for i in range(min(n, m))),
+        v=tuple(zip(*vt)),
         v_inv=tuple(tuple(row) for row in v_inv),
     )
 
@@ -368,21 +350,52 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
 # ---------------------------------------------------------------------------
 
 
+def _kernel_coordinates(inverse: Matrix, rank: int, x: Sequence[int]) -> tuple[int, ...]:
+    """The coordinates of ``x`` in the saturated basis of ``ker(C)``.
+
+    ``inverse`` is ``v_inv`` of the Smith form of ``C`` and ``rank`` the rank
+    of ``C``: the first ``rank`` entries of ``inverse @ x`` vanish exactly
+    when ``x`` is in ``ker(C)``, and the rest are its coordinates.
+    """
+    if len(x) != len(inverse):
+        raise ValueError("dimension mismatch")
+    coords = mat_vec(inverse, x)
+    if any(coords[:rank]):
+        raise ValueError("vector is not in the kernel of the constraints")
+    return coords[rank:]
+
+
 @dataclass(frozen=True)
 class Subquotient:
     """The group ``ker(C) / span(R)`` for a constraint matrix ``C`` and relations ``R``.
 
-    ``basis`` holds, as its columns, a saturated basis of ``ker(C)`` adapted to
-    the relations: modulo ``span(R)`` column ``i`` has order ``diag[i]``, or
-    infinite order when ``diag[i] == 0``.  ``coordinates`` maps a vector of
-    ``ker(C)`` to its coordinates in that basis, and ``off_kernel`` maps a
-    vector to zero exactly when it lies in ``ker(C)``.
+    ``constraint_form`` is the Smith form of ``C``, whose rank is ``rank``;
+    the columns of its ``v`` past the rank are a saturated basis of ``ker(C)``.
+    ``relation_form`` is the Smith form of the relations written in that
+    basis, one relation per row: the transpose of its ``v`` is the row
+    transform that diagonalises the relations taken as columns.
+
+    ``basis`` holds, as its columns, a kernel basis adapted to the relations:
+    modulo ``span(R)`` column ``i`` has order ``diag[i]``, or infinite order
+    when ``diag[i] == 0``.  ``coordinates`` maps a vector of ``ker(C)`` to its
+    coordinates in ``basis``.  Both are products formed when first read, so
+    a caller that needs only ``diag`` never pays for them.
     """
 
-    basis: Matrix
-    coordinates: Matrix
-    off_kernel: Matrix
+    constraint_form: SmithForm
+    rank: int
+    relation_form: SmithForm
     diag: tuple[int, ...]
+
+    @cached_property
+    def basis(self) -> Matrix:
+        kernel_basis = tuple(row[self.rank :] for row in self.constraint_form.v)
+        return mat_mul(kernel_basis, tuple(zip(*self.relation_form.v_inv)))
+
+    @cached_property
+    def coordinates(self) -> Matrix:
+        kernel_coordinates = self.constraint_form.v_inv[self.rank :]
+        return mat_mul(tuple(zip(*self.relation_form.v)), kernel_coordinates)
 
     def normalize(self, x: Sequence[int]) -> tuple[int, ...]:
         """The canonical residue tuple of the class of ``x``.
@@ -390,10 +403,7 @@ class Subquotient:
         Coordinate ``i`` is taken mod ``diag[i]`` when ``diag[i] > 0`` and kept
         exact when ``diag[i] == 0``.  Raises if ``x`` is not in ``ker(C)``.
         """
-        if len(x) != len(self.basis):
-            raise ValueError("dimension mismatch")
-        if any(mat_vec(self.off_kernel, x)):
-            raise ValueError("vector is not in the kernel of the constraints")
+        _kernel_coordinates(self.constraint_form.v_inv, self.rank, x)  # raises off the kernel
         return tuple(c % d if d else c for c, d in zip(mat_vec(self.coordinates, x), self.diag))
 
     def is_zero_class(self, x: Sequence[int]) -> bool:
@@ -417,26 +427,21 @@ def subquotient(
     One Smith normal form of the constraints gives the saturated kernel basis
     (the columns of ``v`` past the nonzero pivots, which come first) and the
     coordinates in it (the matching rows of ``v_inv``).  One Smith normal form
-    of the relations, written in those coordinates, presents the quotient.
+    of the relation coordinates, one relation per row as they are computed,
+    presents the quotient: the transpose of its ``v`` is the row transform
+    the relations need as columns, so no Smith form tracks a row transform.
     Raises ``ValueError`` if a relation is not in the kernel.
     """
     form = smith_normal_form(constraints)
     rank = sum(1 for d in form.diagonal if d)
-    # ker(C) with no relations: its normalize gives the exact coordinates of a
-    # relation and rejects one outside the kernel
-    kernel = Subquotient(
-        basis=tuple(row[rank:] for row in form.v),
-        coordinates=form.v_inv[rank:],
-        off_kernel=form.v_inv[:rank],
-        diag=(0,) * (len(form.v) - rank),
-    )
-    coords = [kernel.normalize(r) for r in relations]
-    k = len(kernel.diag)
-    rel = smith_normal_form(tuple(tuple(c[i] for c in coords) for i in range(k)))
+    coords = [_kernel_coordinates(form.v_inv, rank, r) for r in relations]
+    k = len(form.v_inv) - rank
+    # with no relations a zero row keeps the form k columns wide
+    rel = smith_normal_form(coords or [(0,) * k])
     return Subquotient(
-        basis=mat_mul(kernel.basis, rel.u_inv),
-        coordinates=mat_mul(rel.u, kernel.coordinates),
-        off_kernel=kernel.off_kernel,
+        constraint_form=form,
+        rank=rank,
+        relation_form=rel,
         diag=rel.diagonal + (0,) * (k - len(rel.diagonal)),
     )
 
@@ -499,12 +504,7 @@ class GaloisLattice:
 
     def augmentation_columns(self) -> list[tuple[int, ...]]:
         """Columns spanning the augmentation submodule ``sum (g - 1) M``."""
-        eye = identity_matrix(self.rank)
-        cols: list[tuple[int, ...]] = []
-        for g in self.generator_matrices:
-            for j in range(self.rank):
-                cols.append(tuple(g[i][j] - eye[i][j] for i in range(self.rank)))
-        return cols
+        return [col for g in self.generator_matrices for col in zip(*_minus_identity(g))]
 
 
 def _tate_minus_one(lattice: GaloisLattice) -> Subquotient:
@@ -526,12 +526,7 @@ def tate_cohomology(lattice: GaloisLattice, degree: int) -> FiniteAbelianGroup:
         return _tate_minus_one(lattice).torsion
     if degree == 0:
         # the stacked rows of g - 1 cut out M^G; with no generators a zero row does
-        eye = identity_matrix(lattice.rank)
-        fixed = [
-            tuple(x - e for x, e in zip(row, eye_row))
-            for g in lattice.generator_matrices
-            for row, eye_row in zip(g, eye)
-        ]
+        fixed = [row for g in lattice.generator_matrices for row in _minus_identity(g)]
         group = subquotient(fixed or [(0,) * lattice.rank], zip(*lattice.norm_matrix))
         if 0 in group.diag:
             raise AssertionError("the norm image has finite index in the fixed points")

@@ -9,6 +9,7 @@ multiplicativity).
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 from conftest import commuting_involution_pairs, signed_permutation_involutions
@@ -17,6 +18,7 @@ from conftest import mat_mul as oracle_mul
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quadchar import galois_lattices
 from quadchar.cocycle_oracle import (
     cyclic_one_cocycle_order,
     expected_truncated_order,
@@ -73,24 +75,51 @@ matrix_strategy = st.integers(1, 4).flatmap(
 )
 
 
+def oracle_det(m) -> int:
+    """Leibniz expansion; the matrices here are at most 4 x 4."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(m)), 2))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def determinantal_divisor(a, k: int) -> int:
+    """The gcd of the k x k minors of ``a`` (0 when they all vanish)."""
+    rows, cols = range(len(a)), range(len(a[0]))
+    return math.gcd(
+        *(
+            oracle_det([[a[i][j] for j in cs] for i in rs])
+            for rs in itertools.combinations(rows, k)
+            for cs in itertools.combinations(cols, k)
+        )
+    )
+
+
 @given(matrix_strategy)
 @settings(max_examples=150, deadline=None)
+@example([[0, 0], [0, 0]])
+@example([[2, 0], [0, 3]])  # diagonal, but not a divisor chain
+@example([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
 def test_smith_normal_form_properties(rows: list[list[int]]) -> None:
     a = tuple(tuple(r) for r in rows)
     snf = smith_normal_form(a)
-    assert mat_mul(mat_mul(snf.u, a), snf.v) == snf.d
-    assert mat_mul(snf.u, snf.u_inv) == oracle_identity(len(a))
     assert mat_mul(snf.v, snf.v_inv) == oracle_identity(len(a[0]))
     diag = snf.diagonal
+    assert len(diag) == min(len(a), len(a[0]))
+    rank = sum(1 for x in diag if x)
+    assert all(not any(row[rank:]) for row in mat_mul(a, snf.v))
     for x, y in zip(diag, diag[1:]):
         if x != 0:
             assert y % x == 0
         else:
             assert y == 0
-    for i, row in enumerate(snf.d):
-        for j, entry in enumerate(row):
-            if i != j:
-                assert entry == 0
+    # d1 ... dk is the k-th determinantal divisor, which fixes the diagonal
+    for k in range(1, len(diag) + 1):
+        assert math.prod(diag[:k]) == determinantal_divisor(a, k)
 
 
 @given(matrix_strategy)
@@ -101,6 +130,34 @@ def test_integer_kernel_annihilates(rows: list[list[int]]) -> None:
     assert all(not any(row) for row in mat_mul(a, kernel.basis))
     # the coordinates invert the basis, so its columns are independent
     assert mat_mul(kernel.coordinates, kernel.basis) == oracle_identity(len(kernel.diag))
+
+
+def _prime_divisors(n: int) -> list[int]:
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_subquotient_with_relations(data: st.DataObject) -> None:
+    a = tuple(tuple(r) for r in data.draw(matrix_strategy))
+    kernel = subquotient(a, ())
+    k = len(kernel.diag)
+    combination = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
+    coefficients = data.draw(st.lists(combination, max_size=4))
+    relations = [mat_vec(kernel.basis, c) for c in coefficients]
+    group = subquotient(a, relations)
+    assert mat_mul(group.coordinates, group.basis) == oracle_identity(k)
+    assert all(group.is_zero_class(r) for r in relations)
+    for i, d in enumerate(group.diag):
+        column = tuple(row[i] for row in group.basis)
+        if d == 0:  # coordinate i is kept exactly, so no multiple vanishes
+            assert group.normalize(column)[i] == 1
+        else:
+            assert group.is_zero_class(tuple(d * x for x in column))
+            for p in _prime_divisors(d):
+                assert not group.is_zero_class(tuple(d // p * x for x in column))
+    classes = {group.normalize(rep) for rep in group.torsion_representatives()}
+    assert len(classes) == group.torsion.order
 
 
 def test_subquotient_rejects_vectors_outside_the_kernel() -> None:
@@ -304,6 +361,46 @@ def test_engine_matches_oracle_on_sampled_rank3_pairs(data: st.DataObject) -> No
     lat = lattice(3, list(pair), [2, 2])
     product = tate_cohomology(lat, -1).order * tate_cohomology(lat, 0).order
     assert truncated_tate_minus_one_order(list(pair), [2, 2], 8) == product
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_herbrand_quotient_of_every_involution(n: int) -> None:
+    # |H^0| / |H^-1| = 2**trace for an involution lattice
+    for mat in signed_permutation_involutions(n):
+        lat = lattice(n, [mat], [2])
+        trace = sum(mat[i][i] for i in range(n))
+        minus, zero = tate_cohomology(lat, -1), tate_cohomology(lat, 0)
+        assert zero.order * 2 ** max(0, -trace) == minus.order * 2 ** max(0, trace), mat
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_group_order_kills_tate_groups_of_commuting_pairs(n: int) -> None:
+    for a, b in commuting_involution_pairs(n):
+        lat = lattice(n, [a, b], [2, 2])
+        factors = tate_cohomology(lat, -1).invariant_factors
+        factors += tate_cohomology(lat, 0).invariant_factors
+        assert all(4 % d == 0 for d in factors), (a, b)
+
+
+def test_each_tate_degree_takes_two_smith_forms(monkeypatch: pytest.MonkeyPatch) -> None:
+    calls = []
+    snf = galois_lattices.smith_normal_form
+    monkeypatch.setattr(galois_lattices, "smith_normal_form", lambda a: calls.append(a) or snf(a))
+    swap_negate = ((0, 1, 0), (1, 0, 0), (0, 0, -1))
+    lat = lattice(3, [swap_negate, ((-1, 0, 0), (0, -1, 0), (0, 0, 1))], [2, 2])
+    for degree in (-1, 0):
+        calls.clear()
+        tate_cohomology(lat, degree)
+        assert len(calls) == 2, degree
+    calls.clear()
+    group = _tate_minus_one(lat)
+    assert len(calls) == 2
+    # the adapted basis and its coordinates are formed only when read
+    assert "basis" not in vars(group) and "coordinates" not in vars(group)
+    group.torsion_representatives()
+    assert "basis" in vars(group) and "coordinates" not in vars(group)
+    group.is_zero_class((0, 0, 0))
+    assert "coordinates" in vars(group)
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,7 @@ from .residue_fields import (
     ExtElement,
     FiniteField,
     QuadraticExtension,
+    sgn_ext_units,
     sgn_norm_one,
     sgn_units,
 )
@@ -159,18 +160,8 @@ def alpha_eval(
     return ext.mul(x, ext.inv(ext.conj(x)))
 
 
-def _sign_of_ext_unit(ext: QuadraticExtension, x: ExtElement) -> int:
-    """Sign character of the unit group of the quadratic residue model."""
-    value = ext.scalar(ext.pow(x, (ext.q * ext.q - 1) // 2))
-    if value == 1:
-        return 1
-    if value == ext.base.neg(1):
-        return -1
-    raise AssertionError("the sign character must be +-1 on units")
-
-
 def _unit_bit_ext(ext: QuadraticExtension, x: ExtElement) -> int:
-    return 0 if _sign_of_ext_unit(ext, x) == 1 else 1
+    return 0 if sgn_ext_units(ext, x) == 1 else 1
 
 
 def _unit_bit(k: FiniteField, x: int) -> int:
@@ -319,15 +310,15 @@ def _gl2_even_a(p: int, report: ScenarioReport) -> None:
         zeta_contribution(config).describe(),
     )
 
+    # each unit's sign bit and its norm's, once for both valuations and the identity
+    bits = [(_unit_bit_ext(ext2, x), _unit_bit(k, ext2.norm(x))) for x in ext2.units()]
     mismatches = 0
     total = 0
     for v in (0, 1):
-        for x in ext2.units():
-            omega_step = omega_quadratic(step, SquareClass(v, _unit_bit_ext(ext2, x)))
+        for big, small in bits:
+            omega_step = omega_quadratic(step, SquareClass(v, big))
             # norm of the element: valuation doubles, unit part takes the norm
-            zeta_route = omega_quadratic(
-                third_over_base, SquareClass(0, _unit_bit(k, ext2.norm(x)))
-            )
+            zeta_route = omega_quadratic(third_over_base, SquareClass(0, small))
             total += 1
             if omega_step != zeta_route:
                 mismatches += 1
@@ -342,10 +333,7 @@ def _gl2_even_a(p: int, report: ScenarioReport) -> None:
         "gl2-even-a-sign-norm-identity",
         {"p": p, "q": p},
         True,
-        all(
-            _sign_of_ext_unit(ext2, x) == sgn_units(k, ext2.norm(x))
-            for x in ext2.units()
-        ),
+        all(big == small for big, small in bits),
     )
 
 

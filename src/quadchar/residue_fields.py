@@ -10,10 +10,12 @@ evaluation.  It provides:
   being pairs ``(a, b)`` for ``a + b*X``; Frobenius ``x -> x**q``, norm
   ``x -> x**(q+1)`` and trace ``x -> x + x**q`` down to the base are its
   methods ``conj``, ``norm`` and ``trace``;
-* the two sign characters:
+* the three sign characters, each read off one power through ``_sign_of``:
 
   - ``sgn_units(k, x) = x**((q-1)//2)`` — the unique nontrivial quadratic
     character of the cyclic group ``k^x`` of order ``q - 1``;
+  - ``sgn_ext_units(ext, x) = x**((q**2-1)//2)`` — the unique nontrivial
+    quadratic character of ``ext^x``, cyclic of order ``q**2 - 1``;
   - ``sgn_norm_one(ext, x) = x**((q+1)//2)`` — the unique nontrivial
     quadratic character of the norm-one subgroup of ``ext^x``, cyclic of
     order ``q + 1``.
@@ -23,12 +25,22 @@ exponent models and never need a field basis.
 
 All arithmetic is exact; fields are capped at ``q <= 10**4`` to guard
 against accidental blowup in exhaustive tests.
+
+Range checks sit at the public operations and nowhere else.  Each
+``FiniteField`` and ``QuadraticExtension`` operation (``add``, ``neg``,
+``sub``, ``mul``, ``pow``, ``inv``, ``conj``, ``norm``, ``trace``,
+``embed``) checks every component of every argument once, through
+``FiniteField._check``, and raises ``ValueError`` for one outside
+``range(p)``.  It then computes on plain integers and reduces mod ``p``;
+its intermediate values are already reduced, so they are not checked
+again.  ``QuadraticExtension.pow`` checks ``x`` once and squares and
+multiplies on the components.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 __all__ = [
@@ -36,6 +48,7 @@ __all__ = [
     "FiniteField",
     "QuadraticExtension",
     "sgn_units",
+    "sgn_ext_units",
     "sgn_norm_one",
 ]
 
@@ -109,14 +122,15 @@ class FiniteField:
     def q(self) -> int:
         return self.p
 
-    def _check(self, x: int) -> None:
-        if not 0 <= x < self.p:
-            raise ValueError(f"element {x} out of range for field of size {self.p}")
+    def _check(self, *xs: int) -> None:
+        for x in xs:
+            if not 0 <= x < self.p:
+                raise ValueError(f"element {x} out of range for field of size {self.p}")
 
-    # -- ring operations ---------------------------------------------------
+    # -- ring operations: each checks its inputs once ------------------------
 
     def add(self, x: int, y: int) -> int:
-        self._check(x), self._check(y)
+        self._check(x, y)
         return (x + y) % self.p
 
     def neg(self, x: int) -> int:
@@ -124,10 +138,11 @@ class FiniteField:
         return (-x) % self.p
 
     def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
+        self._check(x, y)
+        return (x - y) % self.p
 
     def mul(self, x: int, y: int) -> int:
-        self._check(x), self._check(y)
+        self._check(x, y)
         return (x * y) % self.p
 
     def pow(self, x: int, n: int) -> int:
@@ -137,9 +152,10 @@ class FiniteField:
         return pow(x, n, self.p)
 
     def inv(self, x: int) -> int:
+        self._check(x)
         if x == 0:
             raise ZeroDivisionError("inverse of zero")
-        return self.pow(x, self.p - 2)
+        return pow(x, self.p - 2, self.p)
 
     # -- enumeration and structure ------------------------------------------
 
@@ -193,7 +209,7 @@ class QuadraticExtension:
         """Cardinality of the *base* field."""
         return self.base.q
 
-    @property
+    @cached_property
     def u(self) -> int:
         return self.base.canonical_nonsquare()
 
@@ -205,38 +221,45 @@ class QuadraticExtension:
         self.base._check(a)
         return (a, 0)
 
+    # -- field operations: each checks its inputs once ------------------------
+
     def add(self, x: ExtElement, y: ExtElement) -> ExtElement:
-        return (self.base.add(x[0], y[0]), self.base.add(x[1], y[1]))
+        self.base._check(*x, *y)
+        p = self.base.p
+        return ((x[0] + y[0]) % p, (x[1] + y[1]) % p)
 
     def neg(self, x: ExtElement) -> ExtElement:
-        return (self.base.neg(x[0]), self.base.neg(x[1]))
+        self.base._check(*x)
+        p = self.base.p
+        return (-x[0] % p, -x[1] % p)
 
     def mul(self, x: ExtElement, y: ExtElement) -> ExtElement:
-        a, b = x
-        c, d = y
-        k, u = self.base, self.u
-        real = k.add(k.mul(a, c), k.mul(u, k.mul(b, d)))
-        imag = k.add(k.mul(a, d), k.mul(b, c))
-        return (real, imag)
+        self.base._check(*x, *y)
+        (a, b), (c, d), p = x, y, self.base.p
+        return ((a * c + self.u * b * d) % p, (a * d + b * c) % p)
 
     def pow(self, x: ExtElement, n: int) -> ExtElement:
+        """``x**n`` by square-and-multiply on the components of ``x``."""
         if n < 0:
             return self.pow(self.inv(x), -n)
-        result, base = self.one, x
+        self.base._check(*x)
+        (a, b), p, u = x, self.base.p, self.u
+        r, s = 1, 0
         while n:
             if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
+                r, s = (r * a + u * s * b) % p, (r * b + s * a) % p
+            a, b = (a * a + u * b * b) % p, 2 * a * b % p
             n >>= 1
-        return result
+        return (r, s)
 
     def inv(self, x: ExtElement) -> ExtElement:
+        """``conj(x) / norm(x)``."""
         nrm = self.norm(x)
         if nrm == 0:
             raise ZeroDivisionError("inverse of zero")
-        c = self.base.inv(nrm)
-        conj = self.conj(x)
-        return (self.base.mul(conj[0], c), self.base.mul(conj[1], c))
+        p = self.base.p
+        c = pow(nrm, p - 2, p)
+        return (x[0] * c % p, -x[1] * c % p)
 
     def conj(self, x: ExtElement) -> ExtElement:
         """The base-field automorphism ``a + b*sqrt(u) -> a - b*sqrt(u)``.
@@ -244,17 +267,19 @@ class QuadraticExtension:
         This equals the ``q``-power Frobenius: ``sqrt(u)**q = u**((q-1)/2)
         * sqrt(u) = -sqrt(u)`` since ``u`` is a non-square.
         """
-        return (x[0], self.base.neg(x[1]))
+        self.base._check(*x)
+        return (x[0], -x[1] % self.base.p)
 
     def norm(self, x: ExtElement) -> int:
         """Norm to the base field: ``x * conj(x) = a**2 - u*b**2``."""
+        self.base._check(*x)
         a, b = x
-        k, u = self.base, self.u
-        return k.sub(k.mul(a, a), k.mul(u, k.mul(b, b)))
+        return (a * a - self.u * b * b) % self.base.p
 
     def trace(self, x: ExtElement) -> int:
         """Trace to the base field: ``x + conj(x) = 2a``."""
-        return self.base.add(x[0], x[0])
+        self.base._check(*x)
+        return 2 * x[0] % self.base.p
 
     def elements(self) -> Iterator[ExtElement]:
         for b in self.base.elements():
@@ -295,12 +320,13 @@ class QuadraticExtension:
         return x[0] if x[1] == 0 else None
 
 
-def _sign_of(k: FiniteField, x: int) -> int:
+def _sign_of(k: FiniteField, x: int | None) -> int:
+    """``+1`` or ``-1`` for the encoding ``x`` of ``+-1`` in ``k``; ``None`` is not one."""
     if x == 1:
         return 1
-    if x == k.neg(1):
+    if x == k.p - 1:
         return -1
-    raise AssertionError(f"expected +-1 in the field, got encoding {x}")
+    raise AssertionError(f"expected +-1 in the base field, got encoding {x}")
 
 
 def sgn_units(k: FiniteField, x: int) -> int:
@@ -321,6 +347,22 @@ def sgn_units(k: FiniteField, x: int) -> int:
     return _sign_of(k, k.pow(x, (k.q - 1) // 2))
 
 
+def sgn_ext_units(ext: QuadraticExtension, x: ExtElement) -> int:
+    """The quadratic character of ``ext^x``: ``x**((q**2-1)//2)`` as ``+1`` or ``-1``.
+
+    This is the unique nontrivial quadratic character of the cyclic group
+    of order ``q**2 - 1``; every element of the base field is a square in
+    ``ext``, so it is ``+1`` there.
+
+    >>> ext = QuadraticExtension(FiniteField(3))
+    >>> sgn_ext_units(ext, (0, 1)), sgn_ext_units(ext, (1, 1))   # 1 + i generates F_9^x
+    (1, -1)
+    """
+    if x == (0, 0):
+        raise ValueError("the sign character is defined on units only")
+    return _sign_of(ext.base, ext.scalar(ext.pow(x, (ext.q * ext.q - 1) // 2)))
+
+
 def sgn_norm_one(ext: QuadraticExtension, x: ExtElement) -> int:
     """The quadratic character of the norm-one subgroup: ``x**((q+1)//2)``.
 
@@ -334,8 +376,4 @@ def sgn_norm_one(ext: QuadraticExtension, x: ExtElement) -> int:
     """
     if ext.norm(x) != 1:
         raise ValueError(f"element {x} is not norm-one")
-    value = ext.pow(x, (ext.q + 1) // 2)
-    scalar = ext.scalar(value)
-    if scalar is None:
-        raise AssertionError("square root of 1 must be a base scalar")
-    return _sign_of(ext.base, scalar)
+    return _sign_of(ext.base, ext.scalar(ext.pow(x, (ext.q + 1) // 2)))

@@ -1,10 +1,12 @@
-"""The structure benchmark's library ops still give their recorded digests.
+"""The benchmark's ops still give their recorded digests.
 
 Runs the ``classify`` ops, the ``lattices rank<=3`` op and the ``catalog``
-op of the ``structure`` workload through ``bench/worker.py``'s own call and
-check functions, and compares each digest with ``bench/expected.json``.  A
-change that alters any orbit record, Tate group or catalog verdict fails
-here, in tier-1, not only in a benchmark run.  Nothing under ``bench/`` is
+op of the ``structure`` workload, and every ``verify sl2|gl2|gln|un``
+request of ``bench/expected.json`` (the ``prime-sweep`` reports), through
+``bench/worker.py``'s own call and check functions, and compares each
+digest and record count with ``bench/expected.json``.  A change that alters
+any orbit record, Tate group, catalog verdict or report byte fails here,
+in tier-1, not only in a benchmark run.  Nothing under ``bench/`` is
 written.
 """
 
@@ -17,6 +19,7 @@ import sys
 import pytest
 
 import quadchar
+import quadchar.cli  # noqa: F401
 import quadchar.galois_lattices  # noqa: F401  (the worker reads layers as package attributes)
 import quadchar.root_orbits  # noqa: F401
 
@@ -58,3 +61,31 @@ def test_structure_op_matches_expected_digest(bench_modules, label: str) -> None
     outcome = check(op, call(quadchar, op, None), None)
     assert "error" not in outcome, outcome
     assert outcome == EXPECTED[label]
+
+
+# every element-sweep report the prime-sweep workload can request
+VERIFY_LABELS = sorted(
+    label
+    for label in EXPECTED
+    if label.startswith(("verify sl2 ", "verify gl2 ", "verify gln ", "verify un "))
+)
+
+
+def test_every_prime_sweep_request_is_gated(bench_modules) -> None:
+    inputs, _ = bench_modules
+    cli_labels = {inputs.op_label(op) for op in inputs.every_op() if op["kind"] == "cli"}
+    verify_all = {inputs.op_label(op) for op in inputs.verify_all_ops()}
+    assert cli_labels - verify_all == set(VERIFY_LABELS)
+
+
+@pytest.mark.parametrize("label", VERIFY_LABELS)
+def test_verify_report_matches_expected_digest(bench_modules, tmp_path, label: str) -> None:
+    _, worker = bench_modules
+    op = {"kind": "cli", "argv": label.split()}
+    report = tmp_path / "report.json"
+    outcome = worker.check_cli(op, worker.call_cli(quadchar, op, report), report)
+    assert "error" not in outcome, outcome
+    assert (outcome["digest"], outcome["records"]) == (
+        EXPECTED[label]["digest"],
+        EXPECTED[label]["records"],
+    )

@@ -7,6 +7,7 @@ squaring, subgroup orders by direct counting).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -19,6 +20,7 @@ from quadchar.residue_fields import (
     FiniteField,
     QuadraticExtension,
     _is_prime,
+    sgn_ext_units,
     sgn_norm_one,
     sgn_units,
 )
@@ -255,3 +257,161 @@ def test_sign_of_unit_equals_sign_of_norm_exhaustive(k: FiniteField) -> None:
         assert lhs_scalar is not None
         rhs = k.pow(ext.norm(x), (k.q - 1) // 2)
         assert lhs_scalar == rhs
+
+
+# ---------------------------------------------------------------------------
+# arithmetic against a schoolbook oracle for F_p[X]/(X**2 - u)
+# ---------------------------------------------------------------------------
+
+
+def schoolbook_mul(p: int, u: int, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """Oracle: multiply the linear polynomials, then replace X**2 by u."""
+    c0, c1, c2 = x[0] * y[0], x[0] * y[1] + x[1] * y[0], x[1] * y[1]
+    return ((c0 + u * c2) % p, c1 % p)
+
+
+def schoolbook_pow(p: int, u: int, x: tuple[int, int], n: int) -> tuple[int, int]:
+    """Oracle: ``x**n`` for ``n >= 0`` by recursive halving of the exponent."""
+    if n == 0:
+        return (1, 0)
+    half = schoolbook_pow(p, u, x, n // 2)
+    square = schoolbook_mul(p, u, half, half)
+    return schoolbook_mul(p, u, square, x) if n % 2 else square
+
+
+def assert_matches_schoolbook(ext: QuadraticExtension, x, y) -> None:
+    """Every extension op at ``x`` (and ``y``) against the oracle.
+
+    Frobenius is ``x**p`` in the oracle, so ``conj``, ``norm = x**(p+1)``
+    and ``trace = x + x**p`` are checked against their definitions, not
+    against the closed forms the module uses.
+    """
+    p, u = ext.base.p, ext.u
+    assert ext.add(x, y) == ((x[0] + y[0]) % p, (x[1] + y[1]) % p)
+    assert ext.add(ext.neg(x), x) == (0, 0)
+    assert ext.mul(x, y) == schoolbook_mul(p, u, x, y)
+    frob = schoolbook_pow(p, u, x, p)
+    assert ext.conj(x) == frob
+    assert (ext.norm(x), 0) == schoolbook_mul(p, u, x, frob)
+    assert ext.trace(x) == (x[0] + frob[0]) % p and (x[1] + frob[1]) % p == 0
+    if x == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            ext.inv(x)
+    else:
+        assert schoolbook_mul(p, u, x, ext.inv(x)) == (1, 0)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_prime_field_ops_on_every_pair(p: int) -> None:
+    k = FiniteField(p)
+    for x, y in itertools.product(range(p), repeat=2):
+        assert k.add(x, y) == (x + y) % p
+        assert k.sub(x, y) == (x - y) % p
+        assert k.mul(x, y) == x * y % p
+        assert k.neg(x) == -x % p
+        if y:
+            assert k.mul(y, k.inv(y)) == 1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_extension_ops_match_schoolbook_on_every_pair(p: int) -> None:
+    ext = QuadraticExtension(FiniteField(p))
+    els = list(ext.elements())
+    assert len(els) == p * p
+    for x, y in itertools.product(els, repeat=2):
+        assert_matches_schoolbook(ext, x, y)
+
+
+PRIMES_TO_CAP = [n for n in range(3, 10_001) if is_prime_by_trial_division(n)]
+
+
+@given(p=st.sampled_from(PRIMES_TO_CAP), data=st.data())
+def test_extension_ops_match_schoolbook_up_to_the_cap(p: int, data: st.DataObject) -> None:
+    ext = QuadraticExtension(FiniteField(p))
+    element = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))
+    x, y = data.draw(element), data.draw(element)
+    assert_matches_schoolbook(ext, x, y)
+    n = data.draw(st.integers(0, p * p + 1))
+    assert ext.pow(x, n) == schoolbook_pow(p, ext.u, x, n)
+    a, b = x
+    assert ext.base.sub(a, b) == (a - b) % p and ext.base.mul(a, b) == a * b % p
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_pow_matches_repeated_multiplication(p: int) -> None:
+    k = FiniteField(p)
+    ext = QuadraticExtension(k)
+    q2 = p * p
+    for x in ext.units():
+        inverse, power = ext.inv(x), (1, 0)
+        for n in range(q2 + 2):
+            assert ext.pow(x, n) == power, (x, n)
+            power = schoolbook_mul(p, ext.u, power, x)
+        power = (1, 0)
+        for n in range(1, 4):
+            power = schoolbook_mul(p, ext.u, power, inverse)
+            assert ext.pow(x, -n) == power, (x, -n)
+    assert ext.pow((0, 0), 0) == (1, 0)
+    assert all(ext.pow((0, 0), n) == (0, 0) for n in range(1, q2 + 2))
+    with pytest.raises(ZeroDivisionError):
+        ext.pow((0, 0), -1)
+    for x in k.units():
+        power = 1
+        for n in range(q2 + 2):
+            assert k.pow(x, n) == power
+            power = power * x % p
+        assert [k.pow(x, -n) for n in (1, 2, 3)] == [k.pow(k.inv(x), n) for n in (1, 2, 3)]
+
+
+def _argument_variants(args: tuple, bad: int):
+    """Each way to put ``bad`` into one component of one argument."""
+    for i, arg in enumerate(args):
+        if isinstance(arg, tuple):
+            for j in range(len(arg)):
+                component = arg[:j] + (bad,) + arg[j + 1 :]
+                yield args[:i] + (component,) + args[i + 1 :]
+        else:
+            yield args[:i] + (bad,) + args[i + 1 :]
+
+
+@pytest.mark.parametrize("p", [3, 7, 9973])
+def test_every_public_op_rejects_out_of_range_components(p: int) -> None:
+    k = FiniteField(p)
+    ext = QuadraticExtension(k)
+    x, y = (1, 2), (2, 1)
+    calls = [
+        (k.add, (1, 2)), (k.neg, (1,)), (k.sub, (1, 2)), (k.mul, (1, 2)),
+        (k.inv, (1,)),
+        (ext.add, (x, y)), (ext.neg, (x,)), (ext.mul, (x, y)), (ext.inv, (x,)),
+        (ext.conj, (x,)), (ext.norm, (x,)), (ext.trace, (x,)), (ext.embed, (1,)),
+    ]  # fmt: skip
+    for n in (-2, -1, 0, 1, 2):  # any exponent; only the base is range-checked
+        calls += [(functools.partial(k.pow, n=n), (1,)), (functools.partial(ext.pow, n=n), (x,))]
+    for bad in (-1, p):
+        for op, args in calls:
+            for variant in _argument_variants(args, bad):
+                with pytest.raises(ValueError):
+                    op(*variant)
+
+
+# ---------------------------------------------------------------------------
+# the unit sign character of the extension
+# ---------------------------------------------------------------------------
+
+
+def test_sgn_ext_units_examples() -> None:
+    ext = QuadraticExtension(FiniteField(3))
+    assert sgn_ext_units(ext, (0, 1)) == +1  # i = ((1 + i)**3)**2 in F_9
+    assert sgn_ext_units(ext, (1, 1)) == -1  # 1 + i has order 8
+    with pytest.raises(ValueError):
+        sgn_ext_units(ext, (0, 0))
+
+
+@pytest.mark.parametrize("k", FIELDS, ids=lambda k: f"q{k.q}")
+def test_sgn_ext_units_matches_square_enumeration(k: FiniteField) -> None:
+    ext = QuadraticExtension(k)
+    squares = {schoolbook_mul(k.p, ext.u, x, x) for x in ext.units()}
+    for x in ext.units():
+        assert sgn_ext_units(ext, x) == (+1 if x in squares else -1)
+    assert len(squares) == (k.q**2 - 1) // 2
+

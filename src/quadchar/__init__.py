@@ -6,16 +6,16 @@ The package is organised in layers:
 * ``residue_fields`` — finite fields, sign characters, norm-one subgroups;
 * ``padic_fields`` — square classes, the tame Hilbert symbol, quadratic
   extension descriptors, biquadratic diamonds, lambda constants;
-* ``cocycle_oracle`` — brute-force cohomology counts on finite truncations,
-  kept independent of the lattice engine as a cross-check;
 * ``galois_lattices`` — integral lattices with Galois action, Tate
   cohomology in degrees -1 and 0 via Smith normal form, the torus catalog
-  and the kernel-cardinality identity it satisfies;
-* ``root_orbits`` — twisted root systems, orbit symmetry classification,
-  the opposition twist and orbit towers;
+  and the kernel-cardinality identity it satisfies (the tests cross-check
+  it with brute-force counts in ``tests/cocycle_oracle.py``);
+* ``root_orbits`` — twisted root systems, orbit symmetry classification
+  and orbit towers;
 * ``char_engine`` — symbolic quadratic-character contributions per orbit
   class and the per-class comparison verdicts;
-* ``tables`` — builtin reference tables and their regeneration diff;
+* ``tables`` — builtin reference tables, regenerated from one row spec,
+  and their diff;
 * ``case_studies`` — exhaustive element-level scenario checks for small
   groups;
 * ``cli`` — the ``quadchar`` command line: ``tables``, ``verify``,

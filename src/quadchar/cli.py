@@ -30,6 +30,7 @@ sorted, and no timestamps or environment data are embedded.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -320,29 +321,23 @@ def run_tables(args: argparse.Namespace, out) -> int:
         got = inject_wrong_row(got)
     diffs = diff_tables(expected, got)
     print(format_all(got), file=out)
-    records = []
-    for table_expected, table_got in zip(expected, got):
-        for i, row in enumerate(table_expected.rows, start=1):
-            got_row = (
-                table_got.rows[i - 1] if i <= len(table_got.rows) else None
-            )
-            records.append(
-                CheckRecord(
-                    f"table{table_expected.number}-row{i:02d}",
-                    {"table": table_expected.number, "row": i},
-                    " | ".join(row),
-                    None if got_row is None else " | ".join(got_row),
-                )
-            )
-    total_rows = sum(len(t.rows) for t in expected)
-    if diffs:
-        for d in diffs:
-            print(
-                f"diff: table {d.table} row {d.row}: "
-                f"expected {d.expected!r}, got {d.got!r}",
-                file=out,
-            )
-    print(f"{total_rows} rows compared, {len(diffs)} diffs", file=out)
+    records = [
+        CheckRecord(
+            f"table{table.number}-row{i:02d}",
+            {"table": table.number, "row": i},
+            " | ".join(expected_row),
+            " | ".join(got_row),
+        )
+        for table, table_got in zip(expected, got)
+        for i, (expected_row, got_row) in enumerate(zip(table.rows, table_got.rows), start=1)
+    ]
+    for d in diffs:
+        print(
+            f"diff: table {d.table} row {d.row}: "
+            f"expected {d.expected!r}, got {d.got!r}",
+            file=out,
+        )
+    print(f"{len(records)} rows compared, {len(diffs)} diffs", file=out)
     _write_report("tables", records, args.json)
     return 1 if diffs else 0
 
@@ -376,6 +371,7 @@ def run_hilbert(args: argparse.Namespace, out) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadchar",
@@ -410,8 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "tables":
             return run_tables(args, out)

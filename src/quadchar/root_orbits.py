@@ -21,9 +21,6 @@ elements to the images of its base root.  That the action preserves the
 root set is checked on the generators only: every element is a product
 of generators, so it maps roots to roots when each generator does.
 
-The *opposition twist* replaces each generator ``(g, s)`` by ``(s*g, s)``;
-it is an involution on systems and preserves the ``Q_E``-orbit partition.
-
 Orbit towers.  When the system carries a field realization (a map from
 subgroups of ``Q`` to p-adic field descriptors for their fixed fields),
 ``tower_of`` produces the tower of an orbit: the fields fixed by the
@@ -58,7 +55,6 @@ __all__ = [
     "OrbitTower",
     "GlnParityReport",
     "classify_orbits",
-    "op_twist",
     "tower_of",
     "derive_op_data",
     "gln_root_system",
@@ -216,16 +212,6 @@ def classify_orbits(system: TwistedRootSystem) -> list[OrbitRecord]:
         )
         remaining -= orbit
     return records
-
-
-def op_twist(system: TwistedRootSystem) -> TwistedRootSystem:
-    """Scale each generator matrix by its character value; an involution."""
-    return TwistedRootSystem(
-        rank=system.rank,
-        roots=system.roots,
-        generators=tuple((_scale_matrix(m, s), s) for m, s in system.generators),
-        realization=system.realization,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,13 @@ The package ships five small tables as frozen data:
 4. the twisted-class character per orbit class (10 rows);
 5. the comparison of each orbit class with its twisted class (10 rows).
 
-``render_tables`` regenerates every row from the contribution functions
-of :mod:`quadchar.char_engine` and the structural twist derivation of
-:mod:`quadchar.root_orbits`; ``diff_tables`` reports any disagreement
-with the built-ins.  A clean diff is the package's primary self-check.
+``render_tables`` renders all five tables from one row spec, which gives
+for each table the classes it runs over (all ten, or one per symmetry
+type) and the cells of a class's row.  The cells come from the
+contribution functions of :mod:`quadchar.char_engine` and the structural
+twist derivation of :mod:`quadchar.root_orbits`; titles and headers are
+the built-ins'.  ``diff_tables`` reports any disagreement with the
+built-ins.  A clean diff is the package's primary self-check.
 
 Rendering conventions: step types print as ``1`` / ``2 ur`` / ``2 r``,
 symmetry types as ``asym`` / ``sym ur`` / ``sym r``, the base-extension
@@ -28,6 +31,7 @@ the class's twist partner.  Table 5 makes that pairing explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 
 from .char_engine import (
     CLASS_TRIPLES,
@@ -170,115 +174,62 @@ def _twist_partner(triple: tuple[Deg, Sym, Sym]) -> tuple[Deg, Sym, Sym]:
     return (deg_op, sym_op, triple[2])
 
 
-def _render_table1() -> Table:
-    # one representative per symmetry type, chosen with a genuine step so
-    # the generic (nontrivial) cell is shown for the symmetric rows
-    reps = (CLASS_TRIPLES[0], CLASS_TRIPLES[5], CLASS_TRIPLES[8])
-    rows = tuple(
-        (_SYM_TEXT[triple[1]], prasad_contribution(_representative(triple, False)).describe())
-        for triple in reps
-    )
-    return Table(1, _BUILTIN[0].title, _BUILTIN[0].header, rows)
+def _key(triple: tuple[Deg, Sym, Sym]) -> tuple[str, str, str]:
+    """The ``(deg, /F, /E)`` key columns of a class."""
+    deg, sym_f, sym_e = triple
+    return (_DEG_TEXT[deg], _SYM_TEXT[sym_f], _SYM_TEXT[sym_e])
 
 
-def _render_table2() -> Table:
-    rows = []
-    for triple in CLASS_TRIPLES:
-        cfg = _representative(triple, gate_on=True)
-        rows.append(
-            (
-                _DEG_TEXT[triple[0]],
-                _SYM_TEXT[triple[1]],
-                _SYM_TEXT[triple[2]],
-                _ef_column(triple),
-                kaletha_contribution(cfg).describe(),
-            )
-        )
-    return Table(2, _BUILTIN[1].title, _BUILTIN[1].header, tuple(rows))
-
-
-def _render_table3() -> Table:
-    reps = (CLASS_TRIPLES[0], CLASS_TRIPLES[5], CLASS_TRIPLES[8])
-    rows = tuple(
-        (
-            _SYM_TEXT[triple[1]],
-            hakim_contribution(_representative(triple, gate_on=True)).describe(),
-        )
-        for triple in reps
-    )
-    return Table(3, _BUILTIN[2].title, _BUILTIN[2].header, rows)
-
-
-def _render_table4() -> Table:
-    rows = []
-    for triple in CLASS_TRIPLES:
-        partner = _twist_partner(triple)
-        cell = zeta_contribution(_representative(partner, gate_on=False)).describe()
-        rows.append(
-            (
-                _DEG_TEXT[triple[0]],
-                _SYM_TEXT[triple[1]],
-                _SYM_TEXT[triple[2]],
-                _ef_column(triple),
-                cell,
-            )
-        )
-    return Table(4, _BUILTIN[3].title, _BUILTIN[3].header, tuple(rows))
-
-
-def _render_table5() -> Table:
-    rows = []
-    for triple in CLASS_TRIPLES:
-        sym_op, deg_op = derive_op_data(*triple)
-        rows.append(
-            (
-                _DEG_TEXT[triple[0]],
-                _SYM_TEXT[triple[1]],
-                _SYM_TEXT[triple[2]],
-                _SYM_TEXT[sym_op],
-                _DEG_TEXT[deg_op],
-            )
-        )
-    return Table(5, _BUILTIN[4].title, _BUILTIN[4].header, tuple(rows))
+# one class per symmetry type, each with a genuine step, so the symmetric
+# rows of tables 1 and 3 show the generic (nontrivial) cell
+_PER_SYMMETRY = (CLASS_TRIPLES[0], CLASS_TRIPLES[5], CLASS_TRIPLES[8])
 
 
 def render_tables() -> tuple[Table, ...]:
-    """Regenerate all five tables from the library functions."""
-    return (
-        _render_table1(),
-        _render_table2(),
-        _render_table3(),
-        _render_table4(),
-        _render_table5(),
+    """Regenerate all five tables from the library functions.
+
+    One row spec per table, in table order: the classes it runs over and
+    the cells of each class's row.  Titles and headers are the built-ins'.
+    """
+
+    def cell(rule, triple, gate_on):
+        return rule(_representative(triple, gate_on)).describe()
+
+    rows = (
+        [(_key(t)[1], cell(prasad_contribution, t, False)) for t in _PER_SYMMETRY],
+        [(*_key(t), _ef_column(t), cell(kaletha_contribution, t, True)) for t in CLASS_TRIPLES],
+        [(_key(t)[1], cell(hakim_contribution, t, True)) for t in _PER_SYMMETRY],
+        [
+            (*_key(t), _ef_column(t), cell(zeta_contribution, _twist_partner(t), False))
+            for t in CLASS_TRIPLES
+        ],
+        # (alpha_op/F, E_a/F_a_op) are the twist partner's /F and deg columns
+        [(*_key(t), *_key(_twist_partner(t))[1::-1]) for t in CLASS_TRIPLES],
     )
+    return tuple(replace(table, rows=tuple(r)) for table, r in zip(_BUILTIN, rows))
 
 
 def diff_tables(expected: tuple[Table, ...], got: tuple[Table, ...]) -> list[TableDiff]:
-    """Row-level differences between two table sets."""
-    diffs: list[TableDiff] = []
-    for exp_table, got_table in zip(expected, got):
-        count = max(len(exp_table.rows), len(got_table.rows))
-        for idx in range(count):
-            exp_row = exp_table.rows[idx] if idx < len(exp_table.rows) else None
-            got_row = got_table.rows[idx] if idx < len(got_table.rows) else None
-            if exp_row != got_row:
-                diffs.append(TableDiff(exp_table.number, idx + 1, exp_row, got_row))
-    return diffs
+    """Row-level differences between two table sets; a missing row is ``None``."""
+    return [
+        TableDiff(exp_table.number, idx, exp_row, got_row)
+        for exp_table, got_table in zip(expected, got)
+        for idx, (exp_row, got_row) in enumerate(
+            zip_longest(exp_table.rows, got_table.rows), start=1
+        )
+        if exp_row != got_row
+    ]
 
 
 def inject_wrong_row(tables: tuple[Table, ...], table_number: int = 4) -> tuple[Table, ...]:
     """Corrupt one cell of one table; negative control for the diff path."""
-    out = []
-    for table in tables:
-        if table.number == table_number:
-            rows = list(table.rows)
-            first = list(rows[0])
-            first[-1] = "sgn(k_E_a^x) . alpha" if first[-1] == "1" else "1"
-            rows[0] = tuple(first)
-            out.append(replace(table, rows=tuple(rows)))
-        else:
-            out.append(table)
-    return tuple(out)
+
+    def corrupt(table: Table) -> Table:
+        (*keys, last), *rest = table.rows
+        wrong = "sgn(k_E_a^x) . alpha" if last == "1" else "1"
+        return replace(table, rows=((*keys, wrong), *rest))
+
+    return tuple(corrupt(t) if t.number == table_number else t for t in tables)
 
 
 def format_table(table: Table) -> str:

@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import time
 
+from cocycle_oracle import (
+    expected_truncated_order,
+    truncated_tate_minus_one_order,
+)
 from conftest import (
     commuting_involution_pairs,
     record_acceptance,
@@ -28,10 +32,6 @@ from quadchar.char_engine import (
     conjecture_check,
     enumerate_configs,
     toral_invariant,
-)
-from quadchar.cocycle_oracle import (
-    expected_truncated_order,
-    truncated_tate_minus_one_order,
 )
 from quadchar.galois_lattices import (
     GaloisLattice,

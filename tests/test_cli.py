@@ -24,6 +24,9 @@ REPORT_DIGESTS = {
     "verify-all.json": "9181d5657cce0d1f5f2cd861cb45ec06314d75129160d9cd754fd7dfc57126d5",
 }
 
+# sha256 of the stdout of ``tables --inject-wrong-row``
+NEGATIVE_CONTROL_STDOUT_DIGEST = "634878e127b2120b59852ebd4b2562bf0538d098c16d2de6aa3f692c32d3773c"
+
 
 def run_cli(argv):
     out = io.StringIO()
@@ -49,10 +52,22 @@ def test_tables_match_builtins():
     assert f"{EXPECTED_ROW_TOTAL} rows compared, 0 diffs" in output
 
 
-def test_tables_negative_control():
-    code, output = run_cli(["tables", "--inject-wrong-row"])
+def test_tables_negative_control(tmp_path):
+    path = tmp_path / "tables.json"
+    code, output = run_cli(["tables", "--inject-wrong-row", "--json", str(path)])
     assert code == 1
     assert "diff: table 4 row 1" in output
+    assert hashlib.sha256(output.encode()).hexdigest() == NEGATIVE_CONTROL_STDOUT_DIGEST
+    report = json.loads(path.read_text())
+    assert report["summary"] == {"pass": 35, "fail": 1}
+    failing = [r for r in report["records"] if r["verdict"] == "fail"]
+    assert [(r["id"], r["expected"], r["got"]) for r in failing] == [
+        (
+            "table4-row01",
+            "1 | asym | asym | r/ur | 1",
+            "1 | asym | asym | r/ur | sgn(k_E_a^x) . alpha",
+        )
+    ]
 
 
 def test_tables_json_report(tmp_path):

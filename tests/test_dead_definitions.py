@@ -17,10 +17,6 @@ PACKAGE = sorted((ROOT / "src" / "quadchar").glob("*.py"))
 SCANNED = PACKAGE + sorted((ROOT / "bench").glob("*.py"))
 
 ALLOWED_UNUSED = {
-    "truncated_tate_minus_one_order": "cocycle_oracle: independent oracle, called from tests only",
-    "cyclic_one_cocycle_order": "cocycle_oracle: independent oracle, called from tests only",
-    "expected_truncated_order": "cocycle_oracle: independent oracle, called from tests only",
-    "op_twist": "root_orbits: to be wired into the root-datum pipeline",
     "tower_of": "root_orbits: to be wired into the root-datum pipeline",
 }
 

@@ -12,6 +12,11 @@ import itertools
 import math
 
 import pytest
+from cocycle_oracle import (
+    cyclic_one_cocycle_order,
+    expected_truncated_order,
+    truncated_tate_minus_one_order,
+)
 from conftest import commuting_involution_pairs, signed_permutation_involutions
 from conftest import identity_matrix as oracle_identity
 from conftest import mat_mul as oracle_mul
@@ -19,11 +24,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadchar import galois_lattices
-from quadchar.cocycle_oracle import (
-    cyclic_one_cocycle_order,
-    expected_truncated_order,
-    truncated_tate_minus_one_order,
-)
 from quadchar.galois_lattices import (
     FiniteAbelianGroup,
     GaloisLattice,

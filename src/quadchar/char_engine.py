@@ -35,7 +35,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
 
 from .padic_fields import LocalFieldDesc, SquareClass, hilbert_symbol
 from .root_orbits import Deg, Sym, derive_op_data
@@ -104,16 +103,6 @@ class CharContribution:
     @property
     def is_trivial(self) -> bool:
         return not self.symbols
-
-    def eval(self, values: Mapping[Symbol, int]) -> int:
-        """Evaluate at a point given the value of each basis character."""
-        result = 1
-        for symbol in self.symbols:
-            value = values[symbol]
-            if value not in (1, -1):
-                raise ValueError("character values must be +1 or -1")
-            result *= value
-        return result
 
     def describe(self) -> str:
         """Canonical cell text: '1' or a sorted ' * '-joined product."""

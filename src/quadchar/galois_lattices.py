@@ -179,10 +179,6 @@ class FiniteAbelianGroup:
             out *= d
         return out
 
-    @property
-    def is_trivial(self) -> bool:
-        return not self.invariant_factors
-
     def describe(self) -> str:
         if not self.invariant_factors:
             return "1"

@@ -7,9 +7,8 @@ evaluation.  It provides:
   are the residues ``range(p)``;
 * ``QuadraticExtension(base)`` — the field ``F_{p**2}``, realised as
   ``base[X]/(X**2 - u)`` with ``u`` the canonical non-square, elements
-  being pairs ``(a, b)`` for ``a + b*X``; Frobenius ``x -> x**q``, norm
-  ``x -> x**(q+1)`` and trace ``x -> x + x**q`` down to the base are its
-  methods ``conj``, ``norm`` and ``trace``;
+  being pairs ``(a, b)`` for ``a + b*X``; the norm ``x -> x**(q+1)``
+  down to the base is its method ``norm``;
 * the three sign characters, each read off one power through ``_sign_of``:
 
   - ``sgn_units(k, x) = x**((q-1)//2)`` — the unique nontrivial quadratic
@@ -26,15 +25,16 @@ exponent models and never need a field basis.
 All arithmetic is exact; fields are capped at ``q <= 10**4`` to guard
 against accidental blowup in exhaustive tests.
 
-Range checks sit at the public operations and nowhere else.  Each
-``FiniteField`` and ``QuadraticExtension`` operation (``add``, ``neg``,
-``sub``, ``mul``, ``pow``, ``inv``, ``conj``, ``norm``, ``trace``,
-``embed``) checks every component of every argument once, through
-``FiniteField._check``, and raises ``ValueError`` for one outside
-``range(p)``.  It then computes on plain integers and reduces mod ``p``;
-its intermediate values are already reduced, so they are not checked
-again.  ``QuadraticExtension.pow`` checks ``x`` once and squares and
-multiplies on the components.
+The operations are the ones the sign characters and the scenarios
+read: ``FiniteField.pow`` and ``QuadraticExtension.mul``, ``pow``,
+``norm`` and ``embed``.  Range checks sit at these operations and
+nowhere else.  Each checks every component of every argument once,
+through ``FiniteField._check``, and raises ``ValueError`` for one
+outside ``range(p)``.  It then computes on plain integers and reduces
+mod ``p``; its intermediate values are already reduced, so they are not
+checked again.  ``QuadraticExtension.pow`` checks ``x`` once and squares
+and multiplies on the components.  Both ``pow``s take exponents
+``n >= 0`` only and raise ``ValueError`` for a negative one.
 """
 
 from __future__ import annotations
@@ -104,9 +104,7 @@ class FiniteField:
     >>> k = FiniteField(5)
     >>> k.q
     5
-    >>> k.mul(2, 3)
-    1
-    >>> k.inv(2)
+    >>> k.pow(2, 3)
     3
     """
 
@@ -127,35 +125,12 @@ class FiniteField:
             if not 0 <= x < self.p:
                 raise ValueError(f"element {x} out of range for field of size {self.p}")
 
-    # -- ring operations: each checks its inputs once ------------------------
-
-    def add(self, x: int, y: int) -> int:
-        self._check(x, y)
-        return (x + y) % self.p
-
-    def neg(self, x: int) -> int:
-        self._check(x)
-        return (-x) % self.p
-
-    def sub(self, x: int, y: int) -> int:
-        self._check(x, y)
-        return (x - y) % self.p
-
-    def mul(self, x: int, y: int) -> int:
-        self._check(x, y)
-        return (x * y) % self.p
-
     def pow(self, x: int, n: int) -> int:
+        """``x**n`` for ``n >= 0``; checks ``x`` once."""
         if n < 0:
-            return self.pow(self.inv(x), -n)
+            raise ValueError(f"exponent must be non-negative, got {n}")
         self._check(x)
         return pow(x, n, self.p)
-
-    def inv(self, x: int) -> int:
-        self._check(x)
-        if x == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(x, self.p - 2, self.p)
 
     # -- enumeration and structure ------------------------------------------
 
@@ -196,10 +171,8 @@ class QuadraticExtension:
     >>> i = (0, 1)
     >>> ext.mul(i, i)          # i^2 = -1
     (2, 0)
-    >>> ext.norm(i)            # i * conj(i) = -i^2 = 1
+    >>> ext.norm(i)            # i * i**3 = -i^2 = 1
     1
-    >>> ext.trace(i)
-    0
     """
 
     base: FiniteField
@@ -223,25 +196,15 @@ class QuadraticExtension:
 
     # -- field operations: each checks its inputs once ------------------------
 
-    def add(self, x: ExtElement, y: ExtElement) -> ExtElement:
-        self.base._check(*x, *y)
-        p = self.base.p
-        return ((x[0] + y[0]) % p, (x[1] + y[1]) % p)
-
-    def neg(self, x: ExtElement) -> ExtElement:
-        self.base._check(*x)
-        p = self.base.p
-        return (-x[0] % p, -x[1] % p)
-
     def mul(self, x: ExtElement, y: ExtElement) -> ExtElement:
         self.base._check(*x, *y)
         (a, b), (c, d), p = x, y, self.base.p
         return ((a * c + self.u * b * d) % p, (a * d + b * c) % p)
 
     def pow(self, x: ExtElement, n: int) -> ExtElement:
-        """``x**n`` by square-and-multiply on the components of ``x``."""
+        """``x**n`` for ``n >= 0`` by square-and-multiply on the components of ``x``."""
         if n < 0:
-            return self.pow(self.inv(x), -n)
+            raise ValueError(f"exponent must be non-negative, got {n}")
         self.base._check(*x)
         (a, b), p, u = x, self.base.p, self.u
         r, s = 1, 0
@@ -252,34 +215,11 @@ class QuadraticExtension:
             n >>= 1
         return (r, s)
 
-    def inv(self, x: ExtElement) -> ExtElement:
-        """``conj(x) / norm(x)``."""
-        nrm = self.norm(x)
-        if nrm == 0:
-            raise ZeroDivisionError("inverse of zero")
-        p = self.base.p
-        c = pow(nrm, p - 2, p)
-        return (x[0] * c % p, -x[1] * c % p)
-
-    def conj(self, x: ExtElement) -> ExtElement:
-        """The base-field automorphism ``a + b*sqrt(u) -> a - b*sqrt(u)``.
-
-        This equals the ``q``-power Frobenius: ``sqrt(u)**q = u**((q-1)/2)
-        * sqrt(u) = -sqrt(u)`` since ``u`` is a non-square.
-        """
-        self.base._check(*x)
-        return (x[0], -x[1] % self.base.p)
-
     def norm(self, x: ExtElement) -> int:
-        """Norm to the base field: ``x * conj(x) = a**2 - u*b**2``."""
+        """Norm to the base field: ``x * x**q = a**2 - u*b**2``."""
         self.base._check(*x)
         a, b = x
         return (a * a - self.u * b * b) % self.base.p
-
-    def trace(self, x: ExtElement) -> int:
-        """Trace to the base field: ``x + conj(x) = 2a``."""
-        self.base._check(*x)
-        return 2 * x[0] % self.base.p
 
     def elements(self) -> Iterator[ExtElement]:
         for b in self.base.elements():

@@ -142,10 +142,6 @@ class TwistedRootSystem:
                     frontier.append(nxt)
         return tuple(sorted(group))
 
-    def e_subgroup(self) -> tuple[Element, ...]:
-        """Kernel of the character; must have index 2."""
-        return _character_kernel(self.group_elements())
-
     def act(self, element: Element, root: Vector) -> Vector:
         return mat_vec(element[0], root)
 

@@ -20,7 +20,6 @@ from conftest import (
 )
 
 from quadchar.case_studies import (
-    GL2_CASES,
     verify_gl2,
     verify_gln_odd,
     verify_sl2,
@@ -98,12 +97,10 @@ def test_criterion_3_gl2_pointwise_identity() -> None:
     t0 = time.perf_counter()
     ok = True
     for p in (3, 5, 7, 13):
-        for case in GL2_CASES:
-            report = verify_gl2(p, case)
-            ok = ok and report.verdict == "pass"
-            if case == "odd":
-                by_id = {r.id: r for r in report.records}
-                ok = ok and by_id["gl2-odd-gated-signs-at-uniformizer"].got == -1
+        report = verify_gl2(p)
+        ok = ok and report.verdict == "pass"
+        by_id = {r.id: r for r in report.records}
+        ok = ok and by_id["gl2-odd-gated-signs-at-uniformizer"].got == -1
     _conclude(
         3,
         "quadratic-torus identity holds pointwise in all three cases, p in {3,5,7,13}",

@@ -52,7 +52,7 @@ def test_traced_methods_exist(layer: str) -> None:
 # small arguments for each traced case study
 CASE_STUDY_CALLS = {
     "verify_sl2": [(3,)],
-    "verify_gl2": [(3, "odd"), (3, "even_a"), (3, "even_b")],
+    "verify_gl2": [(3,)],
     "verify_gln_odd": [(3, 3)],
     "verify_un_odd": [(3, 3)],
 }

@@ -5,8 +5,6 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from quadchar.char_engine import (
     CLASS_TRIPLES,
@@ -40,10 +38,6 @@ from quadchar.padic_fields import (
 )
 from quadchar.root_orbits import Deg, Sym
 
-ALL_SYMBOLS = sorted(
-    (SGN_UNITS_ORBIT * SGN_UNITS_STAB * SGN_NORM_ONE_ORBIT * OMEGA_STEP).symbols
-)
-
 
 # ---------------------------------------------------------------------------
 # the character algebra
@@ -71,27 +65,6 @@ def test_describe_strings_are_canonical():
 def test_unknown_symbols_rejected():
     with pytest.raises(ValueError, match="unknown character symbols"):
         CharContribution(frozenset({("sgn_units", "nowhere")}))
-
-
-def test_eval_requires_sign_values():
-    values = {s: 1 for s in ALL_SYMBOLS}
-    values[ALL_SYMBOLS[0]] = 0
-    with pytest.raises(ValueError, match="must be \\+1 or -1"):
-        CharContribution(frozenset({ALL_SYMBOLS[0]})).eval(values)
-
-
-@given(
-    st.sets(st.sampled_from(ALL_SYMBOLS)),
-    st.sets(st.sampled_from(ALL_SYMBOLS)),
-    st.lists(st.sampled_from((1, -1)), min_size=4, max_size=4),
-)
-def test_eval_is_a_homomorphism(left, right, signs):
-    values = dict(zip(ALL_SYMBOLS, signs))
-    a = CharContribution(frozenset(left))
-    b = CharContribution(frozenset(right))
-    assert (a * b).eval(values) == a.eval(values) * b.eval(values)
-    assert ONE.eval(values) == 1
-    assert (a * a).eval(values) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
-"""No top-level definition in the package goes unused, except the listed ones.
+"""No definition in the package goes unused, except the listed top-level ones.
 
 A top-level ``def`` or ``class`` of ``src/quadchar`` counts as used when its
 name occurs in ``src/quadchar/*.py`` or ``bench/*.py`` as a name, as an
 attribute, or as an exact string constant (the bench tracer names the
 functions it wraps by string); entries of an ``__all__`` list do not count.
+
+A non-dunder method or property of a package class counts as used when its
+name occurs in the same files as an attribute or as an exact string
+constant, again outside ``__all__``.  Members have no allowlist.
+
 Tests do not count: a definition only tests read is dead code.
 """
 
@@ -21,8 +26,8 @@ ALLOWED_UNUSED = {
 }
 
 
-def _used_names(tree: ast.Module) -> set[str]:
-    """Names, attributes and string constants outside the ``__all__`` list."""
+def _references(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """Plain names, and attributes with string constants, outside ``__all__``."""
     exports = {
         id(node)
         for stmt in tree.body
@@ -30,21 +35,40 @@ def _used_names(tree: ast.Module) -> set[str]:
         and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
         for node in ast.walk(stmt.value)
     }
-    used = set()
+    names, members = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            used.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+            members.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if id(node) not in exports:
-                used.add(node.value)
-    return used
+                members.add(node.value)
+    return names, members
+
+
+def _unused_members(package: list[ast.Module], scanned: list[ast.Module]) -> set[str]:
+    """``Class.member`` for each non-dunder method or property nothing reads."""
+    used = set().union(*(_references(tree)[1] for tree in scanned))
+    return {
+        f"{cls.name}.{member.name}"
+        for tree in package
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for member in cls.body
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (member.name.startswith("__") and member.name.endswith("__"))
+        and member.name not in used
+    }
+
+
+def _trees() -> list[ast.Module]:
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in SCANNED]
 
 
 def test_every_unused_top_level_definition_is_allowlisted():
-    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SCANNED]
-    used = set().union(*map(_used_names, trees))
+    trees = _trees()
+    used = set().union(*(names | members for names, members in map(_references, trees)))
     defined = {
         stmt.name
         for tree in trees[: len(PACKAGE)]
@@ -52,3 +76,22 @@ def test_every_unused_top_level_definition_is_allowlisted():
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
     }
     assert defined - used == set(ALLOWED_UNUSED)
+
+
+def test_every_class_member_is_read():
+    trees = _trees()
+    assert _unused_members(trees[: len(PACKAGE)], trees) == set()
+
+
+def test_member_rule_sees_an_unread_method():
+    module = ast.parse(
+        "class Box:\n"
+        "    def __init__(self): self.read()\n"
+        "    def read(self): return 1\n"
+        "    @property\n"
+        "    def size(self): return 0\n"
+        "    def spare(self): return 2\n"
+        "__all__ = ['spare']\n"
+        "size = 'size'\n"
+    )
+    assert _unused_members([module], [module]) == {"Box.spare"}

@@ -138,8 +138,6 @@ def test_character_index_two_required():
         rank=1, roots=((1,), (-1,)), generators=((((-1,),), 1),)
     )
     with pytest.raises(ValueError, match="index-2"):
-        trivial.e_subgroup()
-    with pytest.raises(ValueError, match="index-2"):
         classify_orbits(trivial)
 
 
@@ -476,6 +474,11 @@ def op_twist(system):
     )
 
 
+def character_kernel(system):
+    """The kernel of the character: group elements of character value 1."""
+    return [g for g in system.group_elements() if g[1] == 1]
+
+
 def test_op_twist_is_involutive():
     for system in (gln_root_system(3), unitary_root_system(3), rank_one_klein(None)):
         assert op_twist(op_twist(system)) == system
@@ -509,7 +512,7 @@ def test_op_twist_realizes_twisted_stabilizer():
 
 def test_op_twist_preserves_kernel_elements():
     for system in (gln_root_system(4), unitary_root_system(3)):
-        assert set(system.e_subgroup()) == set(op_twist(system).e_subgroup())
+        assert set(character_kernel(system)) == set(character_kernel(op_twist(system)))
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +566,7 @@ def test_orbit_partition_invariants(system):
         if rec.sym_over_e:
             assert rec.sym_over_base
         assert rec.stab <= rec.stab_signed
-        assert rec.stab_e == rec.stab & frozenset(system.e_subgroup())
+        assert rec.stab_e == rec.stab & frozenset(character_kernel(system))
         seen.extend(rec.roots)
     assert sorted(seen) == sorted(system.roots)
 
@@ -572,7 +575,7 @@ def test_orbit_partition_invariants(system):
 @given(signed_perm_systems())
 def test_op_twist_involution_and_kernel(system):
     assert op_twist(op_twist(system)) == system
-    assert set(system.e_subgroup()) == set(op_twist(system).e_subgroup())
+    assert set(character_kernel(system)) == set(character_kernel(op_twist(system)))
 
 
 def definitional_orbit_records(system):
@@ -580,7 +583,7 @@ def definitional_orbit_records(system):
     elements = system.group_elements()
     root_set = set(system.roots)
     assert all(system.act(g, r) in root_set for g in elements for r in system.roots)
-    e_subgroup = set(system.e_subgroup())
+    e_subgroup = set(character_kernel(system))
     remaining = set(system.roots)
     records = []
     while remaining:

@@ -219,12 +219,12 @@ def _gl2_odd(p: int, report: ScenarioReport) -> None:
         # the ramified conjugation negates the uniformizer and fixes residues,
         # so the root value t / tau(t) is -1 at odd valuation and 1 on units
         alpha_res = p - 1 if v else 1
+        # both gated signs see only the root value, which depends on v alone
+        gated = sgn_norm_one(ext2, ext2.embed(alpha_res)) * sgn_units(k, alpha_res)
         for x in k.units():
-            eps_toral = sgn_norm_one(ext2, ext2.embed(alpha_res))
-            eps_dist = sgn_units(k, alpha_res)
             omega_step = omega_quadratic(step, SquareClass(v, _unit_bit(k, x)))
             total += 1
-            if eps_toral * eps_dist * omega_step != 1:
+            if gated * omega_step != 1:
                 failures += 1
     report.add(
         "gl2-odd-pointwise-product", {"p": p, "elements": total}, 0, failures

@@ -16,7 +16,10 @@ with the convention that the bit pair ``g = (x, y)`` moves ``E`` iff
 Tori are expressions built from ``Gm``, norm-one tori ``U1`` of quadratic
 steps, quadratic Weil restrictions ``Res`` and finite products; their
 cocharacter lattices with the Galois action at any level of the tower are
-produced by ``cocharacter_lattice``.
+produced by ``cocharacter_lattice``.  Every action matrix is a signed
+permutation, so ``mat_mul`` builds row ``i`` of ``a @ b`` from the nonzero
+``a[i][k]`` alone: a ``+-1`` entry copies or negates row ``k`` of ``b``, and
+a zero costs nothing.
 
 Tate cohomology in degrees -1 and 0 and the coinvariant torsion are each a
 subquotient ``ker(C) / span(R)`` of integer matrices, computed by
@@ -34,7 +37,10 @@ formed only when read, since the group orders need neither:
 where the norm ``N`` is the sum over the *formal* group elements (so actions
 that factor through a quotient weight correctly), formed as the product of
 the per-generator norms ``1 + g + ... + g^(o-1)``.  Each lattice builds its
-norm once, and degrees -1 and 0 share it.
+norm once, and degrees -1 and 0 share it.  Both Smith forms see only the
+distinct nonzero rows up to sign: ``g - 1`` of a signed permutation has many
+zero or opposite rows, and the stacked rows and the norm columns repeat, so
+dropping them leaves each span, and with it each group, as it was.
 
 ``prasad_torus_identity`` verifies, for a torus ``S`` over the lower field
 of a quadratic step ``A/B``, the cardinality identity
@@ -61,7 +67,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
+from operator import add, mul, neg, sub
 from typing import Iterable, Sequence, Union
 
 from .residue_fields import _factorize
@@ -226,8 +232,33 @@ def _ident(n: int) -> list[list[int]]:
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+    """``a @ b``, each row the sum of ``a[i][k] * b[k]`` over the nonzero ``a[i][k]``.
+
+    A ``+-1`` entry adds or subtracts a row of ``b`` (the first one copies or
+    negates it), so a signed permutation costs one row copy per row.
+    """
+    zero = (0,) * (len(b[0]) if b else 0)
+    product = []
+    for row in a:
+        acc = None
+        for x, b_row in zip(row, b):
+            if not x:
+                continue
+            if acc is None:
+                if x == 1:
+                    acc = tuple(b_row)
+                elif x == -1:
+                    acc = tuple(map(neg, b_row))
+                else:
+                    acc = tuple(x * y for y in b_row)
+            elif x == 1:
+                acc = tuple(map(add, acc, b_row))
+            elif x == -1:
+                acc = tuple(map(sub, acc, b_row))
+            else:
+                acc = tuple(u + x * y for u, y in zip(acc, b_row))
+        product.append(zero if acc is None else acc)
+    return tuple(product)
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
@@ -365,10 +396,11 @@ def _kernel_coordinates(inverse: Matrix, rank: int, x: Sequence[int]) -> tuple[i
 class Subquotient:
     """The group ``ker(C) / span(R)`` for a constraint matrix ``C`` and relations ``R``.
 
-    ``constraint_form`` is the Smith form of ``C``, whose rank is ``rank``;
+    ``constraint_form`` is the Smith form of the distinct nonzero rows of
+    ``C`` (up to sign), whose rank is ``rank``;
     the columns of its ``v`` past the rank are a saturated basis of ``ker(C)``.
-    ``relation_form`` is the Smith form of the relations written in that
-    basis, one relation per row: the transpose of its ``v`` is the row
+    ``relation_form`` is the Smith form of the distinct relations written in
+    that basis, one relation per row: the transpose of its ``v`` is the row
     transform that diagonalises the relations taken as columns.
 
     ``basis`` holds, as its columns, a kernel basis adapted to the relations:
@@ -415,6 +447,25 @@ class Subquotient:
         return [mat_vec(self.basis, w) for w in itertools.product(*ranges)]
 
 
+def _distinct_rows(rows: Iterable[Sequence[int]], width: int) -> list[tuple[int, ...]]:
+    """The nonzero rows of a given width, each once up to sign, in order.
+
+    They span what ``rows`` spans, which is all a Smith form reads off; a
+    zero row stands in for none, so the form stays ``width`` columns wide.
+    """
+    kept: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
+    for row in rows:
+        row = tuple(row)
+        if len(row) != width:
+            raise ValueError("dimension mismatch")
+        if row not in seen and any(row):
+            seen.add(row)
+            seen.add(tuple(map(neg, row)))
+            kept.append(row)
+    return kept or [(0,) * width]
+
+
 def subquotient(
     constraints: Sequence[Sequence[int]], relations: Iterable[Sequence[int]]
 ) -> Subquotient:
@@ -426,14 +477,16 @@ def subquotient(
     of the relation coordinates, one relation per row as they are computed,
     presents the quotient: the transpose of its ``v`` is the row transform
     the relations need as columns, so no Smith form tracks a row transform.
-    Raises ``ValueError`` if a relation is not in the kernel.
+    Both forms see only the distinct nonzero rows up to sign, which span the
+    same lattices.  Raises ``ValueError`` if a kept relation is not in the
+    kernel; a dropped one is zero or repeats a kept one up to sign.
     """
-    form = smith_normal_form(constraints)
+    width = len(constraints[0]) if constraints else 0
+    form = smith_normal_form(_distinct_rows(constraints, width))
     rank = sum(1 for d in form.diagonal if d)
-    coords = [_kernel_coordinates(form.v_inv, rank, r) for r in relations]
-    k = len(form.v_inv) - rank
-    # with no relations a zero row keeps the form k columns wide
-    rel = smith_normal_form(coords or [(0,) * k])
+    coords = [_kernel_coordinates(form.v_inv, rank, r) for r in _distinct_rows(relations, width)]
+    rel = smith_normal_form(coords)
+    k = width - rank
     return Subquotient(
         constraint_form=form,
         rank=rank,

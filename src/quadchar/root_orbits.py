@@ -16,10 +16,12 @@ For each orbit the classification records:
 * the plain, signed and twisted stabilizers of the base root.
 
 The group is closed once per classification and ``Q_E`` is read off
-those elements.  Each orbit's fields are all read off one map from group
-elements to the images of its base root.  That the action preserves the
-root set is checked on the generators only: every element is a product
-of generators, so it maps roots to roots when each generator does.
+those elements.  Each element moves the whole root set in one matrix
+product, its matrix times the roots taken as columns, and its images are
+kept as root indices; each orbit's fields are all read off the images of
+its base root.  That the action preserves the root set is checked the
+same way, one product per generator: every element is a product of
+generators, so it maps roots to roots when each generator does.
 
 Orbit towers.  When the system carries a field realization (a map from
 subgroups of ``Q`` to p-adic field descriptors for their fixed fields),
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-from .galois_lattices import identity_matrix, mat_mul, mat_vec
+from .galois_lattices import identity_matrix, mat_mul
 from .padic_fields import LocalFieldDesc
 
 __all__ = [
@@ -142,15 +144,13 @@ class TwistedRootSystem:
                     frontier.append(nxt)
         return tuple(sorted(group))
 
-    def act(self, element: Element, root: Vector) -> Vector:
-        return mat_vec(element[0], root)
-
     def check_action_closed(self) -> None:
         """Every element is a product of generators, so checking those suffices."""
         root_set = set(self.roots)
+        columns = tuple(zip(*self.roots))
         for g in self.generators:
-            for r in self.roots:
-                if self.act(g, r) not in root_set:
+            for r, image in zip(self.roots, zip(*mat_mul(g[0], columns))):
+                if image not in root_set:
                     raise ValueError(
                         f"action does not close on the root set: {g[0]} moves {r} outside"
                     )
@@ -178,25 +178,29 @@ def classify_orbits(system: TwistedRootSystem) -> list[OrbitRecord]:
     system.check_action_closed()
     elements = system.group_elements()
     e_subgroup = set(_character_kernel(elements))
-    remaining = set(system.roots)
+    roots = system.roots
+    index = {r: i for i, r in enumerate(roots)}
+    columns = tuple(zip(*roots))
+    # each element's images of all roots, as root indices, from one product
+    images = [tuple(map(index.__getitem__, zip(*mat_mul(g[0], columns)))) for g in elements]
+    remaining = set(roots)
     records: list[OrbitRecord] = []
     while remaining:
         base = min(remaining)
-        neg = _neg(base)
-        image = {g: system.act(g, base) for g in elements}
+        b, nb = index[base], index[_neg(base)]
+        image = {g: perm[b] for g, perm in zip(elements, images)}
         orbit = set(image.values())
         e_orbit = {image[g] for g in e_subgroup}
-        stab = frozenset(g for g, r in image.items() if r == base)
-        stab_signed = frozenset(g for g, r in image.items() if r in (base, neg))
-        stab_twisted = frozenset(
-            g for g, r in image.items() if r == (base if g[1] == 1 else neg)
-        )
+        stab = frozenset(g for g, r in image.items() if r == b)
+        stab_signed = frozenset(g for g, r in image.items() if r in (b, nb))
+        stab_twisted = frozenset(g for g, r in image.items() if r == (b if g[1] == 1 else nb))
+        orbit_roots = {roots[i] for i in orbit}
         records.append(
             OrbitRecord(
                 base_root=base,
-                roots=tuple(sorted(orbit)),
-                sym_over_base=neg in orbit,
-                sym_over_e=neg in e_orbit,
+                roots=tuple(sorted(orbit_roots)),
+                sym_over_base=nb in orbit,
+                sym_over_e=nb in e_orbit,
                 degree=1 if stab <= e_subgroup else 2,
                 e_suborbit_count=len(orbit) // len(e_orbit),
                 stab=stab,
@@ -206,7 +210,7 @@ def classify_orbits(system: TwistedRootSystem) -> list[OrbitRecord]:
                 stab_signed_e=stab_signed & e_subgroup,
             )
         )
-        remaining -= orbit
+        remaining -= orbit_roots
     return records
 
 

@@ -159,6 +159,17 @@ def test_subquotient_with_relations(data: st.DataObject) -> None:
     classes = {group.normalize(rep) for rep in group.torsion_representatives()}
     assert len(classes) == group.torsion.order
 
+    # zero rows, repeats and negations of constraints or relations change no span
+    def padded(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        extra = [(0,) * len(a[0]), *rows, *(tuple(-x for x in r) for r in rows)]
+        added = data.draw(st.lists(st.sampled_from(extra), max_size=6))
+        return data.draw(st.permutations([*rows, *added]))
+
+    padded_group = subquotient(padded(list(a)), padded(relations))
+    assert padded_group.diag == group.diag
+    assert mat_mul(padded_group.coordinates, padded_group.basis) == oracle_identity(k)
+    assert all(padded_group.is_zero_class(r) for r in relations)
+
 
 def test_subquotient_rejects_vectors_outside_the_kernel() -> None:
     diagonal = ((1, 1),)  # ker = Z (1, -1)
@@ -170,6 +181,15 @@ def test_subquotient_rejects_vectors_outside_the_kernel() -> None:
         subquotient(diagonal, [(1, 0)])
     with pytest.raises(ValueError):
         group.is_zero_class((1, 1))
+    # every relation kept past the zero, repeated and negated rows is checked
+    for constraints in (diagonal, ((0, 0), (1, 1), (-1, -1))):
+        with pytest.raises(ValueError, match="not in the kernel"):
+            subquotient(constraints, [(0, 0), (2, -2), (-2, 2), (1, 0), (-1, 0)])
+        with pytest.raises(ValueError, match="not in the kernel"):
+            subquotient(constraints, [(2, -2), (0, 1)])
+    # a dropped zero relation still has to have the right length
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        subquotient(diagonal, [(0, 0, 0)])
 
 
 def test_mat_mul_shapes() -> None:
@@ -180,14 +200,33 @@ def test_mat_mul_shapes() -> None:
     assert mat_mul((), ((1,),)) == ()
 
 
-def _int_matrix(rows: int, cols: int):
-    row = st.lists(st.integers(-9, 9), min_size=cols, max_size=cols).map(tuple)
+DENSE_ENTRIES = st.integers(-9, 9)
+SPARSE_ENTRIES = st.sampled_from((0, 0, 0, 0, 0, 1, -1, 1, -1, 3, -2))  # mostly zero, mostly +-1
+
+
+def _int_matrix(rows: int, cols: int, entries=DENSE_ENTRIES):
+    row = st.lists(entries, min_size=cols, max_size=cols).map(tuple)
     return st.lists(row, min_size=rows, max_size=rows).map(tuple)
+
+
+def _signed_permutation(n: int):
+    return st.tuples(
+        st.permutations(range(n)), st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)
+    ).map(lambda ps: tuple(tuple(ps[1][i] * (j == ps[0][i]) for j in range(n)) for i in range(n)))
+
+
+def _operand(rows: int, cols: int):
+    """Dense, mostly zero, or (when square) a signed permutation: the product
+    skips zero entries and copies or negates a row for a +-1 entry."""
+    kinds = [_int_matrix(rows, cols), _int_matrix(rows, cols, SPARSE_ENTRIES)]
+    if rows == cols:
+        kinds.append(_signed_permutation(rows))
+    return st.one_of(kinds)
 
 
 # (a, b, v) with a of shape n x k, b of shape k x m and v of length k
 product_operands = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)).flatmap(
-    lambda s: st.tuples(_int_matrix(s[0], s[1]), _int_matrix(s[1], s[2]), _int_matrix(1, s[1]))
+    lambda s: st.tuples(_operand(s[0], s[1]), _operand(s[1], s[2]), _int_matrix(1, s[1]))
 )
 
 

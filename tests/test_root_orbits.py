@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadchar.char_engine import CLASS_TRIPLES
+from quadchar.galois_lattices import mat_vec
 from quadchar.padic_fields import LocalFieldDesc, make_base
 from quadchar.root_orbits import (
     Deg,
@@ -126,6 +127,30 @@ def test_action_checked_on_every_generator():
     )
     with pytest.raises(ValueError, match=r"does not close.*\(\(1, 0\), \(0, -1\)\) moves"):
         classify_orbits(bad)
+
+
+def test_action_closure_checked_for_a_general_integer_generator():
+    # a unimodular generator that is no signed permutation moves e_1 to (2, 1)
+    bad = TwistedRootSystem(
+        rank=2,
+        roots=((1, 0), (-1, 0), (0, 1), (0, -1)),
+        generators=((((0, 1), (1, 0)), -1), (((2, 1), (1, 1)), 1)),
+    )
+    with pytest.raises(ValueError, match=r"does not close.*\(\(2, 1\), \(1, 1\)\) moves \(1, 0\)"):
+        classify_orbits(bad)
+
+
+def test_general_integer_action_matches_definitional_sweeps():
+    # the simple reflection s_1 of A_2 in simple-root coordinates,
+    # a_2 -> a_1 + a_2, closes on the roots without being a signed permutation
+    a2 = TwistedRootSystem(
+        rank=2,
+        roots=((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)),
+        generators=((((-1, 1), (0, 1)), -1),),
+    )
+    records = classify_orbits(a2)
+    assert records == definitional_orbit_records(a2)
+    assert [r.roots for r in records] == [((-1, -1), (0, -1)), ((-1, 0), (1, 0)), ((0, 1), (1, 1))]
 
 
 def test_roots_closed_under_negation_required():
@@ -504,7 +529,7 @@ def test_op_twist_realizes_twisted_stabilizer():
     direct = {
         g
         for g in elements
-        if twisted_system.act(g, rec.base_root) == rec.base_root
+        if mat_vec(g[0], rec.base_root) == rec.base_root
     }
     assert image == direct
     assert rec_op.sym_over_e == rec.sym_over_e
@@ -582,17 +607,17 @@ def definitional_orbit_records(system):
     """The orbit records by direct sweeps over the whole group, as an oracle."""
     elements = system.group_elements()
     root_set = set(system.roots)
-    assert all(system.act(g, r) in root_set for g in elements for r in system.roots)
+    assert all(mat_vec(g[0], r) in root_set for g in elements for r in system.roots)
     e_subgroup = set(character_kernel(system))
     remaining = set(system.roots)
     records = []
     while remaining:
         base = min(remaining)
         neg = tuple(-x for x in base)
-        orbit = sorted({system.act(g, base) for g in elements})
-        e_orbit = {system.act(g, base) for g in elements if g in e_subgroup}
-        stab = frozenset(g for g in elements if system.act(g, base) == base)
-        stab_signed = frozenset(g for g in elements if system.act(g, base) in (base, neg))
+        orbit = sorted({mat_vec(g[0], base) for g in elements})
+        e_orbit = {mat_vec(g[0], base) for g in elements if g in e_subgroup}
+        stab = frozenset(g for g in elements if mat_vec(g[0], base) == base)
+        stab_signed = frozenset(g for g in elements if mat_vec(g[0], base) in (base, neg))
         records.append(
             OrbitRecord(
                 base_root=base,
@@ -605,7 +630,7 @@ def definitional_orbit_records(system):
                 stab_signed=stab_signed,
                 stab_twisted=frozenset(
                     g for g in elements
-                    if tuple(g[1] * x for x in system.act(g, base)) == base
+                    if tuple(g[1] * x for x in mat_vec(g[0], base)) == base
                 ),
                 stab_e=frozenset(g for g in stab if g in e_subgroup),
                 stab_signed_e=frozenset(g for g in stab_signed if g in e_subgroup),

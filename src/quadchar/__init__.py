@@ -11,7 +11,7 @@ The package is organised in layers:
   and the kernel-cardinality identity it satisfies (the tests cross-check
   it with brute-force counts in ``tests/cocycle_oracle.py``);
 * ``root_orbits`` — twisted root systems, orbit symmetry classification
-  and orbit towers;
+  and each orbit's class from the inertia subgroup;
 * ``char_engine`` — symbolic quadratic-character contributions per orbit
   class and the per-class comparison verdicts;
 * ``tables`` — builtin reference tables, regenerated from one row spec,

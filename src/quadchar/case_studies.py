@@ -51,6 +51,7 @@ from .char_engine import (
     toral_invariant,
     zeta_contribution,
 )
+from .galois_lattices import identity_matrix, mat_mul
 from .padic_fields import (
     ExtKind,
     SQUARE_CLASS_ONE,
@@ -73,9 +74,12 @@ from .residue_fields import (
     sgn_units,
 )
 from .root_orbits import (
+    OrbitRecord,
+    TwistedRootSystem,
     classify_orbits,
     gln_orbit_parity,
     gln_root_system,
+    orbit_class,
     unitary_root_system,
 )
 
@@ -405,10 +409,32 @@ def count_common(first: Coset | None, second: Coset | None, modulus: int) -> int
 # GL_n, n odd: asymmetric orbits, even exponents
 # ---------------------------------------------------------------------------
 
-# Orbit classification closes the signed-permutation group of rank n in
-# pure Python; its time grows steeply with n (about 0.02 s per
-# classification and 0.04 s per call at n = 15, Python 3.11 on a Xeon).
+# Orbit classification closes the cyclic group of order 2n in pure Python;
+# its time grows steeply with n (about 8 ms per classification and 16 ms
+# per call at n = 15, Python 3.11.7 on a 2-vCPU Xeon).
 GLN_MAX_N = 15
+
+
+def _branch_zetas(system: TwistedRootSystem, records: list[OrbitRecord]) -> dict[EF, str]:
+    """``zeta`` of the orbits' class on each branch of the base extension.
+
+    ``Q = <g>`` has order ``2n`` with ``n`` odd, so ``g**n`` has order 2 and
+    character value -1.  Inertia is trivial when ``E/F`` is unramified and
+    ``<g**n>`` when it is ramified.  Orbits of distinct ``zeta`` give a
+    joined text that no record expects.
+    """
+    (g,) = system.generators
+    g_n = g
+    for _ in range(system.rank - 1):
+        g_n = (mat_mul(g_n[0], g[0]), g_n[1] * g[1])
+    identity = (identity_matrix(system.rank), 1)
+    branches = ((EF.UNRAM, frozenset({identity})), (EF.RAM, frozenset({identity, g_n})))
+    zetas = {}
+    for ef, inertia in branches:
+        classes = {orbit_class(r, inertia) for r in records}
+        texts = {zeta_contribution(make_config(c, ef)).describe() for c in classes}
+        zetas[ef] = " | ".join(sorted(texts))
+    return zetas
 
 
 def verify_gln_odd(n: int, p: int) -> ScenarioReport:
@@ -439,7 +465,8 @@ def verify_gln_odd(n: int, p: int) -> ScenarioReport:
             "parity_ok": parity.parity_ok,
         },
     )
-    records = classify_orbits(gln_root_system(n))
+    system = gln_root_system(n)
+    records = classify_orbits(system)
     report.add(
         "gln-orbits-all-asymmetric-nonsplit",
         {"n": n},
@@ -485,17 +512,9 @@ def verify_gln_odd(n: int, p: int) -> ScenarioReport:
     report.add("gln-uniformizer-root-values", {"n": n, "p": p}, 1, 1)
 
     # both base-extension branches instantiate consistent classes
-    for ef, triple, expected_zeta in (
-        (EF.UNRAM, CLASS_TRIPLES[1], "1"),
-        (EF.RAM, CLASS_TRIPLES[2], "sgn(k_E_a^x) . alpha"),
-    ):
-        cfg = make_config(triple, ef)
-        report.add(
-            f"gln-class-zeta-{ef.value}",
-            {"n": n, "branch": ef.value},
-            expected_zeta,
-            zeta_contribution(cfg).describe(),
-        )
+    expected = {EF.UNRAM: "1", EF.RAM: "sgn(k_E_a^x) . alpha"}
+    for ef, zeta in _branch_zetas(system, records).items():
+        report.add(f"gln-class-zeta-{ef.value}", {"n": n, "branch": ef.value}, expected[ef], zeta)
     return report
 
 
@@ -515,7 +534,8 @@ def verify_un_odd(n: int, p: int) -> ScenarioReport:
         raise ValueError("this scenario is for n in {3, 5}")
 
     report = ScenarioReport()
-    records = classify_orbits(unitary_root_system(n))
+    system = unitary_root_system(n)
+    records = classify_orbits(system)
     report.add(
         "un-orbits-symmetric-over-base-only",
         {"n": n},
@@ -551,12 +571,6 @@ def verify_un_odd(n: int, p: int) -> ScenarioReport:
     )
 
     # class instantiation: ramified branch and unramified branch
-    for ef, triple in ((EF.RAM, CLASS_TRIPLES[6]), (EF.UNRAM, CLASS_TRIPLES[3])):
-        cfg = make_config(triple, ef)
-        report.add(
-            f"un-class-zeta-{ef.value}",
-            {"n": n, "branch": ef.value},
-            "1",
-            zeta_contribution(cfg).describe(),
-        )
+    for ef, zeta in _branch_zetas(system, records).items():
+        report.add(f"un-class-zeta-{ef.value}", {"n": n, "branch": ef.value}, "1", zeta)
     return report

@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from operator import add, mul, neg, sub
 from typing import Iterable, Sequence, Union
 
@@ -224,13 +224,6 @@ Z2 = FiniteAbelianGroup((2,))
 # ---------------------------------------------------------------------------
 
 
-def _ident(n: int) -> list[list[int]]:
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 1
-    return rows
-
-
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     """``a @ b``, each row the sum of ``a[i][k] * b[k]`` over the nonzero ``a[i][k]``.
 
@@ -269,8 +262,9 @@ def mat_add(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
+@cache
 def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(row) for row in _ident(n))
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def _minus_identity(g: Matrix) -> Matrix:
@@ -296,8 +290,10 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
     n = len(a)
     m = len(a[0]) if n else 0
     d = [list(row) for row in a]
-    vt = _ident(m)  # the rows of vt are the columns of v
-    v_inv = _ident(m)
+    # the rows of vt are the columns of v; rows of both are only replaced
+    # or swapped, never changed in place, so they may start as shared tuples
+    vt = list(identity_matrix(m))
+    v_inv = list(identity_matrix(m))
 
     # rows above the pivot row t are zero from column t on, so column
     # operations skip them

@@ -1,8 +1,8 @@
-"""Twisted root systems: orbit symmetry classification and opposition towers.
+"""Twisted root systems: orbit symmetry classification and orbit classes.
 
 A ``TwistedRootSystem`` is a finite set of roots in ``Z^rank`` together
-with a finite group ``Q`` of signed permutation matrices acting on it and
-a quadratic character of ``Q`` (the ``e_sign`` of each generator) whose
+with a finite group ``Q`` of integer matrices acting on it and a
+quadratic character of ``Q`` (the ``e_sign`` of each generator) whose
 kernel ``Q_E`` has index 2.  Group elements are pairs ``(matrix, sign)``
 and the closure is taken in the product ``GL x {+-1}``, so actions that
 are not faithful on the roots still carry the correct character data.
@@ -23,16 +23,15 @@ its base root.  That the action preserves the root set is checked the
 same way, one product per generator: every element is a product of
 generators, so it maps roots to roots when each generator does.
 
-Orbit towers.  When the system carries a field realization (a map from
-subgroups of ``Q`` to p-adic field descriptors for their fixed fields),
-``tower_of`` produces the tower of an orbit: the fields fixed by the
-signed stabilizer, the stabilizer, their intersections with ``Q_E``, and
-the twisted stabilizer.  All five are read from the realization, so every
-subgroup must be realized; outside the biquadratic case the twisted
-stabilizer coincides with one of the other four (``stab_e`` for an
-asymmetric orbit, ``stab_signed`` or ``stab`` for a split step).  The
-ramification of the twisted step is cross-checked against
-``derive_op_data``.
+Orbit classes.  The tower ``F_{+-a} < F_a < E_a`` of an orbit and its
+intersections with ``E`` are the fixed fields of the signed stabilizer,
+the stabilizer and their intersections with ``Q_E``.  When ``Q`` is a
+tame Galois group with inertia subgroup ``I``, the fixed field of ``H``
+has ``e = [I : I & H]`` and ``f = [Q : H] / e`` (Serre, *Local Fields*,
+ch. IV), so ``orbit_class`` reads the ramification of every step of the
+tower, and hence the orbit's class, off the stabilizers and ``I``.  The
+ramification of the twisted step, from the fixed field of the twisted
+stabilizer, is cross-checked against ``derive_op_data``.
 
 ``derive_op_data`` computes the two opposition invariants of a class
 (symmetry type of the twisted orbit over the base, and the ramification
@@ -43,10 +42,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Iterable
 
 from .galois_lattices import identity_matrix, mat_mul
-from .padic_fields import LocalFieldDesc
 
 __all__ = [
     "Sym",
@@ -54,10 +52,9 @@ __all__ = [
     "Element",
     "TwistedRootSystem",
     "OrbitRecord",
-    "OrbitTower",
     "GlnParityReport",
     "classify_orbits",
-    "tower_of",
+    "orbit_class",
     "derive_op_data",
     "gln_root_system",
     "unitary_root_system",
@@ -83,7 +80,7 @@ class Deg(str, Enum):
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
-Element = tuple[Matrix, int]  # (signed permutation matrix, character value)
+Element = tuple[Matrix, int]  # (integer matrix, character value)
 
 _MAX_GROUP = 256
 
@@ -106,12 +103,11 @@ def _character_kernel(elements: tuple[Element, ...]) -> tuple[Element, ...]:
 
 @dataclass(frozen=True)
 class TwistedRootSystem:
-    """Roots, a signed-permutation action, and an index-2 character."""
+    """Roots, an integer-matrix action, and an index-2 character."""
 
     rank: int
     roots: tuple[Vector, ...]
     generators: tuple[Element, ...]
-    realization: Mapping[frozenset[Element], LocalFieldDesc] | None = None
 
     def __post_init__(self) -> None:
         root_set = set(self.roots)
@@ -215,98 +211,66 @@ def classify_orbits(system: TwistedRootSystem) -> list[OrbitRecord]:
 
 
 # ---------------------------------------------------------------------------
-# orbit towers over a field realization
+# orbit classes from the inertia subgroup
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class OrbitTower:
-    """The field tower of an orbit together with its classification triple."""
-
-    field_signed: LocalFieldDesc  # fixed field of the signed stabilizer
-    field_stab: LocalFieldDesc  # fixed field of the stabilizer
-    field_signed_e: LocalFieldDesc  # signed stabilizer intersected with Q_E
-    field_stab_e: LocalFieldDesc  # stabilizer intersected with Q_E
-    field_twisted: LocalFieldDesc  # fixed field of the twisted stabilizer
-    sym_over_base: Sym
-    sym_over_e: Sym
-    degree: Deg
-    twisted_sym: Sym
-    twisted_degree: Deg
+FieldType = tuple[int, int]  # (ramification index e, residue degree f) over F
 
 
-def _step_kind(sub: LocalFieldDesc, big: LocalFieldDesc) -> str:
-    """Ramification of a quadratic step between two descriptors."""
-    if big.e == 2 * sub.e and big.f == sub.f:
+def _step_kind(sub: FieldType, big: FieldType) -> str:
+    """Ramification of a quadratic step between two fields' ``(e, f)``."""
+    if big == (2 * sub[0], sub[1]):
         return "ramified"
-    if big.f == 2 * sub.f and big.e == sub.e:
+    if big == (sub[0], 2 * sub[1]):
         return "unramified"
-    raise ValueError(f"inconsistent realization: {sub} -> {big} is not a quadratic step")
+    raise ValueError(f"inconsistent inertia: {sub} -> {big} is not a quadratic step")
 
 
-def _sym_flavor(sub: LocalFieldDesc, big: LocalFieldDesc, symmetric: bool) -> Sym:
+def _sym_flavor(sub: FieldType, big: FieldType, symmetric: bool) -> Sym:
     if not symmetric:
         return Sym.ASYM
     return Sym.SYM_UNRAM if _step_kind(sub, big) == "unramified" else Sym.SYM_RAM
 
 
-def _deg_flavor(sub: LocalFieldDesc, big: LocalFieldDesc) -> Deg:
+def _deg_flavor(sub: FieldType, big: FieldType) -> Deg:
     if sub == big:
         return Deg.SPLIT
     return Deg.UNRAM if _step_kind(sub, big) == "unramified" else Deg.RAM
 
 
-def tower_of(system: TwistedRootSystem, record: OrbitRecord) -> OrbitTower:
-    """The orbit's field tower; requires a realization on the system."""
-    realization = system.realization
-    if realization is None:
-        raise ValueError("tower_of needs a field realization on the system")
+def orbit_class(record: OrbitRecord, inertia: Iterable[Element]) -> tuple[Deg, Sym, Sym]:
+    """The orbit's class ``(step type, symmetry over F, symmetry over E)``.
 
-    def lookup(subgroup: frozenset[Element], name: str) -> LocalFieldDesc:
-        if subgroup not in realization:
-            raise ValueError(f"realization does not cover the {name} subgroup")
-        return realization[subgroup]
+    ``inertia`` is the inertia subgroup ``I`` of ``Q``; the module docstring
+    gives ``(e, f)`` of each stabilizer's fixed field.  ``|Q|`` is the orbit
+    size times the stabilizer size, so no group closure is taken.
+    """
+    inertia = frozenset(inertia)
+    identity = (identity_matrix(len(record.base_root)), 1)
+    if identity not in inertia:
+        raise ValueError("inertia must contain the identity")
+    others = inertia - {identity}
+    if any((mat_mul(a[0], b[0]), a[1] * b[1]) not in inertia for a in others for b in others):
+        raise ValueError("inertia must be closed under products")
+    order = len(record.roots) * len(record.stab)
 
-    f_pm = lookup(record.stab_signed, "signed-stabilizer")
-    f_a = lookup(record.stab, "stabilizer")
-    e_pm = lookup(record.stab_signed_e, "signed-stabilizer-over-E")
-    e_a = lookup(record.stab_e, "stabilizer-over-E")
-    f_op = lookup(record.stab_twisted, "twisted-stabilizer")
+    def field_type(subgroup: frozenset[Element]) -> FieldType:
+        e = len(inertia) // len(inertia & subgroup)
+        f, rest = divmod(order // len(subgroup), e)
+        if rest:
+            raise ValueError("inertia must be normal in the group")
+        return e, f
 
-    # consistency: degrees must match subgroup indices
-    full = frozenset(system.group_elements())
-    base_field = lookup(full, "full-group")
-    for sub, fld in (
-        (record.stab_signed, f_pm),
-        (record.stab, f_a),
-        (record.stab_signed_e, e_pm),
-        (record.stab_e, e_a),
-        (record.stab_twisted, f_op),
-    ):
-        expected_degree = len(full) // len(sub)
-        if fld.e * fld.f != base_field.e * base_field.f * expected_degree:
-            raise ValueError(f"inconsistent realization: {fld} has wrong degree over {base_field}")
-
-    sym_base = _sym_flavor(f_pm, f_a, record.sym_over_base)
-    sym_e = _sym_flavor(e_pm, e_a, record.sym_over_e)
-    degree = _deg_flavor(f_a, e_a)
-    expected_sym_op, expected_deg_op = derive_op_data(degree, sym_base, sym_e)
-    # cross-check the realized twisted field against the structural answer
-    if _deg_flavor(f_op, e_a) is not expected_deg_op:
-        raise ValueError("inconsistent realization: twisted step has the wrong ramification")
-
-    return OrbitTower(
-        field_signed=f_pm,
-        field_stab=f_a,
-        field_signed_e=e_pm,
-        field_stab_e=e_a,
-        field_twisted=f_op,
-        sym_over_base=sym_base,
-        sym_over_e=sym_e,
-        degree=degree,
-        twisted_sym=expected_sym_op,
-        twisted_degree=expected_deg_op,
+    f_pm, f_a = field_type(record.stab_signed), field_type(record.stab)
+    e_pm, e_a = field_type(record.stab_signed_e), field_type(record.stab_e)
+    triple = (
+        _deg_flavor(f_a, e_a),
+        _sym_flavor(f_pm, f_a, record.sym_over_base),
+        _sym_flavor(e_pm, e_a, record.sym_over_e),
     )
+    if _deg_flavor(field_type(record.stab_twisted), e_a) is not derive_op_data(*triple)[1]:
+        raise ValueError("inconsistent inertia: the twisted step has the wrong ramification")
+    return triple
 
 
 # ---------------------------------------------------------------------------

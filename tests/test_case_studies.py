@@ -1,12 +1,14 @@
 """Scenario-level verification reports."""
 
 import dataclasses
+import io
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadchar import case_studies, root_orbits
 from quadchar.case_studies import (
     CheckRecord,
     ScenarioReport,
@@ -18,6 +20,9 @@ from quadchar.case_studies import (
     verify_sl2,
     verify_un_odd,
 )
+from quadchar.char_engine import CLASS_TRIPLES
+from quadchar.cli import main
+from quadchar.root_orbits import Deg, classify_orbits, gln_root_system
 
 SMALL_PRIMES = (3, 5, 7, 13)
 
@@ -111,6 +116,48 @@ def test_gln_exhaustive_record_counts_elements():
     rec = by_id["gln-unit-signs-trivial"]
     assert rec.inputs["elements"] == 3**3 - 1
     assert rec.got == 0 and rec.expected == 0
+
+
+def _swap_step_kinds(step_kind):
+    swap = {"ramified": "unramified", "unramified": "ramified"}
+    return lambda sub, big: swap[step_kind(sub, big)]
+
+
+def _always_split(derive):
+    return lambda *triple: (derive(*triple)[0], Deg.SPLIT)
+
+
+# The twisted step of both gln classes is split, so a derivation that
+# always answers "split" agrees with the inertia data there.
+@pytest.mark.parametrize(
+    "name,mutate,failing",
+    [
+        ("_step_kind", _swap_step_kinds, ("gln", "un")),
+        ("derive_op_data", _always_split, ("un",)),
+    ],
+    ids=["ramification-swapped", "twisted-step-always-split"],
+)
+def test_class_derivation_mutants_fail_verify(monkeypatch, name, mutate, failing):
+    """The ``*-class-zeta-*`` records come from ``orbit_class``, so they can fail."""
+    monkeypatch.setattr(root_orbits, name, mutate(getattr(root_orbits, name)))
+    for suite in failing:
+        assert main(["verify", suite], out=io.StringIO()) != 0
+
+
+def test_class_record_fails_when_orbits_disagree(monkeypatch):
+    # all but the first orbit get class 1, whose zeta is trivial on both
+    # branches; on the ramified branch the first orbit's class 3 is not
+    first_base = classify_orbits(gln_root_system(3))[0].base_root
+    real = case_studies.orbit_class
+
+    def disagreeing(record, inertia):
+        return real(record, inertia) if record.base_root == first_base else CLASS_TRIPLES[0]
+
+    monkeypatch.setattr(case_studies, "orbit_class", disagreeing)
+    by_id = {r.id: r for r in verify_gln_odd(3, 3).records}
+    assert by_id["gln-class-zeta-ur"].verdict == "pass"
+    assert by_id["gln-class-zeta-r"].got == "1 | sgn(k_E_a^x) . alpha"
+    assert by_id["gln-class-zeta-r"].verdict == "fail"
 
 
 # -- sign counts by linear congruence ----------------------------------------

@@ -1,4 +1,4 @@
-"""No definition in the package goes unused, except the listed top-level ones.
+"""No definition in the package goes unused.
 
 A top-level ``def`` or ``class`` of ``src/quadchar`` counts as used when its
 name occurs in ``src/quadchar/*.py`` or ``bench/*.py`` as a name, as an
@@ -7,7 +7,7 @@ functions it wraps by string); entries of an ``__all__`` list do not count.
 
 A non-dunder method or property of a package class counts as used when its
 name occurs in the same files as an attribute or as an exact string
-constant, again outside ``__all__``.  Members have no allowlist.
+constant, again outside ``__all__``.  There is no allowlist.
 
 Tests do not count: a definition only tests read is dead code.
 """
@@ -20,11 +20,6 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "quadchar").glob("*.py"))
 SCANNED = PACKAGE + sorted((ROOT / "bench").glob("*.py"))
-
-ALLOWED_UNUSED = {
-    "tower_of": "root_orbits: to be wired into the root-datum pipeline",
-}
-
 
 def _references(tree: ast.Module) -> tuple[set[str], set[str]]:
     """Plain names, and attributes with string constants, outside ``__all__``."""
@@ -66,7 +61,7 @@ def _trees() -> list[ast.Module]:
     return [ast.parse(path.read_text(encoding="utf-8")) for path in SCANNED]
 
 
-def test_every_unused_top_level_definition_is_allowlisted():
+def test_every_top_level_definition_is_used():
     trees = _trees()
     used = set().union(*(names | members for names, members in map(_references, trees)))
     defined = {
@@ -75,7 +70,7 @@ def test_every_unused_top_level_definition_is_allowlisted():
         for stmt in tree.body
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
     }
-    assert defined - used == set(ALLOWED_UNUSED)
+    assert defined - used == set()
 
 
 def test_every_class_member_is_read():

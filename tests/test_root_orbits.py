@@ -1,17 +1,16 @@
-"""Orbit classification, the twisted stabilizer, and orbit towers."""
+"""Orbit classification, the twisted stabilizer, and orbit classes from inertia."""
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadchar.char_engine import CLASS_TRIPLES
-from quadchar.galois_lattices import mat_vec
-from quadchar.padic_fields import LocalFieldDesc, make_base
+from quadchar import root_orbits
+from quadchar.char_engine import CLASS_TRIPLES, class_key
+from quadchar.galois_lattices import identity_matrix, mat_mul, mat_vec
 from quadchar.root_orbits import (
     Deg,
     OrbitRecord,
@@ -21,14 +20,9 @@ from quadchar.root_orbits import (
     derive_op_data,
     gln_orbit_parity,
     gln_root_system,
-    tower_of,
+    orbit_class,
     unitary_root_system,
 )
-
-F = make_base(5)
-RAM = LocalFieldDesc(5, 2, 1)
-UNRAM = LocalFieldDesc(5, 1, 2)
-TOP = LocalFieldDesc(5, 2, 2)
 
 I1: tuple = (((1,),), 1)
 A1 = (((-1,),), 1)  # negates the root, trivial character
@@ -36,23 +30,21 @@ B1 = (((1,),), -1)  # fixes the root, nontrivial character
 AB1 = (((-1,),), -1)
 
 
-def rank_one_klein(realization):
+def rank_one_klein():
     """Rank-1 roots with the Klein action: one generator flips, one twists."""
     return TwistedRootSystem(
         rank=1,
         roots=((1,), (-1,)),
         generators=((((-1,),), 1), (((1,),), -1)),
-        realization=realization,
     )
 
 
-def rank_one_order_two(realization):
+def rank_one_order_two():
     """Rank-1 roots with a single flip-and-twist generator."""
     return TwistedRootSystem(
         rank=1,
         roots=((1,), (-1,)),
         generators=((((-1,),), -1),),
-        realization=realization,
     )
 
 
@@ -175,7 +167,7 @@ def test_classification_closes_the_group_once(monkeypatch: pytest.MonkeyPatch) -
         return closure(self)
 
     monkeypatch.setattr(TwistedRootSystem, "group_elements", counted)
-    for system in (gln_root_system(5), unitary_root_system(5), rank_one_klein(None)):
+    for system in (gln_root_system(5), unitary_root_system(5), rank_one_klein()):
         calls.clear()
         classify_orbits(system)
         assert calls == [system]
@@ -197,55 +189,57 @@ def test_character_values_validated():
 
 
 # ---------------------------------------------------------------------------
-# towers for every classification shape
+# orbit classes from inertia, for every classification shape
 # ---------------------------------------------------------------------------
+# Each case gives the fields of its tower as (e, f) over the base: E is the
+# kernel field, F_a and F_+-a the fixed fields of the stabilizer and the
+# signed stabilizer, E_a that of the stabilizer inside the kernel, F_op that
+# of the twisted stabilizer.  The inertia subgroup is chosen so that the
+# tame rule gives those fields, which ``fixed_fields`` checks first.
+
+RAM = (2, 1)
+UNRAM = (1, 2)
+KER = frozenset({I1, A1})  # the character kernel of the Klein action
+STAB = frozenset({I1, B1})  # the stabilizer of the root
+TWISTED = frozenset({I1, AB1})  # its twisted stabilizer
 
 
-def klein_subgroups():
-    full = frozenset({I1, A1, B1, AB1})
-    return full, frozenset({I1, A1}), frozenset({I1, B1}), frozenset({I1, AB1}), frozenset({I1})
+def fixed_fields(inertia, order, *subgroups):
+    """``(e, f)`` of each subgroup's fixed field: ``[I : I & H]`` and ``[Q : H] / e``."""
+    inertia = set(inertia)
+    fields = []
+    for h in subgroups:
+        e = len(inertia) // len(inertia & set(h))
+        fields.append((e, order // len(h) // e))
+    return fields
 
 
-def klein_tower(e_field, stab_field, twisted_field):
-    full, ker, stab, twisted, triv = klein_subgroups()
-    realization = {full: F, ker: e_field, stab: stab_field, twisted: twisted_field, triv: TOP}
-    system = rank_one_klein(realization)
-    (rec,) = classify_orbits(system)
-    return tower_of(system, rec)
+def klein_class(inertia, e_field=None, stab_field=None, twisted_field=None):
+    """The Klein orbit's class; the fields of E, F_a and F_op are checked when given."""
+    if e_field is not None:
+        fields = fixed_fields(inertia, 4, KER, STAB, TWISTED, {I1})
+        assert fields == [e_field, stab_field, twisted_field, (2, 2)]
+    (rec,) = classify_orbits(rank_one_klein())
+    return orbit_class(rec, inertia)
 
 
 def test_tower_ramified_stab_unramified_step():
     # base step ramified, orbit-field step unramified, twisted field unramified
-    tower = klein_tower(RAM, RAM, UNRAM)
-    assert (tower.degree, tower.sym_over_base, tower.sym_over_e) == (
-        Deg.UNRAM,
-        Sym.SYM_RAM,
-        Sym.SYM_UNRAM,
-    )
-    assert (tower.field_twisted.e, tower.field_twisted.f) == (1, 2)
-    assert (tower.twisted_sym, tower.twisted_degree) == (Sym.SYM_UNRAM, Deg.RAM)
+    triple = klein_class(TWISTED, RAM, RAM, UNRAM)
+    assert triple == (Deg.UNRAM, Sym.SYM_RAM, Sym.SYM_UNRAM)
+    assert derive_op_data(*triple) == (Sym.SYM_UNRAM, Deg.RAM)
 
 
 def test_tower_unramified_stab_ramified_step():
-    tower = klein_tower(RAM, UNRAM, RAM)
-    assert (tower.degree, tower.sym_over_base, tower.sym_over_e) == (
-        Deg.RAM,
-        Sym.SYM_UNRAM,
-        Sym.SYM_UNRAM,
-    )
-    assert (tower.field_twisted.e, tower.field_twisted.f) == (2, 1)
-    assert (tower.twisted_sym, tower.twisted_degree) == (Sym.SYM_RAM, Deg.UNRAM)
+    triple = klein_class(STAB, RAM, UNRAM, RAM)
+    assert triple == (Deg.RAM, Sym.SYM_UNRAM, Sym.SYM_UNRAM)
+    assert derive_op_data(*triple) == (Sym.SYM_RAM, Deg.UNRAM)
 
 
 def test_tower_both_lower_steps_ramified():
-    tower = klein_tower(UNRAM, RAM, RAM)
-    assert (tower.degree, tower.sym_over_base, tower.sym_over_e) == (
-        Deg.UNRAM,
-        Sym.SYM_RAM,
-        Sym.SYM_RAM,
-    )
-    assert (tower.field_twisted.e, tower.field_twisted.f) == (2, 1)
-    assert (tower.twisted_sym, tower.twisted_degree) == (Sym.SYM_RAM, Deg.UNRAM)
+    triple = klein_class(KER, UNRAM, RAM, RAM)
+    assert triple == (Deg.UNRAM, Sym.SYM_RAM, Sym.SYM_RAM)
+    assert derive_op_data(*triple) == (Sym.SYM_RAM, Deg.UNRAM)
 
 
 @pytest.mark.parametrize(
@@ -255,19 +249,15 @@ def test_tower_both_lower_steps_ramified():
 def test_tower_split_step_asymmetric_over_e(quad, expected_sym, expected_twisted_deg):
     # one flip-and-twist generator: symmetric orbit whose stabilizer sits
     # inside the character kernel, asymmetric over the kernel field
-    full = frozenset({I1, AB1})
-    triv = frozenset({I1})
-    system = rank_one_order_two({full: F, triv: quad})
+    system = rank_one_order_two()
     (rec,) = classify_orbits(system)
     assert rec.degree == 1 and rec.sym_over_base and not rec.sym_over_e
-    tower = tower_of(system, rec)
-    assert (tower.degree, tower.sym_over_base, tower.sym_over_e) == (
-        Deg.SPLIT,
-        expected_sym,
-        Sym.ASYM,
-    )
-    assert tower.field_twisted == F  # the twisted stabilizer is the signed one
-    assert (tower.twisted_sym, tower.twisted_degree) == (Sym.ASYM, expected_twisted_deg)
+    inertia = system.group_elements() if quad == RAM else {I1}
+    assert fixed_fields(inertia, 2, rec.stab) == [quad]
+    triple = orbit_class(rec, inertia)
+    assert triple == (Deg.SPLIT, expected_sym, Sym.ASYM)
+    assert rec.stab_twisted == rec.stab_signed  # the twisted field is the base
+    assert derive_op_data(*triple) == (Sym.ASYM, expected_twisted_deg)
 
 
 def test_tower_fully_asymmetric_split():
@@ -278,57 +268,39 @@ def test_tower_fully_asymmetric_split():
         rank=2,
         roots=((1, 0), (0, 1), (-1, 0), (0, -1)),
         generators=((swap, -1),),
-        realization=None,
     )
     records = classify_orbits(system)
     assert len(records) == 2
     rec = records[0]
     assert not rec.sym_over_base and rec.degree == 1
-    full = frozenset(system.group_elements())
-    triv = frozenset({(((1, 0), (0, 1)), 1)})
-    realized = dataclasses.replace(system, realization={full: F, triv: RAM})
-    tower = tower_of(realized, classify_orbits(realized)[0])
-    assert tower.degree is Deg.SPLIT and tower.sym_over_base is Sym.ASYM
-    assert tower.field_twisted == tower.field_stab_e == RAM
-    assert (tower.twisted_sym, tower.twisted_degree) == (Sym.ASYM, Deg.SPLIT)
+    inertia = system.group_elements()
+    assert fixed_fields(inertia, 2, rec.stab, rec.stab_e, rec.stab_twisted) == [RAM] * 3
+    triple = orbit_class(rec, inertia)
+    assert triple == (Deg.SPLIT, Sym.ASYM, Sym.ASYM)
+    assert derive_op_data(*triple) == (Sym.ASYM, Deg.SPLIT)
 
 
 @pytest.mark.parametrize(
     "e_alpha,expected_deg,expected_twisted_sym",
-    [
-        (LocalFieldDesc(5, 1, 6), Deg.UNRAM, Sym.SYM_UNRAM),
-        (LocalFieldDesc(5, 2, 3), Deg.RAM, Sym.SYM_RAM),
-    ],
+    [((1, 6), Deg.UNRAM, Sym.SYM_UNRAM), ((2, 3), Deg.RAM, Sym.SYM_RAM)],
 )
 def test_tower_asymmetric_nonsplit_cyclic(e_alpha, expected_deg, expected_twisted_sym):
     system = gln_root_system(3)
-    records = classify_orbits(system)
-    rec = records[0]
-    cubic = LocalFieldDesc(5, 1, 3)
-    realization = {
-        frozenset(system.group_elements()): F,
-        rec.stab: cubic,
-        rec.stab_e: e_alpha,
-    }
-    realized = dataclasses.replace(system, realization=realization)
-    tower = tower_of(realized, classify_orbits(realized)[0])
-    assert (tower.degree, tower.sym_over_base, tower.sym_over_e) == (
-        expected_deg,
-        Sym.ASYM,
-        Sym.ASYM,
-    )
+    rec = classify_orbits(system)[0]
+    # F_a is the unramified cubic; E_a is ramified over it under inertia {1, g^3}
+    inertia = rec.stab if e_alpha == (2, 3) else rec.stab_e
+    assert fixed_fields(inertia, 6, rec.stab, rec.stab_e) == [(1, 3), e_alpha]
+    triple = orbit_class(rec, inertia)
+    assert triple == (expected_deg, Sym.ASYM, Sym.ASYM)
     # twisted field is the orbit field itself; the twisted orbit becomes
     # symmetric with the flavor of the original quadratic step
-    assert tower.field_twisted == e_alpha
-    assert (tower.twisted_sym, tower.twisted_degree) == (expected_twisted_sym, Deg.SPLIT)
+    assert rec.stab_twisted == rec.stab_e
+    assert derive_op_data(*triple) == (expected_twisted_sym, Deg.SPLIT)
 
 
 @pytest.mark.parametrize(
     "e_quad,top4,expected_sym",
-    [
-        (UNRAM, LocalFieldDesc(5, 1, 4), Sym.SYM_UNRAM),
-        (UNRAM, LocalFieldDesc(5, 2, 2), Sym.SYM_RAM),
-    ],
+    [(UNRAM, (1, 4), Sym.SYM_UNRAM), (UNRAM, (2, 2), Sym.SYM_RAM)],
 )
 def test_tower_symmetric_split_over_both(e_quad, top4, expected_sym):
     # dihedral action: flip inside the kernel, swap outside it; the orbit
@@ -340,85 +312,81 @@ def test_tower_symmetric_split_over_both(e_quad, top4, expected_sym):
         roots=((1, 0), (-1, 0), (0, 1), (0, -1)),
         generators=((flip, 1), (swap, -1)),
     )
-    records = classify_orbits(system)
-    (rec,) = records
+    (rec,) = classify_orbits(system)
     assert rec.sym_over_base and rec.sym_over_e and rec.degree == 1
-    realization = {
-        frozenset(system.group_elements()): F,
-        rec.stab_signed: e_quad,
-        rec.stab: top4,
-    }
-    realized = dataclasses.replace(system, realization=realization)
-    tower = tower_of(realized, classify_orbits(realized)[0])
-    assert tower.degree is Deg.SPLIT
-    assert tower.sym_over_base == tower.sym_over_e == expected_sym
-    assert tower.field_twisted == top4
-    assert (tower.twisted_sym, tower.twisted_degree) == (expected_sym, Deg.SPLIT)
+    # trivial inertia leaves Q/I = Q dihedral, not cyclic; the rule for
+    # e and f needs only that I is normal
+    inertia = rec.stab_signed if top4 == (2, 2) else {(identity_matrix(2), 1)}
+    assert fixed_fields(inertia, 8, rec.stab_signed, rec.stab) == [e_quad, top4]
+    triple = orbit_class(rec, inertia)
+    assert triple == (Deg.SPLIT, expected_sym, expected_sym)
+    assert rec.stab_twisted == rec.stab
+    assert derive_op_data(*triple) == (expected_sym, Deg.SPLIT)
 
 
 @pytest.mark.parametrize(
     "splitting,pm_field,expected_sym,expected_twisted_deg",
-    [
-        (LocalFieldDesc(5, 2, 3), LocalFieldDesc(5, 1, 3), Sym.SYM_RAM, Deg.RAM),
-        (LocalFieldDesc(5, 1, 6), LocalFieldDesc(5, 1, 3), Sym.SYM_UNRAM, Deg.UNRAM),
-    ],
+    [((2, 3), (1, 3), Sym.SYM_RAM, Deg.RAM), ((1, 6), (1, 3), Sym.SYM_UNRAM, Deg.UNRAM)],
 )
 def test_tower_unitary_odd(splitting, pm_field, expected_sym, expected_twisted_deg):
     system = unitary_root_system(3)
     (rec,) = classify_orbits(system)
-    realization = {
-        frozenset(system.group_elements()): F,
-        rec.stab_signed: pm_field,
-        rec.stab: splitting,
-    }
-    realized = dataclasses.replace(system, realization=realization)
-    tower = tower_of(realized, classify_orbits(realized)[0])
-    assert (tower.degree, tower.sym_over_base, tower.sym_over_e) == (
-        Deg.SPLIT,
-        expected_sym,
-        Sym.ASYM,
+    # inertia is {1, h^3} (h^3 negates every root) or trivial
+    inertia = rec.stab_signed if splitting == (2, 3) else rec.stab
+    assert fixed_fields(inertia, 6, rec.stab_signed, rec.stab) == [pm_field, splitting]
+    triple = orbit_class(rec, inertia)
+    assert triple == (Deg.SPLIT, expected_sym, Sym.ASYM)
+    assert rec.stab_twisted == rec.stab_signed
+    assert derive_op_data(*triple) == (Sym.ASYM, expected_twisted_deg)
+
+
+def test_tower_rejects_contradictory_twisted_field(monkeypatch: pytest.MonkeyPatch) -> None:
+    # the diamond forces an unramified twisted field; a derivation that
+    # claims a ramified twisted step contradicts the inertia data
+    assert klein_class(TWISTED) == (Deg.UNRAM, Sym.SYM_RAM, Sym.SYM_UNRAM)
+    monkeypatch.setattr(root_orbits, "derive_op_data", lambda *triple: (Sym.SYM_UNRAM, Deg.UNRAM))
+    with pytest.raises(ValueError, match="twisted step"):
+        klein_class(TWISTED)
+
+
+def test_orbit_class_rejects_inertia_that_is_no_normal_subgroup():
+    with pytest.raises(ValueError, match="identity"):
+        klein_class({A1})
+    with pytest.raises(ValueError, match="closed under products"):
+        klein_class({I1, A1, B1})
+    # A_2 with its Weyl group S_3 and the sign character: the signed
+    # stabilizer of the base root -a_1 - a_2 has index 3 and meets the
+    # inertia <s_1>, which is not normal, trivially, so the residue degree
+    # of its fixed field would be 3/2
+    s1, s2 = (((-1, 1), (0, 1)), -1), (((1, 0), (1, -1)), -1)
+    a2 = TwistedRootSystem(
+        rank=2, roots=((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)), generators=(s1, s2)
     )
-    assert tower.field_twisted == pm_field
-    assert (tower.twisted_sym, tower.twisted_degree) == (Sym.ASYM, expected_twisted_deg)
+    (rec,) = classify_orbits(a2)
+    assert rec.base_root == (-1, -1) and len(rec.stab_signed) == 2 and s1 not in rec.stab_signed
+    with pytest.raises(ValueError, match="normal"):
+        orbit_class(rec, {(identity_matrix(2), 1), s1})
 
 
-def test_tower_requires_realization():
-    system = rank_one_klein(None)
-    (rec,) = classify_orbits(system)
-    with pytest.raises(ValueError, match="realization"):
-        tower_of(system, rec)
-
-
-def test_tower_missing_subgroup_reported():
-    full, ker, stab, twisted, triv = klein_subgroups()
-    system = rank_one_klein({full: F, ker: RAM, triv: TOP})
-    (rec,) = classify_orbits(system)
-    with pytest.raises(ValueError, match="stabilizer subgroup"):
-        tower_of(system, rec)
-
-
-def test_tower_missing_twisted_subgroup_reported():
-    full, ker, stab, twisted, triv = klein_subgroups()
-    system = rank_one_klein({full: F, ker: RAM, stab: RAM, triv: TOP})
-    (rec,) = classify_orbits(system)
-    with pytest.raises(ValueError, match="twisted-stabilizer subgroup"):
-        tower_of(system, rec)
-
-
-def test_tower_rejects_wrong_degree_realization():
-    full, ker, stab, twisted, triv = klein_subgroups()
-    system = rank_one_klein({full: F, ker: RAM, stab: TOP, twisted: UNRAM, triv: TOP})
-    (rec,) = classify_orbits(system)
-    with pytest.raises(ValueError, match="wrong degree"):
-        tower_of(system, rec)
-
-
-def test_tower_rejects_contradictory_twisted_field():
-    # storing a ramified twisted field where the diamond forces unramified
-    tower_ok = klein_tower(RAM, RAM, UNRAM)
-    assert tower_ok.field_twisted == UNRAM
-    with pytest.raises(ValueError, match="twisted"):
-        klein_tower(RAM, RAM, RAM)
+@pytest.mark.parametrize(
+    "build,unram_class,ram_class",
+    [(gln_root_system, 2, 3), (unitary_root_system, 4, 7)],
+    ids=["gln", "un"],
+)
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_cyclic_families_classes_follow_the_character_on_inertia(build, unram_class, ram_class, n):
+    # every subgroup <g^k> of the cyclic group Q = <g> as inertia: each
+    # orbit gets the ramified class exactly when inertia meets the -1 coset
+    system = build(n)
+    (g,) = system.generators
+    powers = [(identity_matrix(n), 1)]
+    while len(powers) < len(system.group_elements()):
+        powers.append((mat_mul(powers[-1][0], g[0]), powers[-1][1] * g[1]))
+    records = classify_orbits(system)
+    for k in range(len(powers)):
+        inertia = {powers[k * j % len(powers)] for j in range(len(powers))}
+        expected = ram_class if any(s == -1 for _, s in inertia) else unram_class
+        assert {class_key(orbit_class(rec, inertia)) for rec in records} == {expected}
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +463,6 @@ def op_twist(system):
         generators=tuple(
             (tuple(tuple(s * x for x in row) for row in m), s) for m, s in system.generators
         ),
-        realization=system.realization,
     )
 
 
@@ -505,7 +472,7 @@ def character_kernel(system):
 
 
 def test_op_twist_is_involutive():
-    for system in (gln_root_system(3), unitary_root_system(3), rank_one_klein(None)):
+    for system in (gln_root_system(3), unitary_root_system(3), rank_one_klein()):
         assert op_twist(op_twist(system)) == system
 
 
@@ -517,7 +484,7 @@ def test_op_twist_swaps_unitary_and_linear_actions():
 def test_op_twist_realizes_twisted_stabilizer():
     # the stabilizer of a root in the twisted system is the image of the
     # twisted stabilizer under (matrix, s) -> (s * matrix, s)
-    system = rank_one_klein(None)
+    system = rank_one_klein()
     (rec,) = classify_orbits(system)
     twisted_system = op_twist(system)
     twisted_records = classify_orbits(twisted_system)
@@ -647,7 +614,7 @@ def test_classify_orbits_matches_definitional_sweeps(system):
 
 
 FAMILIES = (
-    rank_one_klein(None),
+    rank_one_klein(),
     *(gln_root_system(n) for n in (2, 3, 4, 5)),
     *(unitary_root_system(n) for n in (2, 3, 4, 5)),
 )
@@ -656,8 +623,8 @@ FAMILIES = (
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(signed_perm_systems(), st.sampled_from(FAMILIES)))
 def test_twisted_stabilizer_is_another_stabilizer_outside_the_biquadratic_shape(system):
-    # why tower_of can read the twisted field from the realization: outside
-    # the biquadratic shape the twisted stabilizer is already one of the four
+    # outside the biquadratic shape the twisted stabilizer is already one of
+    # the four, so its field, which orbit_class cross-checks, is one of theirs
     for rec in classify_orbits(system):
         if not rec.sym_over_base:
             assert rec.stab_twisted == rec.stab_e

@@ -17,30 +17,26 @@ Tori are expressions built from ``Gm``, norm-one tori ``U1`` of quadratic
 steps, quadratic Weil restrictions ``Res`` and finite products; their
 cocharacter lattices with the Galois action at any level of the tower are
 produced by ``cocharacter_lattice``.  Every action matrix is a signed
-permutation, so ``mat_mul`` builds row ``i`` of ``a @ b`` from the nonzero
-``a[i][k]`` alone: a ``+-1`` entry copies or negates row ``k`` of ``b``, and
-a zero costs nothing.
+permutation, so the group permutes the lines ``Z e_j``; by Shapiro's lemma
+an orbit with line stabiliser ``H`` spans ``Ind_H^G(chi)``, ``chi`` the sign
+of ``H`` on ``e_j`` (cite only: Serre, *Local Fields*, ch. VII-VIII; Reiner,
+Proc. AMS 8, 1957).  So ``tate_cohomology`` needs one orbit walk and no
+Smith form: ``H^-1`` is ``Z/2`` per orbit with ``chi != 1`` and ``H^0`` is
+``Z/|H|`` per orbit with ``chi == 1``, where ``|H| = |G| / |orbit|`` and
+``|G|`` is the product of the *declared* orders (so actions that factor
+through a quotient weight correctly).
 
-Tate cohomology in degrees -1 and 0 and the coinvariant torsion are each a
-subquotient ``ker(C) / span(R)`` of integer matrices, computed by
-``subquotient`` from one Smith normal form of ``C`` and one of the relations
-(implemented here).  A Smith form keeps only its unimodular column transform
-``v`` and the inverse: the kernel basis of ``C`` is read off ``v``, and the
-relations go in one per row, so the transpose of that form's ``v`` is the
-row transform the quotient needs.  The adapted basis and its coordinates are
-formed only when read, since the group orders need neither:
+The transfer kernels need representatives, so ``H^-1`` and the coinvariant
+torsion are also subquotients ``ker(C) / span(R)``, built by ``subquotient``
+from one Smith normal form of ``C`` and one of the relations (implemented
+here; only the column transform and its inverse are kept, and the adapted
+basis is formed when read):
 
     H^-1(G, M)  = ker(N) / sum (g - 1) M,
-    H^0(G, M)   = ker(stacked rows of g - 1) / N M  = M^G / N M,
     tors(M_G)   = torsion of  ker(0) / sum (g - 1) M,
 
-where the norm ``N`` is the sum over the *formal* group elements (so actions
-that factor through a quotient weight correctly), formed as the product of
-the per-generator norms ``1 + g + ... + g^(o-1)``.  Each lattice builds its
-norm once, and degrees -1 and 0 share it.  Both Smith forms see only the
-distinct nonzero rows up to sign: ``g - 1`` of a signed permutation has many
-zero or opposite rows, and the stacked rows and the norm columns repeat, so
-dropping them leaves each span, and with it each group, as it was.
+with ``N`` the product of the per-generator norms ``1 + g + ... + g^(o-1)``.
+Both Smith forms see only the distinct nonzero rows up to sign.
 
 ``prasad_torus_identity`` verifies, for a torus ``S`` over the lower field
 of a quadratic step ``A/B``, the cardinality identity
@@ -65,6 +61,7 @@ that group agree, not a second derivation of it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import add, mul, neg, sub
@@ -536,7 +533,6 @@ class GaloisLattice:
 
         The product equals the sum because the generators commute.  Each
         factor is applied as ``norm + norm g + ... + norm g**(o - 1)``.
-        Built once per lattice: both Tate degrees read it.
         """
         norm = identity_matrix(self.rank)
         for g, order in zip(self.generator_matrices, self.generator_orders):
@@ -546,6 +542,38 @@ class GaloisLattice:
                 total = mat_add(total, power)
             norm = total
         return norm
+
+    @cached_property
+    def line_orbits(self) -> tuple[tuple[int, bool], ...]:
+        """``(|H|, -e_j in the orbit of e_j)`` per orbit of the lines ``Z e_j``.
+
+        ``|H| = |G| / |orbit|``; both Tate degrees read this one walk.
+        Raises ``ValueError`` unless every generator is a signed permutation.
+        """
+        moves = []
+        for g in self.generator_matrices:
+            # g^T, which runs over G too, sends e_i to x e_j for each nonzero
+            # g[i][j] = x; as g is invertible, rank many of them are one per row
+            move = [(j, x) for row in g for j, x in enumerate(row) if x]
+            if len(move) != self.rank or any(x * x != 1 for _, x in move):
+                raise ValueError("Tate groups are computed for signed-permutation generators only")
+            moves.append(move)
+        order, orbits = math.prod(self.generator_orders), []
+        sign = [0] * self.rank  # +-1 once +-e_j is reached from its orbit's first line
+        for first in range(self.rank):
+            if sign[first]:
+                continue
+            sign[first], stack, size, signed = 1, [first], 1, False
+            while stack:
+                i = stack.pop()
+                for j, x in (move[i] for move in moves):
+                    if not sign[j]:
+                        sign[j], size = x * sign[i], size + 1
+                        stack.append(j)
+                    else:
+                        signed |= sign[j] != x * sign[i]
+            orbits.append((order // size, signed))
+        return tuple(orbits)
 
     def augmentation_columns(self) -> list[tuple[int, ...]]:
         """Columns spanning the augmentation submodule ``sum (g - 1) M``."""
@@ -566,16 +594,11 @@ def _coinvariants(lattice: GaloisLattice) -> Subquotient:
 
 
 def tate_cohomology(lattice: GaloisLattice, degree: int) -> FiniteAbelianGroup:
-    """Tate cohomology of the lattice in degree -1 or 0."""
+    """Tate cohomology of a signed-permutation lattice in degree -1 or 0, from its orbits."""
     if degree == -1:
-        return _tate_minus_one(lattice).torsion
+        return FiniteAbelianGroup((2,) * sum(signed for _, signed in lattice.line_orbits))
     if degree == 0:
-        # the stacked rows of g - 1 cut out M^G; with no generators a zero row does
-        fixed = [row for g in lattice.generator_matrices for row in _minus_identity(g)]
-        group = subquotient(fixed or [(0,) * lattice.rank], zip(*lattice.norm_matrix))
-        if 0 in group.diag:
-            raise AssertionError("the norm image has finite index in the fixed points")
-        return group.torsion
+        return FiniteAbelianGroup.from_factors(h for h, signed in lattice.line_orbits if not signed)
     raise ValueError(f"only degrees -1 and 0 are provided, got {degree}")
 
 
@@ -697,11 +720,13 @@ def action_matrix(torus: TorusExpr, g: Bit) -> Matrix:
     raise UnsupportedTorusError(f"unknown torus expression {torus!r}")
 
 
+@cache
 def cocharacter_lattice(torus: TorusExpr, level: str) -> GaloisLattice:
     """The cocharacter lattice of ``torus`` with the ``Gal(K/level)`` action.
 
     ``level`` must contain the base field of the torus; the action of the
-    smaller group is the restriction of the full one.
+    smaller group is the restriction of the full one.  Memoised, so every
+    caller of one (torus, level) shares one lattice and its cached orbits.
     """
     if not field_contains(level, torus.base):
         raise ValueError(f"level {level} does not contain the base field {torus.base}")

@@ -1,15 +1,19 @@
 """Lattice cohomology engine: SNF, Tate groups, catalog, kernel identity.
 
-The engine is validated three ways: frozen hand-computed values, the
-independent brute-force cocycle oracle on finite truncations, and
-structural invariants (Shapiro, coinvariant-torsion consistency,
-multiplicativity).
+The engine is validated four ways: frozen hand-computed values, the
+independent brute-force cocycle oracle on finite truncations, structural
+invariants (Shapiro, coinvariant-torsion consistency, multiplicativity),
+and the Tate groups' orbit closed form against two routes that read no
+orbits: Smith-form subquotients (``snf_tate_zero`` and ``_tate_minus_one``)
+and, for one involution, Reiner's rank formula (``reiner_orders``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from cocycle_oracle import (
@@ -25,6 +29,7 @@ from hypothesis import strategies as st
 
 from quadchar import galois_lattices
 from quadchar.galois_lattices import (
+    FIELD_LEVELS,
     FiniteAbelianGroup,
     GaloisLattice,
     Gm,
@@ -338,17 +343,18 @@ def test_norm_matrix_matches_the_formal_element_sum() -> None:
         assert lat.norm_matrix == formal_norm(lat), lat
 
 
-def test_both_tate_degrees_read_one_norm(monkeypatch: pytest.MonkeyPatch) -> None:
-    builds = []
-    cached = GaloisLattice.__dict__["norm_matrix"]
-    build = cached.func
-    monkeypatch.setattr(cached, "func", lambda lat: builds.append(lat) or build(lat))
+def test_both_tate_degrees_read_one_orbit_walk(monkeypatch: pytest.MonkeyPatch) -> None:
+    walks = []
+    cached = GaloisLattice.__dict__["line_orbits"]
+    walk = cached.func
+    monkeypatch.setattr(cached, "func", lambda lat: walks.append(lat) or walk(lat))
     lat = lattice(2, [SWAP, ((-1, 0), (0, -1))], [2, 2])
     tate_cohomology(lat, -1)
-    norm = lat.norm_matrix
+    orbits = lat.line_orbits
     tate_cohomology(lat, 0)
-    assert lat.norm_matrix is norm
-    assert builds == [lat]
+    assert lat.line_orbits is orbits
+    assert walks == [lat]
+    assert "norm_matrix" not in vars(lat)  # the closed form needs no norm
 
 
 @pytest.mark.parametrize("order", [1, 2, 4])
@@ -421,17 +427,16 @@ def test_group_order_kills_tate_groups_of_commuting_pairs(n: int) -> None:
         assert all(4 % d == 0 for d in factors), (a, b)
 
 
-def test_each_tate_degree_takes_two_smith_forms(monkeypatch: pytest.MonkeyPatch) -> None:
+def test_tate_cohomology_takes_no_smith_form(monkeypatch: pytest.MonkeyPatch) -> None:
     calls = []
     snf = galois_lattices.smith_normal_form
     monkeypatch.setattr(galois_lattices, "smith_normal_form", lambda a: calls.append(a) or snf(a))
     swap_negate = ((0, 1, 0), (1, 0, 0), (0, 0, -1))
     lat = lattice(3, [swap_negate, ((-1, 0, 0), (0, -1, 0), (0, 0, 1))], [2, 2])
     for degree in (-1, 0):
-        calls.clear()
         tate_cohomology(lat, degree)
-        assert len(calls) == 2, degree
-    calls.clear()
+    assert calls == []
+    # the transfer kernels still present H^-1 by two Smith forms
     group = _tate_minus_one(lat)
     assert len(calls) == 2
     # the adapted basis and its coordinates are formed only when read
@@ -440,6 +445,182 @@ def test_each_tate_degree_takes_two_smith_forms(monkeypatch: pytest.MonkeyPatch)
     assert "basis" in vars(group) and "coordinates" not in vars(group)
     group.is_zero_class((0, 0, 0))
     assert "coordinates" in vars(group)
+
+
+def test_tate_cohomology_rejects_a_generator_that_is_no_signed_permutation() -> None:
+    lat = lattice(2, [((1, 1), (0, -1))], [2])  # an involution, so the lattice is valid
+    for degree in (-1, 0):
+        with pytest.raises(ValueError, match="signed-permutation"):
+            tate_cohomology(lat, degree)
+    assert _tate_minus_one(lat).torsion.order == 1  # Z[C2]: the Smith forms still apply
+
+
+# ---------------------------------------------------------------------------
+# the orbit closed form vs Smith forms, and Reiner's formula for involutions
+# ---------------------------------------------------------------------------
+
+
+def snf_tate_zero(lat: GaloisLattice) -> FiniteAbelianGroup:
+    """``M^G / N M`` by two Smith forms: the stacked rows of ``g - 1`` cut out ``M^G``.
+
+    With no generators a zero row cuts out all of ``M``.
+    """
+    eye = oracle_identity(lat.rank)
+    fixed = [
+        tuple(x - e for x, e in zip(row, eye_row))
+        for g in lat.generator_matrices
+        for row, eye_row in zip(g, eye)
+    ]
+    group = subquotient(fixed or [(0,) * lat.rank], zip(*lat.norm_matrix))
+    assert 0 not in group.diag, "the norm image has finite index in the fixed points"
+    return group.torsion
+
+
+def assert_closed_form_matches_smith_forms(lat: GaloisLattice) -> None:
+    assert tate_cohomology(lat, -1) == _tate_minus_one(lat).torsion, lat
+    assert tate_cohomology(lat, 0) == snf_tate_zero(lat), lat
+
+
+def test_closed_form_matches_smith_forms_on_every_small_lattice() -> None:
+    lattices = []
+    for n in (1, 2, 3, 4):
+        lattices += [lattice(n, [m], [2]) for m in signed_permutation_involutions(n)]
+        lattices += [lattice(n, pair, [2, 2]) for pair in commuting_involution_pairs(n)]
+    assert len(lattices) == 162 + 76 + 982  # rank <= 3, then rank-4 singles and pairs
+    lattices.append(lattice(2, [ROTATION], [4]))
+    lattices.append(lattice(2, [ROTATION, ((-1, 0), (0, -1))], [4, 2]))
+    lattices.append(lattice(2, [ROTATION], [8]))  # declared order a multiple of the true one
+    lattices += [
+        cocharacter_lattice(torus, level) for torus in torus_catalog() for level in FIELD_LEVELS
+    ]
+    for lat in lattices:
+        assert_closed_form_matches_smith_forms(lat)
+
+
+def _order(g) -> int:
+    eye, power, order = oracle_identity(len(g)), g, 1
+    while power != eye:
+        power, order = oracle_mul(power, g), order + 1
+    return order
+
+
+def _cycles(perm: list[int]) -> list[list[int]]:
+    seen: set[int] = set()
+    out = []
+    for start in perm:
+        cycle = []
+        while start not in seen:
+            seen.add(start)
+            cycle.append(start)
+            start = perm[start]
+        if cycle:
+            out.append(cycle)
+    return out
+
+
+def test_closed_form_matches_smith_forms_on_random_orders_3_4_6() -> None:
+    """Seeded lattices with a generator ``g`` of order 3, 4 or 6, an optional
+    second generator that commutes with it, and declared orders that are
+    multiples of the true ones."""
+    rng = random.Random(20261018)
+    seen_orders: set[int] = set()
+    checked = 0
+    while checked < 300:
+        n = rng.randint(2, 5)
+        perm, signs = rng.sample(range(n), n), [rng.choice((1, -1)) for _ in range(n)]
+        cycles = _cycles(perm)
+        # a cycle whose signs multiply to -1 has twice its length as order
+        cycle_orders = [len(c) * (2 - (math.prod(signs[i] for i in c) == 1)) for c in cycles]
+        if math.lcm(*cycle_orders) not in (3, 4, 6):
+            continue
+        g = tuple(tuple(signs[i] * (j == perm[i]) for j in range(n)) for i in range(n))
+        gens = [g]
+        if rng.random() < 0.5:
+            # on each cycle of g, a signed power of g: it commutes with g
+            powers = [oracle_identity(n)]
+            for _ in range(11):
+                powers.append(oracle_mul(powers[-1], g))
+            rows = {}
+            for cycle in cycles:
+                sign, power = rng.choice((1, -1)), rng.choice(powers)
+                rows.update({i: tuple(sign * x for x in power[i]) for i in cycle})
+            gens.append(tuple(rows[i] for i in range(n)))
+        orders = [_order(x) * rng.choice((1, 2, 3)) for x in gens]
+        seen_orders.update(orders)
+        assert_closed_form_matches_smith_forms(lattice(n, gens, orders))
+        checked += 1
+    assert {3, 4, 6, 8, 9, 12} <= seen_orders  # faithful and non-faithful declarations
+
+
+def _rank(rows, mod2: bool = False) -> int:
+    """Rank of an integer matrix over Q, or over F_2, by Gaussian elimination."""
+    reduce = (lambda x: x % 2) if mod2 else (lambda x: x)
+    rows = [[reduce(Fraction(x)) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]  # over F_2 the pivot is 1
+            rows[r] = [reduce(a - f * b) for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def reiner_orders(sigma) -> tuple[int, int]:
+    """``(|H^0|, |H^-1|)`` for one involution ``sigma`` on ``Z^n``, by ranks alone.
+
+    Reiner (Proc. AMS 8, 1957; cite only): the lattice is ``Z^a + Z_-^b +
+    Z[C2]^c``, so ``H^0 = (Z/2)^a`` and ``H^-1 = (Z/2)^b``, where
+    ``c = rank_F2(1 + sigma)``, ``a + c = rank ker(sigma - 1)`` and
+    ``b + c = rank ker(sigma + 1)``.
+    """
+    n, eye = len(sigma), oracle_identity(len(sigma))
+
+    def plus(s: int):
+        return [[x + s * e for x, e in zip(row, eye_row)] for row, eye_row in zip(sigma, eye)]
+
+    c = _rank(plus(1), mod2=True)
+    return 2 ** (n - _rank(plus(-1)) - c), 2 ** (n - _rank(plus(1)) - c)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_reiner_formula_matches_closed_form_on_every_involution(n: int) -> None:
+    for sigma in signed_permutation_involutions(n):
+        lat = lattice(n, [sigma], [2])
+        zero, minus = reiner_orders(sigma)
+        assert (tate_cohomology(lat, 0).order, tate_cohomology(lat, -1).order) == (zero, minus)
+
+
+def test_reiner_formula_matches_smith_forms_on_conjugated_involutions() -> None:
+    """Involutions ``u sigma u^-1`` for unimodular ``u``: the closed form rejects
+    them, so the Smith forms and Reiner's ranks are compared directly."""
+    rng = random.Random(7919)
+    involutions = {n: signed_permutation_involutions(n) for n in (2, 3, 4)}
+    checked = 0
+    while checked < 12:
+        n = rng.randint(2, 4)
+        sigma = rng.choice(involutions[n])
+        u = u_inv = oracle_identity(n)
+        for _ in range(3):  # a product of transvections and its inverse
+            i, j = rng.sample(range(n), 2)
+            t = rng.choice((-2, -1, 1, 2))
+            step = [list(row) for row in oracle_identity(n)]
+            back = [list(row) for row in oracle_identity(n)]
+            step[i][j], back[i][j] = t, -t
+            u, u_inv = oracle_mul(u, step), oracle_mul(back, u_inv)
+        conjugate = oracle_mul(oracle_mul(u, sigma), u_inv)
+        if all(sum(map(abs, row)) == 1 for row in conjugate):
+            continue  # still a signed permutation: the sweep above covers it
+        lat = lattice(n, [conjugate], [2])
+        with pytest.raises(ValueError, match="signed-permutation"):
+            tate_cohomology(lat, 0)
+        zero, minus = reiner_orders(conjugate)
+        assert (snf_tate_zero(lat).order, _tate_minus_one(lat).torsion.order) == (zero, minus)
+        assert reiner_orders(sigma) == (zero, minus)  # conjugation changes no group
+        checked += 1
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +659,20 @@ def test_cocharacter_level_validation() -> None:
         Prod((Gm("F"), Gm("E")))  # mixed bases
 
 
+def test_cocharacter_lattice_is_built_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    torus = Prod((RES_TORUS, U1("E1", "F")))
+    low, high = cocharacter_lattice(torus, "F"), cocharacter_lattice(torus, "E")
+    assert cocharacter_lattice(torus, "F") is low and cocharacter_lattice(torus, "E") is high
+    builds = []
+    check = GaloisLattice.__post_init__
+    monkeypatch.setattr(GaloisLattice, "__post_init__", lambda lat: builds.append(lat) or check(lat))
+    component_group_dual(torus, "E")
+    prasad_torus_identity(torus)
+    assert builds == []  # both read the two lattices built above
+    assert tate_cohomology(low, -1) == tate_cohomology(cocharacter_lattice(torus, "F"), -1)
+    assert "line_orbits" in vars(low)  # and so share their one orbit walk
+
+
 def test_shapiro_restriction_equals_inner() -> None:
     """Cohomology of a quadratic restriction at the base equals the inner
     torus' cohomology over the intermediate field, in both degrees."""
@@ -496,7 +691,8 @@ def test_shapiro_restriction_equals_inner() -> None:
 @pytest.mark.parametrize("torus", torus_catalog(), ids=str)
 @pytest.mark.parametrize("level", ["F", "E", "E1", "E2"])
 def test_minus_one_order_equals_coinvariant_torsion(torus, level) -> None:
-    """The two pipelines give the same cardinality at every level."""
+    """The orbit closed form and the coinvariant subquotient, two independent
+    routes, give the same cardinality at every level."""
     group = tate_cohomology(cocharacter_lattice(torus, level), -1)
     dual = component_group_dual(torus, level)
     assert group.order == dual.order

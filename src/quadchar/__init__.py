@@ -7,9 +7,9 @@ The package is organised in layers:
 * ``padic_fields`` — square classes, the tame Hilbert symbol, quadratic
   extension descriptors, biquadratic diamonds, lambda constants;
 * ``galois_lattices`` — integral lattices with Galois action, Tate
-  cohomology in degrees -1 and 0 via Smith normal form, the torus catalog
-  and the kernel-cardinality identity it satisfies (the tests cross-check
-  it with brute-force counts in ``tests/cocycle_oracle.py``);
+  cohomology in degrees -1 and 0 from the orbits of signed basis lines,
+  coinvariants by Smith normal form, the torus catalog and its kernel
+  identity (tests cross-check it in ``tests/cocycle_oracle.py``);
 * ``root_orbits`` — twisted root systems, orbit symmetry classification
   and each orbit's class from the inertia subgroup;
 * ``char_engine`` — symbolic quadratic-character contributions per orbit

@@ -111,10 +111,6 @@ class CheckRecord:
 class ScenarioReport:
     records: list[CheckRecord] = field(default_factory=list)
 
-    @property
-    def verdict(self) -> str:
-        return "pass" if all(r.verdict == "pass" for r in self.records) else "fail"
-
     def add(self, record_id: str, inputs: dict, expected: object, got: object) -> None:
         self.records.append(CheckRecord(record_id, inputs, expected, got))
 

@@ -26,17 +26,12 @@ Smith form: ``H^-1`` is ``Z/2`` per orbit with ``chi != 1`` and ``H^0`` is
 ``|G|`` is the product of the *declared* orders (so actions that factor
 through a quotient weight correctly).
 
-The transfer kernels need representatives, so ``H^-1`` and the coinvariant
-torsion are also subquotients ``ker(C) / span(R)``, built by ``subquotient``
-from one Smith normal form of ``C`` and one of the relations (implemented
-here; only the column transform and its inverse are kept, and the adapted
-basis is formed when read):
-
-    H^-1(G, M)  = ker(N) / sum (g - 1) M,
-    tors(M_G)   = torsion of  ker(0) / sum (g - 1) M,
-
-with ``N`` the product of the per-generator norms ``1 + g + ... + g^(o-1)``.
-Both Smith forms see only the distinct nonzero rows up to sign.
+The same walk gives representatives: in ``H^-1 = ker(N) / sum (g - 1) M``
+a signed orbit's class is that of its first line, and a vector of ``ker(N)``
+is zero exactly when its coordinate sum is even on every signed orbit (``g``
+moves each coordinate within its orbit up to sign).  The coinvariants
+``M / sum (g - 1) M`` are a quotient ``Z^n / span(R)`` from one Smith normal
+form (implemented here), cached on the lattice.
 
 ``prasad_torus_identity`` verifies, for a torus ``S`` over the lower field
 of a quadratic step ``A/B``, the cardinality identity
@@ -51,11 +46,11 @@ right-hand side counts, by duality, the cokernel of the norm on the
 component groups of the fixed points of the dual torus (corestriction on
 the dual side).  Each side counts the torsion classes of the lower group
 that ``1 + s`` sends to the zero class of the upper one, the left through
-norm kernels and the right through coinvariants.  The two are not
-independent: ``|G| x - N x`` lies in ``sum (g - 1) M``, so
-``ker(N) / sum (g - 1) M`` is exactly ``tors(M_G)`` and both sides count
-one group.  The identity therefore checks that the two subquotients of
-that group agree, not a second derivation of it.
+the line orbits and the right through the coinvariant quotients, which
+share no code.  They still count one group: ``|G| x - N x`` lies in
+``sum (g - 1) M``, so ``ker(N) / sum (g - 1) M`` is exactly ``tors(M_G)``,
+and the identity checks two computations of its transfer kernel, not a
+second derivation of it.
 """
 
 from __future__ import annotations
@@ -83,8 +78,8 @@ __all__ = [
     "galois_group",
     "compositum",
     "smith_normal_form",
-    "subquotient",
-    "Subquotient",
+    "quotient",
+    "Quotient",
     "tate_cohomology",
     "cocharacter_lattice",
     "component_group_dual",
@@ -255,17 +250,14 @@ def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(map(mul, row, v)) for row in a)
 
 
-def mat_add(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 @cache
 def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def _minus_identity(g: Matrix) -> Matrix:
-    return tuple(tuple(x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(g))
+def _add_identity(g: Matrix, c: int) -> Matrix:
+    """``g + c`` for an integer ``c``."""
+    return tuple(tuple(x + c * (i == j) for j, x in enumerate(row)) for i, row in enumerate(g))
 
 
 @dataclass(frozen=True)
@@ -366,65 +358,36 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
 
 
 # ---------------------------------------------------------------------------
-# subquotients ker(C) / span(R)
+# quotients Z^n / span(R)
 # ---------------------------------------------------------------------------
 
 
-def _kernel_coordinates(inverse: Matrix, rank: int, x: Sequence[int]) -> tuple[int, ...]:
-    """The coordinates of ``x`` in the saturated basis of ``ker(C)``.
-
-    ``inverse`` is ``v_inv`` of the Smith form of ``C`` and ``rank`` the rank
-    of ``C``: the first ``rank`` entries of ``inverse @ x`` vanish exactly
-    when ``x`` is in ``ker(C)``, and the rest are its coordinates.
-    """
-    if len(x) != len(inverse):
-        raise ValueError("dimension mismatch")
-    coords = mat_vec(inverse, x)
-    if any(coords[:rank]):
-        raise ValueError("vector is not in the kernel of the constraints")
-    return coords[rank:]
-
-
 @dataclass(frozen=True)
-class Subquotient:
-    """The group ``ker(C) / span(R)`` for a constraint matrix ``C`` and relations ``R``.
+class Quotient:
+    """The group ``Z^n / span(R)``; ``form`` is the Smith form of the relations as rows.
 
-    ``constraint_form`` is the Smith form of the distinct nonzero rows of
-    ``C`` (up to sign), whose rank is ``rank``;
-    the columns of its ``v`` past the rank are a saturated basis of ``ker(C)``.
-    ``relation_form`` is the Smith form of the distinct relations written in
-    that basis, one relation per row: the transpose of its ``v`` is the row
-    transform that diagonalises the relations taken as columns.
-
-    ``basis`` holds, as its columns, a kernel basis adapted to the relations:
-    modulo ``span(R)`` column ``i`` has order ``diag[i]``, or infinite order
-    when ``diag[i] == 0``.  ``coordinates`` maps a vector of ``ker(C)`` to its
-    coordinates in ``basis``.  Both are products formed when first read, so
-    a caller that needs only ``diag`` never pays for them.
+    ``diag`` is its diagonal padded with zeros to length ``n``.  The columns
+    of ``basis`` (the rows of ``form.v_inv``) are a basis of ``Z^n`` in which
+    column ``i`` has order ``diag[i]`` modulo ``span(R)``, infinite when
+    ``diag[i] == 0``; ``coordinates`` (``form.v`` transposed) maps a vector to
+    its coordinates in it.  Both are formed only when first read.
     """
 
-    constraint_form: SmithForm
-    rank: int
-    relation_form: SmithForm
+    form: SmithForm
     diag: tuple[int, ...]
 
     @cached_property
     def basis(self) -> Matrix:
-        kernel_basis = tuple(row[self.rank :] for row in self.constraint_form.v)
-        return mat_mul(kernel_basis, tuple(zip(*self.relation_form.v_inv)))
+        return tuple(zip(*self.form.v_inv))
 
     @cached_property
     def coordinates(self) -> Matrix:
-        kernel_coordinates = self.constraint_form.v_inv[self.rank :]
-        return mat_mul(tuple(zip(*self.relation_form.v)), kernel_coordinates)
+        return tuple(zip(*self.form.v))
 
     def normalize(self, x: Sequence[int]) -> tuple[int, ...]:
-        """The canonical residue tuple of the class of ``x``.
-
-        Coordinate ``i`` is taken mod ``diag[i]`` when ``diag[i] > 0`` and kept
-        exact when ``diag[i] == 0``.  Raises if ``x`` is not in ``ker(C)``.
-        """
-        _kernel_coordinates(self.constraint_form.v_inv, self.rank, x)  # raises off the kernel
+        """The class of ``x``: coordinate ``i`` mod ``diag[i]``, exact where that is 0."""
+        if len(x) != len(self.diag):
+            raise ValueError("dimension mismatch")
         return tuple(c % d if d else c for c, d in zip(mat_vec(self.coordinates, x), self.diag))
 
     def is_zero_class(self, x: Sequence[int]) -> bool:
@@ -435,7 +398,7 @@ class Subquotient:
         return FiniteAbelianGroup(tuple(d for d in self.diag if d >= 2))
 
     def torsion_representatives(self) -> list[tuple[int, ...]]:
-        """One representative in ``ker(C)`` per torsion class."""
+        """One representative per torsion class."""
         ranges = [range(d) if d >= 2 else range(1) for d in self.diag]
         return [mat_vec(self.basis, w) for w in itertools.product(*ranges)]
 
@@ -459,33 +422,14 @@ def _distinct_rows(rows: Iterable[Sequence[int]], width: int) -> list[tuple[int,
     return kept or [(0,) * width]
 
 
-def subquotient(
-    constraints: Sequence[Sequence[int]], relations: Iterable[Sequence[int]]
-) -> Subquotient:
-    """``ker(constraints) / span(relations)``, each relation a vector of the kernel.
+def quotient(width: int, relations: Iterable[Sequence[int]]) -> Quotient:
+    """``Z^width / span(relations)`` from one Smith form of the relations as rows.
 
-    One Smith normal form of the constraints gives the saturated kernel basis
-    (the columns of ``v`` past the nonzero pivots, which come first) and the
-    coordinates in it (the matching rows of ``v_inv``).  One Smith normal form
-    of the relation coordinates, one relation per row as they are computed,
-    presents the quotient: the transpose of its ``v`` is the row transform
-    the relations need as columns, so no Smith form tracks a row transform.
-    Both forms see only the distinct nonzero rows up to sign, which span the
-    same lattices.  Raises ``ValueError`` if a kept relation is not in the
-    kernel; a dropped one is zero or repeats a kept one up to sign.
+    The form needs no row transform, and sees only the distinct nonzero
+    relations up to sign.  Raises ``ValueError`` on a relation of another length.
     """
-    width = len(constraints[0]) if constraints else 0
-    form = smith_normal_form(_distinct_rows(constraints, width))
-    rank = sum(1 for d in form.diagonal if d)
-    coords = [_kernel_coordinates(form.v_inv, rank, r) for r in _distinct_rows(relations, width)]
-    rel = smith_normal_form(coords)
-    k = width - rank
-    return Subquotient(
-        constraint_form=form,
-        rank=rank,
-        relation_form=rel,
-        diag=rel.diagonal + (0,) * (k - len(rel.diagonal)),
-    )
+    form = smith_normal_form(_distinct_rows(relations, width))
+    return Quotient(form=form, diag=form.diagonal + (0,) * (width - len(form.diagonal)))
 
 
 # ---------------------------------------------------------------------------
@@ -528,27 +472,13 @@ class GaloisLattice:
                 raise ValueError("generators must commute (abelian presentation)")
 
     @cached_property
-    def norm_matrix(self) -> Matrix:
-        """The sum of all formal group elements, as ``prod (1 + g + ... + g**(o - 1))``.
+    def line_orbits(self) -> tuple[tuple[int, bool, tuple[int, ...]], ...]:
+        """``(|H|, -e_j in the orbit of e_j, lines)`` per orbit of the lines ``Z e_j``.
 
-        The product equals the sum because the generators commute.  Each
-        factor is applied as ``norm + norm g + ... + norm g**(o - 1)``.
-        """
-        norm = identity_matrix(self.rank)
-        for g, order in zip(self.generator_matrices, self.generator_orders):
-            power = total = norm
-            for _ in range(order - 1):
-                power = mat_mul(power, g)
-                total = mat_add(total, power)
-            norm = total
-        return norm
-
-    @cached_property
-    def line_orbits(self) -> tuple[tuple[int, bool], ...]:
-        """``(|H|, -e_j in the orbit of e_j)`` per orbit of the lines ``Z e_j``.
-
-        ``|H| = |G| / |orbit|``; both Tate degrees read this one walk.
-        Raises ``ValueError`` unless every generator is a signed permutation.
+        ``|H| = |G| / |orbit|`` and ``lines`` lists the ``j`` of the orbit,
+        its first line first; both Tate degrees and the ``H^-1`` transfer
+        kernel read this one walk.  Raises ``ValueError`` unless every
+        generator is a signed permutation.
         """
         moves = []
         for g in self.generator_matrices:
@@ -563,42 +493,31 @@ class GaloisLattice:
         for first in range(self.rank):
             if sign[first]:
                 continue
-            sign[first], stack, size, signed = 1, [first], 1, False
-            while stack:
-                i = stack.pop()
+            sign[first], lines, signed = 1, [first], False
+            for i in lines:  # the walk appends to the list it runs over
                 for j, x in (move[i] for move in moves):
                     if not sign[j]:
-                        sign[j], size = x * sign[i], size + 1
-                        stack.append(j)
+                        sign[j] = x * sign[i]
+                        lines.append(j)
                     else:
                         signed |= sign[j] != x * sign[i]
-            orbits.append((order // size, signed))
+            orbits.append((order // len(lines), signed, tuple(lines)))
         return tuple(orbits)
 
-    def augmentation_columns(self) -> list[tuple[int, ...]]:
-        """Columns spanning the augmentation submodule ``sum (g - 1) M``."""
-        return [col for g in self.generator_matrices for col in zip(*_minus_identity(g))]
-
-
-def _tate_minus_one(lattice: GaloisLattice) -> Subquotient:
-    """``ker(norm) / sum (g - 1) M``."""
-    group = subquotient(lattice.norm_matrix, lattice.augmentation_columns())
-    if 0 in group.diag:
-        raise AssertionError("degree -1 Tate cohomology of a lattice is finite")
-    return group
-
-
-def _coinvariants(lattice: GaloisLattice) -> Subquotient:
-    """``M / sum (g - 1) M``: a zero row constrains nothing, so its kernel is ``M``."""
-    return subquotient([(0,) * lattice.rank], lattice.augmentation_columns())
+    @cached_property
+    def coinvariants(self) -> Quotient:
+        """``M / sum (g - 1) M``: one Smith form per lattice, however often it is read."""
+        return quotient(
+            self.rank, (col for g in self.generator_matrices for col in zip(*_add_identity(g, -1)))
+        )
 
 
 def tate_cohomology(lattice: GaloisLattice, degree: int) -> FiniteAbelianGroup:
     """Tate cohomology of a signed-permutation lattice in degree -1 or 0, from its orbits."""
     if degree == -1:
-        return FiniteAbelianGroup((2,) * sum(signed for _, signed in lattice.line_orbits))
+        return FiniteAbelianGroup((2,) * sum(signed for _, signed, _ in lattice.line_orbits))
     if degree == 0:
-        return FiniteAbelianGroup.from_factors(h for h, signed in lattice.line_orbits if not signed)
+        return FiniteAbelianGroup.from_factors(h for h, signed, _ in lattice.line_orbits if not signed)
     raise ValueError(f"only degrees -1 and 0 are provided, got {degree}")
 
 
@@ -726,7 +645,8 @@ def cocharacter_lattice(torus: TorusExpr, level: str) -> GaloisLattice:
 
     ``level`` must contain the base field of the torus; the action of the
     smaller group is the restriction of the full one.  Memoised, so every
-    caller of one (torus, level) shares one lattice and its cached orbits.
+    caller of one (torus, level) shares one lattice, its cached orbits and
+    its cached coinvariants.
     """
     if not field_contains(level, torus.base):
         raise ValueError(f"level {level} does not contain the base field {torus.base}")
@@ -744,7 +664,7 @@ def component_group_dual(torus: TorusExpr, level: str) -> FiniteAbelianGroup:
     By duality this is (the dual of) the component group of the fixed
     points of the dual torus; only its isomorphism type is used.
     """
-    return _coinvariants(cocharacter_lattice(torus, level)).torsion
+    return cocharacter_lattice(torus, level).coinvariants.torsion
 
 
 # ---------------------------------------------------------------------------
@@ -807,13 +727,23 @@ def _transfer_matrix(torus: TorusExpr, step: tuple[str, str]) -> Matrix:
     """``1 + s`` on the lattice for ``s`` generating ``Gal(A/B)``."""
     top, bottom = step
     s = next(g for g in galois_group(bottom) if g not in galois_group(top))
-    return mat_add(identity_matrix(torus.rank), action_matrix(torus, s))
+    return _add_identity(action_matrix(torus, s), 1)
 
 
-def _transfer_kernel_size(low: Subquotient, high: Subquotient, transfer: Matrix) -> int:
-    """How many torsion classes of ``low`` the transfer sends to zero in ``high``."""
+def _minus_one_transfer_kernel(low: GaloisLattice, high: GaloisLattice, transfer: Matrix) -> int:
+    """How many classes of ``H^-1`` of ``low`` the transfer sends to zero in ``H^-1`` of ``high``.
+
+    A class is a sum of first lines of signed orbits of ``low``; it maps to
+    zero when its image has an even coordinate sum on each signed orbit of ``high``.
+    """
+    firsts = [lines[0] for _, signed, lines in low.line_orbits if signed]
+    targets = [lines for _, signed, lines in high.line_orbits if signed]
     return sum(
-        high.is_zero_class(mat_vec(transfer, rep)) for rep in low.torsion_representatives()
+        all(
+            sum(transfer[i][j] for i in target for j in itertools.compress(firsts, bits)) % 2 == 0
+            for target in targets
+        )
+        for bits in itertools.product((0, 1), repeat=len(firsts))
     )
 
 
@@ -822,13 +752,14 @@ def prasad_torus_identity(
 ) -> IdentityVerdict:
     """Compare the two kernel counts of the transfer across a quadratic step.
 
-    Left: kernel of the transfer on degree -1 Tate cohomology, computed
-    through norm-kernel subquotients.  Right: kernel of the transfer on
-    coinvariant torsion, computed through coinvariant subquotients of the
-    lattice itself (by duality, the cokernel of the norm on dual component
-    groups).  The two pipelines share no intermediate results, but they
-    present one group (``ker(N) / sum (g - 1) M = tors(M_G)``), so the
-    counts agree by construction.
+    Left: kernel of the transfer on degree -1 Tate cohomology, read off the
+    line orbits of the two lattices (one ``Z/2`` per signed orbit, told
+    apart by coordinate-sum parities).  Right: kernel of the transfer on
+    coinvariant torsion, from the cached coinvariant quotients of the two
+    lattices (by duality, the cokernel of the norm on dual component
+    groups).  The two sides share no Smith form and no quotient code, but
+    they present one group (``ker(N) / sum (g - 1) M = tors(M_G)``), so the
+    counts agree by the algebra.
     """
     top, bottom = step
     if field_degree(top, bottom) != 2:
@@ -837,12 +768,13 @@ def prasad_torus_identity(
         raise UnsupportedTorusError("the torus must live over the lower field of the step")
     low, high = cocharacter_lattice(torus, bottom), cocharacter_lattice(torus, top)
     transfer = _transfer_matrix(torus, step)
-    # Left pipeline: norm kernels.  _tate_minus_one asserts both quotients
-    # are finite, so the torsion representatives cover every class.
-    lhs = _transfer_kernel_size(_tate_minus_one(low), _tate_minus_one(high), transfer)
-    # Right pipeline: coinvariant torsion.
-    rhs = _transfer_kernel_size(_coinvariants(low), _coinvariants(high), transfer)
-    return IdentityVerdict(lhs=lhs, rhs=rhs)
+    return IdentityVerdict(
+        lhs=_minus_one_transfer_kernel(low, high, transfer),
+        rhs=sum(
+            high.coinvariants.is_zero_class(mat_vec(transfer, rep))
+            for rep in low.coinvariants.torsion_representatives()
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,12 @@ The engine is validated four ways: frozen hand-computed values, the
 independent brute-force cocycle oracle on finite truncations, structural
 invariants (Shapiro, coinvariant-torsion consistency, multiplicativity),
 and the Tate groups' orbit closed form against two routes that read no
-orbits: Smith-form subquotients (``snf_tate_zero`` and ``_tate_minus_one``)
-and, for one involution, Reiner's rank formula (``reiner_orders``).
+orbits: Smith forms (``snf_tate_zero`` in degree 0, and in degree -1 the
+coinvariant torsion, since ``ker(N) / I_G M = tors(M_G)`` for every
+lattice) and, for one involution, Reiner's rank formula (``reiner_orders``).
+The kernel identity compares its orbit route (left) with its coinvariant
+route (right) at every quadratic step of the diamond; both sides count one
+group by the algebra, so it checks the two computations, not the algebra.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from cocycle_oracle import (
@@ -37,8 +42,6 @@ from quadchar.galois_lattices import (
     Res,
     U1,
     UnsupportedTorusError,
-    _coinvariants,
-    _tate_minus_one,
     action_matrix,
     cocharacter_lattice,
     component_group_dual,
@@ -49,8 +52,8 @@ from quadchar.galois_lattices import (
     mat_vec,
     norm_quotient,
     prasad_torus_identity,
+    quotient,
     smith_normal_form,
-    subquotient,
     tate_cohomology,
     torus_catalog,
 )
@@ -127,14 +130,25 @@ def test_smith_normal_form_properties(rows: list[list[int]]) -> None:
         assert math.prod(diag[:k]) == determinantal_divisor(a, k)
 
 
+def integer_kernel(rows, width: int):
+    """``(basis, coordinates)`` of ``ker(rows)`` from one Smith form.
+
+    The columns of ``v`` past the rank are the basis (as columns), and the
+    matching rows of ``v_inv`` map a kernel vector to its coordinates.
+    """
+    form = smith_normal_form(rows or [(0,) * width])
+    rank = sum(1 for d in form.diagonal if d)
+    return tuple(row[rank:] for row in form.v), form.v_inv[rank:]
+
+
 @given(matrix_strategy)
 @settings(max_examples=80, deadline=None)
 def test_integer_kernel_annihilates(rows: list[list[int]]) -> None:
     a = tuple(tuple(r) for r in rows)
-    kernel = subquotient(a, ())
-    assert all(not any(row) for row in mat_mul(a, kernel.basis))
+    basis, coordinates = integer_kernel(a, len(a[0]))
+    assert all(not any(row) for row in mat_mul(a, basis))
     # the coordinates invert the basis, so its columns are independent
-    assert mat_mul(kernel.coordinates, kernel.basis) == oracle_identity(len(kernel.diag))
+    assert mat_mul(coordinates, basis) == oracle_identity(len(coordinates))
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -143,58 +157,47 @@ def _prime_divisors(n: int) -> list[int]:
 
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_subquotient_with_relations(data: st.DataObject) -> None:
-    a = tuple(tuple(r) for r in data.draw(matrix_strategy))
-    kernel = subquotient(a, ())
-    k = len(kernel.diag)
-    combination = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
-    coefficients = data.draw(st.lists(combination, max_size=4))
-    relations = [mat_vec(kernel.basis, c) for c in coefficients]
-    group = subquotient(a, relations)
-    assert mat_mul(group.coordinates, group.basis) == oracle_identity(k)
+def test_quotient_with_relations(data: st.DataObject) -> None:
+    width = data.draw(st.integers(1, 4))
+    row = st.lists(st.integers(-6, 6), min_size=width, max_size=width).map(tuple)
+    relations = data.draw(st.lists(row, max_size=4))
+    group = quotient(width, relations)
+    assert mat_mul(group.coordinates, group.basis) == oracle_identity(width)
     assert all(group.is_zero_class(r) for r in relations)
     for i, d in enumerate(group.diag):
         column = tuple(row[i] for row in group.basis)
         if d == 0:  # coordinate i is kept exactly, so no multiple vanishes
-            assert group.normalize(column)[i] == 1
+            assert group.normalize(tuple(2 * x for x in column))[i] == 2
         else:
             assert group.is_zero_class(tuple(d * x for x in column))
             for p in _prime_divisors(d):
                 assert not group.is_zero_class(tuple(d // p * x for x in column))
-    classes = {group.normalize(rep) for rep in group.torsion_representatives()}
-    assert len(classes) == group.torsion.order
+    # one representative per torsion class, each of finite order
+    representatives = group.torsion_representatives()
+    assert len({group.normalize(rep) for rep in representatives}) == group.torsion.order
+    order = group.torsion.order
+    assert all(group.is_zero_class(tuple(order * x for x in rep)) for rep in representatives)
 
-    # zero rows, repeats and negations of constraints or relations change no span
-    def padded(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-        extra = [(0,) * len(a[0]), *rows, *(tuple(-x for x in r) for r in rows)]
-        added = data.draw(st.lists(st.sampled_from(extra), max_size=6))
-        return data.draw(st.permutations([*rows, *added]))
-
-    padded_group = subquotient(padded(list(a)), padded(relations))
+    # zero rows, repeats and negations of relations change no span
+    extra = [(0,) * width, *relations, *(tuple(-x for x in r) for r in relations)]
+    added = data.draw(st.lists(st.sampled_from(extra), max_size=6))
+    padded_group = quotient(width, data.draw(st.permutations([*relations, *added])))
     assert padded_group.diag == group.diag
-    assert mat_mul(padded_group.coordinates, padded_group.basis) == oracle_identity(k)
+    assert mat_mul(padded_group.coordinates, padded_group.basis) == oracle_identity(width)
     assert all(padded_group.is_zero_class(r) for r in relations)
 
 
-def test_subquotient_rejects_vectors_outside_the_kernel() -> None:
-    diagonal = ((1, 1),)  # ker = Z (1, -1)
-    group = subquotient(diagonal, [(2, -2)])
+def test_quotient_rejects_vectors_of_another_length() -> None:
+    group = quotient(2, [(2, -2), (0, 0), (-2, 2)])  # Z/2 on (1, -1), Z on (0, 1)
     assert group.torsion.invariant_factors == (2,)
-    assert not group.is_zero_class((1, -1))
+    assert not group.is_zero_class((1, -1)) and not group.is_zero_class((0, 1))
     assert group.is_zero_class((4, -4))
-    with pytest.raises(ValueError):
-        subquotient(diagonal, [(1, 0)])
-    with pytest.raises(ValueError):
-        group.is_zero_class((1, 1))
-    # every relation kept past the zero, repeated and negated rows is checked
-    for constraints in (diagonal, ((0, 0), (1, 1), (-1, -1))):
-        with pytest.raises(ValueError, match="not in the kernel"):
-            subquotient(constraints, [(0, 0), (2, -2), (-2, 2), (1, 0), (-1, 0)])
-        with pytest.raises(ValueError, match="not in the kernel"):
-            subquotient(constraints, [(2, -2), (0, 1)])
+    assert quotient(2, []).diag == (0, 0)  # no relations: the quotient is Z^2
     # a dropped zero relation still has to have the right length
     with pytest.raises(ValueError, match="dimension mismatch"):
-        subquotient(diagonal, [(0, 0, 0)])
+        quotient(2, [(0, 0, 0)])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        group.is_zero_class((1, 1, 1))
 
 
 def test_mat_mul_shapes() -> None:
@@ -318,29 +321,18 @@ def test_rejects_non_invertible_generator_and_bad_degree() -> None:
 
 
 def formal_norm(lat: GaloisLattice):
-    """The norm enumerated as the sum over every formal group element."""
-    total = [[0] * lat.rank for _ in range(lat.rank)]
-    for exponents in itertools.product(*(range(o) for o in lat.generator_orders)):
-        element = oracle_identity(lat.rank)
-        for g, e in zip(lat.generator_matrices, exponents):
-            for _ in range(e):
-                element = oracle_mul(element, g)
-        for i, row in enumerate(element):
-            for j, x in enumerate(row):
-                total[i][j] += x
-    return tuple(tuple(row) for row in total)
+    """The norm enumerated as the sum over every formal group element.
 
-
-def test_norm_matrix_matches_the_formal_element_sum() -> None:
-    lattices = [
-        lattice(n, [a, b], [2, 2]) for n in (1, 2, 3) for a, b in commuting_involution_pairs(n)
-    ]
-    lattices.append(lattice(2, [ROTATION], [4]))
-    lattices.append(lattice(2, [ROTATION, ((-1, 0), (0, -1))], [4, 2]))
-    rotation_3 = ((0, -1, 0), (1, 0, 0), (0, 0, 1))
-    lattices.append(lattice(3, [rotation_3, ((1, 0, 0), (0, 1, 0), (0, 0, -1))], [4, 2]))
-    for lat in lattices:
-        assert lat.norm_matrix == formal_norm(lat), lat
+    The elements are listed as the products of one power of each generator,
+    each power and each product formed once.
+    """
+    elements = [oracle_identity(lat.rank)]
+    for g, order in zip(lat.generator_matrices, lat.generator_orders):
+        powers = [oracle_identity(lat.rank)]
+        for _ in range(order - 1):
+            powers.append(oracle_mul(powers[-1], g))
+        elements = [oracle_mul(e, power) for e in elements for power in powers]
+    return tuple(tuple(map(sum, zip(*rows))) for rows in zip(*elements))
 
 
 def test_both_tate_degrees_read_one_orbit_walk(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -354,7 +346,7 @@ def test_both_tate_degrees_read_one_orbit_walk(monkeypatch: pytest.MonkeyPatch) 
     tate_cohomology(lat, 0)
     assert lat.line_orbits is orbits
     assert walks == [lat]
-    assert "norm_matrix" not in vars(lat)  # the closed form needs no norm
+    assert "coinvariants" not in vars(lat)  # the closed form needs no Smith form
 
 
 @pytest.mark.parametrize("order", [1, 2, 4])
@@ -436,9 +428,9 @@ def test_tate_cohomology_takes_no_smith_form(monkeypatch: pytest.MonkeyPatch) ->
     for degree in (-1, 0):
         tate_cohomology(lat, degree)
     assert calls == []
-    # the transfer kernels still present H^-1 by two Smith forms
-    group = _tate_minus_one(lat)
-    assert len(calls) == 2
+    # the coinvariants take one Smith form, however often they are read
+    group = lat.coinvariants
+    assert lat.coinvariants is group and len(calls) == 1
     # the adapted basis and its coordinates are formed only when read
     assert "basis" not in vars(group) and "coordinates" not in vars(group)
     group.torsion_representatives()
@@ -452,7 +444,7 @@ def test_tate_cohomology_rejects_a_generator_that_is_no_signed_permutation() -> 
     for degree in (-1, 0):
         with pytest.raises(ValueError, match="signed-permutation"):
             tate_cohomology(lat, degree)
-    assert _tate_minus_one(lat).torsion.order == 1  # Z[C2]: the Smith forms still apply
+    assert lat.coinvariants.torsion.order == 1  # Z[C2]: the Smith form still applies
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +455,9 @@ def test_tate_cohomology_rejects_a_generator_that_is_no_signed_permutation() -> 
 def snf_tate_zero(lat: GaloisLattice) -> FiniteAbelianGroup:
     """``M^G / N M`` by two Smith forms: the stacked rows of ``g - 1`` cut out ``M^G``.
 
-    With no generators a zero row cuts out all of ``M``.
+    With no generators a zero row cuts out all of ``M``.  The norm columns
+    are written in the kernel basis of ``M^G``, and their span has finite
+    index there.
     """
     eye = oracle_identity(lat.rank)
     fixed = [
@@ -471,13 +465,14 @@ def snf_tate_zero(lat: GaloisLattice) -> FiniteAbelianGroup:
         for g in lat.generator_matrices
         for row, eye_row in zip(g, eye)
     ]
-    group = subquotient(fixed or [(0,) * lat.rank], zip(*lat.norm_matrix))
+    _, coordinates = integer_kernel(fixed, lat.rank)
+    group = quotient(len(coordinates), (mat_vec(coordinates, c) for c in zip(*formal_norm(lat))))
     assert 0 not in group.diag, "the norm image has finite index in the fixed points"
     return group.torsion
 
 
 def assert_closed_form_matches_smith_forms(lat: GaloisLattice) -> None:
-    assert tate_cohomology(lat, -1) == _tate_minus_one(lat).torsion, lat
+    assert tate_cohomology(lat, -1) == lat.coinvariants.torsion, lat
     assert tate_cohomology(lat, 0) == snf_tate_zero(lat), lat
 
 
@@ -618,7 +613,7 @@ def test_reiner_formula_matches_smith_forms_on_conjugated_involutions() -> None:
         with pytest.raises(ValueError, match="signed-permutation"):
             tate_cohomology(lat, 0)
         zero, minus = reiner_orders(conjugate)
-        assert (snf_tate_zero(lat).order, _tate_minus_one(lat).torsion.order) == (zero, minus)
+        assert (snf_tate_zero(lat).order, lat.coinvariants.torsion.order) == (zero, minus)
         assert reiner_orders(sigma) == (zero, minus)  # conjugation changes no group
         checked += 1
 
@@ -691,7 +686,7 @@ def test_shapiro_restriction_equals_inner() -> None:
 @pytest.mark.parametrize("torus", torus_catalog(), ids=str)
 @pytest.mark.parametrize("level", ["F", "E", "E1", "E2"])
 def test_minus_one_order_equals_coinvariant_torsion(torus, level) -> None:
-    """The orbit closed form and the coinvariant subquotient, two independent
+    """The orbit closed form and the coinvariant quotient, two independent
     routes, give the same cardinality at every level."""
     group = tate_cohomology(cocharacter_lattice(torus, level), -1)
     dual = component_group_dual(torus, level)
@@ -701,8 +696,9 @@ def test_minus_one_order_equals_coinvariant_torsion(torus, level) -> None:
 def test_minus_one_group_is_the_coinvariant_torsion() -> None:
     """``|G| x - N x`` lies in the augmentation, so ``ker(N) / I M = tors(M_G)``.
 
-    The two pipelines of ``prasad_torus_identity`` therefore compute one
-    group; this checks that the two subquotients agree as groups.
+    On representatives: the sums of first lines of signed orbits, which the
+    left side of ``prasad_torus_identity`` takes as the classes of ``H^-1``,
+    lie in ``ker(N)`` and fill the torsion of the coinvariants, one class each.
     """
     lattices = [
         lattice(n, gens, [2, 2])
@@ -711,13 +707,21 @@ def test_minus_one_group_is_the_coinvariant_torsion() -> None:
         for gens in {(a, b), (b, a)}
     ]
     lattices += [
-        cocharacter_lattice(torus, level)
-        for torus in torus_catalog()
-        for level in ("F", "E", "E1", "E2", "K")
+        cocharacter_lattice(torus, level) for torus in torus_catalog() for level in FIELD_LEVELS
     ]
     lattices.append(lattice(2, [ROTATION], [4]))
     for lat in lattices:
-        assert _tate_minus_one(lat).torsion == _coinvariants(lat).torsion, lat
+        norm, order = formal_norm(lat), math.prod(lat.generator_orders)
+        firsts = [lines[0] for _, signed, lines in lat.line_orbits if signed]
+        classes = set()
+        for bits in itertools.product((0, 1), repeat=len(firsts)):
+            x = [0] * lat.rank
+            for j, bit in zip(firsts, bits):
+                x[j] = bit
+            assert not any(mat_vec(norm, x)), lat
+            assert lat.coinvariants.is_zero_class([order * c for c in x]), lat  # torsion
+            classes.add(lat.coinvariants.normalize(x))
+        assert len(classes) == 2 ** len(firsts) == lat.coinvariants.torsion.order, lat
 
 
 # ---------------------------------------------------------------------------
@@ -780,6 +784,47 @@ def test_identity_multiplicative_over_products() -> None:
             for f in torus.factors:
                 parts *= prasad_torus_identity(f).lhs
             assert whole.lhs == parts
+
+
+def test_identity_holds_at_every_quadratic_step() -> None:
+    """The catalog at E/F, E1/F and E2/F, and four tori over each L at K/L.
+
+    The left side reads line orbits and the right side coinvariant
+    quotients; they share no Smith form or quotient code, so a fault in
+    either side shows as a mismatch.
+    """
+    pairs = [(torus, (top, "F")) for torus in torus_catalog() for top in ("E", "E1", "E2")]
+    for level in ("E", "E1", "E2"):
+        tori = (U1("K", level), Gm(level), Res("K", level, Gm("K")))
+        pairs += [(torus, ("K", level)) for torus in (*tori, Prod(tori))]
+    assert len(pairs) == 42
+    kernels = []
+    for torus, step in pairs:
+        verdict = prasad_torus_identity(torus, step)
+        assert verdict.lhs == verdict.rhs, (torus, step, verdict)
+        kernels.append(verdict.lhs)
+    assert sorted(set(kernels)) == [1, 2, 4]
+
+
+def test_catalog_takes_one_smith_form_per_lattice(monkeypatch: pytest.MonkeyPatch) -> None:
+    calls = []
+    snf = galois_lattices.smith_normal_form
+    monkeypatch.setattr(galois_lattices, "smith_normal_form", lambda a: calls.append(a) or snf(a))
+    # fresh lattices, whose coinvariants no earlier test has read
+    fresh = cache(cocharacter_lattice.__wrapped__)
+    monkeypatch.setattr(galois_lattices, "cocharacter_lattice", fresh)
+    catalog = torus_catalog()
+    for torus in catalog:
+        for level in FIELD_LEVELS:
+            component_group_dual(torus, level)
+    lattices = [fresh(torus, level) for torus in catalog for level in FIELD_LEVELS]
+    assert len(calls) == len(lattices) == 50
+    assert all("coinvariants" in vars(lat) for lat in lattices)  # so one Smith form each
+    for torus in catalog:
+        for top in ("E", "E1", "E2"):
+            prasad_torus_identity(torus, (top, "F"))
+    assert len(calls) == 50
+    assert fresh.cache_info().currsize == 50
 
 
 def test_identity_rejects_wrong_base() -> None:

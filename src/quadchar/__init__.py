@@ -3,6 +3,8 @@ quadratic extensions of p-adic fields.
 
 The package is organised in layers:
 
+* ``_value`` — ``Value``, the one base of the frozen value objects; fields
+  are set by ``object.__setattr__``, never through ``__dict__``;
 * ``residue_fields`` — finite fields, sign characters, norm-one subgroups;
 * ``padic_fields`` — square classes, the tame Hilbert symbol, quadratic
   extension descriptors, biquadratic diamonds, lambda constants;

@@ -41,8 +41,8 @@ counted exactly without enumerating the group
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from ._value import Value
 from .char_engine import (
     CLASS_TRIPLES,
     EF,
@@ -95,8 +95,7 @@ __all__ = [
     "verify_un_odd",
 ]
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(Value):
     id: str
     inputs: dict
     expected: object
@@ -107,9 +106,9 @@ class CheckRecord:
         return "pass" if self.expected == self.got else "fail"
 
 
-@dataclass
 class ScenarioReport:
-    records: list[CheckRecord] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.records: list[CheckRecord] = []
 
     def add(self, record_id: str, inputs: dict, expected: object, got: object) -> None:
         self.records.append(CheckRecord(record_id, inputs, expected, got))
@@ -419,10 +418,15 @@ def _branch_zetas(system: TwistedRootSystem, records: list[OrbitRecord]) -> dict
     ``<g**n>`` when it is ramified.  Orbits of distinct ``zeta`` give a
     joined text that no record expects.
     """
-    (g,) = system.generators
-    g_n = g
-    for _ in range(system.rank - 1):
-        g_n = (mat_mul(g_n[0], g[0]), g_n[1] * g[1])
+    ((g, sign),) = system.generators
+    g_n, k = None, system.rank
+    while k:  # g**n by repeated squaring
+        if k & 1:
+            g_n = g if g_n is None else mat_mul(g_n, g)
+        k >>= 1
+        if k:
+            g = mat_mul(g, g)
+    g_n = (g_n, sign**system.rank)
     identity = (identity_matrix(system.rank), 1)
     branches = ((EF.UNRAM, frozenset({identity})), (EF.RAM, frozenset({identity, g_n})))
     zetas = {}

@@ -32,10 +32,9 @@ outright mismatch.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from enum import Enum
 
+from ._value import Value
 from .padic_fields import LocalFieldDesc, SquareClass, hilbert_symbol
 from .root_orbits import Deg, Sym, derive_op_data
 
@@ -86,8 +85,7 @@ _SYMBOL_TEXT = {
 }
 
 
-@dataclass(frozen=True)
-class CharContribution:
+class CharContribution(Value):
     """A product of basis quadratic characters (exponents mod 2)."""
 
     symbols: frozenset[Symbol] = frozenset()
@@ -142,8 +140,7 @@ def allowed_ef(triple: tuple[Deg, Sym, Sym]) -> tuple[EF, ...]:
     return _CLASSES[triple]
 
 
-@dataclass(frozen=True)
-class RootOrbitConfig:
+class RootOrbitConfig(Value):
     """One fully specified orbit situation (class, ramification, gates)."""
 
     deg_EaFa: Deg
@@ -300,8 +297,7 @@ class CheckStatus(str, Enum):
     MISMATCH = "mismatch"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Value):
     product: CharContribution
     zeta: CharContribution
     status: CheckStatus
@@ -361,7 +357,7 @@ def conjecture_check(config: RootOrbitConfig) -> Verdict:
     if reason is not None:
         return Verdict(product, zeta, CheckStatus.NEEDS_ELEMENT_CHECK, reason)
     if config.ef is EF.RAM:
-        flipped = dataclasses.replace(config, in_phi_half=not config.in_phi_half)
+        flipped = config.replace(in_phi_half=not config.in_phi_half)
         alt_product = _product(flipped)
         if alt_product == zeta:
             return Verdict(

@@ -34,9 +34,9 @@ import functools
 import itertools
 import json
 import sys
-from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
+from ._value import Value
 from .case_studies import (
     CheckRecord,
     verify_gl2,
@@ -109,7 +109,7 @@ def _write_report(suite: str, records: Iterable[CheckRecord], json_path: str | N
 
 def _tagged(records: Iterable[CheckRecord], suffix: str) -> list[CheckRecord]:
     """Scenario records with the grid point appended to their ids."""
-    return [replace(r, id=f"{r.id}{suffix}") for r in records]
+    return [CheckRecord(f"{r.id}{suffix}", r.inputs, r.expected, r.got) for r in records]
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +256,7 @@ def _records_hilbert(p: int) -> list[CheckRecord]:
     return out
 
 
-@dataclass(frozen=True)
-class Suite:
+class Suite(Value):
     """One ``verify`` suite: its records at one grid point, and its default axes.
 
     ``records`` takes ``p`` if the suite has a prime axis and ``n`` if it

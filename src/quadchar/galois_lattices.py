@@ -57,11 +57,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import add, mul, neg, sub
 from typing import Iterable, Sequence, Union
 
+from ._value import Value
 from .residue_fields import _factorize
 
 __all__ = [
@@ -154,8 +154,7 @@ def _bit_add(a: Bit, b: Bit) -> Bit:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(Value):
     """A finite abelian group by its invariant-factor chain ``d1 | d2 | ...``.
 
     The empty chain is the trivial group.  Every factor is at least 2.
@@ -260,8 +259,7 @@ def _add_identity(g: Matrix, c: int) -> Matrix:
     return tuple(tuple(x + c * (i == j) for j, x in enumerate(row)) for i, row in enumerate(g))
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(Value):
     """``u @ a @ v`` is diagonal for some unimodular ``u``; only ``v`` is kept.
 
     ``v_inv`` is the exact integer inverse of ``v``.  The ``diagonal`` of
@@ -362,8 +360,7 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Quotient:
+class Quotient(Value):
     """The group ``Z^n / span(R)``; ``form`` is the Smith form of the relations as rows.
 
     ``diag`` is its diagonal padded with zeros to length ``n``.  The columns
@@ -437,8 +434,7 @@ def quotient(width: int, relations: Iterable[Sequence[int]]) -> Quotient:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaloisLattice:
+class GaloisLattice(Value):
     """A free Z-module of finite rank with an action of a finite abelian group.
 
     The group is presented as a product of cyclic groups: generator ``i``
@@ -526,8 +522,7 @@ def tate_cohomology(lattice: GaloisLattice, degree: int) -> FiniteAbelianGroup:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Gm:
+class Gm(Value):
     """The split multiplicative group over ``base``."""
 
     base: str = "F"
@@ -540,8 +535,7 @@ class Gm:
         return 1
 
 
-@dataclass(frozen=True)
-class U1:
+class U1(Value):
     """The norm-one torus of the quadratic step ``top/base``."""
 
     top: str
@@ -556,8 +550,7 @@ class U1:
         return 1
 
 
-@dataclass(frozen=True)
-class Res:
+class Res(Value):
     """Weil restriction through the quadratic step ``through/base``."""
 
     through: str
@@ -577,8 +570,7 @@ class Res:
         return 2 * self.inner.rank
 
 
-@dataclass(frozen=True)
-class Prod:
+class Prod(Value):
     """A finite product of tori over a common base."""
 
     factors: tuple["TorusExpr", ...]
@@ -713,8 +705,7 @@ def norm_quotient(torus: TorusExpr, step: tuple[str, str] = ("E", "F")) -> Finit
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityVerdict:
+class IdentityVerdict(Value):
     lhs: int
     rhs: int
 

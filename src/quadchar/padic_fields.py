@@ -43,9 +43,9 @@ degree ``n`` is ``(-1)**(n-1)``, and it satisfies the tower chain rule
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
+from ._value import Value
 from .residue_fields import _PRIME_TEST_BOUND, _is_prime
 
 __all__ = [
@@ -77,8 +77,7 @@ class NonOddPrimeError(ValueError):
     """Raised when a base field is requested at p = 2 or at a non-prime."""
 
 
-@dataclass(frozen=True)
-class LocalFieldDesc:
+class LocalFieldDesc(Value):
     """A p-adic field described by residue characteristic and invariants.
 
     ``e`` and ``f`` are the absolute ramification index and residue degree;
@@ -108,8 +107,7 @@ class LocalFieldDesc:
         return ((self.residue_q - 1) // 2) % 2
 
 
-@dataclass(frozen=True)
-class SquareClass:
+class SquareClass(Value):
     """An element of ``F^x/(F^x)^2`` for odd residue characteristic.
 
     The group is ``(Z/2)^2``; multiplication is bitwise XOR.  Canonical
@@ -151,7 +149,7 @@ SQUARE_CLASS_UPI = SquareClass(1, 1)
 
 def make_base(p: int) -> LocalFieldDesc:
     """The base p-adic field descriptor for an odd prime ``p``."""
-    return LocalFieldDesc(p=p, e=1, f=1)
+    return LocalFieldDesc(p, 1, 1)
 
 
 def square_classes(F: LocalFieldDesc) -> list[SquareClass]:
@@ -199,8 +197,7 @@ class ExtKind(str, Enum):
     RAMIFIED = "ramified"
 
 
-@dataclass(frozen=True)
-class QuadExtDesc:
+class QuadExtDesc(Value):
     """A quadratic extension ``E/F`` described by its discriminant class.
 
     The extension is unramified exactly when the discriminant class is the
@@ -232,7 +229,7 @@ class QuadExtDesc:
 
 def quadratic_extension(F: LocalFieldDesc, disc: SquareClass) -> QuadExtDesc:
     """Build the quadratic extension ``F(sqrt(d))`` for ``d`` in the class ``disc``."""
-    return QuadExtDesc(base=F, discriminant_class=disc)
+    return QuadExtDesc(F, disc)
 
 
 def unramified_quadratic(F: LocalFieldDesc) -> QuadExtDesc:
@@ -265,8 +262,7 @@ def omega_quadratic(E: QuadExtDesc, t: SquareClass) -> int:
     return -1 if exponent % 2 else +1
 
 
-@dataclass(frozen=True)
-class BiquadraticDiamond:
+class BiquadraticDiamond(Value):
     """The compositum diamond of two distinct quadratic extensions of ``F``.
 
     The top field ``K`` has degree 4 over the base with Klein four Galois

@@ -39,9 +39,10 @@ and multiplies on the components.  Both ``pow``s take exponents
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator
+
+from ._value import Value
 
 __all__ = [
     "ExtElement",
@@ -97,8 +98,7 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class FiniteField:
+class FiniteField(Value):
     """The prime field ``F_p``, ``p`` an odd prime; elements are ``range(p)``.
 
     >>> k = FiniteField(5)
@@ -160,8 +160,7 @@ def _canonical_nonsquare(k: FiniteField) -> int:
     return min(x for x in k.units() if not k.is_square(x))
 
 
-@dataclass(frozen=True)
-class QuadraticExtension:
+class QuadraticExtension(Value):
     """The quadratic extension ``base[X]/(X**2 - u)``, ``u`` the canonical non-square.
 
     Elements are pairs ``(a, b)`` of base-field encodings meaning

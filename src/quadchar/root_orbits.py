@@ -40,10 +40,10 @@ of the step from the twisted-stabilizer field up) purely structurally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
+from ._value import Value
 from .galois_lattices import identity_matrix, mat_mul
 
 __all__ = [
@@ -101,8 +101,7 @@ def _character_kernel(elements: tuple[Element, ...]) -> tuple[Element, ...]:
     return kernel
 
 
-@dataclass(frozen=True)
-class TwistedRootSystem:
+class TwistedRootSystem(Value):
     """Roots, an integer-matrix action, and an index-2 character."""
 
     rank: int
@@ -152,8 +151,7 @@ class TwistedRootSystem:
                     )
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(Value):
     """Classification data of one ``Q``-orbit of roots."""
 
     base_root: Vector
@@ -380,8 +378,7 @@ def unitary_root_system(n: int) -> TwistedRootSystem:
     )
 
 
-@dataclass(frozen=True)
-class GlnParityReport:
+class GlnParityReport(Value):
     count_orbits: int
     count_symmetric: int
     parity_ok: bool

@@ -30,9 +30,9 @@ the class's twist partner.  Table 5 makes that pairing explicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import zip_longest
 
+from ._value import Value
 from .char_engine import (
     CLASS_TRIPLES,
     EF,
@@ -60,16 +60,14 @@ _DEG_TEXT = {Deg.SPLIT: "1", Deg.UNRAM: "2 ur", Deg.RAM: "2 r"}
 _SYM_TEXT = {Sym.ASYM: "asym", Sym.SYM_UNRAM: "sym ur", Sym.SYM_RAM: "sym r"}
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(Value):
     number: int
     title: str
     header: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...]
 
 
-@dataclass(frozen=True)
-class TableDiff:
+class TableDiff(Value):
     table: int
     row: int  # 1-based row number
     expected: tuple[str, ...] | None
@@ -206,7 +204,7 @@ def render_tables() -> tuple[Table, ...]:
         # (alpha_op/F, E_a/F_a_op) are the twist partner's /F and deg columns
         [(*_key(t), *_key(_twist_partner(t))[1::-1]) for t in CLASS_TRIPLES],
     )
-    return tuple(replace(table, rows=tuple(r)) for table, r in zip(_BUILTIN, rows))
+    return tuple(table.replace(rows=tuple(r)) for table, r in zip(_BUILTIN, rows))
 
 
 def diff_tables(expected: tuple[Table, ...], got: tuple[Table, ...]) -> list[TableDiff]:
@@ -227,7 +225,7 @@ def inject_wrong_row(tables: tuple[Table, ...], table_number: int = 4) -> tuple[
     def corrupt(table: Table) -> Table:
         (*keys, last), *rest = table.rows
         wrong = "sgn(k_E_a^x) . alpha" if last == "1" else "1"
-        return replace(table, rows=((*keys, wrong), *rest))
+        return table.replace(rows=((*keys, wrong), *rest))
 
     return tuple(corrupt(t) if t.number == table_number else t for t in tables)
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from quadchar.char_engine import (
@@ -265,7 +263,7 @@ def test_verdict_products_are_recomputable():
 
 def test_configs_are_frozen_and_replaceable():
     cfg = make_config(CLASS_TRIPLES[7], EF.RAM, in_phi_half=True, ord_zero=True)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="in_phi_half"):
         cfg.in_phi_half = False  # type: ignore[misc]
-    flipped = dataclasses.replace(cfg, ord_zero=False)
+    flipped = cfg.replace(ord_zero=False)
     assert flipped.ord_zero is False and flipped.in_phi_half is True

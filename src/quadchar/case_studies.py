@@ -405,8 +405,9 @@ def count_common(first: Coset | None, second: Coset | None, modulus: int) -> int
 # ---------------------------------------------------------------------------
 
 # Orbit classification closes the cyclic group of order 2n in pure Python;
-# its time grows steeply with n (about 8 ms per classification and 16 ms
-# per call at n = 15, Python 3.11.7 on a 2-vCPU Xeon).
+# its time grows steeply with n.  At n = 15 the first call classifies once
+# (about 5 of its 6 ms) and later calls at any p reuse the shared system
+# (under 1 ms), Python 3.11.7 on a 2-vCPU Xeon.
 GLN_MAX_N = 15
 
 

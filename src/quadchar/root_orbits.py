@@ -15,13 +15,14 @@ For each orbit the classification records:
   ``Q``-orbit splits into two ``Q_E``-orbits), else 2;
 * the plain, signed and twisted stabilizers of the base root.
 
-The group is closed once per classification and ``Q_E`` is read off
-those elements.  Each element moves the whole root set in one matrix
-product, its matrix times the roots taken as columns, and its images are
-kept as root indices; each orbit's fields are all read off the images of
-its base root.  That the action preserves the root set is checked the
-same way, one product per generator: every element is a product of
-generators, so it maps roots to roots when each generator does.
+The group is closed once per system object, when its ``orbits`` are
+first read, and ``Q_E`` is read off those elements.  Each element moves
+the whole root set in one matrix product, its matrix times the roots
+taken as columns, and its images are kept as root indices; each orbit's
+fields are all read off the images of its base root.  That the action
+preserves the root set is checked the same way, one product per
+generator: every element is a product of generators, so it maps roots to
+roots when each generator does.
 
 Orbit classes.  The tower ``F_{+-a} < F_a < E_a`` of an orbit and its
 intersections with ``E`` are the fixed fields of the signed stabilizer,
@@ -41,6 +42,7 @@ of the step from the twisted-stabilizer field up) purely structurally.
 from __future__ import annotations
 
 from enum import Enum
+from functools import cache, cached_property
 from typing import Iterable
 
 from ._value import Value
@@ -150,6 +152,51 @@ class TwistedRootSystem(Value):
                         f"action does not close on the root set: {g[0]} moves {r} outside"
                     )
 
+    @cached_property
+    def orbits(self) -> tuple[OrbitRecord, ...]:
+        """Orbits of the root set under ``Q``, with symmetry and stabilizer data.
+
+        Computed on first read and kept by this object; a system that fails
+        a check raises again on every read.
+        """
+        self.check_action_closed()
+        elements = self.group_elements()
+        e_subgroup = set(_character_kernel(elements))
+        roots = self.roots
+        index = {r: i for i, r in enumerate(roots)}
+        columns = tuple(zip(*roots))
+        # each element's images of all roots, as root indices, from one product
+        images = [tuple(map(index.__getitem__, zip(*mat_mul(g[0], columns)))) for g in elements]
+        remaining = set(roots)
+        records: list[OrbitRecord] = []
+        while remaining:
+            base = min(remaining)
+            b, nb = index[base], index[_neg(base)]
+            image = {g: perm[b] for g, perm in zip(elements, images)}
+            orbit = set(image.values())
+            e_orbit = {image[g] for g in e_subgroup}
+            stab = frozenset(g for g, r in image.items() if r == b)
+            stab_signed = frozenset(g for g, r in image.items() if r in (b, nb))
+            stab_twisted = frozenset(g for g, r in image.items() if r == (b if g[1] == 1 else nb))
+            orbit_roots = {roots[i] for i in orbit}
+            records.append(
+                OrbitRecord(
+                    base_root=base,
+                    roots=tuple(sorted(orbit_roots)),
+                    sym_over_base=nb in orbit,
+                    sym_over_e=nb in e_orbit,
+                    degree=1 if stab <= e_subgroup else 2,
+                    e_suborbit_count=len(orbit) // len(e_orbit),
+                    stab=stab,
+                    stab_signed=stab_signed,
+                    stab_twisted=stab_twisted,
+                    stab_e=stab & e_subgroup,
+                    stab_signed_e=stab_signed & e_subgroup,
+                )
+            )
+            remaining -= orbit_roots
+        return tuple(records)
+
 
 class OrbitRecord(Value):
     """Classification data of one ``Q``-orbit of roots."""
@@ -168,44 +215,8 @@ class OrbitRecord(Value):
 
 
 def classify_orbits(system: TwistedRootSystem) -> list[OrbitRecord]:
-    """Orbits of the root set under ``Q``, with symmetry and stabilizer data."""
-    system.check_action_closed()
-    elements = system.group_elements()
-    e_subgroup = set(_character_kernel(elements))
-    roots = system.roots
-    index = {r: i for i, r in enumerate(roots)}
-    columns = tuple(zip(*roots))
-    # each element's images of all roots, as root indices, from one product
-    images = [tuple(map(index.__getitem__, zip(*mat_mul(g[0], columns)))) for g in elements]
-    remaining = set(roots)
-    records: list[OrbitRecord] = []
-    while remaining:
-        base = min(remaining)
-        b, nb = index[base], index[_neg(base)]
-        image = {g: perm[b] for g, perm in zip(elements, images)}
-        orbit = set(image.values())
-        e_orbit = {image[g] for g in e_subgroup}
-        stab = frozenset(g for g, r in image.items() if r == b)
-        stab_signed = frozenset(g for g, r in image.items() if r in (b, nb))
-        stab_twisted = frozenset(g for g, r in image.items() if r == (b if g[1] == 1 else nb))
-        orbit_roots = {roots[i] for i in orbit}
-        records.append(
-            OrbitRecord(
-                base_root=base,
-                roots=tuple(sorted(orbit_roots)),
-                sym_over_base=nb in orbit,
-                sym_over_e=nb in e_orbit,
-                degree=1 if stab <= e_subgroup else 2,
-                e_suborbit_count=len(orbit) // len(e_orbit),
-                stab=stab,
-                stab_signed=stab_signed,
-                stab_twisted=stab_twisted,
-                stab_e=stab & e_subgroup,
-                stab_signed_e=stab_signed & e_subgroup,
-            )
-        )
-        remaining -= orbit_roots
-    return records
+    """A new list of ``system.orbits``, which the system computes once."""
+    return list(system.orbits)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +361,7 @@ def _general_linear_roots(n: int) -> tuple[Vector, ...]:
     return tuple(sorted(roots))
 
 
+@cache
 def gln_root_system(n: int) -> TwistedRootSystem:
     """Type A roots with a cyclic shift action carrying character value -1.
 
@@ -367,6 +379,7 @@ def gln_root_system(n: int) -> TwistedRootSystem:
     )
 
 
+@cache
 def unitary_root_system(n: int) -> TwistedRootSystem:
     """Type A roots with the shift-and-negate action of odd unitary groups."""
     if n < 2:

@@ -5,6 +5,10 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
+import pytest
+
+from quadchar import root_orbits
+
 Matrix = tuple[tuple[int, ...], ...]
 
 # One line per acceptance criterion, printed in the terminal summary so the
@@ -22,6 +26,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:  # no
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def fresh_root_systems() -> None:
+    """Start each test without the shared root systems and their cached orbits.
+
+    A classification helper that a test patches then reaches every system
+    the test classifies, not only those no earlier test has classified.
+    """
+    root_orbits.gln_root_system.cache_clear()
+    root_orbits.unitary_root_system.cache_clear()
 
 
 def identity_matrix(n: int) -> Matrix:

@@ -145,6 +145,15 @@ def test_class_derivation_mutants_fail_verify(monkeypatch, name, mutate, failing
         assert main(["verify", suite], out=io.StringIO()) != 0
 
 
+def test_patched_classification_reaches_systems_classified_earlier(monkeypatch):
+    """A mutant of a classification helper fails ``verify`` once the caches are cleared."""
+    assert main(["verify", "gln"], out=io.StringIO()) == 0
+    # the whole group as Q_E holds every stabilizer, so every orbit looks split
+    monkeypatch.setattr(root_orbits, "_character_kernel", lambda elements: elements)
+    root_orbits.gln_root_system.cache_clear()
+    assert main(["verify", "gln"], out=io.StringIO()) != 0
+
+
 def test_class_record_fails_when_orbits_disagree(monkeypatch):
     # all but the first orbit get class 1, whose zeta is trivial on both
     # branches; on the ramified branch the first orbit's class 3 is not

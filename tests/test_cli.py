@@ -12,7 +12,8 @@ import time
 import pytest
 
 import quadchar
-from quadchar.cli import main
+from quadchar.case_studies import CheckRecord
+from quadchar.cli import _write_report, main
 from quadchar.residue_fields import _PRIME_TEST_BOUND
 
 EXPECTED_ROW_TOTAL = 3 + 10 + 3 + 10 + 10
@@ -279,6 +280,14 @@ def test_unwritable_json_path_is_usage_error(argv, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not path.exists()
+
+
+def test_report_that_fails_to_encode_writes_no_file(tmp_path):
+    path = tmp_path / "report.json"
+    unencodable = CheckRecord("x", {"value": object()}, 1, 1)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        _write_report("x", [unencodable], str(path))
     assert not path.exists()
 
 

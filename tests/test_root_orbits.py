@@ -105,8 +105,9 @@ def test_action_must_close_on_roots():
         roots=((1, 0), (-1, 0)),
         generators=((((0, 1), (1, 0)), -1),),
     )
-    with pytest.raises(ValueError, match="does not close"):
-        classify_orbits(bad)
+    for _ in range(2):  # a failed classification is not cached
+        with pytest.raises(ValueError, match="does not close"):
+            classify_orbits(bad)
 
 
 def test_action_checked_on_every_generator():
@@ -154,11 +155,14 @@ def test_character_index_two_required():
     trivial = TwistedRootSystem(
         rank=1, roots=((1,), (-1,)), generators=((((-1,),), 1),)
     )
-    with pytest.raises(ValueError, match="index-2"):
-        classify_orbits(trivial)
+    for _ in range(2):  # a failed classification is not cached
+        with pytest.raises(ValueError, match="index-2"):
+            classify_orbits(trivial)
 
 
 def test_classification_closes_the_group_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    # built afresh, not taken from the shared builders, so no test before
+    # this one can have classified them already
     calls = []
     closure = TwistedRootSystem.group_elements
 
@@ -167,10 +171,37 @@ def test_classification_closes_the_group_once(monkeypatch: pytest.MonkeyPatch) -
         return closure(self)
 
     monkeypatch.setattr(TwistedRootSystem, "group_elements", counted)
-    for system in (gln_root_system(5), unitary_root_system(5), rank_one_klein()):
+    builders = (
+        lambda: gln_root_system.__wrapped__(5),
+        lambda: unitary_root_system.__wrapped__(5),
+        rank_one_klein,
+    )
+    for build in builders:
+        system = build()
         calls.clear()
-        classify_orbits(system)
+        first = classify_orbits(system)
+        assert classify_orbits(system) == first
         assert calls == [system]
+        # an equal system built separately keeps its own orbits
+        twin = build()
+        assert twin == system and twin is not system
+        assert classify_orbits(twin) == first
+        assert len(calls) == 2 and calls[1] is twin
+
+
+def test_builders_share_one_system_per_rank() -> None:
+    for build in (gln_root_system, unitary_root_system):
+        assert build(5) is build(5)
+        assert build(3) is not build(5)
+
+
+def test_classification_returns_a_new_list_each_call() -> None:
+    system = gln_root_system(3)
+    first = classify_orbits(system)
+    expected = list(first)
+    first.clear()
+    second = classify_orbits(system)
+    assert second == expected and second is not first
 
 
 @pytest.mark.parametrize(

@@ -34,6 +34,7 @@ import functools
 import itertools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Sequence
 
 from ._value import Value
@@ -87,8 +88,43 @@ SCHEMA_VERSION = 1
 # ---------------------------------------------------------------------------
 
 
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _encode(o, newline: str) -> str:
+    """``json.dumps(o, indent=2, sort_keys=True)`` at indent ``newline``; keys must be str.
+
+    Floats, subclasses, empty containers and non-JSON values go to ``json.dumps``.
+    """
+    scalar = _SCALARS.get(type(o))
+    if scalar is not None:
+        return scalar(o)
+    inner = newline + "  "
+    if isinstance(o, dict) and o:
+        parts, close = ["{"], "}"
+        for k in sorted(o):
+            parts += (",", inner, encode_basestring_ascii(k), ": ", _encode(o[k], inner))
+    elif isinstance(o, (list, tuple)) and o:
+        parts, close = ["["], "]"
+        for v in o:
+            parts += (",", inner, _encode(v, inner))
+    else:
+        return json.dumps(o)
+    parts[1] = ""  # no comma before the first member
+    parts += (newline, close)
+    return "".join(parts)
+
+
 def _write_report(suite: str, records: Iterable[CheckRecord], json_path: str | None) -> dict:
-    """The report of ``records``, sorted by id; also written to ``json_path`` if given."""
+    """The report of ``records``, sorted by id; also written to ``json_path`` if given.
+
+    The file holds exactly ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``.
+    """
     rows = [
         {**vars(r), "verdict": r.verdict}
         for r in sorted(records, key=lambda r: r.id)
@@ -101,11 +137,8 @@ def _write_report(suite: str, records: Iterable[CheckRecord], json_path: str | N
         "summary": {"pass": npass, "fail": len(rows) - npass},
     }
     if json_path:
-        # encoded before the file is opened, so a failed encoding leaves no
-        # partial file; joined 256 chunks at a time, as ``json.dumps`` would
-        # hold all ~14k chunks of ``verify all`` at once (~0.4 MiB more peak)
-        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
-        text = "".join(iter(lambda: "".join(itertools.islice(chunks, 256)), "")) + "\n"
+        # encoded before the file is opened, so a failed encoding leaves no file
+        text = _encode(report, "\n") + "\n"
         with open(json_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     return report

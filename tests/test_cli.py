@@ -1,5 +1,7 @@
 """Command-line contract: subcommands, report schema, exit codes."""
 
+import collections
+import enum
 import hashlib
 import io
 import json
@@ -10,10 +12,13 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import quadchar
+from quadchar import cli
 from quadchar.case_studies import CheckRecord
-from quadchar.cli import _write_report, main
+from quadchar.cli import _encode, _write_report, main
 from quadchar.residue_fields import _PRIME_TEST_BOUND
 
 EXPECTED_ROW_TOTAL = 3 + 10 + 3 + 10 + 10
@@ -281,6 +286,97 @@ def test_unwritable_json_path_is_usage_error(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not path.exists()
+
+
+# -- report encoding ----------------------------------------------------------
+
+
+def dumps(obj):
+    """The reference encoding the report files must match byte for byte."""
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+json_leaves = st.one_of(
+    st.text(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        st.dictionaries(st.text(), children, max_size=6),
+    ),
+    max_leaves=20,
+)
+
+
+@given(json_trees)
+@settings(max_examples=150, deadline=None)
+@example(['"\\/\x00\x1f\x7f \u00e9\u2028\U0001f600', True, 1, False, 0, None, -(2**70)])
+@example({"nan": float("nan"), "inf": [float("inf"), float("-inf"), -0.0], "e": [[], (), {}]})
+def test_encode_matches_the_indented_sorted_json_dumps(tree):
+    assert _encode(tree, "\n") == dumps(tree)
+
+
+class Level(enum.IntEnum):
+    HIGH = 2
+
+
+class Colour(str, enum.Enum):
+    RED = "r\u00e9d"
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        Level.HIGH,
+        Colour.RED,
+        {"level": Level.HIGH, "colour": [Colour.RED], Colour.RED: 1},
+        collections.OrderedDict([("b", 1), ("a", collections.OrderedDict([("y", 2), ("x", 3)]))]),
+        collections.OrderedDict(),
+    ],
+    ids=["intenum", "str-enum", "enum-values-and-key", "ordereddict", "empty-ordereddict"],
+)
+def test_encode_matches_json_dumps_on_subclasses(obj):
+    assert _encode(obj, "\n") == dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{1: "int key"}, {"a": {None: 2}}, {1, 2}, [set()], object(), {"x": [object()]}],
+    ids=["int-key", "none-key", "set", "nested-set", "object", "nested-object"],
+)
+def test_encode_rejects_what_is_not_json(obj):
+    with pytest.raises(TypeError):
+        _encode(obj, "\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tables"],
+        ["tables", "--inject-wrong-row"],
+        *(["verify", suite] for suite in (*cli.SUITES, "all")),
+    ],
+    ids=" ".join,
+)
+def test_written_report_is_the_indented_sorted_json_dumps(argv, tmp_path, monkeypatch):
+    reports = []
+
+    def write_and_keep(*args):
+        reports.append(_write_report(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "_write_report", write_and_keep)
+    path = tmp_path / "report.json"
+    run_cli([*argv, "--json", str(path)])
+    [report] = reports
+    assert path.read_bytes() == (dumps(report) + "\n").encode("utf-8")
 
 
 def test_report_that_fails_to_encode_writes_no_file(tmp_path):

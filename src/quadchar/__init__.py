@@ -18,8 +18,8 @@ The package is organised in layers:
   class and the per-class comparison verdicts;
 * ``tables`` — builtin reference tables, regenerated from one row spec,
   and their diff;
-* ``case_studies`` — exhaustive element-level scenario checks for small
-  groups;
+* ``case_studies`` — element-level scenario checks, counted over every
+  element of small groups;
 * ``cli`` — the ``quadchar`` command line: ``tables``, ``verify``,
   ``hilbert``.
 """

@@ -1,9 +1,9 @@
 """Element-level verification of the small-group scenarios.
 
 Each scenario builds a concrete tower of tame quadratic steps over a
-small p-adic base, enumerates torus elements in a lossless truncated
-model, evaluates the relevant quadratic characters on every element, and
-checks the product identity pointwise.
+small p-adic base, counts torus elements in a lossless truncated model
+by the values the relevant quadratic characters take on them, and checks
+the product identity on every element without enumerating them.
 
 An element is kept as a valuation parity and a residue-field unit.  For
 odd residue characteristic every character in scope is tame, hence
@@ -30,9 +30,10 @@ Scenarios
   the extension, with a trivial step; ramified-branch root values reduce
   to ``1`` and unramified-branch exponents ``1 -+ q^j`` are even.
 
-The last two scenarios work in a cyclic unit group of even order ``N``,
-where each sign is a statement about exponents mod ``N``.  The units
-with sign ``-1`` are then the solutions of a linear congruence
+The scenarios work in cyclic unit groups of even order ``N``, where each
+sign is a statement about exponents mod ``N``, read off one generator
+(``QuadraticExtension.generator``) or off the roots' exponents.  The
+units with sign ``-1`` are then the solutions of a linear congruence
 ``m*a = b (mod N)``, a coset of a subgroup of ``Z/N``, so they are
 counted exactly without enumerating the group
 (``congruence_solutions``, ``count_solutions``, ``count_common``).
@@ -66,7 +67,6 @@ from .padic_fields import (
     zeta_lambda_ratio,
 )
 from .residue_fields import (
-    ExtElement,
     FiniteField,
     QuadraticExtension,
     sgn_ext_units,
@@ -114,244 +114,8 @@ class ScenarioReport:
         self.records.append(CheckRecord(record_id, inputs, expected, got))
 
 
-def _unit_bit_ext(ext: QuadraticExtension, x: ExtElement) -> int:
-    return 0 if sgn_ext_units(ext, x) == 1 else 1
-
-
-def _unit_bit(k: FiniteField, x: int) -> int:
-    return 0 if sgn_units(k, x) == 1 else 1
-
-
-# ---------------------------------------------------------------------------
-# SL2: all contributions trivial on norm-one tori
-# ---------------------------------------------------------------------------
-
-
-def verify_sl2(p: int) -> ScenarioReport:
-    """The doubled root forces every character value to ``+1``."""
-    base_desc = make_base(p)
-    report = ScenarioReport()
-    k = FiniteField(p)
-    ext = QuadraticExtension(k)
-
-    # unramified torus: the full norm-one subgroup of the quadratic model
-    norm_one = ext.norm_one_elements()
-    doubled = [ext.mul(t, t) for t in norm_one]
-    signs = sorted({sgn_norm_one(ext, y) for y in doubled})
-    report.add(
-        "sl2-unramified-doubled-root-sign",
-        {"p": p, "elements": len(norm_one)},
-        [1],
-        signs,
-    )
-    report.add(
-        "sl2-unramified-doubled-root-norm-one",
-        {"p": p, "elements": len(norm_one)},
-        True,
-        all(ext.norm(y) == 1 for y in doubled),
-    )
-
-    # determinant of the adjoint action is the squared norm, one on the torus
-    det_values = sorted({pow(ext.norm(t), 2, p) for t in norm_one})
-    report.add("sl2-adjoint-determinant", {"p": p}, [1], det_values)
-
-    # ramified tori: norm-one residues are +-1, and the doubled root kills them
-    for unit_bit, label in ((0, "ramified-pi"), (1, "ramified-u-pi")):
-        quad = ramified_quadratic(base_desc, unit_bit)
-        values = sorted({sgn_units(k, pow(r, 2, p)) for r in (1, p - 1)})
-        report.add(
-            f"sl2-{label}-doubled-root-sign",
-            {"p": p, "extension": quad.kind.value},
-            [1],
-            values,
-        )
-
-    # the step character composed with the norm is trivial on norm-one elements
-    step = unramified_quadratic(base_desc)
-    report.add(
-        "sl2-step-character-on-norms",
-        {"p": p},
-        1,
-        omega_quadratic(step, SQUARE_CLASS_ONE),
-    )
-    return report
-
-
-# ---------------------------------------------------------------------------
-# GL2: the three quadratic-torus cases
-# ---------------------------------------------------------------------------
-
-
-def _gl2_odd(p: int, report: ScenarioReport) -> None:
-    """Ramified torus field against the other ramified base extension.
-
-    Both depth gates are on.  The gated sign characters see the root
-    value ``(-1)**v``; at a uniformizer their product is
-    ``(-1)**((q+1)/2) * (-1)**((q-1)/2) = -1``, which cancels the
-    unramified step character, so the full product is ``+1 = zeta``.
-    """
-    base = make_base(p)
-    torus_field = ramified_quadratic(base, 0)
-    base_ext = ramified_quadratic(base, 1)
-    diamond = biquadratic_diamond(torus_field, base_ext)
-    report.add(
-        "gl2-odd-third-field-unramified",
-        {"p": p},
-        ExtKind.UNRAMIFIED.value,
-        diamond.middles[2].kind.value,
-    )
-
-    k = FiniteField(p)
-    ext2 = QuadraticExtension(k)
-    step = quadratic_extension(torus_field.field, SquareClass(0, 1))
-    config = make_config(CLASS_TRIPLES[9], EF.RAM, in_phi_half=True)
-    report.add(
-        "gl2-odd-symbolic-zeta-trivial",
-        {"p": p},
-        "1",
-        zeta_contribution(config).describe(),
-    )
-
-    failures = 0
-    total = 0
-    for v in (0, 1):
-        # the ramified conjugation negates the uniformizer and fixes residues,
-        # so the root value t / tau(t) is -1 at odd valuation and 1 on units
-        alpha_res = p - 1 if v else 1
-        # both gated signs see only the root value, which depends on v alone
-        gated = sgn_norm_one(ext2, ext2.embed(alpha_res)) * sgn_units(k, alpha_res)
-        for x in k.units():
-            omega_step = omega_quadratic(step, SquareClass(v, _unit_bit(k, x)))
-            total += 1
-            if gated * omega_step != 1:
-                failures += 1
-    report.add(
-        "gl2-odd-pointwise-product", {"p": p, "elements": total}, 0, failures
-    )
-    report.add(
-        "gl2-odd-gated-signs-at-uniformizer",
-        {"p": p},
-        -1,
-        sgn_norm_one(ext2, ext2.embed(p - 1)) * sgn_units(k, p - 1),
-    )
-    report.add(
-        "gl2-odd-step-character-at-uniformizer",
-        {"p": p},
-        -1,
-        omega_quadratic(step, SquareClass(1, 0)),
-    )
-
-
-def _gl2_even_a(p: int, report: ScenarioReport) -> None:
-    """Unramified torus field; the step character equals a norm-route sign.
-
-    The depth gates are off, so the identity reduces to the step
-    character matching the base-field character of the norm — the
-    residue sign/norm identity.
-    """
-    base = make_base(p)
-    torus_field = unramified_quadratic(base)
-    k = FiniteField(p)
-    ext2 = QuadraticExtension(k)
-    step = quadratic_extension(torus_field.field, SQUARE_CLASS_PI)
-    third_over_base = quadratic_extension(base, SquareClass(1, 1))
-
-    config = make_config(CLASS_TRIPLES[5], EF.RAM, in_phi_half=False)
-    report.add(
-        "gl2-even-a-symbolic-zeta-is-step-character",
-        {"p": p},
-        OMEGA_STEP.describe(),
-        zeta_contribution(config).describe(),
-    )
-
-    # each unit's sign bit and its norm's, once for both valuations and the identity
-    bits = [(_unit_bit_ext(ext2, x), _unit_bit(k, ext2.norm(x))) for x in ext2.units()]
-    # the step character sees four square classes, and the norm route two
-    # (the valuation doubles, the unit part takes the norm): evaluate each
-    # once and compare every unit's pair of values from these tables
-    step_values = {
-        (v, bit): omega_quadratic(step, SquareClass(v, bit))
-        for v in (0, 1)
-        for bit in (0, 1)
-    }
-    norm_values = [omega_quadratic(third_over_base, SquareClass(0, bit)) for bit in (0, 1)]
-    mismatches = sum(
-        step_values[v, big] != norm_values[small] for v in (0, 1) for big, small in bits
-    )
-    total = 2 * len(bits)
-    report.add(
-        "gl2-even-a-step-equals-norm-route",
-        {"p": p, "elements": total},
-        0,
-        mismatches,
-    )
-    # the underlying residue identity: big-field sign equals sign of the norm
-    report.add(
-        "gl2-even-a-sign-norm-identity",
-        {"p": p, "q": p},
-        True,
-        all(big == small for big, small in bits),
-    )
-
-
-def _gl2_even_b(p: int, report: ScenarioReport) -> None:
-    """Ramified torus field with an unramified base extension.
-
-    The distinction character vanishes (its index group is trivial) and
-    the toral invariant is a Hilbert symbol against norms, hence ``+1``;
-    the identity pins the step character as the nontrivial unramified
-    character via the lambda-constant ratio of the diamond.
-    """
-    base = make_base(p)
-    torus_field = ramified_quadratic(base, 0)
-    base_ext = unramified_quadratic(base)
-    diamond = biquadratic_diamond(torus_field, base_ext)
-    ratio = zeta_lambda_ratio(diamond)
-    report.add("gl2-even-b-lambda-ratio", {"p": p}, -1, ratio)
-
-    k = FiniteField(p)
-    step = quadratic_extension(torus_field.field, SquareClass(0, 1))
-    config = make_config(CLASS_TRIPLES[8], EF.UNRAM)
-    report.add(
-        "gl2-even-b-symbolic-zeta-is-step-character",
-        {"p": p},
-        OMEGA_STEP.describe(),
-        zeta_contribution(config).describe(),
-    )
-
-    # toral invariant: symbol of the torus-field class against its norms
-    # (1 and -pi are norms from the plain-uniformizer ramified extension)
-    norm_classes = (SQUARE_CLASS_ONE, SquareClass(1, 1 if p % 4 == 3 else 0))
-    invariant_values = sorted(
-        {toral_invariant(base, SQUARE_CLASS_PI, b) for b in norm_classes}
-    )
-    report.add("gl2-even-b-toral-invariant", {"p": p}, [1], invariant_values)
-
-    mismatches = 0
-    total = 0
-    for v in (0, 1):
-        for x in k.units():
-            omega_step = omega_quadratic(step, SquareClass(v, _unit_bit(k, x)))
-            zeta_route = ratio**v
-            total += 1
-            if omega_step != zeta_route:
-                mismatches += 1
-    report.add(
-        "gl2-even-b-step-equals-lambda-route",
-        {"p": p, "elements": total},
-        0,
-        mismatches,
-    )
-
-
-def verify_gl2(p: int) -> ScenarioReport:
-    """The three quadratic-torus scenarios, exhaustively at ``p``."""
-    if p > 13:
-        raise ValueError("exhaustive runs are supported for p <= 13")
-    report = ScenarioReport()
-    for scenario in (_gl2_odd, _gl2_even_a, _gl2_even_b):
-        scenario(p, report)
-    return report
+def _bit(sign: int) -> int:
+    return 0 if sign == 1 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +162,245 @@ def count_common(first: Coset | None, second: Coset | None, modulus: int) -> int
     if (r1 - r2) % math.gcd(s1, s2):
         return 0
     return modulus // math.lcm(s1, s2)
+
+
+def _odd_multiples(e: int, order: int) -> Coset | None:
+    """The ``m`` in ``Z/order`` (even) with ``m*e`` odd: ``m*e*half = half``.
+
+    These ``m`` give ``x**m`` sign ``-1`` when ``x`` has sign ``(-1)**e``.
+    """
+    half = order // 2
+    return congruence_solutions(e * half, half, order)
+
+
+def _unit_class_sizes(ext: QuadraticExtension) -> tuple[int, int]:
+    """How many base-field units ``norm(g)**m``, ``m`` in ``Z/(q-1)``, have each sign bit."""
+    order, bit = ext.q - 1, _bit(sgn_units(ext.base, ext.norm(ext.generator)))
+    odd = count_solutions(_odd_multiples(bit, order), order)
+    return order - odd, odd
+
+
+# ---------------------------------------------------------------------------
+# SL2: all contributions trivial on norm-one tori
+# ---------------------------------------------------------------------------
+
+
+def verify_sl2(p: int) -> ScenarioReport:
+    """The doubled root forces every character value to ``+1``."""
+    base_desc = make_base(p)
+    report = ScenarioReport()
+    k = FiniteField(p)
+    ext = QuadraticExtension(k)
+
+    # unramified torus: the norm-one subgroup, generated by z = g**(q-1).
+    # t = z**m doubles to z2**m, so each map below sends the torus onto
+    # the powers of its value at z or z2
+    inputs = {"p": p, "elements": len(ext.norm_one_elements())}
+    z = ext.pow(ext.generator, p - 1)
+    z2 = ext.mul(z, z)
+    signs = sorted({sgn_norm_one(ext, ext.one), sgn_norm_one(ext, z2)})
+    report.add("sl2-unramified-doubled-root-sign", inputs, [1], signs)
+    report.add("sl2-unramified-doubled-root-norm-one", inputs, True, ext.norm(z2) == 1)
+
+    # determinant of the adjoint action is the squared norm, one on the torus
+    det = pow(ext.norm(z), 2, p)
+    det_values, power = {1}, det
+    while power not in det_values:
+        det_values.add(power)
+        power = power * det % p
+    report.add("sl2-adjoint-determinant", {"p": p}, [1], sorted(det_values))
+
+    # ramified tori: norm-one residues are +-1, and the doubled root kills them
+    for unit_bit, label in ((0, "ramified-pi"), (1, "ramified-u-pi")):
+        quad = ramified_quadratic(base_desc, unit_bit)
+        values = sorted({sgn_units(k, pow(r, 2, p)) for r in (1, p - 1)})
+        report.add(
+            f"sl2-{label}-doubled-root-sign",
+            {"p": p, "extension": quad.kind.value},
+            [1],
+            values,
+        )
+
+    # the step character composed with the norm is trivial on norm-one elements
+    step = unramified_quadratic(base_desc)
+    report.add(
+        "sl2-step-character-on-norms",
+        {"p": p},
+        1,
+        omega_quadratic(step, SQUARE_CLASS_ONE),
+    )
+    return report
+
+
+# ---------------------------------------------------------------------------
+# GL2: the three quadratic-torus cases
+# ---------------------------------------------------------------------------
+
+
+def _gl2_odd(ext: QuadraticExtension, report: ScenarioReport) -> None:
+    """Ramified torus field against the other ramified base extension.
+
+    Both depth gates are on.  The gated sign characters see the root
+    value ``(-1)**v``; at a uniformizer their product is
+    ``(-1)**((q+1)/2) * (-1)**((q-1)/2) = -1``, which cancels the
+    unramified step character, so the full product is ``+1 = zeta``.
+    """
+    k, p = ext.base, ext.q
+    base = make_base(p)
+    torus_field = ramified_quadratic(base, 0)
+    base_ext = ramified_quadratic(base, 1)
+    diamond = biquadratic_diamond(torus_field, base_ext)
+    report.add(
+        "gl2-odd-third-field-unramified",
+        {"p": p},
+        ExtKind.UNRAMIFIED.value,
+        diamond.middles[2].kind.value,
+    )
+
+    step = quadratic_extension(torus_field.field, SquareClass(0, 1))
+    config = make_config(CLASS_TRIPLES[9], EF.RAM, in_phi_half=True)
+    report.add(
+        "gl2-odd-symbolic-zeta-trivial",
+        {"p": p},
+        "1",
+        zeta_contribution(config).describe(),
+    )
+
+    # the step character sees a unit's square class: weight each by its size
+    sizes = _unit_class_sizes(ext)
+    failures = total = 0
+    for v in (0, 1):
+        # the ramified conjugation negates the uniformizer and fixes residues,
+        # so the root value t / tau(t) is -1 at odd valuation and 1 on units
+        alpha_res = p - 1 if v else 1
+        # both gated signs see only the root value, which depends on v alone
+        gated = sgn_norm_one(ext, ext.embed(alpha_res)) * sgn_units(k, alpha_res)
+        for bit, size in enumerate(sizes):
+            total += size
+            if gated * omega_quadratic(step, SquareClass(v, bit)) != 1:
+                failures += size
+    report.add(
+        "gl2-odd-pointwise-product", {"p": p, "elements": total}, 0, failures
+    )
+    report.add(
+        "gl2-odd-gated-signs-at-uniformizer",
+        {"p": p},
+        -1,
+        sgn_norm_one(ext, ext.embed(p - 1)) * sgn_units(k, p - 1),
+    )
+    report.add(
+        "gl2-odd-step-character-at-uniformizer",
+        {"p": p},
+        -1,
+        omega_quadratic(step, SquareClass(1, 0)),
+    )
+
+
+def _gl2_even_a(ext: QuadraticExtension, report: ScenarioReport) -> None:
+    """Unramified torus field; the step character equals a norm-route sign.
+
+    The depth gates are off, so the identity reduces to the step
+    character matching the base-field character of the norm — the
+    residue sign/norm identity.
+    """
+    k, p = ext.base, ext.q
+    base = make_base(p)
+    torus_field = unramified_quadratic(base)
+    step = quadratic_extension(torus_field.field, SQUARE_CLASS_PI)
+    third_over_base = quadratic_extension(base, SquareClass(1, 1))
+
+    config = make_config(CLASS_TRIPLES[5], EF.RAM, in_phi_half=False)
+    report.add(
+        "gl2-even-a-symbolic-zeta-is-step-character",
+        {"p": p},
+        OMEGA_STEP.describe(),
+        zeta_contribution(config).describe(),
+    )
+
+    # a unit x = g**m has sign bit m*bit(g) and its norm norm(g)**m has sign
+    # bit m*bit(norm(g)): count the units with each (big, small) pair of bits
+    g, order = ext.generator, p * p - 1
+    odd_big = _odd_multiples(_bit(sgn_ext_units(ext, g)), order)
+    odd_small = _odd_multiples(_bit(sgn_units(k, ext.norm(g))), order)
+    n_big, n_small = count_solutions(odd_big, order), count_solutions(odd_small, order)
+    both = count_common(odd_big, odd_small, order)
+    counts = {(0, 0): order - n_big - n_small + both, (0, 1): n_small - both,
+              (1, 0): n_big - both, (1, 1): both}
+    # the step character sees four square classes, and the norm route two
+    # (the valuation doubles, the unit part takes the norm)
+    step_values = {
+        (v, bit): omega_quadratic(step, SquareClass(v, bit))
+        for v in (0, 1)
+        for bit in (0, 1)
+    }
+    norm_values = [omega_quadratic(third_over_base, SquareClass(0, bit)) for bit in (0, 1)]
+    mismatches = sum(
+        count * (step_values[v, big] != norm_values[small])
+        for v in (0, 1) for (big, small), count in counts.items()
+    )
+    total = 2 * sum(counts.values())
+    report.add("gl2-even-a-step-equals-norm-route", {"p": p, "elements": total}, 0, mismatches)
+    # the underlying residue identity: big-field sign equals sign of the norm
+    report.add(
+        "gl2-even-a-sign-norm-identity", {"p": p, "q": p}, True, counts[0, 1] == counts[1, 0] == 0
+    )
+
+
+def _gl2_even_b(ext: QuadraticExtension, report: ScenarioReport) -> None:
+    """Ramified torus field with an unramified base extension.
+
+    The distinction character vanishes (its index group is trivial) and
+    the toral invariant is a Hilbert symbol against norms, hence ``+1``;
+    the identity pins the step character as the nontrivial unramified
+    character via the lambda-constant ratio of the diamond.
+    """
+    p = ext.q
+    base = make_base(p)
+    torus_field = ramified_quadratic(base, 0)
+    base_ext = unramified_quadratic(base)
+    diamond = biquadratic_diamond(torus_field, base_ext)
+    ratio = zeta_lambda_ratio(diamond)
+    report.add("gl2-even-b-lambda-ratio", {"p": p}, -1, ratio)
+
+    step = quadratic_extension(torus_field.field, SquareClass(0, 1))
+    config = make_config(CLASS_TRIPLES[8], EF.UNRAM)
+    report.add(
+        "gl2-even-b-symbolic-zeta-is-step-character",
+        {"p": p},
+        OMEGA_STEP.describe(),
+        zeta_contribution(config).describe(),
+    )
+
+    # toral invariant: symbol of the torus-field class against its norms
+    # (1 and -pi are norms from the plain-uniformizer ramified extension)
+    norm_classes = (SQUARE_CLASS_ONE, SquareClass(1, 1 if p % 4 == 3 else 0))
+    invariant_values = sorted(
+        {toral_invariant(base, SQUARE_CLASS_PI, b) for b in norm_classes}
+    )
+    report.add("gl2-even-b-toral-invariant", {"p": p}, [1], invariant_values)
+
+    sizes = _unit_class_sizes(ext)
+    mismatches = total = 0
+    for v in (0, 1):
+        for bit, size in enumerate(sizes):
+            total += size
+            if omega_quadratic(step, SquareClass(v, bit)) != ratio**v:
+                mismatches += size
+    report.add(
+        "gl2-even-b-step-equals-lambda-route",
+        {"p": p, "elements": total},
+        0,
+        mismatches,
+    )
+
+
+def verify_gl2(p: int) -> ScenarioReport:
+    """The three quadratic-torus scenarios at ``p``, counted over every unit."""
+    ext = QuadraticExtension(FiniteField(p))
+    report = ScenarioReport()
+    for scenario in (_gl2_odd, _gl2_even_a, _gl2_even_b):
+        scenario(ext, report)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +488,7 @@ def verify_gln_odd(n: int, p: int) -> ScenarioReport:
         exponent = 1 - q**j
         # sign in the big residue field: g**(m * exponent * order/2) is -1
         # iff m * exponent * half = half (mod order)
-        big_negative = congruence_solutions(exponent * half, half, order)
+        big_negative = _odd_multiples(exponent, order)
         # sign of the norm down to the base residue field, computed from
         # the norm exponent rather than from the parity shortcut
         norm_negative = congruence_solutions(
@@ -558,11 +561,10 @@ def verify_un_odd(n: int, p: int) -> ScenarioReport:
     # units of sign -1 solve m * exponent * half = half (mod order)
     q = p
     order = q**n + 1
-    half = order // 2
     bad = 0
     for j in range(1, n):
         for sign in (1, -1):
-            negative = congruence_solutions((1 - sign * q**j) * half, half, order)
+            negative = _odd_multiples(1 - sign * q**j, order)
             bad += count_solutions(negative, order)
     report.add(
         "un-unramified-signs-trivial",

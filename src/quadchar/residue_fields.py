@@ -8,7 +8,8 @@ evaluation.  It provides:
 * ``QuadraticExtension(base)`` — the field ``F_{p**2}``, realised as
   ``base[X]/(X**2 - u)`` with ``u`` the canonical non-square, elements
   being pairs ``(a, b)`` for ``a + b*X``; the norm ``x -> x**(q+1)``
-  down to the base is its method ``norm``;
+  down to the base is its method ``norm``, and ``generator`` generates
+  its units, so scenarios count elements instead of enumerating them;
 * the three sign characters, each read off one power through ``_sign_of``:
 
   - ``sgn_units(k, x) = x**((q-1)//2)`` — the unique nontrivial quadratic
@@ -40,7 +41,6 @@ and multiplies on the components.  Both ``pow``s take exponents
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from typing import Iterator
 
 from ._value import Value
 
@@ -132,13 +132,7 @@ class FiniteField(Value):
         self._check(x)
         return pow(x, n, self.p)
 
-    # -- enumeration and structure ------------------------------------------
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.p))
-
-    def units(self) -> Iterator[int]:
-        return iter(range(1, self.p))
+    # -- structure ------------------------------------------------------------
 
     def is_square(self, x: int) -> bool:
         """Whether the nonzero element ``x`` is a square in ``self``."""
@@ -146,18 +140,14 @@ class FiniteField(Value):
             raise ValueError("squareness of zero is not defined here")
         return self.pow(x, (self.p - 1) // 2) == 1
 
+    @lru_cache(maxsize=None)
     def canonical_nonsquare(self) -> int:
         """The least positive quadratic non-residue mod ``p``.
 
         The choice is deterministic and is used as the defining modulus
         for quadratic extensions.
         """
-        return _canonical_nonsquare(self)
-
-
-@lru_cache(maxsize=None)
-def _canonical_nonsquare(k: FiniteField) -> int:
-    return min(x for x in k.units() if not k.is_square(x))
+        return next(x for x in range(1, self.p) if not self.is_square(x))
 
 
 class QuadraticExtension(Value):
@@ -220,33 +210,32 @@ class QuadraticExtension(Value):
         a, b = x
         return (a * a - self.u * b * b) % self.base.p
 
-    def elements(self) -> Iterator[ExtElement]:
-        for b in self.base.elements():
-            for a in self.base.elements():
-                yield (a, b)
+    @cached_property
+    def generator(self) -> ExtElement:
+        """The first ``g = a + b*sqrt(u)``, by ``b >= 1`` then ``a``, of order ``q**2 - 1``.
 
-    def units(self) -> Iterator[ExtElement]:
-        return (x for x in self.elements() if x != (0, 0))
+        (Units with ``b = 0`` have order dividing ``q - 1``.)  Then
+        ``g**(q-1)`` generates the norm-one subgroup and ``norm(g)`` the
+        units of the base field.
+        """
+        q, order = self.q, self.q**2 - 1
+        primes = {*_factorize(q - 1), *_factorize(q + 1)}
+        for b in range(1, q):
+            for a in range(q):
+                if all(self.pow((a, b), order // r) != self.one for r in primes):
+                    return (a, b)
+        raise AssertionError("the unit group of a finite field is cyclic")
 
     def norm_one_elements(self) -> list[ExtElement]:
         """All elements of norm 1; a cyclic group of order ``q + 1``.
 
-        The group is listed as the ``q + 1`` powers of one generator
-        ``z = x**(q-1)``, where ``x`` is the first unit (in ``units()``
-        order) for which ``z`` has order ``q + 1``; ``x**(q-1)`` has norm
-        ``x**(q**2-1) = 1``.  The powers are checked to have norm 1 and to
-        be distinct, and are returned in ``units()`` order.
+        The group is listed as the ``q + 1`` powers of ``z = g**(q-1)``,
+        ``g`` the ``generator``; ``z`` has norm ``g**(q**2-1) = 1``.  The
+        powers are checked to have norm 1 and to be distinct, and are
+        returned sorted by ``(b, a)`` for ``a + b*sqrt(u)``.
         """
         q = self.q
-        primes = _factorize(q + 1)
-        # x**(q-1) is 1 for x in the base field, which units() lists first;
-        # the units a + sqrt(u) come next and already give every z
-        for a in self.base.elements():
-            z = self.pow((a, 1), q - 1)
-            if all(self.pow(z, (q + 1) // r) != self.one for r in primes):
-                break
-        else:
-            raise AssertionError("the norm-one subgroup is cyclic")
+        z = self.pow(self.generator, q - 1)
         group = [self.one]
         for _ in range(q):
             group.append(self.mul(group[-1], z))

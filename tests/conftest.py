@@ -8,6 +8,7 @@ from typing import Iterator
 import pytest
 
 from quadchar import root_orbits
+from quadchar.residue_fields import ExtElement, FiniteField, QuadraticExtension
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -37,6 +38,21 @@ def fresh_root_systems() -> None:
     """
     root_orbits.gln_root_system.cache_clear()
     root_orbits.unitary_root_system.cache_clear()
+
+
+def field_units(k: FiniteField) -> range:
+    """The units ``1, ..., p - 1`` of the prime field ``k``, ascending."""
+    return range(1, k.p)
+
+
+def ext_elements(ext: QuadraticExtension) -> list[ExtElement]:
+    """Every ``a + b*sqrt(u)`` of ``ext`` as ``(a, b)``, by ``b`` and then ``a``."""
+    return [(a, b) for b in range(ext.q) for a in range(ext.q)]
+
+
+def ext_units(ext: QuadraticExtension) -> list[ExtElement]:
+    """The nonzero elements of ``ext``, in ``ext_elements`` order."""
+    return ext_elements(ext)[1:]
 
 
 def identity_matrix(n: int) -> Matrix:

@@ -3,6 +3,7 @@
 import io
 
 import pytest
+from conftest import ext_units, field_units
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,18 @@ from quadchar.case_studies import (
 )
 from quadchar.char_engine import CLASS_TRIPLES
 from quadchar.cli import _encode, main
+from quadchar.padic_fields import (
+    SQUARE_CLASS_PI,
+    SquareClass,
+    biquadratic_diamond,
+    make_base,
+    omega_quadratic,
+    quadratic_extension,
+    ramified_quadratic,
+    unramified_quadratic,
+    zeta_lambda_ratio,
+)
+from quadchar.residue_fields import FiniteField, QuadraticExtension, _is_prime
 from quadchar.root_orbits import Deg, classify_orbits, gln_root_system
 
 SMALL_PRIMES = (3, 5, 7, 13)
@@ -73,8 +86,9 @@ def test_gl2_even_b_ratio_record():
 
 
 def test_gl2_rejects_large_prime():
+    assert all(r.verdict == "pass" for r in verify_gl2(17).records)
     with pytest.raises(ValueError):
-        verify_gl2(17)
+        verify_gl2(10007)
 
 
 def test_gln_rejects_even_rank():
@@ -234,3 +248,109 @@ def test_odd_exponent_makes_half_the_group_negative(half, c1, c2):
         - 2 * count_common(negative, other, modulus)
     )
     assert disagree == (half if (c1 + c2) % 2 else 0)
+
+
+# -- residue-sign counts against an exhaustive sweep -------------------------
+
+# The sweeps below evaluate the residue characters on every element, as the
+# sl2 and gl2 scenarios once did.  They read the characters from
+# ``case_studies`` at call time, so a character substituted there reaches the
+# sweep and the counted scenario alike, and they never touch
+# ``QuadraticExtension.generator``.
+
+ORACLE_PRIMES = [p for p in range(3, 102) if _is_prime(p)]
+
+
+def _bit(sign: int) -> int:
+    return 0 if sign == 1 else 1
+
+
+def sweep_sl2(p: int) -> dict[str, tuple[dict, object]]:
+    """Oracle: ``(inputs, got)`` of each sl2 record that sweeps the norm-one torus."""
+    ext = QuadraticExtension(FiniteField(p))
+    norm_one = [x for x in ext_units(ext) if ext.norm(x) == 1]
+    doubled = [ext.mul(t, t) for t in norm_one]
+    inputs = {"p": p, "elements": len(norm_one)}
+    signs = sorted({case_studies.sgn_norm_one(ext, y) for y in doubled})
+    swept = {
+        "sl2-unramified-doubled-root-sign": (inputs, signs),
+        "sl2-unramified-doubled-root-norm-one": (inputs, all(ext.norm(y) == 1 for y in doubled)),
+        "sl2-adjoint-determinant": ({"p": p}, sorted({pow(ext.norm(t), 2, p) for t in norm_one})),
+    }
+    assert "generator" not in vars(ext)
+    return swept
+
+
+def sweep_gl2(p: int) -> dict[str, tuple[dict, object]]:
+    """Oracle: ``(inputs, got)`` of each gl2 record that sweeps the units."""
+    k = FiniteField(p)
+    ext = QuadraticExtension(k)
+    sgn_units, sgn_ext_units = case_studies.sgn_units, case_studies.sgn_ext_units
+    base = make_base(p)
+    swept = {}
+
+    # odd: each unit of the base field at both valuations
+    step = quadratic_extension(ramified_quadratic(base, 0).field, SquareClass(0, 1))
+    failures = total = 0
+    for v in (0, 1):
+        alpha_res = p - 1 if v else 1
+        gated = case_studies.sgn_norm_one(ext, ext.embed(alpha_res)) * sgn_units(k, alpha_res)
+        for x in field_units(k):
+            omega_step = omega_quadratic(step, SquareClass(v, _bit(sgn_units(k, x))))
+            total += 1
+            failures += gated * omega_step != 1
+    swept["gl2-odd-pointwise-product"] = ({"p": p, "elements": total}, failures)
+
+    # even a: each unit of the quadratic extension, its sign and its norm's
+    step = quadratic_extension(unramified_quadratic(base).field, SQUARE_CLASS_PI)
+    third_over_base = quadratic_extension(base, SquareClass(1, 1))
+    bits = [(_bit(sgn_ext_units(ext, x)), _bit(sgn_units(k, ext.norm(x)))) for x in ext_units(ext)]
+    step_values = {(v, b): omega_quadratic(step, SquareClass(v, b)) for v in (0, 1) for b in (0, 1)}
+    norm_values = [omega_quadratic(third_over_base, SquareClass(0, b)) for b in (0, 1)]
+    mismatches = sum(
+        step_values[v, big] != norm_values[small] for v in (0, 1) for big, small in bits
+    )
+    swept["gl2-even-a-step-equals-norm-route"] = ({"p": p, "elements": 2 * len(bits)}, mismatches)
+    identity = all(big == small for big, small in bits)
+    swept["gl2-even-a-sign-norm-identity"] = ({"p": p, "q": p}, identity)
+
+    # even b: each unit of the base field at both valuations
+    torus_field = ramified_quadratic(base, 0)
+    ratio = zeta_lambda_ratio(biquadratic_diamond(torus_field, unramified_quadratic(base)))
+    step = quadratic_extension(torus_field.field, SquareClass(0, 1))
+    mismatches = total = 0
+    for v in (0, 1):
+        for x in field_units(k):
+            total += 1
+            mismatches += omega_quadratic(step, SquareClass(v, _bit(sgn_units(k, x)))) != ratio**v
+    swept["gl2-even-b-step-equals-lambda-route"] = ({"p": p, "elements": total}, mismatches)
+
+    assert "generator" not in vars(ext)
+    return swept
+
+
+def assert_matches_sweep(records: list[CheckRecord], swept: dict) -> None:
+    by_id = {r.id: r for r in records}
+    # every record that counts elements is swept
+    assert {i for i, r in by_id.items() if "elements" in r.inputs} <= swept.keys()
+    for record_id, (inputs, got) in swept.items():
+        assert (by_id[record_id].inputs, by_id[record_id].got) == (inputs, got), record_id
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_counts_match_exhaustive_sweep(p):
+    assert_matches_sweep(verify_sl2(p).records, sweep_sl2(p))
+    assert_matches_sweep(verify_gl2(p).records, sweep_gl2(p))
+
+
+@pytest.mark.parametrize("name", ["sgn_units", "sgn_ext_units"])
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_counts_match_sweep_with_a_trivial_character(monkeypatch, name, p):
+    """The gl2 counts follow a wrong character as the sweep does, and a record fails.
+
+    Neither character enters a swept sl2 record, so sl2 is not repeated here.
+    """
+    monkeypatch.setattr(case_studies, name, lambda field, x: 1)
+    records = verify_gl2(p).records
+    assert_matches_sweep(records, sweep_gl2(p))
+    assert any(r.verdict == "fail" for r in records)

@@ -228,7 +228,7 @@ def test_unknown_suite_is_usage_error():
         ["hilbert", "--p", "2", "1", "3"],
         ["hilbert", "--p", "9", "1", "3"],
         ["hilbert", "--p", "5", "0", "3"],
-        ["verify", "gl2", "--p", "17"],
+        ["verify", "gl2", "--p", "10007"],
         ["verify", "gln", "--n", "4"],
         ["verify", "gln", "--n", "31"],
     ],
@@ -257,6 +257,13 @@ def test_non_odd_prime_p_is_usage_error(argv, capsys):
     assert output == ""
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("suite", ["sl2", "gl2"])
+def test_prime_past_the_field_cap_is_usage_error(suite, capsys):
+    code, output = run_cli(["verify", suite, "--p", "10007"])
+    assert (code, output) == (2, "")
+    assert capsys.readouterr().err == "error: field size 10007 exceeds cap 10000\n"
 
 
 @pytest.mark.parametrize(

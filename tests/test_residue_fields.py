@@ -12,6 +12,7 @@ import itertools
 import math
 
 import pytest
+from conftest import ext_elements, ext_units, field_units
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,12 +37,12 @@ FIELDS = [
 
 def squares_by_enumeration(k: FiniteField) -> set[int]:
     """Oracle: the set of nonzero squares, by squaring every unit."""
-    return {x * x % k.p for x in k.units()}
+    return {x * x % k.p for x in field_units(k)}
 
 
 def norm_one_by_enumeration(ext: QuadraticExtension) -> set[tuple[int, int]]:
     """Oracle: the norm-one subgroup, by testing every unit."""
-    return {x for x in ext.units() if ext.norm(x) == 1}
+    return {x for x in ext_units(ext) if ext.norm(x) == 1}
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +100,9 @@ def test_is_prime_large_values() -> None:
 def test_field_axioms_exhaustive(k: FiniteField) -> None:
     """Fermat inverses in both fields; ``mul`` commutes and distributes over ``+``."""
     p, ext = k.p, QuadraticExtension(k)
-    for x in k.units():
+    for x in field_units(k):
         assert x * k.pow(x, p - 2) % p == 1
-    for x in ext.units():
+    for x in ext_units(ext):
         assert ext.mul(x, ext.pow(x, p * p - 2)) == ext.one
         assert ext.mul(x, ext.one) == x
     els = [(a, b) for a in range(3) for b in range(3)]
@@ -131,7 +132,7 @@ def test_sgn_units_rejects_zero() -> None:
 @pytest.mark.parametrize("k", FIELDS, ids=lambda k: f"q{k.q}")
 def test_sgn_units_matches_square_enumeration(k: FiniteField) -> None:
     squares = squares_by_enumeration(k)
-    for x in k.units():
+    for x in field_units(k):
         assert sgn_units(k, x) == (+1 if x in squares else -1)
     assert len(squares) == (k.q - 1) // 2  # kernel has index 2
 
@@ -172,16 +173,16 @@ def test_f9_spot_values() -> None:
 def test_frobenius_is_q_power_and_fixes_base(k: FiniteField) -> None:
     """The q-th power is ``a + b*sqrt(u) -> a - b*sqrt(u)``, the norm's conjugation."""
     ext = QuadraticExtension(k)
-    for x in ext.units():
+    for x in ext_units(ext):
         assert ext.pow(x, k.q) == (x[0], -x[1] % k.p)
-    for a in k.elements():
+    for a in range(k.p):
         assert ext.pow(ext.embed(a), k.q) == ext.embed(a)
 
 
 @pytest.mark.parametrize("k", FIELDS, ids=lambda k: f"q{k.q}")
 def test_norm_and_trace_land_in_base_and_norm_is_multiplicative(k: FiniteField) -> None:
     ext = QuadraticExtension(k)
-    units = list(ext.units())
+    units = ext_units(ext)
     for x in units[:20]:
         for y in units[:20]:
             assert ext.norm(ext.mul(x, y)) == ext.norm(x) * ext.norm(y) % k.p
@@ -191,8 +192,8 @@ def test_norm_and_trace_land_in_base_and_norm_is_multiplicative(k: FiniteField) 
 def test_norm_surjective_on_units(p: int) -> None:
     k = FiniteField(p)
     ext = QuadraticExtension(k)
-    images = {ext.norm(x) for x in ext.units()}
-    assert images == set(k.units())
+    images = {ext.norm(x) for x in ext_units(ext)}
+    assert images == set(field_units(k))
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +205,7 @@ def test_norm_surjective_on_units(p: int) -> None:
 def test_norm_one_subgroup_order(k: FiniteField) -> None:
     ext = QuadraticExtension(k)
     group = norm_one_by_enumeration(ext)
-    assert ext.norm_one_elements() == [x for x in ext.units() if x in group]
+    assert ext.norm_one_elements() == [x for x in ext_units(ext) if x in group]
     assert len(group) == k.q + 1
 
 
@@ -257,7 +258,7 @@ def test_sign_of_unit_equals_sign_of_norm_exhaustive(k: FiniteField) -> None:
     """
     ext = QuadraticExtension(k)
     half_big = (k.q**2 - 1) // 2
-    for x in ext.units():
+    for x in ext_units(ext):
         lhs = ext.pow(x, half_big)
         lhs_scalar = ext.scalar(lhs)
         assert lhs_scalar is not None
@@ -311,7 +312,7 @@ def test_prime_field_ops_on_every_pair(p: int) -> None:
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_extension_ops_match_schoolbook_on_every_pair(p: int) -> None:
     ext = QuadraticExtension(FiniteField(p))
-    els = list(ext.elements())
+    els = ext_elements(ext)
     assert len(els) == p * p
     for x, y in itertools.product(els, repeat=2):
         assert_matches_schoolbook(ext, x, y)
@@ -336,14 +337,14 @@ def test_pow_matches_repeated_multiplication(p: int) -> None:
     k = FiniteField(p)
     ext = QuadraticExtension(k)
     q2 = p * p
-    for x in ext.units():
+    for x in ext_units(ext):
         power = (1, 0)
         for n in range(q2 + 2):
             assert ext.pow(x, n) == power, (x, n)
             power = schoolbook_mul(p, ext.u, power, x)
     assert ext.pow((0, 0), 0) == (1, 0)
     assert all(ext.pow((0, 0), n) == (0, 0) for n in range(1, q2 + 2))
-    for x in k.units():
+    for x in field_units(k):
         power = 1
         for n in range(q2 + 2):
             assert k.pow(x, n) == power
@@ -362,10 +363,10 @@ def test_pow_rejects_negative_exponents(p: int) -> None:
             k.pow(p, n)
         with pytest.raises(ValueError, match="non-negative"):
             ext.pow((p, 0), n)
-        for x in k.elements():
+        for x in range(k.p):
             with pytest.raises(ValueError, match="non-negative"):
                 k.pow(x, n)
-        for x in ext.elements():
+        for x in ext_elements(ext):
             with pytest.raises(ValueError, match="non-negative"):
                 ext.pow(x, n)
 
@@ -412,8 +413,58 @@ def test_sgn_ext_units_examples() -> None:
 @pytest.mark.parametrize("k", FIELDS, ids=lambda k: f"q{k.q}")
 def test_sgn_ext_units_matches_square_enumeration(k: FiniteField) -> None:
     ext = QuadraticExtension(k)
-    squares = {schoolbook_mul(k.p, ext.u, x, x) for x in ext.units()}
-    for x in ext.units():
+    squares = {schoolbook_mul(k.p, ext.u, x, x) for x in ext_units(ext)}
+    for x in ext_units(ext):
         assert sgn_ext_units(ext, x) == (+1 if x in squares else -1)
     assert len(squares) == (k.q**2 - 1) // 2
 
+
+
+# ---------------------------------------------------------------------------
+# the generator of the unit group
+# ---------------------------------------------------------------------------
+
+
+def order_by_multiplication(p: int, u: int, x: tuple[int, int]) -> int:
+    """Oracle: the multiplicative order of the unit ``x``, by multiplying until one."""
+    power, n = x, 1
+    while power != (1, 0):
+        power, n = schoolbook_mul(p, u, power, x), n + 1
+    return n
+
+
+def prime_divisors_by_trial_division(n: int) -> list[int]:
+    """Oracle: every prime dividing ``n``, by testing each integer up to ``n``'s root."""
+    divisors = {d for d in range(2, math.isqrt(n) + 1) if n % d == 0}
+    divisors |= {n // d for d in divisors} | {n}
+    return [d for d in divisors if is_prime_by_trial_division(d)]
+
+
+@pytest.mark.parametrize("k", FIELDS, ids=lambda k: f"q{k.q}")
+def test_generator_is_the_first_unit_of_full_order(k: FiniteField) -> None:
+    ext = QuadraticExtension(k)
+    p, u, g = k.p, ext.u, ext.generator
+    full = [x for x in ext_units(ext) if x[1] and order_by_multiplication(p, u, x) == p * p - 1]
+    assert g == full[0]
+    # the two generators that follow from g
+    assert order_by_multiplication(p, u, schoolbook_pow(p, u, g, p - 1)) == p + 1
+    norm = ext.norm(g)
+    assert len({pow(norm, m, p) for m in range(p - 1)}) == p - 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from(PRIMES_TO_CAP))
+def test_generator_has_full_order_up_to_the_cap(p: int) -> None:
+    ext = QuadraticExtension(FiniteField(p))
+    order = p * p - 1
+    primes = prime_divisors_by_trial_division(order)
+
+    def full_order(x: tuple[int, int]) -> bool:
+        return all(schoolbook_pow(p, ext.u, x, order // r) != (1, 0) for r in primes)
+
+    a, b = ext.generator
+    assert b >= 1 and full_order((a, b))
+    assert schoolbook_pow(p, ext.u, (a, b), order) == (1, 0)
+    # no earlier candidate with b >= 1 has full order
+    earlier = [(c, d) for d in range(1, b + 1) for c in range(p) if (d, c) < (b, a)]
+    assert not any(full_order(x) for x in earlier)

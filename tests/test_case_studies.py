@@ -252,10 +252,10 @@ def test_odd_exponent_makes_half_the_group_negative(half, c1, c2):
 
 # -- residue-sign counts against an exhaustive sweep -------------------------
 
-# The sweeps below evaluate the residue characters on every element, as the
-# sl2 and gl2 scenarios once did.  They read the characters from
-# ``case_studies`` at call time, so a character substituted there reaches the
-# sweep and the counted scenario alike, and they never touch
+# The sweeps below are the exhaustive oracle for the counted sl2 and gl2
+# scenarios: they evaluate the residue characters on every element.  They read
+# the characters from ``case_studies`` at call time, so a character substituted
+# there reaches the sweep and the counted scenario alike, and they never touch
 # ``QuadraticExtension.generator``.
 
 ORACLE_PRIMES = [p for p in range(3, 102) if _is_prime(p)]

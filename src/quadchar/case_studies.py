@@ -456,6 +456,7 @@ def verify_gln_odd(n: int, p: int) -> ScenarioReport:
         raise ValueError("this scenario is for odd n >= 3")
     if n > GLN_MAX_N:
         raise ValueError(f"this scenario is capped at n <= {GLN_MAX_N}, got {n}")
+    make_base(p)  # NonOddPrimeError unless p is an odd prime below the cap
 
     report = ScenarioReport()
     parity = gln_orbit_parity(n)

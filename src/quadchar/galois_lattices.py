@@ -62,7 +62,6 @@ from operator import add, mul, neg, sub
 from typing import Iterable, Sequence, Union
 
 from ._value import Value
-from .residue_fields import _factorize
 
 __all__ = [
     "FiniteAbelianGroup",
@@ -108,14 +107,6 @@ _GAL: dict[str, tuple[Bit, ...]] = {
     "E1": ((0, 0), (0, 1)),
     "E2": ((0, 0), (1, 1)),
     "K": ((0, 0),),
-}
-
-_CANONICAL_GENERATORS: dict[str, tuple[Bit, ...]] = {
-    "F": ((1, 0), (0, 1)),
-    "E": ((1, 0),),
-    "E1": ((0, 1),),
-    "E2": ((1, 1),),
-    "K": (),
 }
 
 
@@ -171,10 +162,7 @@ class FiniteAbelianGroup(Value):
 
     @property
     def order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
+        return math.prod(self.invariant_factors)
 
     def describe(self) -> str:
         if not self.invariant_factors:
@@ -183,24 +171,19 @@ class FiniteAbelianGroup(Value):
 
     @staticmethod
     def from_factors(factors: Iterable[int]) -> "FiniteAbelianGroup":
-        """Normalize arbitrary cyclic factors into an invariant-factor chain."""
-        primepowers: dict[int, list[int]] = {}
+        """Normalize arbitrary cyclic factors into an invariant-factor chain.
+
+        Each factor ``n`` sweeps the chain so far by ``Z/a + Z/n = Z/gcd +
+        Z/lcm``; that keeps a divisor chain, whose leading 1s are dropped.
+        """
+        chain: list[int] = []
         for n in factors:
             if n < 1:
                 raise ValueError("cyclic factors must be positive")
-            for p, k in _factorize(n).items():
-                primepowers.setdefault(p, []).append(p**k)
-        for p in primepowers:
-            primepowers[p].sort()
-        chain: list[int] = []
-        while any(primepowers.values()):
-            d = 1
-            for p in primepowers:
-                if primepowers[p]:
-                    d *= primepowers[p].pop()
-            chain.append(d)
-        chain.reverse()
-        return FiniteAbelianGroup(tuple(chain))
+            for i, d in enumerate(chain):
+                chain[i], n = math.gcd(d, n), math.lcm(d, n)
+            chain.append(n)
+        return FiniteAbelianGroup(tuple(d for d in chain if d > 1))
 
     def __mul__(self, other: "FiniteAbelianGroup") -> "FiniteAbelianGroup":
         return FiniteAbelianGroup.from_factors(self.invariant_factors + other.invariant_factors)
@@ -281,72 +264,39 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
     # or swapped, never changed in place, so they may start as shared tuples
     vt = list(identity_matrix(m))
     v_inv = list(identity_matrix(m))
-
-    # rows above the pivot row t are zero from column t on, so column
-    # operations skip them
-    def col_sub(j: int, i: int, q: int) -> None:
-        # col_j -= q * col_i on d and v; the inverse transform adds on rows
-        for r in range(t, n):
-            d[r][j] -= q * d[r][i]
-        vt[j] = [x - q * y for x, y in zip(vt[j], vt[i])]
-        v_inv[i] = [x + q * y for x, y in zip(v_inv[i], v_inv[j])]
-
-    def col_swap(i: int, j: int) -> None:
-        for r in range(t, n):
-            d[r][i], d[r][j] = d[r][j], d[r][i]
-        vt[i], vt[j] = vt[j], vt[i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
-
-    # row operations act on d alone, since no row transform is kept
-    t = 0
-    while t < min(n, m):
-        # choose the smallest nonzero entry in the remaining block as pivot
-        pivot = None
-        best = None
-        for i in range(t, n):
-            for j in range(t, m):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < best):
-                    best, pivot = abs(d[i][j]), (i, j)
-        if pivot is None:
-            break
-        if pivot != (t, t):
-            d[t], d[pivot[0]] = d[pivot[0]], d[t]
-            col_swap(t, pivot[1])
-        while True:
-            restart = False
+    # row operations act on d alone (no row transform is kept); column
+    # operations skip the rows above t, which are zero from column t on
+    for t in range(min(n, m)):
+        # pivot on the smallest nonzero entry of the remaining block
+        while block := [(abs(x), i, j) for i in range(t, n) for j, x in enumerate(d[i][t:], t) if x]:
+            _, i, j = min(block)
+            d[t], d[i] = d[i], d[t]
+            for row in d[t:]:
+                row[t], row[j] = row[j], row[t]
+            vt[t], vt[j] = vt[j], vt[t]
+            v_inv[t], v_inv[j] = v_inv[j], v_inv[t]
+            # clear the pivot's column, then its row, by floor division
+            pivot, top = d[t][t], d[t]
             for i in range(t + 1, n):
-                if d[i][t]:
-                    q = d[i][t] // d[t][t]
-                    d[i] = [x - q * y for x, y in zip(d[i], d[t])]
-                    if d[i][t]:
-                        d[i], d[t] = d[t], d[i]
-                        restart = True
-                        break
-            if restart:
-                continue
+                if q := d[i][t] // pivot:
+                    d[i] = [x - q * y for x, y in zip(d[i], top)]
             for j in range(t + 1, m):
-                if d[t][j]:
-                    q = d[t][j] // d[t][t]
-                    col_sub(j, t, q)
-                    if d[t][j]:
-                        col_swap(j, t)
-                        restart = True
-                        break
-            if restart:
-                continue
-            # enforce divisibility of the remaining block by the pivot
-            offender = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, m):
-                    if d[i][j] % d[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+                if q := top[j] // pivot:
+                    # col_j -= q * col_t on d and v; the inverse adds on rows
+                    for row in d[t:]:
+                        row[j] -= q * row[t]
+                    vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
+                    v_inv[t] = [x + q * y for x, y in zip(v_inv[t], v_inv[j])]
+            if pivot in (1, -1):
+                break  # a unit leaves no remainder and divides every entry
+            if any(top[t + 1 :]):
+                continue  # a remainder in the pivot row is smaller than the pivot
+            # a row below that the pivot does not divide (a remainder in its
+            # column among them) goes into the pivot row, to be cleared again
+            offender = next((row for row in d[t + 1 :] if any(x % pivot for x in row)), None)
             if offender is None:
                 break
-            d[t] = [x + y for x, y in zip(d[t], d[offender])]
-        t += 1
+            d[t] = list(map(add, top, offender))
 
     return SmithForm(
         diagonal=tuple(abs(d[i][i]) for i in range(min(n, m))),
@@ -602,33 +552,32 @@ def action_matrix(torus: TorusExpr, g: Bit) -> Matrix:
     if isinstance(torus, U1):
         return ((-1,),) if g not in galois_group(torus.top) else ((1,),)
     if isinstance(torus, Res):
-        h_group = set(galois_group(torus.through))
-        reps = [(0, 0), next(b for b in galois_group(torus.base) if b not in h_group)]
+        # g sends the coset of rep i to that of rep j, acting there by the
+        # h of Gal(K/through) with g + rep_i = rep_j + h
+        h_group = galois_group(torus.through)
+        reps = ((0, 0), next(b for b in galois_group(torus.base) if b not in h_group))
         r = torus.inner.rank
-        n = 2 * r
-        rows = [[0] * n for _ in range(n)]
+        blocks = []
         for i, rep in enumerate(reps):
             moved = _bit_add(g, rep)
-            j = 0 if moved in h_group else 1
-            h = _bit_add(moved, reps[j])
-            assert h in h_group
-            block = action_matrix(torus.inner, h)
-            for bi in range(r):
-                for bj in range(r):
-                    rows[j * r + bi][i * r + bj] = block[bi][bj]
-        return tuple(tuple(row) for row in rows)
+            j = int(moved not in h_group)
+            blocks.append((j * r, i * r, action_matrix(torus.inner, _bit_add(moved, reps[j]))))
+        return _block_matrix(torus.rank, blocks)
     if isinstance(torus, Prod):
-        blocks = [action_matrix(f, g) for f in torus.factors]
-        n = torus.rank
-        rows = [[0] * n for _ in range(n)]
-        offset = 0
-        for block in blocks:
-            for bi in range(len(block)):
-                for bj in range(len(block)):
-                    rows[offset + bi][offset + bj] = block[bi][bj]
-            offset += len(block)
-        return tuple(tuple(row) for row in rows)
+        offsets = itertools.accumulate((f.rank for f in torus.factors), initial=0)
+        return _block_matrix(
+            torus.rank, [(k, k, action_matrix(f, g)) for k, f in zip(offsets, torus.factors)]
+        )
     raise UnsupportedTorusError(f"unknown torus expression {torus!r}")
+
+
+def _block_matrix(n: int, blocks: Iterable[tuple[int, int, Matrix]]) -> Matrix:
+    """The ``n x n`` matrix, zero but for each ``(row, col, block)`` placed at that corner."""
+    rows = [[0] * n for _ in range(n)]
+    for r, c, block in blocks:
+        for i, block_row in enumerate(block, r):
+            rows[i][c : c + len(block_row)] = block_row
+    return tuple(map(tuple, rows))
 
 
 @cache
@@ -642,7 +591,7 @@ def cocharacter_lattice(torus: TorusExpr, level: str) -> GaloisLattice:
     """
     if not field_contains(level, torus.base):
         raise ValueError(f"level {level} does not contain the base field {torus.base}")
-    gens = _CANONICAL_GENERATORS[level]
+    gens = _GAL[level][1:3]  # (1,0) and (0,1) for F, the one nontrivial element below it
     return GaloisLattice(
         rank=torus.rank,
         generator_matrices=tuple(action_matrix(torus, g) for g in gens),
@@ -664,6 +613,15 @@ def component_group_dual(torus: TorusExpr, level: str) -> FiniteAbelianGroup:
 # ---------------------------------------------------------------------------
 
 
+def _check_step(torus: TorusExpr, step: tuple[str, str]) -> None:
+    """Raise unless ``step`` is a quadratic step ``A/B`` and ``torus`` lives over ``B``."""
+    top, bottom = step
+    if field_degree(top, bottom) != 2:
+        raise UnsupportedTorusError(f"need a quadratic step, got {top}/{bottom}")
+    if torus.base != bottom:
+        raise UnsupportedTorusError(f"torus over {torus.base} does not match the step base {bottom}")
+
+
 def norm_quotient(torus: TorusExpr, step: tuple[str, str] = ("E", "F")) -> FiniteAbelianGroup:
     """The quotient of ``torus(B)`` by norms from ``torus(A)``, ``A/B`` quadratic.
 
@@ -677,13 +635,8 @@ def norm_quotient(torus: TorusExpr, step: tuple[str, str] = ("E", "F")) -> Finit
       otherwise push down to the step ``compositum(A, L)/L``;
     * products: direct sum.
     """
-    top, bottom = step
-    if field_degree(top, bottom) != 2:
-        raise UnsupportedTorusError(f"norm quotients need a quadratic step, got {top}/{bottom}")
-    if torus.base != bottom:
-        raise UnsupportedTorusError(
-            f"torus over {torus.base} does not match the step base {bottom}"
-        )
+    _check_step(torus, step)
+    top = step[0]
     if isinstance(torus, Gm):
         return Z2
     if isinstance(torus, U1):
@@ -712,13 +665,6 @@ class IdentityVerdict(Value):
     @property
     def equal(self) -> bool:
         return self.lhs == self.rhs
-
-
-def _transfer_matrix(torus: TorusExpr, step: tuple[str, str]) -> Matrix:
-    """``1 + s`` on the lattice for ``s`` generating ``Gal(A/B)``."""
-    top, bottom = step
-    s = next(g for g in galois_group(bottom) if g not in galois_group(top))
-    return _add_identity(action_matrix(torus, s), 1)
 
 
 def _minus_one_transfer_kernel(low: GaloisLattice, high: GaloisLattice, transfer: Matrix) -> int:
@@ -752,13 +698,12 @@ def prasad_torus_identity(
     they present one group (``ker(N) / sum (g - 1) M = tors(M_G)``), so the
     counts agree by the algebra.
     """
+    _check_step(torus, step)
     top, bottom = step
-    if field_degree(top, bottom) != 2:
-        raise UnsupportedTorusError(f"the identity is about quadratic steps, got {top}/{bottom}")
-    if torus.base != bottom:
-        raise UnsupportedTorusError("the torus must live over the lower field of the step")
     low, high = cocharacter_lattice(torus, bottom), cocharacter_lattice(torus, top)
-    transfer = _transfer_matrix(torus, step)
+    # the transfer is 1 + s on the lattice, s generating Gal(A/B)
+    s = next(g for g in galois_group(bottom) if g not in galois_group(top))
+    transfer = _add_identity(action_matrix(torus, s), 1)
     return IdentityVerdict(
         lhs=_minus_one_transfer_kernel(low, high, transfer),
         rhs=sum(

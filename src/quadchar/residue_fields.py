@@ -84,17 +84,17 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _factorize(n: int) -> dict[int, int]:
-    """Prime factorisation of ``n >= 1`` by trial division: prime -> exponent."""
-    out: dict[int, int] = {}
+def _prime_divisors(n: int) -> set[int]:
+    """The primes dividing ``n >= 1``, by trial division."""
+    out = set()
     d = 2
     while d * d <= n:
         while n % d == 0:
-            out[d] = out.get(d, 0) + 1
+            out.add(d)
             n //= d
         d += 1
     if n > 1:
-        out[n] = out.get(n, 0) + 1
+        out.add(n)
     return out
 
 
@@ -219,7 +219,7 @@ class QuadraticExtension(Value):
         units of the base field.
         """
         q, order = self.q, self.q**2 - 1
-        primes = {*_factorize(q - 1), *_factorize(q + 1)}
+        primes = _prime_divisors(q - 1) | _prime_divisors(q + 1)
         for b in range(1, q):
             for a in range(q):
                 if all(self.pow((a, b), order // r) != self.one for r in primes):

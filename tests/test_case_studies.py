@@ -23,6 +23,7 @@ from quadchar.char_engine import CLASS_TRIPLES
 from quadchar.cli import _encode, main
 from quadchar.padic_fields import (
     SQUARE_CLASS_PI,
+    NonOddPrimeError,
     SquareClass,
     biquadratic_diamond,
     make_base,
@@ -94,6 +95,12 @@ def test_gl2_rejects_large_prime():
 def test_gln_rejects_even_rank():
     with pytest.raises(ValueError):
         verify_gln_odd(4, 5)
+
+
+@pytest.mark.parametrize("p", (1, 2, 9))
+def test_gln_rejects_a_non_odd_prime(p):
+    with pytest.raises(NonOddPrimeError):
+        verify_gln_odd(3, p)
 
 
 def test_un_rejects_unsupported_rank():

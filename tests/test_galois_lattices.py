@@ -267,11 +267,48 @@ def test_invariant_factor_normalization() -> None:
     assert FiniteAbelianGroup.from_factors([6, 4]).order == 24
 
 
+def prime_power_chain(factors) -> tuple[int, ...]:
+    """Invariant factors via primary components: the k-th largest power of
+    every prime multiply into the k-th largest invariant factor."""
+    powers: dict[int, list[int]] = {}
+    for n in factors:
+        p = 2
+        while n > 1:
+            k = 0
+            while n % p == 0:
+                n, k = n // p, k + 1
+            if k:
+                powers.setdefault(p, []).append(p**k)
+            p += 1
+    for column in powers.values():
+        column.sort(reverse=True)
+    depth = max(map(len, powers.values()), default=0)
+    chain = [math.prod(c[k] for c in powers.values() if k < len(c)) for k in range(depth)]
+    return tuple(reversed(chain))
+
+
+factor_lists = st.lists(st.integers(1, 60), max_size=6)
+
+
+@given(factor_lists, factor_lists)
+@settings(max_examples=200, deadline=None)
+@example([6, 4], [])
+@example([1, 1], [1])
+@example([60, 60, 60], [8, 9, 5])
+def test_invariant_factors_match_prime_power_oracle(first: list[int], second: list[int]) -> None:
+    a, b = FiniteAbelianGroup.from_factors(first), FiniteAbelianGroup.from_factors(second)
+    assert a.invariant_factors == prime_power_chain(first)
+    assert (a * b).invariant_factors == prime_power_chain(first + second)
+    assert a.order == math.prod(first)
+
+
 def test_invariant_factor_validation() -> None:
     with pytest.raises(ValueError):
         FiniteAbelianGroup((3, 2))
     with pytest.raises(ValueError):
         FiniteAbelianGroup((1,))
+    with pytest.raises(ValueError):
+        FiniteAbelianGroup.from_factors([2, 0])
 
 
 def test_group_describe() -> None:

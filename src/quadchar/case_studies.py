@@ -409,8 +409,8 @@ def verify_gl2(p: int) -> ScenarioReport:
 
 # Orbit classification closes the cyclic group of order 2n in pure Python;
 # its time grows steeply with n.  At n = 15 the first call classifies once
-# (about 5 of its 6 ms) and later calls at any p reuse the shared system
-# (under 1 ms), Python 3.11.7 on a 2-vCPU Xeon.
+# (about 2.4 of its 2.8 ms) and later calls at any p reuse the shared system
+# (about 0.3 ms), Python 3.11.7 on a 2-vCPU Xeon, median of 7 processes.
 GLN_MAX_N = 15
 
 

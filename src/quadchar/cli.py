@@ -35,7 +35,7 @@ import itertools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NoReturn, Sequence
 
 from ._value import Value
 from .case_studies import (
@@ -401,9 +401,14 @@ def run_hilbert(args: argparse.Namespace, out) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):  # subparsers take the class: one-line usage errors
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadchar",
         description="Verify quadratic-character identities over p-adic fields.",
     )

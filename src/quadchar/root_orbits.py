@@ -16,13 +16,12 @@ For each orbit the classification records:
 * the plain, signed and twisted stabilizers of the base root.
 
 The group is closed once per system object, when its ``orbits`` are
-first read, and ``Q_E`` is read off those elements.  Each element moves
-the whole root set in one matrix product, its matrix times the roots
-taken as columns, and its images are kept as root indices; each orbit's
-fields are all read off the images of its base root.  That the action
-preserves the root set is checked the same way, one product per
-generator: every element is a product of generators, so it maps roots to
-roots when each generator does.
+first read, and ``Q_E`` is read off those elements.  Each generator moves
+the roots, taken as columns, in one matrix product, which checks that it
+preserves them and gives its permutation of root indices; the closure
+composes permutations, ``base * gen`` getting ``base`` after ``gen``, so
+no other product meets the roots.  Each orbit's fields are read off the
+images of its base root, one per element position.
 
 Orbit classes.  The tower ``F_{+-a} < F_a < E_a`` of an orbit and its
 intersections with ``E`` are the fixed fields of the signed stabilizer,
@@ -42,7 +41,7 @@ of the step from the twisted-stabilizer field up) purely structurally.
 from __future__ import annotations
 
 from enum import Enum
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import Iterable
 
 from ._value import Value
@@ -125,32 +124,36 @@ class TwistedRootSystem(Value):
             if len(mat) != self.rank or any(len(row) != self.rank for row in mat):
                 raise ValueError("generator matrices must be rank x rank")
 
-    def group_elements(self) -> tuple[Element, ...]:
-        """Closure of the generators in ``GL x {+-1}``; capped for safety."""
+    @cached_property
+    def _action(self) -> dict[Element, tuple[int, ...]]:
+        """The closure, sorted; each element's ``perm[i]`` indexes its image of root ``i``."""
+        roots = self.roots
+        index = {r: i for i, r in enumerate(roots)}
+        generators = []
+        for mat, sign in self.generators:
+            perm = tuple(index.get(image, -1) for image in zip(*mat_mul(mat, tuple(zip(*roots)))))
+            if -1 in perm:
+                raise ValueError(f"action does not close on the root set: "
+                                 f"{mat} moves {roots[perm.index(-1)]} outside")
+            generators.append((mat, sign, perm))
         identity: Element = (identity_matrix(self.rank), 1)
-        group: set[Element] = {identity}
+        group = {identity: tuple(range(len(roots)))}
         frontier = [identity]
         while frontier:
             base = frontier.pop()
-            for mat, sign in self.generators:
+            base_perm = group[base]
+            for mat, sign, perm in generators:
                 nxt = (mat_mul(base[0], mat), base[1] * sign)
                 if nxt not in group:
                     if len(group) >= _MAX_GROUP:
                         raise ValueError("group closure exceeds the supported size")
-                    group.add(nxt)
+                    group[nxt] = tuple(map(base_perm.__getitem__, perm))
                     frontier.append(nxt)
-        return tuple(sorted(group))
+        return dict(sorted(group.items()))
 
-    def check_action_closed(self) -> None:
-        """Every element is a product of generators, so checking those suffices."""
-        root_set = set(self.roots)
-        columns = tuple(zip(*self.roots))
-        for g in self.generators:
-            for r, image in zip(self.roots, zip(*mat_mul(g[0], columns))):
-                if image not in root_set:
-                    raise ValueError(
-                        f"action does not close on the root set: {g[0]} moves {r} outside"
-                    )
+    def group_elements(self) -> tuple[Element, ...]:
+        """Closure of the generators in ``GL x {+-1}``, sorted; capped for safety."""
+        return tuple(self._action)
 
     @cached_property
     def orbits(self) -> tuple[OrbitRecord, ...]:
@@ -159,25 +162,21 @@ class TwistedRootSystem(Value):
         Computed on first read and kept by this object; a system that fails
         a check raises again on every read.
         """
-        self.check_action_closed()
-        elements = self.group_elements()
-        e_subgroup = set(_character_kernel(elements))
+        e_subgroup = set(_character_kernel(self.group_elements()))
+        e_perms = [perm for g, perm in self._action.items() if g in e_subgroup]
         roots = self.roots
         index = {r: i for i, r in enumerate(roots)}
-        columns = tuple(zip(*roots))
-        # each element's images of all roots, as root indices, from one product
-        images = [tuple(map(index.__getitem__, zip(*mat_mul(g[0], columns)))) for g in elements]
         remaining = set(roots)
         records: list[OrbitRecord] = []
         while remaining:
             base = min(remaining)
             b, nb = index[base], index[_neg(base)]
-            image = {g: perm[b] for g, perm in zip(elements, images)}
-            orbit = set(image.values())
-            e_orbit = {image[g] for g in e_subgroup}
-            stab = frozenset(g for g, r in image.items() if r == b)
-            stab_signed = frozenset(g for g, r in image.items() if r in (b, nb))
-            stab_twisted = frozenset(g for g, r in image.items() if r == (b if g[1] == 1 else nb))
+            image = [(g, perm[b]) for g, perm in self._action.items()]  # the base root's images
+            orbit = {r for _, r in image}
+            e_orbit = {perm[b] for perm in e_perms}
+            stab = frozenset(g for g, r in image if r == b)
+            stab_signed = frozenset(g for g, r in image if r in (b, nb))
+            stab_twisted = frozenset(g for g, r in image if r == (b if g[1] == 1 else nb))
             orbit_roots = {roots[i] for i in orbit}
             records.append(
                 OrbitRecord(
@@ -247,6 +246,16 @@ def _deg_flavor(sub: FieldType, big: FieldType) -> Deg:
     return Deg.UNRAM if _step_kind(sub, big) == "unramified" else Deg.RAM
 
 
+@lru_cache(maxsize=2)  # every orbit of a system is classified under one or two inertias
+def _check_inertia(inertia: frozenset[Element], rank: int) -> None:
+    identity = (identity_matrix(rank), 1)
+    if identity not in inertia:
+        raise ValueError("inertia must contain the identity")
+    others = inertia - {identity}
+    if any((mat_mul(a[0], b[0]), a[1] * b[1]) not in inertia for a in others for b in others):
+        raise ValueError("inertia must be closed under products")
+
+
 def orbit_class(record: OrbitRecord, inertia: Iterable[Element]) -> tuple[Deg, Sym, Sym]:
     """The orbit's class ``(step type, symmetry over F, symmetry over E)``.
 
@@ -255,12 +264,7 @@ def orbit_class(record: OrbitRecord, inertia: Iterable[Element]) -> tuple[Deg, S
     size times the stabilizer size, so no group closure is taken.
     """
     inertia = frozenset(inertia)
-    identity = (identity_matrix(len(record.base_root)), 1)
-    if identity not in inertia:
-        raise ValueError("inertia must contain the identity")
-    others = inertia - {identity}
-    if any((mat_mul(a[0], b[0]), a[1] * b[1]) not in inertia for a in others for b in others):
-        raise ValueError("inertia must be closed under products")
+    _check_inertia(inertia, len(record.base_root))
     order = len(record.roots) * len(record.stab)
 
     def field_type(subgroup: frozenset[Element]) -> FieldType:

@@ -31,13 +31,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:  # no
 
 @pytest.fixture(autouse=True)
 def fresh_root_systems() -> None:
-    """Start each test without the shared root systems and their cached orbits.
+    """Start each test without the shared root systems, their cached orbits
+    and the inertia groups already checked.
 
     A classification helper that a test patches then reaches every system
     the test classifies, not only those no earlier test has classified.
     """
     root_orbits.gln_root_system.cache_clear()
     root_orbits.unitary_root_system.cache_clear()
+    root_orbits._check_inertia.cache_clear()
 
 
 def field_units(k: FiniteField) -> range:

@@ -174,6 +174,19 @@ def test_patched_classification_reaches_systems_classified_earlier(monkeypatch):
     assert main(["verify", "gln"], out=io.StringIO()) != 0
 
 
+@pytest.mark.parametrize("n", [3, 7])
+def test_branch_zetas_checks_each_inertia_once(monkeypatch, n):
+    # one identity per check: the trivial and the <g**n> inertia are each
+    # checked on the first orbit, not again for the other n - 2 orbits
+    system = gln_root_system(n)
+    records = classify_orbits(system)
+    identities = []
+    real = root_orbits.identity_matrix
+    monkeypatch.setattr(root_orbits, "identity_matrix", lambda k: identities.append(k) or real(k))
+    case_studies._branch_zetas(system, records)
+    assert identities == [n, n]
+
+
 def test_class_record_fails_when_orbits_disagree(monkeypatch):
     # all but the first orbit get class 1, whose zeta is trivial on both
     # branches; on the ramified branch the first orbit's class 3 is not

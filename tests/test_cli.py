@@ -216,10 +216,31 @@ def test_hilbert_examples(argv, expected):
 # -- exit codes ---------------------------------------------------------------
 
 
-def test_unknown_suite_is_usage_error():
+def assert_one_line_usage_error(argv: list[str], message: str, capsys) -> None:
+    """argparse's errors, like the program's own, exit 2 with one line and no usage block."""
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "nosuch"])
+        main(argv)
     assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
+def test_unknown_suite_is_usage_error(capsys):
+    assert_one_line_usage_error(["verify", "nosuch"], "argument suite: invalid choice: 'nosuch'", capsys)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ([], "the following arguments are required: command"),
+        (["verify", "gln", "--p", "x"], "argument --p: invalid int value: 'x'"),
+        (["verify", "gln", "--bogus"], "unrecognized arguments: --bogus"),
+    ],
+    ids=["missing-subcommand", "non-integer-p", "unknown-option"],
+)
+def test_argument_parser_errors_are_one_line(argv, message, capsys):
+    assert_one_line_usage_error(argv, message, capsys)
 
 
 @pytest.mark.parametrize(

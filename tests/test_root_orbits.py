@@ -644,6 +644,120 @@ def test_classify_orbits_matches_definitional_sweeps(system):
     assert classify_orbits(system) == definitional_orbit_records(system)
 
 
+# ---------------------------------------------------------------------------
+# root permutations composed in the closure, against per-element products
+# ---------------------------------------------------------------------------
+
+
+def dihedral_square():
+    """The square's dihedral group: a flip inside the character kernel, a swap outside."""
+    return TwistedRootSystem(
+        rank=2,
+        roots=((1, 0), (-1, 0), (0, 1), (0, -1)),
+        generators=((((-1, 0), (0, 1)), 1), (((0, 1), (1, 0)), -1)),
+    )
+
+
+def a2_weyl():
+    """A_2 in simple-root coordinates with its Weyl group S_3 and the sign character."""
+    return TwistedRootSystem(
+        rank=2,
+        roots=((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)),
+        generators=((((-1, 1), (0, 1)), -1), (((1, 0), (1, -1)), -1)),
+    )
+
+
+def product_images(system):
+    """Oracle: each element's images of all roots as root indices, from its matrix
+    times the roots taken as columns, one product per element."""
+    index = {r: i for i, r in enumerate(system.roots)}
+    columns = tuple(zip(*system.roots))
+    return {
+        g: tuple(index[image] for image in zip(*mat_mul(g[0], columns)))
+        for g in system.group_elements()
+    }
+
+
+def orbit_records_from_images(system, images):
+    """Oracle: the orbit records read off a map from each element to its images."""
+    elements = system.group_elements()
+    e_subgroup = set(character_kernel(system))
+    roots = system.roots
+    index = {r: i for i, r in enumerate(roots)}
+    remaining = set(roots)
+    records = []
+    while remaining:
+        base = min(remaining)
+        b, nb = index[base], index[tuple(-x for x in base)]
+        image = {g: images[g][b] for g in elements}
+        orbit = set(image.values())
+        e_orbit = {image[g] for g in e_subgroup}
+        stab = frozenset(g for g, r in image.items() if r == b)
+        stab_signed = frozenset(g for g, r in image.items() if r in (b, nb))
+        orbit_roots = {roots[i] for i in orbit}
+        records.append(
+            OrbitRecord(
+                base_root=base,
+                roots=tuple(sorted(orbit_roots)),
+                sym_over_base=nb in orbit,
+                sym_over_e=nb in e_orbit,
+                degree=1 if stab <= e_subgroup else 2,
+                e_suborbit_count=len(orbit) // len(e_orbit),
+                stab=stab,
+                stab_signed=stab_signed,
+                stab_twisted=frozenset(
+                    g for g, r in image.items() if r == (b if g[1] == 1 else nb)
+                ),
+                stab_e=stab & e_subgroup,
+                stab_signed_e=stab_signed & e_subgroup,
+            )
+        )
+        remaining -= orbit_roots
+    return records
+
+
+PERMUTATION_SYSTEMS = {
+    **{f"gln{n}": (gln_root_system, n) for n in range(2, 8)},
+    **{f"un{n}": (unitary_root_system, n) for n in range(2, 8)},
+    "rank-one-klein": (rank_one_klein,),
+    "dihedral-square": (dihedral_square,),
+    "a2-weyl": (a2_weyl,),
+}
+
+
+@pytest.mark.parametrize("build", PERMUTATION_SYSTEMS.values(), ids=PERMUTATION_SYSTEMS)
+def test_composed_root_permutations_match_per_element_products(build):
+    system = build[0](*build[1:])
+    images = product_images(system)
+    # the closure keeps every element, in group_elements order, with its images
+    assert tuple(system._action) == system.group_elements()
+    assert system._action == images
+    records = classify_orbits(system)
+    expected = orbit_records_from_images(system, images)
+    assert len(records) == len(expected)
+    for got, want in zip(records, expected):
+        for field in OrbitRecord._fields:
+            assert getattr(got, field) == getattr(want, field), field
+
+
+def test_closure_takes_one_product_per_element_and_generator(monkeypatch):
+    # |Q| * #generators products in the closure and one per generator for its
+    # root permutation; no element's matrix meets the roots
+    calls = []
+
+    def counted(a, b):
+        calls.append(len(b[0]))  # columns of the product
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(root_orbits, "mat_mul", counted)
+    system = gln_root_system.__wrapped__(7)
+    system.orbits
+    products = list(calls)
+    order, gens = len(system.group_elements()), len(system.generators)
+    assert len(products) == order * gens + gens == 15
+    assert products.count(len(system.roots)) == gens  # the one root-set product per generator
+
+
 FAMILIES = (
     rank_one_klein(),
     *(gln_root_system(n) for n in (2, 3, 4, 5)),

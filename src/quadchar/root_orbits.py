@@ -129,9 +129,10 @@ class TwistedRootSystem(Value):
         """The closure, sorted; each element's ``perm[i]`` indexes its image of root ``i``."""
         roots = self.roots
         index = {r: i for i, r in enumerate(roots)}
+        columns = tuple(zip(*roots))
         generators = []
         for mat, sign in self.generators:
-            perm = tuple(index.get(image, -1) for image in zip(*mat_mul(mat, tuple(zip(*roots)))))
+            perm = tuple(index.get(image, -1) for image in zip(*mat_mul(mat, columns)))
             if -1 in perm:
                 raise ValueError(f"action does not close on the root set: "
                                  f"{mat} moves {roots[perm.index(-1)]} outside")

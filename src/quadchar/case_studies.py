@@ -31,17 +31,15 @@ Scenarios
   to ``1`` and unramified-branch exponents ``1 -+ q^j`` are even.
 
 The scenarios work in cyclic unit groups of even order ``N``, where each
-sign is a statement about exponents mod ``N``, read off one generator
-(``QuadraticExtension.generator``) or off the roots' exponents.  The
-units with sign ``-1`` are then the solutions of a linear congruence
-``m*a = b (mod N)``, a coset of a subgroup of ``Z/N``, so they are
-counted exactly without enumerating the group
-(``congruence_solutions``, ``count_solutions``, ``count_common``).
+sign is read off one generator (``QuadraticExtension.generator``) or off
+the roots' exponents.  If ``x`` has sign ``(-1)**e``, then ``x**m`` has
+sign ``(-1)**(m*e)``, so exactly ``N/2`` of the ``N`` powers have sign
+``-1`` when ``e`` is odd and none do when ``e`` is even; the scenarios
+count by that exponent parity without enumerating the group
+(``_negative_count``).
 """
 
 from __future__ import annotations
-
-import math
 
 from ._value import Value
 from .char_engine import (
@@ -86,9 +84,6 @@ from .root_orbits import (
 __all__ = [
     "CheckRecord",
     "ScenarioReport",
-    "congruence_solutions",
-    "count_solutions",
-    "count_common",
     "verify_sl2",
     "verify_gl2",
     "verify_gln_odd",
@@ -119,64 +114,26 @@ def _bit(sign: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sign counts in cyclic groups: linear congruences mod the group order
+# sign counts in cyclic groups: exponent parity
 # ---------------------------------------------------------------------------
 
-# The solutions of ``m*a = b (mod N)`` as ``(r, s)``: the coset ``r + s*Z``
-# of ``Z/N``, with ``s`` dividing ``N``.
-Coset = tuple[int, int]
 
+def _negative_count(e: int, order: int) -> int:
+    """How many ``m`` in ``Z/order`` give ``x**m`` sign ``-1``, where ``x`` has sign ``(-1)**e``.
 
-def congruence_solutions(a: int, b: int, modulus: int) -> Coset | None:
-    """All ``m`` in ``Z/modulus`` with ``m*a = b``, or ``None`` if there are none.
+    In a cyclic group of even order ``x**m`` has sign ``(-1)**(m*e)``:
+    half the ``m`` when ``e`` is odd, none when it is even.
 
-    With ``g = gcd(a, modulus)`` there are solutions exactly when ``g``
-    divides ``b``; they are then one coset of the subgroup of index ``g``.
-
-    >>> congruence_solutions(4, 2, 6)    # m*4 = 2 (mod 6): m in {2, 5}
-    (2, 3)
-    >>> congruence_solutions(2, 1, 6) is None
-    True
+    >>> _negative_count(3, 8), _negative_count(-2, 8)
+    (4, 0)
     """
-    g = math.gcd(a, modulus)
-    if b % g:
-        return None
-    step = modulus // g
-    return (b // g) * pow(a // g, -1, step) % step, step
-
-
-def count_solutions(coset: Coset | None, modulus: int) -> int:
-    """Number of elements of ``Z/modulus`` in a coset from ``congruence_solutions``."""
-    return 0 if coset is None else modulus // coset[1]
-
-
-def count_common(first: Coset | None, second: Coset | None, modulus: int) -> int:
-    """Number of elements of ``Z/modulus`` in both cosets.
-
-    ``r1 + s1*Z`` and ``r2 + s2*Z`` meet exactly when ``r1 = r2`` modulo
-    ``gcd(s1, s2)``, and then in one coset of ``lcm(s1, s2)*Z``.
-    """
-    if first is None or second is None:
-        return 0
-    (r1, s1), (r2, s2) = first, second
-    if (r1 - r2) % math.gcd(s1, s2):
-        return 0
-    return modulus // math.lcm(s1, s2)
-
-
-def _odd_multiples(e: int, order: int) -> Coset | None:
-    """The ``m`` in ``Z/order`` (even) with ``m*e`` odd: ``m*e*half = half``.
-
-    These ``m`` give ``x**m`` sign ``-1`` when ``x`` has sign ``(-1)**e``.
-    """
-    half = order // 2
-    return congruence_solutions(e * half, half, order)
+    return order // 2 * (e % 2)
 
 
 def _unit_class_sizes(ext: QuadraticExtension) -> tuple[int, int]:
     """How many base-field units ``norm(g)**m``, ``m`` in ``Z/(q-1)``, have each sign bit."""
-    order, bit = ext.q - 1, _bit(sgn_units(ext.base, ext.norm(ext.generator)))
-    odd = count_solutions(_odd_multiples(bit, order), order)
+    order = ext.q - 1
+    odd = _negative_count(_bit(sgn_units(ext.base, ext.norm(ext.generator))), order)
     return order - odd, odd
 
 
@@ -320,10 +277,10 @@ def _gl2_even_a(ext: QuadraticExtension, report: ScenarioReport) -> None:
     # a unit x = g**m has sign bit m*bit(g) and its norm norm(g)**m has sign
     # bit m*bit(norm(g)): count the units with each (big, small) pair of bits
     g, order = ext.generator, p * p - 1
-    odd_big = _odd_multiples(_bit(sgn_ext_units(ext, g)), order)
-    odd_small = _odd_multiples(_bit(sgn_units(k, ext.norm(g))), order)
-    n_big, n_small = count_solutions(odd_big, order), count_solutions(odd_small, order)
-    both = count_common(odd_big, odd_small, order)
+    big, small = _bit(sgn_ext_units(ext, g)), _bit(sgn_units(k, ext.norm(g)))
+    n_big, n_small = _negative_count(big, order), _negative_count(small, order)
+    # both bits are odd exactly when m * big * small is odd
+    both = _negative_count(big * small, order)
     counts = {(0, 0): order - n_big - n_small + both, (0, 1): n_small - both,
               (1, 0): n_big - both, (1, 1): both}
     # the step character sees four square classes, and the norm route two
@@ -448,9 +405,9 @@ def verify_gln_odd(n: int, p: int) -> ScenarioReport:
     an element ``g**m`` maps under the ``j``-th root to ``g**(m*(1-q**j))``
     and under the norm to the base field to ``g**(m*(q**n-1)/(q-1))``.
     Both sign routes are evaluated from those exponents independently:
-    each route's units of sign ``-1`` solve a linear congruence mod the
-    group order, and the records count those solutions and the units
-    where the two routes disagree, exactly and without enumeration.
+    each route's sign is ``-1`` on the units ``g**m`` with ``m`` times
+    its exponent odd, and the records count those units and the units
+    where the two routes disagree by that parity, without enumeration.
     """
     if n % 2 == 0 or n < 3:
         raise ValueError("this scenario is for odd n >= 3")
@@ -487,22 +444,17 @@ def verify_gln_odd(n: int, p: int) -> ScenarioReport:
     bad_norm = 0
     for j in range(1, n):
         exponent = 1 - q**j
-        # sign in the big residue field: g**(m * exponent * order/2) is -1
-        # iff m * exponent * half = half (mod order)
-        big_negative = _odd_multiples(exponent, order)
-        # sign of the norm down to the base residue field, computed from
-        # the norm exponent rather than from the parity shortcut
-        norm_negative = congruence_solutions(
-            exponent * norm_scale * ((q - 1) // 2), half, order
-        )
-        big_count = count_solutions(big_negative, order)
-        bad_big += big_count
-        # units where exactly one route is -1: |A| + |B| - 2|A & B|
-        bad_norm += (
-            big_count
-            + count_solutions(norm_negative, order)
-            - 2 * count_common(big_negative, norm_negative, order)
-        )
+        # sign in the big residue field: g**(m * exponent * half)
+        bad_big += _negative_count(exponent, order)
+        # sign of the norm down to the base residue field, from the norm
+        # exponent; norm_scale * (q - 1) / 2 is half, so norm_exponent is
+        # exponent and the record holds by construction (ROADMAP item 2
+        # step 4)
+        norm_exponent, rest = divmod(exponent * norm_scale * ((q - 1) // 2), half)
+        if rest:
+            raise AssertionError("the norm route's sign exponent is a multiple of half the order")
+        # units where exactly one route is -1: m * (exponent + norm_exponent) is odd
+        bad_norm += _negative_count(exponent + norm_exponent, order)
     report.add(
         "gln-unit-signs-trivial",
         {"n": n, "p": p, "elements": order, "roots": n - 1},
@@ -531,9 +483,10 @@ def verify_gln_odd(n: int, p: int) -> ScenarioReport:
 def verify_un_odd(n: int, p: int) -> ScenarioReport:
     """Ramified residues collapse to one; unramified exponents are even.
 
-    On the unramified branch the units of sign ``-1`` under each root are
-    the solutions of a linear congruence mod the cyclic group order
-    ``q**n + 1``; the record counts them exactly, without enumeration.
+    On the unramified branch the units ``g**m`` of sign ``-1`` under each
+    root are those with ``m`` times the root's exponent odd, in the
+    cyclic group of order ``q**n + 1``; the record counts them by that
+    parity, without enumeration.
     """
     if n not in (3, 5):
         raise ValueError("this scenario is for n in {3, 5}")
@@ -559,14 +512,13 @@ def verify_un_odd(n: int, p: int) -> ScenarioReport:
 
     # unramified branch: exponents 1 -+ q**j are even on the group of
     # order q**n + 1, so every sign there is g**(even * half) = +1; the
-    # units of sign -1 solve m * exponent * half = half (mod order)
+    # units of sign -1 are those with m * exponent odd
     q = p
     order = q**n + 1
     bad = 0
     for j in range(1, n):
         for sign in (1, -1):
-            negative = _odd_multiples(1 - sign * q**j, order)
-            bad += count_solutions(negative, order)
+            bad += _negative_count(1 - sign * q**j, order)
     report.add(
         "un-unramified-signs-trivial",
         {"n": n, "p": p, "elements": order},

@@ -11,9 +11,6 @@ from quadchar import case_studies, root_orbits
 from quadchar.case_studies import (
     CheckRecord,
     ScenarioReport,
-    congruence_solutions,
-    count_common,
-    count_solutions,
     verify_gl2,
     verify_gln_odd,
     verify_sl2,
@@ -203,7 +200,7 @@ def test_class_record_fails_when_orbits_disagree(monkeypatch):
     assert by_id["gln-class-zeta-r"].verdict == "fail"
 
 
-# -- sign counts by linear congruence ----------------------------------------
+# -- sign counts by exponent parity -----------------------------------------
 
 
 def solutions_by_enumeration(a: int, b: int, modulus: int) -> set[int]:
@@ -211,63 +208,39 @@ def solutions_by_enumeration(a: int, b: int, modulus: int) -> set[int]:
     return {m for m in range(modulus) if (m * a - b) % modulus == 0}
 
 
-def assert_counts_match(a1: int, a2: int, b: int, modulus: int) -> None:
-    first = congruence_solutions(a1, b, modulus)
-    second = congruence_solutions(a2, b, modulus)
-    expected_first = solutions_by_enumeration(a1, b, modulus)
-    expected_second = solutions_by_enumeration(a2, b, modulus)
-    assert count_solutions(first, modulus) == len(expected_first)
-    assert count_solutions(second, modulus) == len(expected_second)
-    assert count_common(first, second, modulus) == len(expected_first & expected_second)
+def assert_negative_count_matches_enumeration(e: int, order: int) -> None:
+    """``g**(m*e*half)`` is ``-1`` exactly when ``m*e*half = half (mod order)``."""
+    half = order // 2
+    expected = len(solutions_by_enumeration(e * half, half, order))
+    assert case_studies._negative_count(e, order) == expected, (e, order)
 
 
-def test_congruence_counts_match_enumeration_for_small_even_orders():
-    for modulus in range(2, 257, 2):
-        half = modulus // 2
-        # the solution set depends on a only through its coset, so the
-        # intersections of every pair of a values are those of the cosets
-        cosets = {}
-        for a in range(modulus):
-            coset = congruence_solutions(a, half, modulus)
-            expected = solutions_by_enumeration(a, half, modulus)
-            assert count_solutions(coset, modulus) == len(expected)
-            assert cosets.setdefault(coset, expected) == expected
-        for first, first_set in cosets.items():
-            for second, second_set in cosets.items():
-                assert count_common(first, second, modulus) == len(first_set & second_set)
-
-
-_FACTORS = st.sampled_from((1, 2, 3, 4, 6, 12, 60))
+def test_negative_count_matches_enumeration_for_small_even_orders():
+    for order in range(2, 257, 2):
+        for e in range(-3, order + 3):
+            assert_negative_count_matches_enumeration(e, order)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_congruence_counts_match_enumeration(data):
-    modulus = data.draw(st.integers(1, 10**5))
-    # scaled draws share factors with the modulus more often than plain ones
-    a1, a2, b = (
-        data.draw(st.integers(-modulus, modulus)) * data.draw(_FACTORS)
-        for _ in range(3)
-    )
-    assert_counts_match(a1, a2, b, modulus)
+@given(st.integers(1, 5 * 10**4), st.integers(-(10**6), 10**6))
+def test_odd_exponent_makes_half_the_group_negative(half, e):
+    """The sign of ``g**(m*e)`` in a cyclic group of order ``2*half``."""
+    assert_negative_count_matches_enumeration(e, 2 * half)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 5 * 10**4), st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6))
-def test_odd_exponent_makes_half_the_group_negative(half, c1, c2):
-    """The sign of ``g**(m*c)`` in a cyclic group of order ``2*half``."""
-    modulus = 2 * half
-    assert_counts_match(c1 * half, c2 * half, half, modulus)
-    negative = congruence_solutions(c1 * half, half, modulus)
-    assert count_solutions(negative, modulus) == (half if c1 % 2 else 0)
-    # two sign routes disagree, |A| + |B| - 2|A & B|, when one exponent is odd
-    other = congruence_solutions(c2 * half, half, modulus)
-    disagree = (
-        count_solutions(negative, modulus)
-        + count_solutions(other, modulus)
-        - 2 * count_common(negative, other, modulus)
-    )
-    assert disagree == (half if (c1 + c2) % 2 else 0)
+# Every gl2 sign bit at a generator is odd, and each gl2 record's identity
+# holds in every sign class, so moving units between classes changes no gl2
+# verdict: only the gln and un records see these mutants.
+@pytest.mark.parametrize(
+    "mutant",
+    [lambda e, order: order // 2 * (e % 2 == 0), lambda e, order: order // 2],
+    ids=["parity-flipped-fails-gln-un", "exponent-ignored-fails-gln-un"],
+)
+def test_negative_count_mutants_fail_verify(monkeypatch, mutant):
+    monkeypatch.setattr(case_studies, "_negative_count", mutant)
+    suites = ("gln", "un", "gl2")
+    failing = {suite for suite in suites if main(["verify", suite], out=io.StringIO())}
+    assert failing == {"gln", "un"}
 
 
 # -- residue-sign counts against an exhaustive sweep -------------------------

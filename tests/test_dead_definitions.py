@@ -10,6 +10,11 @@ name occurs in the same files as an attribute or as an exact string
 constant, again outside ``__all__``.  There is no allowlist.
 
 Tests do not count: a definition only tests read is dead code.
+
+Because ``__all__`` entries do not count as uses, the rules above cannot see
+an export whose definition was deleted.  A third rule asks that each
+module's ``__all__`` list only names the module defines at top level, each
+once.
 """
 
 from __future__ import annotations
@@ -90,3 +95,36 @@ def test_member_rule_sees_an_unread_method():
         "size = 'size'\n"
     )
     assert _unused_members([module], [module]) == {"Box.spare"}
+
+
+def _export_faults(tree: ast.Module) -> list[str]:
+    """Entries of a module's ``__all__`` it does not define, or lists twice."""
+    defined, exports = set(), []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            defined |= names
+            if "__all__" in names:
+                exports = [node.value for node in stmt.value.elts]
+    return sorted(
+        {f"{name} undefined" for name in exports if name not in defined}
+        | {f"{name} listed twice" for name in exports if exports.count(name) > 1}
+    )
+
+
+def test_every_export_is_defined_once():
+    faults = {path.name: _export_faults(tree) for path, tree in zip(PACKAGE, _trees())}
+    assert {name: found for name, found in faults.items() if found} == {}
+
+
+def test_export_rule_sees_a_stale_and_a_repeated_name():
+    module = ast.parse(
+        "import math\n"
+        "def kept(): return 1\n"
+        "LIMIT: int = 3\n"
+        "__all__ = ['kept', 'LIMIT', 'gone', 'math', 'kept']\n"
+    )
+    assert _export_faults(module) == ["gone undefined", "kept listed twice", "math undefined"]

@@ -228,6 +228,30 @@ def test_odd_exponent_makes_half_the_group_negative(half, e):
     assert_negative_count_matches_enumeration(e, 2 * half)
 
 
+_FACTORS = st.sampled_from((1, 2, 3, 4, 6, 12, 60))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_congruence_counts_match_enumeration(data):
+    """The two-route counts the call sites form from ``_negative_count``.
+
+    With ``A`` and ``B`` the ``m`` giving sign ``-1`` for exponents ``e1`` and
+    ``e2``, both routes are negative on ``_negative_count(e1*e2)`` of them and
+    disagree on ``_negative_count(e1 + e2)``.
+    """
+    order = 2 * data.draw(st.integers(1, 5 * 10**4))
+    half = order // 2
+    # scaled draws are even, and share factors with the order, more often
+    e1, e2 = (data.draw(st.integers(-order, order)) * data.draw(_FACTORS) for _ in range(2))
+    first = solutions_by_enumeration(e1 * half, half, order)
+    second = solutions_by_enumeration(e2 * half, half, order)
+    assert case_studies._negative_count(e1, order) == len(first)
+    assert case_studies._negative_count(e2, order) == len(second)
+    assert case_studies._negative_count(e1 * e2, order) == len(first & second)
+    assert case_studies._negative_count(e1 + e2, order) == len(first ^ second)
+
+
 # Every gl2 sign bit at a generator is odd, and each gl2 record's identity
 # holds in every sign class, so moving units between classes changes no gl2
 # verdict: only the gln and un records see these mutants.

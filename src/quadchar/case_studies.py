@@ -41,6 +41,8 @@ count by that exponent parity without enumerating the group
 
 from __future__ import annotations
 
+from functools import reduce
+
 from ._value import Value
 from .char_engine import (
     CLASS_TRIPLES,
@@ -380,14 +382,7 @@ def _branch_zetas(system: TwistedRootSystem, records: list[OrbitRecord]) -> dict
     joined text that no record expects.
     """
     ((g, sign),) = system.generators
-    g_n, k = None, system.rank
-    while k:  # g**n by repeated squaring
-        if k & 1:
-            g_n = g if g_n is None else mat_mul(g_n, g)
-        k >>= 1
-        if k:
-            g = mat_mul(g, g)
-    g_n = (g_n, sign**system.rank)
+    g_n = (reduce(mat_mul, [g] * system.rank), sign**system.rank)
     identity = (identity_matrix(system.rank), 1)
     branches = ((EF.UNRAM, frozenset({identity})), (EF.RAM, frozenset({identity, g_n})))
     zetas = {}
@@ -490,6 +485,7 @@ def verify_un_odd(n: int, p: int) -> ScenarioReport:
     """
     if n not in (3, 5):
         raise ValueError("this scenario is for n in {3, 5}")
+    k = FiniteField(p)  # ValueError unless p is an odd prime below the field cap
 
     report = ScenarioReport()
     system = unitary_root_system(n)
@@ -503,8 +499,7 @@ def verify_un_odd(n: int, p: int) -> ScenarioReport:
 
     # ramified branch: norm-one residues are +-1 and the conjugation fixes
     # residues, so the root value is 1 on both; a constant until ROADMAP
-    # item 1 step 4 replaces this record
-    k = FiniteField(p)
+    # item 2 step 4 replaces this record
     report.add("un-ramified-root-values", {"n": n, "p": p}, [1], [1])
     report.add(
         "un-ramified-distinction-sign", {"n": n, "p": p}, 1, sgn_units(k, 1)

@@ -8,14 +8,12 @@ the orbit field's residue field (``sgn(k_E_a^1)``), and the quadratic
 character attached to the quadratic step ``E_a / F_a``
 (``omega(E_a/F_a)``).  Products live in the group algebra over GF(2), so
 a ``CharContribution`` is just a frozenset of symbols with symmetric
-difference as multiplication.
+difference as multiplication.  Each symbol is the text of its table cell.
 
 A ``RootOrbitConfig`` bundles the classification triple of an orbit
 (step type ``deg_EaFa``, symmetry over the base field ``sym_F``,
-symmetry over the quadratic base extension ``sym_E``), the twisted-orbit
-columns (``sym_Fop``, ``deg_EaFaop``, derived from the triple by the
-structural derivation ``derive_op_data``), the ramification of the
-quadratic base extension itself (``ef``), and two element-dependent
+symmetry over the quadratic base extension ``sym_E``), the ramification
+of the quadratic base extension itself (``ef``), and two element-dependent
 gates: ``in_phi_half`` (whether the orbit meets the chosen half-system
 used by the depth-zero sign counts; forced off when the base extension
 is unramified, since Frobenius orbits then pair the halves) and
@@ -24,10 +22,11 @@ only meaningful when the orbit is symmetric-ramified over the
 extension).
 
 ``conjecture_check`` compares the product of the three sign invariants
-against the twisted-class character and reports one of three verdicts:
-exact symbolic equality, equality up to a known character identification
-or gate reassignment (``NEEDS_ELEMENT_CHECK`` with the reason), or an
-outright mismatch.
+against the character of the twisted class, which ``twisted_class`` of
+:mod:`quadchar.root_orbits` derives from the triple.  It reports one of
+three verdicts: exact symbolic equality, equality up to a known character
+identification or gate reassignment (``NEEDS_ELEMENT_CHECK`` with the
+reason), or an outright mismatch.
 """
 
 from __future__ import annotations
@@ -36,11 +35,10 @@ from enum import Enum
 
 from ._value import Value
 from .padic_fields import LocalFieldDesc, SquareClass, hilbert_symbol
-from .root_orbits import Deg, Sym, derive_op_data
+from .root_orbits import Deg, Sym, twisted_class
 
 __all__ = [
     "EF",
-    "Symbol",
     "CharContribution",
     "ONE",
     "SGN_UNITS_ORBIT",
@@ -70,28 +68,16 @@ class EF(str, Enum):
     RAM = "r"
 
 
-Symbol = tuple[str, str]
-
-_SYM_SGN_UNITS_ORBIT: Symbol = ("sgn_units", "k_E_a")
-_SYM_SGN_UNITS_STAB: Symbol = ("sgn_units", "k_F_a")
-_SYM_SGN_NORM_ONE: Symbol = ("sgn_norm_one", "k_E_a")
-_SYM_OMEGA_STEP: Symbol = ("omega_quad", "E_a/F_a")
-
-_SYMBOL_TEXT = {
-    _SYM_SGN_UNITS_ORBIT: "sgn(k_E_a^x) . alpha",
-    _SYM_SGN_UNITS_STAB: "sgn(k_F_a^x) . alpha",
-    _SYM_SGN_NORM_ONE: "sgn(k_E_a^1) . alpha",
-    _SYM_OMEGA_STEP: "omega(E_a/F_a) . iota . alpha",
-}
+_BASIS: set[str] = set()  # the basis symbols; filled at import by _basis_character
 
 
 class CharContribution(Value):
     """A product of basis quadratic characters (exponents mod 2)."""
 
-    symbols: frozenset[Symbol] = frozenset()
+    symbols: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        unknown = set(self.symbols) - set(_SYMBOL_TEXT)
+        unknown = self.symbols - _BASIS
         if unknown:
             raise ValueError(f"unknown character symbols: {sorted(unknown)}")
 
@@ -106,14 +92,19 @@ class CharContribution(Value):
         """Canonical cell text: '1' or a sorted ' * '-joined product."""
         if not self.symbols:
             return "1"
-        return " * ".join(sorted(_SYMBOL_TEXT[s] for s in self.symbols))
+        return " * ".join(sorted(self.symbols))
+
+
+def _basis_character(symbol: str) -> CharContribution:
+    _BASIS.add(symbol)
+    return CharContribution(frozenset({symbol}))
 
 
 ONE = CharContribution()
-SGN_UNITS_ORBIT = CharContribution(frozenset({_SYM_SGN_UNITS_ORBIT}))
-SGN_UNITS_STAB = CharContribution(frozenset({_SYM_SGN_UNITS_STAB}))
-SGN_NORM_ONE_ORBIT = CharContribution(frozenset({_SYM_SGN_NORM_ONE}))
-OMEGA_STEP = CharContribution(frozenset({_SYM_OMEGA_STEP}))
+SGN_UNITS_ORBIT = _basis_character("sgn(k_E_a^x) . alpha")
+SGN_UNITS_STAB = _basis_character("sgn(k_F_a^x) . alpha")
+SGN_NORM_ONE_ORBIT = _basis_character("sgn(k_E_a^1) . alpha")
+OMEGA_STEP = _basis_character("omega(E_a/F_a) . iota . alpha")
 
 
 # the ten consistent classification triples, in table order, each with
@@ -166,24 +157,9 @@ class RootOrbitConfig(Value):
     def triple(self) -> tuple[Deg, Sym, Sym]:
         return (self.deg_EaFa, self.sym_F, self.sym_E)
 
-    @property
-    def sym_Fop(self) -> Sym:
-        """Symmetry type of the twisted orbit over the base."""
-        return derive_op_data(*self.triple)[0]
 
-    @property
-    def deg_EaFaop(self) -> Deg:
-        """Type of the step from the twisted-stabilizer field to the orbit field."""
-        return derive_op_data(*self.triple)[1]
-
-
-def class_key(config_or_triple: RootOrbitConfig | tuple[Deg, Sym, Sym]) -> int:
-    """1-based class number of a config or triple, in table order."""
-    triple = (
-        config_or_triple.triple
-        if isinstance(config_or_triple, RootOrbitConfig)
-        else config_or_triple
-    )
+def class_key(triple: tuple[Deg, Sym, Sym]) -> int:
+    """1-based class number of a classification triple, in table order."""
     try:
         return CLASS_TRIPLES.index(triple) + 1
     except ValueError:
@@ -216,21 +192,21 @@ def enumerate_configs() -> list[RootOrbitConfig]:
 
 
 def kaletha_contribution(config: RootOrbitConfig) -> CharContribution:
-    """Toral-invariant sign character of the orbit.
+    """Toral-invariant sign character of the orbit, read off its tower.
 
-    Nontrivial only on the half-system gate, and only for the classes
-    where the orbit field character does not restrict trivially: the
-    asymmetric and symmetric classes whose twisted orbit is
-    ``(sym_r, split)`` contribute the unit sign character of ``k_E_a``;
-    the two classes with a ramified symmetry flavor against an opposite
-    step flavor contribute the norm-one sign character.
+    Nontrivial only on the half-system gate.  An orbit asymmetric over
+    ``E`` whose step ``E_a/F_a`` or whose symmetry over the base is
+    ramified contributes the unit sign character of ``k_E_a``; an orbit
+    symmetric-unramified over ``E`` with a genuine quadratic step
+    contributes the norm-one sign character of ``k_E_a``.  Each rule
+    holds on one pair of classes that the twist exchanges.
     """
     if not config.in_phi_half:
         return ONE
-    key = class_key(config)
-    if key in (3, 7):
+    ramified = config.deg_EaFa is Deg.RAM or config.sym_F is Sym.SYM_RAM
+    if config.sym_E is Sym.ASYM and ramified:
         return SGN_UNITS_ORBIT
-    if key in (6, 10):
+    if config.sym_E is Sym.SYM_UNRAM and config.deg_EaFa is not Deg.SPLIT:
         return SGN_NORM_ONE_ORBIT
     return ONE
 
@@ -258,18 +234,18 @@ def prasad_contribution(config: RootOrbitConfig) -> CharContribution:
 
 
 def zeta_contribution(config: RootOrbitConfig) -> CharContribution:
-    """Character of the twisted class, read off the twisted-orbit columns.
+    """Character of the twisted class ``twisted_class(config.triple)``.
 
-    Keyed on ``(deg_EaFaop, sym_Fop, sym_E)``: a twisted class that is
-    split with ramified symmetry and asymmetric over the extension gives
-    the unit sign character of the orbit field; an unramified twisted
-    step with ramified twisted symmetry gives the step character; all
-    other twisted classes contribute trivially.  Independent of gates.
+    A twisted class that is split with ramified symmetry and asymmetric
+    over the extension gives the unit sign character of the orbit field;
+    an unramified twisted step with ramified twisted symmetry gives the
+    step character; all other twisted classes contribute trivially.
+    Independent of gates.
     """
-    op_triple = (config.deg_EaFaop, config.sym_Fop, config.sym_E)
-    if op_triple == (Deg.SPLIT, Sym.SYM_RAM, Sym.ASYM):
+    twisted = twisted_class(config.triple)
+    if twisted == (Deg.SPLIT, Sym.SYM_RAM, Sym.ASYM):
         return SGN_UNITS_ORBIT
-    if op_triple[:2] == (Deg.UNRAM, Sym.SYM_RAM):
+    if twisted[:2] == (Deg.UNRAM, Sym.SYM_RAM):
         return OMEGA_STEP
     return ONE
 
@@ -314,7 +290,7 @@ _NORM_PRODUCT = (SGN_NORM_ONE_ORBIT * SGN_UNITS_STAB * OMEGA_STEP).symbols
 
 def _relation_reason(config: RootOrbitConfig, diff: CharContribution) -> str | None:
     """Known character identifications that kill a symbolic discrepancy."""
-    if _residue_fields_coincide(config) and _SYM_SGN_UNITS_STAB in diff.symbols:
+    if _residue_fields_coincide(config) and SGN_UNITS_STAB.symbols <= diff.symbols:
         collapsed = diff * SGN_UNITS_STAB * SGN_UNITS_ORBIT
         if collapsed.is_trivial:
             return (

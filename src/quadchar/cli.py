@@ -161,14 +161,14 @@ def _records_unramified() -> list[CheckRecord]:
             continue
         verdict = conjecture_check(cfg)
         rid = (
-            f"unramified-class{class_key(cfg):02d}"
+            f"unramified-class{class_key(cfg.triple):02d}"
             f"-gate{int(cfg.in_phi_half)}-oz{int(cfg.ord_zero)}"
         )
         out.append(
             CheckRecord(
                 rid,
                 {
-                    "class": class_key(cfg),
+                    "class": class_key(cfg.triple),
                     "ef": cfg.ef.value,
                     "in_phi_half": cfg.in_phi_half,
                     "ord_zero": cfg.ord_zero,

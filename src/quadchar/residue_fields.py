@@ -40,7 +40,7 @@ and multiplies on the components.  Both ``pow``s take exponents
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from ._value import Value
 
@@ -134,20 +134,13 @@ class FiniteField(Value):
 
     # -- structure ------------------------------------------------------------
 
-    def is_square(self, x: int) -> bool:
-        """Whether the nonzero element ``x`` is a square in ``self``."""
-        if x == 0:
-            raise ValueError("squareness of zero is not defined here")
-        return self.pow(x, (self.p - 1) // 2) == 1
-
-    @lru_cache(maxsize=None)
     def canonical_nonsquare(self) -> int:
         """The least positive quadratic non-residue mod ``p``.
 
         The choice is deterministic and is used as the defining modulus
         for quadratic extensions.
         """
-        return next(x for x in range(1, self.p) if not self.is_square(x))
+        return next(x for x in range(1, self.p) if sgn_units(self, x) == -1)
 
 
 class QuadraticExtension(Value):

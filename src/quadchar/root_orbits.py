@@ -35,13 +35,16 @@ stabilizer, is cross-checked against ``derive_op_data``.
 
 ``derive_op_data`` computes the two opposition invariants of a class
 (symmetry type of the twisted orbit over the base, and the ramification
-of the step from the twisted-stabilizer field up) purely structurally.
+of the step from the twisted-stabilizer field up) purely structurally;
+``twisted_class`` is the class they make with the symmetry over ``E``.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from functools import cache, cached_property, lru_cache
+from itertools import permutations
+from operator import sub
 from typing import Iterable
 
 from ._value import Value
@@ -57,6 +60,7 @@ __all__ = [
     "classify_orbits",
     "orbit_class",
     "derive_op_data",
+    "twisted_class",
     "gln_root_system",
     "unitary_root_system",
     "gln_orbit_parity",
@@ -88,10 +92,6 @@ _MAX_GROUP = 256
 
 def _neg(v: Vector) -> Vector:
     return tuple(-x for x in v)
-
-
-def _scale_matrix(m: Matrix, s: int) -> Matrix:
-    return tuple(tuple(s * x for x in row) for row in m)
 
 
 def _character_kernel(elements: tuple[Element, ...]) -> tuple[Element, ...]:
@@ -226,25 +226,21 @@ def classify_orbits(system: TwistedRootSystem) -> list[OrbitRecord]:
 FieldType = tuple[int, int]  # (ramification index e, residue degree f) over F
 
 
-def _step_kind(sub: FieldType, big: FieldType) -> str:
-    """Ramification of a quadratic step between two fields' ``(e, f)``."""
-    if big == (2 * sub[0], sub[1]):
-        return "ramified"
-    if big == (sub[0], 2 * sub[1]):
-        return "unramified"
-    raise ValueError(f"inconsistent inertia: {sub} -> {big} is not a quadratic step")
-
-
-def _sym_flavor(sub: FieldType, big: FieldType, symmetric: bool) -> Sym:
-    if not symmetric:
-        return Sym.ASYM
-    return Sym.SYM_UNRAM if _step_kind(sub, big) == "unramified" else Sym.SYM_RAM
-
-
-def _deg_flavor(sub: FieldType, big: FieldType) -> Deg:
-    if sub == big:
+def _step_kind(lower: FieldType, upper: FieldType) -> Deg:
+    """Ramification of a trivial or quadratic step between two fields' ``(e, f)``."""
+    if upper == lower:
         return Deg.SPLIT
-    return Deg.UNRAM if _step_kind(sub, big) == "unramified" else Deg.RAM
+    if upper == (2 * lower[0], lower[1]):
+        return Deg.RAM
+    if upper == (lower[0], 2 * lower[1]):
+        return Deg.UNRAM
+    raise ValueError(f"inconsistent inertia: {lower} -> {upper} is not a step of degree 1 or 2")
+
+
+# the symmetry of a symmetric orbit is the flavor of the step from its
+# signed-stabilizer field up, which is quadratic: the stabilizer has index 2
+# in the signed stabilizer
+_SYMMETRIC_STEP = {Deg.UNRAM: Sym.SYM_UNRAM, Deg.RAM: Sym.SYM_RAM}
 
 
 @lru_cache(maxsize=2)  # every orbit of a system is classified under one or two inertias
@@ -278,11 +274,11 @@ def orbit_class(record: OrbitRecord, inertia: Iterable[Element]) -> tuple[Deg, S
     f_pm, f_a = field_type(record.stab_signed), field_type(record.stab)
     e_pm, e_a = field_type(record.stab_signed_e), field_type(record.stab_e)
     triple = (
-        _deg_flavor(f_a, e_a),
-        _sym_flavor(f_pm, f_a, record.sym_over_base),
-        _sym_flavor(e_pm, e_a, record.sym_over_e),
+        _step_kind(f_a, e_a),
+        _SYMMETRIC_STEP[_step_kind(f_pm, f_a)] if record.sym_over_base else Sym.ASYM,
+        _SYMMETRIC_STEP[_step_kind(e_pm, e_a)] if record.sym_over_e else Sym.ASYM,
     )
-    if _deg_flavor(field_type(record.stab_twisted), e_a) is not derive_op_data(*triple)[1]:
+    if _step_kind(field_type(record.stab_twisted), e_a) is not derive_op_data(*triple)[1]:
         raise ValueError("inconsistent inertia: the twisted step has the wrong ramification")
     return triple
 
@@ -347,6 +343,16 @@ def derive_op_data(degree: Deg, sym_base: Sym, sym_e: Sym) -> tuple[Sym, Deg]:
     return (sym_op, deg_op)
 
 
+def twisted_class(triple: tuple[Deg, Sym, Sym]) -> tuple[Deg, Sym, Sym]:
+    """The class of the twisted orbit, an involution on the ten classes.
+
+    Its step and its symmetry over the base are ``derive_op_data``'s; the
+    twist does not change the symmetry over ``E``.
+    """
+    sym_op, deg_op = derive_op_data(*triple)
+    return (deg_op, sym_op, triple[2])
+
+
 # ---------------------------------------------------------------------------
 # concrete families
 # ---------------------------------------------------------------------------
@@ -358,12 +364,8 @@ def _shift_matrix(n: int) -> Matrix:
 
 
 def _general_linear_roots(n: int) -> tuple[Vector, ...]:
-    roots = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                roots.append(tuple(1 if k == i else (-1 if k == j else 0) for k in range(n)))
-    return tuple(sorted(roots))
+    """The roots ``e_i - e_j``, ``i != j``, sorted."""
+    return tuple(sorted(tuple(map(sub, a, b)) for a, b in permutations(identity_matrix(n), 2)))
 
 
 @cache
@@ -392,7 +394,7 @@ def unitary_root_system(n: int) -> TwistedRootSystem:
     return TwistedRootSystem(
         rank=n,
         roots=_general_linear_roots(n),
-        generators=((_scale_matrix(_shift_matrix(n), -1), -1),),
+        generators=((tuple(map(_neg, _shift_matrix(n))), -1),),
     )
 
 

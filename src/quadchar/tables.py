@@ -11,8 +11,8 @@ The package ships five small tables as frozen data:
 ``render_tables`` renders all five tables from one row spec, which gives
 for each table the classes it runs over (all ten, or one per symmetry
 type) and the cells of a class's row.  The cells come from the
-contribution functions of :mod:`quadchar.char_engine` and the structural
-twist derivation of :mod:`quadchar.root_orbits`; titles and headers are
+contribution functions of :mod:`quadchar.char_engine` and
+``twisted_class`` of :mod:`quadchar.root_orbits`; titles and headers are
 the built-ins'.  ``diff_tables`` reports any disagreement with the
 built-ins.  A clean diff is the package's primary self-check.
 
@@ -24,8 +24,8 @@ when both), and character cells use the canonical strings of
 
 Table 4 shares its key columns with table 2 on purpose: row ``i``
 describes the same orbit class, but its cell is the character of the
-*twisted* class, obtained by keying the twisted-character lookup through
-the class's twist partner.  Table 5 makes that pairing explicit.
+*twisted* class, the twisted-character lookup being keyed through
+``twisted_class``.  Table 5 makes that pairing explicit.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .char_engine import (
     prasad_contribution,
     zeta_contribution,
 )
-from .root_orbits import Deg, Sym, derive_op_data
+from .root_orbits import Deg, Sym, twisted_class
 
 __all__ = [
     "Table",
@@ -166,12 +166,6 @@ def _representative(triple: tuple[Deg, Sym, Sym], gate_on: bool):
     return make_config(triple, ef, in_phi_half=gate_on and ef is EF.RAM)
 
 
-def _twist_partner(triple: tuple[Deg, Sym, Sym]) -> tuple[Deg, Sym, Sym]:
-    """The class of the twisted orbit (an involution on the ten classes)."""
-    sym_op, deg_op = derive_op_data(*triple)
-    return (deg_op, sym_op, triple[2])
-
-
 def _key(triple: tuple[Deg, Sym, Sym]) -> tuple[str, str, str]:
     """The ``(deg, /F, /E)`` key columns of a class."""
     deg, sym_f, sym_e = triple
@@ -198,11 +192,11 @@ def render_tables() -> tuple[Table, ...]:
         [(*_key(t), _ef_column(t), cell(kaletha_contribution, t, True)) for t in CLASS_TRIPLES],
         [(_key(t)[1], cell(hakim_contribution, t, True)) for t in _PER_SYMMETRY],
         [
-            (*_key(t), _ef_column(t), cell(zeta_contribution, _twist_partner(t), False))
+            (*_key(t), _ef_column(t), cell(zeta_contribution, twisted_class(t), False))
             for t in CLASS_TRIPLES
         ],
-        # (alpha_op/F, E_a/F_a_op) are the twist partner's /F and deg columns
-        [(*_key(t), *_key(_twist_partner(t))[1::-1]) for t in CLASS_TRIPLES],
+        # (alpha_op/F, E_a/F_a_op) are the twisted class's /F and deg columns
+        [(*_key(t), *_key(twisted_class(t))[1::-1]) for t in CLASS_TRIPLES],
     )
     return tuple(table.replace(rows=tuple(r)) for table, r in zip(_BUILTIN, rows))
 

@@ -105,6 +105,15 @@ def test_un_rejects_unsupported_rank():
         verify_un_odd(7, 5)
 
 
+def test_un_checks_the_field_cap_before_classifying(monkeypatch):
+    def classify(system):
+        raise AssertionError("classified before the field cap was checked")
+
+    monkeypatch.setattr(case_studies, "classify_orbits", classify)
+    with pytest.raises(ValueError, match="field size 10007 exceeds cap 10000"):
+        verify_un_odd(3, 10007)
+
+
 def test_reports_are_json_serializable():
     reports = [
         verify_gl2(3),
@@ -137,8 +146,8 @@ def test_gln_exhaustive_record_counts_elements():
 
 
 def _swap_step_kinds(step_kind):
-    swap = {"ramified": "unramified", "unramified": "ramified"}
-    return lambda sub, big: swap[step_kind(sub, big)]
+    swap = {Deg.SPLIT: Deg.SPLIT, Deg.RAM: Deg.UNRAM, Deg.UNRAM: Deg.RAM}
+    return lambda lower, upper: swap[step_kind(lower, upper)]
 
 
 def _always_split(derive):

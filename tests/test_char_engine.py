@@ -74,7 +74,7 @@ def test_class_numbering_round_trip():
     for index, triple in enumerate(CLASS_TRIPLES, start=1):
         assert class_key(triple) == index
         cfg = make_config(triple, allowed_ef(triple)[0])
-        assert class_key(cfg) == index
+        assert class_key(cfg.triple) == index
     with pytest.raises(ValueError, match="not a consistent"):
         class_key((Deg.UNRAM, Sym.SYM_UNRAM, Sym.SYM_UNRAM))
 
@@ -84,7 +84,7 @@ def test_enumerate_configs_counts():
     assert len(configs) == 30
     per_class: dict[int, int] = {}
     for cfg in configs:
-        per_class[class_key(cfg)] = per_class.get(class_key(cfg), 0) + 1
+        per_class[class_key(cfg.triple)] = per_class.get(class_key(cfg.triple), 0) + 1
     assert per_class == {1: 3, 2: 3, 3: 2, 4: 1, 5: 3, 6: 2, 7: 2, 8: 6, 9: 6, 10: 2}
 
 
@@ -92,7 +92,7 @@ def test_enumeration_is_deterministic():
     first = enumerate_configs()
     second = enumerate_configs()
     assert first == second
-    assert [class_key(c) for c in first] == sorted(class_key(c) for c in first)
+    assert [class_key(c.triple) for c in first] == sorted(class_key(c.triple) for c in first)
 
 
 def test_config_rejects_inconsistent_triple():
@@ -126,7 +126,7 @@ def test_config_gate_constraints():
 
 def test_prasad_contribution_by_class():
     for cfg in enumerate_configs():
-        expected = OMEGA_STEP if class_key(cfg) in (6, 9, 10) else ONE
+        expected = OMEGA_STEP if class_key(cfg.triple) in (6, 9, 10) else ONE
         assert prasad_contribution(cfg) == expected
 
 
@@ -139,7 +139,7 @@ def test_hakim_contribution_by_class_and_gate():
         )
         assert hakim_contribution(cfg) == expected
         if hakim_contribution(cfg) != ONE:
-            assert class_key(cfg) in (7, 8, 9, 10)
+            assert class_key(cfg.triple) in (7, 8, 9, 10)
 
 
 def test_kaletha_contribution_by_class_and_gate():
@@ -147,9 +147,9 @@ def test_kaletha_contribution_by_class_and_gate():
         got = kaletha_contribution(cfg)
         if not cfg.in_phi_half:
             assert got == ONE
-        elif class_key(cfg) in (3, 7):
+        elif class_key(cfg.triple) in (3, 7):
             assert got == SGN_UNITS_ORBIT
-        elif class_key(cfg) in (6, 10):
+        elif class_key(cfg.triple) in (6, 10):
             assert got == SGN_NORM_ONE_ORBIT
         else:
             assert got == ONE
@@ -158,7 +158,7 @@ def test_kaletha_contribution_by_class_and_gate():
 def test_zeta_contribution_by_class_and_gate_independent():
     by_class = {3: SGN_UNITS_ORBIT, 6: OMEGA_STEP, 9: OMEGA_STEP}
     for cfg in enumerate_configs():
-        assert zeta_contribution(cfg) == by_class.get(class_key(cfg), ONE)
+        assert zeta_contribution(cfg) == by_class.get(class_key(cfg.triple), ONE)
 
 
 def test_toral_invariant_matches_symbol():
@@ -180,7 +180,7 @@ def test_toral_invariant_rejects_trivial_step_class():
 
 
 def expected_status(cfg):
-    key = (class_key(cfg), cfg.ef, cfg.in_phi_half)
+    key = (class_key(cfg.triple), cfg.ef, cfg.in_phi_half)
     needs = {
         (3, EF.RAM, False),
         (6, EF.RAM, True),

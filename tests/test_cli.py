@@ -280,7 +280,7 @@ def test_non_odd_prime_p_is_usage_error(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("suite", ["sl2", "gl2"])
+@pytest.mark.parametrize("suite", ["sl2", "gl2", "un"])
 def test_prime_past_the_field_cap_is_usage_error(suite, capsys):
     code, output = run_cli(["verify", suite, "--p", "10007"])
     assert (code, output) == (2, "")

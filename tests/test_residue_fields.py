@@ -302,11 +302,8 @@ def assert_matches_schoolbook(ext: QuadraticExtension, x, y) -> None:
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_prime_field_ops_on_every_pair(p: int) -> None:
     k = FiniteField(p)
-    squares = squares_by_enumeration(k)
     for x, n in itertools.product(range(p), repeat=2):
         assert k.pow(x, n) == x**n % p
-        if x:
-            assert k.is_square(x) == (x in squares)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])

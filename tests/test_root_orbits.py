@@ -21,6 +21,7 @@ from quadchar.root_orbits import (
     gln_orbit_parity,
     gln_root_system,
     orbit_class,
+    twisted_class,
     unitary_root_system,
 )
 
@@ -447,6 +448,8 @@ def test_op_data_is_involutive_on_classes():
     # the twisted class of the twisted class is the original class
     for (deg, sym_f, sym_e), (sym_op, deg_op) in OP_TABLE.items():
         assert derive_op_data(deg_op, sym_op, sym_e) == (sym_f, deg)
+        assert twisted_class((deg, sym_f, sym_e)) == (deg_op, sym_op, sym_e)
+        assert twisted_class((deg_op, sym_op, sym_e)) == (deg, sym_f, sym_e)
 
 
 def test_op_data_rejects_inconsistent_triples():

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import io
+
 import pytest
 
+from quadchar import root_orbits
 from quadchar.char_engine import CLASS_TRIPLES
+from quadchar.cli import main
 from quadchar.tables import (
     builtin_tables,
     diff_tables,
@@ -44,6 +48,24 @@ def test_twist_columns_pair_classes_involutively():
         assert partner in triples
         back_sym, back_deg = triples[partner]
         assert (back_sym, back_deg) == (sym_f, deg)
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [
+        lambda real, triple: triple,
+        lambda real, triple: (triple[0], *real(triple)[1:]),
+        lambda real, triple: (real(triple)[0], *triple[1:]),
+    ],
+    ids=["identity", "keeps-own-step", "keeps-own-symmetry"],
+)
+def test_twisted_class_mutants_fail_tables_and_verify(monkeypatch, mutant):
+    """Tables 4 and 5 and the ``*-zeta`` records all read ``twisted_class``."""
+    real = root_orbits.twisted_class
+    for module in ("root_orbits", "char_engine", "tables"):
+        monkeypatch.setattr(f"quadchar.{module}.twisted_class", lambda t: mutant(real, t))
+    for argv in (["tables"], ["verify", "gl2"], ["verify", "gln"]):
+        assert main(argv, out=io.StringIO()) != 0, argv
 
 
 def test_nontrivial_cells_are_where_expected():

@@ -202,6 +202,41 @@ def test_status_map_over_all_configs():
         assert verdict.status is not CheckStatus.MISMATCH
 
 
+_SHARED = "unit sign characters of k_F_a and k_E_a agree on their shared residue field"
+_NORMS = (
+    "norm-one sign, stabilizer unit sign, and the step character "
+    "multiply to one on norms from the unramified step"
+)
+_OPPOSITE = "agrees under the opposite half-system gate"
+
+# (class, ef, in_phi_half, ord_zero) -> reason, for every config not
+# symbolically equal; each of the other configs is symbolic_equal with no reason
+_ELEMENT_CHECK_REASONS = {
+    (3, "r", 0, 0): _OPPOSITE,
+    (6, "r", 1, 0): _OPPOSITE,
+    (7, "r", 1, 0): _SHARED,
+    (8, "r", 1, 0): _OPPOSITE,
+    (8, "r", 1, 1): _OPPOSITE,
+    (9, "r", 1, 0): _OPPOSITE,
+    (9, "r", 1, 1): _OPPOSITE,
+    (10, "r", 0, 0): f"under the opposite half-system gate: {_NORMS}",
+    (10, "r", 1, 0): _NORMS,
+}
+
+
+def test_status_and_reason_pinned_on_all_configs():
+    configs = enumerate_configs()
+    assert len(configs) == 30
+    for cfg in configs:
+        key = (class_key(cfg.triple), cfg.ef.value, int(cfg.in_phi_half), int(cfg.ord_zero))
+        verdict = conjecture_check(cfg)
+        if key in _ELEMENT_CHECK_REASONS:
+            expected = ("needs_element_check", _ELEMENT_CHECK_REASONS[key])
+        else:
+            expected = ("symbolic_equal", "")
+        assert (verdict.status.value, verdict.reason) == expected, key
+
+
 def test_symbolic_equal_means_products_match():
     for cfg in enumerate_configs():
         verdict = conjecture_check(cfg)

@@ -55,6 +55,7 @@ from .char_engine import (
 from .galois_lattices import identity_matrix, mat_mul
 from .padic_fields import (
     ExtKind,
+    LocalFieldDesc,
     SQUARE_CLASS_ONE,
     SQUARE_CLASS_PI,
     SquareClass,
@@ -132,11 +133,14 @@ def _negative_count(e: int, order: int) -> int:
     return order // 2 * (e % 2)
 
 
-def _unit_class_sizes(ext: QuadraticExtension) -> tuple[int, int]:
-    """How many base-field units ``norm(g)**m``, ``m`` in ``Z/(q-1)``, have each sign bit."""
+def _square_class_sizes(ext: QuadraticExtension) -> dict[SquareClass, int]:
+    """How many elements ``pi**v * norm(g)**m``, ``v`` in {0, 1} and ``m`` in
+    ``Z/(q-1)``, lie in each square class of the base field."""
     order = ext.q - 1
     odd = _negative_count(_bit(sgn_units(ext.base, ext.norm(ext.generator))), order)
-    return order - odd, odd
+    return {
+        SquareClass(v, bit): size for v in (0, 1) for bit, size in ((0, order - odd), (1, odd))
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +200,12 @@ def verify_sl2(p: int) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 
-def _gl2_odd(ext: QuadraticExtension, report: ScenarioReport) -> None:
+def _gl2_odd(
+    ext: QuadraticExtension,
+    base: LocalFieldDesc,
+    sizes: dict[SquareClass, int],
+    report: ScenarioReport,
+) -> None:
     """Ramified torus field against the other ramified base extension.
 
     Both depth gates are on.  The gated sign characters see the root
@@ -205,7 +214,6 @@ def _gl2_odd(ext: QuadraticExtension, report: ScenarioReport) -> None:
     unramified step character, so the full product is ``+1 = zeta``.
     """
     k, p = ext.base, ext.q
-    base = make_base(p)
     torus_field = ramified_quadratic(base, 0)
     base_ext = ramified_quadratic(base, 1)
     diamond = biquadratic_diamond(torus_field, base_ext)
@@ -225,28 +233,20 @@ def _gl2_odd(ext: QuadraticExtension, report: ScenarioReport) -> None:
         zeta_contribution(config).describe(),
     )
 
-    # the step character sees a unit's square class: weight each by its size
-    sizes = _unit_class_sizes(ext)
-    failures = total = 0
-    for v in (0, 1):
-        # the ramified conjugation negates the uniformizer and fixes residues,
-        # so the root value t / tau(t) is -1 at odd valuation and 1 on units
-        alpha_res = p - 1 if v else 1
-        # both gated signs see only the root value, which depends on v alone
-        gated = sgn_norm_one(ext, ext.embed(alpha_res)) * sgn_units(k, alpha_res)
-        for bit, size in enumerate(sizes):
-            total += size
-            if gated * omega_quadratic(step, SquareClass(v, bit)) != 1:
-                failures += size
-    report.add(
-        "gl2-odd-pointwise-product", {"p": p, "elements": total}, 0, failures
+    # the ramified conjugation negates the uniformizer and fixes residues,
+    # so the root value t / tau(t) is -1 at odd valuation and 1 on units;
+    # both gated signs see only the root value, which depends on v alone
+    gated = [sgn_norm_one(ext, ext.embed(r)) * sgn_units(k, r) for r in (1, p - 1)]
+    # the step character sees an element's square class: weight each by its size
+    failures = sum(
+        size
+        for c, size in sizes.items()
+        if gated[c.val_parity] * omega_quadratic(step, c) != 1
     )
     report.add(
-        "gl2-odd-gated-signs-at-uniformizer",
-        {"p": p},
-        -1,
-        sgn_norm_one(ext, ext.embed(p - 1)) * sgn_units(k, p - 1),
+        "gl2-odd-pointwise-product", {"p": p, "elements": sum(sizes.values())}, 0, failures
     )
+    report.add("gl2-odd-gated-signs-at-uniformizer", {"p": p}, -1, gated[1])
     report.add(
         "gl2-odd-step-character-at-uniformizer",
         {"p": p},
@@ -255,7 +255,7 @@ def _gl2_odd(ext: QuadraticExtension, report: ScenarioReport) -> None:
     )
 
 
-def _gl2_even_a(ext: QuadraticExtension, report: ScenarioReport) -> None:
+def _gl2_even_a(ext: QuadraticExtension, base: LocalFieldDesc, report: ScenarioReport) -> None:
     """Unramified torus field; the step character equals a norm-route sign.
 
     The depth gates are off, so the identity reduces to the step
@@ -263,7 +263,6 @@ def _gl2_even_a(ext: QuadraticExtension, report: ScenarioReport) -> None:
     residue sign/norm identity.
     """
     k, p = ext.base, ext.q
-    base = make_base(p)
     torus_field = unramified_quadratic(base)
     step = quadratic_extension(torus_field.field, SQUARE_CLASS_PI)
     third_over_base = quadratic_extension(base, SquareClass(1, 1))
@@ -305,7 +304,12 @@ def _gl2_even_a(ext: QuadraticExtension, report: ScenarioReport) -> None:
     )
 
 
-def _gl2_even_b(ext: QuadraticExtension, report: ScenarioReport) -> None:
+def _gl2_even_b(
+    ext: QuadraticExtension,
+    base: LocalFieldDesc,
+    sizes: dict[SquareClass, int],
+    report: ScenarioReport,
+) -> None:
     """Ramified torus field with an unramified base extension.
 
     The distinction character vanishes (its index group is trivial) and
@@ -314,7 +318,6 @@ def _gl2_even_b(ext: QuadraticExtension, report: ScenarioReport) -> None:
     character via the lambda-constant ratio of the diamond.
     """
     p = ext.q
-    base = make_base(p)
     torus_field = ramified_quadratic(base, 0)
     base_ext = unramified_quadratic(base)
     diamond = biquadratic_diamond(torus_field, base_ext)
@@ -338,16 +341,12 @@ def _gl2_even_b(ext: QuadraticExtension, report: ScenarioReport) -> None:
     )
     report.add("gl2-even-b-toral-invariant", {"p": p}, [1], invariant_values)
 
-    sizes = _unit_class_sizes(ext)
-    mismatches = total = 0
-    for v in (0, 1):
-        for bit, size in enumerate(sizes):
-            total += size
-            if omega_quadratic(step, SquareClass(v, bit)) != ratio**v:
-                mismatches += size
+    mismatches = sum(
+        size for c, size in sizes.items() if omega_quadratic(step, c) != ratio**c.val_parity
+    )
     report.add(
         "gl2-even-b-step-equals-lambda-route",
-        {"p": p, "elements": total},
+        {"p": p, "elements": sum(sizes.values())},
         0,
         mismatches,
     )
@@ -356,9 +355,11 @@ def _gl2_even_b(ext: QuadraticExtension, report: ScenarioReport) -> None:
 def verify_gl2(p: int) -> ScenarioReport:
     """The three quadratic-torus scenarios at ``p``, counted over every unit."""
     ext = QuadraticExtension(FiniteField(p))
+    base, sizes = make_base(p), _square_class_sizes(ext)
     report = ScenarioReport()
-    for scenario in (_gl2_odd, _gl2_even_a, _gl2_even_b):
-        scenario(ext, report)
+    _gl2_odd(ext, base, sizes, report)
+    _gl2_even_a(ext, base, report)
+    _gl2_even_b(ext, base, sizes, report)
     return report
 
 
@@ -370,7 +371,16 @@ def verify_gl2(p: int) -> ScenarioReport:
 # its time grows steeply with n.  At n = 15 the first call classifies once
 # (about 2.4 of its 2.8 ms) and later calls at any p reuse the shared system
 # (about 0.3 ms), Python 3.11.7 on a 2-vCPU Xeon, median of 7 processes.
+# The unitary scenario shares the cap.
 GLN_MAX_N = 15
+
+
+def _check_rank(n: int) -> None:
+    """The rank rule of the ``gln`` and ``un`` scenarios: odd ``3 <= n <= GLN_MAX_N``."""
+    if n % 2 == 0 or n < 3:
+        raise ValueError("this scenario is for odd n >= 3")
+    if n > GLN_MAX_N:
+        raise ValueError(f"this scenario is capped at n <= {GLN_MAX_N}, got {n}")
 
 
 def _branch_zetas(system: TwistedRootSystem, records: list[OrbitRecord]) -> dict[EF, str]:
@@ -404,10 +414,7 @@ def verify_gln_odd(n: int, p: int) -> ScenarioReport:
     its exponent odd, and the records count those units and the units
     where the two routes disagree by that parity, without enumeration.
     """
-    if n % 2 == 0 or n < 3:
-        raise ValueError("this scenario is for odd n >= 3")
-    if n > GLN_MAX_N:
-        raise ValueError(f"this scenario is capped at n <= {GLN_MAX_N}, got {n}")
+    _check_rank(n)
     make_base(p)  # NonOddPrimeError unless p is an odd prime below the cap
 
     report = ScenarioReport()
@@ -483,8 +490,7 @@ def verify_un_odd(n: int, p: int) -> ScenarioReport:
     cyclic group of order ``q**n + 1``; the record counts them by that
     parity, without enumeration.
     """
-    if n not in (3, 5):
-        raise ValueError("this scenario is for n in {3, 5}")
+    _check_rank(n)
     k = FiniteField(p)  # ValueError unless p is an odd prime below the field cap
 
     report = ScenarioReport()

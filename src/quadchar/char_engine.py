@@ -280,31 +280,32 @@ class Verdict(Value):
     reason: str = ""
 
 
-def _residue_fields_coincide(config: RootOrbitConfig) -> bool:
-    """Whether ``k_F_a`` and ``k_E_a`` are the same residue field."""
-    return config.deg_EaFa in (Deg.SPLIT, Deg.RAM)
+# each known character identification: when it applies, the product of
+# basis characters it shows to be trivial there, and why
+_RELATIONS = (
+    (
+        lambda c: c.deg_EaFa is not Deg.UNRAM,  # k_F_a = k_E_a
+        SGN_UNITS_STAB * SGN_UNITS_ORBIT,
+        "unit sign characters of k_F_a and k_E_a agree on their shared residue field",
+    ),
+    (
+        lambda c: c.sym_F is not Sym.ASYM and c.deg_EaFa is Deg.UNRAM,
+        SGN_NORM_ONE_ORBIT * SGN_UNITS_STAB * OMEGA_STEP,
+        "norm-one sign, stabilizer unit sign, and the step character "
+        "multiply to one on norms from the unramified step",
+    ),
+)
+
+_OPPOSITE_GATE = "under the opposite half-system gate"
 
 
-_NORM_PRODUCT = (SGN_NORM_ONE_ORBIT * SGN_UNITS_STAB * OMEGA_STEP).symbols
-
-
-def _relation_reason(config: RootOrbitConfig, diff: CharContribution) -> str | None:
-    """Known character identifications that kill a symbolic discrepancy."""
-    if _residue_fields_coincide(config) and SGN_UNITS_STAB.symbols <= diff.symbols:
-        collapsed = diff * SGN_UNITS_STAB * SGN_UNITS_ORBIT
-        if collapsed.is_trivial:
-            return (
-                "unit sign characters of k_F_a and k_E_a agree on their shared residue field"
-            )
-    if (
-        config.sym_F is not Sym.ASYM
-        and config.deg_EaFa is Deg.UNRAM
-        and diff.symbols == _NORM_PRODUCT
-    ):
-        return (
-            "norm-one sign, stabilizer unit sign, and the step character "
-            "multiply to one on norms from the unramified step"
-        )
+def _cancelling_reason(config: RootOrbitConfig, diff: CharContribution) -> str | None:
+    """``""`` when ``diff`` is trivial, else the reason of a relation that cancels it."""
+    if diff.is_trivial:
+        return ""
+    for applies, cancels, reason in _RELATIONS:
+        if diff == cancels and applies(config):
+            return reason
     return None
 
 
@@ -320,36 +321,24 @@ def _product(config: RootOrbitConfig) -> CharContribution:
 def conjecture_check(config: RootOrbitConfig) -> Verdict:
     """Compare the product of the three invariants with the twisted character.
 
-    Cascade: exact symbol equality; then known character identifications;
-    then re-checking under the opposite half-system gate (that gate is
-    element data, not class data); otherwise a mismatch.
+    The config is tried first, then, when ``E/F`` is ramified, its twin
+    under the opposite half-system gate (that gate is element data, not
+    class data).  The first that is equal or made equal by a known
+    character identification gives the verdict; if neither is, a mismatch.
     """
     product = _product(config)
     zeta = zeta_contribution(config)
-    if product == zeta:
-        return Verdict(product, zeta, CheckStatus.SYMBOLIC_EQUAL)
-    diff = product * zeta
-    reason = _relation_reason(config, diff)
-    if reason is not None:
-        return Verdict(product, zeta, CheckStatus.NEEDS_ELEMENT_CHECK, reason)
+    twins = [config]
     if config.ef is EF.RAM:
-        flipped = config.replace(in_phi_half=not config.in_phi_half)
-        alt_product = _product(flipped)
-        if alt_product == zeta:
-            return Verdict(
-                product,
-                zeta,
-                CheckStatus.NEEDS_ELEMENT_CHECK,
-                "agrees under the opposite half-system gate",
-            )
-        alt_reason = _relation_reason(flipped, alt_product * zeta)
-        if alt_reason is not None:
-            return Verdict(
-                product,
-                zeta,
-                CheckStatus.NEEDS_ELEMENT_CHECK,
-                f"under the opposite half-system gate: {alt_reason}",
-            )
+        twins.append(config.replace(in_phi_half=not config.in_phi_half))
+    for flipped, twin in enumerate(twins):
+        reason = _cancelling_reason(twin, _product(twin) * zeta)
+        if reason is None:
+            continue
+        if flipped:
+            reason = f"{_OPPOSITE_GATE}: {reason}" if reason else f"agrees {_OPPOSITE_GATE}"
+        status = CheckStatus.NEEDS_ELEMENT_CHECK if reason else CheckStatus.SYMBOLIC_EQUAL
+        return Verdict(product, zeta, status, reason)
     return Verdict(
         product, zeta, CheckStatus.MISMATCH, "no identification reconciles the products"
     )

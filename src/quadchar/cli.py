@@ -3,11 +3,10 @@
 Subcommands
 -----------
 
-``tables [--json PATH] [--inject-wrong-row]``
+``tables [--json PATH]``
     Render the five built-in tables, regenerate them from the contribution
     functions and tower rules, and diff the two row sets.  Exit 0 exactly
-    when the regenerated rows match byte for byte; ``--inject-wrong-row``
-    corrupts one regenerated cell as a negative control.
+    when the regenerated rows match byte for byte.
 
 ``verify SUITE [--p P] [--n N] [--json PATH]``
     Run one of the verification suites (``unramified``, ``sl2``, ``gl2``,
@@ -72,13 +71,7 @@ from .padic_fields import (
     square_class_of_int,
     square_classes,
 )
-from .tables import (
-    builtin_tables,
-    diff_tables,
-    format_all,
-    inject_wrong_row,
-    render_tables,
-)
+from .tables import builtin_tables, diff_tables, format_all, render_tables
 
 SCHEMA_VERSION = 1
 
@@ -347,8 +340,6 @@ def _suite_records(suite: Suite, p: int | None, n: int | None) -> list[CheckReco
 def run_tables(args: argparse.Namespace, out) -> int:
     expected = builtin_tables()
     got = render_tables()
-    if args.inject_wrong_row:
-        got = inject_wrong_row(got)
     diffs = diff_tables(expected, got)
     print(format_all(got), file=out)
     records = [
@@ -418,11 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
         "tables", help="regenerate the five tables and diff against built-ins"
     )
     p_tables.add_argument("--json", metavar="PATH", help="write a JSON report")
-    p_tables.add_argument(
-        "--inject-wrong-row",
-        action="store_true",
-        help="corrupt one regenerated row (negative control; forces exit 1)",
-    )
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=(*SUITES, "all"))

@@ -68,19 +68,19 @@ __all__ = [
 
 
 class Sym(str, Enum):
-    """Symmetry type of a root orbit (with step ramification flavor)."""
+    """Symmetry type of a root orbit (with step ramification flavor); values are table text."""
 
     ASYM = "asym"
-    SYM_UNRAM = "sym_ur"
-    SYM_RAM = "sym_r"
+    SYM_UNRAM = "sym ur"
+    SYM_RAM = "sym r"
 
 
 class Deg(str, Enum):
-    """Type of the quadratic-or-trivial step above the stabilizer field."""
+    """Type of the quadratic-or-trivial step above the stabilizer field; values are table text."""
 
     SPLIT = "1"
-    UNRAM = "2ur"
-    RAM = "2r"
+    UNRAM = "2 ur"
+    RAM = "2 r"
 
 
 Matrix = tuple[tuple[int, ...], ...]

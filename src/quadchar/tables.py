@@ -16,11 +16,11 @@ contribution functions of :mod:`quadchar.char_engine` and
 the built-ins'.  ``diff_tables`` reports any disagreement with the
 built-ins.  A clean diff is the package's primary self-check.
 
-Rendering conventions: step types print as ``1`` / ``2 ur`` / ``2 r``,
-symmetry types as ``asym`` / ``sym ur`` / ``sym r``, the base-extension
-column shows the set of ramifications the class occurs with (``r/ur``
-when both), and character cells use the canonical strings of
-:meth:`CharContribution.describe`.
+Rendering conventions: step and symmetry types print as their ``Deg``
+and ``Sym`` values (``1`` / ``2 ur`` / ``2 r`` and ``asym`` / ``sym ur``
+/ ``sym r``), the base-extension column shows the set of ramifications
+the class occurs with (``r/ur`` when both), and character cells use the
+canonical strings of :meth:`CharContribution.describe`.
 
 Table 4 shares its key columns with table 2 on purpose: row ``i``
 describes the same orbit class, but its cell is the character of the
@@ -53,11 +53,7 @@ __all__ = [
     "diff_tables",
     "format_table",
     "format_all",
-    "inject_wrong_row",
 ]
-
-_DEG_TEXT = {Deg.SPLIT: "1", Deg.UNRAM: "2 ur", Deg.RAM: "2 r"}
-_SYM_TEXT = {Sym.ASYM: "asym", Sym.SYM_UNRAM: "sym ur", Sym.SYM_RAM: "sym r"}
 
 
 class Table(Value):
@@ -168,8 +164,7 @@ def _representative(triple: tuple[Deg, Sym, Sym], gate_on: bool):
 
 def _key(triple: tuple[Deg, Sym, Sym]) -> tuple[str, str, str]:
     """The ``(deg, /F, /E)`` key columns of a class."""
-    deg, sym_f, sym_e = triple
-    return (_DEG_TEXT[deg], _SYM_TEXT[sym_f], _SYM_TEXT[sym_e])
+    return tuple(kind.value for kind in triple)
 
 
 # one class per symmetry type, each with a genuine step, so the symmetric
@@ -211,17 +206,6 @@ def diff_tables(expected: tuple[Table, ...], got: tuple[Table, ...]) -> list[Tab
         )
         if exp_row != got_row
     ]
-
-
-def inject_wrong_row(tables: tuple[Table, ...], table_number: int = 4) -> tuple[Table, ...]:
-    """Corrupt one cell of one table; negative control for the diff path."""
-
-    def corrupt(table: Table) -> Table:
-        (*keys, last), *rest = table.rows
-        wrong = "sgn(k_E_a^x) . alpha" if last == "1" else "1"
-        return table.replace(rows=((*keys, wrong), *rest))
-
-    return tuple(corrupt(t) if t.number == table_number else t for t in tables)
 
 
 def format_table(table: Table) -> str:

@@ -59,7 +59,7 @@ def test_gln_scenarios_pass(n, p):
     assert all(r.verdict == "pass" for r in verify_gln_odd(n, p).records)
 
 
-@pytest.mark.parametrize("n", (3, 5))
+@pytest.mark.parametrize("n", (3, 5, 7, 15))
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_un_scenarios_pass(n, p):
     assert all(r.verdict == "pass" for r in verify_un_odd(n, p).records)
@@ -101,8 +101,10 @@ def test_gln_rejects_a_non_odd_prime(p):
 
 
 def test_un_rejects_unsupported_rank():
-    with pytest.raises(ValueError):
-        verify_un_odd(7, 5)
+    """``un`` takes ``gln``'s rank rule: odd ``3 <= n <= 15``."""
+    for n, message in ((4, "odd n >= 3"), (1, "odd n >= 3"), (17, "capped at n <= 15")):
+        with pytest.raises(ValueError, match=message):
+            verify_un_odd(n, 5)
 
 
 def test_un_checks_the_field_cap_before_classifying(monkeypatch):

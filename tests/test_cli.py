@@ -5,8 +5,8 @@ import enum
 import hashlib
 import io
 import json
-import os
 import pathlib
+import shlex
 import subprocess
 import sys
 import time
@@ -15,9 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import quadchar
-from quadchar import cli
+from quadchar import cli, tables
 from quadchar.case_studies import CheckRecord
+from quadchar.char_engine import CLASS_TRIPLES, SGN_UNITS_ORBIT
 from quadchar.cli import _encode, _write_report, main
 from quadchar.residue_fields import _PRIME_TEST_BOUND
 
@@ -30,7 +30,7 @@ REPORT_DIGESTS = {
     "verify-all.json": "9181d5657cce0d1f5f2cd861cb45ec06314d75129160d9cd754fd7dfc57126d5",
 }
 
-# sha256 of the stdout of ``tables --inject-wrong-row``
+# sha256 of the stdout of ``tables`` under ``wrong_class_one_zeta``
 NEGATIVE_CONTROL_STDOUT_DIGEST = "634878e127b2120b59852ebd4b2562bf0538d098c16d2de6aa3f692c32d3773c"
 
 
@@ -49,6 +49,20 @@ def default_reports(tmp_path_factory):
     return out
 
 
+def wrong_class_one_zeta(monkeypatch) -> None:
+    """A wrong rule: class 1's twisted-class cell reads ``sgn(k_E_a^x) . alpha``.
+
+    Only table 4 row 1 has class 1 as its twisted class, so the table diff
+    must report that one row.
+    """
+    real = tables.zeta_contribution
+    monkeypatch.setattr(
+        tables,
+        "zeta_contribution",
+        lambda cfg: SGN_UNITS_ORBIT if cfg.triple == CLASS_TRIPLES[0] else real(cfg),
+    )
+
+
 # -- tables ------------------------------------------------------------------
 
 
@@ -58,9 +72,10 @@ def test_tables_match_builtins():
     assert f"{EXPECTED_ROW_TOTAL} rows compared, 0 diffs" in output
 
 
-def test_tables_negative_control(tmp_path):
+def test_tables_negative_control(tmp_path, monkeypatch):
+    wrong_class_one_zeta(monkeypatch)
     path = tmp_path / "tables.json"
-    code, output = run_cli(["tables", "--inject-wrong-row", "--json", str(path)])
+    code, output = run_cli(["tables", "--json", str(path)])
     assert code == 1
     assert "diff: table 4 row 1" in output
     assert hashlib.sha256(output.encode()).hexdigest() == NEGATIVE_CONTROL_STDOUT_DIGEST
@@ -142,21 +157,6 @@ def test_default_report_bytes_are_pinned(default_reports, name):
     assert hashlib.sha256(data).hexdigest() == REPORT_DIGESTS[name]
 
 
-def test_run_all_checks_writes_the_cli_reports(default_reports, tmp_path):
-    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_all_checks.py"
-    src = pathlib.Path(quadchar.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, str(script), "--json", str(tmp_path)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "overall: ok" in proc.stdout
-    for name in REPORT_DIGESTS:
-        assert (tmp_path / name).read_bytes() == (default_reports / name).read_bytes()
-
-
 def test_verify_hilbert_honours_p():
     code, output = run_cli(["verify", "hilbert", "--p", "5"])
     assert code == 0
@@ -236,8 +236,9 @@ def test_unknown_suite_is_usage_error(capsys):
         ([], "the following arguments are required: command"),
         (["verify", "gln", "--p", "x"], "argument --p: invalid int value: 'x'"),
         (["verify", "gln", "--bogus"], "unrecognized arguments: --bogus"),
+        (["tables", "--inject-wrong-row"], "unrecognized arguments: --inject-wrong-row"),
     ],
-    ids=["missing-subcommand", "non-integer-p", "unknown-option"],
+    ids=["missing-subcommand", "non-integer-p", "unknown-option", "removed-tables-switch"],
 )
 def test_argument_parser_errors_are_one_line(argv, message, capsys):
     assert_one_line_usage_error(argv, message, capsys)
@@ -385,15 +386,19 @@ def test_encode_rejects_what_is_not_json(obj):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, wrong_zeta",
     [
-        ["tables"],
-        ["tables", "--inject-wrong-row"],
-        *(["verify", suite] for suite in (*cli.SUITES, "all")),
+        pytest.param(["tables"], False, id="tables"),
+        pytest.param(["tables"], True, id="tables-wrong-zeta-rule"),
+        *(
+            pytest.param(["verify", suite], False, id=f"verify {suite}")
+            for suite in (*cli.SUITES, "all")
+        ),
     ],
-    ids=" ".join,
 )
-def test_written_report_is_the_indented_sorted_json_dumps(argv, tmp_path, monkeypatch):
+def test_written_report_is_the_indented_sorted_json_dumps(argv, wrong_zeta, tmp_path, monkeypatch):
+    if wrong_zeta:
+        wrong_class_one_zeta(monkeypatch)
     reports = []
 
     def write_and_keep(*args):
@@ -413,6 +418,33 @@ def test_report_that_fails_to_encode_writes_no_file(tmp_path):
     with pytest.raises(TypeError, match="not JSON serializable"):
         _write_report("x", [unencodable], str(path))
     assert not path.exists()
+
+
+def readme_sessions() -> list:
+    """Each ``$ quadchar ...`` line of the README's ``text`` blocks, with the lines shown under it."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    sessions, in_text, shown = [], False, None
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_text, shown = line == "```text", None
+        elif in_text and line.startswith("$ quadchar "):
+            command, shown = line[len("$ quadchar "):], []
+            sessions.append(pytest.param(command, shown, id=command))
+        elif shown is not None:
+            shown.append(line)
+    return sessions
+
+
+@pytest.mark.parametrize("command, shown", readme_sessions())
+def test_readme_sessions_match_the_cli(command, shown):
+    """A command's output is the lines shown under it; a ``...`` line stands for any run of lines."""
+    code, output = run_cli(shlex.split(command))
+    assert code == 0
+    lines = output.splitlines()
+    if "..." in shown:
+        cut = shown.index("...")
+        lines[cut : len(lines) - (len(shown) - cut - 1)] = ["..."]
+    assert lines == shown
 
 
 def test_cli_import_loads_no_numpy():

@@ -236,6 +236,15 @@ STAB = frozenset({I1, B1})  # the stabilizer of the root
 TWISTED = frozenset({I1, AB1})  # its twisted stabilizer
 
 
+def compact_id(value):
+    """Test ids with no spaces: ``2ur`` for ``Deg.UNRAM``, ``sym_ur`` for ``Sym.SYM_UNRAM``."""
+    if isinstance(value, Deg):
+        return value.value.replace(" ", "")
+    if isinstance(value, Sym):
+        return value.value.replace(" ", "_")
+    return None  # pytest's own id
+
+
 def fixed_fields(inertia, order, *subgroups):
     """``(e, f)`` of each subgroup's fixed field: ``[I : I & H]`` and ``[Q : H] / e``."""
     inertia = set(inertia)
@@ -277,6 +286,7 @@ def test_tower_both_lower_steps_ramified():
 @pytest.mark.parametrize(
     "quad,expected_sym,expected_twisted_deg",
     [(RAM, Sym.SYM_RAM, Deg.RAM), (UNRAM, Sym.SYM_UNRAM, Deg.UNRAM)],
+    ids=compact_id,
 )
 def test_tower_split_step_asymmetric_over_e(quad, expected_sym, expected_twisted_deg):
     # one flip-and-twist generator: symmetric orbit whose stabilizer sits
@@ -315,6 +325,7 @@ def test_tower_fully_asymmetric_split():
 @pytest.mark.parametrize(
     "e_alpha,expected_deg,expected_twisted_sym",
     [((1, 6), Deg.UNRAM, Sym.SYM_UNRAM), ((2, 3), Deg.RAM, Sym.SYM_RAM)],
+    ids=compact_id,
 )
 def test_tower_asymmetric_nonsplit_cyclic(e_alpha, expected_deg, expected_twisted_sym):
     system = gln_root_system(3)
@@ -333,6 +344,7 @@ def test_tower_asymmetric_nonsplit_cyclic(e_alpha, expected_deg, expected_twiste
 @pytest.mark.parametrize(
     "e_quad,top4,expected_sym",
     [(UNRAM, (1, 4), Sym.SYM_UNRAM), (UNRAM, (2, 2), Sym.SYM_RAM)],
+    ids=compact_id,
 )
 def test_tower_symmetric_split_over_both(e_quad, top4, expected_sym):
     # dihedral action: flip inside the kernel, swap outside it; the orbit
@@ -359,6 +371,7 @@ def test_tower_symmetric_split_over_both(e_quad, top4, expected_sym):
 @pytest.mark.parametrize(
     "splitting,pm_field,expected_sym,expected_twisted_deg",
     [((2, 3), (1, 3), Sym.SYM_RAM, Deg.RAM), ((1, 6), (1, 3), Sym.SYM_UNRAM, Deg.UNRAM)],
+    ids=compact_id,
 )
 def test_tower_unitary_odd(splitting, pm_field, expected_sym, expected_twisted_deg):
     system = unitary_root_system(3)

@@ -14,7 +14,6 @@ from quadchar.tables import (
     diff_tables,
     format_all,
     format_table,
-    inject_wrong_row,
     render_tables,
 )
 
@@ -78,8 +77,11 @@ def test_nontrivial_cells_are_where_expected():
 
 @pytest.mark.parametrize("table_number", [2, 4, 5])
 def test_diff_structure_on_injected_error(table_number):
-    corrupted = inject_wrong_row(render_tables(), table_number=table_number)
-    diffs = diff_tables(builtin_tables(), corrupted)
+    corrupted = list(render_tables())
+    table = corrupted[table_number - 1]
+    (*keys, _), *rest = table.rows
+    corrupted[table_number - 1] = table.replace(rows=((*keys, "sgn(k_E_a^x) . alpha"), *rest))
+    diffs = diff_tables(builtin_tables(), tuple(corrupted))
     assert len(diffs) == 1
     diff = diffs[0]
     assert diff.table == table_number and diff.row == 1

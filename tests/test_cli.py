@@ -420,23 +420,23 @@ def test_report_that_fails_to_encode_writes_no_file(tmp_path):
     assert not path.exists()
 
 
-def readme_sessions() -> list:
+def readme_examples() -> list:
     """Each ``$ quadchar ...`` line of the README's ``text`` blocks, with the lines shown under it."""
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-    sessions, in_text, shown = [], False, None
+    examples, in_text, shown = [], False, None
     for line in readme.read_text(encoding="utf-8").splitlines():
         if line.startswith("```"):
             in_text, shown = line == "```text", None
         elif in_text and line.startswith("$ quadchar "):
             command, shown = line[len("$ quadchar "):], []
-            sessions.append(pytest.param(command, shown, id=command))
+            examples.append(pytest.param(command, shown, id=command))
         elif shown is not None:
             shown.append(line)
-    return sessions
+    return examples
 
 
-@pytest.mark.parametrize("command, shown", readme_sessions())
-def test_readme_sessions_match_the_cli(command, shown):
+@pytest.mark.parametrize("command, shown", readme_examples())
+def test_readme_examples_match_the_cli(command, shown):
     """A command's output is the lines shown under it; a ``...`` line stands for any run of lines."""
     code, output = run_cli(shlex.split(command))
     assert code == 0

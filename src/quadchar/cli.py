@@ -21,6 +21,10 @@ Subcommands
     Print the tame quadratic Hilbert symbol of the integers ``A`` and
     ``B`` over the base field with residue characteristic ``P``.
 
+Options are two tokens, ``--opt VALUE``, in any order among the
+positionals; ``--opt=VALUE`` and abbreviated option names are usage
+errors.  ``-h`` or ``--help`` prints this text.
+
 Reports are deterministic: records are sorted by id, JSON keys are
 sorted, and no timestamps or environment data are embedded.  Exit codes:
 0 pass, 1 check failure, 2 usage error or an unwritable ``--json`` path.
@@ -28,12 +32,11 @@ sorted, and no timestamps or environment data are embedded.  Exit codes:
 
 from __future__ import annotations
 
-import argparse
-import functools
 import itertools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 from typing import Callable, Iterable, NoReturn, Sequence
 
 from ._value import Value
@@ -229,60 +232,36 @@ def _records_hilbert(p: int) -> list[CheckRecord]:
         for b in classes:
             symbol = hilbert_symbol(F, a, b)
             symmetric = symbol == hilbert_symbol(F, b, a)
-            if b.is_trivial:
-                omega_matches = True  # no extension to compare against
-            else:
-                ext = quadratic_extension(F, b)
-                omega_matches = omega_quadratic(ext, a) == symbol
+            # a trivial b has no extension to compare against
+            omega_matches = b.is_trivial or omega_quadratic(quadratic_extension(F, b), a) == symbol
             out.append(
                 CheckRecord(
                     f"hilbert-p{p:02d}-{a.rep_string()}-{b.rep_string()}",
-                    {
-                        "p": p,
-                        "a": a.rep_string(),
-                        "b": b.rep_string(),
-                        "symbol": symbol,
-                    },
+                    {"p": p, "a": a.rep_string(), "b": b.rep_string(), "symbol": symbol},
                     {"symmetric": True, "omega_matches": True},
                     {"symmetric": symmetric, "omega_matches": omega_matches},
                 )
             )
-    bilinear_bad = sum(
-        1
-        for a in classes
-        for b in classes
-        for c in classes
-        if hilbert_symbol(F, a * b, c)
-        != hilbert_symbol(F, a, c) * hilbert_symbol(F, b, c)
-    )
-    out.append(
-        CheckRecord(f"hilbert-p{p:02d}-bilinear", {"p": p}, 0, bilinear_bad)
-    )
-    anti_bad = sum(
-        1 for a in classes if hilbert_symbol(F, a, minus_one * a) != 1
-    )
-    out.append(
-        CheckRecord(f"hilbert-p{p:02d}-a-minus-a", {"p": p}, 0, anti_bad)
-    )
-    degenerate = sum(
-        1
-        for a in classes
-        if not a.is_trivial
-        and all(hilbert_symbol(F, a, b) == 1 for b in classes)
-    )
-    out.append(
-        CheckRecord(f"hilbert-p{p:02d}-nondegenerate", {"p": p}, 0, degenerate)
-    )
-    toral_bad = sum(
-        1
-        for a in classes
-        if not a.is_trivial
-        for b in classes
-        if toral_invariant(F, a, b) != hilbert_symbol(F, a, b)
-    )
-    out.append(
-        CheckRecord(f"hilbert-p{p:02d}-toral-equals-symbol", {"p": p}, 0, toral_bad)
-    )
+    bad = {  # law -> number of counterexamples
+        "bilinear": sum(
+            hilbert_symbol(F, a * b, c) != hilbert_symbol(F, a, c) * hilbert_symbol(F, b, c)
+            for a in classes
+            for b in classes
+            for c in classes
+        ),
+        "a-minus-a": sum(hilbert_symbol(F, a, minus_one * a) != 1 for a in classes),
+        "nondegenerate": sum(
+            not a.is_trivial and all(hilbert_symbol(F, a, b) == 1 for b in classes)
+            for a in classes
+        ),
+        "toral-equals-symbol": sum(
+            toral_invariant(F, a, b) != hilbert_symbol(F, a, b)
+            for a in classes
+            if not a.is_trivial
+            for b in classes
+        ),
+    }
+    out += (CheckRecord(f"hilbert-p{p:02d}-{law}", {"p": p}, 0, n) for law, n in bad.items())
     return out
 
 
@@ -337,7 +316,7 @@ def _suite_records(suite: Suite, p: int | None, n: int | None) -> list[CheckReco
 # ---------------------------------------------------------------------------
 
 
-def run_tables(args: argparse.Namespace, out) -> int:
+def run_tables(args: SimpleNamespace, out) -> int:
     expected = builtin_tables()
     got = render_tables()
     diffs = diff_tables(expected, got)
@@ -363,7 +342,7 @@ def run_tables(args: argparse.Namespace, out) -> int:
     return 1 if diffs else 0
 
 
-def run_verify(args: argparse.Namespace, out) -> int:
+def run_verify(args: SimpleNamespace, out) -> int:
     if args.suite == "all":
         suites = list(SUITES.values())
     else:
@@ -384,7 +363,7 @@ def run_verify(args: argparse.Namespace, out) -> int:
     return 0 if summary["fail"] == 0 else 1
 
 
-def run_hilbert(args: argparse.Namespace, out) -> int:
+def run_hilbert(args: SimpleNamespace, out) -> int:
     F = make_base(args.p)
     a = square_class_of_int(F, args.a)
     b = square_class_of_int(F, args.b)
@@ -392,53 +371,73 @@ def run_hilbert(args: argparse.Namespace, out) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):  # subparsers take the class: one-line usage errors
-    def error(self, message: str) -> NoReturn:
-        self.exit(2, f"error: {message}\n")
+# name: (runner, positionals, options, required options); each positional and
+# option maps to a converter or to the tuple of its choices
+_COMMANDS = {
+    "tables": (run_tables, {}, {"--json": str}, ()),
+    "verify": (run_verify, {"suite": (*SUITES, "all")}, {"--p": int, "--n": int, "--json": str}, ()),
+    "hilbert": (run_hilbert, {"a": int, "b": int}, {"--p": int}, ("--p",)),
+}
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="quadchar",
-        description="Verify quadratic-character identities over p-adic fields.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _usage_error(message: str) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
-    p_tables = sub.add_parser(
-        "tables", help="regenerate the five tables and diff against built-ins"
-    )
-    p_tables.add_argument("--json", metavar="PATH", help="write a JSON report")
 
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=(*SUITES, "all"))
-    p_verify.add_argument("--p", type=int, default=None, help="restrict to one prime")
-    p_verify.add_argument("--n", type=int, default=None, help="restrict to one rank")
-    p_verify.add_argument("--json", metavar="PATH", help="write a JSON report")
+def _convert(name: str, kind, token: str):
+    if isinstance(kind, tuple) and token not in kind:
+        choices = ", ".join(map(repr, kind))
+        _usage_error(f"argument {name}: invalid choice: {token!r} (choose from {choices})")
+    try:
+        return token if isinstance(kind, tuple) else kind(token)
+    except ValueError:
+        _usage_error(f"argument {name}: invalid {kind.__name__} value: {token!r}")
 
-    p_hilbert = sub.add_parser(
-        "hilbert", help="tame quadratic Hilbert symbol of two integers"
-    )
-    p_hilbert.add_argument("--p", type=int, required=True, help="odd residue characteristic")
-    p_hilbert.add_argument("a", type=int)
-    p_hilbert.add_argument("b", type=int)
-    return parser
+
+def _parse_args(argv: Sequence[str] | None = None) -> SimpleNamespace:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "-h" in argv or "--help" in argv:
+        print(__doc__ or "", end="")  # python -OO strips the docstring
+        raise SystemExit(0)
+    if not argv:
+        _usage_error("the following arguments are required: command")
+    command = _convert("command", tuple(_COMMANDS), argv[0])
+    _, positionals, options, required = _COMMANDS[command]
+    args = {"command": command, **dict.fromkeys(("suite", "p", "n", "json", "a", "b"))}
+    names, extras = iter(positionals), []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in options:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                _usage_error(f"argument {token}: expected one argument")
+            args[token[2:]] = _convert(token, options[token], value)
+        elif token.startswith("--") or (name := next(names, None)) is None:
+            extras.append(token)
+        else:
+            args[name] = _convert(name, positionals[name], token)
+    missing = [option for option in required if args[option[2:]] is None] + list(names)
+    if missing:
+        _usage_error(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _usage_error(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**args)
+
+
+def build_parser() -> SimpleNamespace:
+    """The parser: ``build_parser().parse_args(argv)`` reads ``argv`` against ``_COMMANDS``."""
+    return SimpleNamespace(parse_args=_parse_args)
 
 
 def main(argv: Sequence[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "tables":
-            return run_tables(args, out)
-        if args.command == "verify":
-            return run_verify(args, out)
-        if args.command == "hilbert":
-            return run_hilbert(args, out)
+        return _COMMANDS[args.command][0](args, out)
     except (NonOddPrimeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("argument parser admits only the three subcommands")
 
 
 if __name__ == "__main__":

@@ -217,7 +217,7 @@ def test_hilbert_examples(argv, expected):
 
 
 def assert_one_line_usage_error(argv: list[str], message: str, capsys) -> None:
-    """argparse's errors, like the program's own, exit 2 with one line and no usage block."""
+    """The parser's errors, like the program's own, exit 2 with one line and no usage block."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -237,8 +237,21 @@ def test_unknown_suite_is_usage_error(capsys):
         (["verify", "gln", "--p", "x"], "argument --p: invalid int value: 'x'"),
         (["verify", "gln", "--bogus"], "unrecognized arguments: --bogus"),
         (["tables", "--inject-wrong-row"], "unrecognized arguments: --inject-wrong-row"),
+        (["verify", "gl2", "--p=5"], "unrecognized arguments: --p=5"),
+        (["tables", "--js", "out.json"], "unrecognized arguments: --js out.json"),
+        (["verify", "gl2", "--p"], "argument --p: expected one argument"),
+        (["hilbert", "5", "-5"], "the following arguments are required: --p"),
     ],
-    ids=["missing-subcommand", "non-integer-p", "unknown-option", "removed-tables-switch"],
+    ids=[
+        "missing-subcommand",
+        "non-integer-p",
+        "unknown-option",
+        "removed-tables-switch",
+        "equals-form",
+        "abbreviated-option",
+        "option-without-value",
+        "hilbert-without-p",
+    ],
 )
 def test_argument_parser_errors_are_one_line(argv, message, capsys):
     assert_one_line_usage_error(argv, message, capsys)

@@ -17,11 +17,13 @@ Tori are expressions built from ``Gm``, norm-one tori ``U1`` of quadratic
 steps, quadratic Weil restrictions ``Res`` and finite products; their
 cocharacter lattices with the Galois action at any level of the tower are
 produced by ``cocharacter_lattice``.  Every action matrix is a signed
-permutation, so the group permutes the lines ``Z e_j``; by Shapiro's lemma
-an orbit with line stabiliser ``H`` spans ``Ind_H^G(chi)``, ``chi`` the sign
-of ``H`` on ``e_j`` (cite only: Serre, *Local Fields*, ch. VII-VIII; Reiner,
-Proc. AMS 8, 1957).  So ``tate_cohomology`` needs one orbit walk and no
-Smith form: ``H^-1`` is ``Z/2`` per orbit with ``chi != 1`` and ``H^0`` is
+permutation, whose order and commutation a lattice checks by composing
+permutations (any other generator takes matrix products), so the group
+permutes the lines ``Z e_j``; by Shapiro's lemma an orbit with line
+stabiliser ``H`` spans ``Ind_H^G(chi)``, ``chi`` the sign of ``H`` on
+``e_j`` (cite only: Serre, *Local Fields*, ch. VII-VIII; Reiner, Proc.
+AMS 8, 1957).  So ``tate_cohomology`` needs one orbit walk and no Smith
+form: ``H^-1`` is ``Z/2`` per orbit with ``chi != 1`` and ``H^0`` is
 ``Z/|H|`` per orbit with ``chi == 1``, where ``|H| = |G| / |orbit|`` and
 ``|G|`` is the product of the *declared* orders (so actions that factor
 through a quotient weight correctly).
@@ -88,6 +90,7 @@ __all__ = [
 ]
 
 Matrix = tuple[tuple[int, ...], ...]
+SignedPerm = tuple[tuple[int, int], ...]  # (j, x) per row i: the row is x e_j
 Bit = tuple[int, int]
 
 
@@ -235,6 +238,18 @@ def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
 @cache
 def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+@cache
+def _signed_units(n: int) -> tuple[dict[tuple[int, ...], tuple[int, int]], SignedPerm]:
+    """``{x e_j: (j, x)}`` over the rows of signed permutations, and ``I`` read by row."""
+    units = {(0,) * j + (x,) + (0,) * (n - 1 - j): (j, x) for j in range(n) for x in (1, -1)}
+    return units, tuple(map(units.get, identity_matrix(n)))
+
+
+def _compose(g: SignedPerm, h: SignedPerm) -> SignedPerm:
+    """``g @ h`` for signed permutations read by row: a row ``x e_j`` of ``g`` gives ``x h[j]``."""
+    return tuple([(h[j][0], x * h[j][1]) for j, x in g])
 
 
 def _add_identity(g: Matrix, c: int) -> Matrix:
@@ -390,7 +405,10 @@ class GaloisLattice(Value):
     The group is presented as a product of cyclic groups: generator ``i``
     has declared order ``generator_orders[i]``; generators must commute and
     satisfy their orders.  The action need not be faithful — the norm is
-    the sum over the formal group elements.
+    the sum over the formal group elements.  Each generator is read once,
+    row by row.  If all are signed permutations, their orders and
+    commutation are checked by composing permutations, which ``line_orbits``
+    walks; otherwise by matrix products, and ``line_orbits`` refuses.
     """
 
     rank: int
@@ -402,20 +420,26 @@ class GaloisLattice(Value):
             raise ValueError("rank must be nonnegative")
         if len(self.generator_matrices) != len(self.generator_orders):
             raise ValueError("need one order per generator matrix")
-        eye = identity_matrix(self.rank)
         for g, order in zip(self.generator_matrices, self.generator_orders):
-            if len(g) != self.rank or any(len(row) != self.rank for row in g):
+            if [*map(len, g)] != [self.rank] * self.rank:
                 raise ValueError("generator matrices must be square of the declared rank")
             if order < 1:
                 raise ValueError("generator orders must be positive")
+        (units, one), product = _signed_units(self.rank), _compose
+        elements = moves = [tuple(map(units.get, map(tuple, g))) for g in self.generator_matrices]
+        if any(None in move for move in moves):
+            elements, product, moves = self.generator_matrices, mat_mul, None
+            one = identity_matrix(self.rank)
+        for g, order in zip(elements, self.generator_orders):
             power = g  # g**order == I also forces det(g) = +-1
             for _ in range(order - 1):
-                power = mat_mul(power, g)
-            if power != eye:
+                power = product(power, g)
+            if power != one:
                 raise ValueError("generator does not satisfy its declared order")
-        for g, h in itertools.combinations(self.generator_matrices, 2):
-            if mat_mul(g, h) != mat_mul(h, g):
+        for g, h in itertools.combinations(elements, 2):
+            if product(g, h) != product(h, g):
                 raise ValueError("generators must commute (abelian presentation)")
+        object.__setattr__(self, "_moves", moves)
 
     @cached_property
     def line_orbits(self) -> tuple[tuple[int, bool, tuple[int, ...]], ...]:
@@ -426,14 +450,9 @@ class GaloisLattice(Value):
         kernel read this one walk.  Raises ``ValueError`` unless every
         generator is a signed permutation.
         """
-        moves = []
-        for g in self.generator_matrices:
-            # g^T, which runs over G too, sends e_i to x e_j for each nonzero
-            # g[i][j] = x; as g is invertible, rank many of them are one per row
-            move = [(j, x) for row in g for j, x in enumerate(row) if x]
-            if len(move) != self.rank or any(x * x != 1 for _, x in move):
-                raise ValueError("Tate groups are computed for signed-permutation generators only")
-            moves.append(move)
+        moves = self._moves  # g^T, in G too, sends e_i to x e_j for move[i] = (j, x)
+        if moves is None:
+            raise ValueError("Tate groups are computed for signed-permutation generators only")
         order, orbits = math.prod(self.generator_orders), []
         sign = [0] * self.rank  # +-1 once +-e_j is reached from its orbit's first line
         for first in range(self.rank):
@@ -592,11 +611,7 @@ def cocharacter_lattice(torus: TorusExpr, level: str) -> GaloisLattice:
     if not field_contains(level, torus.base):
         raise ValueError(f"level {level} does not contain the base field {torus.base}")
     gens = _GAL[level][1:3]  # (1,0) and (0,1) for F, the one nontrivial element below it
-    return GaloisLattice(
-        rank=torus.rank,
-        generator_matrices=tuple(action_matrix(torus, g) for g in gens),
-        generator_orders=(2,) * len(gens),
-    )
+    return GaloisLattice(torus.rank, tuple(action_matrix(torus, g) for g in gens), (2,) * len(gens))
 
 
 def component_group_dual(torus: TorusExpr, level: str) -> FiniteAbelianGroup:

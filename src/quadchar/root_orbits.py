@@ -44,7 +44,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import cache, cached_property, lru_cache
 from itertools import permutations
-from operator import sub
+from operator import neg, sub
 from typing import Iterable
 
 from ._value import Value
@@ -91,7 +91,7 @@ _MAX_GROUP = 256
 
 
 def _neg(v: Vector) -> Vector:
-    return tuple(-x for x in v)
+    return tuple(map(neg, v))
 
 
 def _character_kernel(elements: tuple[Element, ...]) -> tuple[Element, ...]:

@@ -476,12 +476,38 @@ def test_tate_cohomology_takes_no_smith_form(monkeypatch: pytest.MonkeyPatch) ->
     assert "coordinates" in vars(group)
 
 
+def test_signed_permutation_lattices_take_no_matrix_product(monkeypatch: pytest.MonkeyPatch) -> None:
+    # validation composes the generators as permutations, and the orbit walk reads those
+    def refuse(a, b):
+        raise AssertionError("mat_mul on a signed-permutation lattice")
+
+    monkeypatch.setattr(galois_lattices, "mat_mul", refuse)
+    lattices = []
+    for n in (1, 2, 3, 4):
+        lattices += [lattice(n, [m], [2]) for m in signed_permutation_involutions(n)]
+        lattices += [lattice(n, pair, [2, 2]) for pair in commuting_involution_pairs(n)]
+    lattices += [
+        cocharacter_lattice.__wrapped__(torus, level)
+        for torus in torus_catalog()
+        for level in FIELD_LEVELS
+    ]
+    assert len(lattices) == 162 + 76 + 982 + 50
+    for lat in lattices:
+        tate_cohomology(lat, -1), tate_cohomology(lat, 0)
+    with pytest.raises(AssertionError, match="mat_mul"):  # any other generator takes products
+        lattice(2, [((1, 1), (0, -1))], [2])
+
+
 def test_tate_cohomology_rejects_a_generator_that_is_no_signed_permutation() -> None:
     lat = lattice(2, [((1, 1), (0, -1))], [2])  # an involution, so the lattice is valid
+    # next to a signed permutation, the one that is not still takes the lattice off the orbits
+    mixed = lattice(2, [((-1, 0), (0, -1)), ((1, 1), (0, -1))], [2, 2])
     for degree in (-1, 0):
-        with pytest.raises(ValueError, match="signed-permutation"):
-            tate_cohomology(lat, degree)
+        for refused in (lat, mixed):
+            with pytest.raises(ValueError, match="signed-permutation"):
+                tate_cohomology(refused, degree)
     assert lat.coinvariants.torsion.order == 1  # Z[C2]: the Smith form still applies
+    assert mixed.coinvariants.torsion.order == 2  # Z^2 / (2 Z^2 + Z (1, -2)) = Z/2
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +608,55 @@ def test_closed_form_matches_smith_forms_on_random_orders_3_4_6() -> None:
         assert_closed_form_matches_smith_forms(lattice(n, gens, orders))
         checked += 1
     assert {3, 4, 6, 8, 9, 12} <= seen_orders  # faithful and non-faithful declarations
+
+
+@st.composite
+def signed_permutation_presentations(draw) -> tuple[int, list, list[int]]:
+    """Rank 1-5, 1-3 signed-permutation generators, declared orders 1-8.
+
+    A generator is a fresh signed permutation, or a product of earlier ones
+    (which may commute with them); an order is any of 1-8, or a multiple of
+    the true order, so that both verdicts of the checks are drawn.
+    """
+    n = draw(st.integers(1, 5))
+    gens: list = []
+    for _ in range(draw(st.integers(1, 3))):
+        if gens and draw(st.booleans()):
+            g = oracle_identity(n)
+            for h in draw(st.lists(st.sampled_from(gens), min_size=1, max_size=3)):
+                g = oracle_mul(g, h)
+        else:
+            perm = draw(st.permutations(range(n)))
+            signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+            g = tuple(tuple(signs[i] * (j == perm[i]) for j in range(n)) for i in range(n))
+        gens.append(g)
+    orders = []
+    for g in gens:
+        multiples = [k for k in range(1, 9) if k % _order(g) == 0]
+        anything = st.integers(1, 8)
+        orders.append(draw(st.one_of(anything, st.sampled_from(multiples)) if multiples else anything))
+    return n, gens, orders
+
+
+@given(signed_permutation_presentations())
+@settings(max_examples=150, deadline=None)
+@example((2, [SWAP, ((1, 0), (0, -1))], [2, 2]))  # the orders hold, the pair does not commute
+@example((1, [NEG_ONE], [3]))
+def test_lattice_accepts_exactly_the_presentations_the_oracle_accepts(presentation) -> None:
+    n, gens, orders = presentation
+    eye = oracle_identity(n)
+    meets_orders = True
+    for g, order in zip(gens, orders):
+        power = eye
+        for _ in range(order):
+            power = oracle_mul(power, g)
+        meets_orders &= power == eye
+    commute = all(oracle_mul(g, h) == oracle_mul(h, g) for g, h in itertools.combinations(gens, 2))
+    if meets_orders and commute:
+        assert_closed_form_matches_smith_forms(lattice(n, gens, orders))
+    else:
+        with pytest.raises(ValueError, match="declared order" if not meets_orders else "commute"):
+            lattice(n, gens, orders)
 
 
 def _rank(rows, mod2: bool = False) -> int:

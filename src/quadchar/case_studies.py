@@ -52,7 +52,6 @@ from .char_engine import (
     toral_invariant,
     zeta_contribution,
 )
-from .galois_lattices import identity_matrix, mat_mul
 from .padic_fields import (
     ExtKind,
     LocalFieldDesc,
@@ -78,6 +77,7 @@ from .root_orbits import (
     OrbitRecord,
     TwistedRootSystem,
     classify_orbits,
+    compose,
     gln_orbit_parity,
     gln_root_system,
     orbit_class,
@@ -391,9 +391,9 @@ def _branch_zetas(system: TwistedRootSystem, records: list[OrbitRecord]) -> dict
     ``<g**n>`` when it is ramified.  Orbits of distinct ``zeta`` give a
     joined text that no record expects.
     """
-    ((g, sign),) = system.generators
-    g_n = (reduce(mat_mul, [g] * system.rank), sign**system.rank)
-    identity = (identity_matrix(system.rank), 1)
+    (g,) = system.generator_elements
+    g_n = reduce(compose, [g] * system.rank)
+    identity = (tuple(range(len(system.roots))), 1)
     branches = ((EF.UNRAM, frozenset({identity})), (EF.RAM, frozenset({identity, g_n})))
     zetas = {}
     for ef, inertia in branches:

@@ -3,9 +3,17 @@
 A ``TwistedRootSystem`` is a finite set of roots in ``Z^rank`` together
 with a finite group ``Q`` of integer matrices acting on it and a
 quadratic character of ``Q`` (the ``e_sign`` of each generator) whose
-kernel ``Q_E`` has index 2.  Group elements are pairs ``(matrix, sign)``
-and the closure is taken in the product ``GL x {+-1}``, so actions that
-are not faithful on the roots still carry the correct character data.
+kernel ``Q_E`` has index 2.  Only the action on the roots is read: an
+element is a pair ``(perm, sign)``, ``perm[i]`` the index in ``roots`` of
+the image of root ``i`` and ``sign`` its character value.  Each
+generator's matrix moves the roots, taken as columns, in one product,
+which checks that it preserves them and gives its permutation; the
+closure composes pairs, so ``Q`` is taken as its image in
+``Sym(roots) x {+-1}``.  The kernel of ``Q`` onto that image fixes every
+root with value 1, so it lies in ``Q_E`` and in every stabilizer below: no
+orbit, symmetry, degree or ``(e, f)`` changes, and an action that is not
+faithful on the roots keeps its character.  The group is closed once
+per system object, when its ``orbits`` are first read.
 
 For each orbit the classification records:
 
@@ -14,14 +22,6 @@ For each orbit the classification records:
 * ``degree``         — 1 if the stabilizer of ``a`` lies in ``Q_E`` (the
   ``Q``-orbit splits into two ``Q_E``-orbits), else 2;
 * the plain, signed and twisted stabilizers of the base root.
-
-The group is closed once per system object, when its ``orbits`` are
-first read, and ``Q_E`` is read off those elements.  Each generator moves
-the roots, taken as columns, in one matrix product, which checks that it
-preserves them and gives its permutation of root indices; the closure
-composes permutations, ``base * gen`` getting ``base`` after ``gen``, so
-no other product meets the roots.  Each orbit's fields are read off the
-images of its base root, one per element position.
 
 Orbit classes.  The tower ``F_{+-a} < F_a < E_a`` of an orbit and its
 intersections with ``E`` are the fixed fields of the signed stabilizer,
@@ -58,6 +58,7 @@ __all__ = [
     "OrbitRecord",
     "GlnParityReport",
     "classify_orbits",
+    "compose",
     "orbit_class",
     "derive_op_data",
     "twisted_class",
@@ -85,13 +86,18 @@ class Deg(str, Enum):
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
-Element = tuple[Matrix, int]  # (integer matrix, character value)
+Element = tuple[tuple[int, ...], int]  # (root permutation, character value)
 
 _MAX_GROUP = 256
 
 
 def _neg(v: Vector) -> Vector:
     return tuple(map(neg, v))
+
+
+def compose(a: Element, b: Element) -> Element:
+    """``a`` after ``b``."""
+    return tuple(map(a[0].__getitem__, b[0])), a[1] * b[1]
 
 
 def _character_kernel(elements: tuple[Element, ...]) -> tuple[Element, ...]:
@@ -107,7 +113,7 @@ class TwistedRootSystem(Value):
 
     rank: int
     roots: tuple[Vector, ...]
-    generators: tuple[Element, ...]
+    generators: tuple[tuple[Matrix, int], ...]  # (integer matrix, character value)
 
     def __post_init__(self) -> None:
         root_set = set(self.roots)
@@ -125,36 +131,33 @@ class TwistedRootSystem(Value):
                 raise ValueError("generator matrices must be rank x rank")
 
     @cached_property
-    def _action(self) -> dict[Element, tuple[int, ...]]:
-        """The closure, sorted; each element's ``perm[i]`` indexes its image of root ``i``."""
-        roots = self.roots
-        index = {r: i for i, r in enumerate(roots)}
-        columns = tuple(zip(*roots))
-        generators = []
+    def generator_elements(self) -> tuple[Element, ...]:
+        """Each generator as ``(root permutation, character value)``, from one product."""
+        index = {r: i for i, r in enumerate(self.roots)}
+        columns = tuple(zip(*self.roots))
+        elements = []
         for mat, sign in self.generators:
             perm = tuple(index.get(image, -1) for image in zip(*mat_mul(mat, columns)))
             if -1 in perm:
                 raise ValueError(f"action does not close on the root set: "
-                                 f"{mat} moves {roots[perm.index(-1)]} outside")
-            generators.append((mat, sign, perm))
-        identity: Element = (identity_matrix(self.rank), 1)
-        group = {identity: tuple(range(len(roots)))}
-        frontier = [identity]
+                                 f"{mat} moves {self.roots[perm.index(-1)]} outside")
+            elements.append((perm, sign))
+        return tuple(elements)
+
+    def group_elements(self) -> tuple[Element, ...]:
+        """Closure of the generators in ``Sym(roots) x {+-1}``, sorted; capped for safety."""
+        group = {(tuple(range(len(self.roots))), 1)}  # the identity
+        frontier = list(group)
         while frontier:
             base = frontier.pop()
-            base_perm = group[base]
-            for mat, sign, perm in generators:
-                nxt = (mat_mul(base[0], mat), base[1] * sign)
+            for gen in self.generator_elements:
+                nxt = compose(base, gen)
                 if nxt not in group:
                     if len(group) >= _MAX_GROUP:
                         raise ValueError("group closure exceeds the supported size")
-                    group[nxt] = tuple(map(base_perm.__getitem__, perm))
+                    group.add(nxt)
                     frontier.append(nxt)
-        return dict(sorted(group.items()))
-
-    def group_elements(self) -> tuple[Element, ...]:
-        """Closure of the generators in ``GL x {+-1}``, sorted; capped for safety."""
-        return tuple(self._action)
+        return tuple(sorted(group))
 
     @cached_property
     def orbits(self) -> tuple[OrbitRecord, ...]:
@@ -163,8 +166,8 @@ class TwistedRootSystem(Value):
         Computed on first read and kept by this object; a system that fails
         a check raises again on every read.
         """
-        e_subgroup = set(_character_kernel(self.group_elements()))
-        e_perms = [perm for g, perm in self._action.items() if g in e_subgroup]
+        elements = self.group_elements()
+        e_subgroup = set(_character_kernel(elements))
         roots = self.roots
         index = {r: i for i, r in enumerate(roots)}
         remaining = set(roots)
@@ -172,9 +175,9 @@ class TwistedRootSystem(Value):
         while remaining:
             base = min(remaining)
             b, nb = index[base], index[_neg(base)]
-            image = [(g, perm[b]) for g, perm in self._action.items()]  # the base root's images
+            image = [(g, g[0][b]) for g in elements]  # the base root's images
             orbit = {r for _, r in image}
-            e_orbit = {perm[b] for perm in e_perms}
+            e_orbit = {g[0][b] for g in e_subgroup}
             stab = frozenset(g for g, r in image if r == b)
             stab_signed = frozenset(g for g, r in image if r in (b, nb))
             stab_twisted = frozenset(g for g, r in image if r == (b if g[1] == 1 else nb))
@@ -244,24 +247,25 @@ _SYMMETRIC_STEP = {Deg.UNRAM: Sym.SYM_UNRAM, Deg.RAM: Sym.SYM_RAM}
 
 
 @lru_cache(maxsize=2)  # every orbit of a system is classified under one or two inertias
-def _check_inertia(inertia: frozenset[Element], rank: int) -> None:
-    identity = (identity_matrix(rank), 1)
+def _check_inertia(inertia: frozenset[Element], size: int) -> None:
+    identity = (tuple(range(size)), 1)
     if identity not in inertia:
         raise ValueError("inertia must contain the identity")
     others = inertia - {identity}
-    if any((mat_mul(a[0], b[0]), a[1] * b[1]) not in inertia for a in others for b in others):
+    if any(compose(a, b) not in inertia for a in others for b in others):
         raise ValueError("inertia must be closed under products")
 
 
 def orbit_class(record: OrbitRecord, inertia: Iterable[Element]) -> tuple[Deg, Sym, Sym]:
     """The orbit's class ``(step type, symmetry over F, symmetry over E)``.
 
-    ``inertia`` is the inertia subgroup ``I`` of ``Q``; the module docstring
-    gives ``(e, f)`` of each stabilizer's fixed field.  ``|Q|`` is the orbit
-    size times the stabilizer size, so no group closure is taken.
+    ``inertia`` is the inertia subgroup ``I`` of ``Q`` as ``(perm, sign)``
+    pairs; the module docstring gives ``(e, f)`` of each stabilizer's fixed
+    field.  ``|Q|`` is the orbit size times the stabilizer size, so no group
+    closure is taken.
     """
     inertia = frozenset(inertia)
-    _check_inertia(inertia, len(record.base_root))
+    _check_inertia(inertia, len(next(iter(record.stab))[0]))  # the number of roots
     order = len(record.roots) * len(record.stab)
 
     def field_type(subgroup: frozenset[Element]) -> FieldType:
@@ -379,11 +383,7 @@ def gln_root_system(n: int) -> TwistedRootSystem:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    return TwistedRootSystem(
-        rank=n,
-        roots=_general_linear_roots(n),
-        generators=((_shift_matrix(n), -1),),
-    )
+    return TwistedRootSystem(n, _general_linear_roots(n), ((_shift_matrix(n), -1),))
 
 
 @cache
@@ -391,11 +391,8 @@ def unitary_root_system(n: int) -> TwistedRootSystem:
     """Type A roots with the shift-and-negate action of odd unitary groups."""
     if n < 2:
         raise ValueError("need n >= 2")
-    return TwistedRootSystem(
-        rank=n,
-        roots=_general_linear_roots(n),
-        generators=((tuple(map(_neg, _shift_matrix(n))), -1),),
-    )
+    shift_and_negate = tuple(map(_neg, _shift_matrix(n)))
+    return TwistedRootSystem(n, _general_linear_roots(n), ((shift_and_negate, -1),))
 
 
 class GlnParityReport(Value):

@@ -62,10 +62,8 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
+    """The product of an ``m x k`` and a ``k x n`` matrix."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
 
 
 def signed_permutation_matrices(n: int) -> Iterator[Matrix]:

@@ -184,15 +184,15 @@ def test_patched_classification_reaches_systems_classified_earlier(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 7])
 def test_branch_zetas_checks_each_inertia_once(monkeypatch, n):
-    # one identity per check: the trivial and the <g**n> inertia are each
-    # checked on the first orbit, not again for the other n - 2 orbits
+    # the trivial and the <g**n> inertia are each checked on the first
+    # orbit and found in the check's cache for the other n - 2 orbits;
+    # g**n comes from the generator, not from another closure
     system = gln_root_system(n)
     records = classify_orbits(system)
-    identities = []
-    real = root_orbits.identity_matrix
-    monkeypatch.setattr(root_orbits, "identity_matrix", lambda k: identities.append(k) or real(k))
+    monkeypatch.setattr(root_orbits.TwistedRootSystem, "group_elements", None)
     case_studies._branch_zetas(system, records)
-    assert identities == [n, n]
+    checks = root_orbits._check_inertia.cache_info()
+    assert (checks.misses, checks.hits) == (2, 2 * (n - 2))
 
 
 def test_class_record_fails_when_orbits_disagree(monkeypatch):

@@ -5,12 +5,12 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from conftest import identity_matrix, mat_mul
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadchar import root_orbits
 from quadchar.char_engine import CLASS_TRIPLES, class_key
-from quadchar.galois_lattices import identity_matrix, mat_mul, mat_vec
 from quadchar.root_orbits import (
     Deg,
     OrbitRecord,
@@ -25,10 +25,12 @@ from quadchar.root_orbits import (
     unitary_root_system,
 )
 
-I1: tuple = (((1,),), 1)
-A1 = (((-1,),), 1)  # negates the root, trivial character
-B1 = (((1,),), -1)  # fixes the root, nontrivial character
-AB1 = (((-1,),), -1)
+# elements of the rank-1 systems below, whose roots are (1,) and (-1,):
+# (root permutation, character value)
+I1: tuple = ((0, 1), 1)
+A1 = ((1, 0), 1)  # negates the root, trivial character
+B1 = ((0, 1), -1)  # fixes the root, nontrivial character
+AB1 = ((1, 0), -1)
 
 
 def rank_one_klein():
@@ -47,6 +49,36 @@ def rank_one_order_two():
         roots=((1,), (-1,)),
         generators=((((-1,),), -1),),
     )
+
+
+# ---------------------------------------------------------------------------
+# oracles on the matrix group, closed here with conftest's mat_mul
+# ---------------------------------------------------------------------------
+
+
+def apply(matrix, root):
+    """The image of one root under a matrix."""
+    return tuple(sum(a * x for a, x in zip(row, root)) for row in matrix)
+
+
+def matrix_closure(system):
+    """The matrix group ``{(matrix, character value)}`` the generators make."""
+    identity = (identity_matrix(system.rank), 1)
+    group, frontier = {identity}, [identity]
+    while frontier:
+        mat, sign = frontier.pop()
+        for gen, gen_sign in system.generators:
+            nxt = (mat_mul(mat, gen), sign * gen_sign)
+            if nxt not in group:
+                group.add(nxt)
+                frontier.append(nxt)
+    return group
+
+
+def as_pair(system, element):
+    """A matrix element as ``(root permutation, character value)``, root by root."""
+    mat, sign = element
+    return tuple(system.roots.index(apply(mat, r)) for r in system.roots), sign
 
 
 # ---------------------------------------------------------------------------
@@ -92,12 +124,50 @@ def test_unitary_odd_orbits_symmetric_split():
 
 def test_group_closure_tracks_character_separately():
     # the cyclic action of odd order is not faithful on signs: the identity
-    # matrix appears with both character values and they stay distinct
+    # permutation appears with both character values and they stay distinct
     elements = gln_root_system(3).group_elements()
-    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    signs = {s for m, s in elements if m == identity}
+    signs = {s for perm, s in elements if perm == tuple(range(6))}
     assert signs == {1, -1}
     assert len(elements) == 6
+
+
+def test_action_not_faithful_on_the_roots():
+    # (-swap, +1) fixes both roots +-(1, -1) with character value 1, so the
+    # matrix group of order 4 acts through a group of order 2; every
+    # inertia subgroup's image gives the class its fixed fields give
+    swap, minus = ((0, 1), (1, 0)), ((-1, 0), (0, -1))
+    system = TwistedRootSystem(
+        rank=2, roots=((-1, 1), (1, -1)), generators=((swap, -1), (minus, -1))
+    )
+    group = matrix_closure(system)
+    assert (((0, -1), (-1, 0)), 1) in group and len(group) == 4
+    assert system.group_elements() == (((0, 1), 1), ((1, 0), -1))
+    (rec,) = classify_orbits(system)
+    base, kernel = rec.base_root, {g for g in group if g[1] == 1}
+    images = {g: apply(g[0], base) for g in group}
+    stab = {g for g, r in images.items() if r == base}
+    stab_signed = {g for g, r in images.items() if r in (base, (1, -1))}
+    # symmetric over the base (swap negates the root), not over E
+    assert rec.roots == ((-1, 1), (1, -1)) and base == (-1, 1)
+    assert {images[g] for g in kernel} == {base}
+    assert rec.sym_over_base and not rec.sym_over_e
+    subgroups = [
+        set(h)
+        for k in range(1, 5)
+        for h in itertools.combinations(sorted(group), k)
+        if (identity_matrix(2), 1) in h
+        and all((mat_mul(a[0], b[0]), a[1] * b[1]) in h for a in h for b in h)
+    ]
+    assert len(subgroups) == 5
+    classes = set()
+    for inertia in subgroups:
+        f_pm, f_a, e_a = fixed_fields(inertia, 4, stab_signed, stab, stab & kernel)
+        expected = (step_kind(f_a, e_a), SYMMETRIC[step_kind(f_pm, f_a)], Sym.ASYM)
+        image = {as_pair(system, g) for g in inertia}
+        assert orbit_class(rec, image) == expected
+        classes.add(expected)
+    # <(-swap, +1)> has a trivial image but lies in the stabilizer
+    assert classes == {(Deg.SPLIT, Sym.SYM_UNRAM, Sym.ASYM), (Deg.SPLIT, Sym.SYM_RAM, Sym.ASYM)}
 
 
 def test_action_must_close_on_roots():
@@ -255,6 +325,16 @@ def fixed_fields(inertia, order, *subgroups):
     return fields
 
 
+def step_kind(lower, upper):
+    """The kind of a step of degree 1 or 2 between two fields' ``(e, f)``."""
+    ratio = (upper[0] // lower[0], upper[1] // lower[1])
+    return {(1, 1): Deg.SPLIT, (2, 1): Deg.RAM, (1, 2): Deg.UNRAM}[ratio]
+
+
+# a symmetric orbit's symmetry is the kind of its step from F_+-a up to F_a
+SYMMETRIC = {Deg.UNRAM: Sym.SYM_UNRAM, Deg.RAM: Sym.SYM_RAM}
+
+
 def klein_class(inertia, e_field=None, stab_field=None, twisted_field=None):
     """The Klein orbit's class; the fields of E, F_a and F_op are checked when given."""
     if e_field is not None:
@@ -360,7 +440,7 @@ def test_tower_symmetric_split_over_both(e_quad, top4, expected_sym):
     assert rec.sym_over_base and rec.sym_over_e and rec.degree == 1
     # trivial inertia leaves Q/I = Q dihedral, not cyclic; the rule for
     # e and f needs only that I is normal
-    inertia = rec.stab_signed if top4 == (2, 2) else {(identity_matrix(2), 1)}
+    inertia = rec.stab_signed if top4 == (2, 2) else {((0, 1, 2, 3), 1)}
     assert fixed_fields(inertia, 8, rec.stab_signed, rec.stab) == [e_quad, top4]
     triple = orbit_class(rec, inertia)
     assert triple == (Deg.SPLIT, expected_sym, expected_sym)
@@ -403,14 +483,12 @@ def test_orbit_class_rejects_inertia_that_is_no_normal_subgroup():
     # stabilizer of the base root -a_1 - a_2 has index 3 and meets the
     # inertia <s_1>, which is not normal, trivially, so the residue degree
     # of its fixed field would be 3/2
-    s1, s2 = (((-1, 1), (0, 1)), -1), (((1, 0), (1, -1)), -1)
-    a2 = TwistedRootSystem(
-        rank=2, roots=((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)), generators=(s1, s2)
-    )
+    a2 = a2_weyl()
+    s1 = as_pair(a2, a2.generators[0])
     (rec,) = classify_orbits(a2)
     assert rec.base_root == (-1, -1) and len(rec.stab_signed) == 2 and s1 not in rec.stab_signed
     with pytest.raises(ValueError, match="normal"):
-        orbit_class(rec, {(identity_matrix(2), 1), s1})
+        orbit_class(rec, {(tuple(range(6)), 1), s1})
 
 
 @pytest.mark.parametrize(
@@ -425,8 +503,10 @@ def test_cyclic_families_classes_follow_the_character_on_inertia(build, unram_cl
     system = build(n)
     (g,) = system.generators
     powers = [(identity_matrix(n), 1)]
-    while len(powers) < len(system.group_elements()):
+    while len(powers) < 2 * n:
         powers.append((mat_mul(powers[-1][0], g[0]), powers[-1][1] * g[1]))
+    powers = [as_pair(system, power) for power in powers]
+    assert len(set(powers)) == len(system.group_elements())
     records = classify_orbits(system)
     for k in range(len(powers)):
         inertia = {powers[k * j % len(powers)] for j in range(len(powers))}
@@ -530,21 +610,18 @@ def test_op_twist_swaps_unitary_and_linear_actions():
 
 def test_op_twist_realizes_twisted_stabilizer():
     # the stabilizer of a root in the twisted system is the image of the
-    # twisted stabilizer under (matrix, s) -> (s * matrix, s)
+    # twisted stabilizer under (matrix, s) -> (s * matrix, s), which on
+    # root permutations follows an element of value -1 by negation
     system = rank_one_klein()
     (rec,) = classify_orbits(system)
     twisted_system = op_twist(system)
     twisted_records = classify_orbits(twisted_system)
     rec_op = next(r for r in twisted_records if rec.base_root in r.roots)
-    elements = set(twisted_system.group_elements())
-    image = {
-        (tuple(tuple(s * x for x in row) for row in m), s) for m, s in rec.stab_twisted
-    }
-    direct = {
-        g
-        for g in elements
-        if mat_vec(g[0], rec.base_root) == rec.base_root
-    }
+    roots = system.roots
+    negation = [roots.index(tuple(-x for x in r)) for r in roots]
+    image = {(p if s == 1 else tuple(negation[i] for i in p), s) for p, s in rec.stab_twisted}
+    b = roots.index(rec.base_root)
+    direct = {g for g in twisted_system.group_elements() if g[0][b] == b}
     assert image == direct
     assert rec_op.sym_over_e == rec.sym_over_e
 
@@ -618,36 +695,40 @@ def test_op_twist_involution_and_kernel(system):
 
 
 def definitional_orbit_records(system):
-    """The orbit records by direct sweeps over the whole group, as an oracle."""
-    elements = system.group_elements()
+    """The orbit records by direct sweeps over the matrix group, as an oracle.
+
+    Each stabilizer is swept over the matrices, then mapped to its root
+    permutations.
+    """
+    elements = matrix_closure(system)
     root_set = set(system.roots)
-    assert all(mat_vec(g[0], r) in root_set for g in elements for r in system.roots)
-    e_subgroup = set(character_kernel(system))
+    assert all(apply(g[0], r) in root_set for g in elements for r in system.roots)
+    pair = {g: as_pair(system, g) for g in elements}
     remaining = set(system.roots)
     records = []
     while remaining:
         base = min(remaining)
         neg = tuple(-x for x in base)
-        orbit = sorted({mat_vec(g[0], base) for g in elements})
-        e_orbit = {mat_vec(g[0], base) for g in elements if g in e_subgroup}
-        stab = frozenset(g for g in elements if mat_vec(g[0], base) == base)
-        stab_signed = frozenset(g for g in elements if mat_vec(g[0], base) in (base, neg))
+        orbit = sorted({apply(g[0], base) for g in elements})
+        e_orbit = {apply(g[0], base) for g in elements if g[1] == 1}
+        stab = [g for g in elements if apply(g[0], base) == base]
+        stab_signed = [g for g in elements if apply(g[0], base) in (base, neg)]
         records.append(
             OrbitRecord(
                 base_root=base,
                 roots=tuple(orbit),
                 sym_over_base=neg in orbit,
                 sym_over_e=neg in e_orbit,
-                degree=1 if stab <= e_subgroup else 2,
+                degree=1 if all(g[1] == 1 for g in stab) else 2,
                 e_suborbit_count=len(orbit) // len(e_orbit),
-                stab=stab,
-                stab_signed=stab_signed,
+                stab=frozenset(map(pair.get, stab)),
+                stab_signed=frozenset(map(pair.get, stab_signed)),
                 stab_twisted=frozenset(
-                    g for g in elements
-                    if tuple(g[1] * x for x in mat_vec(g[0], base)) == base
+                    pair[g] for g in elements
+                    if tuple(g[1] * x for x in apply(g[0], base)) == base
                 ),
-                stab_e=frozenset(g for g in stab if g in e_subgroup),
-                stab_signed_e=frozenset(g for g in stab_signed if g in e_subgroup),
+                stab_e=frozenset(pair[g] for g in stab if g[1] == 1),
+                stab_signed_e=frozenset(pair[g] for g in stab_signed if g[1] == 1),
             )
         )
         remaining -= set(orbit)
@@ -684,20 +765,20 @@ def a2_weyl():
 
 
 def product_images(system):
-    """Oracle: each element's images of all roots as root indices, from its matrix
-    times the roots taken as columns, one product per element."""
+    """Oracle: each element of the matrix group mapped to ``(root permutation,
+    character value)``, from its matrix times the roots taken as columns, one
+    product per element."""
     index = {r: i for i, r in enumerate(system.roots)}
     columns = tuple(zip(*system.roots))
     return {
-        g: tuple(index[image] for image in zip(*mat_mul(g[0], columns)))
-        for g in system.group_elements()
+        g: (tuple(index[image] for image in zip(*mat_mul(g[0], columns))), g[1])
+        for g in matrix_closure(system)
     }
 
 
 def orbit_records_from_images(system, images):
-    """Oracle: the orbit records read off a map from each element to its images."""
-    elements = system.group_elements()
-    e_subgroup = set(character_kernel(system))
+    """Oracle: the orbit records read off a map from each matrix element to its
+    ``(root permutation, character value)``; the stabilizers are sets of images."""
     roots = system.roots
     index = {r: i for i, r in enumerate(roots)}
     remaining = set(roots)
@@ -705,11 +786,11 @@ def orbit_records_from_images(system, images):
     while remaining:
         base = min(remaining)
         b, nb = index[base], index[tuple(-x for x in base)]
-        image = {g: images[g][b] for g in elements}
+        image = {pair: pair[0][b] for pair in images.values()}
         orbit = set(image.values())
-        e_orbit = {image[g] for g in e_subgroup}
-        stab = frozenset(g for g, r in image.items() if r == b)
-        stab_signed = frozenset(g for g, r in image.items() if r in (b, nb))
+        e_orbit = {r for pair, r in image.items() if pair[1] == 1}
+        stab = frozenset(pair for pair, r in image.items() if r == b)
+        stab_signed = frozenset(pair for pair, r in image.items() if r in (b, nb))
         orbit_roots = {roots[i] for i in orbit}
         records.append(
             OrbitRecord(
@@ -717,15 +798,15 @@ def orbit_records_from_images(system, images):
                 roots=tuple(sorted(orbit_roots)),
                 sym_over_base=nb in orbit,
                 sym_over_e=nb in e_orbit,
-                degree=1 if stab <= e_subgroup else 2,
+                degree=1 if all(pair[1] == 1 for pair in stab) else 2,
                 e_suborbit_count=len(orbit) // len(e_orbit),
                 stab=stab,
                 stab_signed=stab_signed,
                 stab_twisted=frozenset(
-                    g for g, r in image.items() if r == (b if g[1] == 1 else nb)
+                    pair for pair, r in image.items() if r == (b if pair[1] == 1 else nb)
                 ),
-                stab_e=stab & e_subgroup,
-                stab_signed_e=stab_signed & e_subgroup,
+                stab_e=frozenset(pair for pair in stab if pair[1] == 1),
+                stab_signed_e=frozenset(pair for pair in stab_signed if pair[1] == 1),
             )
         )
         remaining -= orbit_roots
@@ -741,13 +822,19 @@ PERMUTATION_SYSTEMS = {
 }
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(signed_perm_systems(), st.builds(a2_weyl)))
+def test_group_elements_are_the_image_of_the_matrix_closure(system):
+    images = {as_pair(system, g) for g in matrix_closure(system)}
+    assert system.group_elements() == tuple(sorted(images))
+
+
 @pytest.mark.parametrize("build", PERMUTATION_SYSTEMS.values(), ids=PERMUTATION_SYSTEMS)
 def test_composed_root_permutations_match_per_element_products(build):
     system = build[0](*build[1:])
     images = product_images(system)
-    # the closure keeps every element, in group_elements order, with its images
-    assert tuple(system._action) == system.group_elements()
-    assert system._action == images
+    # the closure is the sorted image of the matrix group
+    assert system.group_elements() == tuple(sorted(set(images.values())))
     records = classify_orbits(system)
     expected = orbit_records_from_images(system, images)
     assert len(records) == len(expected)
@@ -756,22 +843,26 @@ def test_composed_root_permutations_match_per_element_products(build):
             assert getattr(got, field) == getattr(want, field), field
 
 
-def test_closure_takes_one_product_per_element_and_generator(monkeypatch):
-    # |Q| * #generators products in the closure and one per generator for its
-    # root permutation; no element's matrix meets the roots
+@pytest.mark.parametrize("build", PERMUTATION_SYSTEMS.values(), ids=PERMUTATION_SYSTEMS)
+def test_each_generator_matrix_meets_the_roots_once(monkeypatch, build):
+    # one product per generator, against the roots taken as columns; the
+    # closure, the orbits and the orbit classes multiply no matrix
+    system = build[0](*build[1:])
     calls = []
+    real = root_orbits.mat_mul
+    monkeypatch.setattr(root_orbits, "mat_mul", lambda a, b: calls.append(b) or real(a, b))
+    records = system.orbits
+    assert calls == [tuple(zip(*system.roots))] * len(system.generators)
 
-    def counted(a, b):
-        calls.append(len(b[0]))  # columns of the product
-        return mat_mul(a, b)
+    def no_product(a, b):
+        raise AssertionError("a matrix product after the generators were read")
 
-    monkeypatch.setattr(root_orbits, "mat_mul", counted)
-    system = gln_root_system.__wrapped__(7)
-    system.orbits
-    products = list(calls)
-    order, gens = len(system.group_elements()), len(system.generators)
-    assert len(products) == order * gens + gens == 15
-    assert products.count(len(system.roots)) == gens  # the one root-set product per generator
+    monkeypatch.setattr(root_orbits, "mat_mul", no_product)
+    kernel = character_kernel(system)
+    assert classify_orbits(system) == list(records)
+    assert len(system.group_elements()) == 2 * len(kernel)
+    for rec in records:
+        assert orbit_class(rec, kernel) in CLASS_TRIPLES
 
 
 FAMILIES = (

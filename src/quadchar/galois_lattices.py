@@ -26,7 +26,9 @@ AMS 8, 1957).  So ``tate_cohomology`` needs one orbit walk and no Smith
 form: ``H^-1`` is ``Z/2`` per orbit with ``chi != 1`` and ``H^0`` is
 ``Z/|H|`` per orbit with ``chi == 1``, where ``|H| = |G| / |orbit|`` and
 ``|G|`` is the product of the *declared* orders (so actions that factor
-through a quotient weight correctly).
+through a quotient weight correctly).  The Tate groups are shared, one per
+invariant-factor chain of a 2-group such as the diamond's: few chains occur,
+and each group is built once.
 
 The same walk gives representatives: in ``H^-1 = ker(N) / sum (g - 1) M``
 a signed orbit's class is that of its first line, and a vector of ``ker(N)``
@@ -314,9 +316,9 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
             d[t] = list(map(add, top, offender))
 
     return SmithForm(
-        diagonal=tuple(abs(d[i][i]) for i in range(min(n, m))),
-        v=tuple(zip(*vt)),
-        v_inv=tuple(tuple(row) for row in v_inv),
+        tuple(abs(d[i][i]) for i in range(min(n, m))),
+        tuple(zip(*vt)),
+        tuple(tuple(row) for row in v_inv),
     )
 
 
@@ -391,7 +393,7 @@ def quotient(width: int, relations: Iterable[Sequence[int]]) -> Quotient:
     relations up to sign.  Raises ``ValueError`` on a relation of another length.
     """
     form = smith_normal_form(_distinct_rows(relations, width))
-    return Quotient(form=form, diag=form.diagonal + (0,) * (width - len(form.diagonal)))
+    return Quotient(form, form.diagonal + (0,) * (width - len(form.diagonal)))
 
 
 # ---------------------------------------------------------------------------
@@ -460,12 +462,14 @@ class GaloisLattice(Value):
                 continue
             sign[first], lines, signed = 1, [first], False
             for i in lines:  # the walk appends to the list it runs over
-                for j, x in (move[i] for move in moves):
+                s_i = sign[i]
+                for move in moves:
+                    j, x = move[i]
                     if not sign[j]:
-                        sign[j] = x * sign[i]
+                        sign[j] = x * s_i
                         lines.append(j)
-                    else:
-                        signed |= sign[j] != x * sign[i]
+                    elif sign[j] != x * s_i:
+                        signed = True
             orbits.append((order // len(lines), signed, tuple(lines)))
         return tuple(orbits)
 
@@ -477,12 +481,16 @@ class GaloisLattice(Value):
         )
 
 
+# shared groups keyed by the sorted factors above 1, for a 2-group the chain itself
+_group = cache(FiniteAbelianGroup.from_factors)
+
+
 def tate_cohomology(lattice: GaloisLattice, degree: int) -> FiniteAbelianGroup:
     """Tate cohomology of a signed-permutation lattice in degree -1 or 0, from its orbits."""
     if degree == -1:
-        return FiniteAbelianGroup((2,) * sum(signed for _, signed, _ in lattice.line_orbits))
+        return _group((2,) * sum(signed for _, signed, _ in lattice.line_orbits))
     if degree == 0:
-        return FiniteAbelianGroup.from_factors(h for h, signed, _ in lattice.line_orbits if not signed)
+        return _group(tuple(sorted(h for h, signed, _ in lattice.line_orbits if h > 1 and not signed)))
     raise ValueError(f"only degrees -1 and 0 are provided, got {degree}")
 
 
@@ -720,8 +728,8 @@ def prasad_torus_identity(
     s = next(g for g in galois_group(bottom) if g not in galois_group(top))
     transfer = _add_identity(action_matrix(torus, s), 1)
     return IdentityVerdict(
-        lhs=_minus_one_transfer_kernel(low, high, transfer),
-        rhs=sum(
+        _minus_one_transfer_kernel(low, high, transfer),
+        sum(
             high.coinvariants.is_zero_class(mat_vec(transfer, rep))
             for rep in low.coinvariants.torsion_representatives()
         ),

@@ -7,7 +7,7 @@ from typing import Iterator
 
 import pytest
 
-from quadchar import root_orbits
+from quadchar import galois_lattices, root_orbits
 from quadchar.residue_fields import ExtElement, FiniteField, QuadraticExtension
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -30,16 +30,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:  # no
 
 
 @pytest.fixture(autouse=True)
-def fresh_root_systems() -> None:
-    """Start each test without the shared root systems, their cached orbits
-    and the inertia groups already checked.
+def fresh_shared_caches() -> None:
+    """Start each test without the shared root systems, their cached orbits,
+    the inertia groups already checked, the shared cocharacter lattices and
+    the shared Tate groups.
 
-    A classification helper that a test patches then reaches every system
-    the test classifies, not only those no earlier test has classified.
+    A helper that a test patches (a classification step, ``line_orbits`` or
+    ``FiniteAbelianGroup.from_factors``) then reaches every system, lattice
+    and group the test builds, not only those no earlier test has built.
     """
     root_orbits.gln_root_system.cache_clear()
     root_orbits.unitary_root_system.cache_clear()
     root_orbits._check_inertia.cache_clear()
+    galois_lattices.cocharacter_lattice.cache_clear()
+    galois_lattices._group.cache_clear()
 
 
 def field_units(k: FiniteField) -> range:

@@ -476,6 +476,28 @@ def test_tate_cohomology_takes_no_smith_form(monkeypatch: pytest.MonkeyPatch) ->
     assert "coordinates" in vars(group)
 
 
+def test_tate_reads_build_each_invariant_factor_chain_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    # the conftest fixture has emptied the shared groups, so every chain is built here
+    lattices = []
+    for n in (1, 2, 3):
+        lattices += [lattice(n, [m], [2]) for m in signed_permutation_involutions(n)]
+        lattices += [lattice(n, pair, [2, 2]) for pair in commuting_involution_pairs(n)]
+    lattices += [
+        cocharacter_lattice(torus, level) for torus in torus_catalog() for level in FIELD_LEVELS
+    ]
+    assert len(lattices) == 162 + 50
+    builds = []
+    check = FiniteAbelianGroup.__post_init__
+    monkeypatch.setattr(
+        FiniteAbelianGroup, "__post_init__", lambda group: builds.append(group) or check(group)
+    )
+    reads = [tate_cohomology(lat, degree) for lat in lattices for degree in (-1, 0)]
+    shared = {}
+    for group in reads:  # equal chains are one object
+        assert shared.setdefault(group.invariant_factors, group) is group
+    assert len(builds) == len(shared) < len(reads)
+
+
 def test_signed_permutation_lattices_take_no_matrix_product(monkeypatch: pytest.MonkeyPatch) -> None:
     # validation composes the generators as permutations, and the orbit walk reads those
     def refuse(a, b):
@@ -553,6 +575,28 @@ def test_closed_form_matches_smith_forms_on_every_small_lattice() -> None:
     ]
     for lat in lattices:
         assert_closed_form_matches_smith_forms(lat)
+
+
+SWAP_NEGATE = ((0, 1, 0), (1, 0, 0), (0, 0, -1))
+NEGATE_TWO = ((-1, 0, 0), (0, -1, 0), (0, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "rank, gens, orbits",
+    [
+        # SWAP alone leaves {e0, e1} unsigned; -I meets e0 as -e0 only after it
+        (2, [SWAP, ((-1, 0), (0, -1))], ((2, True, (0, 1)),)),
+        # NEGATE_TWO alone signs {e0, e1} and SWAP_NEGATE alone {e2}, so in either
+        # order one orbit's sign comes from the later generator
+        (3, [SWAP_NEGATE, NEGATE_TWO], ((2, True, (0, 1)), (4, True, (2,)))),
+        (3, [NEGATE_TWO, SWAP_NEGATE], ((2, True, (0, 1)), (4, True, (2,)))),
+    ],
+)
+def test_a_sign_met_only_through_a_later_generator_signs_the_orbit(rank, gens, orbits) -> None:
+    lat = lattice(rank, gens, [2, 2])
+    assert lat.line_orbits == orbits
+    assert tate_cohomology(lat, -1).order == 2 ** len(orbits)
+    assert_closed_form_matches_smith_forms(lat)
 
 
 def _order(g) -> int:

@@ -5,11 +5,11 @@ The package is organised in layers:
 
 * ``_value`` — ``Value``, the one base of the frozen value objects; fields
   are set by ``object.__setattr__``, never through ``__dict__``;
-* ``residue_fields`` — finite fields, sign characters, norm-one subgroups;
+* ``residue_fields`` — ``UsageError``, finite fields, sign characters;
 * ``padic_fields`` — square classes, the tame Hilbert symbol, quadratic
   extension descriptors, biquadratic diamonds, lambda constants;
-* ``galois_lattices`` — integral lattices with Galois action, Tate
-  cohomology in degrees -1 and 0 from the orbits of signed basis lines,
+* ``galois_lattices`` — lattices with Galois action by signed permutations
+  only, Tate cohomology in degrees -1 and 0 from the orbits of basis lines,
   coinvariants by Smith normal form, the torus catalog and its kernel
   identity (tests cross-check it in ``tests/cocycle_oracle.py``);
 * ``root_orbits`` — twisted root systems, orbit symmetry classification

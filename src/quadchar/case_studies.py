@@ -69,6 +69,7 @@ from .padic_fields import (
 from .residue_fields import (
     FiniteField,
     QuadraticExtension,
+    UsageError,
     sgn_ext_units,
     sgn_norm_one,
     sgn_units,
@@ -378,9 +379,9 @@ GLN_MAX_N = 15
 def _check_rank(n: int) -> None:
     """The rank rule of the ``gln`` and ``un`` scenarios: odd ``3 <= n <= GLN_MAX_N``."""
     if n % 2 == 0 or n < 3:
-        raise ValueError("this scenario is for odd n >= 3")
+        raise UsageError("this scenario is for odd n >= 3")
     if n > GLN_MAX_N:
-        raise ValueError(f"this scenario is capped at n <= {GLN_MAX_N}, got {n}")
+        raise UsageError(f"this scenario is capped at n <= {GLN_MAX_N}, got {n}")
 
 
 def _branch_zetas(system: TwistedRootSystem, records: list[OrbitRecord]) -> dict[EF, str]:

@@ -25,9 +25,9 @@ Options are two tokens, ``--opt VALUE``, in any order among the
 positionals; ``--opt=VALUE`` and abbreviated option names are usage
 errors.  ``-h`` or ``--help`` prints this text.
 
-Reports are deterministic: records are sorted by id, JSON keys are
-sorted, and no timestamps or environment data are embedded.  Exit codes:
-0 pass, 1 check failure, 2 usage error or an unwritable ``--json`` path.
+Reports are deterministic: records are sorted by id, JSON keys are sorted,
+and no timestamps or environment data are embedded.  Exit codes: 0 pass,
+1 check failure or internal error, 2 usage error or unwritable ``--json``.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ from .galois_lattices import (
     torus_catalog,
 )
 from .padic_fields import (
-    NonOddPrimeError,
     SquareClass,
     hilbert_symbol,
     make_base,
@@ -74,6 +73,7 @@ from .padic_fields import (
     square_class_of_int,
     square_classes,
 )
+from .residue_fields import UsageError
 from .tables import builtin_tables, diff_tables, format_all, render_tables
 
 SCHEMA_VERSION = 1
@@ -133,6 +133,8 @@ def _write_report(suite: str, records: Iterable[CheckRecord], json_path: str | N
         "summary": {"pass": npass, "fail": len(rows) - npass},
     }
     if json_path:
+        if "\0" in json_path:  # open() refuses it by ValueError, not OSError
+            raise UsageError("embedded null byte")
         # encoded before the file is opened, so a failed encoding leaves no file
         text = _encode(report, "\n") + "\n"
         with open(json_path, "w", encoding="utf-8") as fh:
@@ -348,9 +350,9 @@ def run_verify(args: SimpleNamespace, out) -> int:
     else:
         suite = SUITES[args.suite]
         if args.p is not None and not suite.primes:
-            raise ValueError(f"suite {args.suite} takes no --p")
+            raise UsageError(f"suite {args.suite} takes no --p")
         if args.n is not None and not suite.ranks:
-            raise ValueError(f"suite {args.suite} takes no --n")
+            raise UsageError(f"suite {args.suite} takes no --n")
         suites = [suite]
     if args.p is not None:
         make_base(args.p)  # raises NonOddPrimeError unless p is an odd prime
@@ -435,9 +437,12 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command][0](args, out)
-    except (NonOddPrimeError, ValueError, OSError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

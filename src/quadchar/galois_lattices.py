@@ -17,18 +17,18 @@ Tori are expressions built from ``Gm``, norm-one tori ``U1`` of quadratic
 steps, quadratic Weil restrictions ``Res`` and finite products; their
 cocharacter lattices with the Galois action at any level of the tower are
 produced by ``cocharacter_lattice``.  Every action matrix is a signed
-permutation, whose order and commutation a lattice checks by composing
-permutations (any other generator takes matrix products), so the group
-permutes the lines ``Z e_j``; by Shapiro's lemma an orbit with line
-stabiliser ``H`` spans ``Ind_H^G(chi)``, ``chi`` the sign of ``H`` on
-``e_j`` (cite only: Serre, *Local Fields*, ch. VII-VIII; Reiner, Proc.
-AMS 8, 1957).  So ``tate_cohomology`` needs one orbit walk and no Smith
-form: ``H^-1`` is ``Z/2`` per orbit with ``chi != 1`` and ``H^0`` is
-``Z/|H|`` per orbit with ``chi == 1``, where ``|H| = |G| / |orbit|`` and
-``|G|`` is the product of the *declared* orders (so actions that factor
-through a quotient weight correctly).  The Tate groups are shared, one per
-invariant-factor chain of a 2-group such as the diamond's: few chains occur,
-and each group is built once.
+permutation, the only generator a lattice takes; it checks orders and
+commutation by composing permutations, and the group permutes the lines
+``Z e_j``.  By Shapiro's lemma an orbit with line stabiliser ``H`` spans
+``Ind_H^G(chi)``, ``chi`` the sign of ``H`` on ``e_j`` (cite only: Serre,
+*Local Fields*, ch. VII-VIII; Reiner, Proc. AMS 8, 1957).  So
+``tate_cohomology`` needs one orbit walk and no Smith form: ``H^-1`` is
+``Z/2`` per orbit with ``chi != 1`` and ``H^0`` is ``Z/|H|`` per orbit with
+``chi == 1``, where ``|H| = |G| / |orbit|`` and ``|G|`` is the product of
+the *declared* orders (so actions that factor through a quotient weight
+correctly).  The Tate groups are shared, one per invariant-factor chain of
+a 2-group such as the diamond's: few chains occur, and each group is built
+once.
 
 The same walk gives representatives: in ``H^-1 = ker(N) / sum (g - 1) M``
 a signed orbit's class is that of its first line, and a vector of ``ker(N)``
@@ -206,8 +206,9 @@ Z2 = FiniteAbelianGroup((2,))
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     """``a @ b``, each row the sum of ``a[i][k] * b[k]`` over the nonzero ``a[i][k]``.
 
-    A ``+-1`` entry adds or subtracts a row of ``b`` (the first one copies or
-    negates it), so a signed permutation costs one row copy per row.
+    Only ``root_orbits``' ``generator_elements`` calls it.  A ``+-1`` entry
+    adds or subtracts a row of ``b`` (the first one copies or negates it),
+    so a signed permutation costs one row copy per row.
     """
     zero = (0,) * (len(b[0]) if b else 0)
     product = []
@@ -407,10 +408,9 @@ class GaloisLattice(Value):
     The group is presented as a product of cyclic groups: generator ``i``
     has declared order ``generator_orders[i]``; generators must commute and
     satisfy their orders.  The action need not be faithful — the norm is
-    the sum over the formal group elements.  Each generator is read once,
-    row by row.  If all are signed permutations, their orders and
-    commutation are checked by composing permutations, which ``line_orbits``
-    walks; otherwise by matrix products, and ``line_orbits`` refuses.
+    the sum over the formal group elements.  Every generator must be a
+    signed permutation, read once row by row; the orders and commutation
+    are checked by composing those permutations, which ``line_orbits`` walks.
     """
 
     rank: int
@@ -427,19 +427,18 @@ class GaloisLattice(Value):
                 raise ValueError("generator matrices must be square of the declared rank")
             if order < 1:
                 raise ValueError("generator orders must be positive")
-        (units, one), product = _signed_units(self.rank), _compose
-        elements = moves = [tuple(map(units.get, map(tuple, g))) for g in self.generator_matrices]
+        units, one = _signed_units(self.rank)
+        moves = [tuple(map(units.get, map(tuple, g))) for g in self.generator_matrices]
         if any(None in move for move in moves):
-            elements, product, moves = self.generator_matrices, mat_mul, None
-            one = identity_matrix(self.rank)
-        for g, order in zip(elements, self.generator_orders):
-            power = g  # g**order == I also forces det(g) = +-1
+            raise ValueError("generator matrices must be signed permutations")
+        for g, order in zip(moves, self.generator_orders):
+            power = g  # g**order == I also forces g to permute the lines
             for _ in range(order - 1):
-                power = product(power, g)
+                power = _compose(power, g)
             if power != one:
                 raise ValueError("generator does not satisfy its declared order")
-        for g, h in itertools.combinations(elements, 2):
-            if product(g, h) != product(h, g):
+        for g, h in itertools.combinations(moves, 2):
+            if _compose(g, h) != _compose(h, g):
                 raise ValueError("generators must commute (abelian presentation)")
         object.__setattr__(self, "_moves", moves)
 
@@ -449,12 +448,9 @@ class GaloisLattice(Value):
 
         ``|H| = |G| / |orbit|`` and ``lines`` lists the ``j`` of the orbit,
         its first line first; both Tate degrees and the ``H^-1`` transfer
-        kernel read this one walk.  Raises ``ValueError`` unless every
-        generator is a signed permutation.
+        kernel read this one walk.
         """
         moves = self._moves  # g^T, in G too, sends e_i to x e_j for move[i] = (j, x)
-        if moves is None:
-            raise ValueError("Tate groups are computed for signed-permutation generators only")
         order, orbits = math.prod(self.generator_orders), []
         sign = [0] * self.rank  # +-1 once +-e_j is reached from its orbit's first line
         for first in range(self.rank):
@@ -486,7 +482,7 @@ _group = cache(FiniteAbelianGroup.from_factors)
 
 
 def tate_cohomology(lattice: GaloisLattice, degree: int) -> FiniteAbelianGroup:
-    """Tate cohomology of a signed-permutation lattice in degree -1 or 0, from its orbits."""
+    """Tate cohomology of a lattice in degree -1 or 0, from its line orbits."""
     if degree == -1:
         return _group((2,) * sum(signed for _, signed, _ in lattice.line_orbits))
     if degree == 0:

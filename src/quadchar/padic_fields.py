@@ -46,7 +46,7 @@ from __future__ import annotations
 from enum import Enum
 
 from ._value import Value
-from .residue_fields import _PRIME_TEST_BOUND, _is_prime
+from .residue_fields import _PRIME_TEST_BOUND, UsageError, _is_prime
 
 __all__ = [
     "NonOddPrimeError",
@@ -73,7 +73,7 @@ __all__ = [
 ]
 
 
-class NonOddPrimeError(ValueError):
+class NonOddPrimeError(UsageError):
     """Raised when a base field is requested at p = 2 or at a non-prime."""
 
 
@@ -165,7 +165,7 @@ def square_class_of_int(F: LocalFieldDesc, n: int) -> SquareClass:
     is tested for squareness in the residue field.
     """
     if n == 0:
-        raise ValueError("zero has no square class")
+        raise UsageError("zero has no square class")
     if F.f != 1 or F.e != 1:
         raise ValueError("integer square classes are defined over the base field only")
     v = 0

@@ -45,6 +45,7 @@ from functools import cached_property
 from ._value import Value
 
 __all__ = [
+    "UsageError",
     "ExtElement",
     "FiniteField",
     "QuadraticExtension",
@@ -56,6 +57,10 @@ __all__ = [
 _MAX_Q = 10_000
 
 ExtElement = tuple[int, int]
+
+
+class UsageError(ValueError):
+    """Raised by the checks of user input only; the command line exits 2 on it."""
 
 
 # Miller-Rabin to the first 13 prime bases is exact below this bound
@@ -111,10 +116,10 @@ class FiniteField(Value):
     p: int
 
     def __post_init__(self) -> None:
+        if self.p > _MAX_Q:  # first: the primality test refuses the largest p
+            raise UsageError(f"field size {self.p} exceeds cap {_MAX_Q}")
         if self.p == 2 or not _is_prime(self.p):
-            raise ValueError(f"characteristic must be an odd prime, got {self.p}")
-        if self.p > _MAX_Q:
-            raise ValueError(f"field size {self.p} exceeds cap {_MAX_Q}")
+            raise UsageError(f"characteristic must be an odd prime, got {self.p}")
 
     @property
     def q(self) -> int:

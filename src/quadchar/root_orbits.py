@@ -184,17 +184,9 @@ class TwistedRootSystem(Value):
             orbit_roots = {roots[i] for i in orbit}
             records.append(
                 OrbitRecord(
-                    base_root=base,
-                    roots=tuple(sorted(orbit_roots)),
-                    sym_over_base=nb in orbit,
-                    sym_over_e=nb in e_orbit,
-                    degree=1 if stab <= e_subgroup else 2,
-                    e_suborbit_count=len(orbit) // len(e_orbit),
-                    stab=stab,
-                    stab_signed=stab_signed,
-                    stab_twisted=stab_twisted,
-                    stab_e=stab & e_subgroup,
-                    stab_signed_e=stab_signed & e_subgroup,
+                    base, tuple(sorted(orbit_roots)), nb in orbit, nb in e_orbit,
+                    1 if stab <= e_subgroup else 2, len(orbit) // len(e_orbit),
+                    stab, stab_signed, stab_twisted, stab & e_subgroup, stab_signed & e_subgroup,
                 )
             )
             remaining -= orbit_roots

@@ -320,6 +320,25 @@ def test_option_the_suite_does_not_take_is_usage_error(argv, capsys):
     assert err == f"error: suite {argv[1]} takes no {argv[2]}\n"
 
 
+@pytest.mark.parametrize(
+    "fault", [ValueError("inconsistent inertia"), AssertionError("not cyclic"), KeyError("p")]
+)
+def test_an_internal_fault_exits_1_with_one_line(fault, monkeypatch, capsys):
+    """Only a ``UsageError`` or an ``OSError`` blames the input; any other exception exits 1."""
+
+    def run(args, out):
+        raise fault
+
+    monkeypatch.setitem(cli._COMMANDS, "tables", (run, *cli._COMMANDS["tables"][1:]))
+    assert run_cli(["tables"]) == (1, "")
+    assert capsys.readouterr().err == f"internal error: {type(fault).__name__}: {fault}\n"
+
+
+def test_json_path_with_a_null_byte_is_usage_error(capsys):
+    assert run_cli(["verify", "torus", "--json", "report\0.json"]) == (2, "")
+    assert capsys.readouterr().err == "error: embedded null byte\n"
+
+
 @pytest.mark.parametrize("argv", [["tables"], ["verify", "torus"]])
 def test_unwritable_json_path_is_usage_error(argv, tmp_path, capsys):
     path = tmp_path / "missing" / "report.json"

@@ -357,15 +357,15 @@ def test_rejects_non_invertible_generator_and_bad_degree() -> None:
         lattice(2, [SWAP, ((1, 0), (0, -1))], [2, 2])  # generators do not commute
 
 
-def formal_norm(lat: GaloisLattice):
+def formal_norm(rank: int, gens, orders):
     """The norm enumerated as the sum over every formal group element.
 
     The elements are listed as the products of one power of each generator,
     each power and each product formed once.
     """
-    elements = [oracle_identity(lat.rank)]
-    for g, order in zip(lat.generator_matrices, lat.generator_orders):
-        powers = [oracle_identity(lat.rank)]
+    elements = [oracle_identity(rank)]
+    for g, order in zip(gens, orders):
+        powers = [oracle_identity(rank)]
         for _ in range(order - 1):
             powers.append(oracle_mul(powers[-1], g))
         elements = [oracle_mul(e, power) for e in elements for power in powers]
@@ -387,21 +387,23 @@ def test_both_tate_degrees_read_one_orbit_walk(monkeypatch: pytest.MonkeyPatch) 
 
 
 @pytest.mark.parametrize("order", [1, 2, 4])
-def test_order_check_alone_rejects_every_non_unimodular_matrix(order: int) -> None:
-    # g**order == I forces det(g) = +-1, so no separate determinant check is needed
+def test_lattice_accepts_exactly_the_signed_permutations_of_its_order(order: int) -> None:
+    # rows of units that repeat a column fail the order check, which forces a permutation
     eye = ((1, 0), (0, 1))
-    entries = range(-2, 3)
-    for a, b, c, d in itertools.product(entries, repeat=4):
+    accepted = 0
+    for a, b, c, d in itertools.product(range(-2, 3), repeat=4):
         g = ((a, b), (c, d))
         power = eye
         for _ in range(order):
-            power = mat_mul(power, g)
-        if power == eye:
-            assert abs(a * d - b * c) == 1
+            power = oracle_mul(power, g)
+        units = all(sorted(map(abs, row)) == [0, 1] for row in g)
+        if units and abs(a * d - b * c) == 1 and power == eye:
             lattice(2, [g], [order])
+            accepted += 1
         else:
-            with pytest.raises(ValueError, match="declared order"):
+            with pytest.raises(ValueError, match="declared order" if units else "signed permutation"):
                 lattice(2, [g], [order])
+    assert accepted == {1: 1, 2: 6, 4: 8}[order]  # I; then the involutions; then all 8
 
 
 # ---------------------------------------------------------------------------
@@ -516,20 +518,17 @@ def test_signed_permutation_lattices_take_no_matrix_product(monkeypatch: pytest.
     assert len(lattices) == 162 + 76 + 982 + 50
     for lat in lattices:
         tate_cohomology(lat, -1), tate_cohomology(lat, 0)
-    with pytest.raises(AssertionError, match="mat_mul"):  # any other generator takes products
-        lattice(2, [((1, 1), (0, -1))], [2])
 
 
-def test_tate_cohomology_rejects_a_generator_that_is_no_signed_permutation() -> None:
-    lat = lattice(2, [((1, 1), (0, -1))], [2])  # an involution, so the lattice is valid
-    # next to a signed permutation, the one that is not still takes the lattice off the orbits
-    mixed = lattice(2, [((-1, 0), (0, -1)), ((1, 1), (0, -1))], [2, 2])
-    for degree in (-1, 0):
-        for refused in (lat, mixed):
-            with pytest.raises(ValueError, match="signed-permutation"):
-                tate_cohomology(refused, degree)
-    assert lat.coinvariants.torsion.order == 1  # Z[C2]: the Smith form still applies
-    assert mixed.coinvariants.torsion.order == 2  # Z^2 / (2 Z^2 + Z (1, -2)) = Z/2
+def test_lattice_rejects_a_generator_that_is_no_signed_permutation() -> None:
+    # an involution that commutes with -I, so only the signed-permutation check refuses it
+    g, minus = ((1, 1), (0, -1)), ((-1, 0), (0, -1))
+    for gens in ([g], [minus, g], [g, minus]):
+        with pytest.raises(ValueError, match="signed permutation"):
+            lattice(2, gens, [2] * len(gens))
+    # the Smith forms still read the matrices: Z[C2], and Z^2 / (2 Z^2 + Z (1, -2)) = Z/2
+    assert snf_coinvariant_torsion(2, [g]).order == 1
+    assert snf_coinvariant_torsion(2, [minus, g]).order == 2
 
 
 # ---------------------------------------------------------------------------
@@ -537,28 +536,36 @@ def test_tate_cohomology_rejects_a_generator_that_is_no_signed_permutation() -> 
 # ---------------------------------------------------------------------------
 
 
-def snf_tate_zero(lat: GaloisLattice) -> FiniteAbelianGroup:
+def shifted(g, s: int):
+    """``g + s`` for an integer ``s``."""
+    eye = oracle_identity(len(g))
+    return [[x + s * e for x, e in zip(row, eye_row)] for row, eye_row in zip(g, eye)]
+
+
+def snf_tate_zero(rank: int, gens, orders) -> FiniteAbelianGroup:
     """``M^G / N M`` by two Smith forms: the stacked rows of ``g - 1`` cut out ``M^G``.
 
     With no generators a zero row cuts out all of ``M``.  The norm columns
     are written in the kernel basis of ``M^G``, and their span has finite
-    index there.
+    index there.  Reads the matrices alone, so any integer action will do.
     """
-    eye = oracle_identity(lat.rank)
-    fixed = [
-        tuple(x - e for x, e in zip(row, eye_row))
-        for g in lat.generator_matrices
-        for row, eye_row in zip(g, eye)
-    ]
-    _, coordinates = integer_kernel(fixed, lat.rank)
-    group = quotient(len(coordinates), (mat_vec(coordinates, c) for c in zip(*formal_norm(lat))))
+    fixed = [row for g in gens for row in shifted(g, -1)]
+    _, coordinates = integer_kernel(fixed, rank)
+    norm = formal_norm(rank, gens, orders)
+    group = quotient(len(coordinates), (mat_vec(coordinates, c) for c in zip(*norm)))
     assert 0 not in group.diag, "the norm image has finite index in the fixed points"
     return group.torsion
 
 
+def snf_coinvariant_torsion(rank: int, gens) -> FiniteAbelianGroup:
+    """Torsion of ``M / sum (g - 1) M`` from the matrices, by one Smith form."""
+    return quotient(rank, (col for g in gens for col in zip(*shifted(g, -1)))).torsion
+
+
 def assert_closed_form_matches_smith_forms(lat: GaloisLattice) -> None:
     assert tate_cohomology(lat, -1) == lat.coinvariants.torsion, lat
-    assert tate_cohomology(lat, 0) == snf_tate_zero(lat), lat
+    zero = snf_tate_zero(lat.rank, lat.generator_matrices, lat.generator_orders)
+    assert tate_cohomology(lat, 0) == zero, lat
 
 
 def test_closed_form_matches_smith_forms_on_every_small_lattice() -> None:
@@ -728,13 +735,9 @@ def reiner_orders(sigma) -> tuple[int, int]:
     ``c = rank_F2(1 + sigma)``, ``a + c = rank ker(sigma - 1)`` and
     ``b + c = rank ker(sigma + 1)``.
     """
-    n, eye = len(sigma), oracle_identity(len(sigma))
-
-    def plus(s: int):
-        return [[x + s * e for x, e in zip(row, eye_row)] for row, eye_row in zip(sigma, eye)]
-
-    c = _rank(plus(1), mod2=True)
-    return 2 ** (n - _rank(plus(-1)) - c), 2 ** (n - _rank(plus(1)) - c)
+    n = len(sigma)
+    c = _rank(shifted(sigma, 1), mod2=True)
+    return 2 ** (n - _rank(shifted(sigma, -1)) - c), 2 ** (n - _rank(shifted(sigma, 1)) - c)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -746,8 +749,8 @@ def test_reiner_formula_matches_closed_form_on_every_involution(n: int) -> None:
 
 
 def test_reiner_formula_matches_smith_forms_on_conjugated_involutions() -> None:
-    """Involutions ``u sigma u^-1`` for unimodular ``u``: the closed form rejects
-    them, so the Smith forms and Reiner's ranks are compared directly."""
+    """Involutions ``u sigma u^-1`` for unimodular ``u``: no lattice is built from
+    them, so the Smith forms of the matrices and Reiner's ranks are compared directly."""
     rng = random.Random(7919)
     involutions = {n: signed_permutation_involutions(n) for n in (2, 3, 4)}
     checked = 0
@@ -765,11 +768,11 @@ def test_reiner_formula_matches_smith_forms_on_conjugated_involutions() -> None:
         conjugate = oracle_mul(oracle_mul(u, sigma), u_inv)
         if all(sum(map(abs, row)) == 1 for row in conjugate):
             continue  # still a signed permutation: the sweep above covers it
-        lat = lattice(n, [conjugate], [2])
-        with pytest.raises(ValueError, match="signed-permutation"):
-            tate_cohomology(lat, 0)
+        with pytest.raises(ValueError, match="signed permutation"):
+            lattice(n, [conjugate], [2])
         zero, minus = reiner_orders(conjugate)
-        assert (snf_tate_zero(lat).order, lat.coinvariants.torsion.order) == (zero, minus)
+        smith = snf_tate_zero(n, [conjugate], [2]), snf_coinvariant_torsion(n, [conjugate])
+        assert (smith[0].order, smith[1].order) == (zero, minus)
         assert reiner_orders(sigma) == (zero, minus)  # conjugation changes no group
         checked += 1
 
@@ -867,7 +870,8 @@ def test_minus_one_group_is_the_coinvariant_torsion() -> None:
     ]
     lattices.append(lattice(2, [ROTATION], [4]))
     for lat in lattices:
-        norm, order = formal_norm(lat), math.prod(lat.generator_orders)
+        norm = formal_norm(lat.rank, lat.generator_matrices, lat.generator_orders)
+        order = math.prod(lat.generator_orders)
         firsts = [lines[0] for _, signed, lines in lat.line_orbits if signed]
         classes = set()
         for bits in itertools.product((0, 1), repeat=len(firsts)):

@@ -20,6 +20,7 @@ from quadchar.residue_fields import (
     _PRIME_TEST_BOUND,
     FiniteField,
     QuadraticExtension,
+    UsageError,
     _is_prime,
     sgn_ext_units,
     sgn_norm_one,
@@ -52,13 +53,15 @@ def norm_one_by_enumeration(ext: QuadraticExtension) -> set[tuple[int, int]]:
 
 @pytest.mark.parametrize("p", [2, 4, 9, 15])
 def test_rejects_bad_characteristic(p: int) -> None:
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):  # an input check: the command line exits 2
         FiniteField(p)
 
 
 def test_rejects_oversized_field() -> None:
-    with pytest.raises(ValueError):
-        FiniteField(10007)  # the least prime above the 10**4 cap
+    # the least prime above the 10**4 cap, a composite, and a p too large to test
+    for p in (10007, 10**6, _PRIME_TEST_BOUND):
+        with pytest.raises(UsageError, match="exceeds cap"):
+            FiniteField(p)
 
 
 # ---------------------------------------------------------------------------

@@ -58,13 +58,19 @@ def test_twist_columns_pair_classes_involutively():
     ],
     ids=["identity", "keeps-own-step", "keeps-own-symmetry"],
 )
-def test_twisted_class_mutants_fail_tables_and_verify(monkeypatch, mutant):
-    """Tables 4 and 5 and the ``*-zeta`` records all read ``twisted_class``."""
+def test_twisted_class_mutants_fail_tables_and_verify(monkeypatch, capsys, mutant):
+    """Tables 4 and 5 and the ``*-zeta`` records all read ``twisted_class``.
+
+    A mutant whose twin is no consistent triple stops ``tables`` with an
+    internal error: exit 1, as for a failed check, and never the usage code 2.
+    """
     real = root_orbits.twisted_class
     for module in ("root_orbits", "char_engine", "tables"):
         monkeypatch.setattr(f"quadchar.{module}.twisted_class", lambda t: mutant(real, t))
     for argv in (["tables"], ["verify", "gl2"], ["verify", "gln"]):
-        assert main(argv, out=io.StringIO()) != 0, argv
+        assert main(argv, out=io.StringIO()) == 1, argv
+        err = capsys.readouterr().err
+        assert err == "" or (err.startswith("internal error: ") and err.count("\n") == 1), argv
 
 
 def test_nontrivial_cells_are_where_expected():

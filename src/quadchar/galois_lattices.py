@@ -17,11 +17,11 @@ Tori are expressions built from ``Gm``, norm-one tori ``U1`` of quadratic
 steps, quadratic Weil restrictions ``Res`` and finite products; their
 cocharacter lattices with the Galois action at any level of the tower are
 produced by ``cocharacter_lattice``.  Every action matrix is a signed
-permutation, the only generator a lattice takes; it checks orders and
-commutation by composing permutations, and the group permutes the lines
-``Z e_j``.  By Shapiro's lemma an orbit with line stabiliser ``H`` spans
-``Ind_H^G(chi)``, ``chi`` the sign of ``H`` on ``e_j`` (cite only: Serre,
-*Local Fields*, ch. VII-VIII; Reiner, Proc. AMS 8, 1957).  So
+permutation, the only generator a lattice takes.  Each distinct one is read
+and its order checked once per process, commutation once per lattice; the
+group permutes the lines ``Z e_j``.  By Shapiro's lemma an orbit with line
+stabiliser ``H`` spans ``Ind_H^G(chi)``, ``chi`` the sign of ``H`` on ``e_j``
+(cite only: Serre, *Local Fields*, ch. VII-VIII; Reiner, Proc. AMS 8, 1957).  So
 ``tate_cohomology`` needs one orbit walk and no Smith form: ``H^-1`` is
 ``Z/2`` per orbit with ``chi != 1`` and ``H^0`` is ``Z/|H|`` per orbit with
 ``chi == 1``, where ``|H| = |G| / |orbit|`` and ``|G|`` is the product of
@@ -256,8 +256,21 @@ def _compose(g: SignedPerm, h: SignedPerm) -> SignedPerm:
 
 
 def _add_identity(g: Matrix, c: int) -> Matrix:
-    """``g + c`` for an integer ``c``."""
-    return tuple(tuple(x + c * (i == j) for j, x in enumerate(row)) for i, row in enumerate(g))
+    """``g + c`` for an integer ``c``, one slice per row."""
+    return tuple((*row[:i], row[i] + c, *row[i + 1 :]) for i, row in enumerate(g))
+
+
+@cache
+def _generator_move(g: Matrix, order: int) -> SignedPerm | None:
+    """``g`` read as a signed permutation (else raise), or ``None`` unless ``g**order == I``."""
+    units, one = _signed_units(len(g))
+    move = tuple(map(units.get, g))
+    if None in move:
+        raise ValueError("generator matrices must be signed permutations")
+    power = move  # g**order == I also forces g to permute the lines
+    for _ in range(order - 1):
+        power = _compose(power, move)
+    return move if power == one else None
 
 
 class SmithForm(Value):
@@ -408,9 +421,9 @@ class GaloisLattice(Value):
     The group is presented as a product of cyclic groups: generator ``i``
     has declared order ``generator_orders[i]``; generators must commute and
     satisfy their orders.  The action need not be faithful — the norm is
-    the sum over the formal group elements.  Every generator must be a
-    signed permutation, read once row by row; the orders and commutation
-    are checked by composing those permutations, which ``line_orbits`` walks.
+    the sum over the formal group elements.  Generators are signed
+    permutations as tuples of rows; each distinct one is read and its order
+    checked once per process, commutation per lattice.  ``line_orbits`` walks them.
     """
 
     rank: int
@@ -422,21 +435,16 @@ class GaloisLattice(Value):
             raise ValueError("rank must be nonnegative")
         if len(self.generator_matrices) != len(self.generator_orders):
             raise ValueError("need one order per generator matrix")
-        for g, order in zip(self.generator_matrices, self.generator_orders):
+        gens = list(zip(self.generator_matrices, self.generator_orders))
+        for g, order in gens:
             if [*map(len, g)] != [self.rank] * self.rank:
                 raise ValueError("generator matrices must be square of the declared rank")
             if order < 1:
                 raise ValueError("generator orders must be positive")
-        units, one = _signed_units(self.rank)
-        moves = [tuple(map(units.get, map(tuple, g))) for g in self.generator_matrices]
-        if any(None in move for move in moves):
-            raise ValueError("generator matrices must be signed permutations")
-        for g, order in zip(moves, self.generator_orders):
-            power = g  # g**order == I also forces g to permute the lines
-            for _ in range(order - 1):
-                power = _compose(power, g)
-            if power != one:
-                raise ValueError("generator does not satisfy its declared order")
+        # every generator is read before any order is judged
+        moves = [_generator_move(g, order) for g, order in gens]
+        if None in moves:
+            raise ValueError("generator does not satisfy its declared order")
         for g, h in itertools.combinations(moves, 2):
             if _compose(g, h) != _compose(h, g):
                 raise ValueError("generators must commute (abelian presentation)")

@@ -3,17 +3,17 @@
 A ``TwistedRootSystem`` is a finite set of roots in ``Z^rank`` together
 with a finite group ``Q`` of integer matrices acting on it and a
 quadratic character of ``Q`` (the ``e_sign`` of each generator) whose
-kernel ``Q_E`` has index 2.  Only the action on the roots is read: an
-element is a pair ``(perm, sign)``, ``perm[i]`` the index in ``roots`` of
-the image of root ``i`` and ``sign`` its character value.  Each
-generator's matrix moves the roots, taken as columns, in one product,
-which checks that it preserves them and gives its permutation; the
-closure composes pairs, so ``Q`` is taken as its image in
-``Sym(roots) x {+-1}``.  The kernel of ``Q`` onto that image fixes every
-root with value 1, so it lies in ``Q_E`` and in every stabilizer below: no
-orbit, symmetry, degree or ``(e, f)`` changes, and an action that is not
-faithful on the roots keeps its character.  The group is closed once
-per system object, when its ``orbits`` are first read.
+kernel ``Q_E`` has index 2.  Only the action on the (distinct) roots is
+read: an element is a pair ``(perm, sign)``, ``perm[i]`` the index in
+``roots`` of the image of root ``i`` and ``sign`` its character value.
+Each generator's matrix moves the roots, taken as columns, in one product,
+which checks that it preserves them and gives its permutation; the closure
+composes pairs, so ``Q`` is taken as its image in ``Sym(roots) x {+-1}``.
+The kernel of ``Q`` onto that image fixes every root with value 1, so it
+lies in ``Q_E`` and in every stabilizer below: no orbit, symmetry, degree
+or ``(e, f)`` changes, and an action that is not faithful on the roots
+keeps its character.  The group is closed once per system object, when
+its ``orbits`` are first read; the orbit walk runs on root indices.
 
 For each orbit the classification records:
 
@@ -119,6 +119,8 @@ class TwistedRootSystem(Value):
         root_set = set(self.roots)
         if not root_set:
             raise ValueError("a root system needs at least one root")
+        if len(root_set) != len(self.roots):
+            raise ValueError("roots must be distinct")
         for r in root_set:
             if len(r) != self.rank:
                 raise ValueError("root length must equal the rank")
@@ -131,13 +133,16 @@ class TwistedRootSystem(Value):
                 raise ValueError("generator matrices must be rank x rank")
 
     @cached_property
+    def _index(self) -> dict[Vector, int]:  # root -> its index in roots
+        return {r: i for i, r in enumerate(self.roots)}
+
+    @cached_property
     def generator_elements(self) -> tuple[Element, ...]:
         """Each generator as ``(root permutation, character value)``, from one product."""
-        index = {r: i for i, r in enumerate(self.roots)}
         columns = tuple(zip(*self.roots))
         elements = []
         for mat, sign in self.generators:
-            perm = tuple(index.get(image, -1) for image in zip(*mat_mul(mat, columns)))
+            perm = tuple(self._index.get(image, -1) for image in zip(*mat_mul(mat, columns)))
             if -1 in perm:
                 raise ValueError(f"action does not close on the root set: "
                                  f"{mat} moves {self.roots[perm.index(-1)]} outside")
@@ -163,33 +168,34 @@ class TwistedRootSystem(Value):
     def orbits(self) -> tuple[OrbitRecord, ...]:
         """Orbits of the root set under ``Q``, with symmetry and stabilizer data.
 
-        Computed on first read and kept by this object; a system that fails
-        a check raises again on every read.
+        Walked on root indices sorted by root once, from the first not yet seen;
+        computed on first read and kept, and a failed check raises on every read.
         """
         elements = self.group_elements()
         e_subgroup = set(_character_kernel(elements))
         roots = self.roots
-        index = {r: i for i, r in enumerate(roots)}
-        remaining = set(roots)
+        by_root = sorted(range(len(roots)), key=roots.__getitem__)
+        rank, seen = {i: k for k, i in enumerate(by_root)}, [False] * len(roots)
         records: list[OrbitRecord] = []
-        while remaining:
-            base = min(remaining)
-            b, nb = index[base], index[_neg(base)]
+        for b in by_root:
+            if seen[b]:
+                continue
+            base, nb = roots[b], self._index[_neg(roots[b])]
             image = [(g, g[0][b]) for g in elements]  # the base root's images
             orbit = {r for _, r in image}
             e_orbit = {g[0][b] for g in e_subgroup}
             stab = frozenset(g for g, r in image if r == b)
             stab_signed = frozenset(g for g, r in image if r in (b, nb))
             stab_twisted = frozenset(g for g, r in image if r == (b if g[1] == 1 else nb))
-            orbit_roots = {roots[i] for i in orbit}
+            for i in orbit:
+                seen[i] = True
             records.append(
                 OrbitRecord(
-                    base, tuple(sorted(orbit_roots)), nb in orbit, nb in e_orbit,
-                    1 if stab <= e_subgroup else 2, len(orbit) // len(e_orbit),
+                    base, tuple(roots[i] for i in sorted(orbit, key=rank.__getitem__)), nb in orbit,
+                    nb in e_orbit, 1 if stab <= e_subgroup else 2, len(orbit) // len(e_orbit),
                     stab, stab_signed, stab_twisted, stab & e_subgroup, stab_signed & e_subgroup,
                 )
             )
-            remaining -= orbit_roots
         return tuple(records)
 
 
@@ -359,6 +365,7 @@ def _shift_matrix(n: int) -> Matrix:
     return tuple(tuple(1 if j == (i - 1) % n else 0 for j in range(n)) for i in range(n))
 
 
+@cache
 def _general_linear_roots(n: int) -> tuple[Vector, ...]:
     """The roots ``e_i - e_j``, ``i != j``, sorted."""
     return tuple(sorted(tuple(map(sub, a, b)) for a, b in permutations(identity_matrix(n), 2)))

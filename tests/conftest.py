@@ -31,19 +31,29 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:  # no
 
 @pytest.fixture(autouse=True)
 def fresh_shared_caches() -> None:
-    """Start each test without the shared root systems, their cached orbits,
-    the inertia groups already checked, the shared cocharacter lattices and
-    the shared Tate groups.
+    """Start each test without the shared root systems, their roots and
+    cached orbits, the inertia groups already checked, the lattice
+    generators already read, the shared cocharacter lattices and the shared
+    Tate groups.
 
-    A helper that a test patches (a classification step, ``line_orbits`` or
-    ``FiniteAbelianGroup.from_factors``) then reaches every system, lattice
-    and group the test builds, not only those no earlier test has built.
+    A helper that a test patches (a classification step, ``_compose``,
+    ``line_orbits`` or ``FiniteAbelianGroup.from_factors``) then reaches
+    every system, lattice and group the test builds, not only those no
+    earlier test has built.  Every other cache of the package is a constant
+    table (``CONSTANT_CACHES``), which ``test_shared_caches.py`` checks.
     """
     root_orbits.gln_root_system.cache_clear()
     root_orbits.unitary_root_system.cache_clear()
+    root_orbits._general_linear_roots.cache_clear()
     root_orbits._check_inertia.cache_clear()
+    galois_lattices._generator_move.cache_clear()
     galois_lattices.cocharacter_lattice.cache_clear()
     galois_lattices._group.cache_clear()
+
+
+# caches of pure functions of small integers that read no patchable helper,
+# left filled between tests
+CONSTANT_CACHES = ("galois_lattices.identity_matrix", "galois_lattices._signed_units")
 
 
 def field_units(k: FiniteField) -> range:

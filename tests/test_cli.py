@@ -1,6 +1,7 @@
 """Command-line contract: subcommands, report schema, exit codes."""
 
 import collections
+import contextlib
 import enum
 import hashlib
 import io
@@ -10,6 +11,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -337,6 +339,52 @@ def test_an_internal_fault_exits_1_with_one_line(fault, monkeypatch, capsys):
 def test_json_path_with_a_null_byte_is_usage_error(capsys):
     assert run_cli(["verify", "torus", "--json", "report\0.json"]) == (2, "")
     assert capsys.readouterr().err == "error: embedded null byte\n"
+
+
+# Bounds on one ``main`` call under ``tracemalloc``, which slows it several
+# fold.  The dearest inputs measured 0.34 s (``verify all --p 9973 --n 15``)
+# and a 2.0 MB peak (``verify sl2 --p 9967``) on a 2-vCPU Xeon, Python 3.11.7.
+RUN_SECONDS_BOUND = 2.0
+RUN_PEAK_BYTES_BOUND = 16 * 2**20
+
+run_values = st.one_of(
+    st.integers(-20, 40),  # small, negative and composite
+    st.sampled_from([9, 15, 561, 9999, 9967, 9973, 10007, 2**31 - 1, 2**61 - 1]),  # near and past caps
+    st.integers(10**4, 10**40),  # huge
+)
+
+
+@given(
+    st.sampled_from((*cli.SUITES, "all")),
+    st.one_of(st.none(), run_values),
+    st.one_of(st.none(), run_values),
+)
+@settings(max_examples=80, deadline=None)
+@example("all", 9973, 15)
+@example("sl2", 9967, None)
+@example("gln", 3, 10**9)
+def test_run_on_parsed_arguments_exits_0_1_or_2_within_bounds(suite, p, n):
+    """A parsed request ends in 0, 1 or 2, never a traceback, in bounded time and memory."""
+    argv = ["verify", suite]
+    argv += ["--p", str(p)] if p is not None else []
+    argv += ["--n", str(n)] if n is not None else []
+    err = io.StringIO()
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with contextlib.redirect_stderr(err):
+            code = main(argv, out=io.StringIO())
+    finally:
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert seconds < RUN_SECONDS_BOUND, argv
+    assert peak < RUN_PEAK_BYTES_BOUND, argv
 
 
 @pytest.mark.parametrize("argv", [["tables"], ["verify", "torus"]])

@@ -406,6 +406,42 @@ def test_lattice_accepts_exactly_the_signed_permutations_of_its_order(order: int
     assert accepted == {1: 1, 2: 6, 4: 8}[order]  # I; then the involutions; then all 8
 
 
+def test_every_generator_is_read_before_any_order_is_judged() -> None:
+    # ROTATION fails its declared order 2; the non-unit matrix fails the read
+    bad = ((1, 1), (0, -1))
+    lattice(2, [SWAP], [2])  # a cached read that meets its order
+    lattice(2, [ROTATION], [4])  # and one cached under another order
+    for gens in ([ROTATION, bad], [bad, ROTATION], [SWAP, ROTATION, bad]):
+        for _ in range(2):  # a cached verdict keeps the precedence
+            with pytest.raises(ValueError, match="signed permutation"):
+                lattice(2, gens, [2] * len(gens))
+    with pytest.raises(ValueError, match="declared order"):
+        lattice(2, [SWAP, ROTATION], [2, 2])
+
+
+def test_a_rejected_generator_raises_again_on_every_call() -> None:
+    read = galois_lattices._generator_move
+    for _ in range(3):
+        with pytest.raises(ValueError, match="signed permutation"):
+            lattice(2, [((1, 1), (0, -1))], [2])
+        with pytest.raises(ValueError, match="declared order"):
+            lattice(2, [ROTATION], [2])
+    assert read.cache_info().currsize == 1  # only the signed permutation, with its verdict
+    assert read(ROTATION, 2) is None and read(ROTATION, 4) == ((1, -1), (0, 1))
+
+
+def test_each_distinct_generator_is_read_once() -> None:
+    read = galois_lattices._generator_move
+    pairs = commuting_involution_pairs(4)
+    for pair in pairs:
+        lattice(4, pair, [2, 2])
+    info = read.cache_info()
+    assert (len(pairs), info.misses, info.hits) == (982, 76, 2 * 982 - 76)
+    # the matrices are the keys, so they must be tuples of rows
+    with pytest.raises(TypeError, match="unhashable"):
+        lattice(4, [list(map(list, g)) for g in pairs[0]], [2, 2])
+
+
 # ---------------------------------------------------------------------------
 # engine vs the independent truncation oracle
 # ---------------------------------------------------------------------------

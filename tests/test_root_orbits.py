@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from conftest import identity_matrix, mat_mul
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadchar import root_orbits
@@ -217,6 +218,12 @@ def test_general_integer_action_matches_definitional_sweeps():
     assert [r.roots for r in records] == [((-1, -1), (0, -1)), ((-1, 0), (1, 0)), ((0, 1), (1, 1))]
 
 
+def test_repeated_roots_rejected_at_construction():
+    # a repeat would make the generator's root map (1, 2, 1), no permutation
+    with pytest.raises(ValueError, match="roots must be distinct"):
+        TwistedRootSystem(2, ((1, -1), (-1, 1), (1, -1)), ((((0, 1), (1, 0)), -1),))
+
+
 def test_roots_closed_under_negation_required():
     with pytest.raises(ValueError, match="closed under negation"):
         TwistedRootSystem(rank=1, roots=((1,),), generators=((((1,),), -1),))
@@ -264,6 +271,7 @@ def test_builders_share_one_system_per_rank() -> None:
     for build in (gln_root_system, unitary_root_system):
         assert build(5) is build(5)
         assert build(3) is not build(5)
+    assert gln_root_system(5).roots is unitary_root_system(5).roots  # one root tuple per rank
 
 
 def test_classification_returns_a_new_list_each_call() -> None:
@@ -735,10 +743,49 @@ def definitional_orbit_records(system):
     return records
 
 
+def shuffled(system, seed):
+    """``system`` with its roots listed in a seeded random order."""
+    roots = list(system.roots)
+    random.Random(seed).shuffle(roots)
+    return TwistedRootSystem(system.rank, tuple(roots), system.generators)
+
+
+@st.composite
+def sweep_systems(draw):
+    """Small signed-permutation systems and the families at odd n, as built or shuffled.
+
+    In a shuffled tuple the first root by index is seldom the least root,
+    which is the orbit's base.
+    """
+    family = st.builds(
+        lambda build, n: build(n),
+        st.sampled_from((gln_root_system, unitary_root_system)),
+        st.sampled_from((3, 5, 7)),
+    )
+    system = draw(st.one_of(signed_perm_systems(), family))
+    return shuffled(system, draw(st.integers(0, 2**16))) if draw(st.booleans()) else system
+
+
 @settings(max_examples=60, deadline=None)
-@given(signed_perm_systems())
+@given(sweep_systems())
+@example(gln_root_system(7))
+@example(shuffled(unitary_root_system(7), 0))
 def test_classify_orbits_matches_definitional_sweeps(system):
     assert classify_orbits(system) == definitional_orbit_records(system)
+
+
+@pytest.mark.parametrize("build", [gln_root_system, unitary_root_system])
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_shuffled_roots_give_the_same_orbits_and_bases(build, n):
+    system = build(n)
+    for seed in range(3):
+        other = shuffled(system, seed)
+        assert other.roots != system.roots
+        got = classify_orbits(other)
+        assert [(r.base_root, r.roots) for r in got] == [
+            (r.base_root, r.roots) for r in classify_orbits(system)
+        ]
+        assert got == definitional_orbit_records(other)
 
 
 # ---------------------------------------------------------------------------

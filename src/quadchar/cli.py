@@ -132,7 +132,7 @@ def _write_report(suite: str, records: Iterable[CheckRecord], json_path: str | N
         "records": rows,
         "summary": {"pass": npass, "fail": len(rows) - npass},
     }
-    if json_path:
+    if json_path is not None:  # "" reaches open(), which refuses it
         if "\0" in json_path:  # open() refuses it by ValueError, not OSError
             raise UsageError("embedded null byte")
         # encoded before the file is opened, so a failed encoding leaves no file
@@ -327,11 +327,10 @@ def run_tables(args: SimpleNamespace, out) -> int:
         CheckRecord(
             f"table{table.number}-row{i:02d}",
             {"table": table.number, "row": i},
-            " | ".join(expected_row),
-            " | ".join(got_row),
+            *(None if row is None else " | ".join(row) for row in (exp_row, got_row)),
         )
         for table, table_got in zip(expected, got)
-        for i, (expected_row, got_row) in enumerate(zip(table.rows, table_got.rows), start=1)
+        for i, (exp_row, got_row) in enumerate(itertools.zip_longest(table.rows, table_got.rows), 1)
     ]
     for d in diffs:
         print(

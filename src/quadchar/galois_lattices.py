@@ -4,14 +4,15 @@ The splitting tower used throughout is a fixed biquadratic diamond
 
         K
       / | \\
-    E   E1  E2          Gal(K/F) = (Z/2)^2, elements written as bit pairs
+    E   E1  E2          Gal(K/F) = (Z/2)^2, elements written as the ints 0..3
       \\ | /
         F
 
-with the convention that the bit pair ``g = (x, y)`` moves ``E`` iff
-``y = 1``, moves ``E1`` iff ``x = 1`` and moves ``E2`` iff ``x != y``; thus
-``Gal(K/E) = {(0,0), (1,0)}``, ``Gal(K/E1) = {(0,0), (0,1)}`` and
-``Gal(K/E2) = {(0,0), (1,1)}``.
+with the group law ``^`` (XOR) and the convention that ``g & 2`` moves ``E``
+and ``g & 1`` moves ``E1`` (so ``g == 1`` or ``2`` moves ``E2``); thus
+``Gal(K/E) = (0, 1)``, ``Gal(K/E1) = (0, 2)`` and ``Gal(K/E2) = (0, 3)``.
+A quadratic step ``A/B`` is read as its generator, the first element of
+``Gal(K/B)`` outside ``Gal(K/A)``; finding it checks that the step is quadratic.
 
 Tori are expressions built from ``Gm``, norm-one tori ``U1`` of quadratic
 steps, quadratic Weil restrictions ``Res`` and finite products; their
@@ -93,7 +94,6 @@ __all__ = [
 
 Matrix = tuple[tuple[int, ...], ...]
 SignedPerm = tuple[tuple[int, int], ...]  # (j, x) per row i: the row is x e_j
-Bit = tuple[int, int]
 
 
 class UnsupportedTorusError(ValueError):
@@ -106,17 +106,17 @@ class UnsupportedTorusError(ValueError):
 
 FIELD_LEVELS = ("F", "E", "E1", "E2", "K")
 
-_GAL: dict[str, tuple[Bit, ...]] = {
-    "F": ((0, 0), (1, 0), (0, 1), (1, 1)),
-    "E": ((0, 0), (1, 0)),
-    "E1": ((0, 0), (0, 1)),
-    "E2": ((0, 0), (1, 1)),
-    "K": ((0, 0),),
+_GAL: dict[str, tuple[int, ...]] = {
+    "F": (0, 1, 2, 3),
+    "E": (0, 1),
+    "E1": (0, 2),
+    "E2": (0, 3),
+    "K": (0,),
 }
 
 
-def galois_group(level: str) -> tuple[Bit, ...]:
-    """Elements of ``Gal(K/level)`` as bit pairs."""
+def galois_group(level: str) -> tuple[int, ...]:
+    """Elements of ``Gal(K/level)``, multiplied by XOR."""
     if level not in _GAL:
         raise ValueError(f"unknown tower level {level!r}; expected one of {FIELD_LEVELS}")
     return _GAL[level]
@@ -141,8 +141,11 @@ def compositum(a: str, b: str) -> str:
     raise AssertionError("the tower is closed under compositum")
 
 
-def _bit_add(a: Bit, b: Bit) -> Bit:
-    return (a[0] ^ b[0], a[1] ^ b[1])
+def _quadratic_step(top: str, bottom: str) -> int:
+    """The generator of ``Gal(top/bottom)`` in ``Gal(K/bottom)``; the step must be quadratic."""
+    if field_degree(top, bottom) != 2:
+        raise UnsupportedTorusError(f"need a quadratic step, got {top}/{bottom}")
+    return next(g for g in _GAL[bottom] if g not in _GAL[top])
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +192,6 @@ class FiniteAbelianGroup(Value):
                 chain[i], n = math.gcd(d, n), math.lcm(d, n)
             chain.append(n)
         return FiniteAbelianGroup(tuple(d for d in chain if d > 1))
-
-    def __mul__(self, other: "FiniteAbelianGroup") -> "FiniteAbelianGroup":
-        return FiniteAbelianGroup.from_factors(self.invariant_factors + other.invariant_factors)
-
-
-TRIVIAL_GROUP = FiniteAbelianGroup()
-Z2 = FiniteAbelianGroup((2,))
 
 
 # ---------------------------------------------------------------------------
@@ -273,26 +269,14 @@ def _generator_move(g: Matrix, order: int) -> SignedPerm | None:
     return move if power == one else None
 
 
-class SmithForm(Value):
-    """``u @ a @ v`` is diagonal for some unimodular ``u``; only ``v`` is kept.
-
-    ``v_inv`` is the exact integer inverse of ``v``.  The ``diagonal`` of
-    ``u @ a @ v`` forms a divisor chain ``d1 | d2 | ...`` (nonnegative, zeros
-    trailing), so the columns of ``a @ v`` past the nonzero entries vanish.
-    Callers that need a row transform take the form of the transpose.
-    """
-
-    diagonal: tuple[int, ...]
-    v: Matrix
-    v_inv: Matrix
-
-
-def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
+def smith_normal_form(a: Sequence[Sequence[int]]) -> "Quotient":
+    """``Z^m / rowspace(a)`` for an ``n x m`` matrix ``a``, read off ``u @ a @ v`` diagonal."""
     n = len(a)
     m = len(a[0]) if n else 0
     d = [list(row) for row in a]
-    # the rows of vt are the columns of v; rows of both are only replaced
-    # or swapped, never changed in place, so they may start as shared tuples
+    # the rows of vt are the columns of v (the coordinates) and those of v_inv
+    # the generators; rows of both are only replaced or swapped, never changed
+    # in place, so they may start as shared tuples
     vt = list(identity_matrix(m))
     v_inv = list(identity_matrix(m))
     # row operations act on d alone (no row transform is kept); column
@@ -329,11 +313,8 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
                 break
             d[t] = list(map(add, top, offender))
 
-    return SmithForm(
-        tuple(abs(d[i][i]) for i in range(min(n, m))),
-        tuple(zip(*vt)),
-        tuple(tuple(row) for row in v_inv),
-    )
+    diag = tuple(abs(d[i][i]) for i in range(min(n, m)))
+    return Quotient(diag + (0,) * (m - len(diag)), tuple(map(tuple, vt)), tuple(map(tuple, v_inv)))
 
 
 # ---------------------------------------------------------------------------
@@ -342,25 +323,17 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
 
 
 class Quotient(Value):
-    """The group ``Z^n / span(R)``; ``form`` is the Smith form of the relations as rows.
+    """The group ``Z^n / span(R)``, as ``smith_normal_form`` reads it off the relations as rows.
 
-    ``diag`` is its diagonal padded with zeros to length ``n``.  The columns
-    of ``basis`` (the rows of ``form.v_inv``) are a basis of ``Z^n`` in which
-    column ``i`` has order ``diag[i]`` modulo ``span(R)``, infinite when
-    ``diag[i] == 0``; ``coordinates`` (``form.v`` transposed) maps a vector to
-    its coordinates in it.  Both are formed only when first read.
+    ``diag`` is a divisor chain padded with zeros to ``n``.  The ``generators``
+    (rows) are a basis of ``Z^n`` in which generator ``i`` has order ``diag[i]``,
+    infinite when 0; ``coordinates`` maps a vector to its coordinates in that
+    basis, so ``generators @ coordinates^T`` is the identity.
     """
 
-    form: SmithForm
     diag: tuple[int, ...]
-
-    @cached_property
-    def basis(self) -> Matrix:
-        return tuple(zip(*self.form.v_inv))
-
-    @cached_property
-    def coordinates(self) -> Matrix:
-        return tuple(zip(*self.form.v))
+    coordinates: Matrix
+    generators: Matrix
 
     def normalize(self, x: Sequence[int]) -> tuple[int, ...]:
         """The class of ``x``: coordinate ``i`` mod ``diag[i]``, exact where that is 0."""
@@ -378,7 +351,8 @@ class Quotient(Value):
     def torsion_representatives(self) -> list[tuple[int, ...]]:
         """One representative per torsion class."""
         ranges = [range(d) if d >= 2 else range(1) for d in self.diag]
-        return [mat_vec(self.basis, w) for w in itertools.product(*ranges)]
+        columns = tuple(zip(*self.generators))
+        return [mat_vec(columns, w) for w in itertools.product(*ranges)]
 
 
 def _distinct_rows(rows: Iterable[Sequence[int]], width: int) -> list[tuple[int, ...]]:
@@ -406,8 +380,7 @@ def quotient(width: int, relations: Iterable[Sequence[int]]) -> Quotient:
     The form needs no row transform, and sees only the distinct nonzero
     relations up to sign.  Raises ``ValueError`` on a relation of another length.
     """
-    form = smith_normal_form(_distinct_rows(relations, width))
-    return Quotient(form, form.diagonal + (0,) * (width - len(form.diagonal)))
+    return smith_normal_form(_distinct_rows(relations, width))
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +496,7 @@ class U1(Value):
     base: str
 
     def __post_init__(self) -> None:
-        if field_degree(self.top, self.base) != 2:
-            raise UnsupportedTorusError(f"U1 needs a quadratic step, got {self.top}/{self.base}")
+        _quadratic_step(self.top, self.base)
 
     @property
     def rank(self) -> int:
@@ -539,10 +511,7 @@ class Res(Value):
     inner: "TorusExpr"
 
     def __post_init__(self) -> None:
-        if field_degree(self.through, self.base) != 2:
-            raise UnsupportedTorusError(
-                f"Res is provided for quadratic steps, got {self.through}/{self.base}"
-            )
+        _quadratic_step(self.through, self.base)
         if self.inner.base != self.through:
             raise UnsupportedTorusError("the inner torus must live over the restriction field")
 
@@ -574,7 +543,7 @@ class Prod(Value):
 TorusExpr = Union[Gm, U1, Res, Prod]
 
 
-def action_matrix(torus: TorusExpr, g: Bit) -> Matrix:
+def action_matrix(torus: TorusExpr, g: int) -> Matrix:
     """The matrix of ``g`` in ``Gal(K/base)`` on the cocharacter lattice."""
     if g not in galois_group(torus.base):
         raise ValueError(f"{g} does not fix the base field {torus.base}")
@@ -584,15 +553,13 @@ def action_matrix(torus: TorusExpr, g: Bit) -> Matrix:
         return ((-1,),) if g not in galois_group(torus.top) else ((1,),)
     if isinstance(torus, Res):
         # g sends the coset of rep i to that of rep j, acting there by the
-        # h of Gal(K/through) with g + rep_i = rep_j + h
-        h_group = galois_group(torus.through)
-        reps = ((0, 0), next(b for b in galois_group(torus.base) if b not in h_group))
+        # h of Gal(K/through) with g ^ rep_i = rep_j ^ h
+        reps = (0, _quadratic_step(torus.through, torus.base))
         r = torus.inner.rank
         blocks = []
         for i, rep in enumerate(reps):
-            moved = _bit_add(g, rep)
-            j = int(moved not in h_group)
-            blocks.append((j * r, i * r, action_matrix(torus.inner, _bit_add(moved, reps[j]))))
+            j = int(g ^ rep not in _GAL[torus.through])
+            blocks.append((j * r, i * r, action_matrix(torus.inner, g ^ rep ^ reps[j])))
         return _block_matrix(torus.rank, blocks)
     if isinstance(torus, Prod):
         offsets = itertools.accumulate((f.rank for f in torus.factors), initial=0)
@@ -622,7 +589,7 @@ def cocharacter_lattice(torus: TorusExpr, level: str) -> GaloisLattice:
     """
     if not field_contains(level, torus.base):
         raise ValueError(f"level {level} does not contain the base field {torus.base}")
-    gens = _GAL[level][1:3]  # (1,0) and (0,1) for F, the one nontrivial element below it
+    gens = _GAL[level][1:3]  # 1 and 2 for F, the one nontrivial element below it
     return GaloisLattice(torus.rank, tuple(action_matrix(torus, g) for g in gens), (2,) * len(gens))
 
 
@@ -640,43 +607,44 @@ def component_group_dual(torus: TorusExpr, level: str) -> FiniteAbelianGroup:
 # ---------------------------------------------------------------------------
 
 
-def _check_step(torus: TorusExpr, step: tuple[str, str]) -> None:
-    """Raise unless ``step`` is a quadratic step ``A/B`` and ``torus`` lives over ``B``."""
+def _check_step(torus: TorusExpr, step: tuple[str, str]) -> int:
+    """The generator of the quadratic step ``A/B``; raises unless ``torus`` lives over ``B``."""
     top, bottom = step
-    if field_degree(top, bottom) != 2:
-        raise UnsupportedTorusError(f"need a quadratic step, got {top}/{bottom}")
+    s = _quadratic_step(top, bottom)
     if torus.base != bottom:
         raise UnsupportedTorusError(f"torus over {torus.base} does not match the step base {bottom}")
+    return s
 
 
 def norm_quotient(torus: TorusExpr, step: tuple[str, str] = ("E", "F")) -> FiniteAbelianGroup:
     """The quotient of ``torus(B)`` by norms from ``torus(A)``, ``A/B`` quadratic.
 
-    Computed by the structural rules:
+    It is killed by 2 (``x^2 = N(x)`` for ``x`` in ``torus(B)``), so it is
+    ``(Z/2)^k``, with ``k`` counted by the structural rules:
 
-    * ``Gm``: local index of norms of a quadratic extension — ``Z/2``;
-    * ``U1(T/B)`` with ``T == A``: trivial (every norm-one element is a
+    * ``Gm``: local index of norms of a quadratic extension — one ``Z/2``;
+    * ``U1(T/B)`` with ``T == A``: none (every norm-one element is a
       quotient ``x / conj(x)``, and those are norms);
-    * ``U1(T/B)`` with ``T != A``: ``Z/2``;
+    * ``U1(T/B)`` with ``T != A``: one;
     * ``Res`` through ``L/B``: if ``L == A`` the norm is split surjective;
       otherwise push down to the step ``compositum(A, L)/L``;
-    * products: direct sum.
+    * products: the sum over the factors.
     """
     _check_step(torus, step)
-    top = step[0]
+    return _group((2,) * _norm_quotient_rank(torus, step[0]))
+
+
+def _norm_quotient_rank(torus: TorusExpr, top: str) -> int:
+    """``k`` for the step ``top/torus.base``, which ``Res`` and ``Prod`` keep quadratic."""
     if isinstance(torus, Gm):
-        return Z2
+        return 1
     if isinstance(torus, U1):
-        return TRIVIAL_GROUP if torus.top == top else Z2
+        return int(torus.top != top)
     if isinstance(torus, Res):
-        if torus.through == top:
-            return TRIVIAL_GROUP
-        return norm_quotient(torus.inner, (compositum(top, torus.through), torus.through))
+        inner_top = compositum(top, torus.through)
+        return 0 if torus.through == top else _norm_quotient_rank(torus.inner, inner_top)
     if isinstance(torus, Prod):
-        out = TRIVIAL_GROUP
-        for f in torus.factors:
-            out = out * norm_quotient(f, step)
-        return out
+        return sum(_norm_quotient_rank(f, top) for f in torus.factors)
     raise UnsupportedTorusError(f"norm quotient not provided for {torus!r}")
 
 
@@ -725,11 +693,10 @@ def prasad_torus_identity(
     they present one group (``ker(N) / sum (g - 1) M = tors(M_G)``), so the
     counts agree by the algebra.
     """
-    _check_step(torus, step)
+    s = _check_step(torus, step)
     top, bottom = step
     low, high = cocharacter_lattice(torus, bottom), cocharacter_lattice(torus, top)
     # the transfer is 1 + s on the lattice, s generating Gal(A/B)
-    s = next(g for g in galois_group(bottom) if g not in galois_group(top))
     transfer = _add_identity(action_matrix(torus, s), 1)
     return IdentityVerdict(
         _minus_one_transfer_kernel(low, high, transfer),

@@ -5,7 +5,8 @@ with a finite group ``Q`` of integer matrices acting on it and a
 quadratic character of ``Q`` (the ``e_sign`` of each generator) whose
 kernel ``Q_E`` has index 2.  Only the action on the (distinct) roots is
 read: an element is a pair ``(perm, sign)``, ``perm[i]`` the index in
-``roots`` of the image of root ``i`` and ``sign`` its character value.
+``roots`` of the image of root ``i`` and ``sign`` its character value, so
+``Q_E`` is the elements of sign 1 and is never formed as a set of its own.
 Each generator's matrix moves the roots, taken as columns, in one product,
 which checks that it preserves them and gives its permutation; the closure
 composes pairs, so ``Q`` is taken as its image in ``Sym(roots) x {+-1}``.
@@ -100,14 +101,6 @@ def compose(a: Element, b: Element) -> Element:
     return tuple(map(a[0].__getitem__, b[0])), a[1] * b[1]
 
 
-def _character_kernel(elements: tuple[Element, ...]) -> tuple[Element, ...]:
-    """The elements of character value 1 in a closed group; must have index 2."""
-    kernel = tuple(e for e in elements if e[1] == 1)
-    if 2 * len(kernel) != len(elements):
-        raise ValueError("the character must cut out an index-2 subgroup")
-    return kernel
-
-
 class TwistedRootSystem(Value):
     """Roots, an integer-matrix action, and an index-2 character."""
 
@@ -170,9 +163,11 @@ class TwistedRootSystem(Value):
 
         Walked on root indices sorted by root once, from the first not yet seen;
         computed on first read and kept, and a failed check raises on every read.
+        ``Q_E`` is read as the elements of sign 1, which must be half of ``Q``.
         """
         elements = self.group_elements()
-        e_subgroup = set(_character_kernel(elements))
+        if 2 * sum(sign == 1 for _, sign in elements) != len(elements):
+            raise ValueError("the character must cut out an index-2 subgroup")
         roots = self.roots
         by_root = sorted(range(len(roots)), key=roots.__getitem__)
         rank, seen = {i: k for k, i in enumerate(by_root)}, [False] * len(roots)
@@ -183,17 +178,19 @@ class TwistedRootSystem(Value):
             base, nb = roots[b], self._index[_neg(roots[b])]
             image = [(g, g[0][b]) for g in elements]  # the base root's images
             orbit = {r for _, r in image}
-            e_orbit = {g[0][b] for g in e_subgroup}
+            e_orbit = {r for g, r in image if g[1] == 1}
             stab = frozenset(g for g, r in image if r == b)
             stab_signed = frozenset(g for g, r in image if r in (b, nb))
             stab_twisted = frozenset(g for g, r in image if r == (b if g[1] == 1 else nb))
+            stab_e = frozenset(g for g in stab if g[1] == 1)
+            stab_signed_e = frozenset(g for g in stab_signed if g[1] == 1)
             for i in orbit:
                 seen[i] = True
             records.append(
                 OrbitRecord(
                     base, tuple(roots[i] for i in sorted(orbit, key=rank.__getitem__)), nb in orbit,
-                    nb in e_orbit, 1 if stab <= e_subgroup else 2, len(orbit) // len(e_orbit),
-                    stab, stab_signed, stab_twisted, stab & e_subgroup, stab_signed & e_subgroup,
+                    nb in e_orbit, 1 if stab_e == stab else 2, len(orbit) // len(e_orbit),
+                    stab, stab_signed, stab_twisted, stab_e, stab_signed_e,
                 )
             )
         return tuple(records)

@@ -1,12 +1,13 @@
 """The benchmark's ops still give their recorded digests.
 
-Runs the ``classify`` ops, the ``lattices rank<=3`` op and the ``catalog``
-op of the ``structure`` workload, and every ``verify sl2|gl2|gln|un``
-request of ``bench/expected.json`` (the ``prime-sweep`` reports), through
-``bench/worker.py``'s own call and check functions, and compares each
-digest and record count with ``bench/expected.json``.  A change that alters
-any orbit record, Tate group, catalog verdict or report byte fails here,
-in tier-1, not only in a benchmark run.  Nothing under ``bench/`` is
+Runs every op some seed of ``bench/inputs.py`` can generate (its
+``every_op``): the ``classify``, ``lattices`` and ``catalog`` ops of the
+``structure`` workload, all 50 rank-4 lattice chunks included, and every
+CLI request (``tables``, ``verify all`` and the ``prime-sweep`` reports),
+through ``bench/worker.py``'s own call and check functions, and compares
+each digest and record count with ``bench/expected.json``.  A change that
+alters any orbit record, Tate group, catalog verdict or report byte fails
+here, in tier-1, not only in a benchmark run.  Nothing under ``bench/`` is
 written.
 """
 
@@ -27,8 +28,8 @@ BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 EXPECTED = json.loads((BENCH / "expected.json").read_text())
 
 
-@pytest.fixture(scope="module")
-def bench_modules():
+def _bench_modules():
+    """``bench/inputs.py`` and ``bench/worker.py``, imported without writing bytecode."""
     sys.path.insert(0, str(BENCH))
     write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
@@ -40,24 +41,27 @@ def bench_modules():
     return inputs, worker
 
 
-# every classify op, the rank <= 3 lattices and the torus catalog
-LABELS = (
-    "classify gln 9", "classify un 9", "classify gln 11",
-    "classify un 11", "classify gln 13", "classify un 13",
-    "lattices rank<=3", "catalog",
-)  # fmt: skip
+INPUTS, WORKER = _bench_modules()
+OPS = {INPUTS.op_label(op): op for op in INPUTS.every_op()}
+STRUCTURE_LABELS = [label for label, op in OPS.items() if op["kind"] != "cli"]
+CLI_LABELS = [label for label, op in OPS.items() if op["kind"] == "cli"]
 
 
-@pytest.mark.parametrize("label", LABELS)
-def test_structure_op_matches_expected_digest(bench_modules, label: str) -> None:
-    inputs, worker = bench_modules
-    op = next(op for op in inputs.structure_ops(0) if inputs.op_label(op) == label)
+def test_every_expected_label_is_gated() -> None:
+    assert len(OPS) == len(STRUCTURE_LABELS) + len(CLI_LABELS)  # no label names two ops
+    assert (len(STRUCTURE_LABELS), len(CLI_LABELS)) == (58, 31)
+    assert sorted(OPS) == sorted(EXPECTED) and len(EXPECTED) == 89
+
+
+@pytest.mark.parametrize("label", STRUCTURE_LABELS)
+def test_structure_op_matches_expected_digest(label: str) -> None:
+    op = dict(OPS[label])
     if op["kind"] == "lattices":  # as worker.main converts them before timing
         op["specs"] = [
             (spec["rank"], tuple(tuple(map(tuple, g)) for g in spec["gens"]))
             for spec in op.pop("lattices")
         ]
-    call, check = worker.OPS[op["kind"]]
+    call, check = WORKER.OPS[op["kind"]]
     outcome = check(op, call(quadchar, op, None), None)
     assert "error" not in outcome, outcome
     assert outcome == EXPECTED[label]
@@ -71,19 +75,17 @@ VERIFY_LABELS = sorted(
 )
 
 
-def test_every_prime_sweep_request_is_gated(bench_modules) -> None:
-    inputs, _ = bench_modules
-    cli_labels = {inputs.op_label(op) for op in inputs.every_op() if op["kind"] == "cli"}
-    verify_all = {inputs.op_label(op) for op in inputs.verify_all_ops()}
-    assert cli_labels - verify_all == set(VERIFY_LABELS)
+def test_every_prime_sweep_request_is_gated() -> None:
+    verify_all = {INPUTS.op_label(op) for op in INPUTS.verify_all_ops()}
+    assert set(CLI_LABELS) - verify_all == set(VERIFY_LABELS)
 
 
-@pytest.mark.parametrize("label", VERIFY_LABELS)
-def test_verify_report_matches_expected_digest(bench_modules, tmp_path, label: str) -> None:
-    _, worker = bench_modules
-    op = {"kind": "cli", "argv": label.split()}
+@pytest.mark.parametrize("label", CLI_LABELS)
+def test_verify_report_matches_expected_digest(tmp_path, label: str) -> None:
+    """Each CLI report, ``tables`` and ``verify all`` with the sweep's."""
+    op = OPS[label]
     report = tmp_path / "report.json"
-    outcome = worker.check_cli(op, worker.call_cli(quadchar, op, report), report)
+    outcome = WORKER.check_cli(op, WORKER.call_cli(quadchar, op, report), report)
     assert "error" not in outcome, outcome
     assert (outcome["digest"], outcome["records"]) == (
         EXPECTED[label]["digest"],

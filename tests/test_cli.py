@@ -104,6 +104,41 @@ def test_tables_json_report(tmp_path):
     assert report["summary"] == {"pass": EXPECTED_ROW_TOTAL, "fail": 0}
 
 
+@pytest.mark.parametrize(
+    "change, records, failing",
+    [
+        (
+            lambda rows: (*rows, rows[0]),
+            EXPECTED_ROW_TOTAL + 1,
+            ("table5-row11", None, "1 | asym | asym | asym | 1"),
+        ),
+        (
+            lambda rows: rows[:-1],
+            EXPECTED_ROW_TOTAL,  # the expected side still has every row
+            ("table5-row10", "2 ur | sym r | sym ur | sym ur | 2 r", None),
+        ),
+    ],
+    ids=["added-row", "dropped-row"],
+)
+def test_a_row_on_one_side_only_fails_its_record(change, records, failing, tmp_path, monkeypatch):
+    """The report pairs rows as the diff does: the missing side is ``null``."""
+    real = cli.render_tables
+
+    def render():
+        first, *rest = real()
+        return (first, *rest[:3], rest[3].replace(rows=change(rest[3].rows)))
+
+    monkeypatch.setattr(cli, "render_tables", render)
+    path = tmp_path / "tables.json"
+    code, output = run_cli(["tables", "--json", str(path)])
+    assert code == 1 and output.endswith(f"{records} rows compared, 1 diffs\n")
+    report = json.loads(path.read_text())
+    assert len(report["records"]) == records
+    assert report["summary"] == {"pass": records - 1, "fail": 1}
+    [record] = [r for r in report["records"] if r["verdict"] == "fail"]
+    assert (record["id"], record["expected"], record["got"]) == failing
+
+
 # -- verify ------------------------------------------------------------------
 
 
@@ -339,6 +374,15 @@ def test_an_internal_fault_exits_1_with_one_line(fault, monkeypatch, capsys):
 def test_json_path_with_a_null_byte_is_usage_error(capsys):
     assert run_cli(["verify", "torus", "--json", "report\0.json"]) == (2, "")
     assert capsys.readouterr().err == "error: embedded null byte\n"
+
+
+@pytest.mark.parametrize("argv", [["tables"], ["verify", "torus"]])
+def test_empty_json_path_is_usage_error(argv, capsys):
+    """An empty path is a path that cannot be opened, not a request for no report."""
+    code, _ = run_cli([*argv, "--json", ""])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # Bounds on one ``main`` call under ``tracemalloc``, which slows it several

@@ -48,10 +48,12 @@ from quadchar.galois_lattices import (
     compositum,
     field_contains,
     field_degree,
+    galois_group,
     mat_mul,
     mat_vec,
     norm_quotient,
     prasad_torus_identity,
+    Quotient,
     quotient,
     smith_normal_form,
     tate_cohomology,
@@ -66,6 +68,10 @@ RES_TORUS = Res("E1", "F", U1("K", "E1"))
 
 def lattice(rank: int, gens, orders) -> GaloisLattice:
     return GaloisLattice(rank=rank, generator_matrices=tuple(gens), generator_orders=tuple(orders))
+
+
+def transpose(m):
+    return tuple(zip(*m))
 
 
 # ---------------------------------------------------------------------------
@@ -114,31 +120,34 @@ def determinantal_divisor(a, k: int) -> int:
 @example([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
 def test_smith_normal_form_properties(rows: list[list[int]]) -> None:
     a = tuple(tuple(r) for r in rows)
-    snf = smith_normal_form(a)
-    assert mat_mul(snf.v, snf.v_inv) == oracle_identity(len(a[0]))
-    diag = snf.diagonal
-    assert len(diag) == min(len(a), len(a[0]))
+    group = smith_normal_form(a)
+    width = len(a[0])
+    v = transpose(group.coordinates)  # u @ a @ v is diagonal, and the generators are v^-1
+    assert mat_mul(v, group.generators) == oracle_identity(width)
+    diag = group.diag
+    assert len(diag) == width  # padded with zeros to the width
     rank = sum(1 for x in diag if x)
-    assert all(not any(row[rank:]) for row in mat_mul(a, snf.v))
+    assert all(not any(row[rank:]) for row in mat_mul(a, v))
     for x, y in zip(diag, diag[1:]):
         if x != 0:
             assert y % x == 0
         else:
             assert y == 0
     # d1 ... dk is the k-th determinantal divisor, which fixes the diagonal
-    for k in range(1, len(diag) + 1):
+    for k in range(1, min(len(a), width) + 1):
         assert math.prod(diag[:k]) == determinantal_divisor(a, k)
 
 
 def integer_kernel(rows, width: int):
     """``(basis, coordinates)`` of ``ker(rows)`` from one Smith form.
 
-    The columns of ``v`` past the rank are the basis (as columns), and the
-    matching rows of ``v_inv`` map a kernel vector to its coordinates.
+    The rows of the form's ``coordinates`` past the rank (columns of ``v``)
+    are the basis (as columns), and the matching ``generators`` (rows of
+    ``v^-1``) map a kernel vector to its coordinates.
     """
     form = smith_normal_form(rows or [(0,) * width])
-    rank = sum(1 for d in form.diagonal if d)
-    return tuple(row[rank:] for row in form.v), form.v_inv[rank:]
+    rank = sum(1 for d in form.diag if d)
+    return tuple(row[rank:] for row in transpose(form.coordinates)), form.generators[rank:]
 
 
 @given(matrix_strategy)
@@ -155,6 +164,24 @@ def _prime_divisors(n: int) -> list[int]:
     return [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
 
 
+def assert_quotient_contract(group: Quotient, relations) -> None:
+    """The generators invert the coordinates, every relation is 0, generator
+    ``i`` has order ``diag[i]`` and ``diag`` is a divisor chain padded to the width."""
+    width = len(group.diag)
+    assert mat_mul(group.generators, transpose(group.coordinates)) == oracle_identity(width)
+    assert all(group.is_zero_class(r) for r in relations)
+    for i, d in enumerate(group.diag):
+        generator = group.generators[i]
+        if d == 0:  # coordinate i is kept exactly, so no multiple vanishes
+            assert group.normalize(tuple(2 * x for x in generator))[i] == 2
+        else:
+            assert group.is_zero_class(tuple(d * x for x in generator))
+            for p in _prime_divisors(d):
+                assert not group.is_zero_class(tuple(d // p * x for x in generator))
+    for x, y in zip(group.diag, group.diag[1:]):
+        assert y % x == 0 if x else y == 0
+
+
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_quotient_with_relations(data: st.DataObject) -> None:
@@ -162,16 +189,8 @@ def test_quotient_with_relations(data: st.DataObject) -> None:
     row = st.lists(st.integers(-6, 6), min_size=width, max_size=width).map(tuple)
     relations = data.draw(st.lists(row, max_size=4))
     group = quotient(width, relations)
-    assert mat_mul(group.coordinates, group.basis) == oracle_identity(width)
-    assert all(group.is_zero_class(r) for r in relations)
-    for i, d in enumerate(group.diag):
-        column = tuple(row[i] for row in group.basis)
-        if d == 0:  # coordinate i is kept exactly, so no multiple vanishes
-            assert group.normalize(tuple(2 * x for x in column))[i] == 2
-        else:
-            assert group.is_zero_class(tuple(d * x for x in column))
-            for p in _prime_divisors(d):
-                assert not group.is_zero_class(tuple(d // p * x for x in column))
+    assert len(group.diag) == width
+    assert_quotient_contract(group, relations)
     # one representative per torsion class, each of finite order
     representatives = group.torsion_representatives()
     assert len({group.normalize(rep) for rep in representatives}) == group.torsion.order
@@ -183,8 +202,24 @@ def test_quotient_with_relations(data: st.DataObject) -> None:
     added = data.draw(st.lists(st.sampled_from(extra), max_size=6))
     padded_group = quotient(width, data.draw(st.permutations([*relations, *added])))
     assert padded_group.diag == group.diag
-    assert mat_mul(padded_group.coordinates, padded_group.basis) == oracle_identity(width)
+    identity = mat_mul(padded_group.generators, transpose(padded_group.coordinates))
+    assert identity == oracle_identity(width)
     assert all(padded_group.is_zero_class(r) for r in relations)
+
+
+def test_coinvariant_quotients_keep_the_quotient_contract() -> None:
+    """On the catalog's coinvariant lattices and every involution lattice of rank <= 3."""
+    lattices = [
+        cocharacter_lattice(torus, level) for torus in torus_catalog() for level in FIELD_LEVELS
+    ]
+    for n in (1, 2, 3):
+        lattices += [lattice(n, [m], [2]) for m in signed_permutation_involutions(n)]
+        lattices += [lattice(n, pair, [2, 2]) for pair in commuting_involution_pairs(n)]
+    assert len(lattices) == 50 + 162
+    for lat in lattices:
+        relations = [col for g in lat.generator_matrices for col in zip(*shifted(g, -1))]
+        assert len(lat.coinvariants.diag) == lat.rank
+        assert_quotient_contract(lat.coinvariants, relations)
 
 
 def test_quotient_rejects_vectors_of_another_length() -> None:
@@ -298,7 +333,8 @@ factor_lists = st.lists(st.integers(1, 60), max_size=6)
 def test_invariant_factors_match_prime_power_oracle(first: list[int], second: list[int]) -> None:
     a, b = FiniteAbelianGroup.from_factors(first), FiniteAbelianGroup.from_factors(second)
     assert a.invariant_factors == prime_power_chain(first)
-    assert (a * b).invariant_factors == prime_power_chain(first + second)
+    product = FiniteAbelianGroup.from_factors(a.invariant_factors + b.invariant_factors)
+    assert product.invariant_factors == prime_power_chain(first + second)
     assert a.order == math.prod(first)
 
 
@@ -506,12 +542,10 @@ def test_tate_cohomology_takes_no_smith_form(monkeypatch: pytest.MonkeyPatch) ->
     # the coinvariants take one Smith form, however often they are read
     group = lat.coinvariants
     assert lat.coinvariants is group and len(calls) == 1
-    # the adapted basis and its coordinates are formed only when read
-    assert "basis" not in vars(group) and "coordinates" not in vars(group)
+    # its generators and coordinates come with that form: reading classes takes no other
     group.torsion_representatives()
-    assert "basis" in vars(group) and "coordinates" not in vars(group)
     group.is_zero_class((0, 0, 0))
-    assert "coordinates" in vars(group)
+    assert len(calls) == 1
 
 
 def test_tate_reads_build_each_invariant_factor_chain_once(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -829,20 +863,72 @@ def test_tower_structure() -> None:
 
 def test_u1_action_matrices() -> None:
     t = U1("E", "F")
-    assert action_matrix(t, (1, 0)) == ((1,),)  # fixes E
-    assert action_matrix(t, (0, 1)) == ((-1,),)  # moves E
+    assert action_matrix(t, 1) == ((1,),)  # fixes E
+    assert action_matrix(t, 2) == ((-1,),)  # moves E
 
 
 def test_res_action_matrices_frozen() -> None:
-    assert action_matrix(RES_TORUS, (1, 0)) == ((0, 1), (1, 0))
-    assert action_matrix(RES_TORUS, (0, 1)) == ((-1, 0), (0, -1))
+    assert action_matrix(RES_TORUS, 1) == ((0, 1), (1, 0))
+    assert action_matrix(RES_TORUS, 2) == ((-1, 0), (0, -1))
+
+
+def test_quadratic_step_over_every_ordered_pair_of_levels() -> None:
+    generators, degree_one_or_four, uncontained = {}, 0, 0
+    for top, bottom in itertools.product(FIELD_LEVELS, repeat=2):
+        if not field_contains(top, bottom):
+            with pytest.raises(ValueError, match=f"^{top} does not contain {bottom}$") as raised:
+                galois_lattices._quadratic_step(top, bottom)
+            assert not isinstance(raised.value, UnsupportedTorusError)
+            uncontained += 1
+        elif field_degree(top, bottom) != 2:
+            with pytest.raises(UnsupportedTorusError, match=f"quadratic step, got {top}/{bottom}$"):
+                galois_lattices._quadratic_step(top, bottom)
+            degree_one_or_four += 1
+        else:
+            s = galois_lattices._quadratic_step(top, bottom)
+            assert s in galois_group(bottom) and s not in galois_group(top)
+            generators[top, bottom] = s
+    assert (len(generators), degree_one_or_four, uncontained) == (6, 6, 13)
+    # the first element outside Gal(K/top): 2 moves E, 1 moves E1 and E2, 3 fixes E2
+    assert generators == {
+        ("E", "F"): 2, ("E1", "F"): 1, ("E2", "F"): 1, ("K", "E"): 1, ("K", "E1"): 2, ("K", "E2"): 3
+    }
+
+
+def test_a_step_is_checked_before_its_base() -> None:
+    torus = U1("K", "E1")
+    for check in (norm_quotient, prasad_torus_identity):
+        # K/F is not quadratic and E1 is not F: the step is reported
+        with pytest.raises(UnsupportedTorusError, match="^need a quadratic step, got K/F$"):
+            check(torus, ("K", "F"))
+        with pytest.raises(UnsupportedTorusError, match="does not match the step base F$"):
+            check(torus, ("E", "F"))
+        with pytest.raises(ValueError, match="^E does not contain E1$"):
+            check(torus, ("E", "E1"))
+
+
+def test_action_matrices_multiply_as_the_xor_group() -> None:
+    """``g ^ h`` acts as ``g`` after ``h`` on every torus of the quadratic-step pairs."""
+    tori = dict.fromkeys(torus for torus, _ in quadratic_step_pairs())
+    assert set(torus_catalog()) <= set(tori)
+    for t in tori:
+        group = galois_group(t.base)
+        assert action_matrix(t, 0) == oracle_identity(t.rank)
+        for g, h in itertools.product(group, repeat=2):
+            product = oracle_mul(action_matrix(t, g), action_matrix(t, h))
+            assert action_matrix(t, g ^ h) == product, (t, g, h)
+        for g in set(range(4)) - set(group):
+            with pytest.raises(ValueError, match="does not fix the base field"):
+                action_matrix(t, g)
 
 
 def test_cocharacter_level_validation() -> None:
     with pytest.raises(ValueError):
         cocharacter_lattice(U1("K", "E1"), "F")  # F does not contain E1
-    with pytest.raises(UnsupportedTorusError):
+    with pytest.raises(UnsupportedTorusError, match="^need a quadratic step, got K/F$"):
         U1("K", "F")  # not a quadratic step
+    with pytest.raises(UnsupportedTorusError, match="^need a quadratic step, got K/F$"):
+        Res("K", "F", Gm("K"))
     with pytest.raises(UnsupportedTorusError):
         Res("E1", "F", U1("K", "E2"))  # inner torus over the wrong field
     with pytest.raises(UnsupportedTorusError):
@@ -982,17 +1068,21 @@ def test_identity_multiplicative_over_products() -> None:
             assert whole.lhs == parts
 
 
-def test_identity_holds_at_every_quadratic_step() -> None:
-    """The catalog at E/F, E1/F and E2/F, and four tori over each L at K/L.
-
-    The left side reads line orbits and the right side coinvariant
-    quotients; they share no Smith form or quotient code, so a fault in
-    either side shows as a mismatch.
-    """
+def quadratic_step_pairs() -> list:
+    """The catalog at E/F, E1/F and E2/F, and four tori over each L at K/L."""
     pairs = [(torus, (top, "F")) for torus in torus_catalog() for top in ("E", "E1", "E2")]
     for level in ("E", "E1", "E2"):
         tori = (U1("K", level), Gm(level), Res("K", level, Gm("K")))
         pairs += [(torus, ("K", level)) for torus in (*tori, Prod(tori))]
+    return pairs
+
+
+def test_identity_holds_at_every_quadratic_step() -> None:
+    """The left side reads line orbits and the right side coinvariant
+    quotients; they share no Smith form or quotient code, so a fault in
+    either side shows as a mismatch.
+    """
+    pairs = quadratic_step_pairs()
     assert len(pairs) == 42
     kernels = []
     for torus, step in pairs:

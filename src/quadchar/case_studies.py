@@ -368,11 +368,10 @@ def verify_gl2(p: int) -> ScenarioReport:
 # GL_n, n odd: asymmetric orbits, even exponents
 # ---------------------------------------------------------------------------
 
-# Orbit classification closes the cyclic group of order 2n in pure Python;
-# its time grows steeply with n.  At n = 15 the first call classifies once
-# (about 2.4 of its 2.8 ms) and later calls at any p reuse the shared system
-# (about 0.3 ms), Python 3.11.7 on a 2-vCPU Xeon, median of 7 processes.
-# The unitary scenario shares the cap.
+# Orbit classification closes the cyclic group of order 2n; its time grows
+# with n.  At n = 15 the first call classifies once (about 1.5 of its 1.9 ms)
+# and later calls at any p reuse the shared system (about 0.3 ms), Python
+# 3.11.7 on a 2-vCPU Xeon, median of 15 processes.  The unitary scenario shares the cap.
 GLN_MAX_N = 15
 
 
@@ -394,7 +393,7 @@ def _branch_zetas(system: TwistedRootSystem, records: list[OrbitRecord]) -> dict
     """
     (g,) = system.generator_elements
     g_n = reduce(compose, [g] * system.rank)
-    identity = (tuple(range(len(system.roots))), 1)
+    identity = (bytes(range(len(system.roots))), 1)
     branches = ((EF.UNRAM, frozenset({identity})), (EF.RAM, frozenset({identity, g_n})))
     zetas = {}
     for ef, inertia in branches:
@@ -419,16 +418,11 @@ def verify_gln_odd(n: int, p: int) -> ScenarioReport:
     make_base(p)  # NonOddPrimeError unless p is an odd prime below the cap
 
     report = ScenarioReport()
-    parity = gln_orbit_parity(n)
     report.add(
         "gln-orbit-classification",
         {"n": n},
         {"orbits": n - 1, "symmetric": 0, "parity_ok": True},
-        {
-            "orbits": parity.count_orbits,
-            "symmetric": parity.count_symmetric,
-            "parity_ok": parity.parity_ok,
-        },
+        gln_orbit_parity(n),
     )
     system = gln_root_system(n)
     records = classify_orbits(system)

@@ -74,7 +74,7 @@ from .padic_fields import (
     square_classes,
 )
 from .residue_fields import UsageError
-from .tables import builtin_tables, diff_tables, format_all, render_tables
+from .tables import builtin_tables, diff_tables, format_all, paired_rows, render_tables
 
 SCHEMA_VERSION = 1
 
@@ -325,12 +325,11 @@ def run_tables(args: SimpleNamespace, out) -> int:
     print(format_all(got), file=out)
     records = [
         CheckRecord(
-            f"table{table.number}-row{i:02d}",
-            {"table": table.number, "row": i},
-            *(None if row is None else " | ".join(row) for row in (exp_row, got_row)),
+            f"table{pair.table}-row{pair.row:02d}",
+            {"table": pair.table, "row": pair.row},
+            *(None if row is None else " | ".join(row) for row in (pair.expected, pair.got)),
         )
-        for table, table_got in zip(expected, got)
-        for i, (exp_row, got_row) in enumerate(itertools.zip_longest(table.rows, table_got.rows), 1)
+        for pair in paired_rows(expected, got)
     ]
     for d in diffs:
         print(

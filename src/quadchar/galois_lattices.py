@@ -17,19 +17,20 @@ A quadratic step ``A/B`` is read as its generator, the first element of
 Tori are expressions built from ``Gm``, norm-one tori ``U1`` of quadratic
 steps, quadratic Weil restrictions ``Res`` and finite products; their
 cocharacter lattices with the Galois action at any level of the tower are
-produced by ``cocharacter_lattice``.  Every action matrix is a signed
-permutation, the only generator a lattice takes.  Each distinct one is read
-and its order checked once per process, commutation once per lattice; the
-group permutes the lines ``Z e_j``.  By Shapiro's lemma an orbit with line
-stabiliser ``H`` spans ``Ind_H^G(chi)``, ``chi`` the sign of ``H`` on ``e_j``
-(cite only: Serre, *Local Fields*, ch. VII-VIII; Reiner, Proc. AMS 8, 1957).  So
-``tate_cohomology`` needs one orbit walk and no Smith form: ``H^-1`` is
-``Z/2`` per orbit with ``chi != 1`` and ``H^0`` is ``Z/|H|`` per orbit with
-``chi == 1``, where ``|H| = |G| / |orbit|`` and ``|G|`` is the product of
-the *declared* orders (so actions that factor through a quotient weight
-correctly).  The Tate groups are shared, one per invariant-factor chain of
-a 2-group such as the diamond's: few chains occur, and each group is built
-once.
+produced by ``cocharacter_lattice``, one lattice per distinct action.  Every
+action matrix is a signed permutation, the only generator a lattice takes.
+Each distinct one is read and its order checked once per process, commutation
+once per lattice, on its permutation of the signed lines ``+-e_j`` as bytes
+(``compose_permutations``); the group permutes the lines ``Z e_j``.  By
+Shapiro's lemma an orbit with line stabiliser ``H`` spans ``Ind_H^G(chi)``,
+``chi`` the sign of ``H`` on ``e_j`` (cite only: Serre, *Local Fields*, ch.
+VII-VIII; Reiner, Proc. AMS 8, 1957).  So ``tate_cohomology`` needs one orbit
+walk and no Smith form: ``H^-1`` is ``Z/2`` per orbit with ``chi != 1`` and
+``H^0`` is ``Z/|H|`` per orbit with ``chi == 1``, where
+``|H| = |G| / |orbit|`` and ``|G|`` is the product of the *declared* orders
+(so actions that factor through a quotient weight correctly).  The Tate groups are
+shared, one per invariant-factor chain of a 2-group such as the diamond's:
+few chains occur, and each group is built once.
 
 The same walk gives representatives: in ``H^-1 = ker(N) / sum (g - 1) M``
 a signed orbit's class is that of its first line, and a vector of ``ker(N)``
@@ -80,6 +81,7 @@ __all__ = [
     "UnsupportedTorusError",
     "FIELD_LEVELS",
     "galois_group",
+    "compose_permutations",
     "compositum",
     "smith_normal_form",
     "quotient",
@@ -239,16 +241,16 @@ def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
+def compose_permutations(a: bytes, b: bytes) -> bytes:
+    """``a`` after ``b``, ``a[b[i]]`` at ``i``, on at most 256 points: the one compose kernel."""
+    return b.translate(a.ljust(256, b"\0"))
+
+
 @cache
-def _signed_units(n: int) -> tuple[dict[tuple[int, ...], tuple[int, int]], SignedPerm]:
-    """``{x e_j: (j, x)}`` over the rows of signed permutations, and ``I`` read by row."""
+def _signed_units(n: int) -> tuple[dict[tuple[int, ...], tuple[int, int]], bytes]:
+    """``{x e_j: (j, x)}`` over the rows of signed permutations, and the identity on ``2 n``."""
     units = {(0,) * j + (x,) + (0,) * (n - 1 - j): (j, x) for j in range(n) for x in (1, -1)}
-    return units, tuple(map(units.get, identity_matrix(n)))
-
-
-def _compose(g: SignedPerm, h: SignedPerm) -> SignedPerm:
-    """``g @ h`` for signed permutations read by row: a row ``x e_j`` of ``g`` gives ``x h[j]``."""
-    return tuple([(h[j][0], x * h[j][1]) for j, x in g])
+    return units, bytes(range(2 * n))
 
 
 def _add_identity(g: Matrix, c: int) -> Matrix:
@@ -257,16 +259,18 @@ def _add_identity(g: Matrix, c: int) -> Matrix:
 
 
 @cache
-def _generator_move(g: Matrix, order: int) -> SignedPerm | None:
-    """``g`` read as a signed permutation (else raise), or ``None`` unless ``g**order == I``."""
+def _generator_move(g: Matrix, order: int) -> tuple[SignedPerm, bytes] | None:
+    """``g`` by row and on the signed lines, ``2 j`` for ``+e_j`` and ``2 j + 1`` for ``-e_j``
+    (else raise), or ``None`` unless ``g**order == I``."""
     units, one = _signed_units(len(g))
     move = tuple(map(units.get, g))
     if None in move:
         raise ValueError("generator matrices must be signed permutations")
-    power = move  # g**order == I also forces g to permute the lines
+    perm = bytes((2 * j + (x < 0)) ^ s for j, x in move for s in (0, 1))
+    power = perm  # g**order == I also forces g to permute the lines
     for _ in range(order - 1):
-        power = _compose(power, move)
-    return move if power == one else None
+        power = compose_permutations(power, perm)
+    return (move, perm) if power == one else None
 
 
 def smith_normal_form(a: Sequence[Sequence[int]]) -> "Quotient":
@@ -404,8 +408,8 @@ class GaloisLattice(Value):
     generator_orders: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.rank < 0:
-            raise ValueError("rank must be nonnegative")
+        if not 0 <= self.rank <= 128:
+            raise ValueError("rank must be between 0 and 128, so that a byte indexes a signed line")
         if len(self.generator_matrices) != len(self.generator_orders):
             raise ValueError("need one order per generator matrix")
         gens = list(zip(self.generator_matrices, self.generator_orders))
@@ -418,10 +422,10 @@ class GaloisLattice(Value):
         moves = [_generator_move(g, order) for g, order in gens]
         if None in moves:
             raise ValueError("generator does not satisfy its declared order")
-        for g, h in itertools.combinations(moves, 2):
-            if _compose(g, h) != _compose(h, g):
+        for (_, g), (_, h) in itertools.combinations(moves, 2):
+            if compose_permutations(g, h) != compose_permutations(h, g):
                 raise ValueError("generators must commute (abelian presentation)")
-        object.__setattr__(self, "_moves", moves)
+        object.__setattr__(self, "_moves", [move for move, _ in moves])
 
     @cached_property
     def line_orbits(self) -> tuple[tuple[int, bool, tuple[int, ...]], ...]:
@@ -458,8 +462,10 @@ class GaloisLattice(Value):
         )
 
 
-# shared groups keyed by the sorted factors above 1, for a 2-group the chain itself
+# shared groups keyed by the sorted factors above 1, for a 2-group the chain itself,
+# and one shared lattice per distinct (rank, generator matrices, orders)
 _group = cache(FiniteAbelianGroup.from_factors)
+_lattice = cache(GaloisLattice)
 
 
 def tate_cohomology(lattice: GaloisLattice, degree: int) -> FiniteAbelianGroup:
@@ -583,14 +589,14 @@ def cocharacter_lattice(torus: TorusExpr, level: str) -> GaloisLattice:
     """The cocharacter lattice of ``torus`` with the ``Gal(K/level)`` action.
 
     ``level`` must contain the base field of the torus; the action of the
-    smaller group is the restriction of the full one.  Memoised, so every
-    caller of one (torus, level) shares one lattice, its cached orbits and
-    its cached coinvariants.
+    smaller group is the restriction of the full one.  Memoised, and equal actions
+    share one lattice, its cached orbits and its cached coinvariants: the
+    catalog's 50 (torus, level) pairs make 29 lattices.
     """
     if not field_contains(level, torus.base):
         raise ValueError(f"level {level} does not contain the base field {torus.base}")
     gens = _GAL[level][1:3]  # 1 and 2 for F, the one nontrivial element below it
-    return GaloisLattice(torus.rank, tuple(action_matrix(torus, g) for g in gens), (2,) * len(gens))
+    return _lattice(torus.rank, tuple(action_matrix(torus, g) for g in gens), (2,) * len(gens))
 
 
 def component_group_dual(torus: TorusExpr, level: str) -> FiniteAbelianGroup:

@@ -41,6 +41,7 @@ and multiplies on the components.  Both ``pow``s take exponents
 from __future__ import annotations
 
 from functools import cached_property
+from operator import itemgetter
 
 from ._value import Value
 
@@ -232,14 +233,15 @@ class QuadraticExtension(Value):
         powers are checked to have norm 1 and to be distinct, and are
         returned sorted by ``(b, a)`` for ``a + b*sqrt(u)``.
         """
-        q = self.q
-        z = self.pow(self.generator, q - 1)
+        q, p, u = self.q, self.base.p, self.u
+        c, d = z = self.pow(self.generator, q - 1)
         group = [self.one]
-        for _ in range(q):
-            group.append(self.mul(group[-1], z))
-        if len(set(group)) != q + 1 or any(self.norm(y) != 1 for y in group):
+        for _ in range(q):  # mul and norm on components, not one call per element
+            a, b = group[-1]
+            group.append(((a * c + u * b * d) % p, (a * d + b * c) % p))
+        if len(set(group)) != q + 1 or any((a * a - u * b * b) % p != 1 for a, b in group):
             raise AssertionError(f"powers of {z} are not the norm-one subgroup")
-        return sorted(group, key=lambda y: (y[1], y[0]))
+        return sorted(group, key=itemgetter(1, 0))
 
     def scalar(self, x: ExtElement) -> int | None:
         """The base-field value of ``x`` if it lies in the base, else ``None``."""

@@ -1,20 +1,21 @@
 """Twisted root systems: orbit symmetry classification and orbit classes.
 
 A ``TwistedRootSystem`` is a finite set of roots in ``Z^rank`` together
-with a finite group ``Q`` of integer matrices acting on it and a
-quadratic character of ``Q`` (the ``e_sign`` of each generator) whose
-kernel ``Q_E`` has index 2.  Only the action on the (distinct) roots is
-read: an element is a pair ``(perm, sign)``, ``perm[i]`` the index in
-``roots`` of the image of root ``i`` and ``sign`` its character value, so
-``Q_E`` is the elements of sign 1 and is never formed as a set of its own.
-Each generator's matrix moves the roots, taken as columns, in one product,
-which checks that it preserves them and gives its permutation; the closure
-composes pairs, so ``Q`` is taken as its image in ``Sym(roots) x {+-1}``.
-The kernel of ``Q`` onto that image fixes every root with value 1, so it
-lies in ``Q_E`` and in every stabilizer below: no orbit, symmetry, degree
-or ``(e, f)`` changes, and an action that is not faithful on the roots
-keeps its character.  The group is closed once per system object, when
-its ``orbits`` are first read; the orbit walk runs on root indices.
+with a finite group ``Q`` of integer matrices acting on it and a quadratic
+character of ``Q`` (the ``e_sign`` of each generator) whose kernel ``Q_E``
+has index 2.  Only the action on the roots (distinct, at most 256, indexed
+and negated once when the system is built) is read: an element is
+``(perm, sign)``, byte ``i`` of ``perm`` the index of the image of root
+``i`` and ``sign`` its character value, so ``Q_E`` is the elements of sign
+1.  Each generator's matrix moves the roots, taken as columns, in one
+product, which checks that it preserves them and gives its permutation;
+the closure composes pairs by ``compose_permutations``, so ``Q`` is its
+image in ``Sym(roots) x {+-1}``.  The kernel of ``Q`` onto that image
+fixes every root with value 1, so it lies in ``Q_E`` and in every
+stabilizer below: no orbit, symmetry, degree or ``(e, f)`` changes, and an
+action that is not faithful on the roots keeps its character.  The group
+is closed once per system object, when its ``orbits`` are first read; the
+orbit walk runs on root indices.
 
 For each orbit the classification records:
 
@@ -49,7 +50,7 @@ from operator import neg, sub
 from typing import Iterable
 
 from ._value import Value
-from .galois_lattices import identity_matrix, mat_mul
+from .galois_lattices import compose_permutations, identity_matrix, mat_mul
 
 __all__ = [
     "Sym",
@@ -57,7 +58,6 @@ __all__ = [
     "Element",
     "TwistedRootSystem",
     "OrbitRecord",
-    "GlnParityReport",
     "classify_orbits",
     "compose",
     "orbit_class",
@@ -87,9 +87,9 @@ class Deg(str, Enum):
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
-Element = tuple[tuple[int, ...], int]  # (root permutation, character value)
+Element = tuple[bytes, int]  # (root permutation, byte i the index of g.root_i; character value)
 
-_MAX_GROUP = 256
+_MAX_GROUP = _MAX_ROOTS = 256  # closure size, and root count: a root index is one byte
 
 
 def _neg(v: Vector) -> Vector:
@@ -98,7 +98,7 @@ def _neg(v: Vector) -> Vector:
 
 def compose(a: Element, b: Element) -> Element:
     """``a`` after ``b``."""
-    return tuple(map(a[0].__getitem__, b[0])), a[1] * b[1]
+    return compose_permutations(a[0], b[0]), a[1] * b[1]
 
 
 class TwistedRootSystem(Value):
@@ -109,25 +109,27 @@ class TwistedRootSystem(Value):
     generators: tuple[tuple[Matrix, int], ...]  # (integer matrix, character value)
 
     def __post_init__(self) -> None:
-        root_set = set(self.roots)
-        if not root_set:
+        roots, index = self.roots, {r: i for i, r in enumerate(self.roots)}
+        if not index:
             raise ValueError("a root system needs at least one root")
-        if len(root_set) != len(self.roots):
+        if len(index) != len(roots):
             raise ValueError("roots must be distinct")
-        for r in root_set:
-            if len(r) != self.rank:
-                raise ValueError("root length must equal the rank")
-            if _neg(r) not in root_set:
-                raise ValueError(f"roots must be closed under negation; missing {_neg(r)}")
+        if len(roots) > _MAX_ROOTS:
+            raise ValueError(f"at most {_MAX_ROOTS} roots are supported, got {len(roots)}")
+        if any(len(r) != self.rank for r in roots):
+            raise ValueError("root length must equal the rank")
+        # negate the roots taken as columns, one _neg per coordinate
+        negation = [index.get(r, -1) for r in zip(*map(_neg, zip(*roots)))]
+        if -1 in negation:
+            missing = _neg(roots[negation.index(-1)])
+            raise ValueError(f"roots must be closed under negation; missing {missing}")
         for mat, sign in self.generators:
             if sign not in (1, -1):
                 raise ValueError("character values must be +1 or -1")
             if len(mat) != self.rank or any(len(row) != self.rank for row in mat):
                 raise ValueError("generator matrices must be rank x rank")
-
-    @cached_property
-    def _index(self) -> dict[Vector, int]:  # root -> its index in roots
-        return {r: i for i, r in enumerate(self.roots)}
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_negation", bytes(negation))
 
     @cached_property
     def generator_elements(self) -> tuple[Element, ...]:
@@ -135,16 +137,16 @@ class TwistedRootSystem(Value):
         columns = tuple(zip(*self.roots))
         elements = []
         for mat, sign in self.generators:
-            perm = tuple(self._index.get(image, -1) for image in zip(*mat_mul(mat, columns)))
+            perm = [self._index.get(image, -1) for image in zip(*mat_mul(mat, columns))]
             if -1 in perm:
                 raise ValueError(f"action does not close on the root set: "
                                  f"{mat} moves {self.roots[perm.index(-1)]} outside")
-            elements.append((perm, sign))
+            elements.append((bytes(perm), sign))
         return tuple(elements)
 
     def group_elements(self) -> tuple[Element, ...]:
         """Closure of the generators in ``Sym(roots) x {+-1}``, sorted; capped for safety."""
-        group = {(tuple(range(len(self.roots))), 1)}  # the identity
+        group = {(bytes(range(len(self.roots))), 1)}  # the identity
         frontier = list(group)
         while frontier:
             base = frontier.pop()
@@ -175,7 +177,7 @@ class TwistedRootSystem(Value):
         for b in by_root:
             if seen[b]:
                 continue
-            base, nb = roots[b], self._index[_neg(roots[b])]
+            base, nb = roots[b], self._negation[b]
             image = [(g, g[0][b]) for g in elements]  # the base root's images
             orbit = {r for _, r in image}
             e_orbit = {r for g, r in image if g[1] == 1}
@@ -235,15 +237,17 @@ def _step_kind(lower: FieldType, upper: FieldType) -> Deg:
     raise ValueError(f"inconsistent inertia: {lower} -> {upper} is not a step of degree 1 or 2")
 
 
-# the symmetry of a symmetric orbit is the flavor of the step from its
-# signed-stabilizer field up, which is quadratic: the stabilizer has index 2
-# in the signed stabilizer
-_SYMMETRIC_STEP = {Deg.UNRAM: Sym.SYM_UNRAM, Deg.RAM: Sym.SYM_RAM}
+def _symmetric_step(lower: FieldType, upper: FieldType) -> Sym:
+    """A symmetric orbit's symmetry: the flavor of its quadratic step from the signed stabilizer."""
+    kind = _step_kind(lower, upper)
+    if kind is Deg.SPLIT:
+        raise ValueError(f"inconsistent inertia: a symmetric orbit's {lower} -> {upper} is trivial")
+    return Sym.SYM_UNRAM if kind is Deg.UNRAM else Sym.SYM_RAM
 
 
 @lru_cache(maxsize=2)  # every orbit of a system is classified under one or two inertias
 def _check_inertia(inertia: frozenset[Element], size: int) -> None:
-    identity = (tuple(range(size)), 1)
+    identity = (bytes(range(size)), 1)
     if identity not in inertia:
         raise ValueError("inertia must contain the identity")
     others = inertia - {identity}
@@ -274,8 +278,8 @@ def orbit_class(record: OrbitRecord, inertia: Iterable[Element]) -> tuple[Deg, S
     e_pm, e_a = field_type(record.stab_signed_e), field_type(record.stab_e)
     triple = (
         _step_kind(f_a, e_a),
-        _SYMMETRIC_STEP[_step_kind(f_pm, f_a)] if record.sym_over_base else Sym.ASYM,
-        _SYMMETRIC_STEP[_step_kind(e_pm, e_a)] if record.sym_over_e else Sym.ASYM,
+        _symmetric_step(f_pm, f_a) if record.sym_over_base else Sym.ASYM,
+        _symmetric_step(e_pm, e_a) if record.sym_over_e else Sym.ASYM,
     )
     if _step_kind(field_type(record.stab_twisted), e_a) is not derive_op_data(*triple)[1]:
         raise ValueError("inconsistent inertia: the twisted step has the wrong ramification")
@@ -391,14 +395,8 @@ def unitary_root_system(n: int) -> TwistedRootSystem:
     return TwistedRootSystem(n, _general_linear_roots(n), ((shift_and_negate, -1),))
 
 
-class GlnParityReport(Value):
-    count_orbits: int
-    count_symmetric: int
-    parity_ok: bool
-
-
-def gln_orbit_parity(n: int) -> GlnParityReport:
-    """Orbit count and symmetric-orbit count of the cyclic type-A action.
+def gln_orbit_parity(n: int) -> dict[str, int | bool]:
+    """``orbits`` and ``symmetric`` orbits of the cyclic type-A action, and ``parity_ok``.
 
     There are ``n - 1`` orbits; exactly one is symmetric when ``n`` is
     even and none when ``n`` is odd, so the number of symmetric orbits is
@@ -406,8 +404,4 @@ def gln_orbit_parity(n: int) -> GlnParityReport:
     """
     records = classify_orbits(gln_root_system(n))
     symmetric = sum(1 for r in records if r.sym_over_base)
-    return GlnParityReport(
-        count_orbits=len(records),
-        count_symmetric=symmetric,
-        parity_ok=(symmetric % 2) == ((n - 1) % 2),
-    )
+    return dict(orbits=len(records), symmetric=symmetric, parity_ok=(n - 1 - symmetric) % 2 == 0)

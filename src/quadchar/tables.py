@@ -14,7 +14,8 @@ type) and the cells of a class's row.  The cells come from the
 contribution functions of :mod:`quadchar.char_engine` and
 ``twisted_class`` of :mod:`quadchar.root_orbits`; titles and headers are
 the built-ins'.  ``diff_tables`` reports any disagreement with the
-built-ins.  A clean diff is the package's primary self-check.
+built-ins, tables paired by number.  A clean diff is the package's primary
+self-check.
 
 Rendering conventions: step and symmetry types print as their ``Deg``
 and ``Sym`` values (``1`` / ``2 ur`` / ``2 r`` and ``asym`` / ``sym ur``
@@ -50,6 +51,7 @@ __all__ = [
     "TableDiff",
     "builtin_tables",
     "render_tables",
+    "paired_rows",
     "diff_tables",
     "format_table",
     "format_all",
@@ -196,16 +198,19 @@ def render_tables() -> tuple[Table, ...]:
     return tuple(table.replace(rows=tuple(r)) for table, r in zip(_BUILTIN, rows))
 
 
-def diff_tables(expected: tuple[Table, ...], got: tuple[Table, ...]) -> list[TableDiff]:
-    """Row-level differences between two table sets; a missing row is ``None``."""
+def paired_rows(expected: tuple[Table, ...], got: tuple[Table, ...]) -> list[TableDiff]:
+    """Every row of two table sets, tables paired by number; one side only pairs with ``None``."""
+    exp, gotten = ({t.number: t.rows for t in tables} for tables in (expected, got))
     return [
-        TableDiff(exp_table.number, idx, exp_row, got_row)
-        for exp_table, got_table in zip(expected, got)
-        for idx, (exp_row, got_row) in enumerate(
-            zip_longest(exp_table.rows, got_table.rows), start=1
-        )
-        if exp_row != got_row
+        TableDiff(number, i, *pair)
+        for number in sorted(exp.keys() | gotten.keys())
+        for i, pair in enumerate(zip_longest(exp.get(number, ()), gotten.get(number, ())), 1)
     ]
+
+
+def diff_tables(expected: tuple[Table, ...], got: tuple[Table, ...]) -> list[TableDiff]:
+    """Row-level differences between two table sets; a missing row or table is ``None``."""
+    return [d for d in paired_rows(expected, got) if d.expected != d.got]
 
 
 def format_table(table: Table) -> str:

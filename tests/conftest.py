@@ -33,11 +33,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:  # no
 def fresh_shared_caches() -> None:
     """Start each test without the shared root systems, their roots and
     cached orbits, the inertia groups already checked, the lattice
-    generators already read, the shared cocharacter lattices and the shared
-    Tate groups.
+    generators already read, the cocharacter lattices, the lattices shared
+    per distinct action and the shared Tate groups.
 
-    A helper that a test patches (a classification step, ``_compose``,
-    ``line_orbits`` or ``FiniteAbelianGroup.from_factors``) then reaches
+    A helper that a test patches (a classification step,
+    ``compose_permutations``, ``line_orbits`` or
+    ``FiniteAbelianGroup.from_factors``) then reaches
     every system, lattice and group the test builds, not only those no
     earlier test has built.  Every other cache of the package is a constant
     table (``CONSTANT_CACHES``), which ``test_shared_caches.py`` checks.
@@ -48,6 +49,7 @@ def fresh_shared_caches() -> None:
     root_orbits._check_inertia.cache_clear()
     galois_lattices._generator_move.cache_clear()
     galois_lattices.cocharacter_lattice.cache_clear()
+    galois_lattices._lattice.cache_clear()
     galois_lattices._group.cache_clear()
 
 

@@ -182,6 +182,15 @@ def test_patched_classification_reaches_systems_classified_earlier(monkeypatch):
     assert main(["verify", "gln"], out=io.StringIO()) != 0
 
 
+def test_a_symmetric_orbit_with_a_trivial_step_is_inconsistent_inertia(monkeypatch, capsys):
+    # under the same mutant the signed stabilizer is the stabilizer, so the
+    # symmetric orbit's step is trivial: an inertia fault, not a bare KeyError
+    monkeypatch.setattr(root_orbits, "_neg", lambda v: v)
+    assert main(["verify", "gln"], out=io.StringIO()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ValueError: inconsistent inertia: a symmetric orbit")
+
+
 @pytest.mark.parametrize("n", [3, 7])
 def test_branch_zetas_checks_each_inertia_once(monkeypatch, n):
     # the trivial and the <g**n> inertia are each checked on the first

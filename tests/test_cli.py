@@ -139,6 +139,22 @@ def test_a_row_on_one_side_only_fails_its_record(change, records, failing, tmp_p
     assert (record["id"], record["expected"], record["got"]) == failing
 
 
+@pytest.mark.parametrize("side", ["builtin_tables", "render_tables"], ids=["expected", "got"])
+def test_a_table_on_one_side_only_fails_its_rows(side, tmp_path, monkeypatch):
+    """Tables pair by number, so a table missing on either side fails each of its rows."""
+    real = getattr(cli, side)
+    monkeypatch.setattr(cli, side, lambda: real()[:4])
+    path = tmp_path / "tables.json"
+    code, output = run_cli(["tables", "--json", str(path)])
+    assert code == 1 and output.endswith(f"{EXPECTED_ROW_TOTAL} rows compared, 10 diffs\n")
+    report = json.loads(path.read_text())
+    assert report["summary"] == {"pass": EXPECTED_ROW_TOTAL - 10, "fail": 10}
+    failing = [r for r in report["records"] if r["verdict"] == "fail"]
+    assert [r["id"] for r in failing] == [f"table5-row{i:02d}" for i in range(1, 11)]
+    missing = "expected" if side == "builtin_tables" else "got"
+    assert all(r[missing] is None for r in failing)
+
+
 # -- verify ------------------------------------------------------------------
 
 

@@ -18,7 +18,6 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from functools import cache
 
 import pytest
 from cocycle_oracle import (
@@ -45,6 +44,7 @@ from quadchar.galois_lattices import (
     action_matrix,
     cocharacter_lattice,
     component_group_dual,
+    compose_permutations,
     compositum,
     field_contains,
     field_degree,
@@ -463,7 +463,9 @@ def test_a_rejected_generator_raises_again_on_every_call() -> None:
         with pytest.raises(ValueError, match="declared order"):
             lattice(2, [ROTATION], [2])
     assert read.cache_info().currsize == 1  # only the signed permutation, with its verdict
-    assert read(ROTATION, 2) is None and read(ROTATION, 4) == ((1, -1), (0, 1))
+    assert read(ROTATION, 2) is None
+    # by row, and on the signed lines: +-e_0 to -+e_1 (points 3, 2), +-e_1 to +-e_0 (0, 1)
+    assert read(ROTATION, 4) == (((1, -1), (0, 1)), bytes((3, 2, 0, 1)))
 
 
 def test_each_distinct_generator_is_read_once() -> None:
@@ -476,6 +478,21 @@ def test_each_distinct_generator_is_read_once() -> None:
     # the matrices are the keys, so they must be tuples of rows
     with pytest.raises(TypeError, match="unhashable"):
         lattice(4, [list(map(list, g)) for g in pairs[0]], [2, 2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 256).flatmap(lambda n: st.tuples(*[st.permutations(range(n))] * 2)))
+@example((tuple(range(256)), tuple(range(255, -1, -1))))
+def test_compose_permutations_matches_tuple_composition(pair) -> None:
+    a, b = pair
+    assert tuple(compose_permutations(bytes(a), bytes(b))) == tuple(a[i] for i in b)
+
+
+def test_lattice_rank_fits_the_signed_lines_in_a_byte() -> None:
+    # 2 * 128 signed lines are the most a byte indexes
+    assert tate_cohomology(lattice(128, [oracle_identity(128)], [1]), 0).order == 1
+    with pytest.raises(ValueError, match="rank must be between 0 and 128"):
+        lattice(129, [oracle_identity(129)], [1])
 
 
 # ---------------------------------------------------------------------------
@@ -1096,21 +1113,27 @@ def test_catalog_takes_one_smith_form_per_lattice(monkeypatch: pytest.MonkeyPatc
     calls = []
     snf = galois_lattices.smith_normal_form
     monkeypatch.setattr(galois_lattices, "smith_normal_form", lambda a: calls.append(a) or snf(a))
-    # fresh lattices, whose coinvariants no earlier test has read
-    fresh = cache(cocharacter_lattice.__wrapped__)
-    monkeypatch.setattr(galois_lattices, "cocharacter_lattice", fresh)
+    # the conftest fixture has emptied the shared lattices, so every form is taken here
     catalog = torus_catalog()
     for torus in catalog:
         for level in FIELD_LEVELS:
             component_group_dual(torus, level)
-    lattices = [fresh(torus, level) for torus in catalog for level in FIELD_LEVELS]
-    assert len(calls) == len(lattices) == 50
-    assert all("coinvariants" in vars(lat) for lat in lattices)  # so one Smith form each
+    by_pair = {
+        (torus, level): cocharacter_lattice(torus, level) for torus in catalog for level in FIELD_LEVELS
+    }
+    # equal (torus, level) actions share one lattice, so its one Smith form
+    shared = {}
+    for lat in by_pair.values():
+        key = (lat.rank, lat.generator_matrices, lat.generator_orders)
+        assert shared.setdefault(key, lat) is lat
+    assert len(by_pair) == 50 and len(shared) == len(calls) == 29
+    assert len({id(lat) for lat in by_pair.values()}) == 29
+    assert all("coinvariants" in vars(lat) for lat in shared.values())  # so one Smith form each
     for torus in catalog:
         for top in ("E", "E1", "E2"):
             prasad_torus_identity(torus, (top, "F"))
-    assert len(calls) == 50
-    assert fresh.cache_info().currsize == 50
+    assert len(calls) == 29
+    assert galois_lattices._lattice.cache_info().currsize == 29
 
 
 def test_identity_rejects_wrong_base() -> None:

@@ -26,12 +26,18 @@ from quadchar.root_orbits import (
     unitary_root_system,
 )
 
-# elements of the rank-1 systems below, whose roots are (1,) and (-1,):
-# (root permutation, character value)
-I1: tuple = ((0, 1), 1)
-A1 = ((1, 0), 1)  # negates the root, trivial character
-B1 = ((0, 1), -1)  # fixes the root, nontrivial character
-AB1 = ((1, 0), -1)
+
+def element(perm, sign):
+    """The group element ``(root permutation, character value)`` whose
+    permutation sends root ``i`` to root ``perm[i]``, from a sequence of indices."""
+    return bytes(perm), sign
+
+
+# elements of the rank-1 systems below, whose roots are (1,) and (-1,)
+I1 = element((0, 1), 1)
+A1 = element((1, 0), 1)  # negates the root, trivial character
+B1 = element((0, 1), -1)  # fixes the root, nontrivial character
+AB1 = element((1, 0), -1)
 
 
 def rank_one_klein():
@@ -76,10 +82,10 @@ def matrix_closure(system):
     return group
 
 
-def as_pair(system, element):
-    """A matrix element as ``(root permutation, character value)``, root by root."""
-    mat, sign = element
-    return tuple(system.roots.index(apply(mat, r)) for r in system.roots), sign
+def as_pair(system, g):
+    """A matrix element ``g`` as ``(root permutation, character value)``, root by root."""
+    mat, sign = g
+    return element([system.roots.index(apply(mat, r)) for r in system.roots], sign)
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +96,7 @@ def as_pair(system, element):
 def test_type_a_cyclic_orbit_counts():
     for n, expected_orbits, expected_sym in [(2, 1, 1), (3, 2, 0), (4, 3, 1), (5, 4, 0), (7, 6, 0)]:
         report = gln_orbit_parity(n)
-        assert report.count_orbits == expected_orbits
-        assert report.count_symmetric == expected_sym
-        assert report.parity_ok
+        assert report == {"orbits": expected_orbits, "symmetric": expected_sym, "parity_ok": True}
 
 
 def test_type_a_cyclic_even_case_degrees():
@@ -127,8 +131,7 @@ def test_group_closure_tracks_character_separately():
     # the cyclic action of odd order is not faithful on signs: the identity
     # permutation appears with both character values and they stay distinct
     elements = gln_root_system(3).group_elements()
-    signs = {s for perm, s in elements if perm == tuple(range(6))}
-    assert signs == {1, -1}
+    assert {element(range(6), 1), element(range(6), -1)} <= set(elements)
     assert len(elements) == 6
 
 
@@ -142,7 +145,7 @@ def test_action_not_faithful_on_the_roots():
     )
     group = matrix_closure(system)
     assert (((0, -1), (-1, 0)), 1) in group and len(group) == 4
-    assert system.group_elements() == (((0, 1), 1), ((1, 0), -1))
+    assert system.group_elements() == (element((0, 1), 1), element((1, 0), -1))
     (rec,) = classify_orbits(system)
     base, kernel = rec.base_root, {g for g in group if g[1] == 1}
     images = {g: apply(g[0], base) for g in group}
@@ -222,6 +225,17 @@ def test_repeated_roots_rejected_at_construction():
     # a repeat would make the generator's root map (1, 2, 1), no permutation
     with pytest.raises(ValueError, match="roots must be distinct"):
         TwistedRootSystem(2, ((1, -1), (-1, 1), (1, -1)), ((((0, 1), (1, 0)), -1),))
+
+
+def test_at_most_256_roots() -> None:
+    # a root index is one byte of a permutation: (-128,) ... (128,) are 257 roots
+    with pytest.raises(ValueError, match="at most 256 roots are supported, got 257"):
+        TwistedRootSystem(1, tuple((k,) for k in range(-128, 129)), ((((-1,),), -1),))
+    # without (0,) there are 256, each orbit {k, -k} symmetric with a trivial step
+    system = TwistedRootSystem(1, tuple((k,) for k in range(-128, 129) if k), ((((-1,),), -1),))
+    records = classify_orbits(system)
+    assert len(records) == 128 and records[0].roots == ((-128,), (128,))
+    assert all(r.sym_over_base and not r.sym_over_e and r.degree == 1 for r in records)
 
 
 def test_roots_closed_under_negation_required():
@@ -448,7 +462,7 @@ def test_tower_symmetric_split_over_both(e_quad, top4, expected_sym):
     assert rec.sym_over_base and rec.sym_over_e and rec.degree == 1
     # trivial inertia leaves Q/I = Q dihedral, not cyclic; the rule for
     # e and f needs only that I is normal
-    inertia = rec.stab_signed if top4 == (2, 2) else {((0, 1, 2, 3), 1)}
+    inertia = rec.stab_signed if top4 == (2, 2) else {element(range(4), 1)}
     assert fixed_fields(inertia, 8, rec.stab_signed, rec.stab) == [e_quad, top4]
     triple = orbit_class(rec, inertia)
     assert triple == (Deg.SPLIT, expected_sym, expected_sym)
@@ -496,7 +510,7 @@ def test_orbit_class_rejects_inertia_that_is_no_normal_subgroup():
     (rec,) = classify_orbits(a2)
     assert rec.base_root == (-1, -1) and len(rec.stab_signed) == 2 and s1 not in rec.stab_signed
     with pytest.raises(ValueError, match="normal"):
-        orbit_class(rec, {(tuple(range(6)), 1), s1})
+        orbit_class(rec, {element(range(6), 1), s1})
 
 
 @pytest.mark.parametrize(
@@ -627,7 +641,7 @@ def test_op_twist_realizes_twisted_stabilizer():
     rec_op = next(r for r in twisted_records if rec.base_root in r.roots)
     roots = system.roots
     negation = [roots.index(tuple(-x for x in r)) for r in roots]
-    image = {(p if s == 1 else tuple(negation[i] for i in p), s) for p, s in rec.stab_twisted}
+    image = {element(p if s == 1 else [negation[i] for i in p], s) for p, s in rec.stab_twisted}
     b = roots.index(rec.base_root)
     direct = {g for g in twisted_system.group_elements() if g[0][b] == b}
     assert image == direct
@@ -876,18 +890,26 @@ def test_group_elements_are_the_image_of_the_matrix_closure(system):
     assert system.group_elements() == tuple(sorted(images))
 
 
+def tuple_perms(elements):
+    """Elements with each permutation as the oracle writes it, ``tuple(perm)``."""
+    return [(tuple(perm), sign) for perm, sign in elements]
+
+
 @pytest.mark.parametrize("build", PERMUTATION_SYSTEMS.values(), ids=PERMUTATION_SYSTEMS)
 def test_composed_root_permutations_match_per_element_products(build):
     system = build[0](*build[1:])
     images = product_images(system)
     # the closure is the sorted image of the matrix group
-    assert system.group_elements() == tuple(sorted(set(images.values())))
+    assert tuple_perms(system.group_elements()) == sorted(set(images.values()))
     records = classify_orbits(system)
     expected = orbit_records_from_images(system, images)
     assert len(records) == len(expected)
     for got, want in zip(records, expected):
         for field in OrbitRecord._fields:
-            assert getattr(got, field) == getattr(want, field), field
+            value = getattr(got, field)
+            if field.startswith("stab"):
+                value = frozenset(tuple_perms(value))
+            assert value == getattr(want, field), field
 
 
 @pytest.mark.parametrize("build", PERMUTATION_SYSTEMS.values(), ids=PERMUTATION_SYSTEMS)

@@ -109,6 +109,17 @@ def test_diff_reports_missing_rows():
     assert diffs[0].table == 5 and diffs[0].row == 10 and diffs[0].got is None
 
 
+@pytest.mark.parametrize("missing", ["expected", "got"])
+def test_diff_reports_a_missing_table(missing):
+    # tables pair by number, not by position: table 3 missing on one side
+    full = render_tables()
+    partial = full[:2] + full[3:]
+    expected, got = (partial, full) if missing == "expected" else (full, partial)
+    diffs = diff_tables(expected, got)
+    assert [(d.table, d.row) for d in diffs] == [(3, 1), (3, 2), (3, 3)]
+    assert all(getattr(d, missing) is None for d in diffs)
+
+
 def test_class_count_matches_tables():
     assert len(CLASS_TRIPLES) == 10
 

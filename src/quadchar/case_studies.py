@@ -415,7 +415,7 @@ def verify_gln_odd(n: int, p: int) -> ScenarioReport:
     where the two routes disagree by that parity, without enumeration.
     """
     _check_rank(n)
-    make_base(p)  # NonOddPrimeError unless p is an odd prime below the cap
+    make_base(p)  # NonOddPrimeError unless p is an odd prime
 
     report = ScenarioReport()
     report.add(

@@ -18,19 +18,20 @@ Tori are expressions built from ``Gm``, norm-one tori ``U1`` of quadratic
 steps, quadratic Weil restrictions ``Res`` and finite products; their
 cocharacter lattices with the Galois action at any level of the tower are
 produced by ``cocharacter_lattice``, one lattice per distinct action.  Every
-action matrix is a signed permutation, the only generator a lattice takes.
-Each distinct one is read and its order checked once per process, commutation
-once per lattice, on its permutation of the signed lines ``+-e_j`` as bytes
-(``compose_permutations``); the group permutes the lines ``Z e_j``.  By
-Shapiro's lemma an orbit with line stabiliser ``H`` spans ``Ind_H^G(chi)``,
-``chi`` the sign of ``H`` on ``e_j`` (cite only: Serre, *Local Fields*, ch.
-VII-VIII; Reiner, Proc. AMS 8, 1957).  So ``tate_cohomology`` needs one orbit
-walk and no Smith form: ``H^-1`` is ``Z/2`` per orbit with ``chi != 1`` and
-``H^0`` is ``Z/|H|`` per orbit with ``chi == 1``, where
-``|H| = |G| / |orbit|`` and ``|G|`` is the product of the *declared* orders
-(so actions that factor through a quotient weight correctly).  The Tate groups are
-shared, one per invariant-factor chain of a 2-group such as the diamond's:
-few chains occur, and each group is built once.
+action matrix is a signed permutation, the only generator a lattice or a
+root system (``root_orbits``) takes.  ``signed_permutation`` reads each
+distinct one once per process, for both, also as a permutation of the signed
+lines ``+-e_j`` in bytes, on which each order is checked once per process and
+commutation per lattice (``compose_permutations``); the group permutes the
+lines ``Z e_j``.  By Shapiro's lemma an orbit with line stabiliser ``H`` spans
+``Ind_H^G(chi)``, ``chi`` the sign of ``H`` on ``e_j`` (cite only: Serre,
+*Local Fields*, ch. VII-VIII; Reiner, Proc. AMS 8, 1957).  So
+``tate_cohomology`` needs one orbit walk and no Smith form: ``H^-1`` is
+``Z/2`` per orbit with ``chi != 1`` and ``H^0`` is ``Z/|H|`` per orbit with
+``chi == 1``, where ``|H| = |G| / |orbit|`` and ``|G|`` is the product of the
+*declared* orders (so actions that factor through a quotient weight
+correctly).  The Tate groups are shared, one per invariant-factor chain of a
+2-group such as the diamond's: few chains occur, and each group is built once.
 
 The same walk gives representatives: in ``H^-1 = ker(N) / sum (g - 1) M``
 a signed orbit's class is that of its first line, and a vector of ``ker(N)``
@@ -64,7 +65,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cache, cached_property
-from operator import add, mul, neg, sub
+from operator import add, mul, neg
 from typing import Iterable, Sequence, Union
 
 from ._value import Value
@@ -201,37 +202,6 @@ class FiniteAbelianGroup(Value):
 # ---------------------------------------------------------------------------
 
 
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    """``a @ b``, each row the sum of ``a[i][k] * b[k]`` over the nonzero ``a[i][k]``.
-
-    Only ``root_orbits``' ``generator_elements`` calls it.  A ``+-1`` entry
-    adds or subtracts a row of ``b`` (the first one copies or negates it),
-    so a signed permutation costs one row copy per row.
-    """
-    zero = (0,) * (len(b[0]) if b else 0)
-    product = []
-    for row in a:
-        acc = None
-        for x, b_row in zip(row, b):
-            if not x:
-                continue
-            if acc is None:
-                if x == 1:
-                    acc = tuple(b_row)
-                elif x == -1:
-                    acc = tuple(map(neg, b_row))
-                else:
-                    acc = tuple(x * y for y in b_row)
-            elif x == 1:
-                acc = tuple(map(add, acc, b_row))
-            elif x == -1:
-                acc = tuple(map(sub, acc, b_row))
-            else:
-                acc = tuple(u + x * y for u, y in zip(acc, b_row))
-        product.append(zero if acc is None else acc)
-    return tuple(product)
-
-
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(map(mul, row, v)) for row in a)
 
@@ -259,18 +229,25 @@ def _add_identity(g: Matrix, c: int) -> Matrix:
 
 
 @cache
-def _generator_move(g: Matrix, order: int) -> tuple[SignedPerm, bytes] | None:
-    """``g`` by row and on the signed lines, ``2 j`` for ``+e_j`` and ``2 j + 1`` for ``-e_j``
-    (else raise), or ``None`` unless ``g**order == I``."""
-    units, one = _signed_units(len(g))
-    move = tuple(map(units.get, g))
-    if None in move:
+def signed_permutation(g: Matrix) -> tuple[SignedPerm, bytes]:
+    """``g`` by row, ``(j, x)`` for ``x e_j``, and on the signed lines, ``2 j`` for ``+e_j``
+    and ``2 j + 1`` for ``-e_j``: the one generator reader of lattices and root systems.
+    Each layer checks a generator's size when built; this raises unless every row
+    is ``+-e_j`` and no ``j`` repeats, which a singular matrix fails."""
+    move = tuple(map(_signed_units(len(g))[0].get, g))
+    if None in move or len(dict(move)) != len(move):
         raise ValueError("generator matrices must be signed permutations")
-    perm = bytes((2 * j + (x < 0)) ^ s for j, x in move for s in (0, 1))
-    power = perm  # g**order == I also forces g to permute the lines
+    return move, bytes((2 * j + (x < 0)) ^ s for j, x in move for s in (0, 1))
+
+
+@cache
+def _order_checked(g: Matrix, order: int) -> tuple[SignedPerm, bytes] | None:
+    """``signed_permutation(g)``, or ``None`` unless ``g ** order`` is the identity."""
+    read = _, perm = signed_permutation(g)
+    power = perm
     for _ in range(order - 1):
         power = compose_permutations(power, perm)
-    return (move, perm) if power == one else None
+    return read if power == _signed_units(len(g))[1] else None
 
 
 def smith_normal_form(a: Sequence[Sequence[int]]) -> "Quotient":
@@ -419,7 +396,7 @@ class GaloisLattice(Value):
             if order < 1:
                 raise ValueError("generator orders must be positive")
         # every generator is read before any order is judged
-        moves = [_generator_move(g, order) for g, order in gens]
+        moves = [_order_checked(g, order) for g, order in gens]
         if None in moves:
             raise ValueError("generator does not satisfy its declared order")
         for (_, g), (_, h) in itertools.combinations(moves, 2):

@@ -1,21 +1,22 @@
 """Twisted root systems: orbit symmetry classification and orbit classes.
 
 A ``TwistedRootSystem`` is a finite set of roots in ``Z^rank`` together
-with a finite group ``Q`` of integer matrices acting on it and a quadratic
-character of ``Q`` (the ``e_sign`` of each generator) whose kernel ``Q_E``
-has index 2.  Only the action on the roots (distinct, at most 256, indexed
-and negated once when the system is built) is read: an element is
-``(perm, sign)``, byte ``i`` of ``perm`` the index of the image of root
-``i`` and ``sign`` its character value, so ``Q_E`` is the elements of sign
-1.  Each generator's matrix moves the roots, taken as columns, in one
-product, which checks that it preserves them and gives its permutation;
-the closure composes pairs by ``compose_permutations``, so ``Q`` is its
-image in ``Sym(roots) x {+-1}``.  The kernel of ``Q`` onto that image
-fixes every root with value 1, so it lies in ``Q_E`` and in every
-stabilizer below: no orbit, symmetry, degree or ``(e, f)`` changes, and an
-action that is not faithful on the roots keeps its character.  The group
-is closed once per system object, when its ``orbits`` are first read; the
-orbit walk runs on root indices.
+with a finite group ``Q`` of signed permutation matrices acting on it and a
+quadratic character of ``Q`` (the ``e_sign`` of each generator) whose
+kernel ``Q_E`` has index 2.  Only the action on the roots (distinct,
+nonzero, at most 256, indexed and negated once when the system is built) is
+read: an element is ``(perm, sign)``, byte ``i`` of ``perm`` the index of
+the image of root ``i`` and ``sign`` its character value, so ``Q_E`` is the
+elements of sign 1.  Each generator is read by the lattices' reader
+``signed_permutation``, whose rows pick and sign the roots' coordinates;
+that checks that it preserves them and gives its permutation.  The closure
+composes pairs by ``compose_permutations``, so ``Q`` is its image in
+``Sym(roots) x {+-1}``.  The kernel of ``Q`` onto that image fixes every
+root with value 1, so it lies in ``Q_E`` and in every stabilizer below: no
+orbit, symmetry, degree or ``(e, f)`` changes, and an action that is not
+faithful on the roots keeps its character.  The group is closed once per
+system object, when its ``orbits`` are first read; the orbit walk runs on
+root indices.
 
 For each orbit the classification records:
 
@@ -50,7 +51,7 @@ from operator import neg, sub
 from typing import Iterable
 
 from ._value import Value
-from .galois_lattices import compose_permutations, identity_matrix, mat_mul
+from .galois_lattices import compose_permutations, identity_matrix, signed_permutation
 
 __all__ = [
     "Sym",
@@ -102,11 +103,11 @@ def compose(a: Element, b: Element) -> Element:
 
 
 class TwistedRootSystem(Value):
-    """Roots, an integer-matrix action, and an index-2 character."""
+    """Roots, a signed-permutation action, and an index-2 character."""
 
     rank: int
     roots: tuple[Vector, ...]
-    generators: tuple[tuple[Matrix, int], ...]  # (integer matrix, character value)
+    generators: tuple[tuple[Matrix, int], ...]  # (signed permutation matrix, character value)
 
     def __post_init__(self) -> None:
         roots, index = self.roots, {r: i for i, r in enumerate(self.roots)}
@@ -118,8 +119,12 @@ class TwistedRootSystem(Value):
             raise ValueError(f"at most {_MAX_ROOTS} roots are supported, got {len(roots)}")
         if any(len(r) != self.rank for r in roots):
             raise ValueError("root length must equal the rank")
-        # negate the roots taken as columns, one _neg per coordinate
-        negation = [index.get(r, -1) for r in zip(*map(_neg, zip(*roots)))]
+        if (0,) * self.rank in index:
+            raise ValueError("the zero vector is no root")
+        # the roots taken as columns, and negated with one _neg per coordinate
+        columns = tuple(zip(*roots))
+        signed = {1: columns, -1: tuple(map(_neg, columns))}
+        negation = [index.get(r, -1) for r in zip(*signed[-1])]
         if -1 in negation:
             missing = _neg(roots[negation.index(-1)])
             raise ValueError(f"roots must be closed under negation; missing {missing}")
@@ -130,14 +135,16 @@ class TwistedRootSystem(Value):
                 raise ValueError("generator matrices must be rank x rank")
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_negation", bytes(negation))
+        object.__setattr__(self, "_signed_columns", signed)
 
     @cached_property
     def generator_elements(self) -> tuple[Element, ...]:
-        """Each generator as ``(root permutation, character value)``, from one product."""
-        columns = tuple(zip(*self.roots))
-        elements = []
+        """Each generator as ``(root permutation, character value)``; a row ``x e_j`` of
+        its matrix makes the images' coordinate ``i`` the roots' coordinate ``j``, times ``x``."""
+        signed, elements = self._signed_columns, []
         for mat, sign in self.generators:
-            perm = [self._index.get(image, -1) for image in zip(*mat_mul(mat, columns))]
+            images = zip(*(signed[x][j] for j, x in signed_permutation(mat)[0]))
+            perm = [self._index.get(image, -1) for image in images]
             if -1 in perm:
                 raise ValueError(f"action does not close on the root set: "
                                  f"{mat} moves {self.roots[perm.index(-1)]} outside")

@@ -32,9 +32,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:  # no
 @pytest.fixture(autouse=True)
 def fresh_shared_caches() -> None:
     """Start each test without the shared root systems, their roots and
-    cached orbits, the inertia groups already checked, the lattice
-    generators already read, the cocharacter lattices, the lattices shared
-    per distinct action and the shared Tate groups.
+    cached orbits, the inertia groups already checked, the generator
+    matrices already read (by root systems and lattices alike) and the
+    generator orders already checked, the cocharacter lattices, the
+    lattices shared per distinct action and the shared Tate groups.
 
     A helper that a test patches (a classification step,
     ``compose_permutations``, ``line_orbits`` or
@@ -47,7 +48,8 @@ def fresh_shared_caches() -> None:
     root_orbits.unitary_root_system.cache_clear()
     root_orbits._general_linear_roots.cache_clear()
     root_orbits._check_inertia.cache_clear()
-    galois_lattices._generator_move.cache_clear()
+    galois_lattices.signed_permutation.cache_clear()
+    galois_lattices._order_checked.cache_clear()
     galois_lattices.cocharacter_lattice.cache_clear()
     galois_lattices._lattice.cache_clear()
     galois_lattices._group.cache_clear()

@@ -27,7 +27,7 @@ from cocycle_oracle import (
 )
 from conftest import commuting_involution_pairs, signed_permutation_involutions
 from conftest import identity_matrix as oracle_identity
-from conftest import mat_mul as oracle_mul
+from conftest import mat_mul
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -49,7 +49,6 @@ from quadchar.galois_lattices import (
     field_contains,
     field_degree,
     galois_group,
-    mat_mul,
     mat_vec,
     norm_quotient,
     prasad_torus_identity,
@@ -235,14 +234,6 @@ def test_quotient_rejects_vectors_of_another_length() -> None:
         group.is_zero_class((1, 1, 1))
 
 
-def test_mat_mul_shapes() -> None:
-    assert mat_mul(((1, 2), (3, 4)), ((5,), (6,))) == ((17,), (39,))
-    assert mat_mul(((1, 2),), ((1, 0, 2), (0, 1, 3))) == ((1, 2, 8),)
-    assert mat_mul(((1,), (2,)), ()) == ((), ())  # empty b: one empty row per row of a
-    assert mat_mul(((1, 2),), ((), ())) == ((),)  # zero columns
-    assert mat_mul((), ((1,),)) == ()
-
-
 DENSE_ENTRIES = st.integers(-9, 9)
 SPARSE_ENTRIES = st.sampled_from((0, 0, 0, 0, 0, 1, -1, 1, -1, 3, -2))  # mostly zero, mostly +-1
 
@@ -259,32 +250,26 @@ def _signed_permutation(n: int):
 
 
 def _operand(rows: int, cols: int):
-    """Dense, mostly zero, or (when square) a signed permutation: the product
-    skips zero entries and copies or negates a row for a +-1 entry."""
+    """Dense, mostly zero, or (when square) a signed permutation."""
     kinds = [_int_matrix(rows, cols), _int_matrix(rows, cols, SPARSE_ENTRIES)]
     if rows == cols:
         kinds.append(_signed_permutation(rows))
     return st.one_of(kinds)
 
 
-# (a, b, v) with a of shape n x k, b of shape k x m and v of length k
-product_operands = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)).flatmap(
-    lambda s: st.tuples(_operand(s[0], s[1]), _operand(s[1], s[2]), _int_matrix(1, s[1]))
+# (a, v) with a of shape n x k and v of length k
+product_operands = st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda s: st.tuples(_operand(s[0], s[1]), _int_matrix(1, s[1]))
 )
 
 
 @given(product_operands)
-@example((((), ()), (), ((),)))  # two rows, no columns
-@example(((), ((1, 2),), ((3,),)))  # no rows
+@example((((), ()), ((),)))  # two rows, no columns
+@example(((), ((3,),)))  # no rows
 @settings(max_examples=150, deadline=None)
 def test_products_match_index_loops(operands) -> None:
-    a, b, (v,) = operands
-    # a matrix with no rows has no recorded width, so k = 0 leaves b with no columns
-    m = len(b[0]) if b else 0
-    k = len(b)
-    assert mat_mul(a, b) == tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)) for i in range(len(a))
-    )
+    a, (v,) = operands
+    k = len(v)
     assert mat_vec(a, v) == tuple(sum(a[i][t] * v[t] for t in range(k)) for i in range(len(a)))
 
 
@@ -403,8 +388,8 @@ def formal_norm(rank: int, gens, orders):
     for g, order in zip(gens, orders):
         powers = [oracle_identity(rank)]
         for _ in range(order - 1):
-            powers.append(oracle_mul(powers[-1], g))
-        elements = [oracle_mul(e, power) for e in elements for power in powers]
+            powers.append(mat_mul(powers[-1], g))
+        elements = [mat_mul(e, power) for e in elements for power in powers]
     return tuple(tuple(map(sum, zip(*rows))) for rows in zip(*elements))
 
 
@@ -424,20 +409,23 @@ def test_both_tate_degrees_read_one_orbit_walk(monkeypatch: pytest.MonkeyPatch) 
 
 @pytest.mark.parametrize("order", [1, 2, 4])
 def test_lattice_accepts_exactly_the_signed_permutations_of_its_order(order: int) -> None:
-    # rows of units that repeat a column fail the order check, which forces a permutation
+    # rows of units that repeat a column (so singular) fail the read, as other rows do;
+    # only a signed permutation reaches the order check
     eye = ((1, 0), (0, 1))
     accepted = 0
     for a, b, c, d in itertools.product(range(-2, 3), repeat=4):
         g = ((a, b), (c, d))
         power = eye
         for _ in range(order):
-            power = oracle_mul(power, g)
+            power = mat_mul(power, g)
         units = all(sorted(map(abs, row)) == [0, 1] for row in g)
-        if units and abs(a * d - b * c) == 1 and power == eye:
+        signed = units and abs(a * d - b * c) == 1
+        if signed and power == eye:
             lattice(2, [g], [order])
             accepted += 1
         else:
-            with pytest.raises(ValueError, match="declared order" if units else "signed permutation"):
+            message = "declared order" if signed else "signed permutation"
+            with pytest.raises(ValueError, match=message):
                 lattice(2, [g], [order])
     assert accepted == {1: 1, 2: 6, 4: 8}[order]  # I; then the involutions; then all 8
 
@@ -456,25 +444,30 @@ def test_every_generator_is_read_before_any_order_is_judged() -> None:
 
 
 def test_a_rejected_generator_raises_again_on_every_call() -> None:
-    read = galois_lattices._generator_move
+    read = galois_lattices.signed_permutation
     for _ in range(3):
         with pytest.raises(ValueError, match="signed permutation"):
             lattice(2, [((1, 1), (0, -1))], [2])
         with pytest.raises(ValueError, match="declared order"):
             lattice(2, [ROTATION], [2])
-    assert read.cache_info().currsize == 1  # only the signed permutation, with its verdict
-    assert read(ROTATION, 2) is None
+    assert read.cache_info().currsize == 1  # only the signed permutation
     # by row, and on the signed lines: +-e_0 to -+e_1 (points 3, 2), +-e_1 to +-e_0 (0, 1)
-    assert read(ROTATION, 4) == (((1, -1), (0, 1)), bytes((3, 2, 0, 1)))
+    assert read(ROTATION) == (((1, -1), (0, 1)), bytes((3, 2, 0, 1)))
+    lattice(2, [ROTATION], [4])  # the same read, judged at another order
+    assert read.cache_info().currsize == 1
+    checked = galois_lattices._order_checked  # one verdict per (matrix, order)
+    assert checked.cache_info().currsize == 2
+    assert checked(ROTATION, 2) is None and checked(ROTATION, 4) is read(ROTATION)
 
 
 def test_each_distinct_generator_is_read_once() -> None:
-    read = galois_lattices._generator_move
+    read, checked = galois_lattices.signed_permutation, galois_lattices._order_checked
     pairs = commuting_involution_pairs(4)
     for pair in pairs:
         lattice(4, pair, [2, 2])
-    info = read.cache_info()
+    info = checked.cache_info()
     assert (len(pairs), info.misses, info.hits) == (982, 76, 2 * 982 - 76)
+    assert read.cache_info()[:2] == (0, 76)  # (hits, misses): each order is checked once
     # the matrices are the keys, so they must be tuples of rows
     with pytest.raises(TypeError, match="unhashable"):
         lattice(4, [list(map(list, g)) for g in pairs[0]], [2, 2])
@@ -587,12 +580,10 @@ def test_tate_reads_build_each_invariant_factor_chain_once(monkeypatch: pytest.M
     assert len(builds) == len(shared) < len(reads)
 
 
-def test_signed_permutation_lattices_take_no_matrix_product(monkeypatch: pytest.MonkeyPatch) -> None:
-    # validation composes the generators as permutations, and the orbit walk reads those
-    def refuse(a, b):
-        raise AssertionError("mat_mul on a signed-permutation lattice")
-
-    monkeypatch.setattr(galois_lattices, "mat_mul", refuse)
+def test_signed_permutation_lattices_take_no_matrix_product() -> None:
+    # validation composes the generators' bytes and the orbit walk reads their rows:
+    # each distinct matrix meets the one reader once, and no matrix product exists
+    assert not hasattr(galois_lattices, "mat_mul")
     lattices = []
     for n in (1, 2, 3, 4):
         lattices += [lattice(n, [m], [2]) for m in signed_permutation_involutions(n)]
@@ -605,6 +596,9 @@ def test_signed_permutation_lattices_take_no_matrix_product(monkeypatch: pytest.
     assert len(lattices) == 162 + 76 + 982 + 50
     for lat in lattices:
         tate_cohomology(lat, -1), tate_cohomology(lat, 0)
+    matrices = {g for lat in lattices for g in lat.generator_matrices}
+    info = galois_lattices.signed_permutation.cache_info()
+    assert info.misses == info.currsize == len(matrices)
 
 
 def test_lattice_rejects_a_generator_that_is_no_signed_permutation() -> None:
@@ -696,7 +690,7 @@ def test_a_sign_met_only_through_a_later_generator_signs_the_orbit(rank, gens, o
 def _order(g) -> int:
     eye, power, order = oracle_identity(len(g)), g, 1
     while power != eye:
-        power, order = oracle_mul(power, g), order + 1
+        power, order = mat_mul(power, g), order + 1
     return order
 
 
@@ -735,7 +729,7 @@ def test_closed_form_matches_smith_forms_on_random_orders_3_4_6() -> None:
             # on each cycle of g, a signed power of g: it commutes with g
             powers = [oracle_identity(n)]
             for _ in range(11):
-                powers.append(oracle_mul(powers[-1], g))
+                powers.append(mat_mul(powers[-1], g))
             rows = {}
             for cycle in cycles:
                 sign, power = rng.choice((1, -1)), rng.choice(powers)
@@ -762,7 +756,7 @@ def signed_permutation_presentations(draw) -> tuple[int, list, list[int]]:
         if gens and draw(st.booleans()):
             g = oracle_identity(n)
             for h in draw(st.lists(st.sampled_from(gens), min_size=1, max_size=3)):
-                g = oracle_mul(g, h)
+                g = mat_mul(g, h)
         else:
             perm = draw(st.permutations(range(n)))
             signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
@@ -787,9 +781,9 @@ def test_lattice_accepts_exactly_the_presentations_the_oracle_accepts(presentati
     for g, order in zip(gens, orders):
         power = eye
         for _ in range(order):
-            power = oracle_mul(power, g)
+            power = mat_mul(power, g)
         meets_orders &= power == eye
-    commute = all(oracle_mul(g, h) == oracle_mul(h, g) for g, h in itertools.combinations(gens, 2))
+    commute = all(mat_mul(g, h) == mat_mul(h, g) for g, h in itertools.combinations(gens, 2))
     if meets_orders and commute:
         assert_closed_form_matches_smith_forms(lattice(n, gens, orders))
     else:
@@ -851,8 +845,8 @@ def test_reiner_formula_matches_smith_forms_on_conjugated_involutions() -> None:
             step = [list(row) for row in oracle_identity(n)]
             back = [list(row) for row in oracle_identity(n)]
             step[i][j], back[i][j] = t, -t
-            u, u_inv = oracle_mul(u, step), oracle_mul(back, u_inv)
-        conjugate = oracle_mul(oracle_mul(u, sigma), u_inv)
+            u, u_inv = mat_mul(u, step), mat_mul(back, u_inv)
+        conjugate = mat_mul(mat_mul(u, sigma), u_inv)
         if all(sum(map(abs, row)) == 1 for row in conjugate):
             continue  # still a signed permutation: the sweep above covers it
         with pytest.raises(ValueError, match="signed permutation"):
@@ -932,7 +926,7 @@ def test_action_matrices_multiply_as_the_xor_group() -> None:
         group = galois_group(t.base)
         assert action_matrix(t, 0) == oracle_identity(t.rank)
         for g, h in itertools.product(group, repeat=2):
-            product = oracle_mul(action_matrix(t, g), action_matrix(t, h))
+            product = mat_mul(action_matrix(t, g), action_matrix(t, h))
             assert action_matrix(t, g ^ h) == product, (t, g, h)
         for g in set(range(4)) - set(group):
             with pytest.raises(ValueError, match="does not fix the base field"):

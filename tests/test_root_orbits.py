@@ -10,8 +10,9 @@ from conftest import identity_matrix, mat_mul
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadchar import root_orbits
+from quadchar import galois_lattices, root_orbits
 from quadchar.char_engine import CLASS_TRIPLES, class_key
+from quadchar.galois_lattices import GaloisLattice
 from quadchar.root_orbits import (
     Deg,
     OrbitRecord,
@@ -197,28 +198,55 @@ def test_action_checked_on_every_generator():
         classify_orbits(bad)
 
 
-def test_action_closure_checked_for_a_general_integer_generator():
-    # a unimodular generator that is no signed permutation moves e_1 to (2, 1)
+def test_a_unimodular_generator_that_is_no_signed_permutation_is_refused():
+    # ((2, 1), (1, 1)) would move e_1 to (2, 1); the reader refuses it before any root moves
     bad = TwistedRootSystem(
         rank=2,
         roots=((1, 0), (-1, 0), (0, 1), (0, -1)),
         generators=((((0, 1), (1, 0)), -1), (((2, 1), (1, 1)), 1)),
     )
-    with pytest.raises(ValueError, match=r"does not close.*\(\(2, 1\), \(1, 1\)\) moves \(1, 0\)"):
-        classify_orbits(bad)
+    for _ in range(2):  # a failed classification is not cached
+        with pytest.raises(ValueError, match="signed permutation"):
+            classify_orbits(bad)
 
 
-def test_general_integer_action_matches_definitional_sweeps():
-    # the simple reflection s_1 of A_2 in simple-root coordinates,
-    # a_2 -> a_1 + a_2, closes on the roots without being a signed permutation
+def test_a_reflection_in_simple_root_coordinates_is_refused():
+    # the simple reflection s_1 of A_2, a_2 -> a_1 + a_2, closes on the roots
+    # but is no signed permutation; a2_weyl gives A_2 in Z^3 instead
     a2 = TwistedRootSystem(
         rank=2,
         roots=((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)),
         generators=((((-1, 1), (0, 1)), -1),),
     )
-    records = classify_orbits(a2)
-    assert records == definitional_orbit_records(a2)
-    assert [r.roots for r in records] == [((-1, -1), (0, -1)), ((-1, 0), (1, 0)), ((0, 1), (1, 1))]
+    with pytest.raises(ValueError, match="signed permutation"):
+        classify_orbits(a2)
+
+
+SQUARE_ROOTS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+SINGULAR = ((1, 1), (0, 0))  # e_1 and e_2 both to e_1, e_1 - e_2 to 0
+
+
+@pytest.mark.parametrize(
+    "generators",
+    [
+        # with -I: two "orbits" that share the root (-1, 0)
+        ((SINGULAR, 1), (((-1, 0), (0, -1)), -1)),
+        # with the swap: a 6-element "group" acting on orbits of 2 roots
+        ((SINGULAR, -1), (((0, 1), (1, 0)), -1)),
+    ],
+    ids=["minus-identity", "swap"],
+)
+def test_a_singular_generator_is_refused(generators):
+    system = TwistedRootSystem(2, SQUARE_ROOTS, generators)
+    with pytest.raises(ValueError, match="signed permutation"):
+        classify_orbits(system)
+
+
+def test_the_zero_vector_is_refused_as_a_root():
+    # (0,) would be an orbit of its own, symmetric over both fields with degree 2,
+    # that orbit_class then refuses with a misleading "inconsistent inertia"
+    with pytest.raises(ValueError, match="zero vector"):
+        TwistedRootSystem(1, ((0,), (1,), (-1,)), ((((-1,),), -1),))
 
 
 def test_repeated_roots_rejected_at_construction():
@@ -502,13 +530,13 @@ def test_orbit_class_rejects_inertia_that_is_no_normal_subgroup():
     with pytest.raises(ValueError, match="closed under products"):
         klein_class({I1, A1, B1})
     # A_2 with its Weyl group S_3 and the sign character: the signed
-    # stabilizer of the base root -a_1 - a_2 has index 3 and meets the
-    # inertia <s_1>, which is not normal, trivially, so the residue degree
+    # stabilizer of the base root e_2 - e_0 has index 3 and meets the
+    # inertia <(0 1)>, which is not normal, trivially, so the residue degree
     # of its fixed field would be 3/2
     a2 = a2_weyl()
     s1 = as_pair(a2, a2.generators[0])
     (rec,) = classify_orbits(a2)
-    assert rec.base_root == (-1, -1) and len(rec.stab_signed) == 2 and s1 not in rec.stab_signed
+    assert rec.base_root == (-1, 0, 1) and len(rec.stab_signed) == 2 and s1 not in rec.stab_signed
     with pytest.raises(ValueError, match="normal"):
         orbit_class(rec, {element(range(6), 1), s1})
 
@@ -817,11 +845,17 @@ def dihedral_square():
 
 
 def a2_weyl():
-    """A_2 in simple-root coordinates with its Weyl group S_3 and the sign character."""
+    """A_2 in ``Z^3``, roots ``e_i - e_j``, with its Weyl group S_3 and the sign character.
+
+    The two generators are the transpositions ``(0 1)`` and ``(1 2)`` as permutation matrices.
+    """
     return TwistedRootSystem(
-        rank=2,
-        roots=((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)),
-        generators=((((-1, 1), (0, 1)), -1), (((1, 0), (1, -1)), -1)),
+        rank=3,
+        roots=((1, -1, 0), (-1, 1, 0), (0, 1, -1), (0, -1, 1), (1, 0, -1), (-1, 0, 1)),
+        generators=(
+            (((0, 1, 0), (1, 0, 0), (0, 0, 1)), -1),
+            (((1, 0, 0), (0, 0, 1), (0, 1, 0)), -1),
+        ),
     )
 
 
@@ -914,24 +948,38 @@ def test_composed_root_permutations_match_per_element_products(build):
 
 @pytest.mark.parametrize("build", PERMUTATION_SYSTEMS.values(), ids=PERMUTATION_SYSTEMS)
 def test_each_generator_matrix_meets_the_roots_once(monkeypatch, build):
-    # one product per generator, against the roots taken as columns; the
-    # closure, the orbits and the orbit classes multiply no matrix
+    # one read per generator, through the reader the lattices use; the
+    # closure, the orbits and the orbit classes read no matrix
     system = build[0](*build[1:])
     calls = []
-    real = root_orbits.mat_mul
-    monkeypatch.setattr(root_orbits, "mat_mul", lambda a, b: calls.append(b) or real(a, b))
+    real = root_orbits.signed_permutation
+    monkeypatch.setattr(root_orbits, "signed_permutation", lambda g: calls.append(g) or real(g))
     records = system.orbits
-    assert calls == [tuple(zip(*system.roots))] * len(system.generators)
+    assert calls == [mat for mat, _ in system.generators]
 
-    def no_product(a, b):
-        raise AssertionError("a matrix product after the generators were read")
+    def no_read(g):
+        raise AssertionError("a generator read after the generators were read")
 
-    monkeypatch.setattr(root_orbits, "mat_mul", no_product)
+    monkeypatch.setattr(root_orbits, "signed_permutation", no_read)
     kernel = character_kernel(system)
     assert classify_orbits(system) == list(records)
     assert len(system.group_elements()) == 2 * len(kernel)
     for rec in records:
         assert orbit_class(rec, kernel) in CLASS_TRIPLES
+
+
+def test_root_systems_and_lattices_share_one_reader():
+    # the shift of gln 5 and the shift-and-negate of un 5, read by the systems,
+    # are read again by no lattice that takes them as generators
+    read = galois_lattices.signed_permutation
+    systems = (gln_root_system(5), unitary_root_system(5))
+    for system in systems:
+        system.orbits
+    assert read.cache_info().misses == 2
+    for system, order in zip(systems, (5, 10)):
+        ((mat, _),) = system.generators
+        GaloisLattice(5, (mat,), (order,))
+    assert read.cache_info()[:2] == (2, 2)  # (hits, misses)
 
 
 FAMILIES = (

@@ -21,9 +21,12 @@ produced by ``cocharacter_lattice``, one lattice per distinct action.  Every
 action matrix is a signed permutation, the only generator a lattice or a
 root system (``root_orbits``) takes.  ``signed_permutation`` reads each
 distinct one once per process, for both, also as a permutation of the signed
-lines ``+-e_j`` in bytes, on which each order is checked once per process and
-commutation per lattice (``compose_permutations``); the group permutes the
-lines ``Z e_j``.  By Shapiro's lemma an orbit with line stabiliser ``H`` spans
+lines ``+-e_j`` in bytes.  Every check of one matrix (square, a signed
+permutation, of the declared order: the lcm of its signed-line cycle lengths
+divides it) runs once per process and declared order; a lattice checks only
+each matrix's size against its rank, each order's sign and, on the bytes,
+commutation (``compose_permutations``).  The group permutes the lines
+``Z e_j``.  By Shapiro's lemma an orbit with line stabiliser ``H`` spans
 ``Ind_H^G(chi)``, ``chi`` the sign of ``H`` on ``e_j`` (cite only: Serre,
 *Local Fields*, ch. VII-VIII; Reiner, Proc. AMS 8, 1957).  So
 ``tate_cohomology`` needs one orbit walk and no Smith form: ``H^-1`` is
@@ -64,6 +67,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import cache, cached_property
 from operator import add, mul, neg
 from typing import Iterable, Sequence, Union
@@ -217,10 +221,9 @@ def compose_permutations(a: bytes, b: bytes) -> bytes:
 
 
 @cache
-def _signed_units(n: int) -> tuple[dict[tuple[int, ...], tuple[int, int]], bytes]:
-    """``{x e_j: (j, x)}`` over the rows of signed permutations, and the identity on ``2 n``."""
-    units = {(0,) * j + (x,) + (0,) * (n - 1 - j): (j, x) for j in range(n) for x in (1, -1)}
-    return units, bytes(range(2 * n))
+def _signed_units(n: int) -> dict[tuple[int, ...], tuple[int, int]]:
+    """``{x e_j: (j, x)}`` over the rows of signed permutations."""
+    return {(0,) * j + (x,) + (0,) * (n - 1 - j): (j, x) for j in range(n) for x in (1, -1)}
 
 
 def _add_identity(g: Matrix, c: int) -> Matrix:
@@ -228,26 +231,50 @@ def _add_identity(g: Matrix, c: int) -> Matrix:
     return tuple((*row[:i], row[i] + c, *row[i + 1 :]) for i, row in enumerate(g))
 
 
+_NOT_SQUARE = "generator matrices must be square of the declared rank"
+_NOT_SIGNED = "generator matrices must be signed permutations"
+_WRONG_ORDER = "generator does not satisfy its declared order"
+
+
 @cache
 def signed_permutation(g: Matrix) -> tuple[SignedPerm, bytes]:
     """``g`` by row, ``(j, x)`` for ``x e_j``, and on the signed lines, ``2 j`` for ``+e_j``
     and ``2 j + 1`` for ``-e_j``: the one generator reader of lattices and root systems.
-    Each layer checks a generator's size when built; this raises unless every row
-    is ``+-e_j`` and no ``j`` repeats, which a singular matrix fails."""
-    move = tuple(map(_signed_units(len(g))[0].get, g))
+    Raises unless every row is ``+-e_j`` and no ``j`` repeats, which a singular matrix
+    fails; a root system checks its generators' size before it reads them."""
+    move = tuple(map(_signed_units(len(g)).get, g))
     if None in move or len(dict(move)) != len(move):
-        raise ValueError("generator matrices must be signed permutations")
+        raise ValueError(_NOT_SIGNED)
     return move, bytes((2 * j + (x < 0)) ^ s for j, x in move for s in (0, 1))
 
 
+def _permutation_order(perm: bytes) -> int:
+    """The order of a permutation, the lcm of its cycle lengths: one walk over its points."""
+    order, seen = 1, bytearray(len(perm))
+    for start in range(len(perm)):
+        length, i = 0, start
+        while not seen[i]:
+            seen[i], i, length = 1, perm[i], length + 1
+        if length:
+            order = math.lcm(order, length)
+    return order
+
+
 @cache
-def _order_checked(g: Matrix, order: int) -> tuple[SignedPerm, bytes] | None:
-    """``signed_permutation(g)``, or ``None`` unless ``g ** order`` is the identity."""
-    read = _, perm = signed_permutation(g)
-    power = perm
-    for _ in range(order - 1):
-        power = compose_permutations(power, perm)
-    return read if power == _signed_units(len(g))[1] else None
+def _generator_checked(g: Matrix, order: int) -> tuple[SignedPerm, bytes] | str:
+    """``signed_permutation(g)``, or the message of the first per-matrix check ``g`` fails:
+    its rows are as long as it is, it is a signed permutation, and ``g ** order`` is the
+    identity, that is, ``order`` is a multiple of the order of ``g`` on the signed lines.
+    An order below 1 is left to the lattice to refuse; one that is no integer raises."""
+    if [*map(len, g)] != [len(g)] * len(g):
+        return _NOT_SQUARE
+    try:
+        read = signed_permutation(g)
+    except ValueError:
+        return _NOT_SIGNED
+    if order < 1 or operator.index(order) % _permutation_order(read[1]) == 0:
+        return read
+    return _WRONG_ORDER
 
 
 def smith_normal_form(a: Sequence[Sequence[int]]) -> "Quotient":
@@ -376,8 +403,11 @@ class GaloisLattice(Value):
     has declared order ``generator_orders[i]``; generators must commute and
     satisfy their orders.  The action need not be faithful — the norm is
     the sum over the formal group elements.  Generators are signed
-    permutations as tuples of rows; each distinct one is read and its order
-    checked once per process, commutation per lattice.  ``line_orbits`` walks them.
+    permutations as tuples of rows.  The checks of one matrix under one
+    declared order (square, a signed permutation, its order dividing the
+    declared one) run once per process, cached; a lattice checks only each
+    generator's size against ``rank``, that each order is positive, and that
+    the generators commute.  ``line_orbits`` walks them.
     """
 
     rank: int
@@ -389,20 +419,22 @@ class GaloisLattice(Value):
             raise ValueError("rank must be between 0 and 128, so that a byte indexes a signed line")
         if len(self.generator_matrices) != len(self.generator_orders):
             raise ValueError("need one order per generator matrix")
-        gens = list(zip(self.generator_matrices, self.generator_orders))
-        for g, order in gens:
-            if [*map(len, g)] != [self.rank] * self.rank:
-                raise ValueError("generator matrices must be square of the declared rank")
+        reads = []
+        for g, order in zip(self.generator_matrices, self.generator_orders):
+            read = _generator_checked(g, order) if len(g) == self.rank else _NOT_SQUARE
+            if read is _NOT_SQUARE:
+                raise ValueError(_NOT_SQUARE)
             if order < 1:
                 raise ValueError("generator orders must be positive")
+            reads.append(read)
         # every generator is read before any order is judged
-        moves = [_order_checked(g, order) for g, order in gens]
-        if None in moves:
-            raise ValueError("generator does not satisfy its declared order")
-        for (_, g), (_, h) in itertools.combinations(moves, 2):
+        for fault in (_NOT_SIGNED, _WRONG_ORDER):
+            if fault in reads:
+                raise ValueError(fault)
+        for (_, g), (_, h) in itertools.combinations(reads, 2):
             if compose_permutations(g, h) != compose_permutations(h, g):
                 raise ValueError("generators must commute (abelian presentation)")
-        object.__setattr__(self, "_moves", [move for move, _ in moves])
+        object.__setattr__(self, "_moves", [move for move, _ in reads])
 
     @cached_property
     def line_orbits(self) -> tuple[tuple[int, bool, tuple[int, ...]], ...]:

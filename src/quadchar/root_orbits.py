@@ -4,7 +4,8 @@ A ``TwistedRootSystem`` is a finite set of roots in ``Z^rank`` together
 with a finite group ``Q`` of signed permutation matrices acting on it and a
 quadratic character of ``Q`` (the ``e_sign`` of each generator) whose
 kernel ``Q_E`` has index 2.  Only the action on the roots (distinct,
-nonzero, at most 256, indexed and negated once when the system is built) is
+nonzero, at most 256, checked, indexed and negated once per distinct root
+tuple, which every system over it shares) is
 read: an element is ``(perm, sign)``, byte ``i`` of ``perm`` the index of
 the image of root ``i`` and ``sign`` its character value, so ``Q_E`` is the
 elements of sign 1.  Each generator is read by the lattices' reader
@@ -16,7 +17,7 @@ root with value 1, so it lies in ``Q_E`` and in every stabilizer below: no
 orbit, symmetry, degree or ``(e, f)`` changes, and an action that is not
 faithful on the roots keeps its character.  The group is closed once per
 system object, when its ``orbits`` are first read; the orbit walk runs on
-root indices.
+root indices, one pass over ``Q`` per orbit.
 
 For each orbit the classification records:
 
@@ -47,11 +48,11 @@ from __future__ import annotations
 from enum import Enum
 from functools import cache, cached_property, lru_cache
 from itertools import permutations
-from operator import neg, sub
+from operator import neg
 from typing import Iterable
 
 from ._value import Value
-from .galois_lattices import compose_permutations, identity_matrix, signed_permutation
+from .galois_lattices import compose_permutations, signed_permutation
 
 __all__ = [
     "Sym",
@@ -89,6 +90,7 @@ class Deg(str, Enum):
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
 Element = tuple[bytes, int]  # (root permutation, byte i the index of g.root_i; character value)
+RootSet = tuple[dict[Vector, int], bytes, dict[int, tuple[Vector, ...]], tuple[int, ...]]
 
 _MAX_GROUP = _MAX_ROOTS = 256  # closure size, and root count: a root index is one byte
 
@@ -102,6 +104,36 @@ def compose(a: Element, b: Element) -> Element:
     return compose_permutations(a[0], b[0]), a[1] * b[1]
 
 
+@cache
+def _root_set(rank: int, roots: tuple[Vector, ...]) -> RootSet:
+    """The checks and indexing that read the roots alone, once per distinct ``(rank, roots)``.
+
+    Returns the index of each root, the negation permutation, the roots as
+    columns and negated columns (``{1: ..., -1: ...}``, one ``_neg`` per
+    coordinate) and the indices in sorted root order.  Systems over one root
+    set share them; a refusal is not cached, so it raises again for every
+    system built on those roots.
+    """
+    index = dict(zip(roots, range(len(roots))))
+    if not index:
+        raise ValueError("a root system needs at least one root")
+    if len(index) != len(roots):
+        raise ValueError("roots must be distinct")
+    if len(roots) > _MAX_ROOTS:
+        raise ValueError(f"at most {_MAX_ROOTS} roots are supported, got {len(roots)}")
+    if any(len(r) != rank for r in roots):
+        raise ValueError("root length must equal the rank")
+    if (0,) * rank in index:
+        raise ValueError("the zero vector is no root")
+    columns = tuple(zip(*roots))
+    signed = {1: columns, -1: tuple(map(_neg, columns))}
+    negation = [index.get(r, -1) for r in zip(*signed[-1])]
+    if -1 in negation:
+        missing = _neg(roots[negation.index(-1)])
+        raise ValueError(f"roots must be closed under negation; missing {missing}")
+    return index, bytes(negation), signed, tuple(sorted(range(len(roots)), key=roots.__getitem__))
+
+
 class TwistedRootSystem(Value):
     """Roots, a signed-permutation action, and an index-2 character."""
 
@@ -110,41 +142,22 @@ class TwistedRootSystem(Value):
     generators: tuple[tuple[Matrix, int], ...]  # (signed permutation matrix, character value)
 
     def __post_init__(self) -> None:
-        roots, index = self.roots, {r: i for i, r in enumerate(self.roots)}
-        if not index:
-            raise ValueError("a root system needs at least one root")
-        if len(index) != len(roots):
-            raise ValueError("roots must be distinct")
-        if len(roots) > _MAX_ROOTS:
-            raise ValueError(f"at most {_MAX_ROOTS} roots are supported, got {len(roots)}")
-        if any(len(r) != self.rank for r in roots):
-            raise ValueError("root length must equal the rank")
-        if (0,) * self.rank in index:
-            raise ValueError("the zero vector is no root")
-        # the roots taken as columns, and negated with one _neg per coordinate
-        columns = tuple(zip(*roots))
-        signed = {1: columns, -1: tuple(map(_neg, columns))}
-        negation = [index.get(r, -1) for r in zip(*signed[-1])]
-        if -1 in negation:
-            missing = _neg(roots[negation.index(-1)])
-            raise ValueError(f"roots must be closed under negation; missing {missing}")
+        object.__setattr__(self, "_root_set", _root_set(self.rank, self.roots))
         for mat, sign in self.generators:
             if sign not in (1, -1):
                 raise ValueError("character values must be +1 or -1")
             if len(mat) != self.rank or any(len(row) != self.rank for row in mat):
                 raise ValueError("generator matrices must be rank x rank")
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_negation", bytes(negation))
-        object.__setattr__(self, "_signed_columns", signed)
 
     @cached_property
     def generator_elements(self) -> tuple[Element, ...]:
         """Each generator as ``(root permutation, character value)``; a row ``x e_j`` of
         its matrix makes the images' coordinate ``i`` the roots' coordinate ``j``, times ``x``."""
-        signed, elements = self._signed_columns, []
+        index, _, signed, _ = self._root_set
+        elements = []
         for mat, sign in self.generators:
             images = zip(*(signed[x][j] for j, x in signed_permutation(mat)[0]))
-            perm = [self._index.get(image, -1) for image in images]
+            perm = [index.get(image, -1) for image in images]
             if -1 in perm:
                 raise ValueError(f"action does not close on the root set: "
                                  f"{mat} moves {self.roots[perm.index(-1)]} outside")
@@ -170,36 +183,41 @@ class TwistedRootSystem(Value):
     def orbits(self) -> tuple[OrbitRecord, ...]:
         """Orbits of the root set under ``Q``, with symmetry and stabilizer data.
 
-        Walked on root indices sorted by root once, from the first not yet seen;
-        computed on first read and kept, and a failed check raises on every read.
+        Walked on root indices in sorted root order, from the first not yet seen;
+        each orbit groups the elements once by the base root's image and sign.
+        Computed on first read and kept, and a failed check raises on every read.
         ``Q_E`` is read as the elements of sign 1, which must be half of ``Q``.
         """
         elements = self.group_elements()
         if 2 * sum(sign == 1 for _, sign in elements) != len(elements):
             raise ValueError("the character must cut out an index-2 subgroup")
-        roots = self.roots
-        by_root = sorted(range(len(roots)), key=roots.__getitem__)
-        rank, seen = {i: k for k, i in enumerate(by_root)}, [False] * len(roots)
+        roots, (_, negation, _, walk) = self.roots, self._root_set
+        seen = [False] * len(roots)
         records: list[OrbitRecord] = []
-        for b in by_root:
+        for b in walk:
             if seen[b]:
                 continue
-            base, nb = roots[b], self._negation[b]
-            image = [(g, g[0][b]) for g in elements]  # the base root's images
-            orbit = {r for _, r in image}
-            e_orbit = {r for g, r in image if g[1] == 1}
-            stab = frozenset(g for g, r in image if r == b)
-            stab_signed = frozenset(g for g, r in image if r in (b, nb))
-            stab_twisted = frozenset(g for g, r in image if r == (b if g[1] == 1 else nb))
-            stab_e = frozenset(g for g in stab if g[1] == 1)
-            stab_signed_e = frozenset(g for g in stab_signed if g[1] == 1)
-            for i in orbit:
+            # the elements by the base root's image, and within it by sign: Q_E first
+            targets: dict[int, tuple[list[Element], list[Element]]] = {}
+            for g in elements:
+                entry = targets.get(t := g[0][b])
+                if entry is None:
+                    entry = targets[t] = ([], [])
+                entry[g[1] < 0].append(g)
+            nb = negation[b]
+            fix_e, fix_o = targets[b]  # the stabilizer, in Q_E and outside it
+            neg_e, neg_o = targets.get(nb, ((), ()))  # the elements negating the root
+            stab_e = frozenset(fix_e)
+            stab_signed_e = stab_e.union(neg_e)
+            e_orbit_size = sum(1 for e, _ in targets.values() if e)
+            for i in targets:
                 seen[i] = True
             records.append(
                 OrbitRecord(
-                    base, tuple(roots[i] for i in sorted(orbit, key=rank.__getitem__)), nb in orbit,
-                    nb in e_orbit, 1 if stab_e == stab else 2, len(orbit) // len(e_orbit),
-                    stab, stab_signed, stab_twisted, stab_e, stab_signed_e,
+                    roots[b], tuple(sorted(roots[i] for i in targets)),
+                    nb in targets, bool(neg_e), 2 if fix_o else 1, len(targets) // e_orbit_size,
+                    stab_e.union(fix_o), stab_signed_e.union(fix_o, neg_o), stab_e.union(neg_o),
+                    stab_e, stab_signed_e,
                 )
             )
         return tuple(records)
@@ -376,7 +394,12 @@ def _shift_matrix(n: int) -> Matrix:
 @cache
 def _general_linear_roots(n: int) -> tuple[Vector, ...]:
     """The roots ``e_i - e_j``, ``i != j``, sorted."""
-    return tuple(sorted(tuple(map(sub, a, b)) for a, b in permutations(identity_matrix(n), 2)))
+    roots = []
+    for i, j in permutations(range(n), 2):
+        root = [0] * n
+        root[i], root[j] = 1, -1
+        roots.append(tuple(root))
+    return tuple(sorted(roots))
 
 
 @cache

@@ -31,13 +31,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:  # no
 
 @pytest.fixture(autouse=True)
 def fresh_shared_caches() -> None:
-    """Start each test without the shared root systems, their roots and
-    cached orbits, the inertia groups already checked, the generator
-    matrices already read (by root systems and lattices alike) and the
-    generator orders already checked, the cocharacter lattices, the
-    lattices shared per distinct action and the shared Tate groups.
+    """Start each test without the shared root systems, their roots, the
+    root sets already checked and indexed, the systems' cached orbits, the
+    inertia groups already checked, the generator matrices already read (by
+    root systems and lattices alike) and the verdicts of the lattice checks
+    per matrix and declared order, the cocharacter lattices, the lattices
+    shared per distinct action and the shared Tate groups.
 
-    A helper that a test patches (a classification step,
+    A helper that a test patches (a classification step, ``_neg``,
     ``compose_permutations``, ``line_orbits`` or
     ``FiniteAbelianGroup.from_factors``) then reaches
     every system, lattice and group the test builds, not only those no
@@ -47,9 +48,10 @@ def fresh_shared_caches() -> None:
     root_orbits.gln_root_system.cache_clear()
     root_orbits.unitary_root_system.cache_clear()
     root_orbits._general_linear_roots.cache_clear()
+    root_orbits._root_set.cache_clear()
     root_orbits._check_inertia.cache_clear()
     galois_lattices.signed_permutation.cache_clear()
-    galois_lattices._order_checked.cache_clear()
+    galois_lattices._generator_checked.cache_clear()
     galois_lattices.cocharacter_lattice.cache_clear()
     galois_lattices._lattice.cache_clear()
     galois_lattices._group.cache_clear()

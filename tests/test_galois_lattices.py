@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,11 @@ from cocycle_oracle import (
     expected_truncated_order,
     truncated_tate_minus_one_order,
 )
-from conftest import commuting_involution_pairs, signed_permutation_involutions
+from conftest import (
+    commuting_involution_pairs,
+    signed_permutation_involutions,
+    signed_permutation_matrices,
+)
 from conftest import identity_matrix as oracle_identity
 from conftest import mat_mul
 from hypothesis import example, given, settings
@@ -430,6 +435,29 @@ def test_lattice_accepts_exactly_the_signed_permutations_of_its_order(order: int
     assert accepted == {1: 1, 2: 6, 4: 8}[order]  # I; then the involutions; then all 8
 
 
+@pytest.mark.parametrize("order,accepted", [(10**18, True), (10**18 + 1, False)])
+def test_a_declared_order_is_checked_in_time_free_of_its_size(order: int, accepted: bool) -> None:
+    # SWAP has order 2 on the signed lines, read off its cycle lengths, so a declared
+    # order is judged by one division, not by composing SWAP with itself order - 1 times
+    start = time.perf_counter()
+    if accepted:
+        GaloisLattice(2, (SWAP,), (order,))
+    else:
+        with pytest.raises(ValueError, match="declared order"):
+            GaloisLattice(2, (SWAP,), (order,))
+    assert time.perf_counter() - start < 0.01
+
+
+@pytest.mark.parametrize("rank", range(5))
+def test_the_order_read_off_cycle_lengths_is_the_least_power_to_the_identity(rank: int) -> None:
+    eye = oracle_identity(rank)
+    for g in itertools.islice(signed_permutation_matrices(rank), 0, None, 7):
+        power, least = g, 1
+        while power != eye:
+            power, least = mat_mul(power, g), least + 1
+        assert galois_lattices._permutation_order(galois_lattices.signed_permutation(g)[1]) == least
+
+
 def test_every_generator_is_read_before_any_order_is_judged() -> None:
     # ROTATION fails its declared order 2; the non-unit matrix fails the read
     bad = ((1, 1), (0, -1))
@@ -455,13 +483,15 @@ def test_a_rejected_generator_raises_again_on_every_call() -> None:
     assert read(ROTATION) == (((1, -1), (0, 1)), bytes((3, 2, 0, 1)))
     lattice(2, [ROTATION], [4])  # the same read, judged at another order
     assert read.cache_info().currsize == 1
-    checked = galois_lattices._order_checked  # one verdict per (matrix, order)
-    assert checked.cache_info().currsize == 2
-    assert checked(ROTATION, 2) is None and checked(ROTATION, 4) is read(ROTATION)
+    checked = galois_lattices._generator_checked  # one verdict per (matrix, order)
+    assert checked.cache_info().currsize == 3
+    assert checked(((1, 1), (0, -1)), 2) == "generator matrices must be signed permutations"
+    assert checked(ROTATION, 2) == "generator does not satisfy its declared order"
+    assert checked(ROTATION, 4) is read(ROTATION)
 
 
 def test_each_distinct_generator_is_read_once() -> None:
-    read, checked = galois_lattices.signed_permutation, galois_lattices._order_checked
+    read, checked = galois_lattices.signed_permutation, galois_lattices._generator_checked
     pairs = commuting_involution_pairs(4)
     for pair in pairs:
         lattice(4, pair, [2, 2])

@@ -316,6 +316,45 @@ def test_builders_share_one_system_per_rank() -> None:
     assert gln_root_system(5).roots is unitary_root_system(5).roots  # one root tuple per rank
 
 
+@pytest.mark.parametrize("first", ["gln", "un"])
+def test_both_type_a_builders_share_one_validated_root_set(monkeypatch, first) -> None:
+    # the roots of a rank are checked, indexed and negated once, whichever builder comes first
+    negated = []
+    real = root_orbits._neg
+    monkeypatch.setattr(root_orbits, "_neg", lambda v: negated.append(len(v)) or real(v))
+    builders = {"gln": gln_root_system, "un": unitary_root_system}
+    for n in (3, 5):
+        systems = [builders[first](n), *(b(n) for k, b in builders.items() if k != first)]
+        assert systems[0]._root_set is systems[1]._root_set
+        assert negated.count(n * (n - 1)) == n  # one _neg per coordinate column of the roots
+    assert root_orbits._root_set.cache_info()[:2] == (2, 2)  # (hits, misses)
+
+
+BAD_ROOT_SETS = {
+    "empty": ((), "at least one root"),
+    "repeated": (((1, -1), (-1, 1), (1, -1)), "roots must be distinct"),
+    "over-256": (tuple((k, 0) for k in range(-128, 129)), "at most 256 roots are supported, got 257"),
+    "wrong-length": (((1,), (-1,)), "root length must equal the rank"),
+    "zero-vector": (((0, 0), (1, -1), (-1, 1)), "the zero vector is no root"),
+    "not-closed": (((1, -1),), r"closed under negation; missing \(-1, 1\)"),
+}
+
+
+@pytest.mark.parametrize("first", ["gln", "un"])
+@pytest.mark.parametrize("roots,message", BAD_ROOT_SETS.values(), ids=BAD_ROOT_SETS)
+def test_a_refused_root_set_raises_for_every_builder_that_reaches_it(
+    monkeypatch, roots, message, first
+) -> None:
+    # a refusal is not cached: each builder raises it, in either order and again
+    monkeypatch.setattr(root_orbits, "_general_linear_roots", lambda n: roots)
+    builders = {"gln": gln_root_system, "un": unitary_root_system}
+    order = [builders[first], *(b for k, b in builders.items() if k != first)]
+    for build in order * 2:
+        with pytest.raises(ValueError, match=message):
+            build(2)
+    assert root_orbits._root_set.cache_info().currsize == 0
+
+
 def test_classification_returns_a_new_list_each_call() -> None:
     system = gln_root_system(3)
     first = classify_orbits(system)

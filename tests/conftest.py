@@ -34,9 +34,9 @@ def fresh_shared_caches() -> None:
     """Start each test without the shared root systems, their roots, the
     root sets already checked and indexed, the systems' cached orbits, the
     inertia groups already checked, the generator matrices already read (by
-    root systems and lattices alike) and the verdicts of the lattice checks
-    per matrix and declared order, the cocharacter lattices, the lattices
-    shared per distinct action and the shared Tate groups.
+    root systems and lattices alike, each with its order), the cocharacter
+    lattices, the lattices shared per distinct action and the shared Tate
+    groups.
 
     A helper that a test patches (a classification step, ``_neg``,
     ``compose_permutations``, ``line_orbits`` or
@@ -51,7 +51,6 @@ def fresh_shared_caches() -> None:
     root_orbits._root_set.cache_clear()
     root_orbits._check_inertia.cache_clear()
     galois_lattices.signed_permutation.cache_clear()
-    galois_lattices._generator_checked.cache_clear()
     galois_lattices.cocharacter_lattice.cache_clear()
     galois_lattices._lattice.cache_clear()
     galois_lattices._group.cache_clear()

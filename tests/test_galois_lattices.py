@@ -63,6 +63,7 @@ from quadchar.galois_lattices import (
     tate_cohomology,
     torus_catalog,
 )
+from quadchar.root_orbits import TwistedRootSystem
 
 NEG_ONE = ((-1,),)
 SWAP = ((0, 1), (1, 0))
@@ -455,16 +456,16 @@ def test_the_order_read_off_cycle_lengths_is_the_least_power_to_the_identity(ran
         power, least = g, 1
         while power != eye:
             power, least = mat_mul(power, g), least + 1
-        assert galois_lattices._permutation_order(galois_lattices.signed_permutation(g)[1]) == least
+        assert galois_lattices.signed_permutation(g)[2] == least
 
 
 def test_every_generator_is_read_before_any_order_is_judged() -> None:
     # ROTATION fails its declared order 2; the non-unit matrix fails the read
     bad = ((1, 1), (0, -1))
     lattice(2, [SWAP], [2])  # a cached read that meets its order
-    lattice(2, [ROTATION], [4])  # and one cached under another order
+    lattice(2, [ROTATION], [4])  # and one that meets another order
     for gens in ([ROTATION, bad], [bad, ROTATION], [SWAP, ROTATION, bad]):
-        for _ in range(2):  # a cached verdict keeps the precedence
+        for _ in range(2):  # a cached read keeps the precedence
             with pytest.raises(ValueError, match="signed permutation"):
                 lattice(2, gens, [2] * len(gens))
     with pytest.raises(ValueError, match="declared order"):
@@ -479,25 +480,21 @@ def test_a_rejected_generator_raises_again_on_every_call() -> None:
         with pytest.raises(ValueError, match="declared order"):
             lattice(2, [ROTATION], [2])
     assert read.cache_info().currsize == 1  # only the signed permutation
-    # by row, and on the signed lines: +-e_0 to -+e_1 (points 3, 2), +-e_1 to +-e_0 (0, 1)
-    assert read(ROTATION) == (((1, -1), (0, 1)), bytes((3, 2, 0, 1)))
+    # by row; on the signed lines, +-e_0 to -+e_1 (points 3, 2) and +-e_1 to +-e_0 (0, 1);
+    # and its order, one 4-cycle
+    assert read(ROTATION) == (((1, -1), (0, 1)), bytes((3, 2, 0, 1)), 4)
     lattice(2, [ROTATION], [4])  # the same read, judged at another order
-    assert read.cache_info().currsize == 1
-    checked = galois_lattices._generator_checked  # one verdict per (matrix, order)
-    assert checked.cache_info().currsize == 3
-    assert checked(((1, 1), (0, -1)), 2) == "generator matrices must be signed permutations"
-    assert checked(ROTATION, 2) == "generator does not satisfy its declared order"
-    assert checked(ROTATION, 4) is read(ROTATION)
+    info = read.cache_info()  # a refusal is read again each call, ROTATION once
+    assert (info.misses, info.currsize) == (3 + 1, 1)
 
 
 def test_each_distinct_generator_is_read_once() -> None:
-    read, checked = galois_lattices.signed_permutation, galois_lattices._generator_checked
+    read = galois_lattices.signed_permutation
     pairs = commuting_involution_pairs(4)
     for pair in pairs:
         lattice(4, pair, [2, 2])
-    info = checked.cache_info()
-    assert (len(pairs), info.misses, info.hits) == (982, 76, 2 * 982 - 76)
-    assert read.cache_info()[:2] == (0, 76)  # (hits, misses): each order is checked once
+    info = read.cache_info()
+    assert (len(pairs), info.misses, info.hits) == (982, 76, 1888)  # 2 * 982 reads
     # the matrices are the keys, so they must be tuples of rows
     with pytest.raises(TypeError, match="unhashable"):
         lattice(4, [list(map(list, g)) for g in pairs[0]], [2, 2])
@@ -516,6 +513,138 @@ def test_lattice_rank_fits_the_signed_lines_in_a_byte() -> None:
     assert tate_cohomology(lattice(128, [oracle_identity(128)], [1]), 0).order == 1
     with pytest.raises(ValueError, match="rank must be between 0 and 128"):
         lattice(129, [oracle_identity(129)], [1])
+
+
+def test_a_declared_order_must_be_an_integer_whatever_was_built_before() -> None:
+    # 2.0 == 2 with equal hashes, so no cache keyed on the order may judge it
+    for _ in range(2):  # in a fresh cache state, then after the integer order was accepted
+        with pytest.raises(TypeError):
+            GaloisLattice(1, (((1,),),), (2.0,))
+        assert tate_cohomology(GaloisLattice(1, (((1,),),), (2,)), 0).describe() == "Z/2"
+
+
+# ---------------------------------------------------------------------------
+# the refusal rule of the one generator reader, for lattices and root systems
+# ---------------------------------------------------------------------------
+
+SIZE, SIGNED = "square of the declared rank", "signed permutation"
+
+
+@st.composite
+def generator_candidates(draw, rank: int):
+    """A signed permutation of size ``rank``, one with an entry changed, or any small
+    matrix: square or not, rows ragged or not, entries in -2..2."""
+    kind = draw(st.sampled_from(["signed", "signed", "changed", "any"]))
+    entry = st.integers(-2, 2)
+    if kind != "any":
+        g = [list(row) for row in draw(st.sampled_from([*signed_permutation_matrices(rank)]))]
+        if kind == "changed" and rank:
+            i, j = draw(st.tuples(*[st.integers(0, rank - 1)] * 2))
+            g[i][j] = draw(entry)
+        return tuple(map(tuple, g))
+    size = draw(st.integers(0, 4))
+    ragged = st.lists(st.integers(0, 4), min_size=size, max_size=size)
+    widths = draw(st.one_of(st.just([size] * size), ragged))
+    return tuple(tuple(draw(st.lists(entry, min_size=w, max_size=w))) for w in widths)
+
+
+def oracle_refusal(rank: int, gens) -> str | None:
+    """The first of the reader's refusals of each generator in turn: rows as long as the
+    matrix, then a signed permutation, that is ``g g^T = 1`` for an integer ``g``."""
+    for g in gens:
+        if any(len(row) != len(g) for row in g):
+            return SIZE
+        if mat_mul(g, transpose(g)) != oracle_identity(len(g)):
+            return SIGNED
+    return None
+
+
+def oracle_power(g, k: int):
+    power = oracle_identity(len(g))
+    for _ in range(k):
+        power = mat_mul(power, g)
+    return power
+
+
+ORDERS = st.one_of(st.integers(-2, 12), st.just(12))  # 12: a multiple of every order up to rank 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 3).flatmap(
+        lambda rank: st.tuples(
+            st.just(rank),
+            st.lists(st.tuples(generator_candidates(rank), ORDERS), max_size=3),
+        )
+    )
+)
+@example((2, [(SWAP, 2), (ROTATION, 4)]))  # the generators do not commute
+@example((2, [(SWAP, 2), (ROTATION, 0), (((1, 1), (0, 1)), 2)]))  # an order below 1 comes first
+def test_a_lattice_refuses_the_first_failing_check_in_the_stated_order(case) -> None:
+    rank, pairs = case
+    gens, orders = [g for g, _ in pairs], [k for _, k in pairs]
+    # 1-2: each generator's size against the rank, then its declared order's sign
+    checks = (((SIZE, len(g) != rank), ("positive", k < 1)) for g, k in pairs)
+    expected = next((m for check in checks for m, bad in check if bad), None)
+    # 3: every generator is read; 4: each order is a multiple of the order of its generator
+    expected = expected or oracle_refusal(rank, gens) or next(
+        ("declared order" for g, k in pairs if oracle_power(g, k) != oracle_identity(rank)), None
+    )
+    # 5: the generators commute
+    expected = expected or next(
+        ("commute" for a, b in itertools.combinations(gens, 2) if mat_mul(a, b) != mat_mul(b, a)),
+        None,
+    )
+    if expected is None:
+        assert lattice(rank, gens, orders).generator_orders == tuple(orders)
+    else:
+        with pytest.raises(ValueError, match=expected):
+            lattice(rank, gens, orders)
+
+
+# type A from rank 2: the permutations and -1 keep the roots e_i - e_j, other signs do not
+ROOT_SETS = {
+    1: ((1,), (-1,)),
+    2: ((1, -1), (-1, 1)),
+    3: tuple(r for r in itertools.product((-1, 0, 1), repeat=3) if sorted(r) == [-1, 0, 1]),
+}
+
+
+CHARACTER_VALUES = st.sampled_from((1, -1) * 4 + (0, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda rank: st.tuples(
+            st.just(rank),
+            st.lists(st.tuples(generator_candidates(rank), CHARACTER_VALUES), max_size=3),
+        )
+    )
+)
+# the flip moves (1, -1) off the roots before the ragged third generator is read
+@example((2, [(SWAP, -1), (((1, 0), (0, -1)), 1), (((1,), (1,)), 1)]))
+def test_a_root_system_refuses_the_first_failing_check_in_the_stated_order(case) -> None:
+    rank, generators = case
+    roots = ROOT_SETS[rank]
+    # each generator's character value, then its size; then, generator by generator,
+    # the read and the closure on the roots
+    checks = ((("character", x not in (1, -1)), (SIZE, len(g) != rank)) for g, x in generators)
+    expected = next((m for check in checks for m, bad in check if bad), None)
+    for g, _ in generators if expected is None else ():
+        expected = oracle_refusal(rank, [g]) or next(
+            ("does not close" for r in roots if mat_vec(g, r) not in roots), None
+        )
+        if expected:
+            break
+    if expected is None:
+        system = TwistedRootSystem(rank, roots, tuple(generators))
+        assert [tuple(roots[i] for i in perm) for perm, _ in system.generator_elements] == [
+            tuple(mat_vec(g, r) for r in roots) for g, _ in generators
+        ]
+    else:
+        with pytest.raises(ValueError, match=expected):
+            TwistedRootSystem(rank, roots, tuple(generators))
 
 
 # ---------------------------------------------------------------------------

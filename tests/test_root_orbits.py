@@ -176,50 +176,46 @@ def test_action_not_faithful_on_the_roots():
 
 
 def test_action_must_close_on_roots():
-    bad = TwistedRootSystem(
-        rank=2,
-        roots=((1, 0), (-1, 0)),
-        generators=((((0, 1), (1, 0)), -1),),
-    )
-    for _ in range(2):  # a failed classification is not cached
+    for _ in range(2):  # a refusal is not cached
         with pytest.raises(ValueError, match="does not close"):
-            classify_orbits(bad)
+            TwistedRootSystem(
+                rank=2,
+                roots=((1, 0), (-1, 0)),
+                generators=((((0, 1), (1, 0)), -1),),
+            )
 
 
 def test_action_checked_on_every_generator():
     # the first generator preserves the roots, only the second moves one out
     flip = ((1, 0), (0, -1))
-    bad = TwistedRootSystem(
-        rank=2,
-        roots=((-1, 1), (1, -1)),
-        generators=((((0, 1), (1, 0)), -1), (flip, 1)),
-    )
     with pytest.raises(ValueError, match=r"does not close.*\(\(1, 0\), \(0, -1\)\) moves"):
-        classify_orbits(bad)
+        TwistedRootSystem(
+            rank=2,
+            roots=((-1, 1), (1, -1)),
+            generators=((((0, 1), (1, 0)), -1), (flip, 1)),
+        )
 
 
 def test_a_unimodular_generator_that_is_no_signed_permutation_is_refused():
     # ((2, 1), (1, 1)) would move e_1 to (2, 1); the reader refuses it before any root moves
-    bad = TwistedRootSystem(
-        rank=2,
-        roots=((1, 0), (-1, 0), (0, 1), (0, -1)),
-        generators=((((0, 1), (1, 0)), -1), (((2, 1), (1, 1)), 1)),
-    )
-    for _ in range(2):  # a failed classification is not cached
+    for _ in range(2):  # a refusal is not cached
         with pytest.raises(ValueError, match="signed permutation"):
-            classify_orbits(bad)
+            TwistedRootSystem(
+                rank=2,
+                roots=((1, 0), (-1, 0), (0, 1), (0, -1)),
+                generators=((((0, 1), (1, 0)), -1), (((2, 1), (1, 1)), 1)),
+            )
 
 
 def test_a_reflection_in_simple_root_coordinates_is_refused():
     # the simple reflection s_1 of A_2, a_2 -> a_1 + a_2, closes on the roots
     # but is no signed permutation; a2_weyl gives A_2 in Z^3 instead
-    a2 = TwistedRootSystem(
-        rank=2,
-        roots=((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)),
-        generators=((((-1, 1), (0, 1)), -1),),
-    )
     with pytest.raises(ValueError, match="signed permutation"):
-        classify_orbits(a2)
+        TwistedRootSystem(
+            rank=2,
+            roots=((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)),
+            generators=((((-1, 1), (0, 1)), -1),),
+        )
 
 
 SQUARE_ROOTS = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -237,9 +233,8 @@ SINGULAR = ((1, 1), (0, 0))  # e_1 and e_2 both to e_1, e_1 - e_2 to 0
     ids=["minus-identity", "swap"],
 )
 def test_a_singular_generator_is_refused(generators):
-    system = TwistedRootSystem(2, SQUARE_ROOTS, generators)
     with pytest.raises(ValueError, match="signed permutation"):
-        classify_orbits(system)
+        TwistedRootSystem(2, SQUARE_ROOTS, generators)
 
 
 def test_the_zero_vector_is_refused_as_a_root():
@@ -366,11 +361,12 @@ def test_classification_returns_a_new_list_each_call() -> None:
 
 @pytest.mark.parametrize(
     "generator",
-    [((0, 1), (1,)), ((0, 1, 0), (1, 0, 0))],
-    ids=["ragged", "2x3"],
+    [((0, 1), (1,)), ((0, 1, 0), (1, 0, 0)), ((0, 1, 0), (1, 0, 0), (0, 0, 1))],
+    ids=["ragged", "2x3", "3x3"],
 )
 def test_generators_must_be_square_of_the_rank(generator) -> None:
-    with pytest.raises(ValueError, match="rank x rank"):
+    # the lattices' size message: the reader names it for a ragged matrix
+    with pytest.raises(ValueError, match="square of the declared rank"):
         TwistedRootSystem(rank=2, roots=((1, -1), (-1, 1)), generators=((generator, -1),))
 
 
@@ -987,14 +983,14 @@ def test_composed_root_permutations_match_per_element_products(build):
 
 @pytest.mark.parametrize("build", PERMUTATION_SYSTEMS.values(), ids=PERMUTATION_SYSTEMS)
 def test_each_generator_matrix_meets_the_roots_once(monkeypatch, build):
-    # one read per generator, through the reader the lattices use; the
-    # closure, the orbits and the orbit classes read no matrix
-    system = build[0](*build[1:])
+    # one read per generator at construction, through the reader the lattices
+    # use; the closure, the orbits and the orbit classes read no matrix
     calls = []
     real = root_orbits.signed_permutation
     monkeypatch.setattr(root_orbits, "signed_permutation", lambda g: calls.append(g) or real(g))
-    records = system.orbits
+    system = build[0](*build[1:])
     assert calls == [mat for mat, _ in system.generators]
+    records = system.orbits
 
     def no_read(g):
         raise AssertionError("a generator read after the generators were read")

@@ -85,14 +85,6 @@ from .root_orbits import (
     unitary_root_system,
 )
 
-__all__ = [
-    "CheckRecord",
-    "ScenarioReport",
-    "verify_sl2",
-    "verify_gl2",
-    "verify_gln_odd",
-    "verify_un_odd",
-]
 
 class CheckRecord(Value):
     id: str

@@ -37,29 +37,6 @@ from ._value import Value
 from .padic_fields import LocalFieldDesc, SquareClass, hilbert_symbol
 from .root_orbits import Deg, Sym, twisted_class
 
-__all__ = [
-    "EF",
-    "CharContribution",
-    "ONE",
-    "SGN_UNITS_ORBIT",
-    "SGN_UNITS_STAB",
-    "SGN_NORM_ONE_ORBIT",
-    "OMEGA_STEP",
-    "RootOrbitConfig",
-    "CLASS_TRIPLES",
-    "class_key",
-    "allowed_ef",
-    "enumerate_configs",
-    "kaletha_contribution",
-    "hakim_contribution",
-    "prasad_contribution",
-    "zeta_contribution",
-    "toral_invariant",
-    "CheckStatus",
-    "Verdict",
-    "conjecture_check",
-]
-
 
 class EF(str, Enum):
     """Ramification of the quadratic base extension ``E/F``."""

@@ -57,12 +57,11 @@ from .char_engine import (
 )
 from .galois_lattices import (
     Gm,
-    Prod,
-    Res,
     U1,
     norm_quotient,
     prasad_torus_identity,
     torus_catalog,
+    torus_label,
 )
 from .padic_fields import (
     SquareClass,
@@ -181,18 +180,6 @@ def _records_unramified() -> list[CheckRecord]:
     return out
 
 
-def _torus_label(expr) -> str:
-    if isinstance(expr, Gm):
-        return f"Gm({expr.base})"
-    if isinstance(expr, U1):
-        return f"U1({expr.top}/{expr.base})"
-    if isinstance(expr, Res):
-        return f"Res({expr.through}/{expr.base})[{_torus_label(expr.inner)}]"
-    if isinstance(expr, Prod):
-        return " x ".join(_torus_label(f) for f in expr.factors)
-    raise TypeError(f"unknown torus expression {expr!r}")
-
-
 def _records_torus() -> list[CheckRecord]:
     out = []
     for i, expr in enumerate(torus_catalog()):
@@ -201,7 +188,7 @@ def _records_torus() -> list[CheckRecord]:
             CheckRecord(
                 f"torus-identity-{i:02d}",
                 {
-                    "torus": _torus_label(expr),
+                    "torus": torus_label(expr),
                     "rank": expr.rank,
                     "kernel_counts": [verdict.lhs, verdict.rhs],
                 },
@@ -216,8 +203,8 @@ def _records_torus() -> list[CheckRecord]:
     ):
         out.append(
             CheckRecord(
-                f"torus-norm-quotient-{_torus_label(expr)}",
-                {"torus": _torus_label(expr), "step": "E/F"},
+                f"torus-norm-quotient-{torus_label(expr)}",
+                {"torus": torus_label(expr), "step": "E/F"},
                 expected,
                 norm_quotient(expr, ("E", "F")).describe(),
             )

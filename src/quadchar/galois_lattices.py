@@ -74,31 +74,6 @@ from typing import Iterable, Sequence, Union
 
 from ._value import Value
 
-__all__ = [
-    "FiniteAbelianGroup",
-    "GaloisLattice",
-    "Gm",
-    "U1",
-    "Res",
-    "Prod",
-    "TorusExpr",
-    "IdentityVerdict",
-    "UnsupportedTorusError",
-    "FIELD_LEVELS",
-    "galois_group",
-    "compose_permutations",
-    "compositum",
-    "smith_normal_form",
-    "quotient",
-    "Quotient",
-    "tate_cohomology",
-    "cocharacter_lattice",
-    "component_group_dual",
-    "norm_quotient",
-    "prasad_torus_identity",
-    "torus_catalog",
-]
-
 Matrix = tuple[tuple[int, ...], ...]
 SignedPerm = tuple[tuple[int, int], ...]  # (j, x) per row i: the row is x e_j
 
@@ -226,9 +201,12 @@ def _signed_units(n: int) -> dict[tuple[int, ...], tuple[int, int]]:
     return {(0,) * j + (x,) + (0,) * (n - 1 - j): (j, x) for j in range(n) for x in (1, -1)}
 
 
-def _add_identity(g: Matrix, c: int) -> Matrix:
-    """``g + c`` for an integer ``c``, one slice per row."""
-    return tuple((*row[:i], row[i] + c, *row[i + 1 :]) for i, row in enumerate(g))
+def _add_identity(move: SignedPerm, c: int) -> Matrix:
+    """``g + c`` for an integer ``c``, ``g`` the signed permutation that ``move`` reads."""
+    n = len(move)
+    return tuple(
+        tuple(x * (k == j) + c * (k == i) for k in range(n)) for i, (j, x) in enumerate(move)
+    )
 
 
 SIZE_MESSAGE = "generator matrices must be square of the declared rank"
@@ -447,9 +425,13 @@ class GaloisLattice(Value):
 
     @cached_property
     def coinvariants(self) -> Quotient:
-        """``M / sum (g - 1) M``: one Smith form per lattice, however often it is read."""
+        """``M / sum (g - 1) M``: one Smith form per lattice, however often it is read.
+
+        Its relations, the columns of each ``g - 1``, are built from the read
+        rows, so they are ints whatever type the entries of ``g`` have.
+        """
         return quotient(
-            self.rank, (col for g in self.generator_matrices for col in zip(*_add_identity(g, -1)))
+            self.rank, (col for move in self._moves for col in zip(*_add_identity(move, -1)))
         )
 
 
@@ -538,6 +520,19 @@ class Prod(Value):
 
 
 TorusExpr = Union[Gm, U1, Res, Prod]
+
+
+def torus_label(torus: TorusExpr) -> str:
+    """The torus as the reports name it, such as ``Res(E1/F)[U1(K/E1)]``."""
+    if isinstance(torus, Gm):
+        return f"Gm({torus.base})"
+    if isinstance(torus, U1):
+        return f"U1({torus.top}/{torus.base})"
+    if isinstance(torus, Res):
+        return f"Res({torus.through}/{torus.base})[{torus_label(torus.inner)}]"
+    if isinstance(torus, Prod):
+        return " x ".join(map(torus_label, torus.factors))
+    raise UnsupportedTorusError(f"unknown torus expression {torus!r}")
 
 
 def action_matrix(torus: TorusExpr, g: int) -> Matrix:
@@ -694,7 +689,7 @@ def prasad_torus_identity(
     top, bottom = step
     low, high = cocharacter_lattice(torus, bottom), cocharacter_lattice(torus, top)
     # the transfer is 1 + s on the lattice, s generating Gal(A/B)
-    transfer = _add_identity(action_matrix(torus, s), 1)
+    transfer = _add_identity(signed_permutation(action_matrix(torus, s))[0], 1)
     return IdentityVerdict(
         _minus_one_transfer_kernel(low, high, transfer),
         sum(

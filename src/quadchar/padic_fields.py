@@ -48,30 +48,6 @@ from enum import Enum
 from ._value import Value
 from .residue_fields import _PRIME_TEST_BOUND, UsageError, _is_prime
 
-__all__ = [
-    "NonOddPrimeError",
-    "LocalFieldDesc",
-    "SquareClass",
-    "SQUARE_CLASS_ONE",
-    "SQUARE_CLASS_U",
-    "SQUARE_CLASS_PI",
-    "SQUARE_CLASS_UPI",
-    "ExtKind",
-    "QuadExtDesc",
-    "BiquadraticDiamond",
-    "make_base",
-    "square_classes",
-    "square_class_of_int",
-    "hilbert_symbol",
-    "quadratic_extension",
-    "unramified_quadratic",
-    "ramified_quadratic",
-    "omega_quadratic",
-    "biquadratic_diamond",
-    "lambda_unramified",
-    "zeta_lambda_ratio",
-]
-
 
 class NonOddPrimeError(UsageError):
     """Raised when a base field is requested at p = 2 or at a non-prime."""

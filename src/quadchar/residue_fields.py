@@ -45,16 +45,6 @@ from operator import itemgetter
 
 from ._value import Value
 
-__all__ = [
-    "UsageError",
-    "ExtElement",
-    "FiniteField",
-    "QuadraticExtension",
-    "sgn_units",
-    "sgn_ext_units",
-    "sgn_norm_one",
-]
-
 _MAX_Q = 10_000
 
 ExtElement = tuple[int, int]

@@ -53,23 +53,7 @@ from operator import neg
 from typing import Iterable
 
 from ._value import Value
-from .galois_lattices import SIZE_MESSAGE, compose_permutations, signed_permutation
-
-__all__ = [
-    "Sym",
-    "Deg",
-    "Element",
-    "TwistedRootSystem",
-    "OrbitRecord",
-    "classify_orbits",
-    "compose",
-    "orbit_class",
-    "derive_op_data",
-    "twisted_class",
-    "gln_root_system",
-    "unitary_root_system",
-    "gln_orbit_parity",
-]
+from .galois_lattices import SIZE_MESSAGE, Matrix, compose_permutations, signed_permutation
 
 
 class Sym(str, Enum):
@@ -88,7 +72,6 @@ class Deg(str, Enum):
     RAM = "2 r"
 
 
-Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
 Element = tuple[bytes, int]  # (root permutation, byte i the index of g.root_i; character value)
 RootSet = tuple[dict[Vector, int], bytes, dict[int, tuple[Vector, ...]], tuple[int, ...]]
@@ -154,7 +137,7 @@ class TwistedRootSystem(Value):
     def __post_init__(self) -> None:
         index, _, signed, _ = root_set = _root_set(self.rank, self.roots)
         for mat, sign in self.generators:
-            if sign not in (1, -1):
+            if sign not in (1, -1) or type(sign) is not int:  # an int: every group element stores it
                 raise ValueError("character values must be +1 or -1")
             if len(mat) != self.rank:
                 raise ValueError(SIZE_MESSAGE)

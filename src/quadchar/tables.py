@@ -46,17 +46,6 @@ from .char_engine import (
 )
 from .root_orbits import Deg, Sym, twisted_class
 
-__all__ = [
-    "Table",
-    "TableDiff",
-    "builtin_tables",
-    "render_tables",
-    "paired_rows",
-    "diff_tables",
-    "format_table",
-    "format_all",
-]
-
 
 class Table(Value):
     number: int

@@ -3,22 +3,19 @@
 A top-level ``def`` or ``class`` of ``src/quadchar`` counts as used when its
 name occurs in ``src/quadchar/*.py`` or ``bench/*.py`` as a name, as an
 attribute, or as an exact string constant (the bench tracer names the
-functions it wraps by string); entries of an ``__all__`` list do not count.
+functions it wraps by string).
 
 A non-dunder method or property of a package class counts as used when its
 name occurs in the same files as an attribute or as an exact string
-constant, again outside ``__all__``.  There is no allowlist.  Matching by
-name cannot tell apart two classes that define one member name: a read of
-either keeps both.  So the names defined by more than one class are pinned
-in ``SHARED_MEMBER_NAMES``; a new one fails the test until it is listed
-there, with a CHANGES.md line naming where each class's member is read.
+constant.  There is no allowlist.  Matching by name cannot tell apart two
+classes that define one member name: a read of either keeps both.  So the
+names defined by more than one class are pinned in ``SHARED_MEMBER_NAMES``;
+a new one fails the test until it is listed there, with a CHANGES.md line
+naming where each class's member is read.
 
-Tests do not count: a definition only tests read is dead code.
-
-Because ``__all__`` entries do not count as uses, the rules above cannot see
-an export whose definition was deleted.  A third rule asks that each
-module's ``__all__`` list only names the module defines at top level, each
-once.
+Tests do not count: a definition only tests read is dead code.  No module
+keeps an ``__all__`` list: nothing star-imports, so a list would only be
+read by its own upkeep.
 """
 
 from __future__ import annotations
@@ -34,14 +31,7 @@ SHARED_MEMBER_NAMES = {"describe", "is_trivial", "pow", "q", "rank"}
 
 
 def _references(tree: ast.Module) -> tuple[set[str], set[str]]:
-    """Plain names, and attributes with string constants, outside ``__all__``."""
-    exports = {
-        id(node)
-        for stmt in tree.body
-        if isinstance(stmt, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
-        for node in ast.walk(stmt.value)
-    }
+    """Plain names, and attributes with string constants."""
     names, members = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -49,8 +39,7 @@ def _references(tree: ast.Module) -> tuple[set[str], set[str]]:
         elif isinstance(node, ast.Attribute):
             members.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if id(node) not in exports:
-                members.add(node.value)
+            members.add(node.value)
     return names, members
 
 
@@ -125,40 +114,11 @@ def test_member_rule_sees_an_unread_method():
         "    @property\n"
         "    def size(self): return 0\n"
         "    def spare(self): return 2\n"
-        "__all__ = ['spare']\n"
         "size = 'size'\n"
     )
     assert _unused_members([module], [module]) == {"Box.spare"}
 
 
-def _export_faults(tree: ast.Module) -> list[str]:
-    """Entries of a module's ``__all__`` it does not define, or lists twice."""
-    defined, exports = set(), []
-    for stmt in tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            defined.add(stmt.name)
-        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            names = {t.id for t in targets if isinstance(t, ast.Name)}
-            defined |= names
-            if "__all__" in names:
-                exports = [node.value for node in stmt.value.elts]
-    return sorted(
-        {f"{name} undefined" for name in exports if name not in defined}
-        | {f"{name} listed twice" for name in exports if exports.count(name) > 1}
-    )
-
-
-def test_every_export_is_defined_once():
-    faults = {path.name: _export_faults(tree) for path, tree in zip(PACKAGE, _trees())}
-    assert {name: found for name, found in faults.items() if found} == {}
-
-
-def test_export_rule_sees_a_stale_and_a_repeated_name():
-    module = ast.parse(
-        "import math\n"
-        "def kept(): return 1\n"
-        "LIMIT: int = 3\n"
-        "__all__ = ['kept', 'LIMIT', 'gone', 'math', 'kept']\n"
-    )
-    assert _export_faults(module) == ["gone undefined", "kept listed twice", "math undefined"]
+def test_no_module_keeps_an_export_list():
+    package = zip(PACKAGE, _trees())
+    assert [path.name for path, tree in package if "__all__" in _references(tree)[0]] == []

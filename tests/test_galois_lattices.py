@@ -62,6 +62,7 @@ from quadchar.galois_lattices import (
     smith_normal_form,
     tate_cohomology,
     torus_catalog,
+    torus_label,
 )
 from quadchar.root_orbits import TwistedRootSystem
 
@@ -521,6 +522,26 @@ def test_a_declared_order_must_be_an_integer_whatever_was_built_before() -> None
         with pytest.raises(TypeError):
             GaloisLattice(1, (((1,),),), (2.0,))
         assert tate_cohomology(GaloisLattice(1, (((1,),),), (2,)), 0).describe() == "Z/2"
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [((-1.0,),), ((0.0, -1.0), (-1.0, 0.0)), ((True,),), ((False, True), (True, False))],
+    ids=["float", "float-swap", "bool", "bool-swap"],
+)
+def test_float_and_bool_entries_compute_as_their_int_twins_whatever_was_built_before(matrix) -> None:
+    # 1.0 == True == 1 with equal hashes, so the reader serves a matrix and its twin as one key
+    twin = tuple(tuple(map(int, row)) for row in matrix)
+
+    def computed(g) -> list[str]:
+        lat = lattice(len(g), [g], [2])
+        tate = [tate_cohomology(lat, degree).describe() for degree in (-1, 0)]
+        return [*tate, repr(lat.coinvariants)]
+
+    first = computed(matrix)  # in a fresh cache state, the non-int matrix read first
+    assert computed(twin) == first
+    assert computed(matrix) == first  # and after its twin was built
+    assert "." not in "".join(first) and "True" not in "".join(first)
 
 
 # ---------------------------------------------------------------------------
@@ -1226,6 +1247,23 @@ def test_identity_frozen_cardinalities() -> None:
             verdict = prasad_torus_identity(torus)
             assert verdict.lhs == EXPECTED_KERNELS[str(torus)]
             assert verdict.rhs == EXPECTED_KERNELS[str(torus)]
+
+
+def test_torus_labels_name_the_catalog_as_the_reports_do() -> None:
+    assert [*map(torus_label, torus_catalog())] == [
+        "Gm(F)",
+        "U1(E/F)",
+        "U1(E1/F)",
+        "U1(E2/F)",
+        "Res(E1/F)[U1(K/E1)]",
+        "Gm(F) x U1(E/F)",
+        "U1(E1/F) x U1(E2/F)",
+        "Gm(F) x U1(E1/F) x U1(E/F)",
+        "Res(E1/F)[U1(K/E1)] x U1(E1/F)",
+        "Res(E1/F)[U1(K/E1)] x Gm(F)",
+    ]
+    with pytest.raises(UnsupportedTorusError, match="unknown torus expression"):
+        torus_label("Gm(F)")
 
 
 def test_identity_multiplicative_over_products() -> None:

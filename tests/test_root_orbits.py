@@ -375,6 +375,13 @@ def test_character_values_validated():
         TwistedRootSystem(rank=1, roots=((1,), (-1,)), generators=((((1,),), 2),))
 
 
+@pytest.mark.parametrize("value", [1.0, True], ids=["float", "bool"])
+def test_character_values_must_be_ints(value) -> None:
+    # each group element stores its value, and 1.0 == True == 1 would pass a membership test
+    with pytest.raises(ValueError, match="character values"):
+        TwistedRootSystem(rank=1, roots=((1,), (-1,)), generators=((((1,),), value),))
+
+
 # ---------------------------------------------------------------------------
 # orbit classes from inertia, for every classification shape
 # ---------------------------------------------------------------------------

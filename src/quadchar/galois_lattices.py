@@ -22,11 +22,10 @@ action matrix is a signed permutation, the only generator a lattice or a
 root system (``root_orbits``) takes.  ``signed_permutation`` reads each
 distinct one once per process, for both: by row, as a permutation of the
 signed lines ``+-e_j`` in bytes, and its order, the lcm of the cycle lengths;
-it refuses a matrix that is none.  A lattice checks each matrix's size against
-its rank and each declared order's sign, reads every matrix, then checks that
-each read order divides the declared one and, on the bytes, that the
-generators commute (``compose_permutations``).  The group permutes the lines
-``Z e_j``.  By Shapiro's lemma an orbit with line stabiliser ``H`` spans
+it refuses a matrix that is none.  A lattice checks its invariants once, at
+construction (``GaloisLattice``), commutation on the bytes
+(``compose_permutations``).  The group permutes the lines ``Z e_j``.  By
+Shapiro's lemma an orbit with line stabiliser ``H`` spans
 ``Ind_H^G(chi)``, ``chi`` the sign of ``H`` on ``e_j`` (cite only: Serre,
 *Local Fields*, ch. VII-VIII; Reiner, Proc. AMS 8, 1957).  So
 ``tate_cohomology`` needs one orbit walk and no Smith form: ``H^-1`` is
@@ -209,21 +208,15 @@ def _add_identity(move: SignedPerm, c: int) -> Matrix:
     )
 
 
-SIZE_MESSAGE = "generator matrices must be square of the declared rank"
-
-
 @cache
 def signed_permutation(g: Matrix) -> tuple[SignedPerm, bytes, int]:
     """The one generator reader of lattices and root systems, once per distinct matrix:
     ``g`` by row, ``(j, x)`` for ``x e_j``; on the signed lines, ``2 j`` for ``+e_j`` and
     ``2 j + 1`` for ``-e_j``; and its order, the lcm of its signed-line cycle lengths.
     Raises unless every row is ``+-e_j`` and no ``j`` repeats, which a singular matrix
-    fails; a row of another length than ``g`` names the size.  The caller checks
-    ``len(g)`` against its rank before it reads."""
+    fails."""
     move = tuple(map(_signed_units(len(g)).get, g))
     if None in move or len(dict(move)) != len(move):
-        if [*map(len, g)] != [len(g)] * len(g):
-            raise ValueError(SIZE_MESSAGE)
         raise ValueError("generator matrices must be signed permutations")
     lines = bytes((2 * j + (x < 0)) ^ s for j, x in move for s in (0, 1))
     order, seen = 1, bytearray(len(lines))
@@ -359,16 +352,15 @@ class GaloisLattice(Value):
     """A free Z-module of finite rank with an action of a finite abelian group.
 
     The group is presented as a product of cyclic groups: generator ``i``
-    has declared order ``generator_orders[i]``; generators must commute and
-    satisfy their orders.  The action need not be faithful — the norm is
-    the sum over the formal group elements.  Generators are signed
-    permutations as tuples of rows.  Construction refuses a bad generator at
-    its first failing check, in this order: for each generator, its size
-    against ``rank`` and its order, an integer of at least 1; then the read
-    of each (``signed_permutation``: rows of its size, a signed permutation);
-    then each read order divides the declared one; then commutation.  The
-    read is one cached lookup per generator, and each other check but
-    commutation O(1) per generator.  ``line_orbits`` walks the reads.
+    has declared order ``generator_orders[i]``.  The action need not be
+    faithful — the norm is the sum over the formal group elements.
+    Construction checks, with one message, that the rank is 0 to 128 (so a
+    byte indexes each signed line) and that the generators are commuting
+    signed permutations of that size (tuples of rows), one per declared
+    order, an integer of at least 1 that the generator's order divides.  A
+    generator that is no signed permutation raises the reader's message
+    (``signed_permutation``, one cached lookup per generator).
+    ``line_orbits`` walks the reads.
     """
 
     rank: int
@@ -376,25 +368,24 @@ class GaloisLattice(Value):
     generator_orders: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.rank <= 128:
-            raise ValueError("rank must be between 0 and 128, so that a byte indexes a signed line")
-        if len(self.generator_matrices) != len(self.generator_orders):
-            raise ValueError("need one order per generator matrix")
-        for g, order in zip(self.generator_matrices, self.generator_orders):
-            if len(g) != self.rank:
-                raise ValueError(SIZE_MESSAGE)
-            if operator.index(order) < 1:
-                raise ValueError("generator orders must be positive")
-        # every generator is read before any order is judged
-        reads, moves = [*map(signed_permutation, self.generator_matrices)], []
-        for (move, _, read_order), order in zip(reads, self.generator_orders):
-            if order % read_order:
-                raise ValueError("generator does not satisfy its declared order")
-            moves.append(move)
+        rank, orders = self.rank, self.generator_orders
+        valid = 0 <= rank <= 128 and len(self.generator_matrices) == len(orders)
+        reads = []
+        for g, order in zip(self.generator_matrices, orders):
+            # only a generator of the checked rank is read: its lines fit in bytes
+            valid = valid and len(g) == rank and operator.index(order) >= 1
+            if valid:
+                reads.append(read := signed_permutation(g))
+                valid = order % read[2] == 0
         for (_, g, _), (_, h, _) in itertools.combinations(reads, 2):
             if compose_permutations(g, h) != compose_permutations(h, g):
-                raise ValueError("generators must commute (abelian presentation)")
-        object.__setattr__(self, "_moves", moves)
+                valid = False
+        if not valid:
+            raise ValueError(
+                "a lattice takes a rank of 0 to 128 and commuting signed permutations of that rank, "
+                "one per declared order, an int of at least 1 that the generator's order divides"
+            )
+        object.__setattr__(self, "_moves", [move for move, _, _ in reads])
 
     @cached_property
     def line_orbits(self) -> tuple[tuple[int, bool, tuple[int, ...]], ...]:

@@ -3,10 +3,9 @@
 A ``TwistedRootSystem`` is a finite set of roots in ``Z^rank`` together
 with a finite group ``Q`` of signed permutation matrices acting on it and a
 quadratic character of ``Q`` (the ``e_sign`` of each generator) whose
-kernel ``Q_E`` has index 2.  Only the action on the roots (distinct,
-nonzero, at most 256, checked, indexed and negated once per distinct root
-tuple, which every system over it shares) is
-read: an element is ``(perm, sign)``, byte ``i`` of ``perm`` the index of
+kernel ``Q_E`` has index 2.  Only the action on the roots (checked, indexed
+and negated once per distinct root tuple, which every system over it shares)
+is read: an element is ``(perm, sign)``, byte ``i`` of ``perm`` the index of
 the image of root ``i`` and ``sign`` its character value, so ``Q_E`` is the
 elements of sign 1.  Each generator is read at construction by the
 lattices' reader ``signed_permutation``, whose rows pick and sign the roots'
@@ -47,13 +46,13 @@ of the step from the twisted-stabilizer field up) purely structurally;
 from __future__ import annotations
 
 from enum import Enum
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 from itertools import permutations
 from operator import neg
 from typing import Iterable
 
 from ._value import Value
-from .galois_lattices import SIZE_MESSAGE, Matrix, compose_permutations, signed_permutation
+from .galois_lattices import Matrix, compose_permutations, signed_permutation
 
 
 class Sym(str, Enum):
@@ -90,7 +89,7 @@ def compose(a: Element, b: Element) -> Element:
 
 @cache
 def _root_set(rank: int, roots: tuple[Vector, ...]) -> RootSet:
-    """The checks and indexing that read the roots alone, once per distinct ``(rank, roots)``.
+    """The check and indexing that read the roots alone, once per distinct ``(rank, roots)``.
 
     Returns the index of each root, the negation permutation, the roots as
     columns and negated columns (``{1: ..., -1: ...}``, one ``_neg`` per
@@ -99,35 +98,34 @@ def _root_set(rank: int, roots: tuple[Vector, ...]) -> RootSet:
     system built on those roots.
     """
     index = dict(zip(roots, range(len(roots))))
-    if not index:
-        raise ValueError("a root system needs at least one root")
-    if len(index) != len(roots):
-        raise ValueError("roots must be distinct")
-    if len(roots) > _MAX_ROOTS:
-        raise ValueError(f"at most {_MAX_ROOTS} roots are supported, got {len(roots)}")
-    if any(len(r) != rank for r in roots):
-        raise ValueError("root length must equal the rank")
-    if (0,) * rank in index:
-        raise ValueError("the zero vector is no root")
+    valid = 0 < len(index) == len(roots) <= _MAX_ROOTS
+    for root in roots:
+        if len(root) != rank:
+            valid = False
+    # the zero vector is built only at the roots' own length
+    valid = valid and (0,) * rank not in index
     columns = tuple(zip(*roots))
     signed = {1: columns, -1: tuple(map(_neg, columns))}
     negation = [index.get(r, -1) for r in zip(*signed[-1])]
-    if -1 in negation:
-        missing = _neg(roots[negation.index(-1)])
-        raise ValueError(f"roots must be closed under negation; missing {missing}")
+    if not valid or -1 in negation:
+        raise ValueError(
+            f"roots must be 1 to {_MAX_ROOTS} distinct nonzero vectors of length {rank}, "
+            "closed under negation"
+        )
     return index, bytes(negation), signed, tuple(sorted(range(len(roots)), key=roots.__getitem__))
 
 
 class TwistedRootSystem(Value):
     """Roots, a signed-permutation action, and an index-2 character.
 
-    Construction refuses a bad input at its first failing check: the roots
-    (``_root_set``); for each generator, its character value and its size
-    against ``rank``; then, generator by generator, the read
-    (``signed_permutation``: rows of its size, a signed permutation) and its
-    closure on the roots.  ``generator_elements`` holds each generator as
-    ``(root permutation, character value)``.  The index-2 check needs the
-    closure, so it waits for the first read of ``orbits``.
+    Construction checks the roots (``_root_set``) and then, with one message
+    naming the generator, that each generator is a signed permutation of
+    size ``rank`` that keeps the roots, with the int 1 or -1 as its character
+    value (every group element stores it).  A matrix that is no signed
+    permutation raises the reader's message (``signed_permutation``).
+    ``generator_elements`` holds each generator as ``(root permutation,
+    character value)``.  The index-2 check needs the closure, so it waits
+    for the first read of ``orbits``.
     """
 
     rank: int
@@ -136,19 +134,18 @@ class TwistedRootSystem(Value):
 
     def __post_init__(self) -> None:
         index, _, signed, _ = root_set = _root_set(self.rank, self.roots)
-        for mat, sign in self.generators:
-            if sign not in (1, -1) or type(sign) is not int:  # an int: every group element stores it
-                raise ValueError("character values must be +1 or -1")
-            if len(mat) != self.rank:
-                raise ValueError(SIZE_MESSAGE)
-        # a row x e_j of a generator makes the images' coordinate i the roots' coordinate j, times x
         elements = []
         for mat, sign in self.generators:
-            images = zip(*(signed[x][j] for j, x in signed_permutation(mat)[0]))
-            perm = [index.get(image, -1) for image in images]
+            perm = [-1]
+            if sign in (1, -1) and type(sign) is int and len(mat) == self.rank:
+                # a row x e_j makes the images' coordinate i the roots' coordinate j, times x
+                images = zip(*(signed[x][j] for j, x in signed_permutation(mat)[0]))
+                perm = [index.get(image, -1) for image in images]
             if -1 in perm:
-                raise ValueError(f"action does not close on the root set: "
-                                 f"{mat} moves {self.roots[perm.index(-1)]} outside")
+                raise ValueError(
+                    f"a generator must be a signed permutation of rank {self.rank} that keeps "
+                    f"the roots, with character value 1 or -1; {mat} with {sign!r} is not"
+                )
             elements.append((bytes(perm), sign))
         object.__setattr__(self, "_root_set", root_set)
         object.__setattr__(self, "generator_elements", tuple(elements))
@@ -259,7 +256,6 @@ def _symmetric_step(lower: FieldType, upper: FieldType) -> Sym:
     return Sym.SYM_UNRAM if kind is Deg.UNRAM else Sym.SYM_RAM
 
 
-@lru_cache(maxsize=2)  # every orbit of a system is classified under one or two inertias
 def _check_inertia(inertia: frozenset[Element], size: int) -> None:
     identity = (bytes(range(size)), 1)
     if identity not in inertia:

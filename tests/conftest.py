@@ -33,10 +33,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:  # no
 def fresh_shared_caches() -> None:
     """Start each test without the shared root systems, their roots, the
     root sets already checked and indexed, the systems' cached orbits, the
-    inertia groups already checked, the generator matrices already read (by
-    root systems and lattices alike, each with its order), the cocharacter
-    lattices, the lattices shared per distinct action and the shared Tate
-    groups.
+    generator matrices already read (by root systems and lattices alike,
+    each with its order), the cocharacter lattices, the lattices shared per
+    distinct action and the shared Tate groups.
 
     A helper that a test patches (a classification step, ``_neg``,
     ``compose_permutations``, ``line_orbits`` or
@@ -49,7 +48,6 @@ def fresh_shared_caches() -> None:
     root_orbits.unitary_root_system.cache_clear()
     root_orbits._general_linear_roots.cache_clear()
     root_orbits._root_set.cache_clear()
-    root_orbits._check_inertia.cache_clear()
     galois_lattices.signed_permutation.cache_clear()
     galois_lattices.cocharacter_lattice.cache_clear()
     galois_lattices._lattice.cache_clear()

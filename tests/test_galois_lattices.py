@@ -70,6 +70,9 @@ NEG_ONE = ((-1,),)
 SWAP = ((0, 1), (1, 0))
 ROTATION = ((0, -1), (1, 0))  # order 4
 RES_TORUS = Res("E1", "F", U1("K", "E1"))
+# the one message of the generator reader, and the start of the lattice check's one message
+READER_FAULT = "generator matrices must be signed permutations"
+LATTICE_FAULT = "a lattice takes a rank of 0 to 128"
 
 
 def lattice(rank: int, gens, orders) -> GaloisLattice:
@@ -431,8 +434,7 @@ def test_lattice_accepts_exactly_the_signed_permutations_of_its_order(order: int
             lattice(2, [g], [order])
             accepted += 1
         else:
-            message = "declared order" if signed else "signed permutation"
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match=LATTICE_FAULT if signed else READER_FAULT):
                 lattice(2, [g], [order])
     assert accepted == {1: 1, 2: 6, 4: 8}[order]  # I; then the involutions; then all 8
 
@@ -445,7 +447,7 @@ def test_a_declared_order_is_checked_in_time_free_of_its_size(order: int, accept
     if accepted:
         GaloisLattice(2, (SWAP,), (order,))
     else:
-        with pytest.raises(ValueError, match="declared order"):
+        with pytest.raises(ValueError, match=LATTICE_FAULT):
             GaloisLattice(2, (SWAP,), (order,))
     assert time.perf_counter() - start < 0.01
 
@@ -460,25 +462,12 @@ def test_the_order_read_off_cycle_lengths_is_the_least_power_to_the_identity(ran
         assert galois_lattices.signed_permutation(g)[2] == least
 
 
-def test_every_generator_is_read_before_any_order_is_judged() -> None:
-    # ROTATION fails its declared order 2; the non-unit matrix fails the read
-    bad = ((1, 1), (0, -1))
-    lattice(2, [SWAP], [2])  # a cached read that meets its order
-    lattice(2, [ROTATION], [4])  # and one that meets another order
-    for gens in ([ROTATION, bad], [bad, ROTATION], [SWAP, ROTATION, bad]):
-        for _ in range(2):  # a cached read keeps the precedence
-            with pytest.raises(ValueError, match="signed permutation"):
-                lattice(2, gens, [2] * len(gens))
-    with pytest.raises(ValueError, match="declared order"):
-        lattice(2, [SWAP, ROTATION], [2, 2])
-
-
 def test_a_rejected_generator_raises_again_on_every_call() -> None:
     read = galois_lattices.signed_permutation
     for _ in range(3):
-        with pytest.raises(ValueError, match="signed permutation"):
+        with pytest.raises(ValueError, match=READER_FAULT):
             lattice(2, [((1, 1), (0, -1))], [2])
-        with pytest.raises(ValueError, match="declared order"):
+        with pytest.raises(ValueError, match=LATTICE_FAULT):
             lattice(2, [ROTATION], [2])
     assert read.cache_info().currsize == 1  # only the signed permutation
     # by row; on the signed lines, +-e_0 to -+e_1 (points 3, 2) and +-e_1 to +-e_0 (0, 1);
@@ -512,7 +501,7 @@ def test_compose_permutations_matches_tuple_composition(pair) -> None:
 def test_lattice_rank_fits_the_signed_lines_in_a_byte() -> None:
     # 2 * 128 signed lines are the most a byte indexes
     assert tate_cohomology(lattice(128, [oracle_identity(128)], [1]), 0).order == 1
-    with pytest.raises(ValueError, match="rank must be between 0 and 128"):
+    with pytest.raises(ValueError, match=LATTICE_FAULT):
         lattice(129, [oracle_identity(129)], [1])
 
 
@@ -545,20 +534,25 @@ def test_float_and_bool_entries_compute_as_their_int_twins_whatever_was_built_be
 
 
 # ---------------------------------------------------------------------------
-# the refusal rule of the one generator reader, for lattices and root systems
+# the generators that lattices and root systems accept
 # ---------------------------------------------------------------------------
 
-SIZE, SIGNED = "square of the declared rank", "signed permutation"
+
+def fresh_signed_permutation(draw, n: int):
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    return tuple(tuple(signs[i] * (j == perm[i]) for j in range(n)) for i in range(n))
 
 
 @st.composite
 def generator_candidates(draw, rank: int):
-    """A signed permutation of size ``rank``, one with an entry changed, or any small
-    matrix: square or not, rows ragged or not, entries in -2..2."""
-    kind = draw(st.sampled_from(["signed", "signed", "changed", "any"]))
+    """A signed permutation of size ``rank`` or of size 0-4, one of size ``rank`` with an
+    entry changed, or any small matrix: square or not, rows ragged or not, entries in -2..2."""
+    kind = draw(st.sampled_from(["signed", "resized", "changed", "any"]))
     entry = st.integers(-2, 2)
     if kind != "any":
-        g = [list(row) for row in draw(st.sampled_from([*signed_permutation_matrices(rank)]))]
+        size = draw(st.integers(0, 4)) if kind == "resized" else rank
+        g = [list(row) for row in fresh_signed_permutation(draw, size)]
         if kind == "changed" and rank:
             i, j = draw(st.tuples(*[st.integers(0, rank - 1)] * 2))
             g[i][j] = draw(entry)
@@ -569,58 +563,12 @@ def generator_candidates(draw, rank: int):
     return tuple(tuple(draw(st.lists(entry, min_size=w, max_size=w))) for w in widths)
 
 
-def oracle_refusal(rank: int, gens) -> str | None:
-    """The first of the reader's refusals of each generator in turn: rows as long as the
-    matrix, then a signed permutation, that is ``g g^T = 1`` for an integer ``g``."""
-    for g in gens:
-        if any(len(row) != len(g) for row in g):
-            return SIZE
-        if mat_mul(g, transpose(g)) != oracle_identity(len(g)):
-            return SIGNED
-    return None
-
-
-def oracle_power(g, k: int):
-    power = oracle_identity(len(g))
-    for _ in range(k):
-        power = mat_mul(power, g)
-    return power
-
-
-ORDERS = st.one_of(st.integers(-2, 12), st.just(12))  # 12: a multiple of every order up to rank 3
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.integers(0, 3).flatmap(
-        lambda rank: st.tuples(
-            st.just(rank),
-            st.lists(st.tuples(generator_candidates(rank), ORDERS), max_size=3),
-        )
+def oracle_signed_permutation(rank: int, g) -> bool:
+    """Whether ``g`` is a signed permutation of size ``rank``: rows as long as the
+    matrix, and ``g g^T = 1`` for an integer ``g``."""
+    return len(g) == rank and all(len(row) == rank for row in g) and (
+        mat_mul(g, transpose(g)) == oracle_identity(rank)
     )
-)
-@example((2, [(SWAP, 2), (ROTATION, 4)]))  # the generators do not commute
-@example((2, [(SWAP, 2), (ROTATION, 0), (((1, 1), (0, 1)), 2)]))  # an order below 1 comes first
-def test_a_lattice_refuses_the_first_failing_check_in_the_stated_order(case) -> None:
-    rank, pairs = case
-    gens, orders = [g for g, _ in pairs], [k for _, k in pairs]
-    # 1-2: each generator's size against the rank, then its declared order's sign
-    checks = (((SIZE, len(g) != rank), ("positive", k < 1)) for g, k in pairs)
-    expected = next((m for check in checks for m, bad in check if bad), None)
-    # 3: every generator is read; 4: each order is a multiple of the order of its generator
-    expected = expected or oracle_refusal(rank, gens) or next(
-        ("declared order" for g, k in pairs if oracle_power(g, k) != oracle_identity(rank)), None
-    )
-    # 5: the generators commute
-    expected = expected or next(
-        ("commute" for a, b in itertools.combinations(gens, 2) if mat_mul(a, b) != mat_mul(b, a)),
-        None,
-    )
-    if expected is None:
-        assert lattice(rank, gens, orders).generator_orders == tuple(orders)
-    else:
-        with pytest.raises(ValueError, match=expected):
-            lattice(rank, gens, orders)
 
 
 # type A from rank 2: the permutations and -1 keep the roots e_i - e_j, other signs do not
@@ -643,29 +591,26 @@ CHARACTER_VALUES = st.sampled_from((1, -1) * 4 + (0, 2))
         )
     )
 )
-# the flip moves (1, -1) off the roots before the ragged third generator is read
+# a flip that moves (1, -1) off the roots, and a ragged generator
 @example((2, [(SWAP, -1), (((1, 0), (0, -1)), 1), (((1,), (1,)), 1)]))
-def test_a_root_system_refuses_the_first_failing_check_in_the_stated_order(case) -> None:
+def test_a_root_system_accepts_exactly_the_generators_the_oracle_accepts(case) -> None:
     rank, generators = case
     roots = ROOT_SETS[rank]
-    # each generator's character value, then its size; then, generator by generator,
-    # the read and the closure on the roots
-    checks = ((("character", x not in (1, -1)), (SIZE, len(g) != rank)) for g, x in generators)
-    expected = next((m for check in checks for m, bad in check if bad), None)
-    for g, _ in generators if expected is None else ():
-        expected = oracle_refusal(rank, [g]) or next(
-            ("does not close" for r in roots if mat_vec(g, r) not in roots), None
-        )
-        if expected:
-            break
-    if expected is None:
+    # each generator: a character value of +-1, a signed permutation of the rank, closure
+    fault = False
+    for g, x in generators:
+        if x not in (1, -1) or not oracle_signed_permutation(rank, g):
+            fault = True
+        elif any(mat_vec(g, r) not in roots for r in roots):
+            fault = True
+    if fault:
+        with pytest.raises(ValueError):
+            TwistedRootSystem(rank, roots, tuple(generators))
+    else:
         system = TwistedRootSystem(rank, roots, tuple(generators))
         assert [tuple(roots[i] for i in perm) for perm, _ in system.generator_elements] == [
             tuple(mat_vec(g, r) for r in roots) for g, _ in generators
         ]
-    else:
-        with pytest.raises(ValueError, match=expected):
-            TwistedRootSystem(rank, roots, tuple(generators))
 
 
 # ---------------------------------------------------------------------------
@@ -923,52 +868,65 @@ def test_closed_form_matches_smith_forms_on_random_orders_3_4_6() -> None:
 
 
 @st.composite
-def signed_permutation_presentations(draw) -> tuple[int, list, list[int]]:
-    """Rank 1-5, 1-3 signed-permutation generators, declared orders 1-8.
+def lattice_presentations(draw) -> tuple[int, list, list[int]]:
+    """Rank 0-5, 0-3 generators, declared orders -1..8.
 
-    A generator is a fresh signed permutation, or a product of earlier ones
-    (which may commute with them); an order is any of 1-8, or a multiple of
-    the true order, so that both verdicts of the checks are drawn.
+    A generator is a fresh signed permutation, a product of earlier ones
+    (which may commute with them) or a ``generator_candidates`` matrix,
+    which may be no signed permutation or of another size; an order is any
+    of -1..8, or a multiple of a signed permutation's true order, so that
+    both verdicts of every invariant are drawn.
     """
-    n = draw(st.integers(1, 5))
-    gens: list = []
-    for _ in range(draw(st.integers(1, 3))):
-        if gens and draw(st.booleans()):
+    n = draw(st.integers(0, 5))
+    gens, signed = [], []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["fresh", "candidate", *["product"] * bool(signed)]))
+        if kind == "product":
             g = oracle_identity(n)
-            for h in draw(st.lists(st.sampled_from(gens), min_size=1, max_size=3)):
+            for h in draw(st.lists(st.sampled_from(signed), min_size=1, max_size=3)):
                 g = mat_mul(g, h)
+        elif kind == "fresh":
+            g = fresh_signed_permutation(draw, n)
         else:
-            perm = draw(st.permutations(range(n)))
-            signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
-            g = tuple(tuple(signs[i] * (j == perm[i]) for j in range(n)) for i in range(n))
+            g = draw(generator_candidates(n))
+        if oracle_signed_permutation(n, g):
+            signed.append(g)
         gens.append(g)
     orders = []
     for g in gens:
-        multiples = [k for k in range(1, 9) if k % _order(g) == 0]
-        anything = st.integers(1, 8)
+        anything = st.integers(-1, 8)
+        multiples = [k for k in range(1, 9) if g in signed and k % _order(g) == 0]
         orders.append(draw(st.one_of(anything, st.sampled_from(multiples)) if multiples else anything))
     return n, gens, orders
 
 
-@given(signed_permutation_presentations())
-@settings(max_examples=150, deadline=None)
+@given(lattice_presentations())
+@settings(max_examples=300, deadline=None)
 @example((2, [SWAP, ((1, 0), (0, -1))], [2, 2]))  # the orders hold, the pair does not commute
+@example((2, [SWAP, ROTATION], [2, 4]))
 @example((1, [NEG_ONE], [3]))
+@example((2, [SWAP, ROTATION, ((1, 1), (0, 1))], [2, 0, 2]))  # an order below 1, a shear
 def test_lattice_accepts_exactly_the_presentations_the_oracle_accepts(presentation) -> None:
     n, gens, orders = presentation
     eye = oracle_identity(n)
-    meets_orders = True
+    # each generator: a signed permutation of the rank, and an order of at least 1 that it meets
+    fault = False
     for g, order in zip(gens, orders):
+        if order < 1 or not oracle_signed_permutation(n, g):
+            fault = True
+            continue
         power = eye
         for _ in range(order):
             power = mat_mul(power, g)
-        meets_orders &= power == eye
-    commute = all(mat_mul(g, h) == mat_mul(h, g) for g, h in itertools.combinations(gens, 2))
-    if meets_orders and commute:
-        assert_closed_form_matches_smith_forms(lattice(n, gens, orders))
-    else:
-        with pytest.raises(ValueError, match="declared order" if not meets_orders else "commute"):
+        fault |= power != eye
+    # the generators commute
+    if not fault:
+        fault = any(mat_mul(g, h) != mat_mul(h, g) for g, h in itertools.combinations(gens, 2))
+    if fault:
+        with pytest.raises(ValueError):
             lattice(n, gens, orders)
+    else:
+        assert_closed_form_matches_smith_forms(lattice(n, gens, orders))
 
 
 def _rank(rows, mod2: bool = False) -> int:
@@ -1124,6 +1082,19 @@ def test_cocharacter_level_validation() -> None:
         Res("E1", "F", U1("K", "E2"))  # inner torus over the wrong field
     with pytest.raises(UnsupportedTorusError):
         Prod((Gm("F"), Gm("E")))  # mixed bases
+
+
+def test_every_catalog_lattice_passes_the_check_and_a_non_commuting_action_is_refused(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    for torus in torus_catalog():
+        for level in FIELD_LEVELS:
+            assert cocharacter_lattice(torus, level).rank == torus.rank
+    # at F the lattice takes the actions of 1 and 2: two involutions that do not commute
+    pair = {1: SWAP, 2: ((1, 0), (0, -1))}
+    monkeypatch.setattr(galois_lattices, "action_matrix", lambda torus, g: pair[g])
+    with pytest.raises(ValueError, match=LATTICE_FAULT):
+        cocharacter_lattice.__wrapped__(Prod((U1("E1", "F"), U1("E2", "F"))), "F")
 
 
 def test_cocharacter_lattice_is_built_once(monkeypatch: pytest.MonkeyPatch) -> None:

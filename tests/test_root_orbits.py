@@ -28,6 +28,11 @@ from quadchar.root_orbits import (
 )
 
 
+# the one message of the root-set check, and the start of the generator check's one message
+ROOT_SET_FAULT = "roots must be 1 to 256 distinct nonzero vectors"
+GENERATOR_FAULT = "a generator must be a signed permutation of rank"
+
+
 def element(perm, sign):
     """The group element ``(root permutation, character value)`` whose
     permutation sends root ``i`` to root ``perm[i]``, from a sequence of indices."""
@@ -177,7 +182,7 @@ def test_action_not_faithful_on_the_roots():
 
 def test_action_must_close_on_roots():
     for _ in range(2):  # a refusal is not cached
-        with pytest.raises(ValueError, match="does not close"):
+        with pytest.raises(ValueError, match=GENERATOR_FAULT):
             TwistedRootSystem(
                 rank=2,
                 roots=((1, 0), (-1, 0)),
@@ -188,7 +193,7 @@ def test_action_must_close_on_roots():
 def test_action_checked_on_every_generator():
     # the first generator preserves the roots, only the second moves one out
     flip = ((1, 0), (0, -1))
-    with pytest.raises(ValueError, match=r"does not close.*\(\(1, 0\), \(0, -1\)\) moves"):
+    with pytest.raises(ValueError, match=GENERATOR_FAULT + r".*\(\(1, 0\), \(0, -1\)\) with 1 is not"):
         TwistedRootSystem(
             rank=2,
             roots=((-1, 1), (1, -1)),
@@ -197,7 +202,7 @@ def test_action_checked_on_every_generator():
 
 
 def test_a_unimodular_generator_that_is_no_signed_permutation_is_refused():
-    # ((2, 1), (1, 1)) would move e_1 to (2, 1); the reader refuses it before any root moves
+    # ((2, 1), (1, 1)) would move e_1 to (2, 1); the reader refuses it, as no signed permutation
     for _ in range(2):  # a refusal is not cached
         with pytest.raises(ValueError, match="signed permutation"):
             TwistedRootSystem(
@@ -240,19 +245,19 @@ def test_a_singular_generator_is_refused(generators):
 def test_the_zero_vector_is_refused_as_a_root():
     # (0,) would be an orbit of its own, symmetric over both fields with degree 2,
     # that orbit_class then refuses with a misleading "inconsistent inertia"
-    with pytest.raises(ValueError, match="zero vector"):
+    with pytest.raises(ValueError, match=ROOT_SET_FAULT):
         TwistedRootSystem(1, ((0,), (1,), (-1,)), ((((-1,),), -1),))
 
 
 def test_repeated_roots_rejected_at_construction():
     # a repeat would make the generator's root map (1, 2, 1), no permutation
-    with pytest.raises(ValueError, match="roots must be distinct"):
+    with pytest.raises(ValueError, match=ROOT_SET_FAULT):
         TwistedRootSystem(2, ((1, -1), (-1, 1), (1, -1)), ((((0, 1), (1, 0)), -1),))
 
 
 def test_at_most_256_roots() -> None:
     # a root index is one byte of a permutation: (-128,) ... (128,) are 257 roots
-    with pytest.raises(ValueError, match="at most 256 roots are supported, got 257"):
+    with pytest.raises(ValueError, match=ROOT_SET_FAULT):
         TwistedRootSystem(1, tuple((k,) for k in range(-128, 129)), ((((-1,),), -1),))
     # without (0,) there are 256, each orbit {k, -k} symmetric with a trivial step
     system = TwistedRootSystem(1, tuple((k,) for k in range(-128, 129) if k), ((((-1,),), -1),))
@@ -262,7 +267,7 @@ def test_at_most_256_roots() -> None:
 
 
 def test_roots_closed_under_negation_required():
-    with pytest.raises(ValueError, match="closed under negation"):
+    with pytest.raises(ValueError, match=ROOT_SET_FAULT):
         TwistedRootSystem(rank=1, roots=((1,),), generators=((((1,),), -1),))
 
 
@@ -304,6 +309,26 @@ def test_classification_closes_the_group_once(monkeypatch: pytest.MonkeyPatch) -
         assert len(calls) == 2 and calls[1] is twin
 
 
+def test_the_type_a_builders_pass_the_check_and_a_shift_off_the_roots_is_refused(monkeypatch):
+    for n in range(3, 16, 2):
+        for build in (gln_root_system, unitary_root_system):
+            assert len(build(n).generator_elements) == 1
+    shift = root_orbits._shift_matrix
+
+    def flipped(n: int):
+        # e_0 -> -e_1, still a signed permutation: e_0 - e_1 goes to -e_1 - e_2 under the
+        # shift and to e_1 + e_2 under its negative, neither of them a root
+        rows = list(shift(n))
+        rows[1] = tuple(-x for x in rows[1])
+        return tuple(rows)
+
+    monkeypatch.setattr(root_orbits, "_shift_matrix", flipped)
+    for n in range(3, 16, 2):
+        for build in (gln_root_system.__wrapped__, unitary_root_system.__wrapped__):
+            with pytest.raises(ValueError, match=GENERATOR_FAULT):
+                build(n)
+
+
 def test_builders_share_one_system_per_rank() -> None:
     for build in (gln_root_system, unitary_root_system):
         assert build(5) is build(5)
@@ -326,26 +351,24 @@ def test_both_type_a_builders_share_one_validated_root_set(monkeypatch, first) -
 
 
 BAD_ROOT_SETS = {
-    "empty": ((), "at least one root"),
-    "repeated": (((1, -1), (-1, 1), (1, -1)), "roots must be distinct"),
-    "over-256": (tuple((k, 0) for k in range(-128, 129)), "at most 256 roots are supported, got 257"),
-    "wrong-length": (((1,), (-1,)), "root length must equal the rank"),
-    "zero-vector": (((0, 0), (1, -1), (-1, 1)), "the zero vector is no root"),
-    "not-closed": (((1, -1),), r"closed under negation; missing \(-1, 1\)"),
+    "empty": (),
+    "repeated": ((1, -1), (-1, 1), (1, -1)),
+    "over-256": tuple((k, 0) for k in range(-128, 129)),
+    "wrong-length": ((1,), (-1,)),
+    "zero-vector": ((0, 0), (1, -1), (-1, 1)),
+    "not-closed": ((1, -1),),
 }
 
 
 @pytest.mark.parametrize("first", ["gln", "un"])
-@pytest.mark.parametrize("roots,message", BAD_ROOT_SETS.values(), ids=BAD_ROOT_SETS)
-def test_a_refused_root_set_raises_for_every_builder_that_reaches_it(
-    monkeypatch, roots, message, first
-) -> None:
+@pytest.mark.parametrize("roots", BAD_ROOT_SETS.values(), ids=BAD_ROOT_SETS)
+def test_a_refused_root_set_raises_for_every_builder_that_reaches_it(monkeypatch, roots, first) -> None:
     # a refusal is not cached: each builder raises it, in either order and again
     monkeypatch.setattr(root_orbits, "_general_linear_roots", lambda n: roots)
     builders = {"gln": gln_root_system, "un": unitary_root_system}
     order = [builders[first], *(b for k, b in builders.items() if k != first)]
     for build in order * 2:
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=ROOT_SET_FAULT):
             build(2)
     assert root_orbits._root_set.cache_info().currsize == 0
 
@@ -360,25 +383,30 @@ def test_classification_returns_a_new_list_each_call() -> None:
 
 
 @pytest.mark.parametrize(
-    "generator",
-    [((0, 1), (1,)), ((0, 1, 0), (1, 0, 0)), ((0, 1, 0), (1, 0, 0), (0, 0, 1))],
+    "generator,message",
+    [
+        (((0, 1), (1,)), "generator matrices must be signed permutations"),
+        (((0, 1, 0), (1, 0, 0)), "generator matrices must be signed permutations"),
+        (((0, 1, 0), (1, 0, 0), (0, 0, 1)), GENERATOR_FAULT),
+    ],
     ids=["ragged", "2x3", "3x3"],
 )
-def test_generators_must_be_square_of_the_rank(generator) -> None:
-    # the lattices' size message: the reader names it for a ragged matrix
-    with pytest.raises(ValueError, match="square of the declared rank"):
+def test_generators_must_be_square_of_the_rank(generator, message) -> None:
+    # a matrix of as many rows as the rank is read, and the reader refuses it;
+    # one of another size is refused unread
+    with pytest.raises(ValueError, match=message):
         TwistedRootSystem(rank=2, roots=((1, -1), (-1, 1)), generators=((generator, -1),))
 
 
 def test_character_values_validated():
-    with pytest.raises(ValueError, match="character values"):
+    with pytest.raises(ValueError, match=GENERATOR_FAULT):
         TwistedRootSystem(rank=1, roots=((1,), (-1,)), generators=((((1,),), 2),))
 
 
 @pytest.mark.parametrize("value", [1.0, True], ids=["float", "bool"])
 def test_character_values_must_be_ints(value) -> None:
     # each group element stores its value, and 1.0 == True == 1 would pass a membership test
-    with pytest.raises(ValueError, match="character values"):
+    with pytest.raises(ValueError, match=GENERATOR_FAULT):
         TwistedRootSystem(rank=1, roots=((1,), (-1,)), generators=((((1,),), value),))
 
 

@@ -21,19 +21,19 @@ produced by ``cocharacter_lattice``, one lattice per distinct action.  Every
 action matrix is a signed permutation, the only generator a lattice or a
 root system (``root_orbits``) takes.  ``signed_permutation`` reads each
 distinct one once per process, for both: by row, as a permutation of the
-signed lines ``+-e_j`` in bytes, and its order, the lcm of the cycle lengths;
+signed lines ``+-e_j`` in bytes, and its order, from the cycles of its rows;
 it refuses a matrix that is none.  A lattice checks its invariants once, at
 construction (``GaloisLattice``), commutation on the bytes
 (``compose_permutations``).  The group permutes the lines ``Z e_j``.  By
 Shapiro's lemma an orbit with line stabiliser ``H`` spans
 ``Ind_H^G(chi)``, ``chi`` the sign of ``H`` on ``e_j`` (cite only: Serre,
-*Local Fields*, ch. VII-VIII; Reiner, Proc. AMS 8, 1957).  So
-``tate_cohomology`` needs one orbit walk and no Smith form: ``H^-1`` is
-``Z/2`` per orbit with ``chi != 1`` and ``H^0`` is ``Z/|H|`` per orbit with
-``chi == 1``, where ``|H| = |G| / |orbit|`` and ``|G|`` is the product of the
-*declared* orders (so actions that factor through a quotient weight
-correctly).  The Tate groups are shared, one per invariant-factor chain of a
-2-group such as the diamond's: few chains occur, and each group is built once.
+*Local Fields*, ch. VII-VIII; Reiner, Proc. AMS 8, 1957).  So the one orbit
+walk a lattice makes at construction gives both Tate degrees, and no Smith
+form: ``H^-1`` is ``Z/2`` per orbit with ``chi != 1`` and ``H^0`` is ``Z/|H|``
+per orbit with ``chi == 1``, where ``|H| = |G| / |orbit|`` and ``|G|`` is the
+product of the *declared* orders (so actions that factor through a quotient
+weight correctly).  The Tate groups and the coinvariant torsion are shared,
+one per chain of factors: few chains occur, and each group is built once.
 
 The same walk gives representatives: in ``H^-1 = ker(N) / sum (g - 1) M``
 a signed orbit's class is that of its first line, and a vector of ``ker(N)``
@@ -66,9 +66,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from functools import cache, cached_property
-from operator import add, mul, neg
+from operator import add, index, mul, neg
 from typing import Iterable, Sequence, Union
 
 from ._value import Value
@@ -212,20 +211,22 @@ def _add_identity(move: SignedPerm, c: int) -> Matrix:
 def signed_permutation(g: Matrix) -> tuple[SignedPerm, bytes, int]:
     """The one generator reader of lattices and root systems, once per distinct matrix:
     ``g`` by row, ``(j, x)`` for ``x e_j``; on the signed lines, ``2 j`` for ``+e_j`` and
-    ``2 j + 1`` for ``-e_j``; and its order, the lcm of its signed-line cycle lengths.
-    Raises unless every row is ``+-e_j`` and no ``j`` repeats, which a singular matrix
-    fails."""
+    ``2 j + 1`` for ``-e_j``; and its order, the lcm of the signed-line cycle lengths, read
+    off the row cycles: one of length ``L`` whose signs multiply to -1 is one signed-line
+    cycle of length ``2 L``, any other two of length ``L``.  Raises unless every row is
+    ``+-e_j`` and no ``j`` repeats, which a singular matrix fails."""
     move = tuple(map(_signed_units(len(g)).get, g))
     if None in move or len(dict(move)) != len(move):
         raise ValueError("generator matrices must be signed permutations")
     lines = bytes((2 * j + (x < 0)) ^ s for j, x in move for s in (0, 1))
-    order, seen = 1, bytearray(len(lines))
-    for start in range(len(lines)):
-        length, i = 0, start
+    order, seen = 1, bytearray(len(move))
+    for start in range(len(move)):
+        length, sign, i = 0, 1, start
         while not seen[i]:
-            seen[i], i, length = 1, lines[i], length + 1
+            seen[i], (i, x) = 1, move[i]
+            length, sign = length + 1, sign * x
         if length:
-            order = math.lcm(order, length)
+            order = math.lcm(order, length if sign > 0 else 2 * length)
     return move, lines, order
 
 
@@ -306,7 +307,7 @@ class Quotient(Value):
 
     @property
     def torsion(self) -> FiniteAbelianGroup:
-        return FiniteAbelianGroup(tuple(d for d in self.diag if d >= 2))
+        return _group(tuple(d for d in self.diag if d >= 2))
 
     def torsion_representatives(self) -> list[tuple[int, ...]]:
         """One representative per torsion class."""
@@ -359,8 +360,11 @@ class GaloisLattice(Value):
     signed permutations of that size (tuples of rows), one per declared
     order, an integer of at least 1 that the generator's order divides.  A
     generator that is no signed permutation raises the reader's message
-    (``signed_permutation``, one cached lookup per generator).
-    ``line_orbits`` walks the reads.
+    (``signed_permutation``, one cached lookup per generator).  Construction
+    then walks the reads once: ``line_orbits`` holds ``(|H|, -e_j in the orbit
+    of e_j, lines)`` per orbit of the lines ``Z e_j``, ``|H| = |G| / |orbit|``
+    and ``lines`` the ``j`` of the orbit, its first line first; the factor
+    chains of both Tate degrees, which ``tate_cohomology`` looks up, are kept too.
     """
 
     rank: int
@@ -373,7 +377,7 @@ class GaloisLattice(Value):
         reads = []
         for g, order in zip(self.generator_matrices, orders):
             # only a generator of the checked rank is read: its lines fit in bytes
-            valid = valid and len(g) == rank and operator.index(order) >= 1
+            valid = valid and len(g) == rank and index(order) >= 1
             if valid:
                 reads.append(read := signed_permutation(g))
                 valid = order % read[2] == 0
@@ -385,20 +389,11 @@ class GaloisLattice(Value):
                 "a lattice takes a rank of 0 to 128 and commuting signed permutations of that rank, "
                 "one per declared order, an int of at least 1 that the generator's order divides"
             )
-        object.__setattr__(self, "_moves", [move for move, _, _ in reads])
-
-    @cached_property
-    def line_orbits(self) -> tuple[tuple[int, bool, tuple[int, ...]], ...]:
-        """``(|H|, -e_j in the orbit of e_j, lines)`` per orbit of the lines ``Z e_j``.
-
-        ``|H| = |G| / |orbit|`` and ``lines`` lists the ``j`` of the orbit,
-        its first line first; both Tate degrees and the ``H^-1`` transfer
-        kernel read this one walk.
-        """
-        moves = self._moves  # g^T, in G too, sends e_i to x e_j for move[i] = (j, x)
-        order, orbits = math.prod(self.generator_orders), []
-        sign = [0] * self.rank  # +-1 once +-e_j is reached from its orbit's first line
-        for first in range(self.rank):
+        # the line orbits, walked over the reads: g^T, in G too, sends e_i to x e_j for
+        # move[i] = (j, x); sign[j] is +-1 once +-e_j is reached from its orbit's first line
+        moves, size, orbits = [move for move, _, _ in reads], math.prod(orders), []
+        sign, minus_one, zero = [0] * rank, 0, []
+        for first in range(rank):
             if sign[first]:
                 continue
             sign[first], lines, signed = 1, [first], False
@@ -411,8 +406,13 @@ class GaloisLattice(Value):
                         lines.append(j)
                     elif sign[j] != x * s_i:
                         signed = True
-            orbits.append((order // len(lines), signed, tuple(lines)))
-        return tuple(orbits)
+            orbits.append((h := size // len(lines), signed, tuple(lines)))
+            minus_one += signed
+            if h > 1 and not signed:
+                zero.append(h)
+        object.__setattr__(self, "_moves", moves)
+        object.__setattr__(self, "line_orbits", tuple(orbits))
+        object.__setattr__(self, "_tate_chains", {-1: (2,) * minus_one, 0: tuple(sorted(zero))})
 
     @cached_property
     def coinvariants(self) -> Quotient:
@@ -433,12 +433,11 @@ _lattice = cache(GaloisLattice)
 
 
 def tate_cohomology(lattice: GaloisLattice, degree: int) -> FiniteAbelianGroup:
-    """Tate cohomology of a lattice in degree -1 or 0, from its line orbits."""
-    if degree == -1:
-        return _group((2,) * sum(signed for _, signed, _ in lattice.line_orbits))
-    if degree == 0:
-        return _group(tuple(sorted(h for h, signed, _ in lattice.line_orbits if h > 1 and not signed)))
-    raise ValueError(f"only degrees -1 and 0 are provided, got {degree}")
+    """Tate cohomology of a lattice in degree -1 or 0, the shared group of the chain its
+    construction read off the line orbits."""
+    if degree not in (-1, 0):
+        raise ValueError(f"only degrees -1 and 0 are provided, got {degree}")
+    return _group(lattice._tate_chains[degree])
 
 
 # ---------------------------------------------------------------------------

@@ -102,15 +102,16 @@ def _root_set(rank: int, roots: tuple[Vector, ...]) -> RootSet:
     for root in roots:
         if len(root) != rank:
             valid = False
-    # the zero vector is built only at the roots' own length
-    valid = valid and (0,) * rank not in index
+    # the zero vector is built only at the roots' own length; a byte indexes each of the
+    # 2 rank signed lines a generator's reader builds
+    valid = valid and rank <= 128 and (0,) * rank not in index
     columns = tuple(zip(*roots))
     signed = {1: columns, -1: tuple(map(_neg, columns))}
     negation = [index.get(r, -1) for r in zip(*signed[-1])]
     if not valid or -1 in negation:
         raise ValueError(
             f"roots must be 1 to {_MAX_ROOTS} distinct nonzero vectors of length {rank}, "
-            "closed under negation"
+            "closed under negation, and the rank at most 128"
         )
     return index, bytes(negation), signed, tuple(sorted(range(len(roots)), key=roots.__getitem__))
 
@@ -118,14 +119,14 @@ def _root_set(rank: int, roots: tuple[Vector, ...]) -> RootSet:
 class TwistedRootSystem(Value):
     """Roots, a signed-permutation action, and an index-2 character.
 
-    Construction checks the roots (``_root_set``) and then, with one message
-    naming the generator, that each generator is a signed permutation of
-    size ``rank`` that keeps the roots, with the int 1 or -1 as its character
-    value (every group element stores it).  A matrix that is no signed
-    permutation raises the reader's message (``signed_permutation``).
-    ``generator_elements`` holds each generator as ``(root permutation,
-    character value)``.  The index-2 check needs the closure, so it waits
-    for the first read of ``orbits``.
+    Construction checks the roots and a rank of at most 128 (``_root_set``),
+    then, with one message naming the generator, that each generator is a
+    signed permutation of size ``rank`` that keeps the roots, with the int 1
+    or -1 as its character value (every group element stores it).  A matrix
+    that is no signed permutation raises the reader's message
+    (``signed_permutation``).  ``generator_elements`` holds each generator as
+    ``(root permutation, character value)``.  The index-2 check needs the
+    closure, so it waits for the first read of ``orbits``.
     """
 
     rank: int

@@ -38,11 +38,12 @@ def fresh_shared_caches() -> None:
     distinct action and the shared Tate groups.
 
     A helper that a test patches (a classification step, ``_neg``,
-    ``compose_permutations``, ``line_orbits`` or
-    ``FiniteAbelianGroup.from_factors``) then reaches
-    every system, lattice and group the test builds, not only those no
-    earlier test has built.  Every other cache of the package is a constant
-    table (``CONSTANT_CACHES``), which ``test_shared_caches.py`` checks.
+    ``compose_permutations``, ``GaloisLattice.__post_init__``, which also
+    walks the line orbits, or ``FiniteAbelianGroup.__post_init__``) then
+    reaches every system, lattice and group the test builds, not only those
+    no earlier test has built.  Every other cache of the package is a
+    constant table (``CONSTANT_CACHES``), which ``test_shared_caches.py``
+    checks.
     """
     root_orbits.gln_root_system.cache_clear()
     root_orbits.unitary_root_system.cache_clear()

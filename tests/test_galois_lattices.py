@@ -403,17 +403,19 @@ def formal_norm(rank: int, gens, orders):
     return tuple(tuple(map(sum, zip(*rows))) for rows in zip(*elements))
 
 
-def test_both_tate_degrees_read_one_orbit_walk(monkeypatch: pytest.MonkeyPatch) -> None:
-    walks = []
-    cached = GaloisLattice.__dict__["line_orbits"]
-    walk = cached.func
-    monkeypatch.setattr(cached, "func", lambda lat: walks.append(lat) or walk(lat))
+def test_both_tate_degrees_read_the_one_orbit_walk_made_at_construction(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    builds, chains = [], []
+    check, group = GaloisLattice.__post_init__, galois_lattices._group
+    monkeypatch.setattr(GaloisLattice, "__post_init__", lambda lat: builds.append(lat) or check(lat))
+    monkeypatch.setattr(galois_lattices, "_group", lambda chain: chains.append(chain) or group(chain))
     lat = lattice(2, [SWAP, ((-1, 0), (0, -1))], [2, 2])
-    tate_cohomology(lat, -1)
     orbits = lat.line_orbits
-    tate_cohomology(lat, 0)
-    assert lat.line_orbits is orbits
-    assert walks == [lat]
+    assert orbits == ((2, True, (0, 1)),)  # walked when the lattice was built
+    assert (tate_cohomology(lat, -1).describe(), tate_cohomology(lat, 0).describe()) == ("Z/2", "1")
+    assert builds == [lat] and lat.line_orbits is orbits  # one walk, which both degrees read
+    assert chains == [(2,), ()]  # each degree one lookup of the chain the walk gave
     assert "coinvariants" not in vars(lat)  # the closed form needs no Smith form
 
 
@@ -460,6 +462,31 @@ def test_the_order_read_off_cycle_lengths_is_the_least_power_to_the_identity(ran
         while power != eye:
             power, least = mat_mul(power, g), least + 1
         assert galois_lattices.signed_permutation(g)[2] == least
+
+
+def signed_line_order(lines: bytes) -> int:
+    """The lcm of the cycle lengths of a permutation of the ``2 rank`` signed lines, walked
+    point by point over the bytes; the reader reads the same order off the ``rank`` rows."""
+    order, seen = 1, bytearray(len(lines))
+    for start in range(len(lines)):
+        length, i = 0, start
+        while not seen[i]:
+            seen[i], i, length = 1, lines[i], length + 1
+        if length:
+            order = math.lcm(order, length)
+    return order
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_order_read_off_the_rows_is_that_of_the_signed_lines(data) -> None:
+    g = fresh_signed_permutation(data.draw, data.draw(st.integers(0, 12)))
+    _, lines, order = galois_lattices.signed_permutation(g)
+    assert order == signed_line_order(lines)
+    power, least = lines, 1
+    while power != bytes(range(len(lines))):
+        power, least = compose_permutations(lines, power), least + 1
+    assert least == order  # the least power of the lines that is the identity
 
 
 def test_a_rejected_generator_raises_again_on_every_call() -> None:

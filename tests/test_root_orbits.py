@@ -266,6 +266,18 @@ def test_at_most_256_roots() -> None:
     assert all(r.sym_over_base and not r.sym_over_e and r.degree == 1 for r in records)
 
 
+@pytest.mark.parametrize("rank", [128, 129])
+def test_a_root_system_has_a_rank_of_at_most_128(rank: int) -> None:
+    # a byte indexes each of the 2 rank signed lines of a generator, as for a lattice
+    roots = ((1,) + (0,) * (rank - 1), (-1,) + (0,) * (rank - 1))
+    generators = ((identity_matrix(rank), -1),)
+    if rank <= 128:
+        assert TwistedRootSystem(rank, roots, generators).generator_elements == ((bytes((0, 1)), -1),)
+    else:
+        with pytest.raises(ValueError, match=f"{ROOT_SET_FAULT} .* and the rank at most 128"):
+            TwistedRootSystem(rank, roots, generators)
+
+
 def test_roots_closed_under_negation_required():
     with pytest.raises(ValueError, match=ROOT_SET_FAULT):
         TwistedRootSystem(rank=1, roots=((1,),), generators=((((1,),), -1),))

@@ -75,7 +75,6 @@ from .residue_fields import (
     sgn_units,
 )
 from .root_orbits import (
-    OrbitRecord,
     TwistedRootSystem,
     classify_orbits,
     compose,
@@ -375,7 +374,7 @@ def _check_rank(n: int) -> None:
         raise UsageError(f"this scenario is capped at n <= {GLN_MAX_N}, got {n}")
 
 
-def _branch_zetas(system: TwistedRootSystem, records: list[OrbitRecord]) -> dict[EF, str]:
+def _branch_zetas(system: TwistedRootSystem) -> dict[EF, str]:
     """``zeta`` of the orbits' class on each branch of the base extension.
 
     ``Q = <g>`` has order ``2n`` with ``n`` odd, so ``g**n`` has order 2 and
@@ -383,13 +382,13 @@ def _branch_zetas(system: TwistedRootSystem, records: list[OrbitRecord]) -> dict
     ``<g**n>`` when it is ramified.  Orbits of distinct ``zeta`` give a
     joined text that no record expects.
     """
-    (g,) = system.generator_elements
+    (g,) = system.generators
     g_n = reduce(compose, [g] * system.rank)
     identity = (bytes(range(len(system.roots))), 1)
     branches = ((EF.UNRAM, frozenset({identity})), (EF.RAM, frozenset({identity, g_n})))
     zetas = {}
     for ef, inertia in branches:
-        classes = {orbit_class(r, inertia) for r in records}
+        classes = {orbit_class(r, inertia) for r in system.orbits}
         texts = {zeta_contribution(make_config(c, ef)).describe() for c in classes}
         zetas[ef] = " | ".join(sorted(texts))
     return zetas
@@ -459,7 +458,7 @@ def verify_gln_odd(n: int, p: int) -> ScenarioReport:
 
     # both base-extension branches instantiate consistent classes
     expected = {EF.UNRAM: "1", EF.RAM: "sgn(k_E_a^x) . alpha"}
-    for ef, zeta in _branch_zetas(system, records).items():
+    for ef, zeta in _branch_zetas(system).items():
         report.add(f"gln-class-zeta-{ef.value}", {"n": n, "branch": ef.value}, expected[ef], zeta)
     return report
 
@@ -515,6 +514,6 @@ def verify_un_odd(n: int, p: int) -> ScenarioReport:
     )
 
     # class instantiation: ramified branch and unramified branch
-    for ef, zeta in _branch_zetas(system, records).items():
+    for ef, zeta in _branch_zetas(system).items():
         report.add(f"un-class-zeta-{ef.value}", {"n": n, "branch": ef.value}, "1", zeta)
     return report

@@ -18,11 +18,13 @@ Tori are expressions built from ``Gm``, norm-one tori ``U1`` of quadratic
 steps, quadratic Weil restrictions ``Res`` and finite products; their
 cocharacter lattices with the Galois action at any level of the tower are
 produced by ``cocharacter_lattice``, one lattice per distinct action.  Every
-action matrix is a signed permutation, the only generator a lattice or a
-root system (``root_orbits``) takes.  ``signed_permutation`` reads each
-distinct one once per process, for both: by row, as a permutation of the
-signed lines ``+-e_j`` in bytes, and its order, from the cycles of its rows;
-it refuses a matrix that is none.  A lattice checks its invariants once, at
+action matrix is a signed permutation, the only generator a lattice takes;
+this is the one module that reads matrices (a root system, in
+``root_orbits``, takes root permutations and borrows only
+``compose_permutations``).  ``signed_permutation`` reads each distinct
+matrix once per process: by row, as a permutation of the signed lines
+``+-e_j`` in bytes, and its order, from the cycles of its rows; it refuses
+a matrix that is none.  A lattice checks its invariants once, at
 construction (``GaloisLattice``), commutation on the bytes
 (``compose_permutations``).  The group permutes the lines ``Z e_j``.  By
 Shapiro's lemma an orbit with line stabiliser ``H`` spans
@@ -209,7 +211,7 @@ def _add_identity(move: SignedPerm, c: int) -> Matrix:
 
 @cache
 def signed_permutation(g: Matrix) -> tuple[SignedPerm, bytes, int]:
-    """The one generator reader of lattices and root systems, once per distinct matrix:
+    """The one generator reader of lattices, once per distinct matrix:
     ``g`` by row, ``(j, x)`` for ``x e_j``; on the signed lines, ``2 j`` for ``+e_j`` and
     ``2 j + 1`` for ``-e_j``; and its order, the lcm of the signed-line cycle lengths, read
     off the row cycles: one of length ``L`` whose signs multiply to -1 is one signed-line

@@ -1,23 +1,22 @@
 """Twisted root systems: orbit symmetry classification and orbit classes.
 
 A ``TwistedRootSystem`` is a finite set of roots in ``Z^rank`` together
-with a finite group ``Q`` of signed permutation matrices acting on it and a
+with a finite group ``Q`` acting on them by root permutations and a
 quadratic character of ``Q`` (the ``e_sign`` of each generator) whose
-kernel ``Q_E`` has index 2.  Only the action on the roots (checked, indexed
-and negated once per distinct root tuple, which every system over it shares)
-is read: an element is ``(perm, sign)``, byte ``i`` of ``perm`` the index of
-the image of root ``i`` and ``sign`` its character value, so ``Q_E`` is the
-elements of sign 1.  Each generator is read at construction by the
-lattices' reader ``signed_permutation``, whose rows pick and sign the roots'
-coordinates; that checks that it preserves them and gives its permutation,
-so a system that is built holds a valid action.  The closure
-composes pairs by ``compose_permutations``, so ``Q`` is its image in
-``Sym(roots) x {+-1}``.  The kernel of ``Q`` onto that image fixes every
-root with value 1, so it lies in ``Q_E`` and in every stabilizer below: no
-orbit, symmetry, degree or ``(e, f)`` changes, and an action that is not
-faithful on the roots keeps its character.  The group is closed once per
-system object, when its ``orbits`` are first read; the orbit walk runs on
-root indices, one pass over ``Q`` per orbit.
+kernel ``Q_E`` has index 2.  An element is ``(perm, sign)``, byte ``i`` of
+``perm`` the index of the image of root ``i`` and ``sign`` its character
+value, so ``Q_E`` is the elements of sign 1.  The generators are given as
+such elements; no matrix is read here (``galois_lattices`` alone knows
+that format).  The roots are checked, indexed and negated once per
+distinct root tuple, which every system over it shares, and each
+generator must permute them and commute with negation.  The closure
+composes pairs by ``compose_permutations``, so ``Q`` is a subgroup of
+``Sym(roots) x {+-1}``; an action of a larger group that is not faithful
+on the roots is given by its image, which has the same orbits,
+symmetries, degrees and ``(e, f)``, since the kernel fixes every root with
+value 1 and so lies in ``Q_E`` and in every stabilizer below.  The group
+is closed once per system object, when its ``orbits`` are first read; the
+orbit walk runs on root indices, one pass over ``Q`` per orbit.
 
 For each orbit the classification records:
 
@@ -52,7 +51,7 @@ from operator import neg
 from typing import Iterable
 
 from ._value import Value
-from .galois_lattices import Matrix, compose_permutations, signed_permutation
+from .galois_lattices import compose_permutations
 
 
 class Sym(str, Enum):
@@ -73,7 +72,7 @@ class Deg(str, Enum):
 
 Vector = tuple[int, ...]
 Element = tuple[bytes, int]  # (root permutation, byte i the index of g.root_i; character value)
-RootSet = tuple[dict[Vector, int], bytes, dict[int, tuple[Vector, ...]], tuple[int, ...]]
+RootSet = tuple[bytes, tuple[int, ...]]  # (negation permutation, indices in sorted root order)
 
 _MAX_GROUP = _MAX_ROOTS = 256  # closure size, and root count: a root index is one byte
 
@@ -91,65 +90,54 @@ def compose(a: Element, b: Element) -> Element:
 def _root_set(rank: int, roots: tuple[Vector, ...]) -> RootSet:
     """The check and indexing that read the roots alone, once per distinct ``(rank, roots)``.
 
-    Returns the index of each root, the negation permutation, the roots as
-    columns and negated columns (``{1: ..., -1: ...}``, one ``_neg`` per
-    coordinate) and the indices in sorted root order.  Systems over one root
-    set share them; a refusal is not cached, so it raises again for every
-    system built on those roots.
+    Returns the negation permutation and the indices in sorted root order.
+    Systems over one root set share them; a refusal is not cached, so it
+    raises again for every system built on those roots.
     """
     index = dict(zip(roots, range(len(roots))))
-    valid = 0 < len(index) == len(roots) <= _MAX_ROOTS
+    negation = [index.get(_neg(root), -1) for root in roots]
+    valid = 0 < len(index) == len(roots) <= _MAX_ROOTS and (0,) * rank not in index
     for root in roots:
         if len(root) != rank:
             valid = False
-    # the zero vector is built only at the roots' own length; a byte indexes each of the
-    # 2 rank signed lines a generator's reader builds
-    valid = valid and rank <= 128 and (0,) * rank not in index
-    columns = tuple(zip(*roots))
-    signed = {1: columns, -1: tuple(map(_neg, columns))}
-    negation = [index.get(r, -1) for r in zip(*signed[-1])]
     if not valid or -1 in negation:
         raise ValueError(
             f"roots must be 1 to {_MAX_ROOTS} distinct nonzero vectors of length {rank}, "
-            "closed under negation, and the rank at most 128"
+            "closed under negation"
         )
-    return index, bytes(negation), signed, tuple(sorted(range(len(roots)), key=roots.__getitem__))
+    return bytes(negation), tuple(sorted(range(len(roots)), key=roots.__getitem__))
 
 
 class TwistedRootSystem(Value):
-    """Roots, a signed-permutation action, and an index-2 character.
+    """Roots, an action on them by root permutations, and an index-2 character.
 
-    Construction checks the roots and a rank of at most 128 (``_root_set``),
-    then, with one message naming the generator, that each generator is a
-    signed permutation of size ``rank`` that keeps the roots, with the int 1
-    or -1 as its character value (every group element stores it).  A matrix
-    that is no signed permutation raises the reader's message
-    (``signed_permutation``).  ``generator_elements`` holds each generator as
-    ``(root permutation, character value)``.  The index-2 check needs the
-    closure, so it waits for the first read of ``orbits``.
+    Each generator is an ``Element`` ``(perm, sign)``.  Construction checks
+    the roots (``_root_set``), then, with one message naming the generator,
+    that each generator is a permutation of the root indices that commutes
+    with the negation permutation, with character value 1 or -1.  The
+    index-2 check needs the closure, so it waits for the first read of
+    ``orbits``.
     """
 
     rank: int
     roots: tuple[Vector, ...]
-    generators: tuple[tuple[Matrix, int], ...]  # (signed permutation matrix, character value)
+    generators: tuple[Element, ...]
 
     def __post_init__(self) -> None:
-        index, _, signed, _ = root_set = _root_set(self.rank, self.roots)
-        elements = []
-        for mat, sign in self.generators:
-            perm = [-1]
-            if sign in (1, -1) and type(sign) is int and len(mat) == self.rank:
-                # a row x e_j makes the images' coordinate i the roots' coordinate j, times x
-                images = zip(*(signed[x][j] for j, x in signed_permutation(mat)[0]))
-                perm = [index.get(image, -1) for image in images]
-            if -1 in perm:
+        negation, _ = root_set = _root_set(self.rank, self.roots)
+        identity = bytes(range(len(self.roots)))
+        for perm, sign in self.generators:
+            if (
+                sign not in (1, -1)
+                or bytes(sorted(perm)) != identity
+                or compose_permutations(perm, negation) != compose_permutations(negation, perm)
+            ):
                 raise ValueError(
-                    f"a generator must be a signed permutation of rank {self.rank} that keeps "
-                    f"the roots, with character value 1 or -1; {mat} with {sign!r} is not"
+                    f"a generator must be a permutation of the {len(identity)} root indices that "
+                    "commutes with negation, with character value 1 or -1; "
+                    f"{perm!r} with {sign!r} is not"
                 )
-            elements.append((bytes(perm), sign))
         object.__setattr__(self, "_root_set", root_set)
-        object.__setattr__(self, "generator_elements", tuple(elements))
 
     def group_elements(self) -> tuple[Element, ...]:
         """Closure of the generators in ``Sym(roots) x {+-1}``, sorted; capped for safety."""
@@ -157,7 +145,7 @@ class TwistedRootSystem(Value):
         frontier = list(group)
         while frontier:
             base = frontier.pop()
-            for gen in self.generator_elements:
+            for gen in self.generators:
                 nxt = compose(base, gen)
                 if nxt not in group:
                     if len(group) >= _MAX_GROUP:
@@ -178,7 +166,7 @@ class TwistedRootSystem(Value):
         elements = self.group_elements()
         if 2 * sum(sign == 1 for _, sign in elements) != len(elements):
             raise ValueError("the character must cut out an index-2 subgroup")
-        roots, (_, negation, _, walk) = self.roots, self._root_set
+        roots, (negation, walk) = self.roots, self._root_set
         seen = [False] * len(roots)
         records: list[OrbitRecord] = []
         for b in walk:
@@ -372,20 +360,30 @@ def twisted_class(triple: tuple[Deg, Sym, Sym]) -> tuple[Deg, Sym, Sym]:
 # ---------------------------------------------------------------------------
 
 
-def _shift_matrix(n: int) -> Matrix:
-    """Cyclic coordinate shift ``e_i -> e_{i+1}``."""
-    return tuple(tuple(1 if j == (i - 1) % n else 0 for j in range(n)) for i in range(n))
-
-
 @cache
-def _general_linear_roots(n: int) -> tuple[Vector, ...]:
-    """The roots ``e_i - e_j``, ``i != j``, sorted."""
+def _type_a(n: int) -> tuple[tuple[Vector, ...], bytes, bytes]:
+    """The roots ``e_i - e_j`` (``i != j``) of ``Z^n``, sorted, and two of their permutations.
+
+    Both are written down on the pairs ``(i, j)``, indices mod ``n``: the
+    shift ``(i, j) -> (i + 1, j + 1)``, the action of ``e_i -> e_{i+1}``, and
+    the shift-and-negate ``(i, j) -> (j + 1, i + 1)``, the action of its negative.
+    """
+    if not 2 <= n <= 16:
+        raise ValueError("need 2 <= n <= 16: a root index is one byte")
+    # the sorted order of e_i - e_j, by its first nonzero entry: -1 at j when i > j (by
+    # ascending j, then descending i) before +1 at i when i < j (descending i, then ascending j)
+    order = sorted(
+        permutations(range(n), 2),
+        key=lambda ij: (0, ij[1], -ij[0]) if ij[0] > ij[1] else (1, -ij[0], ij[1]),
+    )
+    index = {pair: k for k, pair in enumerate(order)}
     roots = []
-    for i, j in permutations(range(n), 2):
+    for i, j in order:
         root = [0] * n
         root[i], root[j] = 1, -1
         roots.append(tuple(root))
-    return tuple(sorted(roots))
+    moved = [((i + 1) % n, (j + 1) % n) for i, j in order]
+    return tuple(roots), bytes(index[ij] for ij in moved), bytes(index[j, i] for i, j in moved)
 
 
 @cache
@@ -397,18 +395,15 @@ def gln_root_system(n: int) -> TwistedRootSystem:
     quadratic extension linearly disjoint from it (so the character
     alternates along the cycle).
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return TwistedRootSystem(n, _general_linear_roots(n), ((_shift_matrix(n), -1),))
+    roots, shift, _ = _type_a(n)
+    return TwistedRootSystem(n, roots, ((shift, -1),))
 
 
 @cache
 def unitary_root_system(n: int) -> TwistedRootSystem:
     """Type A roots with the shift-and-negate action of odd unitary groups."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    shift_and_negate = tuple(map(_neg, _shift_matrix(n)))
-    return TwistedRootSystem(n, _general_linear_roots(n), ((shift_and_negate, -1),))
+    roots, _, shift_and_negate = _type_a(n)
+    return TwistedRootSystem(n, roots, ((shift_and_negate, -1),))
 
 
 def gln_orbit_parity(n: int) -> dict[str, int | bool]:

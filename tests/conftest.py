@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+from operator import mul
 from typing import Iterator
 
 import pytest
 
 from quadchar import galois_lattices, root_orbits
 from quadchar.residue_fields import ExtElement, FiniteField, QuadraticExtension
+from quadchar.root_orbits import TwistedRootSystem
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -31,10 +33,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:  # no
 
 @pytest.fixture(autouse=True)
 def fresh_shared_caches() -> None:
-    """Start each test without the shared root systems, their roots, the
-    root sets already checked and indexed, the systems' cached orbits, the
-    generator matrices already read (by root systems and lattices alike,
-    each with its order), the cocharacter lattices, the lattices shared per
+    """Start each test without the shared root systems, their roots and
+    root permutations, the root sets already checked and indexed, the
+    systems' cached orbits, the generator matrices the lattices already read
+    (each with its order), the cocharacter lattices, the lattices shared per
     distinct action and the shared Tate groups.
 
     A helper that a test patches (a classification step, ``_neg``,
@@ -47,7 +49,7 @@ def fresh_shared_caches() -> None:
     """
     root_orbits.gln_root_system.cache_clear()
     root_orbits.unitary_root_system.cache_clear()
-    root_orbits._general_linear_roots.cache_clear()
+    root_orbits._type_a.cache_clear()
     root_orbits._root_set.cache_clear()
     galois_lattices.signed_permutation.cache_clear()
     galois_lattices.cocharacter_lattice.cache_clear()
@@ -81,7 +83,8 @@ def identity_matrix(n: int) -> Matrix:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """The product of an ``m x k`` and a ``k x n`` matrix."""
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def signed_permutation_matrices(n: int) -> Iterator[Matrix]:
@@ -108,3 +111,39 @@ def commuting_involution_pairs(n: int) -> list[tuple[Matrix, Matrix]]:
             if mat_mul(a, b) == mat_mul(b, a):
                 out.append((a, b))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the matrix oracle of root systems, which take root permutations
+# ---------------------------------------------------------------------------
+
+
+def root_permutation(roots: tuple, matrix: Matrix) -> bytes:
+    """The root permutation of ``matrix``, read with ``mat_mul``: byte ``i`` the index
+    of ``matrix`` times root ``i``.  An image off the roots reads as ``len(roots)``,
+    so the bytes are then no permutation of the roots, and a root system refuses them."""
+    index = {root: i for i, root in enumerate(roots)}
+    images = zip(*mat_mul(matrix, tuple(zip(*roots))))
+    return bytes(index.get(image, len(roots)) for image in images)
+
+
+def matrix_system(rank: int, roots: tuple, generators: tuple) -> TwistedRootSystem:
+    """A root system from ``(matrix, character value)`` generators, each read by
+    ``root_permutation``."""
+    return TwistedRootSystem(
+        rank, roots, tuple((root_permutation(roots, mat), sign) for mat, sign in generators)
+    )
+
+
+def type_a_matrices(n: int) -> tuple[Matrix, Matrix]:
+    """The shift ``e_i -> e_{i+1}`` of ``Z^n`` and its negative, the matrices of the
+    ``gln`` and unitary type-A actions."""
+    shift = tuple(tuple(int(j == (i - 1) % n) for j in range(n)) for i in range(n))
+    return shift, tuple(tuple(-x for x in row) for row in shift)
+
+
+def type_a_roots(n: int) -> tuple:
+    """The roots ``e_i - e_j``, ``i != j``, of ``Z^n``, sorted."""
+    eye = identity_matrix(n)
+    pairs = itertools.permutations(range(n), 2)
+    return tuple(sorted(tuple(a - b for a, b in zip(eye[i], eye[j])) for i, j in pairs))

@@ -196,10 +196,9 @@ def test_a_symmetric_orbit_with_a_trivial_step_is_inconsistent_inertia(monkeypat
 def test_branch_zetas_take_g_to_the_n_from_the_generator(monkeypatch, n):
     # the <g**n> inertia comes from the generator, not from another closure
     system = gln_root_system(n)
-    records = classify_orbits(system)
-    zetas = case_studies._branch_zetas(system, records)
+    zetas = case_studies._branch_zetas(system)
     monkeypatch.setattr(root_orbits.TwistedRootSystem, "group_elements", None)
-    assert case_studies._branch_zetas(system, records) == zetas
+    assert case_studies._branch_zetas(system) == zetas
 
 
 def test_class_record_fails_when_orbits_disagree(monkeypatch):

@@ -1,7 +1,9 @@
 """Each module of ``src/quadchar`` imports only the layers listed before it.
 
 The layers are the bulleted module names of the package docstring in
-``quadchar/__init__.py``, in order; every module is one of them.
+``quadchar/__init__.py``, in order; every module is one of them.  Root
+systems act by root permutations, so ``root_orbits`` takes only the compose
+kernel from ``galois_lattices``, the one module that reads matrices.
 """
 
 from __future__ import annotations
@@ -40,3 +42,15 @@ def test_every_module_is_a_listed_layer() -> None:
 def test_layer_imports_only_earlier_layers(layer: str) -> None:
     earlier = set(LAYERS[: LAYERS.index(layer)])
     assert imported_modules(PACKAGE / f"{layer}.py") - earlier == set()
+
+
+def test_root_orbits_takes_only_the_compose_kernel_from_galois_lattices() -> None:
+    names = set()
+    for node in ast.walk(ast.parse((PACKAGE / "root_orbits.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("quadchar.")
+            names |= {f"{module}.{alias.name}".lstrip(".") for alias in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {alias.name.removeprefix("quadchar.") for alias in node.names}
+    taken = {name for name in names if "galois_lattices" in name}
+    assert taken == {"galois_lattices.compose_permutations"}

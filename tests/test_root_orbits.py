@@ -4,15 +4,23 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
+from operator import mul
 
 import pytest
-from conftest import identity_matrix, mat_mul
+from conftest import (
+    identity_matrix,
+    mat_mul,
+    matrix_system,
+    root_permutation,
+    type_a_matrices,
+    type_a_roots,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadchar import galois_lattices, root_orbits
+from quadchar import root_orbits
 from quadchar.char_engine import CLASS_TRIPLES, class_key
-from quadchar.galois_lattices import GaloisLattice
 from quadchar.root_orbits import (
     Deg,
     OrbitRecord,
@@ -30,7 +38,7 @@ from quadchar.root_orbits import (
 
 # the one message of the root-set check, and the start of the generator check's one message
 ROOT_SET_FAULT = "roots must be 1 to 256 distinct nonzero vectors"
-GENERATOR_FAULT = "a generator must be a signed permutation of rank"
+GENERATOR_FAULT = "a generator must be a permutation of the"
 
 
 def element(perm, sign):
@@ -46,41 +54,43 @@ B1 = element((0, 1), -1)  # fixes the root, nontrivial character
 AB1 = element((1, 0), -1)
 
 
+KLEIN = ((((-1,),), 1), (((1,),), -1))  # one generator flips, one twists
+ORDER_TWO = ((((-1,),), -1),)  # one flip-and-twist generator
+
+
 def rank_one_klein():
     """Rank-1 roots with the Klein action: one generator flips, one twists."""
-    return TwistedRootSystem(
-        rank=1,
-        roots=((1,), (-1,)),
-        generators=((((-1,),), 1), (((1,),), -1)),
-    )
+    return matrix_system(1, ((1,), (-1,)), KLEIN)
 
 
 def rank_one_order_two():
     """Rank-1 roots with a single flip-and-twist generator."""
-    return TwistedRootSystem(
-        rank=1,
-        roots=((1,), (-1,)),
-        generators=((((-1,),), -1),),
-    )
+    return matrix_system(1, ((1,), (-1,)), ORDER_TWO)
+
+
+def type_a_generators(build, n):
+    """The ``(matrix, character value)`` generator of a type-A builder's action."""
+    return ((type_a_matrices(n)[build is unitary_root_system], -1),)
 
 
 # ---------------------------------------------------------------------------
-# oracles on the matrix group, closed here with conftest's mat_mul
+# oracles on the matrix group, closed here with conftest's mat_mul; a system
+# takes root permutations, so each oracle takes the matrices it was built from
 # ---------------------------------------------------------------------------
 
 
 def apply(matrix, root):
     """The image of one root under a matrix."""
-    return tuple(sum(a * x for a, x in zip(row, root)) for row in matrix)
+    return tuple(sum(map(mul, row, root)) for row in matrix)
 
 
-def matrix_closure(system):
+def matrix_closure(rank, matrices):
     """The matrix group ``{(matrix, character value)}`` the generators make."""
-    identity = (identity_matrix(system.rank), 1)
+    identity = (identity_matrix(rank), 1)
     group, frontier = {identity}, [identity]
     while frontier:
         mat, sign = frontier.pop()
-        for gen, gen_sign in system.generators:
+        for gen, gen_sign in matrices:
             nxt = (mat_mul(mat, gen), sign * gen_sign)
             if nxt not in group:
                 group.add(nxt)
@@ -91,7 +101,7 @@ def matrix_closure(system):
 def as_pair(system, g):
     """A matrix element ``g`` as ``(root permutation, character value)``, root by root."""
     mat, sign = g
-    return element([system.roots.index(apply(mat, r)) for r in system.roots], sign)
+    return root_permutation(system.roots, mat), sign
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +156,9 @@ def test_action_not_faithful_on_the_roots():
     # matrix group of order 4 acts through a group of order 2; every
     # inertia subgroup's image gives the class its fixed fields give
     swap, minus = ((0, 1), (1, 0)), ((-1, 0), (0, -1))
-    system = TwistedRootSystem(
-        rank=2, roots=((-1, 1), (1, -1)), generators=((swap, -1), (minus, -1))
-    )
-    group = matrix_closure(system)
+    matrices = ((swap, -1), (minus, -1))
+    system = matrix_system(2, ((-1, 1), (1, -1)), matrices)
+    group = matrix_closure(2, matrices)
     assert (((0, -1), (-1, 0)), 1) in group and len(group) == 4
     assert system.group_elements() == (element((0, 1), 1), element((1, 0), -1))
     (rec,) = classify_orbits(system)
@@ -181,46 +190,41 @@ def test_action_not_faithful_on_the_roots():
 
 
 def test_action_must_close_on_roots():
+    # the swap moves both roots off the set, so the oracle reads no permutation
     for _ in range(2):  # a refusal is not cached
         with pytest.raises(ValueError, match=GENERATOR_FAULT):
-            TwistedRootSystem(
-                rank=2,
-                roots=((1, 0), (-1, 0)),
-                generators=((((0, 1), (1, 0)), -1),),
-            )
+            matrix_system(2, ((1, 0), (-1, 0)), ((((0, 1), (1, 0)), -1),))
 
 
 def test_action_checked_on_every_generator():
     # the first generator preserves the roots, only the second moves one out
-    flip = ((1, 0), (0, -1))
-    with pytest.raises(ValueError, match=GENERATOR_FAULT + r".*\(\(1, 0\), \(0, -1\)\) with 1 is not"):
-        TwistedRootSystem(
-            rank=2,
-            roots=((-1, 1), (1, -1)),
-            generators=((((0, 1), (1, 0)), -1), (flip, 1)),
-        )
+    roots, flip = ((-1, 1), (1, -1)), ((1, 0), (0, -1))
+    named = re.escape(f"{root_permutation(roots, flip)!r} with 1 is not")
+    with pytest.raises(ValueError, match=GENERATOR_FAULT + ".*" + named):
+        matrix_system(2, roots, ((((0, 1), (1, 0)), -1), (flip, 1)))
 
 
 def test_a_unimodular_generator_that_is_no_signed_permutation_is_refused():
-    # ((2, 1), (1, 1)) would move e_1 to (2, 1); the reader refuses it, as no signed permutation
+    # ((2, 1), (1, 1)) moves e_1 to (2, 1), off the roots: no permutation of them
     for _ in range(2):  # a refusal is not cached
-        with pytest.raises(ValueError, match="signed permutation"):
-            TwistedRootSystem(
-                rank=2,
-                roots=((1, 0), (-1, 0), (0, 1), (0, -1)),
-                generators=((((0, 1), (1, 0)), -1), (((2, 1), (1, 1)), 1)),
+        with pytest.raises(ValueError, match=GENERATOR_FAULT):
+            matrix_system(
+                2,
+                ((1, 0), (-1, 0), (0, 1), (0, -1)),
+                ((((0, 1), (1, 0)), -1), (((2, 1), (1, 1)), 1)),
             )
 
 
-def test_a_reflection_in_simple_root_coordinates_is_refused():
-    # the simple reflection s_1 of A_2, a_2 -> a_1 + a_2, closes on the roots
-    # but is no signed permutation; a2_weyl gives A_2 in Z^3 instead
-    with pytest.raises(ValueError, match="signed permutation"):
-        TwistedRootSystem(
-            rank=2,
-            roots=((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)),
-            generators=((((-1, 1), (0, 1)), -1),),
-        )
+SIMPLE_A2_ROOTS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))
+SIMPLE_REFLECTION = ((((-1, 1), (0, 1)), -1),)  # s_1 of A_2: a_1 -> -a_1, a_2 -> a_1 + a_2
+
+
+def test_a_reflection_in_simple_root_coordinates_is_accepted():
+    # no signed permutation, but it permutes the roots and commutes with negation,
+    # so the system takes its root permutation and classifies it as the matrices do
+    system = matrix_system(2, SIMPLE_A2_ROOTS, SIMPLE_REFLECTION)
+    assert classify_orbits(system) == definitional_orbit_records(system, SIMPLE_REFLECTION)
+    assert [len(r.roots) for r in classify_orbits(system)] == [2, 2, 2]
 
 
 SQUARE_ROOTS = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -238,55 +242,54 @@ SINGULAR = ((1, 1), (0, 0))  # e_1 and e_2 both to e_1, e_1 - e_2 to 0
     ids=["minus-identity", "swap"],
 )
 def test_a_singular_generator_is_refused(generators):
-    with pytest.raises(ValueError, match="signed permutation"):
-        TwistedRootSystem(2, SQUARE_ROOTS, generators)
+    # it sends (1, 0) and (0, 1) both to (1, 0): no permutation of the roots
+    with pytest.raises(ValueError, match=GENERATOR_FAULT):
+        matrix_system(2, SQUARE_ROOTS, generators)
 
 
 def test_the_zero_vector_is_refused_as_a_root():
     # (0,) would be an orbit of its own, symmetric over both fields with degree 2,
     # that orbit_class then refuses with a misleading "inconsistent inertia"
     with pytest.raises(ValueError, match=ROOT_SET_FAULT):
-        TwistedRootSystem(1, ((0,), (1,), (-1,)), ((((-1,),), -1),))
+        matrix_system(1, ((0,), (1,), (-1,)), ORDER_TWO)
 
 
 def test_repeated_roots_rejected_at_construction():
     # a repeat would make the generator's root map (1, 2, 1), no permutation
     with pytest.raises(ValueError, match=ROOT_SET_FAULT):
-        TwistedRootSystem(2, ((1, -1), (-1, 1), (1, -1)), ((((0, 1), (1, 0)), -1),))
+        matrix_system(2, ((1, -1), (-1, 1), (1, -1)), ((((0, 1), (1, 0)), -1),))
 
 
 def test_at_most_256_roots() -> None:
-    # a root index is one byte of a permutation: (-128,) ... (128,) are 257 roots
+    # a root index is one byte of a permutation: (-128,) ... (128,) are 257 roots,
+    # refused before any generator is read (none of 257 indices fits a byte)
     with pytest.raises(ValueError, match=ROOT_SET_FAULT):
-        TwistedRootSystem(1, tuple((k,) for k in range(-128, 129)), ((((-1,),), -1),))
+        TwistedRootSystem(1, tuple((k,) for k in range(-128, 129)), ())
     # without (0,) there are 256, each orbit {k, -k} symmetric with a trivial step
-    system = TwistedRootSystem(1, tuple((k,) for k in range(-128, 129) if k), ((((-1,),), -1),))
+    system = matrix_system(1, tuple((k,) for k in range(-128, 129) if k), ORDER_TWO)
     records = classify_orbits(system)
     assert len(records) == 128 and records[0].roots == ((-128,), (128,))
     assert all(r.sym_over_base and not r.sym_over_e and r.degree == 1 for r in records)
 
 
 @pytest.mark.parametrize("rank", [128, 129])
-def test_a_root_system_has_a_rank_of_at_most_128(rank: int) -> None:
-    # a byte indexes each of the 2 rank signed lines of a generator, as for a lattice
+def test_a_root_system_takes_any_rank(rank: int) -> None:
+    # only the root count is read into bytes, so the rank has no cap of its own
     roots = ((1,) + (0,) * (rank - 1), (-1,) + (0,) * (rank - 1))
-    generators = ((identity_matrix(rank), -1),)
-    if rank <= 128:
-        assert TwistedRootSystem(rank, roots, generators).generator_elements == ((bytes((0, 1)), -1),)
-    else:
-        with pytest.raises(ValueError, match=f"{ROOT_SET_FAULT} .* and the rank at most 128"):
-            TwistedRootSystem(rank, roots, generators)
+    system = matrix_system(rank, roots, ((identity_matrix(rank), -1),))
+    assert system.generators == ((bytes((0, 1)), -1),)
+    records = classify_orbits(system)
+    assert [r.roots for r in records] == [(roots[1],), (roots[0],)]
+    assert all(not r.sym_over_base and r.degree == 2 for r in records)
 
 
 def test_roots_closed_under_negation_required():
     with pytest.raises(ValueError, match=ROOT_SET_FAULT):
-        TwistedRootSystem(rank=1, roots=((1,),), generators=((((1,),), -1),))
+        matrix_system(1, ((1,),), ((((1,),), -1),))
 
 
 def test_character_index_two_required():
-    trivial = TwistedRootSystem(
-        rank=1, roots=((1,), (-1,)), generators=((((-1,),), 1),)
-    )
+    trivial = matrix_system(1, ((1,), (-1,)), ((((-1,),), 1),))
     for _ in range(2):  # a failed classification is not cached
         with pytest.raises(ValueError, match="index-2"):
             classify_orbits(trivial)
@@ -324,21 +327,31 @@ def test_classification_closes_the_group_once(monkeypatch: pytest.MonkeyPatch) -
 def test_the_type_a_builders_pass_the_check_and_a_shift_off_the_roots_is_refused(monkeypatch):
     for n in range(3, 16, 2):
         for build in (gln_root_system, unitary_root_system):
-            assert len(build(n).generator_elements) == 1
-    shift = root_orbits._shift_matrix
+            assert len(build(n).generators) == 1
+    type_a = root_orbits._type_a
 
     def flipped(n: int):
         # e_0 -> -e_1, still a signed permutation: e_0 - e_1 goes to -e_1 - e_2 under the
         # shift and to e_1 + e_2 under its negative, neither of them a root
-        rows = list(shift(n))
-        rows[1] = tuple(-x for x in rows[1])
-        return tuple(rows)
+        roots = type_a(n)[0]
+        rows = [list(row) for row in type_a_matrices(n)[0]]
+        rows[1] = [-x for x in rows[1]]
+        negated = [[-x for x in row] for row in rows]
+        return roots, root_permutation(roots, rows), root_permutation(roots, negated)
 
-    monkeypatch.setattr(root_orbits, "_shift_matrix", flipped)
-    for n in range(3, 16, 2):
-        for build in (gln_root_system.__wrapped__, unitary_root_system.__wrapped__):
-            with pytest.raises(ValueError, match=GENERATOR_FAULT):
-                build(n)
+    def transposed(n: int):
+        # the shift, then the transposition of the two least roots, which are not each
+        # other's negatives: a permutation of the roots that does not commute with negation
+        roots, *actions = type_a(n)
+        swap = bytes((1, 0, *range(2, len(roots))))
+        return roots, *(bytes(swap[i] for i in action) for action in actions)
+
+    for mutant in (flipped, transposed):
+        monkeypatch.setattr(root_orbits, "_type_a", mutant)
+        for n in range(3, 16, 2):
+            for build in (gln_root_system.__wrapped__, unitary_root_system.__wrapped__):
+                with pytest.raises(ValueError, match=GENERATOR_FAULT):
+                    build(n)
 
 
 def test_builders_share_one_system_per_rank() -> None:
@@ -358,7 +371,7 @@ def test_both_type_a_builders_share_one_validated_root_set(monkeypatch, first) -
     for n in (3, 5):
         systems = [builders[first](n), *(b(n) for k, b in builders.items() if k != first)]
         assert systems[0]._root_set is systems[1]._root_set
-        assert negated.count(n * (n - 1)) == n  # one _neg per coordinate column of the roots
+        assert negated.count(n) == n * (n - 1)  # one _neg per root
     assert root_orbits._root_set.cache_info()[:2] == (2, 2)  # (hits, misses)
 
 
@@ -376,7 +389,7 @@ BAD_ROOT_SETS = {
 @pytest.mark.parametrize("roots", BAD_ROOT_SETS.values(), ids=BAD_ROOT_SETS)
 def test_a_refused_root_set_raises_for_every_builder_that_reaches_it(monkeypatch, roots, first) -> None:
     # a refusal is not cached: each builder raises it, in either order and again
-    monkeypatch.setattr(root_orbits, "_general_linear_roots", lambda n: roots)
+    monkeypatch.setattr(root_orbits, "_type_a", lambda n: (roots, b"", b""))
     builders = {"gln": gln_root_system, "un": unitary_root_system}
     order = [builders[first], *(b for k, b in builders.items() if k != first)]
     for build in order * 2:
@@ -394,32 +407,81 @@ def test_classification_returns_a_new_list_each_call() -> None:
     assert second == expected and second is not first
 
 
-@pytest.mark.parametrize(
-    "generator,message",
-    [
-        (((0, 1), (1,)), "generator matrices must be signed permutations"),
-        (((0, 1, 0), (1, 0, 0)), "generator matrices must be signed permutations"),
-        (((0, 1, 0), (1, 0, 0), (0, 0, 1)), GENERATOR_FAULT),
-    ],
-    ids=["ragged", "2x3", "3x3"],
-)
-def test_generators_must_be_square_of_the_rank(generator, message) -> None:
-    # a matrix of as many rows as the rank is read, and the reader refuses it;
-    # one of another size is refused unread
-    with pytest.raises(ValueError, match=message):
-        TwistedRootSystem(rank=2, roots=((1, -1), (-1, 1)), generators=((generator, -1),))
-
-
 def test_character_values_validated():
     with pytest.raises(ValueError, match=GENERATOR_FAULT):
-        TwistedRootSystem(rank=1, roots=((1,), (-1,)), generators=((((1,),), 2),))
+        matrix_system(1, ((1,), (-1,)), ((((1,),), 2),))
 
 
-@pytest.mark.parametrize("value", [1.0, True], ids=["float", "bool"])
-def test_character_values_must_be_ints(value) -> None:
-    # each group element stores its value, and 1.0 == True == 1 would pass a membership test
-    with pytest.raises(ValueError, match=GENERATOR_FAULT):
-        TwistedRootSystem(rank=1, roots=((1,), (-1,)), generators=((((1,),), value),))
+# type A from rank 2; the negation of A_2 in Z^3 is 0 <-> 5, 1 <-> 4, 2 <-> 3
+SPEC_ROOT_SETS = {
+    1: ((1,), (-1,)),
+    2: ((1, -1), (-1, 1)),
+    3: tuple(r for r in itertools.product((-1, 0, 1), repeat=3) if sorted(r) == [-1, 0, 1]),
+}
+
+
+@st.composite
+def permutation_candidates(draw, roots):
+    """A permutation of the root indices; the oracle's reading of a signed permutation
+    matrix, which may move a root off the set; or any bytes up to one longer than the
+    roots, with entries up to their count."""
+    size, rank = len(roots), len(roots[0])
+    kind = draw(st.sampled_from(["permutation", "matrix", "bytes"]))
+    if kind == "permutation":
+        return bytes(draw(st.permutations(range(size))))
+    if kind == "matrix":
+        perm = draw(st.permutations(range(rank)))
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=rank, max_size=rank))
+        matrix = tuple(tuple(signs[i] * (j == perm[i]) for j in range(rank)) for i in range(rank))
+        return root_permutation(roots, matrix)
+    return bytes(draw(st.lists(st.integers(0, size), max_size=size + 1)))
+
+
+def oracle_accepts(roots, perm, sign) -> bool:
+    """Whether ``(perm, sign)`` permutes the root indices, commutes with negation,
+    and has character value 1 or -1."""
+    negation = [roots.index(tuple(-x for x in r)) for r in roots]
+    return (
+        sign in (1, -1)
+        and sorted(perm) == list(range(len(roots)))
+        and all(perm[negation[i]] == negation[perm[i]] for i in range(len(roots)))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda rank: st.tuples(
+            st.just(rank),
+            st.lists(
+                st.tuples(
+                    permutation_candidates(SPEC_ROOT_SETS[rank]),
+                    st.sampled_from((1, -1) * 4 + (0, 2)),
+                ),
+                max_size=3,
+            ),
+        )
+    )
+)
+# a transposition of two roots that are not each other's negatives, the reading of a
+# flip that moves (1, -1) off the roots, and bytes too short, repeated, too long or off
+@example((3, [(bytes((1, 0, 2, 3, 4, 5)), -1)]))
+@example((2, [(bytes((1, 0)), -1), (root_permutation(SPEC_ROOT_SETS[2], ((1, 0), (0, -1))), 1)]))
+@example((2, [(b"\x00", -1)]))
+@example((2, [(b"\x00\x00", -1)]))
+@example((2, [(b"\x00\x01\x02", -1)]))
+@example((2, [(b"\x01\x02", -1)]))
+def test_a_root_system_accepts_exactly_the_generators_the_oracle_accepts(case) -> None:
+    rank, generators = case
+    roots, generators = SPEC_ROOT_SETS[rank], tuple(generators)
+    if all(oracle_accepts(roots, perm, sign) for perm, sign in generators):
+        system = TwistedRootSystem(rank, roots, generators)
+        assert system.generators == generators
+        # and so does every element of the closure
+        assert all(oracle_accepts(roots, perm, sign) for perm, sign in system.group_elements())
+    else:
+        with pytest.raises(ValueError, match=GENERATOR_FAULT):
+            TwistedRootSystem(rank, roots, generators)
 
 
 # ---------------------------------------------------------------------------
@@ -518,11 +580,7 @@ def test_tower_fully_asymmetric_split():
     # coordinate swap with nontrivial character: two asymmetric orbits,
     # trivial stabilizer, so every field in the tower coincides
     swap = ((0, 1), (1, 0))
-    system = TwistedRootSystem(
-        rank=2,
-        roots=((1, 0), (0, 1), (-1, 0), (0, -1)),
-        generators=((swap, -1),),
-    )
+    system = matrix_system(2, ((1, 0), (0, 1), (-1, 0), (0, -1)), ((swap, -1),))
     records = classify_orbits(system)
     assert len(records) == 2
     rec = records[0]
@@ -561,13 +619,7 @@ def test_tower_asymmetric_nonsplit_cyclic(e_alpha, expected_deg, expected_twiste
 def test_tower_symmetric_split_over_both(e_quad, top4, expected_sym):
     # dihedral action: flip inside the kernel, swap outside it; the orbit
     # is symmetric over base and kernel with a trivial quadratic step
-    flip = ((-1, 0), (0, 1))
-    swap = ((0, 1), (1, 0))
-    system = TwistedRootSystem(
-        rank=2,
-        roots=((1, 0), (-1, 0), (0, 1), (0, -1)),
-        generators=((flip, 1), (swap, -1)),
-    )
+    system = dihedral_square()
     (rec,) = classify_orbits(system)
     assert rec.sym_over_base and rec.sym_over_e and rec.degree == 1
     # trivial inertia leaves Q/I = Q dihedral, not cyclic; the rule for
@@ -616,7 +668,7 @@ def test_orbit_class_rejects_inertia_that_is_no_normal_subgroup():
     # inertia <(0 1)>, which is not normal, trivially, so the residue degree
     # of its fixed field would be 3/2
     a2 = a2_weyl()
-    s1 = as_pair(a2, a2.generators[0])
+    s1 = as_pair(a2, A2_WEYL[0])
     (rec,) = classify_orbits(a2)
     assert rec.base_root == (-1, 0, 1) and len(rec.stab_signed) == 2 and s1 not in rec.stab_signed
     with pytest.raises(ValueError, match="normal"):
@@ -633,7 +685,7 @@ def test_cyclic_families_classes_follow_the_character_on_inertia(build, unram_cl
     # every subgroup <g^k> of the cyclic group Q = <g> as inertia: each
     # orbit gets the ramified class exactly when inertia meets the -1 coset
     system = build(n)
-    (g,) = system.generators
+    (g,) = type_a_generators(build, n)
     powers = [(identity_matrix(n), 1)]
     while len(powers) < 2 * n:
         powers.append((mat_mul(powers[-1][0], g[0]), powers[-1][1] * g[1]))
@@ -711,16 +763,20 @@ def test_op_data_accepts_exactly_the_ten_classes():
 
 
 def op_twist(system):
-    """Scale each generator matrix by its character value; an involution.
+    """Follow each generator of character value -1 by negation, as scaling its
+    matrix by its value does; an involution.
 
     An oracle for ``stab_twisted``: the stabilizer of a root in the twisted
     system is the image of the twisted stabilizer.
     """
+    minus = tuple(tuple(-x for x in row) for row in identity_matrix(system.rank))
+    negation = root_permutation(system.roots, minus)
     return TwistedRootSystem(
         rank=system.rank,
         roots=system.roots,
         generators=tuple(
-            (tuple(tuple(s * x for x in row) for row in m), s) for m, s in system.generators
+            (perm if s == 1 else bytes(negation[i] for i in perm), s)
+            for perm, s in system.generators
         ),
     )
 
@@ -787,6 +843,7 @@ def small_root_set(n):
 
 @st.composite
 def signed_perm_systems(draw):
+    """A small signed-permutation system, as ``(system, its matrix generators)``."""
     n = draw(st.integers(min_value=2, max_value=3))
     count = draw(st.integers(min_value=1, max_value=2))
     generators = []
@@ -798,12 +855,13 @@ def signed_perm_systems(draw):
         )
         e_sign = -1 if idx == 0 else draw(st.sampled_from((1, -1)))
         generators.append((matrix, e_sign))
-    return TwistedRootSystem(rank=n, roots=small_root_set(n), generators=tuple(generators))
+    return matrix_system(n, small_root_set(n), tuple(generators)), tuple(generators)
 
 
 @settings(max_examples=60, deadline=None)
 @given(signed_perm_systems())
-def test_orbit_partition_invariants(system):
+def test_orbit_partition_invariants(case):
+    system, _ = case
     records = classify_orbits(system)
     order = len(system.group_elements())
     seen = []
@@ -821,18 +879,19 @@ def test_orbit_partition_invariants(system):
 
 @settings(max_examples=60, deadline=None)
 @given(signed_perm_systems())
-def test_op_twist_involution_and_kernel(system):
+def test_op_twist_involution_and_kernel(case):
+    system, _ = case
     assert op_twist(op_twist(system)) == system
     assert set(character_kernel(system)) == set(character_kernel(op_twist(system)))
 
 
-def definitional_orbit_records(system):
-    """The orbit records by direct sweeps over the matrix group, as an oracle.
+def definitional_orbit_records(system, matrices):
+    """The orbit records by direct sweeps over the group the matrices make, as an oracle.
 
     Each stabilizer is swept over the matrices, then mapped to its root
     permutations.
     """
-    elements = matrix_closure(system)
+    elements = matrix_closure(system.rank, matrices)
     root_set = set(system.roots)
     assert all(apply(g[0], r) in root_set for g in elements for r in system.roots)
     pair = {g: as_pair(system, g) for g in elements}
@@ -868,34 +927,48 @@ def definitional_orbit_records(system):
 
 
 def shuffled(system, seed):
-    """``system`` with its roots listed in a seeded random order."""
-    roots = list(system.roots)
-    random.Random(seed).shuffle(roots)
-    return TwistedRootSystem(system.rank, tuple(roots), system.generators)
+    """``system`` with its roots listed in a seeded random order, each generator
+    re-indexed to act on the same roots."""
+    order = list(range(len(system.roots)))  # new index k holds old root order[k]
+    random.Random(seed).shuffle(order)
+    position = {old: new for new, old in enumerate(order)}
+    generators = tuple(
+        (bytes(position[perm[old]] for old in order), sign) for perm, sign in system.generators
+    )
+    return TwistedRootSystem(system.rank, tuple(system.roots[i] for i in order), generators)
+
+
+def type_a_case(build, n):
+    """A type-A builder's system with its matrix generators."""
+    return build(n), type_a_generators(build, n)
 
 
 @st.composite
 def sweep_systems(draw):
-    """Small signed-permutation systems and the families at odd n, as built or shuffled.
+    """Small signed-permutation systems and the families at odd n, as built or
+    shuffled, each with its matrix generators.
 
     In a shuffled tuple the first root by index is seldom the least root,
     which is the orbit's base.
     """
     family = st.builds(
-        lambda build, n: build(n),
+        type_a_case,
         st.sampled_from((gln_root_system, unitary_root_system)),
         st.sampled_from((3, 5, 7)),
     )
-    system = draw(st.one_of(signed_perm_systems(), family))
-    return shuffled(system, draw(st.integers(0, 2**16))) if draw(st.booleans()) else system
+    system, matrices = draw(st.one_of(signed_perm_systems(), family))
+    if draw(st.booleans()):
+        system = shuffled(system, draw(st.integers(0, 2**16)))
+    return system, matrices
 
 
 @settings(max_examples=60, deadline=None)
 @given(sweep_systems())
-@example(gln_root_system(7))
-@example(shuffled(unitary_root_system(7), 0))
-def test_classify_orbits_matches_definitional_sweeps(system):
-    assert classify_orbits(system) == definitional_orbit_records(system)
+@example(type_a_case(gln_root_system, 7))
+@example((shuffled(unitary_root_system(7), 0), type_a_generators(unitary_root_system, 7)))
+def test_classify_orbits_matches_definitional_sweeps(case):
+    system, matrices = case
+    assert classify_orbits(system) == definitional_orbit_records(system, matrices)
 
 
 @pytest.mark.parametrize("build", [gln_root_system, unitary_root_system])
@@ -909,39 +982,44 @@ def test_shuffled_roots_give_the_same_orbits_and_bases(build, n):
         assert [(r.base_root, r.roots) for r in got] == [
             (r.base_root, r.roots) for r in classify_orbits(system)
         ]
-        assert got == definitional_orbit_records(other)
+        assert got == definitional_orbit_records(other, type_a_generators(build, n))
+
+
+@pytest.mark.parametrize("build", [gln_root_system, unitary_root_system], ids=["gln", "un"])
+@pytest.mark.parametrize("n", range(2, 16))
+def test_the_type_a_builders_match_the_matrix_oracle(build, n):
+    # at every n the suites allow and the even n they do not: the roots e_i - e_j, the
+    # generator read off the oracle's shift, and the orbit records of the matrix group
+    matrices = type_a_generators(build, n)
+    system = build(n)
+    assert system.roots == type_a_roots(n)
+    assert system.generators == tuple((root_permutation(system.roots, m), s) for m, s in matrices)
+    assert classify_orbits(system) == definitional_orbit_records(system, matrices)
 
 
 # ---------------------------------------------------------------------------
 # root permutations composed in the closure, against per-element products
 # ---------------------------------------------------------------------------
 
+DIHEDRAL = ((((-1, 0), (0, 1)), 1), (((0, 1), (1, 0)), -1))  # a flip in the kernel, a swap outside
+A2_WEYL = (  # the transpositions (0 1) and (1 2) as permutation matrices
+    (((0, 1, 0), (1, 0, 0), (0, 0, 1)), -1),
+    (((1, 0, 0), (0, 0, 1), (0, 1, 0)), -1),
+)
+
 
 def dihedral_square():
     """The square's dihedral group: a flip inside the character kernel, a swap outside."""
-    return TwistedRootSystem(
-        rank=2,
-        roots=((1, 0), (-1, 0), (0, 1), (0, -1)),
-        generators=((((-1, 0), (0, 1)), 1), (((0, 1), (1, 0)), -1)),
-    )
+    return matrix_system(2, ((1, 0), (-1, 0), (0, 1), (0, -1)), DIHEDRAL)
 
 
 def a2_weyl():
-    """A_2 in ``Z^3``, roots ``e_i - e_j``, with its Weyl group S_3 and the sign character.
-
-    The two generators are the transpositions ``(0 1)`` and ``(1 2)`` as permutation matrices.
-    """
-    return TwistedRootSystem(
-        rank=3,
-        roots=((1, -1, 0), (-1, 1, 0), (0, 1, -1), (0, -1, 1), (1, 0, -1), (-1, 0, 1)),
-        generators=(
-            (((0, 1, 0), (1, 0, 0), (0, 0, 1)), -1),
-            (((1, 0, 0), (0, 0, 1), (0, 1, 0)), -1),
-        ),
-    )
+    """A_2 in ``Z^3``, roots ``e_i - e_j``, with its Weyl group S_3 and the sign character."""
+    roots = ((1, -1, 0), (-1, 1, 0), (0, 1, -1), (0, -1, 1), (1, 0, -1), (-1, 0, 1))
+    return matrix_system(3, roots, A2_WEYL)
 
 
-def product_images(system):
+def product_images(system, matrices):
     """Oracle: each element of the matrix group mapped to ``(root permutation,
     character value)``, from its matrix times the roots taken as columns, one
     product per element."""
@@ -949,7 +1027,7 @@ def product_images(system):
     columns = tuple(zip(*system.roots))
     return {
         g: (tuple(index[image] for image in zip(*mat_mul(g[0], columns))), g[1])
-        for g in matrix_closure(system)
+        for g in matrix_closure(system.rank, matrices)
     }
 
 
@@ -991,18 +1069,19 @@ def orbit_records_from_images(system, images):
 
 
 PERMUTATION_SYSTEMS = {
-    **{f"gln{n}": (gln_root_system, n) for n in range(2, 8)},
-    **{f"un{n}": (unitary_root_system, n) for n in range(2, 8)},
-    "rank-one-klein": (rank_one_klein,),
-    "dihedral-square": (dihedral_square,),
-    "a2-weyl": (a2_weyl,),
+    **{f"gln{n}": lambda n=n: type_a_case(gln_root_system, n) for n in range(2, 8)},
+    **{f"un{n}": lambda n=n: type_a_case(unitary_root_system, n) for n in range(2, 8)},
+    "rank-one-klein": lambda: (rank_one_klein(), KLEIN),
+    "dihedral-square": lambda: (dihedral_square(), DIHEDRAL),
+    "a2-weyl": lambda: (a2_weyl(), A2_WEYL),
 }
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(signed_perm_systems(), st.builds(a2_weyl)))
-def test_group_elements_are_the_image_of_the_matrix_closure(system):
-    images = {as_pair(system, g) for g in matrix_closure(system)}
+@given(st.one_of(signed_perm_systems(), st.builds(PERMUTATION_SYSTEMS["a2-weyl"])))
+def test_group_elements_are_the_image_of_the_matrix_closure(case):
+    system, matrices = case
+    images = {as_pair(system, g) for g in matrix_closure(system.rank, matrices)}
     assert system.group_elements() == tuple(sorted(images))
 
 
@@ -1013,8 +1092,8 @@ def tuple_perms(elements):
 
 @pytest.mark.parametrize("build", PERMUTATION_SYSTEMS.values(), ids=PERMUTATION_SYSTEMS)
 def test_composed_root_permutations_match_per_element_products(build):
-    system = build[0](*build[1:])
-    images = product_images(system)
+    system, matrices = build()
+    images = product_images(system, matrices)
     # the closure is the sorted image of the matrix group
     assert tuple_perms(system.group_elements()) == sorted(set(images.values()))
     records = classify_orbits(system)
@@ -1028,42 +1107,6 @@ def test_composed_root_permutations_match_per_element_products(build):
             assert value == getattr(want, field), field
 
 
-@pytest.mark.parametrize("build", PERMUTATION_SYSTEMS.values(), ids=PERMUTATION_SYSTEMS)
-def test_each_generator_matrix_meets_the_roots_once(monkeypatch, build):
-    # one read per generator at construction, through the reader the lattices
-    # use; the closure, the orbits and the orbit classes read no matrix
-    calls = []
-    real = root_orbits.signed_permutation
-    monkeypatch.setattr(root_orbits, "signed_permutation", lambda g: calls.append(g) or real(g))
-    system = build[0](*build[1:])
-    assert calls == [mat for mat, _ in system.generators]
-    records = system.orbits
-
-    def no_read(g):
-        raise AssertionError("a generator read after the generators were read")
-
-    monkeypatch.setattr(root_orbits, "signed_permutation", no_read)
-    kernel = character_kernel(system)
-    assert classify_orbits(system) == list(records)
-    assert len(system.group_elements()) == 2 * len(kernel)
-    for rec in records:
-        assert orbit_class(rec, kernel) in CLASS_TRIPLES
-
-
-def test_root_systems_and_lattices_share_one_reader():
-    # the shift of gln 5 and the shift-and-negate of un 5, read by the systems,
-    # are read again by no lattice that takes them as generators
-    read = galois_lattices.signed_permutation
-    systems = (gln_root_system(5), unitary_root_system(5))
-    for system in systems:
-        system.orbits
-    assert read.cache_info().misses == 2
-    for system, order in zip(systems, (5, 10)):
-        ((mat, _),) = system.generators
-        GaloisLattice(5, (mat,), (order,))
-    assert read.cache_info()[:2] == (2, 2)  # (hits, misses)
-
-
 FAMILIES = (
     rank_one_klein(),
     *(gln_root_system(n) for n in (2, 3, 4, 5)),
@@ -1072,7 +1115,7 @@ FAMILIES = (
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.one_of(signed_perm_systems(), st.sampled_from(FAMILIES)))
+@given(st.one_of(signed_perm_systems().map(lambda case: case[0]), st.sampled_from(FAMILIES)))
 def test_twisted_stabilizer_is_another_stabilizer_outside_the_biquadratic_shape(system):
     # outside the biquadratic shape the twisted stabilizer is already one of
     # the four, so its field, which orbit_class cross-checks, is one of theirs

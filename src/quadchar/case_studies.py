@@ -41,7 +41,7 @@ count by that exponent parity without enumerating the group
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
 
 from ._value import Value
 from .char_engine import (
@@ -361,8 +361,9 @@ def verify_gl2(p: int) -> ScenarioReport:
 
 # Orbit classification closes the cyclic group of order 2n; its time grows
 # with n.  At n = 15 the first call classifies once (about 0.8 of its 1.1 ms)
-# and later calls at any p reuse the shared system (about 0.17 ms), Python
-# 3.11.7 on a 2-vCPU Xeon, median of 15 processes.  The unitary scenario shares the cap.
+# and later calls at any p reuse the shared system and its branch zetas (about
+# 0.08 ms), Python 3.11.7 on a 2-vCPU Xeon, median of 15 processes.  The
+# unitary scenario shares the cap.
 GLN_MAX_N = 15
 
 
@@ -374,13 +375,16 @@ def _check_rank(n: int) -> None:
         raise UsageError(f"this scenario is capped at n <= {GLN_MAX_N}, got {n}")
 
 
+@cache
 def _branch_zetas(system: TwistedRootSystem) -> dict[EF, str]:
     """``zeta`` of the orbits' class on each branch of the base extension.
 
     ``Q = <g>`` has order ``2n`` with ``n`` odd, so ``g**n`` has order 2 and
     character value -1.  Inertia is trivial when ``E/F`` is unramified and
     ``<g**n>`` when it is ramified.  Orbits of distinct ``zeta`` give a
-    joined text that no record expects.
+    joined text that no record expects.  It reads only the system, which the
+    builders share per ``n``, so it runs once per system and process; callers
+    must not change the dict.
     """
     (g,) = system.generators
     g_n = reduce(compose, [g] * system.rank)

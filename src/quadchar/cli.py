@@ -118,7 +118,9 @@ def _encode(o, newline: str) -> str:
 def _write_report(suite: str, records: Iterable[CheckRecord], json_path: str | None) -> dict:
     """The report of ``records``, sorted by id; also written to ``json_path`` if given.
 
-    The file holds exactly ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``.
+    The file holds exactly ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``
+    on every platform: the encoding is ASCII, and a binary write translates no
+    newline.
     """
     rows = [
         {**vars(r), "verdict": r.verdict}
@@ -135,9 +137,9 @@ def _write_report(suite: str, records: Iterable[CheckRecord], json_path: str | N
         if "\0" in json_path:  # open() refuses it by ValueError, not OSError
             raise UsageError("embedded null byte")
         # encoded before the file is opened, so a failed encoding leaves no file
-        text = _encode(report, "\n") + "\n"
-        with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        data = (_encode(report, "\n") + "\n").encode("ascii")
+        with open(json_path, "wb") as fh:
+            fh.write(data)
     return report
 
 

@@ -269,7 +269,7 @@ def biquadratic_diamond(E1: QuadExtDesc, E2: QuadExtDesc) -> BiquadraticDiamond:
         raise ValueError("the two extensions coincide; a diamond needs distinct ones")
     third_class = E1.discriminant_class * E2.discriminant_class
     E3 = quadratic_extension(E1.base, third_class)
-    return BiquadraticDiamond(base=E1.base, middles=(E1, E2, E3))
+    return BiquadraticDiamond(E1.base, (E1, E2, E3))
 
 
 def lambda_unramified(n: int) -> int:

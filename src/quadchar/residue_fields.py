@@ -40,7 +40,7 @@ and multiplies on the components.  Both ``pow``s take exponents
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from operator import itemgetter
 
 from ._value import Value
@@ -60,8 +60,12 @@ _PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
 _PRIME_TEST_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
+@cache
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test, for ``n < _PRIME_TEST_BOUND``."""
+    """Deterministic Miller-Rabin primality test, for ``n < _PRIME_TEST_BOUND``.
+
+    Memoized per ``n``: every field and base construction asks it again.
+    """
     if n >= _PRIME_TEST_BOUND:
         raise ValueError(f"primality is decided only below {_PRIME_TEST_BOUND}, got {n}")
     if n < 2:
@@ -206,13 +210,23 @@ class QuadraticExtension(Value):
         (Units with ``b = 0`` have order dividing ``q - 1``.)  Then
         ``g**(q-1)`` generates the norm-one subgroup and ``norm(g)`` the
         units of the base field.
+
+        ``x`` has full order when ``x**((q**2-1)/r) != 1`` for each prime
+        ``r`` dividing ``q**2 - 1``.  For ``r`` dividing ``q - 1`` that power
+        is ``norm(x)**((q-1)/r)``, read in the base field.  Every other ``r``
+        is odd and divides ``q + 1``, and the power is
+        ``(x**(q-1))**((q+1)/r)``.
         """
-        q, order = self.q, self.q**2 - 1
-        primes = _prime_divisors(q - 1) | _prime_divisors(q + 1)
+        q, p = self.q, self.base.p
+        down = _prime_divisors(q - 1)
+        up = _prime_divisors(q + 1) - down
         for b in range(1, q):
             for a in range(q):
-                if all(self.pow((a, b), order // r) != self.one for r in primes):
-                    return (a, b)
+                norm = self.norm((a, b))
+                if all(pow(norm, (q - 1) // r, p) != 1 for r in down):
+                    z = self.pow((a, b), q - 1)
+                    if all(self.pow(z, (q + 1) // r) != self.one for r in up):
+                        return (a, b)
         raise AssertionError("the unit group of a finite field is cyclic")
 
     def norm_one_elements(self) -> list[ExtElement]:

@@ -8,7 +8,7 @@ from typing import Iterator
 
 import pytest
 
-from quadchar import galois_lattices, root_orbits
+from quadchar import case_studies, galois_lattices, residue_fields, root_orbits
 from quadchar.residue_fields import ExtElement, FiniteField, QuadraticExtension
 from quadchar.root_orbits import TwistedRootSystem
 
@@ -37,15 +37,19 @@ def fresh_shared_caches() -> None:
     root permutations, the root sets already checked and indexed, the
     systems' cached orbits, the generator matrices the lattices already read
     (each with its order), the cocharacter lattices, the lattices shared per
-    distinct action and the shared Tate groups.
+    distinct action, the shared Tate groups, each system's branch zetas
+    (``case_studies._branch_zetas``) and the primality verdicts
+    (``residue_fields._is_prime``).
 
     A helper that a test patches (a classification step, ``_neg``,
     ``compose_permutations``, ``GaloisLattice.__post_init__``, which also
-    walks the line orbits, or ``FiniteAbelianGroup.__post_init__``) then
-    reaches every system, lattice and group the test builds, not only those
-    no earlier test has built.  Every other cache of the package is a
-    constant table (``CONSTANT_CACHES``), which ``test_shared_caches.py``
-    checks.
+    walks the line orbits, ``FiniteAbelianGroup.__post_init__``, or
+    ``orbit_class``, ``make_config`` or ``zeta_contribution``, which the
+    branch zetas read) then reaches every system, lattice and group the test
+    builds, not only those no earlier test has built.  The primality memo
+    would otherwise keep every ``n`` a test asked about.  Every other cache
+    of the package is a constant table (``CONSTANT_CACHES``), which
+    ``test_shared_caches.py`` checks.
     """
     root_orbits.gln_root_system.cache_clear()
     root_orbits.unitary_root_system.cache_clear()
@@ -55,6 +59,8 @@ def fresh_shared_caches() -> None:
     galois_lattices.cocharacter_lattice.cache_clear()
     galois_lattices._lattice.cache_clear()
     galois_lattices._group.cache_clear()
+    case_studies._branch_zetas.cache_clear()
+    residue_fields._is_prime.cache_clear()
 
 
 # caches of pure functions of small integers that read no patchable helper,

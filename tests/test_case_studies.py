@@ -3,7 +3,7 @@
 import io
 
 import pytest
-from conftest import ext_units, field_units
+from conftest import ext_units, field_units, fresh_shared_caches
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -183,6 +183,15 @@ def test_patched_classification_reaches_systems_classified_earlier(monkeypatch):
     assert main(["verify", "gln"], out=io.StringIO()) != 0
 
 
+def test_patched_class_rule_reaches_systems_whose_zetas_were_read_earlier(monkeypatch):
+    """A mutant of the class rule fails ``verify`` once the caches are cleared."""
+    assert main(["verify", "gln"], out=io.StringIO()) == 0
+    # class 1's zeta is trivial on both branches; gln's ramified branch expects another
+    monkeypatch.setattr(case_studies, "orbit_class", lambda record, inertia: CLASS_TRIPLES[0])
+    fresh_shared_caches.__wrapped__()
+    assert main(["verify", "gln"], out=io.StringIO()) != 0
+
+
 def test_a_symmetric_orbit_with_a_trivial_step_is_inconsistent_inertia(monkeypatch, capsys):
     # under the same mutant the signed stabilizer is the stabilizer, so the
     # symmetric orbit's step is trivial: an inertia fault, not a bare KeyError
@@ -198,6 +207,7 @@ def test_branch_zetas_take_g_to_the_n_from_the_generator(monkeypatch, n):
     system = gln_root_system(n)
     zetas = case_studies._branch_zetas(system)
     monkeypatch.setattr(root_orbits.TwistedRootSystem, "group_elements", None)
+    case_studies._branch_zetas.cache_clear()  # else the memo answers without the body
     assert case_studies._branch_zetas(system) == zetas
 
 

@@ -45,18 +45,10 @@ class EF(str, Enum):
     RAM = "r"
 
 
-_BASIS: set[str] = set()  # the basis symbols; filled at import by _basis_character
-
-
 class CharContribution(Value):
     """A product of basis quadratic characters (exponents mod 2)."""
 
     symbols: frozenset[str] = frozenset()
-
-    def __post_init__(self) -> None:
-        unknown = self.symbols - _BASIS
-        if unknown:
-            raise ValueError(f"unknown character symbols: {sorted(unknown)}")
 
     def __mul__(self, other: "CharContribution") -> "CharContribution":
         return CharContribution(self.symbols ^ other.symbols)
@@ -72,16 +64,12 @@ class CharContribution(Value):
         return " * ".join(sorted(self.symbols))
 
 
-def _basis_character(symbol: str) -> CharContribution:
-    _BASIS.add(symbol)
-    return CharContribution(frozenset({symbol}))
-
-
+# the four basis characters; every contribution is a product of these
 ONE = CharContribution()
-SGN_UNITS_ORBIT = _basis_character("sgn(k_E_a^x) . alpha")
-SGN_UNITS_STAB = _basis_character("sgn(k_F_a^x) . alpha")
-SGN_NORM_ONE_ORBIT = _basis_character("sgn(k_E_a^1) . alpha")
-OMEGA_STEP = _basis_character("omega(E_a/F_a) . iota . alpha")
+SGN_UNITS_ORBIT = CharContribution(frozenset({"sgn(k_E_a^x) . alpha"}))
+SGN_UNITS_STAB = CharContribution(frozenset({"sgn(k_F_a^x) . alpha"}))
+SGN_NORM_ONE_ORBIT = CharContribution(frozenset({"sgn(k_E_a^1) . alpha"}))
+OMEGA_STEP = CharContribution(frozenset({"omega(E_a/F_a) . iota . alpha"}))
 
 
 # the ten consistent classification triples, in table order, each with
@@ -109,7 +97,12 @@ def allowed_ef(triple: tuple[Deg, Sym, Sym]) -> tuple[EF, ...]:
 
 
 class RootOrbitConfig(Value):
-    """One fully specified orbit situation (class, ramification, gates)."""
+    """One fully specified orbit situation (class, ramification, gates).
+
+    The class must occur with the ramification (``allowed_ef``).  The gates
+    take the values ``enumerate_configs`` gives them: ``in_phi_half`` only
+    over a ramified ``E/F``, ``ord_zero`` only for ``sym_E`` symmetric-ramified.
+    """
 
     deg_EaFa: Deg
     sym_F: Sym
@@ -121,14 +114,6 @@ class RootOrbitConfig(Value):
     def __post_init__(self) -> None:
         if self.ef not in allowed_ef(self.triple):
             raise ValueError(f"class {self.triple} does not occur with ef={self.ef.value}")
-        if self.in_phi_half and self.ef is EF.UNRAM:
-            raise ValueError(
-                "over an unramified base extension the half-system gate is forced off"
-            )
-        if self.ord_zero and self.sym_E is not Sym.SYM_RAM:
-            raise ValueError(
-                "the even-valuation gate only applies to symmetric-ramified-over-E orbits"
-            )
 
     @property
     def triple(self) -> tuple[Deg, Sym, Sym]:
@@ -232,10 +217,8 @@ def toral_invariant(field: LocalFieldDesc, a: SquareClass, b: SquareClass) -> in
 
     Equal to the quadratic Hilbert symbol of the two square classes over
     the signed-stabilizer field; the first class encodes the quadratic
-    step and must be nontrivial for the invariant to be meaningful.
+    step, which is nontrivial at every caller.
     """
-    if a.is_trivial:
-        raise ValueError("the step class of a symmetric orbit must be nontrivial")
     return hilbert_symbol(field, a, b)
 
 

@@ -12,7 +12,10 @@ with the group law ``^`` (XOR) and the convention that ``g & 2`` moves ``E``
 and ``g & 1`` moves ``E1`` (so ``g == 1`` or ``2`` moves ``E2``); thus
 ``Gal(K/E) = (0, 1)``, ``Gal(K/E1) = (0, 2)`` and ``Gal(K/E2) = (0, 3)``.
 A quadratic step ``A/B`` is read as its generator, the first element of
-``Gal(K/B)`` outside ``Gal(K/A)``; finding it checks that the step is quadratic.
+``Gal(K/B)`` outside ``Gal(K/A)``.  The tori, levels and steps are the fixed
+ones of ``torus_catalog`` and the suites, so nothing here checks that a step
+is quadratic, that a level lies over a torus' base or that a product's factors
+share one: no caller builds any other.
 
 Tori are expressions built from ``Gm``, norm-one tori ``U1`` of quadratic
 steps, quadratic Weil restrictions ``Res`` and finite products; their
@@ -78,10 +81,6 @@ Matrix = tuple[tuple[int, ...], ...]
 SignedPerm = tuple[tuple[int, int], ...]  # (j, x) per row i: the row is x e_j
 
 
-class UnsupportedTorusError(ValueError):
-    """Raised when an operation is asked for a torus outside its catalog."""
-
-
 # ---------------------------------------------------------------------------
 # the diamond tower as a subgroup lattice of (Z/2)^2
 # ---------------------------------------------------------------------------
@@ -97,26 +96,8 @@ _GAL: dict[str, tuple[int, ...]] = {
 }
 
 
-def galois_group(level: str) -> tuple[int, ...]:
-    """Elements of ``Gal(K/level)``, multiplied by XOR."""
-    if level not in _GAL:
-        raise ValueError(f"unknown tower level {level!r}; expected one of {FIELD_LEVELS}")
-    return _GAL[level]
-
-
-def field_contains(bigger: str, smaller: str) -> bool:
-    """Whether ``smaller`` is a subfield of ``bigger`` in the tower."""
-    return set(galois_group(bigger)) <= set(galois_group(smaller))
-
-
-def field_degree(top: str, bottom: str) -> int:
-    if not field_contains(top, bottom):
-        raise ValueError(f"{top} does not contain {bottom}")
-    return len(galois_group(bottom)) // len(galois_group(top))
-
-
 def compositum(a: str, b: str) -> str:
-    target = set(galois_group(a)) & set(galois_group(b))
+    target = set(_GAL[a]) & set(_GAL[b])
     for level, grp in _GAL.items():
         if set(grp) == target:
             return level
@@ -124,9 +105,7 @@ def compositum(a: str, b: str) -> str:
 
 
 def _quadratic_step(top: str, bottom: str) -> int:
-    """The generator of ``Gal(top/bottom)`` in ``Gal(K/bottom)``; the step must be quadratic."""
-    if field_degree(top, bottom) != 2:
-        raise UnsupportedTorusError(f"need a quadratic step, got {top}/{bottom}")
+    """The generator of ``Gal(top/bottom)`` in ``Gal(K/bottom)``, for a quadratic step."""
     return next(g for g in _GAL[bottom] if g not in _GAL[top])
 
 
@@ -138,17 +117,12 @@ def _quadratic_step(top: str, bottom: str) -> int:
 class FiniteAbelianGroup(Value):
     """A finite abelian group by its invariant-factor chain ``d1 | d2 | ...``.
 
-    The empty chain is the trivial group.  Every factor is at least 2.
+    The empty chain is the trivial group.  Every factor is at least 2: the
+    package builds groups only through ``from_factors`` (shared as ``_group``),
+    which normalizes positive cyclic factors into such a chain.
     """
 
     invariant_factors: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
-            if b % a != 0:
-                raise ValueError(f"invariant factors must form a divisor chain, got {self.invariant_factors}")
-        if any(d < 2 for d in self.invariant_factors):
-            raise ValueError("invariant factors must be at least 2")
 
     @property
     def order(self) -> int:
@@ -168,8 +142,6 @@ class FiniteAbelianGroup(Value):
         """
         chain: list[int] = []
         for n in factors:
-            if n < 1:
-                raise ValueError("cyclic factors must be positive")
             for i, d in enumerate(chain):
                 chain[i], n = math.gcd(d, n), math.lcm(d, n)
             chain.append(n)
@@ -300,8 +272,6 @@ class Quotient(Value):
 
     def normalize(self, x: Sequence[int]) -> tuple[int, ...]:
         """The class of ``x``: coordinate ``i`` mod ``diag[i]``, exact where that is 0."""
-        if len(x) != len(self.diag):
-            raise ValueError("dimension mismatch")
         return tuple(c % d if d else c for c, d in zip(mat_vec(self.coordinates, x), self.diag))
 
     def is_zero_class(self, x: Sequence[int]) -> bool:
@@ -328,8 +298,6 @@ def _distinct_rows(rows: Iterable[Sequence[int]], width: int) -> list[tuple[int,
     seen: set[tuple[int, ...]] = set()
     for row in rows:
         row = tuple(row)
-        if len(row) != width:
-            raise ValueError("dimension mismatch")
         if row not in seen and any(row):
             seen.add(row)
             seen.add(tuple(map(neg, row)))
@@ -341,7 +309,7 @@ def quotient(width: int, relations: Iterable[Sequence[int]]) -> Quotient:
     """``Z^width / span(relations)`` from one Smith form of the relations as rows.
 
     The form needs no row transform, and sees only the distinct nonzero
-    relations up to sign.  Raises ``ValueError`` on a relation of another length.
+    relations up to sign.  Every relation has length ``width``.
     """
     return smith_normal_form(_distinct_rows(relations, width))
 
@@ -437,8 +405,6 @@ _lattice = cache(GaloisLattice)
 def tate_cohomology(lattice: GaloisLattice, degree: int) -> FiniteAbelianGroup:
     """Tate cohomology of a lattice in degree -1 or 0, the shared group of the chain its
     construction read off the line orbits."""
-    if degree not in (-1, 0):
-        raise ValueError(f"only degrees -1 and 0 are provided, got {degree}")
     return _group(lattice._tate_chains[degree])
 
 
@@ -452,9 +418,6 @@ class Gm(Value):
 
     base: str = "F"
 
-    def __post_init__(self) -> None:
-        galois_group(self.base)
-
     @property
     def rank(self) -> int:
         return 1
@@ -465,9 +428,6 @@ class U1(Value):
 
     top: str
     base: str
-
-    def __post_init__(self) -> None:
-        _quadratic_step(self.top, self.base)
 
     @property
     def rank(self) -> int:
@@ -481,11 +441,6 @@ class Res(Value):
     base: str
     inner: "TorusExpr"
 
-    def __post_init__(self) -> None:
-        _quadratic_step(self.through, self.base)
-        if self.inner.base != self.through:
-            raise UnsupportedTorusError("the inner torus must live over the restriction field")
-
     @property
     def rank(self) -> int:
         return 2 * self.inner.rank
@@ -495,12 +450,6 @@ class Prod(Value):
     """A finite product of tori over a common base."""
 
     factors: tuple["TorusExpr", ...]
-
-    def __post_init__(self) -> None:
-        if not self.factors:
-            raise UnsupportedTorusError("a product needs at least one factor")
-        if len({f.base for f in self.factors}) != 1:
-            raise UnsupportedTorusError("product factors must share a base field")
 
     @property
     def base(self) -> str:
@@ -522,19 +471,15 @@ def torus_label(torus: TorusExpr) -> str:
         return f"U1({torus.top}/{torus.base})"
     if isinstance(torus, Res):
         return f"Res({torus.through}/{torus.base})[{torus_label(torus.inner)}]"
-    if isinstance(torus, Prod):
-        return " x ".join(map(torus_label, torus.factors))
-    raise UnsupportedTorusError(f"unknown torus expression {torus!r}")
+    return " x ".join(map(torus_label, torus.factors))
 
 
 def action_matrix(torus: TorusExpr, g: int) -> Matrix:
     """The matrix of ``g`` in ``Gal(K/base)`` on the cocharacter lattice."""
-    if g not in galois_group(torus.base):
-        raise ValueError(f"{g} does not fix the base field {torus.base}")
     if isinstance(torus, Gm):
         return ((1,),)
     if isinstance(torus, U1):
-        return ((-1,),) if g not in galois_group(torus.top) else ((1,),)
+        return ((-1,),) if g not in _GAL[torus.top] else ((1,),)
     if isinstance(torus, Res):
         # g sends the coset of rep i to that of rep j, acting there by the
         # h of Gal(K/through) with g ^ rep_i = rep_j ^ h
@@ -545,12 +490,10 @@ def action_matrix(torus: TorusExpr, g: int) -> Matrix:
             j = int(g ^ rep not in _GAL[torus.through])
             blocks.append((j * r, i * r, action_matrix(torus.inner, g ^ rep ^ reps[j])))
         return _block_matrix(torus.rank, blocks)
-    if isinstance(torus, Prod):
-        offsets = itertools.accumulate((f.rank for f in torus.factors), initial=0)
-        return _block_matrix(
-            torus.rank, [(k, k, action_matrix(f, g)) for k, f in zip(offsets, torus.factors)]
-        )
-    raise UnsupportedTorusError(f"unknown torus expression {torus!r}")
+    offsets = itertools.accumulate((f.rank for f in torus.factors), initial=0)
+    return _block_matrix(
+        torus.rank, [(k, k, action_matrix(f, g)) for k, f in zip(offsets, torus.factors)]
+    )
 
 
 def _block_matrix(n: int, blocks: Iterable[tuple[int, int, Matrix]]) -> Matrix:
@@ -566,13 +509,12 @@ def _block_matrix(n: int, blocks: Iterable[tuple[int, int, Matrix]]) -> Matrix:
 def cocharacter_lattice(torus: TorusExpr, level: str) -> GaloisLattice:
     """The cocharacter lattice of ``torus`` with the ``Gal(K/level)`` action.
 
-    ``level`` must contain the base field of the torus; the action of the
-    smaller group is the restriction of the full one.  Memoised, and equal actions
-    share one lattice, its cached orbits and its cached coinvariants: the
-    catalog's 50 (torus, level) pairs make 29 lattices.
+    ``level`` contains the base field of the torus, as at every caller, so
+    ``Gal(K/level)`` lies in ``Gal(K/base)`` and its action is the restriction
+    of the full one.  Memoised, and equal actions share one lattice, its cached
+    orbits and its cached coinvariants: the catalog's 50 (torus, level) pairs
+    make 29 lattices.
     """
-    if not field_contains(level, torus.base):
-        raise ValueError(f"level {level} does not contain the base field {torus.base}")
     gens = _GAL[level][1:3]  # 1 and 2 for F, the one nontrivial element below it
     return _lattice(torus.rank, tuple(action_matrix(torus, g) for g in gens), (2,) * len(gens))
 
@@ -591,17 +533,8 @@ def component_group_dual(torus: TorusExpr, level: str) -> FiniteAbelianGroup:
 # ---------------------------------------------------------------------------
 
 
-def _check_step(torus: TorusExpr, step: tuple[str, str]) -> int:
-    """The generator of the quadratic step ``A/B``; raises unless ``torus`` lives over ``B``."""
-    top, bottom = step
-    s = _quadratic_step(top, bottom)
-    if torus.base != bottom:
-        raise UnsupportedTorusError(f"torus over {torus.base} does not match the step base {bottom}")
-    return s
-
-
 def norm_quotient(torus: TorusExpr, step: tuple[str, str] = ("E", "F")) -> FiniteAbelianGroup:
-    """The quotient of ``torus(B)`` by norms from ``torus(A)``, ``A/B`` quadratic.
+    """The quotient of ``torus(B)`` by norms from ``torus(A)``, ``A/B`` quadratic, ``B`` the base.
 
     It is killed by 2 (``x^2 = N(x)`` for ``x`` in ``torus(B)``), so it is
     ``(Z/2)^k``, with ``k`` counted by the structural rules:
@@ -614,7 +547,6 @@ def norm_quotient(torus: TorusExpr, step: tuple[str, str] = ("E", "F")) -> Finit
       otherwise push down to the step ``compositum(A, L)/L``;
     * products: the sum over the factors.
     """
-    _check_step(torus, step)
     return _group((2,) * _norm_quotient_rank(torus, step[0]))
 
 
@@ -627,9 +559,7 @@ def _norm_quotient_rank(torus: TorusExpr, top: str) -> int:
     if isinstance(torus, Res):
         inner_top = compositum(top, torus.through)
         return 0 if torus.through == top else _norm_quotient_rank(torus.inner, inner_top)
-    if isinstance(torus, Prod):
-        return sum(_norm_quotient_rank(f, top) for f in torus.factors)
-    raise UnsupportedTorusError(f"norm quotient not provided for {torus!r}")
+    return sum(_norm_quotient_rank(f, top) for f in torus.factors)
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +607,7 @@ def prasad_torus_identity(
     they present one group (``ker(N) / sum (g - 1) M = tors(M_G)``), so the
     counts agree by the algebra.
     """
-    s = _check_step(torus, step)
+    s = _quadratic_step(*step)
     top, bottom = step
     low, high = cocharacter_lattice(torus, bottom), cocharacter_lattice(torus, top)
     # the transfer is 1 + s on the lattice, s generating Gal(A/B)

@@ -54,15 +54,15 @@ class NonOddPrimeError(UsageError):
 
 
 class LocalFieldDesc(Value):
-    """A p-adic field described by residue characteristic and invariants.
+    """A p-adic field described by residue characteristic and residue degree.
 
-    ``e`` and ``f`` are the absolute ramification index and residue degree;
-    the residue field has ``q = p**f`` elements.  The descriptor carries no
-    element arithmetic — square-class bits are all the element data needed.
+    The residue field has ``q = p**f`` elements.  The descriptor carries no
+    element arithmetic — square-class bits are all the element data needed,
+    and no computation reads the ramification index, so it is not kept.
+    Only ``p`` is checked: it is the one invariant the command line takes.
     """
 
     p: int
-    e: int = 1
     f: int = 1
 
     def __post_init__(self) -> None:
@@ -70,8 +70,6 @@ class LocalFieldDesc(Value):
             raise NonOddPrimeError(f"residue characteristic must be below {_PRIME_TEST_BOUND}")
         if self.p == 2 or not _is_prime(self.p):
             raise NonOddPrimeError(f"residue characteristic must be an odd prime, got {self.p}")
-        if self.e < 1 or self.f < 1:
-            raise ValueError("ramification index and residue degree must be positive")
 
     @property
     def residue_q(self) -> int:
@@ -88,15 +86,11 @@ class SquareClass(Value):
 
     The group is ``(Z/2)^2``; multiplication is bitwise XOR.  Canonical
     representatives: ``(0,0) -> 1``, ``(0,1) -> u``, ``(1,0) -> pi``,
-    ``(1,1) -> u*pi``.
+    ``(1,1) -> u*pi``.  Each bit is 0 or 1.
     """
 
     val_parity: int
     unit_nonsquare: int
-
-    def __post_init__(self) -> None:
-        if self.val_parity not in (0, 1) or self.unit_nonsquare not in (0, 1):
-            raise ValueError("square-class bits must be 0 or 1")
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
         return SquareClass(
@@ -125,7 +119,7 @@ SQUARE_CLASS_UPI = SquareClass(1, 1)
 
 def make_base(p: int) -> LocalFieldDesc:
     """The base p-adic field descriptor for an odd prime ``p``."""
-    return LocalFieldDesc(p, 1, 1)
+    return LocalFieldDesc(p)
 
 
 def square_classes(F: LocalFieldDesc) -> list[SquareClass]:
@@ -136,14 +130,13 @@ def square_classes(F: LocalFieldDesc) -> list[SquareClass]:
 def square_class_of_int(F: LocalFieldDesc, n: int) -> SquareClass:
     """The square class of a nonzero rational integer in the base field.
 
-    Only defined for residue degree 1 (the command-line entry point feeds
-    plain integers).  The valuation is taken p-adically and the unit part
-    is tested for squareness in the residue field.
+    ``F`` is a base field from ``make_base``, of residue degree 1, as the
+    command line builds it for the plain integers it feeds here.  The
+    valuation is taken p-adically and the unit part is tested for
+    squareness in the residue field.
     """
     if n == 0:
         raise UsageError("zero has no square class")
-    if F.f != 1 or F.e != 1:
-        raise ValueError("integer square classes are defined over the base field only")
     v = 0
     while n % F.p == 0:
         n //= F.p
@@ -178,15 +171,12 @@ class QuadExtDesc(Value):
 
     The extension is unramified exactly when the discriminant class is the
     non-square-unit class ``u``; the two ramified extensions correspond to
-    the classes of ``pi`` and ``u*pi``.
+    the classes of ``pi`` and ``u*pi``.  The class is nontrivial: every
+    builder passes one of those three.
     """
 
     base: LocalFieldDesc
     discriminant_class: SquareClass
-
-    def __post_init__(self) -> None:
-        if self.discriminant_class.is_trivial:
-            raise ValueError("a quadratic extension needs a nontrivial discriminant class")
 
     @property
     def kind(self) -> ExtKind:
@@ -196,11 +186,12 @@ class QuadExtDesc(Value):
 
     @property
     def field(self) -> LocalFieldDesc:
-        """Descriptor of ``E`` itself as a p-adic field."""
+        """Descriptor of ``E`` itself as a p-adic field: a ramified ``E`` has the
+        residue field of ``F``, so the descriptor of ``F``."""
         F = self.base
         if self.kind is ExtKind.UNRAMIFIED:
-            return LocalFieldDesc(F.p, F.e, 2 * F.f)
-        return LocalFieldDesc(F.p, 2 * F.e, F.f)
+            return LocalFieldDesc(F.p, 2 * F.f)
+        return F
 
 
 def quadratic_extension(F: LocalFieldDesc, disc: SquareClass) -> QuadExtDesc:
@@ -245,28 +236,21 @@ class BiquadraticDiamond(Value):
     group; the middle layer consists of the three quadratic extensions
     corresponding to the three nontrivial square classes.  Exactly one
     middle field is unramified, and the upper edge ``K/E_i`` is unramified
-    exactly when ``E_i/F`` is ramified.
+    exactly when ``E_i/F`` is ramified.  ``biquadratic_diamond`` builds it
+    from two distinct extensions of one base, so the middles carry the three
+    nontrivial classes over that base; the one unramified middle is checked.
     """
 
     base: LocalFieldDesc
     middles: tuple[QuadExtDesc, QuadExtDesc, QuadExtDesc]
 
     def __post_init__(self) -> None:
-        classes = {m.discriminant_class for m in self.middles}
-        if len(classes) != 3 or any(c.is_trivial for c in classes):
-            raise ValueError("diamond middles must carry the three nontrivial classes")
-        if any(m.base != self.base for m in self.middles):
-            raise ValueError("diamond middles must share the base field")
         if sum(m.kind is ExtKind.UNRAMIFIED for m in self.middles) != 1:
             raise AssertionError("exactly one quadratic extension is unramified")
 
 
 def biquadratic_diamond(E1: QuadExtDesc, E2: QuadExtDesc) -> BiquadraticDiamond:
     """The diamond generated by two distinct quadratic extensions of one base."""
-    if E1.base != E2.base:
-        raise ValueError("the two extensions must share a base field")
-    if E1.discriminant_class == E2.discriminant_class:
-        raise ValueError("the two extensions coincide; a diamond needs distinct ones")
     third_class = E1.discriminant_class * E2.discriminant_class
     E3 = quadratic_extension(E1.base, third_class)
     return BiquadraticDiamond(E1.base, (E1, E2, E3))
@@ -276,10 +260,8 @@ def lambda_unramified(n: int) -> int:
     """The normalizing constant of the unramified extension of degree ``n``.
 
     Equal to ``(-1)**(n-1)``; in particular ``+1`` for the trivial
-    extension and ``-1`` for the quadratic one.
+    extension and ``-1`` for the quadratic one; ``n >= 1``.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"extension degree must be a positive integer, got {n}")
     return -1 if (n - 1) % 2 else +1
 
 
@@ -289,7 +271,8 @@ def zeta_lambda_ratio(diamond: BiquadraticDiamond) -> int:
     The input diamond designates ``middles[0]`` as the field under the
     *unramified* upper edge (so ``middles[0]/base`` is ramified) and
     ``middles[1]`` as the field under the *ramified* upper edge (so
-    ``middles[1]/base`` is unramified).  The ratio
+    ``middles[1]/base`` is unramified), as its one caller builds it; the
+    value reads nothing else of the diamond.  The ratio
 
         lam(middles[0]/base)**2 / lam(top/middles[1])
 
@@ -300,12 +283,6 @@ def zeta_lambda_ratio(diamond: BiquadraticDiamond) -> int:
     whose factors are both unramified-quadratic constants, giving
     ``(+1)/(-1) = -1``.
     """
-    first, second = diamond.middles[0], diamond.middles[1]
-    if first.kind is not ExtKind.RAMIFIED or second.kind is not ExtKind.UNRAMIFIED:
-        raise ValueError(
-            "ratio requires middles[0] ramified (unramified upper edge) and "
-            "middles[1] unramified (ramified upper edge)"
-        )
     numerator = lambda_unramified(2) ** 2  # middles[1]/base, unramified, squared
     denominator = lambda_unramified(2)  # top/middles[0], unramified
     return numerator * denominator  # division and multiplication agree for +-1

@@ -20,6 +20,13 @@ evaluation.  It provides:
     quadratic character of the norm-one subgroup of ``ext^x``, cyclic of
     order ``q + 1``.
 
+  ``_sign_of`` is their one refusal: it raises ``ValueError`` naming the
+  power when that is not ``+-1``, which happens exactly for an argument
+  outside the character's group.  Zero powers to zero, while a unit of
+  ``k`` or of ``ext`` powers to ``+-1`` in the first two.  In the third,
+  ``(x**((q+1)//2))**2 = x**(q+1) = N(x)``, so the power is ``+-1``
+  exactly when ``N(x) = 1``.
+
 Larger residue degrees in this project are handled by cyclic-group
 exponent models and never need a field basis.
 
@@ -247,18 +254,15 @@ class QuadraticExtension(Value):
             raise AssertionError(f"powers of {z} are not the norm-one subgroup")
         return sorted(group, key=itemgetter(1, 0))
 
-    def scalar(self, x: ExtElement) -> int | None:
-        """The base-field value of ``x`` if it lies in the base, else ``None``."""
-        return x[0] if x[1] == 0 else None
 
-
-def _sign_of(k: FiniteField, x: int | None) -> int:
-    """``+1`` or ``-1`` for the encoding ``x`` of ``+-1`` in ``k``; ``None`` is not one."""
-    if x == 1:
+def _sign_of(k: FiniteField, power: int | ExtElement) -> int:
+    """``+1`` or ``-1`` for a power that is ``+-1``: an encoding in ``k``, or a pair
+    ``(a, 0)`` of its quadratic extension; ``ValueError`` naming any other power."""
+    if power in (1, (1, 0)):
         return 1
-    if x == k.p - 1:
+    if power in (k.p - 1, (k.p - 1, 0)):
         return -1
-    raise AssertionError(f"expected +-1 in the base field, got encoding {x}")
+    raise ValueError(f"the argument is outside the sign character's group: its power is {power}")
 
 
 def sgn_units(k: FiniteField, x: int) -> int:
@@ -273,10 +277,7 @@ def sgn_units(k: FiniteField, x: int) -> int:
     >>> sgn_units(k, 4)
     1
     """
-    x = x % k.p
-    if x == 0:
-        raise ValueError("the sign character is defined on units only")
-    return _sign_of(k, k.pow(x, (k.q - 1) // 2))
+    return _sign_of(k, k.pow(x % k.p, (k.q - 1) // 2))
 
 
 def sgn_ext_units(ext: QuadraticExtension, x: ExtElement) -> int:
@@ -290,9 +291,7 @@ def sgn_ext_units(ext: QuadraticExtension, x: ExtElement) -> int:
     >>> sgn_ext_units(ext, (0, 1)), sgn_ext_units(ext, (1, 1))   # 1 + i generates F_9^x
     (1, -1)
     """
-    if x == (0, 0):
-        raise ValueError("the sign character is defined on units only")
-    return _sign_of(ext.base, ext.scalar(ext.pow(x, (ext.q * ext.q - 1) // 2)))
+    return _sign_of(ext.base, ext.pow(x, (ext.q * ext.q - 1) // 2))
 
 
 def sgn_norm_one(ext: QuadraticExtension, x: ExtElement) -> int:
@@ -300,12 +299,11 @@ def sgn_norm_one(ext: QuadraticExtension, x: ExtElement) -> int:
 
     The norm-one subgroup of ``ext^x`` is cyclic of order ``q + 1`` (even),
     so this power lands in ``{+1, -1}`` and defines its unique nontrivial
-    quadratic character.
+    quadratic character.  Its square is ``N(x)``, so off the subgroup it is
+    not ``+-1``, and ``_sign_of`` refuses it.
 
     >>> ext = QuadraticExtension(FiniteField(3))
     >>> sgn_norm_one(ext, (0, 1))    # i has norm 1 in F_9/F_3; i^2 = -1
     -1
     """
-    if ext.norm(x) != 1:
-        raise ValueError(f"element {x} is not norm-one")
-    return _sign_of(ext.base, ext.scalar(ext.pow(x, (ext.q + 1) // 2)))
+    return _sign_of(ext.base, ext.pow(x, (ext.q + 1) // 2))

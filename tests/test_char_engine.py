@@ -12,7 +12,6 @@ from quadchar.char_engine import (
     SGN_NORM_ONE_ORBIT,
     SGN_UNITS_ORBIT,
     SGN_UNITS_STAB,
-    CharContribution,
     CheckStatus,
     RootOrbitConfig,
     allowed_ef,
@@ -60,11 +59,6 @@ def test_describe_strings_are_canonical():
     assert both.describe() == "omega(E_a/F_a) . iota . alpha * sgn(k_E_a^1) . alpha"
 
 
-def test_unknown_symbols_rejected():
-    with pytest.raises(ValueError, match="unknown character symbols"):
-        CharContribution(frozenset({("sgn_units", "nowhere")}))
-
-
 # ---------------------------------------------------------------------------
 # configs and enumeration
 # ---------------------------------------------------------------------------
@@ -86,6 +80,10 @@ def test_enumerate_configs_counts():
     for cfg in configs:
         per_class[class_key(cfg.triple)] = per_class.get(class_key(cfg.triple), 0) + 1
     assert per_class == {1: 3, 2: 3, 3: 2, 4: 1, 5: 3, 6: 2, 7: 2, 8: 6, 9: 6, 10: 2}
+    # the half-system gate only over a ramified E/F, the even-valuation gate only when
+    # the orbit is symmetric-ramified over E
+    assert all(c.ef is EF.RAM for c in configs if c.in_phi_half)
+    assert all(c.sym_E is Sym.SYM_RAM for c in configs if c.ord_zero)
 
 
 def test_enumeration_is_deterministic():
@@ -110,13 +108,6 @@ def test_config_rejects_disallowed_base_ramification():
         make_config(CLASS_TRIPLES[2], EF.UNRAM)
     with pytest.raises(ValueError, match="does not occur with ef=r"):
         make_config(CLASS_TRIPLES[3], EF.RAM)
-
-
-def test_config_gate_constraints():
-    with pytest.raises(ValueError, match="forced off"):
-        make_config(CLASS_TRIPLES[0], EF.UNRAM, in_phi_half=True)
-    with pytest.raises(ValueError, match="even-valuation gate"):
-        make_config(CLASS_TRIPLES[0], EF.RAM, ord_zero=True)
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +158,6 @@ def test_toral_invariant_matches_symbol():
         for a in (SQUARE_CLASS_U, SQUARE_CLASS_PI, SQUARE_CLASS_UPI):
             for b in (SQUARE_CLASS_ONE, SQUARE_CLASS_U, SQUARE_CLASS_PI, SQUARE_CLASS_UPI):
                 assert toral_invariant(field, a, b) == hilbert_symbol(field, a, b)
-
-
-def test_toral_invariant_rejects_trivial_step_class():
-    with pytest.raises(ValueError, match="nontrivial"):
-        toral_invariant(make_base(5), SQUARE_CLASS_ONE, SQUARE_CLASS_U)
 
 
 # ---------------------------------------------------------------------------

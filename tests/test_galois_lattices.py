@@ -45,15 +45,11 @@ from quadchar.galois_lattices import (
     Prod,
     Res,
     U1,
-    UnsupportedTorusError,
     action_matrix,
     cocharacter_lattice,
     component_group_dual,
     compose_permutations,
     compositum,
-    field_contains,
-    field_degree,
-    galois_group,
     mat_vec,
     norm_quotient,
     prasad_torus_identity,
@@ -230,17 +226,12 @@ def test_coinvariant_quotients_keep_the_quotient_contract() -> None:
         assert_quotient_contract(lat.coinvariants, relations)
 
 
-def test_quotient_rejects_vectors_of_another_length() -> None:
+def test_quotient_reads_each_relation_once_up_to_sign() -> None:
     group = quotient(2, [(2, -2), (0, 0), (-2, 2)])  # Z/2 on (1, -1), Z on (0, 1)
     assert group.torsion.invariant_factors == (2,)
     assert not group.is_zero_class((1, -1)) and not group.is_zero_class((0, 1))
     assert group.is_zero_class((4, -4))
     assert quotient(2, []).diag == (0, 0)  # no relations: the quotient is Z^2
-    # a dropped zero relation still has to have the right length
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        quotient(2, [(0, 0, 0)])
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        group.is_zero_class((1, 1, 1))
 
 
 DENSE_ENTRIES = st.integers(-9, 9)
@@ -332,15 +323,6 @@ def test_invariant_factors_match_prime_power_oracle(first: list[int], second: li
     assert a.order == math.prod(first)
 
 
-def test_invariant_factor_validation() -> None:
-    with pytest.raises(ValueError):
-        FiniteAbelianGroup((3, 2))
-    with pytest.raises(ValueError):
-        FiniteAbelianGroup((1,))
-    with pytest.raises(ValueError):
-        FiniteAbelianGroup.from_factors([2, 0])
-
-
 def test_group_describe() -> None:
     assert FiniteAbelianGroup(()).describe() == "1"
     assert FiniteAbelianGroup((2, 4)).describe() == "Z/2 x Z/4"
@@ -376,11 +358,9 @@ def test_klein_through_sign_quotient() -> None:
     assert tate_cohomology(lat, 0).order == 1
 
 
-def test_rejects_non_invertible_generator_and_bad_degree() -> None:
+def test_rejects_non_invertible_generator_wrong_order_and_non_commuting_pair() -> None:
     with pytest.raises(ValueError):
         lattice(1, [((2,),)], [2])
-    with pytest.raises(ValueError):
-        tate_cohomology(lattice(1, [NEG_ONE], [2]), 1)
     with pytest.raises(ValueError):
         lattice(1, [NEG_ONE], [3])  # wrong declared order
     with pytest.raises(ValueError):
@@ -986,10 +966,6 @@ def test_reiner_formula_matches_smith_forms_on_conjugated_involutions() -> None:
 
 
 def test_tower_structure() -> None:
-    assert field_contains("E", "F") and field_contains("K", "E1")
-    assert not field_contains("E", "E1")
-    assert field_degree("K", "F") == 4
-    assert field_degree("E", "F") == 2
     assert compositum("E", "E1") == "K"
     assert compositum("E", "E") == "E"
 
@@ -1006,38 +982,16 @@ def test_res_action_matrices_frozen() -> None:
 
 
 def test_quadratic_step_over_every_ordered_pair_of_levels() -> None:
-    generators, degree_one_or_four, uncontained = {}, 0, 0
+    gal, generators = galois_lattices._GAL, {}
     for top, bottom in itertools.product(FIELD_LEVELS, repeat=2):
-        if not field_contains(top, bottom):
-            with pytest.raises(ValueError, match=f"^{top} does not contain {bottom}$") as raised:
-                galois_lattices._quadratic_step(top, bottom)
-            assert not isinstance(raised.value, UnsupportedTorusError)
-            uncontained += 1
-        elif field_degree(top, bottom) != 2:
-            with pytest.raises(UnsupportedTorusError, match=f"quadratic step, got {top}/{bottom}$"):
-                galois_lattices._quadratic_step(top, bottom)
-            degree_one_or_four += 1
-        else:
+        if set(gal[top]) <= set(gal[bottom]) and len(gal[bottom]) == 2 * len(gal[top]):
             s = galois_lattices._quadratic_step(top, bottom)
-            assert s in galois_group(bottom) and s not in galois_group(top)
+            assert s in gal[bottom] and s not in gal[top]
             generators[top, bottom] = s
-    assert (len(generators), degree_one_or_four, uncontained) == (6, 6, 13)
     # the first element outside Gal(K/top): 2 moves E, 1 moves E1 and E2, 3 fixes E2
     assert generators == {
         ("E", "F"): 2, ("E1", "F"): 1, ("E2", "F"): 1, ("K", "E"): 1, ("K", "E1"): 2, ("K", "E2"): 3
     }
-
-
-def test_a_step_is_checked_before_its_base() -> None:
-    torus = U1("K", "E1")
-    for check in (norm_quotient, prasad_torus_identity):
-        # K/F is not quadratic and E1 is not F: the step is reported
-        with pytest.raises(UnsupportedTorusError, match="^need a quadratic step, got K/F$"):
-            check(torus, ("K", "F"))
-        with pytest.raises(UnsupportedTorusError, match="does not match the step base F$"):
-            check(torus, ("E", "F"))
-        with pytest.raises(ValueError, match="^E does not contain E1$"):
-            check(torus, ("E", "E1"))
 
 
 def test_action_matrices_multiply_as_the_xor_group() -> None:
@@ -1045,27 +999,10 @@ def test_action_matrices_multiply_as_the_xor_group() -> None:
     tori = dict.fromkeys(torus for torus, _ in quadratic_step_pairs())
     assert set(torus_catalog()) <= set(tori)
     for t in tori:
-        group = galois_group(t.base)
         assert action_matrix(t, 0) == oracle_identity(t.rank)
-        for g, h in itertools.product(group, repeat=2):
+        for g, h in itertools.product(galois_lattices._GAL[t.base], repeat=2):
             product = mat_mul(action_matrix(t, g), action_matrix(t, h))
             assert action_matrix(t, g ^ h) == product, (t, g, h)
-        for g in set(range(4)) - set(group):
-            with pytest.raises(ValueError, match="does not fix the base field"):
-                action_matrix(t, g)
-
-
-def test_cocharacter_level_validation() -> None:
-    with pytest.raises(ValueError):
-        cocharacter_lattice(U1("K", "E1"), "F")  # F does not contain E1
-    with pytest.raises(UnsupportedTorusError, match="^need a quadratic step, got K/F$"):
-        U1("K", "F")  # not a quadratic step
-    with pytest.raises(UnsupportedTorusError, match="^need a quadratic step, got K/F$"):
-        Res("K", "F", Gm("K"))
-    with pytest.raises(UnsupportedTorusError):
-        Res("E1", "F", U1("K", "E2"))  # inner torus over the wrong field
-    with pytest.raises(UnsupportedTorusError):
-        Prod((Gm("F"), Gm("E")))  # mixed bases
 
 
 def test_every_catalog_lattice_passes_the_check_and_a_non_commuting_action_is_refused(
@@ -1171,13 +1108,6 @@ def test_norm_quotient_multiplicative() -> None:
     assert norm_quotient(prod).invariant_factors == (2, 2)
 
 
-def test_norm_quotient_rejections() -> None:
-    with pytest.raises(UnsupportedTorusError):
-        norm_quotient(U1("K", "E1"), ("E", "F"))  # base mismatch
-    with pytest.raises(UnsupportedTorusError):
-        norm_quotient(Gm("F"), ("K", "F"))  # not quadratic
-
-
 # ---------------------------------------------------------------------------
 # the kernel-cardinality identity
 # ---------------------------------------------------------------------------
@@ -1218,8 +1148,6 @@ def test_torus_labels_name_the_catalog_as_the_reports_do() -> None:
         "Res(E1/F)[U1(K/E1)] x U1(E1/F)",
         "Res(E1/F)[U1(K/E1)] x Gm(F)",
     ]
-    with pytest.raises(UnsupportedTorusError, match="unknown torus expression"):
-        torus_label("Gm(F)")
 
 
 def test_identity_multiplicative_over_products() -> None:
@@ -1256,6 +1184,51 @@ def test_identity_holds_at_every_quadratic_step() -> None:
     assert sorted(set(kernels)) == [1, 2, 4]
 
 
+def test_every_torus_the_builders_make_is_well_formed_where_it_is_used() -> None:
+    """The torus constructors check nothing; the builders' tori need no check.
+
+    Read off ``_GAL``: every ``U1``/``Res`` step and every step ``(top,
+    bottom)`` has index 2, a ``Res`` inner torus lives over its restriction
+    field, product factors share one base, and the group of every level a
+    torus is used at lies in its base's.  The catalog is used at every level
+    (the catalog lattices and tables) and ``quadratic_step_pairs()`` at its
+    steps; each step's lattices are taken at its top and bottom.
+    """
+    gal = galois_lattices._GAL
+
+    def quadratic(top: str, bottom: str) -> bool:
+        return set(gal[top]) <= set(gal[bottom]) and len(gal[bottom]) == 2 * len(gal[top])
+
+    def well_formed(torus) -> bool:
+        if isinstance(torus, Gm):
+            return torus.base in gal
+        if isinstance(torus, U1):
+            return quadratic(torus.top, torus.base)
+        if isinstance(torus, Res):
+            inner = torus.inner
+            return (
+                quadratic(torus.through, torus.base)
+                and inner.base == torus.through
+                and well_formed(inner)
+            )
+        bases = {f.base for f in torus.factors}
+        return len(bases) == 1 and all(map(well_formed, torus.factors))
+
+    levels = {torus: set(FIELD_LEVELS) for torus in torus_catalog()}
+    for torus, (top, bottom) in quadratic_step_pairs():
+        assert quadratic(top, bottom) and torus.base == bottom, (torus, top, bottom)
+        levels.setdefault(torus, set()).update((top, bottom))
+    assert len(levels) == 22
+    for torus, used_at in levels.items():
+        assert well_formed(torus), torus
+        for level in used_at:
+            assert set(gal[level]) <= set(gal[torus.base]), (torus, level)
+    # what the constructors used to refuse fails the property
+    bad = (U1("K", "F"), Res("K", "F", Gm("K")), Res("E1", "F", U1("K", "E2")), Prod((Gm("F"), Gm("E"))))
+    assert not any(map(well_formed, bad))
+    assert not set(gal["F"]) <= set(gal["E1"])  # a level below the base
+
+
 def test_catalog_takes_one_smith_form_per_lattice(monkeypatch: pytest.MonkeyPatch) -> None:
     calls = []
     snf = galois_lattices.smith_normal_form
@@ -1282,7 +1255,3 @@ def test_catalog_takes_one_smith_form_per_lattice(monkeypatch: pytest.MonkeyPatc
     assert len(calls) == 29
     assert galois_lattices._lattice.cache_info().currsize == 29
 
-
-def test_identity_rejects_wrong_base() -> None:
-    with pytest.raises(UnsupportedTorusError):
-        prasad_torus_identity(U1("K", "E1"), ("E", "F"))

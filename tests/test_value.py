@@ -43,7 +43,7 @@ def test_distinct_classes_with_equal_fields_are_unequal():
 def test_equal_fields_give_equal_instances():
     assert SquareClass(1, 0) == SquareClass(1, 0) and SquareClass(1, 0) != SquareClass(0, 1)
     assert Res("E", "F", Gm("E")) == Res(through="E", base="F", inner=Gm("E"))
-    assert LocalFieldDesc(5) == LocalFieldDesc(5, 1, 1) == LocalFieldDesc(f=1, p=5)
+    assert LocalFieldDesc(5) == LocalFieldDesc(5, 1) == LocalFieldDesc(f=1, p=5)
     assert Gm() == Gm("F")
 
 
@@ -52,7 +52,7 @@ def test_hash_is_the_hash_of_the_field_tuple():
         *TORI,
         Twin("E", "F"),
         SquareClass(1, 1),
-        LocalFieldDesc(7, 2, 3),
+        LocalFieldDesc(7, 3),
         FiniteField(7),
         *(make_config(t, ef) for t in CLASS_TRIPLES[:3] for ef in (EF.RAM,)),
     ]
@@ -73,14 +73,12 @@ def test_fields_cannot_be_assigned_or_deleted():
 
 
 def test_post_init_validation_still_fires():
-    with pytest.raises(ValueError, match="bits"):
-        SquareClass(2, 0)
     with pytest.raises(ValueError, match="odd prime"):
         FiniteField(9)
     with pytest.raises(ValueError, match="does not occur"):
         RootOrbitConfig(*CLASS_TRIPLES[3], EF.RAM)  # class 3 occurs only with ef=ur
-    with pytest.raises(ValueError, match="bits"):
-        SquareClass(0, 1).replace(val_parity=2)  # replace validates again
+    with pytest.raises(ValueError, match="odd prime"):
+        FiniteField(7).replace(p=9)  # replace validates again
 
 
 def test_missing_or_unknown_fields_raise_type_error():

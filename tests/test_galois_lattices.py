@@ -1184,49 +1184,63 @@ def test_identity_holds_at_every_quadratic_step() -> None:
     assert sorted(set(kernels)) == [1, 2, 4]
 
 
-def test_every_torus_the_builders_make_is_well_formed_where_it_is_used() -> None:
-    """The torus constructors check nothing; the builders' tori need no check.
-
-    Read off ``_GAL``: every ``U1``/``Res`` step and every step ``(top,
-    bottom)`` has index 2, a ``Res`` inner torus lives over its restriction
-    field, product factors share one base, and the group of every level a
-    torus is used at lies in its base's.  The catalog is used at every level
-    (the catalog lattices and tables) and ``quadratic_step_pairs()`` at its
-    steps; each step's lattices are taken at its top and bottom.
-    """
-    gal = galois_lattices._GAL
-
-    def quadratic(top: str, bottom: str) -> bool:
-        return set(gal[top]) <= set(gal[bottom]) and len(gal[bottom]) == 2 * len(gal[top])
-
-    def well_formed(torus) -> bool:
-        if isinstance(torus, Gm):
-            return torus.base in gal
-        if isinstance(torus, U1):
-            return quadratic(torus.top, torus.base)
-        if isinstance(torus, Res):
-            inner = torus.inner
-            return (
-                quadratic(torus.through, torus.base)
-                and inner.base == torus.through
-                and well_formed(inner)
-            )
-        bases = {f.base for f in torus.factors}
-        return len(bases) == 1 and all(map(well_formed, torus.factors))
-
+def _levels_the_builders_use() -> dict:
+    """Each torus of the catalog and of ``quadratic_step_pairs()``, with the
+    levels it is used at: the catalog at every level (the catalog lattices
+    and tables), and each step's tori at its top and bottom."""
     levels = {torus: set(FIELD_LEVELS) for torus in torus_catalog()}
     for torus, (top, bottom) in quadratic_step_pairs():
-        assert quadratic(top, bottom) and torus.base == bottom, (torus, top, bottom)
         levels.setdefault(torus, set()).update((top, bottom))
-    assert len(levels) == 22
-    for torus, used_at in levels.items():
-        assert well_formed(torus), torus
-        for level in used_at:
-            assert set(gal[level]) <= set(gal[torus.base]), (torus, level)
-    # what the constructors used to refuse fails the property
+    return levels
+
+
+def _quadratic(top: str, bottom: str) -> bool:
+    gal = galois_lattices._GAL
+    return set(gal[top]) <= set(gal[bottom]) and len(gal[bottom]) == 2 * len(gal[top])
+
+
+def _well_formed(torus) -> bool:
+    """Every ``U1``/``Res`` step has index 2, a ``Res`` inner torus lives over
+    its restriction field, and product factors share one base."""
+    if isinstance(torus, Gm):
+        return torus.base in galois_lattices._GAL
+    if isinstance(torus, U1):
+        return _quadratic(torus.top, torus.base)
+    if isinstance(torus, Res):
+        inner = torus.inner
+        return _quadratic(torus.through, torus.base) and inner.base == torus.through and _well_formed(inner)
+    bases = {f.base for f in torus.factors}
+    return len(bases) == 1 and all(map(_well_formed, torus.factors))
+
+
+_USED_TORI = _levels_the_builders_use()
+
+
+@pytest.mark.parametrize("torus", list(_USED_TORI), ids=torus_label)
+def test_every_torus_the_builders_make_is_well_formed_where_it_is_used(torus) -> None:
+    """The torus constructors check nothing; the builders' tori need no check.
+
+    Read off ``_GAL``: the torus is well formed, and the group of every
+    level it is used at lies in its base's.
+    """
+    gal = galois_lattices._GAL
+    assert _well_formed(torus), torus
+    for level in _USED_TORI[torus]:
+        assert set(gal[level]) <= set(gal[torus.base]), (torus, level)
+
+
+def test_every_step_the_builders_use_is_quadratic_over_the_torus_base() -> None:
+    """Every ``(top, bottom)`` step of ``quadratic_step_pairs()`` has index 2
+    and is taken over its torus's base; the steps reach 22 distinct tori."""
+    for torus, (top, bottom) in quadratic_step_pairs():
+        assert _quadratic(top, bottom) and torus.base == bottom, (torus, top, bottom)
+    assert len(_levels_the_builders_use()) == 22
+
+
+def test_the_torus_property_fails_what_the_constructors_refused() -> None:
     bad = (U1("K", "F"), Res("K", "F", Gm("K")), Res("E1", "F", U1("K", "E2")), Prod((Gm("F"), Gm("E"))))
-    assert not any(map(well_formed, bad))
-    assert not set(gal["F"]) <= set(gal["E1"])  # a level below the base
+    assert not any(map(_well_formed, bad))
+    assert not set(galois_lattices._GAL["F"]) <= set(galois_lattices._GAL["E1"])  # a level below the base
 
 
 def test_catalog_takes_one_smith_form_per_lattice(monkeypatch: pytest.MonkeyPatch) -> None:

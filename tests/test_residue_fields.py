@@ -231,6 +231,26 @@ def test_sgn_norm_one_rejects_non_norm_one() -> None:
 
 
 @pytest.mark.parametrize("k", FIELDS, ids=lambda k: f"q{k.q}")
+def test_sign_characters_refuse_exactly_off_their_group_naming_the_power(k: FiniteField) -> None:
+    """``_sign_of`` is the one refusal: zero for ``sgn_units`` and
+    ``sgn_ext_units``, and exactly the elements of norm other than 1 for
+    ``sgn_norm_one``, each with the power it got in the message."""
+    ext = QuadraticExtension(k)
+    with pytest.raises(ValueError, match=r"its power is 0$"):
+        sgn_units(k, 0)
+    with pytest.raises(ValueError, match=r"its power is \(0, 0\)$"):
+        sgn_ext_units(ext, (0, 0))
+    for x in ext_elements(ext):
+        power = ext.pow(x, (k.q + 1) // 2)
+        if ext.norm(x) == 1:
+            assert sgn_norm_one(ext, x) in (1, -1)
+            continue
+        with pytest.raises(ValueError) as info:
+            sgn_norm_one(ext, x)
+        assert str(info.value).endswith(f"its power is {power}"), (x, info.value)
+
+
+@pytest.mark.parametrize("k", FIELDS, ids=lambda k: f"q{k.q}")
 def test_sgn_norm_one_kernel_index_two(k: FiniteField) -> None:
     ext = QuadraticExtension(k)
     values = [sgn_norm_one(ext, x) for x in ext.norm_one_elements()]
